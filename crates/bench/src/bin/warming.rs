@@ -8,9 +8,6 @@
 //! * **functional** — plain fast-forward MIPS (architectural state only),
 //! * **warming** — fast-forward-with-functional-warming MIPS (caches,
 //!   TLBs, and branch predictor updated per instruction),
-//! * **warming+pt** — the same with the batched L2 pre-touch pass
-//!   enabled (off by default; measured in the same process so the two
-//!   warming figures are directly comparable),
 //! * the implied S_FW ratio (warming rate / functional rate) and the
 //!   warming overhead in ns/instruction.
 //!
@@ -41,7 +38,6 @@ struct Row {
     instructions: u64,
     functional: Duration,
     warming: Duration,
-    warming_pretouch: Duration,
 }
 
 impl Row {
@@ -51,10 +47,6 @@ impl Row {
 
     fn warming_mips(&self) -> f64 {
         self.instructions as f64 / self.warming.as_secs_f64() / 1e6
-    }
-
-    fn warming_pretouch_mips(&self) -> f64 {
-        self.instructions as f64 / self.warming_pretouch.as_secs_f64() / 1e6
     }
 
     fn s_fw(&self) -> f64 {
@@ -98,17 +90,17 @@ fn main() {
     };
 
     println!(
-        "{:<12} {:<8} {:>12} {:>12} {:>12} {:>8} {:>12}",
-        "benchmark", "isa", "func MIPS", "warm MIPS", "w+pt MIPS", "S_FW", "overhead/in"
+        "{:<12} {:<8} {:>12} {:>12} {:>8} {:>12}",
+        "benchmark", "isa", "func MIPS", "warm MIPS", "S_FW", "overhead/in"
     );
     let mut rows = Vec::new();
     for name in &probes {
         let loaded = smarts_isa::BuiltinIsa::resolve(name, 1.0)
             .unwrap_or_else(|e| panic!("unknown benchmark {name}: {e}"));
         rows.push(measure(name, "builtin", &loaded, instructions, &cfg));
-        // The compact-RISC frontend decodes its fixed 32-bit binary form
-        // on the same warming hot path, so its rate is a first-class
-        // figure: one row per probe the encoding can represent.
+        // The compact-RISC frontend runs the same warming hot path over
+        // the table it decoded at load, so its rate should track the
+        // built-in row: one row per probe the encoding can represent.
         if let Ok(loaded) = RiscIsa::resolve(name, 1.0) {
             rows.push(measure(name, "risc", &loaded, instructions, &cfg));
         }
@@ -128,8 +120,8 @@ fn main() {
     println!("\nwrote results/bench_warming.json");
 }
 
-/// Times one probe's functional / warming / warming+pretouch passes
-/// under frontend `F` and prints its table row.
+/// Times one probe's functional / warming passes under frontend `F` and
+/// prints its table row.
 fn measure<F: Frontend>(
     name: &str,
     isa: &'static str,
@@ -146,12 +138,6 @@ fn measure<F: Frontend>(
         let mut warm = WarmState::new(cfg);
         engine.fast_forward_warming(instructions, &mut warm)
     });
-    let warming_pretouch = time(|| {
-        let mut engine = FunctionalEngine::new(loaded.clone());
-        let mut warm = WarmState::new(cfg);
-        warm.set_batch_pretouch(true);
-        engine.fast_forward_warming(instructions, &mut warm)
-    });
 
     let row = Row {
         name: name.to_string(),
@@ -159,15 +145,13 @@ fn measure<F: Frontend>(
         instructions,
         functional,
         warming,
-        warming_pretouch,
     };
     println!(
-        "{:<12} {:<8} {:>12.2} {:>12.2} {:>12.2} {:>8.3} {:>9.1} ns",
+        "{:<12} {:<8} {:>12.2} {:>12.2} {:>8.3} {:>9.1} ns",
         row.name,
         row.isa,
         row.functional_mips(),
         row.warming_mips(),
-        row.warming_pretouch_mips(),
         row.s_fw(),
         row.overhead_ns()
     );
@@ -202,11 +186,6 @@ fn write_json(rows: &[Row]) -> std::io::Result<()> {
             row.functional_mips()
         )?;
         writeln!(f, "      \"warming_mips\": {:.3},", row.warming_mips())?;
-        writeln!(
-            f,
-            "      \"warming_pretouch_mips\": {:.3},",
-            row.warming_pretouch_mips()
-        )?;
         writeln!(f, "      \"s_fw\": {:.4},", row.s_fw())?;
         writeln!(
             f,

@@ -74,6 +74,12 @@ impl<'a> RleEncoder<'a> {
         write_varint(self.out, zigzag(delta as i64));
     }
 
+    /// Encodes `count` consecutive zero deltas — what `count` calls of
+    /// `push(0)` would, in one step.
+    pub fn push_zeros(&mut self, count: u64) {
+        self.zero_run += count;
+    }
+
     fn flush_run(&mut self) {
         if self.zero_run > 0 {
             write_varint(self.out, 0);
@@ -90,32 +96,12 @@ impl<'a> RleEncoder<'a> {
     }
 }
 
-/// Decodes exactly `count` word deltas from `input` at `*pos`. Returns
-/// `None` on truncation, a zero-length run, or a run overshooting
-/// `count` — every way a corrupted stream can disagree with the fixed
-/// word count the caller derives from the machine geometry.
-pub fn decode_deltas(input: &[u8], pos: &mut usize, count: usize) -> Option<Vec<u64>> {
-    let mut out = Vec::with_capacity(count);
-    while out.len() < count {
-        let token = read_varint(input, pos)?;
-        if token == 0 {
-            let run = read_varint(input, pos)?;
-            if run == 0 || run > (count - out.len()) as u64 {
-                return None;
-            }
-            out.resize(out.len() + run as usize, 0);
-        } else {
-            out.push(unzigzag(token) as u64);
-        }
-    }
-    Some(out)
-}
-
 /// Applies exactly `words.len()` word deltas from `input` at `*pos`
-/// onto `words` in place — the lazy-decode fast path. Zero runs skip
-/// forward without touching the reference words (a zero delta leaves
-/// the word unchanged), so an unchanged page costs two varint reads
-/// and no writes. Same rejection rules as [`decode_deltas`]; on
+/// onto `words` in place. Zero runs skip forward without touching the
+/// reference words (a zero delta leaves the word unchanged). Returns
+/// `None` on truncation, a zero-length run, or a run overshooting
+/// `words.len()` — every way a corrupted stream can disagree with the
+/// fixed word count the caller derives from the machine geometry; on
 /// `None`, `words` may be partially updated and must be discarded.
 pub fn apply_deltas(input: &[u8], pos: &mut usize, words: &mut [u64]) -> Option<()> {
     let mut filled = 0usize;
@@ -217,6 +203,13 @@ mod tests {
         assert_eq!(zigzag(1), 2);
     }
 
+    /// Decodes `count` deltas onto zeros, i.e. the deltas themselves.
+    fn decode(buf: &[u8], pos: &mut usize, count: usize) -> Option<Vec<u64>> {
+        let mut words = vec![0u64; count];
+        apply_deltas(buf, pos, &mut words)?;
+        Some(words)
+    }
+
     #[test]
     fn rle_round_trips_mixed_stream() {
         let deltas: Vec<u64> = vec![0, 0, 0, 5, 0, u64::MAX, 0, 0, 1, 0];
@@ -227,8 +220,7 @@ mod tests {
         }
         enc.finish();
         let mut pos = 0;
-        let decoded = decode_deltas(&buf, &mut pos, deltas.len()).unwrap();
-        assert_eq!(decoded, deltas);
+        assert_eq!(decode(&buf, &mut pos, deltas.len()).unwrap(), deltas);
         assert_eq!(pos, buf.len());
     }
 
@@ -246,12 +238,32 @@ mod tests {
             buf.len()
         );
         let mut pos = 0;
-        let decoded = decode_deltas(&buf, &mut pos, 100_000).unwrap();
+        let decoded = decode(&buf, &mut pos, 100_000).unwrap();
         assert!(decoded.iter().all(|&d| d == 0));
     }
 
     #[test]
-    fn apply_deltas_matches_decode_plus_add() {
+    fn push_zeros_equals_repeated_zero_pushes() {
+        let mut one_by_one = Vec::new();
+        let mut enc = RleEncoder::new(&mut one_by_one);
+        for d in [0, 0, 7, 0, 0, 0, 0, 0, 9, 0] {
+            enc.push(d);
+        }
+        enc.finish();
+        let mut bulk = Vec::new();
+        let mut enc = RleEncoder::new(&mut bulk);
+        enc.push_zeros(2);
+        enc.push(7);
+        enc.push_zeros(3);
+        enc.push_zeros(2);
+        enc.push(9);
+        enc.push_zeros(1);
+        enc.finish();
+        assert_eq!(bulk, one_by_one);
+    }
+
+    #[test]
+    fn apply_deltas_adds_onto_the_reference() {
         let reference: Vec<u64> = (0..64u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
         let deltas: Vec<u64> = (0..64u64)
             .map(|i| if i % 5 == 0 { i.wrapping_mul(31) } else { 0 })
@@ -263,23 +275,20 @@ mod tests {
         }
         enc.finish();
 
-        let mut pos = 0;
-        let decoded = decode_deltas(&buf, &mut pos, 64).unwrap();
-        let eager: Vec<u64> = decoded
+        let expected: Vec<u64> = deltas
             .iter()
             .zip(&reference)
             .map(|(&d, &r)| d.wrapping_add(r))
             .collect();
-
         let mut in_place = reference.clone();
-        let mut pos2 = 0;
-        apply_deltas(&buf, &mut pos2, &mut in_place).unwrap();
-        assert_eq!(in_place, eager);
-        assert_eq!(pos2, pos);
+        let mut pos = 0;
+        apply_deltas(&buf, &mut pos, &mut in_place).unwrap();
+        assert_eq!(in_place, expected);
+        assert_eq!(pos, buf.len());
     }
 
     #[test]
-    fn apply_deltas_rejects_what_decode_rejects() {
+    fn apply_deltas_rejects_overshooting_runs_and_truncation() {
         let mut buf = Vec::new();
         write_varint(&mut buf, 0);
         write_varint(&mut buf, 10); // run of 10 into a 5-word stream
@@ -288,15 +297,6 @@ mod tests {
         assert_eq!(apply_deltas(&buf, &mut pos, &mut words), None);
         let mut pos2 = 0;
         assert_eq!(apply_deltas(&[0x80], &mut pos2, &mut words), None);
-    }
-
-    #[test]
-    fn rle_decoder_rejects_overshooting_runs() {
-        let mut buf = Vec::new();
-        write_varint(&mut buf, 0);
-        write_varint(&mut buf, 10); // run of 10 into a 5-word stream
-        let mut pos = 0;
-        assert_eq!(decode_deltas(&buf, &mut pos, 5), None);
     }
 
     #[test]

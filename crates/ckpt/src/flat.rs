@@ -8,41 +8,46 @@
 //!   pure function of the machine geometry, so consecutive units'
 //!   sections align positionally and delta-encode word-for-word.
 //! * a **page set** — the memory snapshot's allocated 4 KiB pages,
-//!   sorted by page index. Each page deltas against the *previous
-//!   unit's page with the same index* (zeros when absent). Consecutive
-//!   snapshots share unmodified pages copy-on-write, so most page
-//!   deltas are all-zero and run-length-collapse to a few bytes.
+//!   sorted by page index, held as the *same* shared pages the snapshot
+//!   holds (no copy). Each page deltas against the *previous unit's page
+//!   with the same index* (zeros when absent). Consecutive snapshots
+//!   share unmodified pages copy-on-write, so most pages are recognised
+//!   as unchanged by identity, without reading them, and collapse to a
+//!   three-byte token.
 //!
 //! Warm state between nearby units differs only where the stream
 //! touched new sets/counters, so the fixed-section deltas are sparse
 //! too — this is what makes the on-disk store far smaller than the
 //! resident library.
 
-use crate::codec::{apply_deltas, decode_deltas, read_varint, write_varint, RleEncoder};
+use crate::codec::{apply_deltas, read_varint, write_varint, RleEncoder};
 use crate::error::CkptError;
 use smarts_core::{EngineSnapshot, UnitCheckpoint};
-use smarts_isa::{BuiltinIsa, Isa, Memory};
+use smarts_isa::{BuiltinIsa, Isa, Memory, Page};
 use smarts_uarch::{MachineConfig, WarmState};
+use std::sync::Arc;
 
 /// Words per memory page (4 KiB of little-endian `u64`s).
 pub(crate) const PAGE_WORDS: usize = Memory::PAGE_BYTES / 8;
 
-/// A checkpoint flattened to delta-friendly word streams.
+/// A checkpoint flattened to a delta-friendly word stream plus its
+/// shared memory pages.
 ///
 /// This is the store's canonical unit of comparison: every structure's
 /// `save_state` emits a *canonical* serialization (see
 /// `smarts_uarch::Cache::save_state`), so two checkpoints whose states
-/// behave identically flatten to equal word streams regardless of the
-/// history that built them. Sharded-warm stitching compares flats with
-/// `==` to detect re-warm convergence, and equal flats delta-encode to
-/// identical record bytes — the bit-identity argument of DESIGN.md
-/// §3.6e rests on this equivalence.
-#[derive(Debug, Clone, PartialEq)]
+/// behave identically flatten to equal flats regardless of the history
+/// that built them (pages compare by content; identity is only a
+/// shortcut). Sharded-warm stitching compares flats with `==` to detect
+/// re-warm convergence, and equal flats delta-encode to identical
+/// record bytes — the bit-identity argument of DESIGN.md §3.6e rests on
+/// this equivalence.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlatCheckpoint {
     /// Unit start, CPU state, warm state — geometry-determined length.
     pub(crate) fixed: Vec<u64>,
     /// `(page_index, contents)` sorted ascending by index.
-    pub(crate) pages: Vec<(u64, Vec<u64>)>,
+    pub(crate) pages: Vec<(u64, Arc<Page>)>,
 }
 
 impl FlatCheckpoint {
@@ -52,27 +57,28 @@ impl FlatCheckpoint {
         self.fixed.first().copied().unwrap_or(0)
     }
 
-    /// Flattens a checkpoint into word streams. The frontend determines
-    /// only how the CPU-state words are produced ([`Isa::save_state`]);
-    /// the container layout is frontend-independent.
+    /// Flattens a checkpoint. The frontend determines only how the
+    /// CPU-state words are produced ([`Isa::save_state`]); the container
+    /// layout is frontend-independent.
     pub fn flatten<I: Isa>(checkpoint: &UnitCheckpoint<I>) -> Self {
-        let mut fixed = vec![checkpoint.unit_start()];
-        I::save_state(checkpoint.snapshot().cpu(), &mut fixed);
-        checkpoint.warm().save_state(&mut fixed);
-        let pages = checkpoint
-            .snapshot()
-            .memory()
-            .pages_sorted()
-            .into_iter()
-            .map(|(index, bytes)| {
-                let words = bytes
-                    .chunks_exact(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-                    .collect();
-                (index, words)
-            })
-            .collect();
-        FlatCheckpoint { fixed, pages }
+        let mut flat = FlatCheckpoint::default();
+        flat.refill(checkpoint);
+        flat
+    }
+
+    /// [`FlatCheckpoint::flatten`] into `self`, reusing its buffers: the
+    /// writer flattens every unit, and a fresh half-megabyte word vector
+    /// per append is the allocator's time, not the encoder's.
+    pub(crate) fn refill<I: Isa>(&mut self, checkpoint: &UnitCheckpoint<I>) {
+        self.fixed.clear();
+        self.fixed.push(checkpoint.unit_start());
+        I::save_state(checkpoint.snapshot().cpu(), &mut self.fixed);
+        checkpoint.warm().save_state(&mut self.fixed);
+        self.pages.clear();
+        let shared = checkpoint.snapshot().memory().shared_pages();
+        self.pages
+            .extend(shared.map(|(index, page)| (index, Arc::clone(page))));
+        self.pages.sort_unstable_by_key(|&(index, _)| index);
     }
 
     /// Rebuilds a built-in-frontend checkpoint — see
@@ -82,7 +88,8 @@ impl FlatCheckpoint {
     }
 
     /// Rebuilds the checkpoint for a machine of the geometry the store
-    /// was written for, parsing the CPU-state words under frontend `I`.
+    /// was written for, parsing the CPU-state words under frontend `I`;
+    /// the memory snapshot shares this flat's pages copy-on-write.
     /// Fails (with a diagnostic) when the word stream does not parse
     /// against that geometry — the corrupted-record path. Callers gate
     /// on the store's recorded [`smarts_isa::IsaId`] first, so a
@@ -108,15 +115,8 @@ impl FlatCheckpoint {
             return Err("fixed section longer than the machine geometry requires");
         }
         let mut memory = Memory::new();
-        let mut bytes = vec![0u8; Memory::PAGE_BYTES];
-        for (index, words) in &self.pages {
-            if words.len() != PAGE_WORDS {
-                return Err("page has the wrong word count");
-            }
-            for (chunk, word) in bytes.chunks_exact_mut(8).zip(words) {
-                chunk.copy_from_slice(&word.to_le_bytes());
-            }
-            memory.insert_page(*index, &bytes);
+        for (index, page) in &self.pages {
+            memory.insert_shared_page(*index, Arc::clone(page));
         }
         Ok(UnitCheckpoint::from_parts(
             unit_start,
@@ -125,22 +125,22 @@ impl FlatCheckpoint {
         ))
     }
 
-    /// The page contents stored for `index`, if any (pages are sorted,
-    /// so this is a binary search).
-    fn page(&self, index: u64) -> Option<&[u64]> {
+    /// The page stored for `index`, if any (pages are sorted, so this is
+    /// a binary search).
+    fn page(&self, index: u64) -> Option<&Arc<Page>> {
         self.pages
             .binary_search_by_key(&index, |&(i, _)| i)
             .ok()
-            .map(|k| self.pages[k].1.as_slice())
+            .map(|k| &self.pages[k].1)
     }
 
-    /// Approximate resident bytes of this flat: the word storage of the
-    /// fixed section and every page. This is what one lazy-replay
-    /// cursor keeps materialized at a time — the per-worker residency
-    /// unit the `store_mem` bench and the pipeline accounting report.
+    /// Approximate resident bytes of this flat: the fixed section's word
+    /// storage plus every page and its index. This is what one
+    /// lazy-replay cursor keeps materialized at a time — the per-worker
+    /// residency unit the `store_mem` bench and the pipeline accounting
+    /// report. Pages shared with a live snapshot are counted in full.
     pub fn approx_bytes(&self) -> u64 {
-        let page_words: u64 = self.pages.iter().map(|(_, w)| 1 + w.len() as u64).sum();
-        8 * (self.fixed.len() as u64 + page_words)
+        8 * self.fixed.len() as u64 + (8 + Memory::PAGE_BYTES as u64) * self.pages.len() as u64
     }
 }
 
@@ -182,7 +182,7 @@ impl<'a> FlatCheckpointRef<'a> {
 
     /// Decodes this record by consuming and updating the previous flat
     /// in place — the cursor fast path. Unchanged pages (a single
-    /// full-length zero run) are moved, not copied, so only the CoW
+    /// full-length zero run) stay shared, not copied, so only the CoW
     /// page gaps a record actually encodes get touched.
     ///
     /// # Errors
@@ -198,11 +198,53 @@ impl<'a> FlatCheckpointRef<'a> {
     }
 }
 
-/// Encodes one record payload: `self` delta-encoded against `prev`
-/// (record 0 deltas against all-zeros).
+/// Words compared at a time when looking for unchanged runs: `==` over a
+/// chunk of either stream is one `memcmp`, so the zero runs that make up
+/// almost all of a record extend at copy speed, not a branch per word.
+const CHUNK_WORDS: usize = 16;
+
+/// Delta-encodes `curr` against `prev` (zeros when absent) as one RLE
+/// stream. Both are sequences of little-endian words, `per_word`
+/// elements to the word, read through `word`; `zeros` is one all-zero
+/// chunk of the element type.
+fn encode_deltas<T: PartialEq>(
+    out: &mut Vec<u8>,
+    curr: &[T],
+    prev: Option<&[T]>,
+    per_word: usize,
+    word: fn(&[T]) -> u64,
+    zeros: &[T],
+) {
+    let mut enc = RleEncoder::new(out);
+    let chunk = CHUNK_WORDS * per_word;
+    for (k, now) in curr.chunks(chunk).enumerate() {
+        let before = prev.map_or(&zeros[..now.len()], |p| &p[k * chunk..][..now.len()]);
+        if now == before {
+            enc.push_zeros((now.len() / per_word) as u64);
+        } else {
+            for (n, b) in now
+                .chunks_exact(per_word)
+                .zip(before.chunks_exact(per_word))
+            {
+                enc.push(word(n).wrapping_sub(word(b)));
+            }
+        }
+    }
+    enc.finish();
+}
+
+fn page_word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8-byte word"))
+}
+
+/// Encodes one record payload: `curr` delta-encoded against `prev`
+/// (record 0 deltas against all-zeros). A pure function of the two
+/// flats' *contents*: a page that is the very page `prev` holds is
+/// written as the all-zero-delta run without being read, which is
+/// exactly what comparing its bytes would have produced.
 pub(crate) fn encode_record(curr: &FlatCheckpoint, prev: Option<&FlatCheckpoint>) -> Vec<u8> {
     if let Some(prev) = prev {
-        debug_assert_eq!(
+        assert_eq!(
             prev.fixed.len(),
             curr.fixed.len(),
             "fixed-section length is a pure function of the geometry"
@@ -210,26 +252,37 @@ pub(crate) fn encode_record(curr: &FlatCheckpoint, prev: Option<&FlatCheckpoint>
     }
     let mut out = Vec::new();
     write_varint(&mut out, curr.fixed.len() as u64);
-    let mut enc = RleEncoder::new(&mut out);
-    for (i, &word) in curr.fixed.iter().enumerate() {
-        let reference = prev.map_or(0, |p| p.fixed[i]);
-        enc.push(word.wrapping_sub(reference));
-    }
-    enc.finish();
+    let prev_fixed = prev.map(|p| &p.fixed[..]);
+    encode_deltas(
+        &mut out,
+        &curr.fixed,
+        prev_fixed,
+        1,
+        |w| w[0],
+        &[0u64; CHUNK_WORDS],
+    );
 
     write_varint(&mut out, curr.pages.len() as u64);
     let mut last_index = 0u64;
-    for (k, (index, words)) in curr.pages.iter().enumerate() {
+    for (k, (index, page)) in curr.pages.iter().enumerate() {
         let delta = if k == 0 { *index } else { index - last_index };
         write_varint(&mut out, delta);
         last_index = *index;
-        let reference = prev.and_then(|p| p.page(*index));
-        let mut enc = RleEncoder::new(&mut out);
-        for (j, &word) in words.iter().enumerate() {
-            let base = reference.map_or(0, |r| r[j]);
-            enc.push(word.wrapping_sub(base));
+        match prev.and_then(|p| p.page(*index)) {
+            Some(reference) if Arc::ptr_eq(reference, page) => {
+                let mut enc = RleEncoder::new(&mut out);
+                enc.push_zeros(PAGE_WORDS as u64);
+                enc.finish();
+            }
+            reference => encode_deltas(
+                &mut out,
+                &page[..],
+                reference.map(|r| &r[..]),
+                8,
+                page_word,
+                &[0u8; 8 * CHUNK_WORDS],
+            ),
         }
-        enc.finish();
     }
     out
 }
@@ -239,84 +292,47 @@ pub(crate) fn encode_record(curr: &FlatCheckpoint, prev: Option<&FlatCheckpoint>
 const MAX_FIXED_WORDS: u64 = 1 << 28;
 const MAX_PAGES: u64 = 1 << 24;
 
+fn read_fixed_len(payload: &[u8], pos: &mut usize) -> Result<usize, &'static str> {
+    let fixed_len = read_varint(payload, pos).ok_or("truncated fixed-section length")?;
+    if fixed_len == 0 || fixed_len > MAX_FIXED_WORDS {
+        return Err("implausible fixed-section length");
+    }
+    Ok(fixed_len as usize)
+}
+
 /// Decodes one record payload against the previous flat (record 0
-/// decodes against all-zeros). Returns a diagnostic on any structural
-/// inconsistency.
+/// decodes against all-zeros), leaving `prev` intact: a copy of it is
+/// advanced. Returns a diagnostic on any structural inconsistency.
 pub(crate) fn decode_record(
     payload: &[u8],
     prev: Option<&FlatCheckpoint>,
 ) -> Result<FlatCheckpoint, &'static str> {
-    let mut pos = 0usize;
-    let fixed_len = read_varint(payload, &mut pos).ok_or("truncated fixed-section length")?;
-    if fixed_len == 0 || fixed_len > MAX_FIXED_WORDS {
-        return Err("implausible fixed-section length");
-    }
-    if let Some(prev) = prev {
-        if prev.fixed.len() as u64 != fixed_len {
-            return Err("fixed-section length changed between records");
-        }
-    }
-    let deltas = decode_deltas(payload, &mut pos, fixed_len as usize)
-        .ok_or("undecodable fixed-section deltas")?;
-    let fixed = deltas
-        .iter()
-        .enumerate()
-        .map(|(i, &d)| d.wrapping_add(prev.map_or(0, |p| p.fixed[i])))
-        .collect();
-
-    let page_count = read_varint(payload, &mut pos).ok_or("truncated page count")?;
-    if page_count > MAX_PAGES {
-        return Err("implausible page count");
-    }
-    let mut pages = Vec::with_capacity(page_count as usize);
-    let mut last_index = 0u64;
-    for k in 0..page_count {
-        let delta = read_varint(payload, &mut pos).ok_or("truncated page index")?;
-        if k > 0 && delta == 0 {
-            return Err("page indices are not strictly ascending");
-        }
-        let index = last_index
-            .checked_add(delta)
-            .ok_or("page index overflows")?;
-        last_index = index;
-        let deltas =
-            decode_deltas(payload, &mut pos, PAGE_WORDS).ok_or("undecodable page deltas")?;
-        let reference = prev.and_then(|p| p.page(index));
-        let words = deltas
-            .iter()
-            .enumerate()
-            .map(|(j, &d)| d.wrapping_add(reference.map_or(0, |r| r[j])))
-            .collect();
-        pages.push((index, words));
-    }
-    if pos != payload.len() {
-        return Err("trailing bytes after the last page");
-    }
-    Ok(FlatCheckpoint { fixed, pages })
+    let base = match prev {
+        Some(prev) => prev.clone(),
+        None => FlatCheckpoint {
+            fixed: vec![0; read_fixed_len(payload, &mut 0)?],
+            pages: Vec::new(),
+        },
+    };
+    advance_record(payload, base)
 }
 
 /// Decodes one record payload by consuming the previous flat and
 /// updating it in place: the fixed section is patched word-by-word
-/// where deltas are nonzero, unchanged pages are *moved* out of `prev`,
-/// and only changed pages are cloned and patched. Produces bit-for-bit
-/// the same flat as [`decode_record`] (asserted by tests), without the
-/// full-size allocations — this is what makes a lazy replay cursor
-/// O(changed words) per step.
+/// where deltas are nonzero, unchanged pages keep the predecessor's
+/// shared page, and only changed pages are copied and patched — this is
+/// what makes a lazy replay cursor O(changed words) per step.
 pub(crate) fn advance_record(
     payload: &[u8],
     prev: FlatCheckpoint,
 ) -> Result<FlatCheckpoint, &'static str> {
     let mut pos = 0usize;
-    let fixed_len = read_varint(payload, &mut pos).ok_or("truncated fixed-section length")?;
-    if fixed_len == 0 || fixed_len > MAX_FIXED_WORDS {
-        return Err("implausible fixed-section length");
-    }
-    if prev.fixed.len() as u64 != fixed_len {
+    if prev.fixed.len() != read_fixed_len(payload, &mut pos)? {
         return Err("fixed-section length changed between records");
     }
     let FlatCheckpoint {
         mut fixed,
-        pages: mut prev_pages,
+        pages: prev_pages,
     } = prev;
     apply_deltas(payload, &mut pos, &mut fixed).ok_or("undecodable fixed-section deltas")?;
 
@@ -335,31 +351,35 @@ pub(crate) fn advance_record(
             .checked_add(delta)
             .ok_or("page index overflows")?;
         last_index = index;
-        // Indices are strictly ascending, so each predecessor page is
-        // referenced at most once — taking it out is safe.
-        let reference = prev_pages.binary_search_by_key(&index, |&(i, _)| i).ok();
+        let reference = prev_pages
+            .binary_search_by_key(&index, |&(i, _)| i)
+            .ok()
+            .map(|at| &prev_pages[at].1);
         // Peek: a page encoded as one full-length zero run is
-        // unchanged; move it instead of decoding PAGE_WORDS deltas.
+        // unchanged; share it instead of decoding PAGE_WORDS deltas.
         let mark = pos;
-        let unchanged = match read_varint(payload, &mut pos) {
-            Some(0) => read_varint(payload, &mut pos) == Some(PAGE_WORDS as u64),
-            _ => false,
-        };
-        let words = if unchanged {
-            match reference {
-                Some(at) => std::mem::take(&mut prev_pages[at].1),
-                None => vec![0u64; PAGE_WORDS],
+        let unchanged = read_varint(payload, &mut pos) == Some(0)
+            && read_varint(payload, &mut pos) == Some(PAGE_WORDS as u64);
+        let page = match reference {
+            Some(reference) if unchanged => Arc::clone(reference),
+            _ if unchanged => Arc::new([0u8; Memory::PAGE_BYTES]),
+            _ => {
+                pos = mark;
+                let mut words = [0u64; PAGE_WORDS];
+                if let Some(reference) = reference {
+                    for (word, bytes) in words.iter_mut().zip(reference.chunks_exact(8)) {
+                        *word = page_word(bytes);
+                    }
+                }
+                apply_deltas(payload, &mut pos, &mut words).ok_or("undecodable page deltas")?;
+                let mut page = [0u8; Memory::PAGE_BYTES];
+                for (bytes, word) in page.chunks_exact_mut(8).zip(words) {
+                    bytes.copy_from_slice(&word.to_le_bytes());
+                }
+                Arc::new(page)
             }
-        } else {
-            pos = mark;
-            let mut words = match reference {
-                Some(at) => prev_pages[at].1.clone(),
-                None => vec![0u64; PAGE_WORDS],
-            };
-            apply_deltas(payload, &mut pos, &mut words).ok_or("undecodable page deltas")?;
-            words
         };
-        pages.push((index, words));
+        pages.push((index, page));
     }
     if pos != payload.len() {
         return Err("trailing bytes after the last page");
@@ -370,15 +390,17 @@ pub(crate) fn advance_record(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smarts_isa::Cpu;
+    use smarts_workloads::SplitMix64;
 
-    fn flat(fixed: Vec<u64>, pages: Vec<(u64, Vec<u64>)>) -> FlatCheckpoint {
+    fn flat(fixed: Vec<u64>, pages: Vec<(u64, Arc<Page>)>) -> FlatCheckpoint {
         FlatCheckpoint { fixed, pages }
     }
 
-    fn page_of(value: u64) -> Vec<u64> {
-        let mut p = vec![0u64; PAGE_WORDS];
-        p[7] = value;
-        p
+    fn page_of(value: u64) -> Arc<Page> {
+        let mut page = [0u8; Memory::PAGE_BYTES];
+        page[56..64].copy_from_slice(&value.to_le_bytes());
+        Arc::new(page)
     }
 
     #[test]
@@ -388,9 +410,7 @@ mod tests {
             vec![(3, page_of(9)), (17, page_of(4))],
         );
         let payload = encode_record(&a, None);
-        let decoded = decode_record(&payload, None).unwrap();
-        assert_eq!(decoded.fixed, a.fixed);
-        assert_eq!(decoded.pages, a.pages);
+        assert_eq!(decode_record(&payload, None).unwrap(), a);
     }
 
     #[test]
@@ -411,8 +431,7 @@ mod tests {
         assert!(payload_b.len() < payload_a.len() + 64);
         let da = decode_record(&payload_a, None).unwrap();
         let db = decode_record(&payload_b, Some(&da)).unwrap();
-        assert_eq!(db.fixed, b.fixed);
-        assert_eq!(db.pages, b.pages);
+        assert_eq!(db, b);
     }
 
     #[test]
@@ -492,5 +511,192 @@ mod tests {
         let pb = encode_record(&b, None);
         let da = decode_record(&payload, None).unwrap();
         assert!(decode_record(&pb, Some(&da)).is_err());
+        // An empty or absurd fixed-section length, with no predecessor
+        // to contradict it.
+        assert!(decode_record(&[], None).is_err());
+        assert!(decode_record(&[0], None).is_err());
+    }
+
+    /// The encoder as it was before pages were shared and the diff was
+    /// chunked: every word of both flats read and pushed one at a time.
+    /// Knows nothing of page identity.
+    fn encode_by_contents(curr: &FlatCheckpoint, prev: Option<&FlatCheckpoint>) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_varint(&mut out, curr.fixed.len() as u64);
+        let mut enc = RleEncoder::new(&mut out);
+        for (i, &word) in curr.fixed.iter().enumerate() {
+            enc.push(word.wrapping_sub(prev.map_or(0, |p| p.fixed[i])));
+        }
+        enc.finish();
+        write_varint(&mut out, curr.pages.len() as u64);
+        let mut last_index = 0u64;
+        for (index, page) in &curr.pages {
+            write_varint(&mut out, index - last_index);
+            last_index = *index;
+            let reference = prev.and_then(|p| p.page(*index));
+            let mut enc = RleEncoder::new(&mut out);
+            for (j, bytes) in page.chunks_exact(8).enumerate() {
+                let base = reference.map_or(0, |r| page_word(&r[8 * j..8 * j + 8]));
+                enc.push(page_word(bytes).wrapping_sub(base));
+            }
+            enc.finish();
+        }
+        out
+    }
+
+    fn random_page(rng: &mut SplitMix64) -> Arc<Page> {
+        let mut page = [0u8; Memory::PAGE_BYTES];
+        // Sparse, dense, or all-zero (a page allocated but never
+        // written to a non-zero value is real state).
+        let writes = [0, 3, 700][rng.next_below(3) as usize];
+        for _ in 0..writes {
+            let at = rng.next_below(PAGE_WORDS as u64) as usize * 8;
+            page[at..at + 8].copy_from_slice(&rng.next_u64().to_le_bytes());
+        }
+        Arc::new(page)
+    }
+
+    /// One random successor of `prev`: the fixed section changes in a
+    /// few single words and a few runs (its length is deliberately not a
+    /// multiple of the diff chunk), and every page of `prev` is kept by
+    /// identity, kept as an equal-content copy, modified, or dropped;
+    /// fresh pages are added between them.
+    fn random_successor(rng: &mut SplitMix64, prev: &FlatCheckpoint) -> FlatCheckpoint {
+        let mut fixed = prev.fixed.clone();
+        for _ in 0..rng.next_below(6) {
+            let at = rng.next_below(fixed.len() as u64) as usize;
+            let run = (1 + rng.next_below(40) as usize).min(fixed.len() - at);
+            for word in &mut fixed[at..at + run] {
+                *word = rng.next_u64() >> rng.next_below(64);
+            }
+        }
+        let mut pages = Vec::new();
+        for (index, page) in &prev.pages {
+            match rng.next_below(5) {
+                0 => pages.push((*index, Arc::clone(page))),
+                1 => pages.push((*index, Arc::new(**page))),
+                2 => {
+                    let mut copy = **page;
+                    let at = rng.next_below(PAGE_WORDS as u64) as usize * 8;
+                    copy[at] ^= 1 + rng.next_below(255) as u8;
+                    pages.push((*index, Arc::new(copy)));
+                }
+                3 => {}
+                _ => pages.push((*index + 1 + rng.next_below(3), random_page(rng))),
+            }
+        }
+        pages.push((1 << 20 | rng.next_below(1 << 16), random_page(rng)));
+        pages.sort_unstable_by_key(|&(index, _)| index);
+        pages.dedup_by_key(|&mut (index, _)| index);
+        flat(fixed, pages)
+    }
+
+    #[test]
+    fn identity_fast_path_encodes_what_the_contents_encode() {
+        for seed in 0..24u64 {
+            let mut rng = SplitMix64::new(seed);
+            let fixed_len = 1 + rng.next_below(200) as usize;
+            let first = {
+                let fixed = (0..fixed_len)
+                    .map(|_| rng.next_u64() >> rng.next_below(64))
+                    .collect();
+                let pages = (0..rng.next_below(12))
+                    .map(|k| (10 * k + rng.next_below(10), random_page(&mut rng)))
+                    .collect();
+                flat(fixed, pages)
+            };
+            let mut prev: Option<FlatCheckpoint> = None;
+            let mut rolling: Option<FlatCheckpoint> = None;
+            let mut curr = first;
+            for step in 0..6 {
+                let payload = encode_record(&curr, prev.as_ref());
+                assert_eq!(
+                    payload,
+                    encode_by_contents(&curr, prev.as_ref()),
+                    "seed {seed} record {step}"
+                );
+                // Sharing must not matter either: the same contents
+                // behind all-fresh pages encode to the same bytes.
+                let unshared = flat(
+                    curr.fixed.clone(),
+                    curr.pages
+                        .iter()
+                        .map(|(i, p)| (*i, Arc::new(**p)))
+                        .collect(),
+                );
+                assert_eq!(encode_record(&unshared, prev.as_ref()), payload);
+
+                let decoded = decode_record(&payload, prev.as_ref()).unwrap();
+                assert_eq!(decoded, curr, "seed {seed} record {step}: decode");
+                let advanced = match rolling.take() {
+                    None => decode_record(&payload, None).unwrap(),
+                    Some(rolled) => advance_record(&payload, rolled).unwrap(),
+                };
+                assert_eq!(advanced, curr, "seed {seed} record {step}: advance");
+                rolling = Some(advanced);
+                let next = random_successor(&mut rng, &curr);
+                prev = Some(std::mem::replace(&mut curr, next));
+            }
+        }
+    }
+
+    #[test]
+    fn flatten_shares_snapshot_pages_and_rebuild_round_trips() {
+        let cfg = MachineConfig::eight_way();
+        let checkpoint_of = |memory: &Memory, unit_start: u64| {
+            let mut cpu = Cpu::new();
+            cpu.set_reg(5, unit_start ^ 0xABCD);
+            UnitCheckpoint::<BuiltinIsa>::from_parts(
+                unit_start,
+                EngineSnapshot::from_parts(cpu, memory.clone()),
+                WarmState::new(&cfg),
+            )
+        };
+        // Page 1 is untouched between the snapshots, page 2 rewritten
+        // with the bytes it already held (a fresh copy-on-write page of
+        // equal content), page 3 modified, page 9 added.
+        let mut memory = Memory::new();
+        for page in [1u64, 2, 3] {
+            memory.write_u64(page << 12, page);
+        }
+        let first = checkpoint_of(&memory, 1000);
+        memory.write_u64(2 << 12, 2);
+        memory.write_u64(3 << 12, 33);
+        memory.write_u64(9 << 12, 9);
+        let second = checkpoint_of(&memory, 2000);
+
+        let a = FlatCheckpoint::flatten(&first);
+        let b = FlatCheckpoint::flatten(&second);
+        assert!(Arc::ptr_eq(a.page(1).unwrap(), b.page(1).unwrap()));
+        assert!(!Arc::ptr_eq(a.page(2).unwrap(), b.page(2).unwrap()));
+        assert_eq!(a.page(2), b.page(2));
+
+        let payload_a = encode_record(&a, None);
+        let payload_b = encode_record(&b, Some(&a));
+        assert_eq!(payload_b, encode_by_contents(&b, Some(&a)));
+        let da = decode_record(&payload_a, None).unwrap();
+        let db = advance_record(&payload_b, da).unwrap();
+        assert_eq!(db, b);
+
+        let rebuilt = db.rebuild_isa::<BuiltinIsa>(&cfg).unwrap();
+        assert_eq!(rebuilt.unit_start(), 2000);
+        assert_eq!(rebuilt.snapshot().cpu(), second.snapshot().cpu());
+        assert_eq!(
+            rebuilt.snapshot().memory().pages_sorted(),
+            second.snapshot().memory().pages_sorted()
+        );
+        assert_eq!(FlatCheckpoint::flatten(&rebuilt), b);
+        // The rebuilt snapshot shares the flat's pages, copy-on-write.
+        let mut seen = std::collections::HashSet::new();
+        for (_, page) in &db.pages {
+            seen.insert(Arc::as_ptr(page) as usize);
+        }
+        assert_eq!(
+            rebuilt.snapshot().memory().resident_bytes_dedup(&mut seen),
+            0
+        );
+        assert!(db
+            .rebuild_isa::<BuiltinIsa>(&MachineConfig::sixteen_way())
+            .is_err());
     }
 }

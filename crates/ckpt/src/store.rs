@@ -35,7 +35,7 @@
 
 use crate::codec::crc32;
 use crate::error::CkptError;
-use crate::flat::{decode_record, encode_record, FlatCheckpoint};
+use crate::flat::{advance_record, decode_record, encode_record, FlatCheckpoint};
 use smarts_core::{SamplingParams, UnitCheckpoint, Warming};
 use smarts_isa::{BuiltinIsa, Isa, IsaId};
 use smarts_uarch::{CacheConfig, MachineConfig, PredictorConfig, TlbConfig};
@@ -404,6 +404,9 @@ pub struct CkptWriter {
     fingerprint: u64,
     isa: IsaId,
     prev: Option<FlatCheckpoint>,
+    /// The flat before `prev`, kept for its buffers: [`CkptWriter::append`]
+    /// flattens the next checkpoint into it.
+    spare: FlatCheckpoint,
     records: u64,
     bytes: u64,
     offsets: Vec<u64>,
@@ -431,6 +434,7 @@ impl CkptWriter {
             fingerprint,
             isa: meta.isa,
             prev: None,
+            spare: FlatCheckpoint::default(),
             records: 0,
             bytes: header.len() as u64,
             offsets: Vec::new(),
@@ -459,7 +463,9 @@ impl CkptWriter {
                 found: self.isa,
             });
         }
-        self.append_flat(FlatCheckpoint::flatten(checkpoint))
+        let mut flat = std::mem::take(&mut self.spare);
+        flat.refill(checkpoint);
+        self.append_flat(flat)
     }
 
     /// Appends one already-flattened checkpoint (see [`CkptWriter::append`]).
@@ -482,7 +488,12 @@ impl CkptWriter {
         self.offsets.push(self.bytes);
         self.bytes += 8 + payload.len() as u64;
         self.records += 1;
-        self.prev = Some(flat);
+        if let Some(mut spare) = self.prev.replace(flat) {
+            // Keep the buffers, not the pages: a page the writer still
+            // holds is one the warming pass must copy before writing.
+            spare.pages.clear();
+            self.spare = spare;
+        }
         Ok(())
     }
 
@@ -716,7 +727,13 @@ impl CkptReader {
                 detail: "CRC mismatch",
             }));
         }
-        let flat = match decode_record(&payload, self.prev.as_ref()) {
+        // Errors are terminal for the stream, so a predecessor consumed
+        // by a failed advance is never missed.
+        let decoded = match self.prev.take() {
+            Some(prev) => advance_record(&payload, prev),
+            None => decode_record(&payload, None),
+        };
+        let flat = match decoded {
             Ok(flat) => flat,
             Err(detail) => {
                 return Some(Err(CkptError::Corrupted {

@@ -616,7 +616,7 @@ impl SmartsSim {
         let Some(checkpoint) = library.checkpoint(index) else {
             return Err(SmartsError::ZeroParameter("checkpoint index out of range"));
         };
-        Ok(self.replay_checkpoint(&library.program, &library.params, &checkpoint))
+        Ok(self.replay_owned(&library.program, &library.params, checkpoint))
     }
 
     /// Replays a single checkpoint without a materialised library: one
@@ -630,17 +630,38 @@ impl SmartsSim {
     /// replays go through [`SmartsSim::replay_unit`], which checks).
     /// The replay math is identical to [`SmartsSim::replay_unit`]'s, so
     /// results are bit-identical however the checkpoint was delivered.
+    ///
+    /// Replaying mutates the warm state and the memory image, so this
+    /// borrowing form replays a copy; a caller that is done with the
+    /// checkpoint hands it to [`SmartsSim::replay_owned`] instead.
     pub fn replay_checkpoint<I: Isa>(
         &self,
         program: &I::Program,
         params: &SamplingParams,
         checkpoint: &UnitCheckpoint<I>,
     ) -> UnitReplay {
-        let mut engine =
-            FunctionalEngine::from_snapshot(program.clone(), checkpoint.snapshot.clone());
-        let mut warm = checkpoint.warm.clone();
+        self.replay_owned(program, params, checkpoint.clone())
+    }
+
+    /// [`SmartsSim::replay_checkpoint`] for a caller that owns the
+    /// checkpoint — every pipeline consumer and store-replay worker,
+    /// which receive or rebuild a checkpoint, replay it once and drop
+    /// it. The episode runs on the checkpoint's own warm state and
+    /// memory image: no half-megabyte copy per unit.
+    pub fn replay_owned<I: Isa>(
+        &self,
+        program: &I::Program,
+        params: &SamplingParams,
+        checkpoint: UnitCheckpoint<I>,
+    ) -> UnitReplay {
+        let UnitCheckpoint {
+            unit_start,
+            snapshot,
+            mut warm,
+        } = checkpoint;
+        let mut engine = FunctionalEngine::from_snapshot(program.clone(), snapshot);
         let mut pipeline = Pipeline::new(self.config());
-        let warm_commits = checkpoint.unit_start.saturating_sub(engine.position());
+        let warm_commits = unit_start.saturating_sub(engine.position());
         let warm_run = pipeline.run(&mut warm, &mut engine, warm_commits, false);
         let measured = pipeline.run(&mut warm, &mut engine, params.unit_size, true);
         if measured.instructions < params.unit_size {
@@ -655,7 +676,7 @@ impl SmartsSim {
             .energy_per_instruction(&measured.counters, measured.cycles);
         UnitReplay::Complete {
             sample: Box::new(UnitSample {
-                start_instr: checkpoint.unit_start,
+                start_instr: unit_start,
                 cycles: measured.cycles,
                 instructions: measured.instructions,
                 cpi,

@@ -143,38 +143,19 @@ impl<I: Isa> FunctionalEngine<I> {
     }
 
     /// Functionally executes until `position() >= target` (or halt),
-    /// applying functional warming to `warm` for every instruction.
-    /// Returns the number of instructions executed.
-    ///
-    /// Records are buffered and applied in [`WarmState::warm_batch`]
-    /// flushes, which warm in strict stream order (bit-identical to
-    /// per-record warming). When the warm state's batch pre-touch is
-    /// enabled, each flush first pre-touches its data accesses' L2 set
-    /// runs read-only so a host with memory-level parallelism can
-    /// overlap the fills that otherwise serialize on D-side-heavy
-    /// streams (pointer chasing).
+    /// applying functional warming to `warm` for every instruction, in
+    /// stream order, straight from the interpreter's block loop. Returns
+    /// the number of instructions executed.
     pub fn fast_forward_warming(&mut self, target: u64, warm: &mut WarmState) -> u64 {
-        // Sink flush granularity: big enough to give the pre-touch pass
-        // fills to overlap, small enough that the record buffer
-        // (24 B each) stays in the host L1.
-        const BATCH: usize = 64;
         let before = I::retired(&self.cpu);
         let remaining = target.saturating_sub(before);
-        let mut batch: Vec<ExecRecord> = Vec::with_capacity(BATCH);
         let _ = I::step_block(
             &mut self.cpu,
             &self.program,
             &mut self.memory,
             remaining,
-            |rec| {
-                batch.push(*rec);
-                if batch.len() == BATCH {
-                    warm.warm_batch(&batch);
-                    batch.clear();
-                }
-            },
+            |rec| warm.warm_record(rec),
         );
-        warm.warm_batch(&batch);
         I::retired(&self.cpu) - before
     }
 }

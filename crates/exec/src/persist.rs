@@ -203,7 +203,7 @@ fn sample_pipeline_saving_impl<F: Frontend>(
             });
             (summary, writer, write_error)
         },
-        |checkpoint| sim.replay_checkpoint(&program, params, checkpoint),
+        |checkpoint| sim.replay_owned(&program, params, checkpoint),
     )?;
     let ((summary, writer, write_error), run) = run.split();
     if let Some(e) = write_error {
@@ -365,8 +365,7 @@ pub fn replay_store_mapped_isa<F: Frontend>(
             };
             let bytes = flat.approx_bytes() + checkpoint.approx_resident_bytes();
             residency.add(bytes);
-            let outcome = sim.replay_checkpoint(&program, &params, &checkpoint);
-            drop(checkpoint);
+            let outcome = sim.replay_owned(&program, &params, checkpoint);
             residency.remove(bytes);
             outcome.account(&mut instructions);
             outcomes.push((index, outcome));
@@ -625,8 +624,7 @@ fn replay_subset<F: Frontend>(
             };
             let bytes = flat.approx_bytes() + checkpoint.approx_resident_bytes();
             residency.add(bytes);
-            let outcome = sim.replay_checkpoint(program, params, &checkpoint);
-            drop(checkpoint);
+            let outcome = sim.replay_owned(program, params, checkpoint);
             residency.remove(bytes);
             outcome.account(&mut instructions);
             outcomes.push((index, outcome));
@@ -941,7 +939,7 @@ pub fn replay_store_eager_isa<F: Frontend>(
             }
             (reader.records_read(), damage, start.elapsed())
         },
-        |checkpoint| sim.replay_checkpoint(&program, &params, checkpoint),
+        |checkpoint| sim.replay_owned(&program, &params, checkpoint),
     )?;
     if executor.cancel_token().is_cancelled() {
         return Err(ExecError::Cancelled);

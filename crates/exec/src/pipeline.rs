@@ -27,7 +27,7 @@
 //!
 //! The producer runs [`smarts_core::SmartsSim::stream_checkpoints`] —
 //! the exact loop `build_library` uses — and consumers run
-//! [`smarts_core::SmartsSim::replay_checkpoint`] — the exact per-unit
+//! [`smarts_core::SmartsSim::replay_owned`] — the exact per-unit
 //! episode `sample_library` uses. Units are mutually independent given
 //! their checkpoints, and the merge reduces them in stream order, so the
 //! report is bit-identical to sequential replay at any `jobs`/`depth`.
@@ -266,7 +266,7 @@ where
     I: Isa,
     S: Send,
     P: FnOnce(&mut dyn FnMut(UnitCheckpoint<I>) -> bool) -> S + Send,
-    R: Fn(&UnitCheckpoint<I>) -> UnitReplay + Sync,
+    R: Fn(UnitCheckpoint<I>) -> UnitReplay + Sync,
 {
     let channel: Channel<(usize, u64, UnitCheckpoint<I>)> = Channel::new(depth, jobs);
     let residency = Residency::default();
@@ -314,8 +314,7 @@ where
                     let mut outcomes = Vec::new();
                     let mut instructions = ModeInstructions::default();
                     while let Some((index, bytes, checkpoint)) = channel.recv() {
-                        let outcome = replay(&checkpoint);
-                        drop(checkpoint);
+                        let outcome = replay(checkpoint);
                         residency.remove(bytes);
                         outcome.account(&mut instructions);
                         outcomes.push((index, outcome));
@@ -438,7 +437,7 @@ pub(crate) fn sample_pipeline(
         depth,
         &executor.control(),
         move |emit| sim.stream_checkpoints(loaded, params, emit),
-        |checkpoint| sim.replay_checkpoint(&program, params, checkpoint),
+        |checkpoint| sim.replay_owned(&program, params, checkpoint),
     )?;
     if executor.cancel_token().is_cancelled() {
         return Err(ExecError::Cancelled);

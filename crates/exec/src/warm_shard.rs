@@ -655,7 +655,7 @@ pub(crate) fn sample_sharded_warm(
                 sim, &loaded, name, params, &shards, &paths, &cancel, None, emit,
             )
         },
-        |checkpoint| sim.replay_checkpoint(&program, params, checkpoint),
+        |checkpoint| sim.replay_owned(&program, params, checkpoint),
     )?;
     if executor.cancel_token().is_cancelled() {
         return Err(ExecError::Cancelled);
@@ -727,7 +727,7 @@ pub(crate) fn sample_sharded_warm_saving_impl<F: Frontend>(
                 emit,
             )
         },
-        |checkpoint| sim.replay_checkpoint(&program, params, checkpoint),
+        |checkpoint| sim.replay_owned(&program, params, checkpoint),
     )?;
     let ((product, sink), run) = run.split();
     if let Some(e) = product.error {

@@ -201,12 +201,10 @@ impl Cpu {
     /// Executes one already-fetched, already-decoded instruction,
     /// assuming the caller has checked [`Cpu::halted`].
     ///
-    /// This is the fetchless interpreter body: frontends with their own
-    /// program representation (binary encodings decoded per step) fetch
-    /// and decode themselves, then commit through here so every frontend
-    /// shares one set of operation semantics. The built-in [`Cpu::step`]
-    /// path goes through this same body, so factoring it out cannot
-    /// change built-in behaviour.
+    /// This is the fetchless interpreter body: a caller that fetches and
+    /// decodes for itself (the per-step-decode oracle of the frontend
+    /// fuzz test) commits through here, so it shares one set of operation
+    /// semantics with [`Cpu::step`], which goes through this same body.
     #[inline(always)]
     pub fn exec_decoded(&mut self, inst: Inst, mem: &mut Memory) -> ExecRecord {
         let pc = self.pc;

@@ -62,7 +62,7 @@ pub use cpu::{Cpu, ExecRecord, MemAccess};
 pub use error::IsaError;
 pub use inst::{reg, ArchReg, Inst, OpClass, Opcode};
 pub use isa::{BuiltinIsa, Isa, IsaId, MemTouches};
-pub use mem::Memory;
+pub use mem::{Memory, Page};
 pub use program::{Program, TEXT_BASE};
 pub use risc::{RiscIsa, RiscProgram};
 pub use trace::{

@@ -39,7 +39,10 @@ impl Hasher for PageIndexHasher {
     }
 }
 
-type PageMap = HashMap<u64, Arc<[u8; PAGE_SIZE]>, BuildHasherDefault<PageIndexHasher>>;
+/// One 4 KiB page of backing store.
+pub type Page = [u8; PAGE_SIZE];
+
+type PageMap = HashMap<u64, Arc<Page>, BuildHasherDefault<PageIndexHasher>>;
 
 /// Sparse, paged, byte-addressed memory.
 ///
@@ -115,26 +118,24 @@ impl Memory {
         pages
     }
 
-    /// Installs a whole page at `page_index`, replacing any existing
-    /// page — the checkpoint-store decode path. The page is inserted even
-    /// when all-zero: pages allocate on first write, so an all-zero page
-    /// is real state and the exact page set must round-trip.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is not exactly [`Memory::PAGE_BYTES`] long.
-    pub fn insert_page(&mut self, page_index: u64, bytes: &[u8]) {
-        assert_eq!(
-            bytes.len(),
-            PAGE_SIZE,
-            "a page is exactly {PAGE_SIZE} bytes"
-        );
-        let mut page = [0u8; PAGE_SIZE];
-        page.copy_from_slice(bytes);
-        self.pages.insert(page_index, Arc::new(page));
+    /// Allocated pages as `(page_index, shared page)` in no particular
+    /// order. Cloning the `Arc` shares the page copy-on-write with this
+    /// memory — how a checkpoint flat holds a snapshot's pages without
+    /// copying them, and recognises an untouched page by identity.
+    pub fn shared_pages(&self) -> impl Iterator<Item = (u64, &Arc<Page>)> {
+        self.pages.iter().map(|(&index, page)| (index, page))
     }
 
-    fn page(&mut self, page_index: u64) -> &mut [u8; PAGE_SIZE] {
+    /// Installs a whole page at `page_index`, replacing any existing
+    /// page and sharing `page` copy-on-write with its other holders —
+    /// the checkpoint-store rebuild path. The page is inserted even when
+    /// all-zero: pages allocate on first write, so an all-zero page is
+    /// real state and the exact page set must round-trip.
+    pub fn insert_shared_page(&mut self, page_index: u64, page: Arc<Page>) {
+        self.pages.insert(page_index, page);
+    }
+
+    fn page(&mut self, page_index: u64) -> &mut Page {
         let arc = self
             .pages
             .entry(page_index)

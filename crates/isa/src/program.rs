@@ -1,5 +1,6 @@
 use crate::{Inst, IsaError};
 use std::fmt;
+use std::sync::Arc;
 
 /// Base address of the text section.
 ///
@@ -13,10 +14,12 @@ pub const TEXT_BASE: u64 = 0x0000_0000_0001_0000;
 /// index* into this section; [`Program::fetch_addr`] converts an index to
 /// the byte address seen by the instruction cache.
 ///
-/// Programs are produced by the [`Asm`](crate::Asm) builder.
+/// Programs are produced by the [`Asm`](crate::Asm) builder. The text is
+/// immutable and shared, so cloning a program — once per replayed unit
+/// and per warming shard — is a reference-count bump.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
-    insts: Vec<Inst>,
+    insts: Arc<[Inst]>,
 }
 
 impl Program {
@@ -29,7 +32,9 @@ impl Program {
         if insts.is_empty() {
             return Err(IsaError::EmptyProgram);
         }
-        Ok(Program { insts })
+        Ok(Program {
+            insts: insts.into(),
+        })
     }
 
     /// Number of static instructions.

@@ -25,11 +25,17 @@
 //! field. A workload enters the RISC suite only when every instruction of
 //! its built-in program encodes (see `smarts-workloads`), which also
 //! guarantees `decode(encode(i)) == i` — the RISC frontend then executes
-//! the *identical* committed stream through the shared interpreter while
-//! exercising a real fetch-and-decode of the binary form on every step.
+//! the *identical* committed stream through the shared interpreter.
+//!
+//! The binary form is decoded **once, at load**: [`RiscProgram`] turns
+//! its words into the built-in [`Inst`] normal form when it is built and
+//! the step loop indexes that table, so the 50-arm [`Isa::decode`] match
+//! is off the warming hot path and the frontend runs at the built-in
+//! interpreter's rate.
 
 use crate::isa::{Isa, IsaId};
 use crate::{Cpu, ExecRecord, Inst, IsaError, Memory, Opcode, Program};
+use std::sync::Arc;
 
 /// Field layout constants; see the module docs for the formats.
 const OP_SHIFT: u32 = 26;
@@ -127,18 +133,24 @@ fn imm21_unsigned(word: u32) -> i64 {
     (word & IMM21_MASK) as i64
 }
 
-/// A program of raw 32-bit instruction words.
+/// A program of raw 32-bit instruction words, decoded once at
+/// construction.
 ///
-/// Construction validates that every word decodes, so the per-step decode
-/// on the hot path cannot fail for a constructed program (the error
-/// branch stays for robustness against state corruption).
+/// The only way to build one is [`RiscProgram::from_words`], which
+/// rejects an empty program and any word that does not decode — so a
+/// `RiscProgram` always holds a non-empty, fully decoded text, and the
+/// step loop indexes the decoded table exactly as the built-in frontend
+/// indexes its [`Program`]. The raw words are kept for the binary view
+/// ([`RiscProgram::get`], [`RiscProgram::words`]). Both tables are
+/// shared, so cloning a program is two reference-count bumps.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RiscProgram {
-    words: Vec<u32>,
+    words: Arc<[u32]>,
+    decoded: Program,
 }
 
 impl RiscProgram {
-    /// Wraps raw instruction words into a program.
+    /// Decodes raw instruction words into a program.
     ///
     /// # Errors
     ///
@@ -146,15 +158,14 @@ impl RiscProgram {
     /// [`IsaError::InvalidEncoding`] naming the first word that does not
     /// decode.
     pub fn from_words(words: Vec<u32>) -> Result<Self, IsaError> {
-        if words.is_empty() {
-            return Err(IsaError::EmptyProgram);
-        }
-        for &word in &words {
-            if RiscIsa::decode(word).is_none() {
-                return Err(IsaError::InvalidEncoding(word));
-            }
-        }
-        Ok(RiscProgram { words })
+        let insts = words
+            .iter()
+            .map(|&word| RiscIsa::decode(word).ok_or(IsaError::InvalidEncoding(word)))
+            .collect::<Result<Vec<Inst>, IsaError>>()?;
+        Ok(RiscProgram {
+            words: words.into(),
+            decoded: Program::from_insts(insts)?,
+        })
     }
 
     /// Encodes a built-in program instruction-for-instruction, or `None`
@@ -163,7 +174,7 @@ impl RiscProgram {
     /// the committed stream — are preserved exactly.
     pub fn encode_program(program: &Program) -> Option<Self> {
         let words: Option<Vec<u32>> = program.insts().iter().map(RiscIsa::encode).collect();
-        Some(RiscProgram { words: words? })
+        Self::from_words(words?).ok()
     }
 
     /// Number of static instructions.
@@ -191,22 +202,11 @@ impl RiscProgram {
 /// The compact RISC-style frontend (see the module docs).
 ///
 /// Reuses the shared [`Cpu`] architectural state — same register files,
-/// same [`Cpu::STATE_WORDS`] snapshot layout — but fetches and decodes a
-/// real 32-bit binary word on every step.
+/// same [`Cpu::STATE_WORDS`] snapshot layout — and the shared
+/// interpreter loop, run over the table a [`RiscProgram`] decoded from
+/// its 32-bit binary words at load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RiscIsa;
-
-impl RiscIsa {
-    #[inline(always)]
-    fn fetch_decode(cpu: &Cpu, program: &RiscProgram) -> Result<Inst, IsaError> {
-        let pc = cpu.pc();
-        let word = program.get(pc).ok_or(IsaError::PcOutOfRange {
-            pc,
-            len: program.len(),
-        })?;
-        Self::decode(word).ok_or(IsaError::InvalidEncoding(word))
-    }
-}
 
 impl Isa for RiscIsa {
     type Word = u64;
@@ -260,11 +260,7 @@ impl Isa for RiscIsa {
         program: &RiscProgram,
         mem: &mut Memory,
     ) -> Result<ExecRecord, IsaError> {
-        if cpu.halted() {
-            return Err(IsaError::Halted);
-        }
-        let inst = Self::fetch_decode(cpu, program)?;
-        Ok(cpu.exec_decoded(inst, mem))
+        cpu.step(&program.decoded, mem)
     }
 
     #[inline]
@@ -273,16 +269,9 @@ impl Isa for RiscIsa {
         program: &RiscProgram,
         mem: &mut Memory,
         max_insts: u64,
-        mut sink: impl FnMut(&ExecRecord),
+        sink: impl FnMut(&ExecRecord),
     ) -> Result<u64, IsaError> {
-        let mut executed = 0;
-        while executed < max_insts && !cpu.halted() {
-            let inst = Self::fetch_decode(cpu, program)?;
-            let rec = cpu.exec_decoded(inst, mem);
-            sink(&rec);
-            executed += 1;
-        }
-        Ok(executed)
+        cpu.step_block(&program.decoded, mem, max_insts, sink)
     }
 
     fn decode(raw: u32) -> Option<Inst> {
@@ -495,8 +484,12 @@ mod tests {
         );
         let p = RiscProgram::from_words(vec![halt]).unwrap();
         assert_eq!(p.len(), 1);
+        assert!(!p.is_empty());
         assert_eq!(p.get(0), Some(halt));
         assert_eq!(p.get(1), None);
+        // `encode_program` goes through the same builder.
+        let program = Program::from_insts(vec![Inst::new(Opcode::Halt, 0, 0, 0, 0)]).unwrap();
+        assert_eq!(RiscProgram::encode_program(&program), Some(p));
     }
 
     /// The load-bearing property: an encodable built-in program executes

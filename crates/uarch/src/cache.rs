@@ -270,34 +270,6 @@ impl Cache {
         }
     }
 
-    /// Pre-touches the set run for `addr`: reads every way's packed
-    /// record so an imminent [`Cache::access`] scan finds the set in
-    /// host cache. Read-only (`&self`), so it cannot perturb replacement
-    /// state — issuing pre-touches for a batch of future accesses before
-    /// scanning them in order is bit-identical to not pre-touching.
-    #[inline]
-    pub fn prefetch_set(&self, addr: u64) {
-        let (set, _) = self.set_and_tag(addr);
-        let base = set as usize * self.assoc;
-        // One read per host cache line the set run spans (packed records
-        // are 24 B, so stride 2 lands on every 64-B line): enough to
-        // start the fills without re-doing the scan's work.
-        let mut touched = 0u64;
-        let mut way = 0;
-        while way < self.assoc {
-            touched ^= self.lines[base + way].lru;
-            way += 2;
-        }
-        // The tag mirror is read first on lookup; one touch per 64-B run
-        // of eight 8-B tags starts that fill too.
-        way = 0;
-        while way < self.assoc {
-            touched ^= self.tags[base + way];
-            way += 8;
-        }
-        std::hint::black_box(touched);
-    }
-
     /// Approximate bytes of backing store (packed line records, the tag
     /// mirror, and the per-set MRU hints), for checkpoint footprint
     /// accounting.

@@ -122,21 +122,6 @@ impl CacheHierarchy {
         }
     }
 
-    /// Pre-touches the L1D and L2 set runs a data access to `addr` would
-    /// scan (read-only; see [`Cache::prefetch_set`]).
-    #[inline]
-    pub fn prefetch_data_sets(&self, addr: u64) {
-        self.l1d.prefetch_set(addr);
-        self.l2.prefetch_set(addr);
-    }
-
-    /// Pre-touches only the unified L2's set run for `addr` (read-only) —
-    /// the one warmed structure large enough to miss host caches.
-    #[inline]
-    pub fn l2_prefetch_set(&self, addr: u64) {
-        self.l2.prefetch_set(addr);
-    }
-
     /// Approximate bytes of backing store across all three caches.
     pub fn approx_bytes(&self) -> usize {
         self.l1i.approx_bytes() + self.l1d.approx_bytes() + self.l2.approx_bytes()

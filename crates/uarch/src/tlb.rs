@@ -199,28 +199,6 @@ impl Tlb {
         false
     }
 
-    /// Pre-touches the set run for `addr` (read-only; see
-    /// [`crate::Cache::prefetch_set`] for the bit-identity argument).
-    #[inline]
-    pub fn prefetch_set(&self, addr: u64) {
-        let (set, _) = self.set_and_tag(addr);
-        let base = set as usize * self.assoc;
-        // Stride-2 touch: one read per 64-B host line of the packed run.
-        let mut touched = 0u64;
-        let mut way = 0;
-        while way < self.assoc {
-            touched ^= self.entries[base + way].lru;
-            way += 2;
-        }
-        // Lookup reads the tag mirror first; start that fill as well.
-        way = 0;
-        while way < self.assoc {
-            touched ^= self.tags[base + way];
-            way += 8;
-        }
-        std::hint::black_box(touched);
-    }
-
     /// Approximate bytes of backing store, for checkpoint footprint
     /// accounting.
     pub fn approx_bytes(&self) -> usize {

@@ -39,7 +39,6 @@ pub struct WarmState {
     pub bpred: BranchPredictor,
     last_fetch_line: u64,
     line_bytes: u64,
-    batch_pretouch: bool,
     // Shift fast path when the I-line size is a power of two (always for
     // the Table 3 machines): the per-instruction line computation in the
     // warming hot loop becomes one shift instead of a 64-bit divide.
@@ -56,7 +55,6 @@ impl WarmState {
             bpred: BranchPredictor::new(cfg.bpred),
             last_fetch_line: u64::MAX,
             line_bytes: cfg.l1i.line_bytes,
-            batch_pretouch: false,
             line_shift: cfg
                 .l1i
                 .line_bytes
@@ -97,43 +95,6 @@ impl WarmState {
         }
     }
 
-    /// Applies functional warming for a batch of architecturally-executed
-    /// instructions, in stream order.
-    ///
-    /// Before the in-order scan, each data access's unified-L2 set run —
-    /// the one warmed structure large enough to miss host caches — is
-    /// pre-touched read-only, so the dependent-load pattern of (e.g.)
-    /// pointer chasing can overlap host-cache fills across the batch
-    /// instead of serializing one set fetch per record. The pre-touch
-    /// pass never writes, and the apply pass is exactly
-    /// [`WarmState::warm_record`] per record in order, so the warmed
-    /// state is bit-identical to per-record warming (golden-state tests
-    /// replay both paths). On hosts without the memory-level parallelism
-    /// to exploit the overlap, skip it via
-    /// [`WarmState::set_batch_pretouch`].
-    pub fn warm_batch(&mut self, records: &[ExecRecord]) {
-        if self.batch_pretouch {
-            for rec in records {
-                if let Some(mem) = rec.mem {
-                    self.hierarchy.l2_prefetch_set(mem.addr);
-                }
-            }
-        }
-        for rec in records {
-            self.warm_record(rec);
-        }
-    }
-
-    /// Enables or disables the read-only L2 pre-touch pass in
-    /// [`WarmState::warm_batch`]. Pre-touching only pays off when the
-    /// host can overlap multiple outstanding cache fills; on a
-    /// single-hart host the extra scan is pure overhead, so it defaults
-    /// to off. Purely a host-performance knob: warmed state is
-    /// bit-identical either way.
-    pub fn set_batch_pretouch(&mut self, enabled: bool) {
-        self.batch_pretouch = enabled;
-    }
-
     /// Approximate bytes of warmable state (caches, TLBs, predictor),
     /// for checkpoint footprint accounting.
     pub fn approx_bytes(&self) -> usize {
@@ -147,7 +108,7 @@ impl WarmState {
     /// store: hierarchy, both TLBs, the branch predictor, and the
     /// last-fetched-line filter (part of the warming stream's dynamic
     /// state — dropping it would double-count an I-access on resume).
-    /// Host-performance knobs and config-derived fields are not written:
+    /// Config-derived fields are not written:
     /// the loader builds a fresh [`WarmState::new`] from the same config,
     /// which restores them exactly. The word count is a pure function of
     /// the machine geometry.
@@ -269,62 +230,6 @@ mod tests {
             out1.l2_accesses + out2.l2_accesses >= 3,
             "a write-back occurred"
         );
-    }
-
-    #[test]
-    fn warm_batch_matches_per_record_warming() {
-        let cfg = MachineConfig::eight_way();
-        let mut batched = WarmState::new(&cfg);
-        // Exercise the pre-touch pass too (off by default); it must not
-        // perturb warmed state.
-        batched.set_batch_pretouch(true);
-        let mut direct = WarmState::new(&cfg);
-        // A mixed stream: loads/stores striding through conflicting sets,
-        // plus branches, so every warmed structure sees traffic.
-        let records: Vec<ExecRecord> = (0..256u64)
-            .map(|i| {
-                let mem = (i % 3 != 2).then(|| MemAccess {
-                    addr: (i * 0x1040) % 0x2_0000,
-                    size: 8,
-                    is_store: i % 5 == 0,
-                });
-                let inst = match &mem {
-                    Some(m) if m.is_store => Inst::new(Opcode::Sd, 0, 5, 6, 0),
-                    Some(_) => Inst::new(Opcode::Ld, 4, 5, 0, 0),
-                    None => Inst::new(Opcode::Bne, 0, 4, 5, 40),
-                };
-                let taken = mem.is_none() && i % 2 == 0;
-                record(i * 7, inst, mem, taken, if taken { 40 } else { i * 7 + 1 })
-            })
-            .collect();
-        for chunk in records.chunks(64) {
-            batched.warm_batch(chunk);
-        }
-        for rec in &records {
-            direct.warm_record(rec);
-        }
-        assert_eq!(
-            batched.hierarchy.l1d().misses(),
-            direct.hierarchy.l1d().misses()
-        );
-        assert_eq!(
-            batched.hierarchy.l2().misses(),
-            direct.hierarchy.l2().misses()
-        );
-        assert_eq!(batched.dtlb.misses(), direct.dtlb.misses());
-        assert_eq!(
-            batched.bpred.cond_mispredicts(),
-            direct.bpred.cond_mispredicts()
-        );
-        // Identical residency, not just identical counts.
-        for i in 0..256u64 {
-            let addr = (i * 0x1040) % 0x2_0000;
-            assert_eq!(
-                batched.hierarchy.l1d_resident(addr),
-                direct.hierarchy.l1d_resident(addr)
-            );
-            assert_eq!(batched.dtlb.probe(addr), direct.dtlb.probe(addr));
-        }
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! verbatim as reference models and drive both through long random and
 //! benchmark-derived access streams.
 
-use smarts_isa::{Cpu, ExecRecord, OpClass};
+use smarts_isa::{Cpu, OpClass};
 use smarts_uarch::{
     BranchPredictor, Cache, CacheConfig, CacheOutcome, MachineConfig, PredictorConfig, Tlb,
-    TlbConfig, WarmState,
+    TlbConfig,
 };
 
 /// Deterministic xorshift64* stream so failures reproduce exactly.
@@ -291,105 +291,6 @@ fn cache_equivalence_on_benchmark_stream() {
         .expect("benchmark executes");
     assert!(streamed > 10_000, "stream exercised the models");
     assert_eq!(packed_tlb.misses(), reference_tlb.misses);
-}
-
-// --- Batched warming equivalence ---
-
-/// Replays a real benchmark's execution stream through both warming
-/// paths — per-record [`WarmState::warm_record`] and the pre-touching
-/// [`WarmState::warm_batch`] in the 64-record flushes the functional
-/// engine uses — and asserts the warmed state is bit-identical: every
-/// access/miss counter, plus residency probes across the touched
-/// address range.
-fn drive_warm_paths(name: &str, scale: f64, instructions: u64) {
-    let loaded = smarts_workloads::find(name)
-        .expect("suite benchmark")
-        .scaled(scale)
-        .load();
-    let mut cpu = Cpu::new();
-    let program = loaded.program;
-    let mut mem_state = loaded.memory;
-    let mut records: Vec<ExecRecord> = Vec::new();
-    let _ = cpu
-        .step_block(&program, &mut mem_state, instructions, |rec| {
-            records.push(*rec);
-        })
-        .expect("benchmark executes");
-    assert!(records.len() > 10_000, "stream exercised the models");
-
-    let cfg = MachineConfig::eight_way();
-    let mut direct = WarmState::new(&cfg);
-    for rec in &records {
-        direct.warm_record(rec);
-    }
-
-    // The pre-touch pass must be unobservable in the warmed state.
-    {
-        let mode = "in-order";
-        let mut batched = WarmState::new(&cfg);
-        batched.set_batch_pretouch(true);
-        for chunk in records.chunks(64) {
-            batched.warm_batch(chunk);
-        }
-
-        let pairs = [
-            ("l1i", batched.hierarchy.l1i(), direct.hierarchy.l1i()),
-            ("l1d", batched.hierarchy.l1d(), direct.hierarchy.l1d()),
-            ("l2", batched.hierarchy.l2(), direct.hierarchy.l2()),
-        ];
-        for (what, a, b) in pairs {
-            assert_eq!(a.accesses(), b.accesses(), "{name} {mode} {what} accesses");
-            assert_eq!(a.misses(), b.misses(), "{name} {mode} {what} misses");
-        }
-        assert_eq!(
-            batched.itlb.accesses(),
-            direct.itlb.accesses(),
-            "{name} {mode}"
-        );
-        assert_eq!(batched.itlb.misses(), direct.itlb.misses(), "{name} {mode}");
-        assert_eq!(
-            batched.dtlb.accesses(),
-            direct.dtlb.accesses(),
-            "{name} {mode}"
-        );
-        assert_eq!(batched.dtlb.misses(), direct.dtlb.misses(), "{name} {mode}");
-        assert_eq!(
-            batched.bpred.cond_mispredicts(),
-            direct.bpred.cond_mispredicts(),
-            "{name} {mode}"
-        );
-
-        // Identical residency everywhere the stream touched, not just
-        // identical counts.
-        for rec in &records {
-            if let Some(access) = rec.mem {
-                assert_eq!(
-                    batched.hierarchy.l1d_resident(access.addr),
-                    direct.hierarchy.l1d_resident(access.addr),
-                    "{name} {mode} l1d residency at {:#x}",
-                    access.addr
-                );
-                assert_eq!(
-                    batched.dtlb.probe(access.addr),
-                    direct.dtlb.probe(access.addr),
-                    "{name} {mode} dtlb residency at {:#x}",
-                    access.addr
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn batched_warming_equals_per_record_on_pointer_chasing() {
-    // chase-2 is the stream the batched pre-touch targets: dependent
-    // loads whose D-side set fetches otherwise serialize.
-    drive_warm_paths("chase-2", 0.05, 300_000);
-}
-
-#[test]
-fn batched_warming_equals_per_record_on_hash_probing() {
-    drive_warm_paths("hashp-2", 0.05, 300_000);
 }
 
 // --- TLB equivalence ---

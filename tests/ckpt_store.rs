@@ -224,3 +224,130 @@ fn tail_damage_costs_only_the_damaged_suffix() {
     );
     std::fs::remove_file(&path).ok();
 }
+
+/// Bitwise IEEE CRC-32 (the zlib checksum), independent of the store's
+/// own table-driven implementation.
+fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &byte in bytes {
+        crc ^= byte as u32;
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+        }
+    }
+    !crc
+}
+
+/// FNV-1a, 64-bit. The header and the index footer each end in their
+/// own CRC-32, and a CRC-32 taken over `data | crc32(data)` does not
+/// depend on `data`, so the file CRC alone is blind to both.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |hash, &byte| {
+        (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Store bytes recorded at commit 3c999ce, before flats shared memory
+/// pages with the snapshot and before risc programs were predecoded:
+/// `(bench, isa, offset, file length, CRC-32, FNV-1a)` at scale 0.25, n = 100,
+/// U = 1000, W = 2000. `hashp-2` is outside the risc encoding.
+const PINNED_STORES: [(&str, &str, u64, u64, u32, u64); 10] = [
+    (
+        "hashp-2",
+        "builtin",
+        0,
+        530370,
+        0x020B68B0,
+        0x11575B07421E3277,
+    ),
+    (
+        "hashp-2",
+        "builtin",
+        3,
+        530840,
+        0x55949B0F,
+        0xC8AD523BA4AF1786,
+    ),
+    (
+        "chase-2",
+        "builtin",
+        0,
+        1392376,
+        0x1174F0A8,
+        0xEEDDAB23B0A913AC,
+    ),
+    (
+        "chase-2",
+        "builtin",
+        3,
+        1397222,
+        0x59A238DF,
+        0x2D5CE285B70CE803,
+    ),
+    (
+        "chase-2",
+        "risc",
+        0,
+        1392377,
+        0x1174F0A8,
+        0xCA3ED5651F54C785,
+    ),
+    (
+        "chase-2",
+        "risc",
+        3,
+        1397223,
+        0x59A238DF,
+        0xADEEED5D839561CB,
+    ),
+    (
+        "rle-1",
+        "builtin",
+        0,
+        140349,
+        0x8891940A,
+        0x2388102229E9679C,
+    ),
+    (
+        "rle-1",
+        "builtin",
+        3,
+        139957,
+        0x1A8E8DE4,
+        0xA22F111A90784AE8,
+    ),
+    ("rle-1", "risc", 0, 140350, 0x8891940A, 0x4548763ED9466981),
+    ("rle-1", "risc", 3, 139958, 0x1A8E8DE4, 0x3EF5625B2E84E1B1),
+];
+
+fn pinned_store_bytes<F: smarts::workloads::Frontend>(name: &str, offset: u64) -> Vec<u8> {
+    let scale = 0.25;
+    let sim = SmartsSim::new(MachineConfig::eight_way());
+    let approx_len = F::approx_len(name, scale).expect("workload resolves");
+    let p =
+        SamplingParams::for_sample_size(approx_len, 1000, 2000, Warming::Functional, 100, offset)
+            .expect("valid sampling parameters");
+    let path = store_path(&format!("pinned-{name}-{}-{offset}", F::NAME));
+    let executor = Executor::new(1).expect("executor");
+    smarts::exec::warm_store_saving_isa::<F>(&executor, &sim, name, scale, &p, &path)
+        .expect("warm-and-save run");
+    let bytes = std::fs::read(&path).expect("read store");
+    std::fs::remove_file(&path).ok();
+    bytes
+}
+
+#[test]
+fn store_bytes_match_the_pinned_parent_stores() {
+    use smarts::isa::{BuiltinIsa, RiscIsa};
+    for (name, isa, offset, len, crc, fnv) in PINNED_STORES {
+        let bytes = match isa {
+            "builtin" => pinned_store_bytes::<BuiltinIsa>(name, offset),
+            _ => pinned_store_bytes::<RiscIsa>(name, offset),
+        };
+        assert_eq!(
+            (bytes.len() as u64, crc32(&bytes), fnv1a(&bytes)),
+            (len, crc, fnv),
+            "{name} ({isa}, offset {offset}): store bytes moved"
+        );
+    }
+}
