@@ -1,7 +1,7 @@
 //! Hand-rolled byte-level codecs for the checkpoint store: LEB128
-//! varints, zigzag mapping, run-length encoding of zero runs, and IEEE
-//! CRC-32 — everything the on-disk format needs, with no dependencies
-//! (the workspace builds offline).
+//! varints, zigzag mapping and run-length encoding of zero runs (the IEEE
+//! CRC-32 is `smarts-isa`'s) — everything the on-disk format needs, with
+//! no dependencies (the workspace builds offline).
 
 /// Appends `value` as an unsigned LEB128 varint (7 payload bits per
 /// byte, high bit = continuation).
@@ -119,39 +119,6 @@ pub fn apply_deltas(input: &[u8], pos: &mut usize, words: &mut [u64]) -> Option<
         }
     }
     Some(())
-}
-
-/// IEEE CRC-32 lookup table (reflected polynomial 0xEDB88320), built at
-/// compile time.
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            bit += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc32_table();
-
-/// IEEE CRC-32 of `bytes` (the zlib/PNG checksum).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
 }
 
 #[cfg(test)]
@@ -297,13 +264,5 @@ mod tests {
         assert_eq!(apply_deltas(&buf, &mut pos, &mut words), None);
         let mut pos2 = 0;
         assert_eq!(apply_deltas(&[0x80], &mut pos2, &mut words), None);
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // The canonical check value for the IEEE polynomial.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_ne!(crc32(b"abc"), crc32(b"abd"));
     }
 }

@@ -104,13 +104,12 @@ impl FlatCheckpoint {
         let mut cpu = I::new_cpu();
         let mut used =
             I::load_state(&mut cpu, rest).ok_or("fixed section too short for CPU state")?;
-        let mut warm = WarmState::new(cfg);
-        used += warm
-            .load_state(
-                rest.get(used..)
-                    .ok_or("fixed section ends inside CPU state")?,
-            )
+        let warm_words = rest
+            .get(used..)
+            .ok_or("fixed section ends inside CPU state")?;
+        let (warm, warm_used) = WarmState::from_state(cfg, warm_words)
             .ok_or("fixed section too short for warm state")?;
+        used += warm_used;
         if used != rest.len() {
             return Err("fixed section longer than the machine geometry requires");
         }

@@ -176,7 +176,7 @@ impl MappedStore {
             return None;
         }
         let stored_crc = u32::from_le_bytes(footer[footer.len() - 4..].try_into().ok()?);
-        if crate::codec::crc32(&footer[4..footer.len() - 4]) != stored_crc {
+        if smarts_isa::crc32(&footer[4..footer.len() - 4]) != stored_crc {
             return None;
         }
         let mut frames = Vec::with_capacity(count as usize);
@@ -389,7 +389,7 @@ impl MappedStore {
         let payload = &self.map.bytes()
             [frame.payload_start..frame.payload_start + frame.payload_len as usize];
         if !self.checked[index].load(Ordering::Relaxed) {
-            if crate::codec::crc32(payload) != frame.crc {
+            if smarts_isa::crc32(payload) != frame.crc {
                 return Err(CkptError::Corrupted {
                     record: index as u64,
                     detail: "CRC mismatch",

@@ -33,11 +33,10 @@
 //! back to a sequential scan whenever the footer is missing or
 //! damaged.
 
-use crate::codec::crc32;
 use crate::error::CkptError;
 use crate::flat::{advance_record, decode_record, encode_record, FlatCheckpoint};
 use smarts_core::{SamplingParams, UnitCheckpoint, Warming};
-use smarts_isa::{BuiltinIsa, Isa, IsaId};
+use smarts_isa::{crc32, BuiltinIsa, Isa, IsaId};
 use smarts_uarch::{CacheConfig, MachineConfig, PredictorConfig, TlbConfig};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};

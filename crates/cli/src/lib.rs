@@ -9,8 +9,8 @@
 
 use smarts_ckpt::MappedStore;
 use smarts_core::{
-    compare_machines, FunctionalEngine, SampleReport, SamplerKind, SamplerSpec, SamplingParams,
-    SmartsSim, Warming,
+    compare_machines, FunctionalEngine, ModeInstructions, SampleReport, SamplerKind, SamplerSpec,
+    SamplingParams, SmartsSim, Warming,
 };
 use smarts_exec::{
     compare_machines_parallel, replay_store, replay_store_isa, replay_store_sampled,
@@ -1079,6 +1079,23 @@ fn cmd_ckpt_info(path: &str, json: bool) -> Result<(), String> {
     Ok(())
 }
 
+/// The `sample` line of the human-readable report. A replay from
+/// checkpoints fast-forwards nothing, so "percent of the stream" has no
+/// stream to be a percentage of; it reports what it simulated instead.
+fn sample_line(units: u64, instructions: &ModeInstructions) -> String {
+    if instructions.fast_forwarded == 0 {
+        format!(
+            "sample        {units} units, {} instructions in detail, replayed from checkpoints",
+            instructions.detailed_warmed + instructions.measured
+        )
+    } else {
+        format!(
+            "sample        {units} units, {:.4}% of the stream in detail",
+            instructions.detailed_fraction() * 100.0
+        )
+    }
+}
+
 fn print_sample_report(
     bench_label: &str,
     cfg: &MachineConfig,
@@ -1097,9 +1114,8 @@ fn print_sample_report(
         cfg.name, params.unit_size, params.detailed_warming, params.interval, params.offset
     );
     println!(
-        "sample        {} units, {:.4}% of the stream in detail",
-        report.sample_size(),
-        report.instructions.detailed_fraction() * 100.0
+        "{}",
+        sample_line(report.sample_size(), &report.instructions)
     );
     let pct = |e: smarts_stats::SampleEstimate| -> String {
         match e.achieved_epsilon(conf) {
@@ -1577,6 +1593,27 @@ mod tests {
         assert_eq!(options.offset, 2);
         assert_eq!(options.epsilon, Some(0.03));
         assert_eq!(options.confidence, 0.95);
+    }
+
+    #[test]
+    fn sample_line_reports_a_share_only_of_a_stream_it_saw() {
+        let cold = ModeInstructions {
+            fast_forwarded: 9_970_000,
+            detailed_warmed: 20_000,
+            measured: 10_000,
+        };
+        assert_eq!(
+            sample_line(10, &cold),
+            "sample        10 units, 0.3000% of the stream in detail"
+        );
+        let replay = ModeInstructions {
+            fast_forwarded: 0,
+            ..cold
+        };
+        assert_eq!(
+            sample_line(10, &replay),
+            "sample        10 units, 30000 instructions in detail, replayed from checkpoints"
+        );
     }
 
     #[test]

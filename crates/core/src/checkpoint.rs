@@ -355,9 +355,7 @@ impl CheckpointLibrary {
     /// reusing (and then returning) a pooled cursor.
     fn warm_at(&self, index: usize) -> WarmState {
         let cursor = self.roll_cursor(index);
-        let mut warm = WarmState::new(&self.warm_geometry);
-        let used = warm
-            .load_state(&cursor.words)
+        let (warm, used) = WarmState::from_state(&self.warm_geometry, &cursor.words)
             .expect("library warm words parse against their own geometry");
         debug_assert_eq!(used, cursor.words.len());
         let mut pool = self.cursors.lock().unwrap_or_else(|p| p.into_inner());

@@ -1,4 +1,4 @@
-use crate::{Inst, IsaError, Memory, OpClass, Opcode, Program};
+use crate::{Decoded, Inst, IsaError, Memory, OpClass, Opcode, Program};
 
 /// A data-memory access performed by one instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,9 +30,29 @@ pub struct ExecRecord {
     pub taken: bool,
     /// Instruction index of the next instruction on the correct path.
     pub next_pc: u64,
+    /// `Decoded::of(&inst)`, copied from the program's load-time table.
+    /// Private so that a record can only be built with the two agreeing.
+    dec: Decoded,
 }
 
+// The decode rides in what used to be padding: growing the record would
+// grow every window entry and every trace-import program.
+const _: () = assert!(std::mem::size_of::<ExecRecord>() == 56);
+
 impl ExecRecord {
+    /// Builds a record, decoding `inst` on the spot (the interpreter
+    /// copies its program's load-time decode instead).
+    pub fn new(pc: u64, inst: Inst, mem: Option<MemAccess>, taken: bool, next_pc: u64) -> Self {
+        ExecRecord {
+            pc,
+            inst,
+            mem,
+            taken,
+            next_pc,
+            dec: Decoded::of(&inst),
+        }
+    }
+
     /// Byte address of this instruction as seen by the instruction cache.
     pub fn fetch_addr(&self) -> u64 {
         Program::fetch_addr(self.pc)
@@ -43,9 +63,23 @@ impl ExecRecord {
         Program::fetch_addr(self.next_pc)
     }
 
-    /// Instruction class (delegates to the instruction).
+    /// Instruction class ([`Inst::class`], decoded at program load).
+    #[inline]
     pub fn class(&self) -> OpClass {
-        self.inst.class()
+        self.dec.class
+    }
+
+    /// Flat indices of the registers read, slot for slot as
+    /// [`Inst::uses`]; 0 where a slot reads nothing.
+    #[inline]
+    pub fn srcs(&self) -> [u8; 2] {
+        self.dec.srcs
+    }
+
+    /// Flat index of the register written ([`Inst::defs`]); 0 for none.
+    #[inline]
+    pub fn dst(&self) -> u8 {
+        self.dec.dst
     }
 }
 
@@ -191,22 +225,29 @@ impl Cpu {
     #[inline(always)]
     fn exec_one(&mut self, program: &Program, mem: &mut Memory) -> Result<ExecRecord, IsaError> {
         let pc = self.pc;
-        let inst = *program.get(pc).ok_or(IsaError::PcOutOfRange {
+        let (inst, dec) = program.fetch(pc).ok_or(IsaError::PcOutOfRange {
             pc,
             len: program.len(),
         })?;
-        Ok(self.exec_decoded(inst, mem))
+        Ok(self.exec_with(*inst, *dec, mem))
     }
 
     /// Executes one already-fetched, already-decoded instruction,
     /// assuming the caller has checked [`Cpu::halted`].
     ///
-    /// This is the fetchless interpreter body: a caller that fetches and
-    /// decodes for itself (the per-step-decode oracle of the frontend
-    /// fuzz test) commits through here, so it shares one set of operation
-    /// semantics with [`Cpu::step`], which goes through this same body.
+    /// This is the fetchless entry to the interpreter body: a caller that
+    /// fetches and decodes for itself (the per-step-decode oracle of the
+    /// frontend fuzz test) commits through here, so it shares one set of
+    /// operation semantics with [`Cpu::step`], which enters the same body
+    /// with the decode its program made at load.
     #[inline(always)]
     pub fn exec_decoded(&mut self, inst: Inst, mem: &mut Memory) -> ExecRecord {
+        self.exec_with(inst, Decoded::of(&inst), mem)
+    }
+
+    /// The interpreter body; `dec` must be `Decoded::of(&inst)`.
+    #[inline(always)]
+    fn exec_with(&mut self, inst: Inst, dec: Decoded, mem: &mut Memory) -> ExecRecord {
         let pc = self.pc;
         let mut next_pc = pc + 1;
         let mut taken = false;
@@ -346,6 +387,7 @@ impl Cpu {
             mem: mem_access,
             taken,
             next_pc,
+            dec,
         }
     }
 

@@ -86,6 +86,7 @@ impl ArchReg {
     }
 
     /// Flat index in `0..64` (integer file first).
+    #[inline]
     pub fn flat(&self) -> usize {
         self.0 as usize
     }
@@ -101,6 +102,7 @@ impl ArchReg {
     }
 
     /// Whether this is the hardwired integer zero register.
+    #[inline]
     pub fn is_zero(&self) -> bool {
         self.0 == 0
     }
@@ -233,6 +235,7 @@ pub enum OpClass {
 
 impl OpClass {
     /// Whether instructions of this class redirect control flow.
+    #[inline]
     pub fn is_control(&self) -> bool {
         matches!(
             self,
@@ -241,6 +244,7 @@ impl OpClass {
     }
 
     /// Whether instructions of this class access data memory.
+    #[inline]
     pub fn is_mem(&self) -> bool {
         matches!(self, OpClass::Load | OpClass::Store)
     }
@@ -296,6 +300,7 @@ impl Inst {
     }
 
     /// Instruction class for timing and energy purposes.
+    #[inline]
     pub fn class(&self) -> OpClass {
         use Opcode::*;
         match self.op {
@@ -336,6 +341,7 @@ impl Inst {
     ///
     /// Writes to the hardwired integer zero register are reported as
     /// `None` (they have no dataflow effect).
+    #[inline]
     pub fn defs(&self) -> Option<ArchReg> {
         use Opcode::*;
         let def = match self.op {
@@ -353,6 +359,7 @@ impl Inst {
     /// The architectural registers this instruction reads (up to two).
     ///
     /// Reads of the hardwired integer zero register are omitted.
+    #[inline]
     pub fn uses(&self) -> [Option<ArchReg>; 2] {
         use Opcode::*;
         let (a, b) = match self.op {
@@ -378,6 +385,39 @@ impl Inst {
             Jalr => (Some(ArchReg::int(self.rs1)), None),
         };
         [a.filter(|r| !r.is_zero()), b.filter(|r| !r.is_zero())]
+    }
+}
+
+/// What an [`Inst`] *means* to the consumers of the record stream — its
+/// class and the registers it reads and writes — decoded once per static
+/// instruction when a [`Program`](crate::Program) is built and carried in
+/// every [`ExecRecord`](crate::ExecRecord), so functional warming and the
+/// timing model read fields instead of re-matching the opcode.
+///
+/// Registers are [`ArchReg::flat`] indices with 0 for "none": the
+/// hardwired zero register has no dataflow, so [`Inst::uses`] and
+/// [`Inst::defs`] never report it and its index is free.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Decoded {
+    /// [`Inst::class`].
+    pub class: OpClass,
+    /// [`Inst::uses`], slot for slot.
+    pub srcs: [u8; 2],
+    /// [`Inst::defs`].
+    pub dst: u8,
+}
+
+impl Decoded {
+    /// Decodes `inst` through [`Inst::class`], [`Inst::uses`] and
+    /// [`Inst::defs`], the one definition of each.
+    pub fn of(inst: &Inst) -> Self {
+        let flat = |r: Option<ArchReg>| r.map_or(0, |r| r.0);
+        let [a, b] = inst.uses();
+        Decoded {
+            class: inst.class(),
+            srcs: [flat(a), flat(b)],
+            dst: flat(inst.defs()),
+        }
     }
 }
 

@@ -370,17 +370,17 @@ mod tests {
 
     #[test]
     fn default_mem_touches_are_fetch_then_data() {
-        let rec = ExecRecord {
-            pc: 7,
-            inst: Inst::new(Opcode::Ld, reg::T0, reg::S0, 0, 16),
-            mem: Some(MemAccess {
+        let rec = ExecRecord::new(
+            7,
+            Inst::new(Opcode::Ld, reg::T0, reg::S0, 0, 16),
+            Some(MemAccess {
                 addr: 0x2000,
                 size: 8,
                 is_store: false,
             }),
-            taken: false,
-            next_pc: 8,
-        };
+            false,
+            8,
+        );
         let touches: Vec<MemAccess> = BuiltinIsa::mem_touches(&rec).collect();
         assert_eq!(touches.len(), 2);
         assert_eq!(touches[0].addr, rec.fetch_addr());
@@ -389,13 +389,7 @@ mod tests {
         assert_eq!(touches[1].addr, 0x2000);
         assert_eq!(rec.class(), OpClass::Load);
 
-        let alu = ExecRecord {
-            pc: 3,
-            inst: Inst::new(Opcode::Add, 1, 2, 3, 0),
-            mem: None,
-            taken: false,
-            next_pc: 4,
-        };
+        let alu = ExecRecord::new(3, Inst::new(Opcode::Add, 1, 2, 3, 0), None, false, 4);
         assert_eq!(BuiltinIsa::mem_touches(&alu).count(), 1);
     }
 }

@@ -49,6 +49,7 @@
 
 mod asm;
 mod cpu;
+mod crc32;
 mod error;
 mod inst;
 mod isa;
@@ -59,8 +60,9 @@ mod trace;
 
 pub use asm::{Asm, Label};
 pub use cpu::{Cpu, ExecRecord, MemAccess};
+pub use crc32::crc32;
 pub use error::IsaError;
-pub use inst::{reg, ArchReg, Inst, OpClass, Opcode};
+pub use inst::{reg, ArchReg, Decoded, Inst, OpClass, Opcode};
 pub use isa::{BuiltinIsa, Isa, IsaId, MemTouches};
 pub use mem::{Memory, Page};
 pub use program::{Program, TEXT_BASE};

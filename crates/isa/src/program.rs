@@ -1,4 +1,4 @@
-use crate::{Inst, IsaError};
+use crate::{Decoded, Inst, IsaError};
 use std::fmt;
 use std::sync::Arc;
 
@@ -19,7 +19,10 @@ pub const TEXT_BASE: u64 = 0x0000_0000_0001_0000;
 /// and per warming shard — is a reference-count bump.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
-    insts: Arc<[Inst]>,
+    // Each instruction next to its `Decoded::of`: the static half of
+    // every record the interpreter will emit, decoded once here and
+    // fetched with the instruction under one bounds check.
+    text: Arc<[(Inst, Decoded)]>,
 }
 
 impl Program {
@@ -33,24 +36,30 @@ impl Program {
             return Err(IsaError::EmptyProgram);
         }
         Ok(Program {
-            insts: insts.into(),
+            text: insts.into_iter().map(|i| (i, Decoded::of(&i))).collect(),
         })
     }
 
     /// Number of static instructions.
     pub fn len(&self) -> u64 {
-        self.insts.len() as u64
+        self.text.len() as u64
     }
 
     /// Whether the program has no instructions (never true for a
     /// constructed program; present for API completeness).
     pub fn is_empty(&self) -> bool {
-        self.insts.is_empty()
+        self.text.is_empty()
     }
 
     /// The instruction at index `pc`, or `None` past the end.
     pub fn get(&self, pc: u64) -> Option<&Inst> {
-        self.insts.get(pc as usize)
+        self.text.get(pc as usize).map(|(inst, _)| inst)
+    }
+
+    /// The instruction at index `pc` together with its load-time decode.
+    #[inline]
+    pub(crate) fn fetch(&self, pc: u64) -> Option<&(Inst, Decoded)> {
+        self.text.get(pc as usize)
     }
 
     /// Bytes one instruction occupies in the text section; the I-side
@@ -64,20 +73,20 @@ impl Program {
     }
 
     /// All instructions in program order.
-    pub fn insts(&self) -> &[Inst] {
-        &self.insts
+    pub fn insts(&self) -> impl ExactSizeIterator<Item = &Inst> {
+        self.text.iter().map(|(inst, _)| inst)
     }
 
     /// Static basic-block leaders: instruction indices that start a block
     /// (index 0, branch/jump targets, and fall-throughs of control
     /// instructions). Used by the SimPoint basic-block-vector profiler.
     pub fn basic_block_leaders(&self) -> Vec<u64> {
-        let mut leaders = vec![false; self.insts.len()];
+        let mut leaders = vec![false; self.text.len()];
         if !leaders.is_empty() {
             leaders[0] = true;
         }
-        for (i, inst) in self.insts.iter().enumerate() {
-            if inst.class().is_control() {
+        for (i, (inst, dec)) in self.text.iter().enumerate() {
+            if dec.class.is_control() {
                 if i + 1 < leaders.len() {
                     leaders[i + 1] = true;
                 }
@@ -104,8 +113,8 @@ impl Program {
 
 impl fmt::Display for Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "program: {} instructions", self.insts.len())?;
-        for (i, inst) in self.insts.iter().enumerate() {
+        writeln!(f, "program: {} instructions", self.text.len())?;
+        for (i, inst) in self.insts().enumerate() {
             writeln!(f, "{i:6}: {inst}")?;
         }
         Ok(())

@@ -173,7 +173,7 @@ impl RiscProgram {
     /// immediate too wide). Indices — and therefore branch targets and
     /// the committed stream — are preserved exactly.
     pub fn encode_program(program: &Program) -> Option<Self> {
-        let words: Option<Vec<u32>> = program.insts().iter().map(RiscIsa::encode).collect();
+        let words: Option<Vec<u32>> = program.insts().map(RiscIsa::encode).collect();
         Self::from_words(words?).ok()
     }
 

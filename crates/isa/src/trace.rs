@@ -30,6 +30,7 @@
 //! trailer's record count, so truncation, bit corruption, and a wrong
 //! count are all detected before any record is replayed.
 
+use crate::crc32::crc32;
 use crate::isa::{Isa, IsaId};
 use crate::{ExecRecord, Inst, IsaError, MemAccess, Memory, OpClass, Opcode};
 use std::error::Error;
@@ -92,20 +93,6 @@ impl From<std::io::Error> for TraceError {
     fn from(e: std::io::Error) -> Self {
         TraceError::Io(e)
     }
-}
-
-/// CRC-32 (IEEE 802.3, reflected), bitwise — the trace files are small
-/// enough that a table is not worth the bytes.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &byte in bytes {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 /// Every opcode in declaration order; a tag is an index into this table.
@@ -209,13 +196,13 @@ fn decode_record(r: &mut Reader<'_>) -> Option<ExecRecord> {
     } else {
         None
     };
-    Some(ExecRecord {
+    Some(ExecRecord::new(
         pc,
-        inst: Inst::new(op, rd, rs1, rs2, imm),
+        Inst::new(op, rd, rs1, rs2, imm),
         mem,
-        taken: flags & FLAG_TAKEN != 0,
+        flags & FLAG_TAKEN != 0,
         next_pc,
-    })
+    ))
 }
 
 /// Serializes `records` as a version-1 trace file body (magic through

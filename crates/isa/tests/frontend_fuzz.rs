@@ -5,6 +5,11 @@
 //! memory pages — whether stepped one instruction at a time or in
 //! blocks, and identically to an oracle that fetches and decodes the
 //! binary word on every step, as the frontend did before it predecoded.
+//! Every record any frontend emits — the trace-import frontend replaying
+//! the stream included — must also carry the decode (class, sources,
+//! destination) that [`Inst::class`], [`Inst::uses`] and [`Inst::defs`]
+//! define, as must every opcode under every register pattern that decides
+//! a class or filters a zero-register read or write.
 //!
 //! Programs are SplitMix64-random (register and immediate ALU forms,
 //! loads and stores of every width, data-dependent forward branches,
@@ -12,7 +17,8 @@
 //! the fixed seeds.
 
 use smarts_isa::{
-    reg, Asm, BuiltinIsa, Cpu, ExecRecord, Inst, Isa, Memory, Opcode, Program, RiscIsa, RiscProgram,
+    encode_trace, reg, ArchReg, Asm, BuiltinIsa, Cpu, Decoded, ExecRecord, Inst, Isa, Memory,
+    Opcode, Program, RiscIsa, RiscProgram, TraceIsa, TraceProgram,
 };
 use Opcode::*;
 
@@ -120,8 +126,23 @@ struct Outcome {
     pages: Vec<(u64, Vec<u8>)>,
 }
 
+/// The decode a record carries against the `match` definitions.
+fn assert_decoded(rec: &ExecRecord) {
+    let flat = |reg: Option<ArchReg>| reg.map_or(0, |r| r.flat() as u8);
+    let [a, b] = rec.inst.uses();
+    assert_eq!(rec.class(), rec.inst.class(), "class of {}", rec.inst);
+    assert_eq!(rec.srcs(), [flat(a), flat(b)], "sources of {}", rec.inst);
+    assert_eq!(
+        rec.dst(),
+        flat(rec.inst.defs()),
+        "destination of {}",
+        rec.inst
+    );
+}
+
 fn outcome(records: Vec<ExecRecord>, cpu: &Cpu, mem: &Memory) -> Outcome {
     assert!(cpu.halted(), "program ran to its halt");
+    records.iter().for_each(assert_decoded);
     let mut state = Vec::new();
     cpu.save_state(&mut state);
     let pages = mem
@@ -207,5 +228,53 @@ fn predecoded_risc_matches_builtin_and_the_per_step_decoder() {
             want,
             "seed {seed}: per-step decode oracle"
         );
+
+        // Trace import decodes each record as it materialises it.
+        let trace = TraceProgram::decode(&encode_trace("fuzz", &want.records)).unwrap();
+        let (mut cursor, mut mem) = (TraceIsa::new_cpu(), Memory::new());
+        let mut replayed = Vec::new();
+        while !TraceIsa::halted(&cursor) {
+            replayed.push(TraceIsa::step(&mut cursor, &trace, &mut mem).unwrap());
+        }
+        replayed.iter().for_each(assert_decoded);
+        assert_eq!(replayed, want.records, "seed {seed}: trace import");
+    }
+}
+
+#[test]
+fn decode_matches_the_match_definitions_for_every_opcode_and_register_pattern() {
+    #[rustfmt::skip]
+    let opcodes = [
+        Add, Sub, Mul, Div, Rem, And, Or, Xor, Sll, Srl, Sra, Slt, Sltu,
+        Addi, Andi, Ori, Xori, Slli, Srli, Srai, Slti, Li,
+        FAdd, FSub, FMul, FDiv, FSqrt, FMin, FMax, FAbs, FNeg,
+        FCvtIf, FCvtFi, FMvIf, FMvFi, FLi, FLt, FLe, FEq,
+        Lb, Lbu, Lh, Lhu, Lw, Lwu, Ld, Sb, Sh, Sw, Sd, FLd, FSd,
+        Beq, Bne, Blt, Bge, Bltu, Bgeu, Jal, Jalr, Nop, Halt,
+    ];
+    // ZERO and RA decide Call/Return/Jump; ZERO is also the filtered
+    // read and write. T0 stands for every other register.
+    let patterns = [reg::ZERO, reg::RA, reg::T0];
+    for op in opcodes {
+        for rd in patterns {
+            for rs1 in patterns {
+                for rs2 in patterns {
+                    let inst = Inst::new(op, rd, rs1, rs2, 2);
+                    assert_decoded(&ExecRecord::new(0, inst, None, false, 1));
+                    // The interpreter copies the program's load-time
+                    // table instead of decoding: one step of each.
+                    let program =
+                        Program::from_insts(vec![inst, Inst::nop(), Inst::nop()]).unwrap();
+                    let rec = Cpu::new().step(&program, &mut Memory::new()).unwrap();
+                    assert_eq!(rec.inst, inst);
+                    assert_decoded(&rec);
+                    let dec = Decoded::of(&inst);
+                    assert_eq!(
+                        (dec.class, dec.srcs, dec.dst),
+                        (rec.class(), rec.srcs(), rec.dst())
+                    );
+                }
+            }
+        }
     }
 }

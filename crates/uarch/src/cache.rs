@@ -125,15 +125,25 @@ impl Cache {
     ///
     /// Panics if the configuration geometry does not divide evenly.
     pub fn new(cfg: CacheConfig) -> Self {
+        let lines = (cfg.sets() * cfg.assoc as u64) as usize;
+        Cache {
+            lines: vec![Line::default(); lines],
+            tags: vec![INVALID_TAG; lines],
+            mru: vec![0; cfg.sets() as usize],
+            ..Self::without_lines(cfg)
+        }
+    }
+
+    /// The geometry of a cache, holding no lines yet.
+    fn without_lines(cfg: CacheConfig) -> Self {
         let sets = cfg.sets();
-        let lines = (sets * cfg.assoc as u64) as usize;
         let line_shift = (cfg.line_bytes.is_power_of_two() && sets.is_power_of_two())
             .then(|| cfg.line_bytes.trailing_zeros());
         Cache {
             cfg,
-            lines: vec![Line::default(); lines],
-            tags: vec![INVALID_TAG; lines],
-            mru: vec![0; sets as usize],
+            lines: Vec::new(),
+            tags: Vec::new(),
+            mru: Vec::new(),
             tick: 0,
             sets,
             assoc: cfg.assoc as usize,
@@ -324,32 +334,41 @@ impl Cache {
         out.push(0);
     }
 
-    /// Restores state written by [`Cache::save_state`] into a cache of
-    /// the same geometry, rebuilding the contiguous tag mirror from the
-    /// restored lines. Returns the number of words consumed, or `None`
-    /// if `words` is too short.
-    pub fn load_state(&mut self, words: &[u64]) -> Option<usize> {
-        let needed = 3 * self.lines.len() + self.mru.len() + 3;
-        let words = words.get(..needed)?;
-        let (line_words, rest) = words.split_at(3 * self.lines.len());
-        for (i, chunk) in line_words.chunks_exact(3).enumerate() {
-            let valid = chunk[2] & 1 != 0;
-            self.lines[i] = Line {
+    /// Builds a cache of geometry `cfg` holding the state written by
+    /// [`Cache::save_state`] — each line written once, straight from its
+    /// words, with the contiguous tag mirror derived from the lines.
+    /// Returns the cache and the number of words consumed, or `None` if
+    /// `words` is too short.
+    pub fn from_state(cfg: CacheConfig, words: &[u64]) -> Option<(Self, usize)> {
+        let (lines, sets) = (
+            (cfg.sets() * cfg.assoc as u64) as usize,
+            cfg.sets() as usize,
+        );
+        let needed = 3 * lines + sets + 3;
+        let (line_words, rest) = words.get(..needed)?.split_at(3 * lines);
+        let (mru_words, tail) = rest.split_at(sets);
+        let lines: Vec<Line> = line_words
+            .chunks_exact(3)
+            .map(|chunk| Line {
                 tag: chunk[0],
                 lru: chunk[1],
-                valid,
+                valid: chunk[2] & 1 != 0,
                 dirty: chunk[2] & 2 != 0,
-            };
-            self.tags[i] = if valid { chunk[0] } else { INVALID_TAG };
-        }
-        let (mru_words, tail) = rest.split_at(self.mru.len());
-        for (m, &w) in self.mru.iter_mut().zip(mru_words) {
-            *m = w as u32;
-        }
-        self.tick = tail[0];
-        self.accesses = tail[1];
-        self.misses = tail[2];
-        Some(needed)
+            })
+            .collect();
+        let tags = lines
+            .iter()
+            .map(|l| if l.valid { l.tag } else { INVALID_TAG });
+        let cache = Cache {
+            tags: tags.collect(),
+            lines,
+            mru: mru_words.iter().map(|&w| w as u32).collect(),
+            tick: tail[0],
+            accesses: tail[1],
+            misses: tail[2],
+            ..Self::without_lines(cfg)
+        };
+        Some((cache, needed))
     }
 
     /// Whether the line containing `addr` is resident, without touching

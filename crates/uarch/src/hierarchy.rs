@@ -135,15 +135,21 @@ impl CacheHierarchy {
         self.l2.save_state(out);
     }
 
-    /// Restores state written by [`CacheHierarchy::save_state`] into a
-    /// hierarchy of the same geometry. Returns the words consumed, or
-    /// `None` if `words` is too short.
-    pub fn load_state(&mut self, words: &[u64]) -> Option<usize> {
-        let mut used = 0;
-        for cache in [&mut self.l1i, &mut self.l1d, &mut self.l2] {
-            used += cache.load_state(words.get(used..)?)?;
-        }
-        Some(used)
+    /// Builds the hierarchy of `cfg` holding the state written by
+    /// [`CacheHierarchy::save_state`]. Returns it with the words
+    /// consumed, or `None` if `words` is too short.
+    pub fn from_state(cfg: &MachineConfig, words: &[u64]) -> Option<(Self, usize)> {
+        let (l1i, i) = Cache::from_state(cfg.l1i, words)?;
+        let (l1d, d) = Cache::from_state(cfg.l1d, words.get(i..)?)?;
+        let (l2, u) = Cache::from_state(cfg.l2, words.get(i + d..)?)?;
+        let mem_latency = cfg.mem_latency;
+        let hierarchy = CacheHierarchy {
+            l1i,
+            l1d,
+            l2,
+            mem_latency,
+        };
+        Some((hierarchy, i + d + u))
     }
 
     /// Instruction fetch of the line containing `addr`.

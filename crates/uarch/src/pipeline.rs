@@ -34,13 +34,13 @@
 //! analogue quantifies the residual bias this leaves.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::bpred::Prediction;
 use crate::config::MachineConfig;
 use crate::warm::WarmState;
 use smarts_energy::ActivityCounters;
-use smarts_isa::{ExecRecord, OpClass, Opcode};
+use smarts_isa::{ExecRecord, Inst, OpClass, Opcode};
 
 /// A supplier of correct-path execution records.
 ///
@@ -106,13 +106,17 @@ enum EntryState {
     Completed,
 }
 
+/// One in-flight instruction, from fetch to commit. Fetch writes the
+/// record and the two fields after it; dispatch initialises the rest,
+/// which nothing reads while the entry is still in the fetch queue.
 #[derive(Debug, Clone)]
-struct RobEntry {
-    seq: u64,
+struct Entry {
     rec: ExecRecord,
+    /// First cycle at which the entry may dispatch.
+    avail: u64,
+    mispredicted: bool,
     state: EntryState,
     complete_cycle: u64,
-    mispredicted: bool,
     /// Unsatisfied source operands (0..=2); the entry enters the ready
     /// queue when this reaches zero.
     pending: u8,
@@ -123,13 +127,6 @@ struct RobEntry {
     /// Per-source-slot continuation of the producer's consumer list this
     /// entry is threaded onto.
     next_consumer: [u64; 2],
-}
-
-#[derive(Debug, Clone)]
-struct IfqEntry {
-    rec: ExecRecord,
-    avail: u64,
-    mispredicted: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -172,9 +169,16 @@ enum FuPool {
 pub struct Pipeline {
     cfg: MachineConfig,
     cycle: u64,
+    /// The fetch queue and the RUU share one ring: fetch order is dispatch
+    /// order and nothing fetched is ever squashed, so an instruction keeps
+    /// one sequence number — and one slot, `seq & mask` — from fetch to
+    /// commit. `head_seq..next_seq` is the RUU, `next_seq..fetch_seq` the
+    /// fetch queue; the ring holds both at their configured sizes.
+    window: Box<[Entry]>,
+    mask: u64,
+    head_seq: u64,
     next_seq: u64,
-    rob: VecDeque<RobEntry>,
-    ifq: VecDeque<IfqEntry>,
+    fetch_seq: u64,
     reg_producer: [u64; 64],
     lsq_used: u32,
     store_buffer: VecDeque<SbEntry>,
@@ -193,12 +197,12 @@ pub struct Pipeline {
     halted: bool,
     source_done: bool,
     pulled: u64,
-    /// Waiting entries whose operands are all available, ordered by seq
+    /// Waiting entries whose operands are all available, sorted by seq
     /// (= the scan model's oldest-first issue order). Entries that fail a
-    /// structural check (port, FU, MSHR, blocked load) stay queued.
-    ready: BTreeSet<u64>,
-    /// Scratch for iterating `ready` while issuing (reused allocation).
-    issue_scratch: Vec<u64>,
+    /// structural check (port, FU, MSHR, blocked load) stay queued. At
+    /// most a window's worth and usually a handful, so a sorted vector
+    /// beats a tree: no node traffic, and issue compacts it in place.
+    ready: Vec<u64>,
     /// Issued entries awaiting writeback, keyed `(complete_cycle, seq)`.
     completions: BinaryHeap<Reverse<(u64, u64)>>,
     skipped_cycles: u64,
@@ -214,12 +218,28 @@ const SKIP_RECHECK: u64 = 4;
 impl Pipeline {
     /// Creates an empty (cold) pipeline for the given machine.
     pub fn new(cfg: &MachineConfig) -> Self {
+        let slots = (cfg.ruu_size as usize + cfg.ifq_size as usize).next_power_of_two();
         Pipeline {
             cfg: cfg.clone(),
             cycle: 0,
+            window: vec![
+                Entry {
+                    rec: ExecRecord::new(0, Inst::nop(), None, false, 0),
+                    avail: 0,
+                    mispredicted: false,
+                    state: EntryState::Waiting,
+                    complete_cycle: 0,
+                    pending: 0,
+                    consumer_head: NO_LINK,
+                    next_consumer: [NO_LINK; 2],
+                };
+                slots
+            ]
+            .into_boxed_slice(),
+            mask: slots as u64 - 1,
+            head_seq: 0,
             next_seq: 0,
-            rob: VecDeque::with_capacity(cfg.ruu_size as usize),
-            ifq: VecDeque::with_capacity(cfg.ifq_size as usize),
+            fetch_seq: 0,
             reg_producer: [NO_PRODUCER; 64],
             lsq_used: 0,
             store_buffer: VecDeque::with_capacity(cfg.store_buffer as usize),
@@ -238,8 +258,7 @@ impl Pipeline {
             halted: false,
             source_done: false,
             pulled: 0,
-            ready: BTreeSet::new(),
-            issue_scratch: Vec::with_capacity(cfg.issue_width as usize * 2),
+            ready: Vec::with_capacity(cfg.ruu_size as usize),
             completions: BinaryHeap::with_capacity(cfg.ruu_size as usize),
             skipped_cycles: 0,
             next_skip_check: 0,
@@ -273,6 +292,22 @@ impl Pipeline {
         self.skipped_cycles
     }
 
+    fn entry(&self, seq: u64) -> &Entry {
+        &self.window[(seq & self.mask) as usize]
+    }
+
+    fn entry_mut(&mut self, seq: u64) -> &mut Entry {
+        &mut self.window[(seq & self.mask) as usize]
+    }
+
+    fn rob_len(&self) -> u64 {
+        self.next_seq - self.head_seq
+    }
+
+    fn ifq_len(&self) -> u64 {
+        self.fetch_seq - self.next_seq
+    }
+
     /// Runs detailed simulation until `commits` more instructions commit
     /// (or the stream ends / the program halts).
     ///
@@ -299,7 +334,7 @@ impl Pipeline {
         let mut idle_cycles = 0u64;
 
         while committed_total < commits && !self.halted {
-            if self.source_done && self.rob.is_empty() && self.ifq.is_empty() {
+            if self.source_done && self.head_seq == self.fetch_seq {
                 break;
             }
             // Dead-cycle skip, with backoff: when the check finds work at
@@ -332,8 +367,8 @@ impl Pipeline {
                     idle_cycles < 1_000_000,
                     "pipeline deadlock at cycle {}: rob={} ifq={} sb={} redirect={}",
                     self.cycle,
-                    self.rob.len(),
-                    self.ifq.len(),
+                    self.rob_len(),
+                    self.ifq_len(),
                     self.store_buffer.len(),
                     self.pending_redirect
                 );
@@ -378,51 +413,45 @@ impl Pipeline {
         // events, an MSHR frees at `mshr_min_release`, a functional unit
         // at its busy-until cycle. (These probes are all read-only; the
         // mutating cache/TLB accesses happen only on a real issue.)
-        if !self.ready.is_empty() {
-            let front_seq = self.rob.front().expect("ready entries are in the ROB").seq;
-            for &seq in &self.ready {
-                let idx = (seq - front_seq) as usize;
-                let entry = &self.rob[idx];
-                match entry.rec.class() {
-                    OpClass::Load => match self.load_plan(idx) {
-                        // Unblocks only after its older store completes —
-                        // a completion event already noted below.
-                        LoadPlan::Blocked => {}
-                        LoadPlan::Forward => return None,
-                        LoadPlan::CacheAccess => {
-                            // The cache port is free in a dead cycle
-                            // (`ports_used` resets before any consumer and
-                            // the store buffer started nothing).
-                            let addr = entry.rec.mem.expect("load").addr;
-                            if warm.hierarchy.l1d_resident(addr) || self.mshr_min_release <= cycle {
-                                return None;
-                            }
-                            note(self.mshr_min_release);
+        for &seq in &self.ready {
+            let entry = self.entry(seq);
+            match entry.rec.class() {
+                OpClass::Load => match self.load_plan(seq) {
+                    // Unblocks only after its older store completes —
+                    // a completion event already noted below.
+                    LoadPlan::Blocked => {}
+                    LoadPlan::Forward => return None,
+                    LoadPlan::CacheAccess => {
+                        // The cache port is free in a dead cycle
+                        // (`ports_used` resets before any consumer and
+                        // the store buffer started nothing).
+                        let addr = entry.rec.mem.expect("load").addr;
+                        if warm.hierarchy.l1d_resident(addr) || self.mshr_min_release <= cycle {
+                            return None;
                         }
-                    },
-                    // Stores, nops, and halts issue unconditionally.
-                    OpClass::Store | OpClass::Nop | OpClass::Halt => return None,
-                    class => {
-                        let (pool, _, _) = self.fu_for(class).expect("execution class has a unit");
-                        let mut earliest = u64::MAX;
-                        for &busy in &self.fus[pool as usize] {
-                            if busy <= cycle {
-                                return None; // a unit is free: would issue
-                            }
-                            earliest = earliest.min(busy);
+                        note(self.mshr_min_release);
+                    }
+                },
+                // Stores, nops, and halts issue unconditionally.
+                OpClass::Store | OpClass::Nop | OpClass::Halt => return None,
+                class => {
+                    let (pool, _, _) = self.fu_for(class).expect("execution class has a unit");
+                    let mut earliest = u64::MAX;
+                    for &busy in &self.fus[pool as usize] {
+                        if busy <= cycle {
+                            return None; // a unit is free: would issue
                         }
-                        if earliest != u64::MAX {
-                            note(earliest);
-                        }
+                        earliest = earliest.min(busy);
+                    }
+                    if earliest != u64::MAX {
+                        note(earliest);
                     }
                 }
             }
         }
         // Commit: a completed head would retire this cycle.
-        if let Some(head) = self.rob.front() {
-            if head.state == EntryState::Completed {
-                return None;
-            }
+        if self.rob_len() > 0 && self.entry(self.head_seq).state == EntryState::Completed {
+            return None;
         }
         // Writeback: due completions must be processed; future ones are
         // events.
@@ -458,11 +487,12 @@ impl Pipeline {
         // Dispatch: the front IFQ entry either dispatches now, becomes
         // available later (event), or is blocked on RUU/LSQ space — which
         // only a commit (driven by a completion event) can free.
-        if let Some(front) = self.ifq.front() {
+        if self.ifq_len() > 0 {
+            let front = self.entry(self.next_seq);
             if front.avail > cycle {
                 note(front.avail);
             } else {
-                let rob_full = self.rob.len() >= self.cfg.ruu_size as usize;
+                let rob_full = self.rob_len() >= self.cfg.ruu_size as u64;
                 let lsq_full = front.rec.class().is_mem() && self.lsq_used >= self.cfg.lsq_size;
                 if !rob_full && !lsq_full {
                     return None;
@@ -483,7 +513,7 @@ impl Pipeline {
         } else if !self.halted && !self.source_done {
             if self.fetch_stall_until > cycle {
                 note(self.fetch_stall_until);
-            } else if self.ifq.len() < self.cfg.ifq_size as usize {
+            } else if self.ifq_len() < self.cfg.ifq_size as u64 {
                 return None; // fetch would pull records
             }
             // IFQ full: unblocks via dispatch, handled above.
@@ -522,8 +552,8 @@ impl Pipeline {
     ) -> u64 {
         let budget = (self.cfg.commit_width as u64).min(max_commit);
         let mut n = 0;
-        while n < budget {
-            let Some(head) = self.rob.front() else { break };
+        while n < budget && self.rob_len() > 0 {
+            let head = &self.window[(self.head_seq & self.mask) as usize];
             if head.state != EntryState::Completed || head.complete_cycle > self.cycle {
                 break;
             }
@@ -542,7 +572,7 @@ impl Pipeline {
                     counters.store_buffer_ops += 1;
                 }
             }
-            let head = self.rob.pop_front().expect("head checked above");
+            self.head_seq += 1;
             if class.is_control() {
                 warm.bpred
                     .update(head.rec.pc, class, head.rec.taken, head.rec.next_pc);
@@ -647,14 +677,13 @@ impl Pipeline {
                 break;
             }
             self.completions.pop();
-            let front_seq = self.rob.front().expect("issued entry is in the ROB").seq;
-            let idx = (seq - front_seq) as usize;
-            let entry = &mut self.rob[idx];
+            let mask = self.mask;
+            let entry = &mut self.window[(seq & mask) as usize];
             debug_assert_eq!(entry.state, EntryState::Issued);
             entry.state = EntryState::Completed;
             if measure {
                 counters.window_wakeups += 1;
-                if entry.rec.inst.defs().is_some() {
+                if entry.rec.dst() != 0 {
                     counters.regfile_writes += 1;
                 }
             }
@@ -674,11 +703,13 @@ impl Pipeline {
             while link != NO_LINK {
                 let consumer_seq = link >> 1;
                 let slot = (link & 1) as usize;
-                let consumer = &mut self.rob[(consumer_seq - front_seq) as usize];
+                let consumer = &mut self.window[(consumer_seq & mask) as usize];
                 link = consumer.next_consumer[slot];
                 consumer.pending -= 1;
                 if consumer.pending == 0 {
-                    self.ready.insert(consumer_seq);
+                    // Woken consumers can be older than queued entries.
+                    let at = self.ready.partition_point(|&s| s < consumer_seq);
+                    self.ready.insert(at, consumer_seq);
                 }
             }
         }
@@ -691,12 +722,12 @@ impl Pipeline {
 
     // ---- issue -----------------------------------------------------------
 
-    fn load_plan(&self, idx: usize) -> LoadPlan {
-        let mem = self.rob[idx].rec.mem.expect("load has a memory access");
+    fn load_plan(&self, seq: u64) -> LoadPlan {
+        let mem = self.entry(seq).rec.mem.expect("load has a memory access");
         let (a0, a1) = (mem.addr, mem.addr + mem.size as u64);
         // Youngest older overlapping store in the window wins.
-        for j in (0..idx).rev() {
-            let other = &self.rob[j];
+        for older in (self.head_seq..seq).rev() {
+            let other = self.entry(older);
             if other.rec.class() != OpClass::Store {
                 continue;
             }
@@ -742,30 +773,27 @@ impl Pipeline {
         if self.ready.is_empty() {
             return;
         }
-        let Some(front) = self.rob.front() else {
-            return;
-        };
-        let front_seq = front.seq;
         let mut issued = 0u32;
         let cycle = self.cycle;
         // The ready queue iterates in ascending seq = the scan model's
         // oldest-first window order; entries that fail a structural check
         // stay queued for the next cycle, consuming no issue slot —
-        // exactly the scan's `continue`.
-        let mut scratch = std::mem::take(&mut self.issue_scratch);
-        scratch.clear();
-        scratch.extend(self.ready.iter().copied());
-        for &seq in &scratch {
+        // exactly the scan's `continue`. Issued entries are compacted out
+        // in place (`kept` trails `at`); nothing enqueues during issue.
+        let mut ready = std::mem::take(&mut self.ready);
+        let mut kept = 0;
+        for at in 0..ready.len() {
+            let seq = ready[at];
+            ready[kept] = seq;
+            kept += 1;
             if issued >= self.cfg.issue_width {
-                break;
+                continue;
             }
-            let idx = (seq - front_seq) as usize;
-            debug_assert_eq!(self.rob[idx].state, EntryState::Waiting);
-            let class = self.rob[idx].rec.class();
-            let n_srcs = self.rob[idx].rec.inst.uses().iter().flatten().count() as u64;
+            debug_assert_eq!(self.entry(seq).state, EntryState::Waiting);
+            let class = self.entry(seq).rec.class();
 
             let complete_cycle = match class {
-                OpClass::Load => match self.load_plan(idx) {
+                OpClass::Load => match self.load_plan(seq) {
                     LoadPlan::Blocked => continue,
                     LoadPlan::Forward => {
                         if measure {
@@ -777,7 +805,7 @@ impl Pipeline {
                         if self.ports_used >= self.cfg.l1d_ports {
                             continue;
                         }
-                        let addr = self.rob[idx].rec.mem.expect("load").addr;
+                        let addr = self.entry(seq).rec.mem.expect("load").addr;
                         let resident = warm.hierarchy.l1d_resident(addr);
                         if !resident && !self.mshr_available() {
                             continue;
@@ -806,7 +834,7 @@ impl Pipeline {
                     // Stores "execute" by computing address + reading data;
                     // the memory write happens post-commit from the store
                     // buffer. The D-TLB is consulted at execute time.
-                    let addr = self.rob[idx].rec.mem.expect("store").addr;
+                    let addr = self.entry(seq).rec.mem.expect("store").addr;
                     let tlb_hit = warm.dtlb.access(addr);
                     if measure {
                         counters.dtlb_accesses += 1;
@@ -845,81 +873,74 @@ impl Pipeline {
                 }
             };
 
-            self.ready.remove(&seq);
-            let entry = &mut self.rob[idx];
+            kept -= 1;
+            let entry = self.entry_mut(seq);
             entry.state = EntryState::Issued;
             entry.complete_cycle = complete_cycle;
+            let [a, b] = entry.rec.srcs();
             self.completions.push(Reverse((complete_cycle, seq)));
             issued += 1;
             if measure {
                 counters.window_issues += 1;
-                counters.regfile_reads += n_srcs;
+                counters.regfile_reads += (a != 0) as u64 + (b != 0) as u64;
             }
         }
-        self.issue_scratch = scratch;
+        ready.truncate(kept);
+        self.ready = ready;
     }
 
     // ---- dispatch ----------------------------------------------------------
 
     fn dispatch(&mut self, measure: bool, counters: &mut ActivityCounters) {
         let mut n = 0;
-        while n < self.cfg.decode_width {
-            let Some(front) = self.ifq.front() else { break };
+        while n < self.cfg.decode_width && self.ifq_len() > 0 {
+            let seq = self.next_seq;
+            let front = self.entry(seq);
             if front.avail > self.cycle {
                 break;
             }
-            if self.rob.len() >= self.cfg.ruu_size as usize {
+            if self.rob_len() >= self.cfg.ruu_size as u64 {
                 break;
             }
             let class = front.rec.class();
             if class.is_mem() && self.lsq_used >= self.cfg.lsq_size {
                 break;
             }
-            let ifq_entry = self.ifq.pop_front().expect("front checked above");
-            let seq = self.next_seq;
+            let (srcs, dst) = (front.rec.srcs(), front.rec.dst());
             self.next_seq += 1;
             // Resolve each source: a producer that has left the ROB (or
             // already completed) satisfies the operand immediately;
             // otherwise thread this entry onto the producer's consumer
             // list for wakeup at its completion.
-            let front_seq = self.rob.front().map(|e| e.seq);
             let mut next_consumer = [NO_LINK; 2];
             let mut pending = 0u8;
-            for (slot, used) in ifq_entry.rec.inst.uses().iter().enumerate() {
-                let Some(r) = used else { continue };
-                let src = self.reg_producer[r.flat()];
-                if src == NO_PRODUCER {
+            for (slot, &reg) in srcs.iter().enumerate() {
+                // Register 0 = no read; nothing ever produces it. A
+                // producer below the head has committed.
+                let src = self.reg_producer[reg as usize];
+                if src == NO_PRODUCER || src < self.head_seq {
                     continue;
                 }
-                let Some(front_seq) = front_seq else { continue };
-                if src < front_seq {
-                    continue; // producer already committed
-                }
-                let producer = &mut self.rob[(src - front_seq) as usize];
+                let producer = self.entry_mut(src);
                 if producer.state != EntryState::Completed {
                     pending += 1;
                     next_consumer[slot] = producer.consumer_head;
                     producer.consumer_head = (seq << 1) | slot as u64;
                 }
             }
-            if let Some(def) = ifq_entry.rec.inst.defs() {
-                self.reg_producer[def.flat()] = seq;
+            if dst != 0 {
+                self.reg_producer[dst as usize] = seq;
             }
             if class.is_mem() {
                 self.lsq_used += 1;
             }
-            self.rob.push_back(RobEntry {
-                seq,
-                rec: ifq_entry.rec,
-                state: EntryState::Waiting,
-                complete_cycle: 0,
-                mispredicted: ifq_entry.mispredicted,
-                pending,
-                consumer_head: NO_LINK,
-                next_consumer,
-            });
+            let entry = self.entry_mut(seq);
+            entry.state = EntryState::Waiting;
+            entry.pending = pending;
+            entry.consumer_head = NO_LINK;
+            entry.next_consumer = next_consumer;
             if pending == 0 {
-                self.ready.insert(seq);
+                self.ready.push(seq); // the youngest entry sorts last
             }
             if measure {
                 counters.decodes += 1;
@@ -945,19 +966,18 @@ impl Pipeline {
         if self.fetch_stall_until > self.cycle || self.halted || self.source_done {
             return;
         }
-        let line_bytes = self.cfg.l1i.line_bytes;
         let mut fetched = 0u32;
         let mut taken_seen = 0u32;
         let mut current_line = u64::MAX;
 
-        while fetched < self.cfg.fetch_width && self.ifq.len() < self.cfg.ifq_size as usize {
+        while fetched < self.cfg.fetch_width && self.ifq_len() < self.cfg.ifq_size as u64 {
             let Some(rec) = source.next_record() else {
                 self.source_done = true;
                 break;
             };
             self.pulled += 1;
             let fetch_addr = rec.fetch_addr();
-            let line = fetch_addr / line_bytes;
+            let line = warm.fetch_line(fetch_addr);
             let mut avail = self.cycle;
             if line != current_line {
                 current_line = line;
@@ -1013,11 +1033,11 @@ impl Pipeline {
                 wrong_pred = pred;
             }
 
-            self.ifq.push_back(IfqEntry {
-                rec,
-                avail,
-                mispredicted,
-            });
+            let entry = self.entry_mut(self.fetch_seq);
+            entry.rec = rec;
+            entry.avail = avail;
+            entry.mispredicted = mispredicted;
+            self.fetch_seq += 1;
             fetched += 1;
 
             if mispredicted {
@@ -1057,11 +1077,10 @@ impl Pipeline {
         if self.fetch_stall_until > self.cycle {
             return;
         }
-        let line_bytes = self.cfg.l1i.line_bytes;
         let mut current_line = u64::MAX;
         for _ in 0..self.cfg.fetch_width {
             let fetch_addr = smarts_isa::Program::fetch_addr(pc);
-            let line = fetch_addr / line_bytes;
+            let line = warm.fetch_line(fetch_addr);
             if line != current_line {
                 current_line = line;
                 let tlb_hit = warm.itlb.access(fetch_addr);

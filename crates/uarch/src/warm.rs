@@ -48,8 +48,12 @@ pub struct WarmState {
 impl WarmState {
     /// Creates cold (empty) warmable state for a machine configuration.
     pub fn new(cfg: &MachineConfig) -> Self {
+        Self::with_hierarchy(CacheHierarchy::new(cfg), cfg)
+    }
+
+    fn with_hierarchy(hierarchy: CacheHierarchy, cfg: &MachineConfig) -> Self {
         WarmState {
-            hierarchy: CacheHierarchy::new(cfg),
+            hierarchy,
             itlb: Tlb::new(cfg.itlb),
             dtlb: Tlb::new(cfg.dtlb),
             bpred: BranchPredictor::new(cfg.bpred),
@@ -63,19 +67,25 @@ impl WarmState {
         }
     }
 
+    /// The I-cache line number of a fetch address.
+    #[inline]
+    pub(crate) fn fetch_line(&self, fetch_addr: u64) -> u64 {
+        match self.line_shift {
+            Some(shift) => fetch_addr >> shift,
+            None => fetch_addr / self.line_bytes,
+        }
+    }
+
     /// Applies functional warming for one architecturally-executed
     /// instruction: touches the I-side for its fetch, the D-side for its
     /// data access (if any), and trains the branch predictor for control
     /// instructions.
-    #[inline]
+    #[inline(always)]
     pub fn warm_record(&mut self, rec: &ExecRecord) {
         // Instruction side: one cache/TLB access per fetched line, as an
         // in-order front end would generate.
         let fetch_addr = rec.fetch_addr();
-        let line = match self.line_shift {
-            Some(shift) => fetch_addr >> shift,
-            None => fetch_addr / self.line_bytes,
-        };
+        let line = self.fetch_line(fetch_addr);
         if line != self.last_fetch_line {
             self.last_fetch_line = line;
             self.itlb.access(fetch_addr);
@@ -109,9 +119,8 @@ impl WarmState {
     /// last-fetched-line filter (part of the warming stream's dynamic
     /// state — dropping it would double-count an I-access on resume).
     /// Config-derived fields are not written:
-    /// the loader builds a fresh [`WarmState::new`] from the same config,
-    /// which restores them exactly. The word count is a pure function of
-    /// the machine geometry.
+    /// [`WarmState::from_state`] derives them from the same config. The
+    /// word count is a pure function of the machine geometry.
     pub fn save_state(&self, out: &mut Vec<u64>) {
         self.hierarchy.save_state(out);
         self.itlb.save_state(out);
@@ -120,17 +129,19 @@ impl WarmState {
         out.push(self.last_fetch_line);
     }
 
-    /// Restores state written by [`WarmState::save_state`] into warm
-    /// state of the same machine geometry. Returns the number of words
-    /// consumed, or `None` if `words` is too short.
-    pub fn load_state(&mut self, words: &[u64]) -> Option<usize> {
-        let mut used = self.hierarchy.load_state(words)?;
-        used += self.itlb.load_state(words.get(used..)?)?;
-        used += self.dtlb.load_state(words.get(used..)?)?;
-        used += self.bpred.load_state(words.get(used..)?)?;
-        self.last_fetch_line = *words.get(used)?;
-        used += 1;
-        Some(used)
+    /// Builds the warm state of machine `cfg` holding the state written
+    /// by [`WarmState::save_state`]. The caches — nearly all of the
+    /// words — are built straight from them, written once. Returns the
+    /// state and the number of words consumed, or `None` if `words` is
+    /// too short.
+    pub fn from_state(cfg: &MachineConfig, words: &[u64]) -> Option<(Self, usize)> {
+        let (hierarchy, mut used) = CacheHierarchy::from_state(cfg, words)?;
+        let mut warm = Self::with_hierarchy(hierarchy, cfg);
+        used += warm.itlb.load_state(words.get(used..)?)?;
+        used += warm.dtlb.load_state(words.get(used..)?)?;
+        used += warm.bpred.load_state(words.get(used..)?)?;
+        warm.last_fetch_line = *words.get(used)?;
+        Some((warm, used + 1))
     }
 }
 
@@ -146,13 +157,7 @@ mod tests {
         taken: bool,
         next_pc: u64,
     ) -> ExecRecord {
-        ExecRecord {
-            pc,
-            inst,
-            mem,
-            taken,
-            next_pc,
-        }
+        ExecRecord::new(pc, inst, mem, taken, next_pc)
     }
 
     #[test]

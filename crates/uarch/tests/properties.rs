@@ -179,13 +179,7 @@ fn straightline_trace(ops: &[Opcode]) -> SyntheticTrace {
         .enumerate()
         .map(|(pc, &op)| {
             let inst = Inst::new(op, 5, 6, 7, 64);
-            ExecRecord {
-                pc: pc as u64,
-                inst,
-                mem: None,
-                taken: false,
-                next_pc: pc as u64 + 1,
-            }
+            ExecRecord::new(pc as u64, inst, None, false, pc as u64 + 1)
         })
         .collect();
     SyntheticTrace { records, at: 0 }
@@ -266,13 +260,7 @@ fn unpipelined_dividers_bound_throughput() {
         let records: Vec<ExecRecord> = (0..n_divs)
             .map(|pc| {
                 let inst = Inst::new(Opcode::Div, (pc % 24) as u8 + 4, 1, 2, 0);
-                ExecRecord {
-                    pc,
-                    inst,
-                    mem: None,
-                    taken: false,
-                    next_pc: pc + 1,
-                }
+                ExecRecord::new(pc, inst, None, false, pc + 1)
             })
             .collect();
         let mut source = SyntheticTrace { records, at: 0 };
