@@ -61,24 +61,12 @@ impl FlatCheckpoint {
     /// CPU-state words are produced ([`Isa::save_state`]); the container
     /// layout is frontend-independent.
     pub fn flatten<I: Isa>(checkpoint: &UnitCheckpoint<I>) -> Self {
-        let mut flat = FlatCheckpoint::default();
-        flat.refill(checkpoint);
-        flat
-    }
-
-    /// [`FlatCheckpoint::flatten`] into `self`, reusing its buffers: the
-    /// writer flattens every unit, and a fresh half-megabyte word vector
-    /// per append is the allocator's time, not the encoder's.
-    pub(crate) fn refill<I: Isa>(&mut self, checkpoint: &UnitCheckpoint<I>) {
-        self.fixed.clear();
-        self.fixed.push(checkpoint.unit_start());
-        I::save_state(checkpoint.snapshot().cpu(), &mut self.fixed);
-        checkpoint.warm().save_state(&mut self.fixed);
-        self.pages.clear();
-        let shared = checkpoint.snapshot().memory().shared_pages();
-        self.pages
-            .extend(shared.map(|(index, page)| (index, Arc::clone(page))));
-        self.pages.sort_unstable_by_key(|&(index, _)| index);
+        let mut fixed = head_words(checkpoint);
+        checkpoint.warm().save_state(&mut fixed);
+        FlatCheckpoint {
+            fixed,
+            pages: sorted_pages(checkpoint),
+        }
     }
 
     /// Rebuilds a built-in-frontend checkpoint — see
@@ -124,15 +112,6 @@ impl FlatCheckpoint {
         ))
     }
 
-    /// The page stored for `index`, if any (pages are sorted, so this is
-    /// a binary search).
-    fn page(&self, index: u64) -> Option<&Arc<Page>> {
-        self.pages
-            .binary_search_by_key(&index, |&(i, _)| i)
-            .ok()
-            .map(|k| &self.pages[k].1)
-    }
-
     /// Approximate resident bytes of this flat: the fixed section's word
     /// storage plus every page and its index. This is what one
     /// lazy-replay cursor keeps materialized at a time — the per-worker
@@ -141,6 +120,33 @@ impl FlatCheckpoint {
     pub fn approx_bytes(&self) -> u64 {
         8 * self.fixed.len() as u64 + (8 + Memory::PAGE_BYTES as u64) * self.pages.len() as u64
     }
+}
+
+/// The fixed section's words ahead of the warm state: unit start, then
+/// the frontend's CPU state.
+fn head_words<I: Isa>(checkpoint: &UnitCheckpoint<I>) -> Vec<u64> {
+    let mut head = vec![checkpoint.unit_start()];
+    I::save_state(checkpoint.snapshot().cpu(), &mut head);
+    head
+}
+
+/// The snapshot's own shared pages, sorted by index.
+fn sorted_pages<I: Isa>(checkpoint: &UnitCheckpoint<I>) -> Vec<(u64, Arc<Page>)> {
+    let shared = checkpoint.snapshot().memory().shared_pages();
+    let mut pages: Vec<_> = shared
+        .map(|(index, page)| (index, Arc::clone(page)))
+        .collect();
+    pages.sort_unstable_by_key(|&(index, _)| index);
+    pages
+}
+
+/// The page stored for `index`, if any (pages are sorted, so this is a
+/// binary search).
+fn page_at(pages: &[(u64, Arc<Page>)], index: u64) -> Option<&Arc<Page>> {
+    pages
+        .binary_search_by_key(&index, |&(i, _)| i)
+        .ok()
+        .map(|k| &pages[k].1)
 }
 
 /// A still-encoded record borrowed straight from a mapped store — the
@@ -261,20 +267,27 @@ pub(crate) fn encode_record(curr: &FlatCheckpoint, prev: Option<&FlatCheckpoint>
         &[0u64; CHUNK_WORDS],
     );
 
-    write_varint(&mut out, curr.pages.len() as u64);
+    encode_pages(&mut out, &curr.pages, prev.map_or(&[], |p| &p.pages));
+    out
+}
+
+/// Appends the page set of a record: `pages` delta-encoded against the
+/// pages of the same index in `prev`.
+fn encode_pages(out: &mut Vec<u8>, pages: &[(u64, Arc<Page>)], prev: &[(u64, Arc<Page>)]) {
+    write_varint(out, pages.len() as u64);
     let mut last_index = 0u64;
-    for (k, (index, page)) in curr.pages.iter().enumerate() {
+    for (k, (index, page)) in pages.iter().enumerate() {
         let delta = if k == 0 { *index } else { index - last_index };
-        write_varint(&mut out, delta);
+        write_varint(out, delta);
         last_index = *index;
-        match prev.and_then(|p| p.page(*index)) {
+        match page_at(prev, *index) {
             Some(reference) if Arc::ptr_eq(reference, page) => {
-                let mut enc = RleEncoder::new(&mut out);
+                let mut enc = RleEncoder::new(out);
                 enc.push_zeros(PAGE_WORDS as u64);
                 enc.finish();
             }
             reference => encode_deltas(
-                &mut out,
+                out,
                 &page[..],
                 reference.map(|r| &r[..]),
                 8,
@@ -283,6 +296,49 @@ pub(crate) fn encode_record(curr: &FlatCheckpoint, prev: Option<&FlatCheckpoint>
             ),
         }
     }
+}
+
+/// Encodes the record of `checkpoint` against `prev`, the flat of the
+/// record before it, and leaves `prev` holding the checkpoint's own
+/// flat: the bytes of [`encode_record`]`(&flatten(checkpoint),
+/// Some(prev))`, which stay a pure function of the two states. `shadow`
+/// is the warm state `prev` was flattened from and is advanced to the
+/// checkpoint's; a cache, TLB or BTB set it shows unchanged is neither
+/// serialized nor compared word by word — its deltas are zeros — so the
+/// cost follows the sets the unit touched, not the machine's size.
+pub(crate) fn encode_next<I: Isa>(
+    prev: &mut FlatCheckpoint,
+    shadow: &mut WarmState,
+    checkpoint: &UnitCheckpoint<I>,
+) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_varint(&mut out, prev.fixed.len() as u64);
+    let mut enc = RleEncoder::new(&mut out);
+    let mut done = 0usize;
+    let fixed = &mut prev.fixed;
+    let mut rewrite = |offset: usize, words: &[u64]| {
+        enc.push_zeros((offset - done) as u64);
+        for (slot, &word) in fixed[offset..offset + words.len()].iter_mut().zip(words) {
+            enc.push(word.wrapping_sub(*slot));
+            *slot = word;
+        }
+        done = offset + words.len();
+    };
+    let head = head_words(checkpoint);
+    rewrite(0, &head);
+    shadow.advance_to(checkpoint.warm(), |offset, words| {
+        rewrite(head.len() + offset, words)
+    });
+    assert_eq!(
+        done,
+        fixed.len(),
+        "fixed-section length is a pure function of the geometry"
+    );
+    enc.finish();
+
+    let pages = sorted_pages(checkpoint);
+    encode_pages(&mut out, &pages, &prev.pages);
+    prev.pages = pages;
     out
 }
 
@@ -532,7 +588,7 @@ mod tests {
         for (index, page) in &curr.pages {
             write_varint(&mut out, index - last_index);
             last_index = *index;
-            let reference = prev.and_then(|p| p.page(*index));
+            let reference = prev.and_then(|p| page_at(&p.pages, *index));
             let mut enc = RleEncoder::new(&mut out);
             for (j, bytes) in page.chunks_exact(8).enumerate() {
                 let base = reference.map_or(0, |r| page_word(&r[8 * j..8 * j + 8]));
@@ -666,9 +722,15 @@ mod tests {
 
         let a = FlatCheckpoint::flatten(&first);
         let b = FlatCheckpoint::flatten(&second);
-        assert!(Arc::ptr_eq(a.page(1).unwrap(), b.page(1).unwrap()));
-        assert!(!Arc::ptr_eq(a.page(2).unwrap(), b.page(2).unwrap()));
-        assert_eq!(a.page(2), b.page(2));
+        assert!(Arc::ptr_eq(
+            page_at(&a.pages, 1).unwrap(),
+            page_at(&b.pages, 1).unwrap()
+        ));
+        assert!(!Arc::ptr_eq(
+            page_at(&a.pages, 2).unwrap(),
+            page_at(&b.pages, 2).unwrap()
+        ));
+        assert_eq!(page_at(&a.pages, 2), page_at(&b.pages, 2));
 
         let payload_a = encode_record(&a, None);
         let payload_b = encode_record(&b, Some(&a));
@@ -697,5 +759,129 @@ mod tests {
         assert!(db
             .rebuild_isa::<BuiltinIsa>(&MachineConfig::sixteen_way())
             .is_err());
+    }
+
+    /// A chain of checkpoints along one random warming walk: between
+    /// units nothing at all is touched, or a few to a few thousand
+    /// cache, TLB, predictor and memory accesses land in one narrow or
+    /// wide region, so consecutive states differ in no set, few or many.
+    fn random_chain(rng: &mut SplitMix64, cfg: &MachineConfig, units: u64) -> Vec<UnitCheckpoint> {
+        use smarts_isa::OpClass::{Call, CondBranch, Jump, Return};
+        let mut warm = WarmState::new(cfg);
+        let mut memory = Memory::new();
+        let mut cpu = Cpu::new();
+        let mut chain = Vec::new();
+        for unit in 0..units {
+            let touches = [0, 3, 40, 3000][rng.next_below(4) as usize];
+            let region = rng.next_u64() & 0xFFFF_F000;
+            let spread = [8, 14, 22][rng.next_below(3) as usize];
+            for _ in 0..touches {
+                let addr = region + rng.next_below(1 << spread);
+                let flag = rng.next_below(2) == 1;
+                match rng.next_below(5) {
+                    0 => {
+                        warm.itlb.access(addr);
+                        warm.hierarchy.access_instr(addr);
+                    }
+                    1 => {
+                        warm.dtlb.access(addr);
+                        warm.hierarchy.access_data(addr, flag);
+                    }
+                    2 => warm.bpred.warm(addr % 5000, CondBranch, flag, addr % 777),
+                    3 => {
+                        let class = [Jump, Call, Return][rng.next_below(3) as usize];
+                        warm.bpred.warm(addr % 5000, class, true, addr % 777);
+                    }
+                    _ => memory.write_u64(addr & !7, rng.next_u64()),
+                }
+            }
+            cpu.set_reg(5, unit);
+            chain.push(UnitCheckpoint::from_parts(
+                1000 * unit,
+                EngineSnapshot::from_parts(cpu.clone(), memory.clone()),
+                warm.clone(),
+            ));
+        }
+        chain
+    }
+
+    #[test]
+    fn incremental_encoding_is_flatten_plus_encode_record() {
+        use crate::store::{CkptWriter, StoreMeta};
+        for seed in 0..10u64 {
+            let mut rng = SplitMix64::new(0x1AC4_E000 + seed);
+            let cfg = if seed % 3 == 0 {
+                MachineConfig::sixteen_way()
+            } else {
+                MachineConfig::eight_way()
+            };
+            let chain = random_chain(&mut rng, &cfg, 8);
+
+            let mut prev = FlatCheckpoint::flatten(&chain[0]);
+            let mut shadow = chain[0].warm().clone();
+            for (unit, next) in chain.iter().enumerate().skip(1) {
+                let flat = FlatCheckpoint::flatten(next);
+                let want = encode_record(&flat, Some(&prev));
+                let got = encode_next(&mut prev, &mut shadow, next);
+                assert_eq!(got, want, "seed {seed} record {unit}");
+                assert_eq!(prev, flat, "seed {seed} record {unit}: flat left behind");
+            }
+
+            // Through the writer: every record appended incrementally,
+            // every record spliced as a full flat, and a random mix of
+            // the two (so the first record and the record after a splice
+            // take the full serializer) finish to the same file.
+            let write = |tag: &str, incremental: &mut dyn FnMut() -> bool| {
+                let path = std::env::temp_dir().join(format!(
+                    "smarts-flat-prop-{}-{seed}-{tag}.ckpt",
+                    std::process::id()
+                ));
+                let meta = StoreMeta {
+                    params: smarts_core::SamplingParams::for_sample_size(
+                        1 << 20,
+                        1000,
+                        2000,
+                        smarts_core::Warming::Functional,
+                        10,
+                        0,
+                    )
+                    .expect("valid params"),
+                    benchmark: "walk".to_string(),
+                    scale: 1.0,
+                    isa: smarts_isa::IsaId::Builtin,
+                };
+                let mut writer = CkptWriter::create(&path, &cfg, &meta).expect("create");
+                for checkpoint in &chain {
+                    if incremental() {
+                        writer.append(checkpoint).expect("append");
+                    } else {
+                        let flat = FlatCheckpoint::flatten(checkpoint);
+                        writer.append_flat(flat).expect("append_flat");
+                    }
+                }
+                writer.finish().expect("finish");
+                let bytes = std::fs::read(&path).expect("read back");
+                std::fs::remove_file(&path).ok();
+                bytes
+            };
+            let appended = write("append", &mut || true);
+            assert_eq!(appended, write("splice", &mut || false), "seed {seed}");
+            assert_eq!(
+                appended,
+                write("mixed", &mut || rng.next_below(2) == 1),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "different geometry")]
+    fn incremental_encoding_rejects_a_geometry_change() {
+        let mut rng = SplitMix64::new(5);
+        let first = &random_chain(&mut rng, &MachineConfig::eight_way(), 1)[0];
+        let other = &random_chain(&mut rng, &MachineConfig::sixteen_way(), 1)[0];
+        let mut prev = FlatCheckpoint::flatten(first);
+        let mut shadow = first.warm().clone();
+        encode_next(&mut prev, &mut shadow, other);
     }
 }

@@ -34,10 +34,10 @@
 //! damaged.
 
 use crate::error::CkptError;
-use crate::flat::{advance_record, decode_record, encode_record, FlatCheckpoint};
+use crate::flat::{advance_record, decode_record, encode_next, encode_record, FlatCheckpoint};
 use smarts_core::{SamplingParams, UnitCheckpoint, Warming};
 use smarts_isa::{crc32, BuiltinIsa, Isa, IsaId};
-use smarts_uarch::{CacheConfig, MachineConfig, PredictorConfig, TlbConfig};
+use smarts_uarch::{CacheConfig, MachineConfig, PredictorConfig, TlbConfig, WarmState};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -403,9 +403,10 @@ pub struct CkptWriter {
     fingerprint: u64,
     isa: IsaId,
     prev: Option<FlatCheckpoint>,
-    /// The flat before `prev`, kept for its buffers: [`CkptWriter::append`]
-    /// flattens the next checkpoint into it.
-    spare: FlatCheckpoint,
+    /// The warm state `prev` was flattened from, while the last record
+    /// came through [`CkptWriter::append`]: the next append compares
+    /// packed sets against it instead of re-serializing the machine.
+    shadow: Option<WarmState>,
     records: u64,
     bytes: u64,
     offsets: Vec<u64>,
@@ -433,7 +434,7 @@ impl CkptWriter {
             fingerprint,
             isa: meta.isa,
             prev: None,
-            spare: FlatCheckpoint::default(),
+            shadow: None,
             records: 0,
             bytes: header.len() as u64,
             offsets: Vec::new(),
@@ -462,9 +463,19 @@ impl CkptWriter {
                 found: self.isa,
             });
         }
-        let mut flat = std::mem::take(&mut self.spare);
-        flat.refill(checkpoint);
-        self.append_flat(flat)
+        let payload = match (&mut self.prev, &mut self.shadow) {
+            (Some(prev), Some(shadow)) => encode_next(prev, shadow, checkpoint),
+            // Record 0, or the record after a spliced flat: serialize the
+            // whole state once and start shadowing it.
+            _ => {
+                let flat = FlatCheckpoint::flatten(checkpoint);
+                let payload = encode_record(&flat, self.prev.as_ref());
+                self.prev = Some(flat);
+                self.shadow = Some(checkpoint.warm().clone());
+                payload
+            }
+        };
+        self.write_record(&payload)
     }
 
     /// Appends one already-flattened checkpoint (see [`CkptWriter::append`]).
@@ -479,20 +490,20 @@ impl CkptWriter {
     /// Returns [`CkptError::Io`] when the write fails.
     pub fn append_flat(&mut self, flat: FlatCheckpoint) -> Result<(), CkptError> {
         let payload = encode_record(&flat, self.prev.as_ref());
-        let crc = crc32(&payload);
+        self.prev = Some(flat);
+        self.shadow = None;
+        self.write_record(&payload)
+    }
+
+    fn write_record(&mut self, payload: &[u8]) -> Result<(), CkptError> {
+        let crc = crc32(payload);
         self.file
             .write_all(&(u32::try_from(payload.len()).expect("record fits u32")).to_le_bytes())?;
         self.file.write_all(&crc.to_le_bytes())?;
-        self.file.write_all(&payload)?;
+        self.file.write_all(payload)?;
         self.offsets.push(self.bytes);
         self.bytes += 8 + payload.len() as u64;
         self.records += 1;
-        if let Some(mut spare) = self.prev.replace(flat) {
-            // Keep the buffers, not the pages: a page the writer still
-            // holds is one the warming pass must copy before writing.
-            spare.pages.clear();
-            self.spare = spare;
-        }
         Ok(())
     }
 

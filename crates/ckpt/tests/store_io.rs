@@ -1,7 +1,8 @@
 //! End-to-end store tests against real warming checkpoints: bit-exact
 //! round-trips, randomized corruption/truncation recovery (sequential
-//! and mapped readers in lockstep), v1 compatibility, and gating
-//! (version, fingerprint).
+//! and mapped readers in lockstep), CRC-valid records that describe an
+//! impossible warm state, v1 compatibility, and gating (version,
+//! fingerprint).
 
 use std::fs;
 use std::path::PathBuf;
@@ -319,6 +320,187 @@ fn truncation_recovers_the_intact_prefix() {
                 .expect("rebuilds");
             assert_eq!(&state_words(&rebuilt), expected);
         }
+    }
+    fs::remove_file(&path).ok();
+}
+
+/// The store codec's LEB128 varint, for the record surgery below.
+fn write_varint(out: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
+
+fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
+    let mut value = 0u64;
+    for shift in (0..).step_by(7) {
+        let byte = bytes[*pos];
+        *pos += 1;
+        value |= u64::from(byte & 0x7F) << shift;
+        if byte & 0x80 == 0 {
+            break;
+        }
+    }
+    value
+}
+
+/// Re-encodes a record's fixed section as `words` delta-encoded against
+/// `prev` (zigzag varints, zero runs as `0, length`), keeping the page
+/// set of the original `payload` byte for byte.
+fn with_fixed_words(payload: &[u8], words: &[u64], prev: &[u64]) -> Vec<u8> {
+    // Skip the original fixed section: one token per word, or a run.
+    let mut pos = 0;
+    let count = read_varint(payload, &mut pos);
+    assert_eq!(count, words.len() as u64);
+    let mut seen = 0;
+    while seen < count {
+        seen += match read_varint(payload, &mut pos) {
+            0 => read_varint(payload, &mut pos),
+            _ => 1,
+        };
+    }
+    let mut out = Vec::new();
+    write_varint(&mut out, count);
+    let mut zeros = 0u64;
+    for (&word, &before) in words.iter().zip(prev) {
+        let delta = word.wrapping_sub(before) as i64;
+        if delta == 0 {
+            zeros += 1;
+            continue;
+        }
+        if zeros > 0 {
+            write_varint(&mut out, 0);
+            write_varint(&mut out, std::mem::take(&mut zeros));
+        }
+        write_varint(&mut out, ((delta << 1) ^ (delta >> 63)) as u64);
+    }
+    if zeros > 0 {
+        write_varint(&mut out, 0);
+        write_varint(&mut out, zeros);
+    }
+    out.extend_from_slice(&payload[pos..]);
+    out
+}
+
+#[test]
+fn checksummed_records_of_impossible_sets_end_the_intact_prefix() {
+    let cfg = MachineConfig::eight_way();
+    let sim = SmartsSim::new(cfg.clone());
+    // A data footprint that puts two lines in one set (loopy-1 never does).
+    let bench = find("hashp-2").expect("suite benchmark").scaled(0.02);
+    let params = small_params(&bench);
+    let originals = collect_checkpoints(&sim, &bench, &params);
+    let path = temp_path("impossible");
+    write_store(&path, &cfg, &originals);
+    let pristine = fs::read(&path).expect("read store");
+    let last = originals.len() - 1;
+    let span = MappedStore::open(&path, &cfg)
+        .expect("pristine store maps")
+        .record_span(last);
+    let record_start = span.offset as usize;
+    let record_end = record_start + 8 + span.payload_bytes as usize;
+    let payload = &pristine[record_start + 8..record_end];
+
+    let fixed_words = |c: &UnitCheckpoint| {
+        let (unit_start, cpu, warm, _) = state_words(c);
+        let warm_at = 1 + cpu.len();
+        let mut words = vec![unit_start];
+        words.extend(cpu);
+        words.extend(warm);
+        (words, warm_at)
+    };
+    let (good, warm_at) = fixed_words(&originals[last]);
+    let (prev, _) = fixed_words(&originals[last - 1]);
+    assert_eq!(
+        with_fixed_words(payload, &good, &prev),
+        payload,
+        "the surgery re-encodes an untouched record to the same bytes"
+    );
+
+    // A set of the last checkpoint with two resident lines, in whichever
+    // cache has one; a line is (tag, rank, flags).
+    let mut cache_at = warm_at;
+    let (set_at, tick_at) = [cfg.l1i, cfg.l1d, cfg.l2]
+        .iter()
+        .find_map(|cache| {
+            let (sets, assoc) = (cache.sets() as usize, cache.assoc as usize);
+            let tick_at = cache_at + 3 * sets * assoc + sets;
+            let set_at = (0..sets)
+                .map(|set| cache_at + 3 * set * assoc)
+                .find(|&at| good[at + 2] != 0 && good[at + 5] != 0);
+            cache_at = tick_at + 3;
+            set_at.map(|at| (at, tick_at))
+        })
+        .expect("some set holds two lines");
+
+    type Defect = (&'static str, fn(&mut [u64], usize, usize));
+    let defects: [Defect; 6] = [
+        ("a rank above the resident count", |w, set, _| {
+            w[set + 1] += 1
+        }),
+        ("a resident way after an empty one", |w, set, _| {
+            w[set..set + 3].fill(0)
+        }),
+        ("one tag twice in a set", |w, set, _| w[set + 3] = w[set]),
+        ("a tag wider than the key holds", |w, set, _| {
+            w[set] = 1 << 62
+        }),
+        ("a nonzero hint word", |w, _, tick| w[tick - 1] = 1),
+        ("a tick that is not the associativity", |w, _, tick| {
+            w[tick] += 1
+        }),
+    ];
+    let want = state_words(&originals[last - 1]);
+    for (what, damage) in defects {
+        let mut words = good.clone();
+        damage(&mut words, set_at, tick_at);
+        let forged = with_fixed_words(payload, &words, &prev);
+        // The last record's start does not move, so the index footer
+        // stays valid as written; only the record frame is redone.
+        let mut bytes = pristine[..record_start].to_vec();
+        bytes.extend_from_slice(&(forged.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&smarts_isa::crc32(&forged).to_le_bytes());
+        bytes.extend_from_slice(&forged);
+        bytes.extend_from_slice(&pristine[record_end..]);
+        fs::write(&path, &bytes).expect("write forged copy");
+
+        let mut reader = CkptReader::open(&path, &cfg).expect("header is intact");
+        let mut intact = Vec::new();
+        let failure = loop {
+            match reader
+                .next_checkpoint()
+                .expect("the forged record is reached")
+            {
+                Ok(checkpoint) => intact.push(checkpoint),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(intact.len(), last, "{what}: the prefix before it replays");
+        assert_eq!(state_words(&intact[last - 1]), want, "{what}");
+        assert!(
+            matches!(failure, CkptError::Corrupted { record, .. } if record == last as u64),
+            "{what}: surfaced as {failure:?}"
+        );
+        assert!(
+            reader.next_checkpoint().is_none(),
+            "{what}: errors are terminal"
+        );
+
+        // The mapped reader decodes the checksummed record, and refuses
+        // to build a checkpoint from it.
+        let store = MappedStore::open(&path, &cfg).expect("header is intact");
+        assert!(
+            store.damage().is_none(),
+            "{what}: frames and index are sound"
+        );
+        let mut cursor = store.cursor();
+        assert!(cursor.flat_at(last - 1).unwrap().rebuild(&cfg).is_ok());
+        assert!(
+            cursor.flat_at(last).unwrap().rebuild(&cfg).is_err(),
+            "{what}: rebuilt into a warm state"
+        );
     }
     fs::remove_file(&path).ok();
 }

@@ -3,6 +3,8 @@
 //! predictor of Table 3.
 
 use crate::config::PredictorConfig;
+use crate::lru::LruSets;
+use crate::warm::StateDiff;
 use smarts_isa::OpClass;
 
 /// A fetch-time branch prediction.
@@ -15,236 +17,25 @@ pub struct Prediction {
     pub target: Option<u64>,
 }
 
-/// One BTB entry, packed per-way so a set lookup walks one contiguous
-/// run (same layout treatment as [`crate::Cache`]'s lines).
-#[derive(Debug, Clone, Copy, Default)]
-struct BtbEntry {
-    tag: u64,
-    target: u64,
-    lru: u64,
-    valid: bool,
-}
-
-/// Mirror-array value for ways holding no entry (see [`crate::Cache`]'s
-/// `INVALID_TAG` for the sentinel-collision argument).
-const INVALID_TAG: u64 = u64::MAX;
-
-/// First way whose mirrored tag equals `tag` and whose entry is valid —
-/// the BTB twin of the cache/TLB `find_way`: a fixed-width 4-wide compare
-/// over the contiguous tag mirror that LLVM autovectorizes, with
-/// candidates confirmed in ascending way order so the first-match choice
-/// is bit-identical to the scalar scan it replaced (proven against the
-/// parallel-Vec reference model in `tests/golden_state.rs`).
+/// A 2-bit saturating counter moved by `step` (−1, 0 or +1), without a
+/// host branch on simulated data.
 #[inline]
-fn find_way(tags: &[u64], entries: &[BtbEntry], tag: u64) -> Option<usize> {
-    let mut chunks = tags.chunks_exact(4);
-    let mut way = 0usize;
-    for c in &mut chunks {
-        let mut mask = (c[0] == tag) as u8
-            | (((c[1] == tag) as u8) << 1)
-            | (((c[2] == tag) as u8) << 2)
-            | (((c[3] == tag) as u8) << 3);
-        while mask != 0 {
-            let w = way + mask.trailing_zeros() as usize;
-            if entries[w].valid {
-                debug_assert_eq!(entries[w].tag, tag);
-                return Some(w);
-            }
-            mask &= mask - 1;
-        }
-        way += 4;
-    }
-    for (i, &t) in chunks.remainder().iter().enumerate() {
-        if t == tag && entries[way + i].valid {
-            return Some(way + i);
-        }
-    }
-    None
+fn counter_step(counter: u8, step: i8) -> u8 {
+    (counter as i8 + step).clamp(0, 3) as u8
 }
 
-#[derive(Debug, Clone)]
-struct Btb {
-    entries: Vec<BtbEntry>,
-    // Contiguous tag mirror, same indexing as `entries`; invalid ways
-    // hold `INVALID_TAG`. Invariant: `entries[i].valid` implies
-    // `tags[i] == entries[i].tag`. Maintained at fill (the BTB never
-    // invalidates).
-    tags: Vec<u64>,
-    // Most-recently-touched way per set: a scan-order hint only.
-    mru: Vec<u32>,
-    tick: u64,
-    sets: u64,
-    assoc: usize,
-    // Shift/mask fast path when the set count is a power of two (true for
-    // the Table 3 predictor); index math matches the divide path exactly.
-    set_shift: Option<u32>,
-    set_mask: u64,
-}
-
-impl Btb {
-    fn new(entries: u32, assoc: u32) -> Self {
-        assert!(entries > 0 && assoc > 0 && entries.is_multiple_of(assoc));
-        let sets = (entries / assoc) as u64;
-        let slots = entries as usize;
-        Btb {
-            entries: vec![BtbEntry::default(); slots],
-            tags: vec![INVALID_TAG; slots],
-            mru: vec![0; sets as usize],
-            tick: 0,
-            sets,
-            assoc: assoc as usize,
-            set_shift: sets.is_power_of_two().then(|| sets.trailing_zeros()),
-            set_mask: sets - 1,
+/// Copies the counters of `next` over `table`, reporting each run of 64
+/// that differs as store words, and steps `diff` past the table.
+fn advance_counters(table: &mut [u8], next: &[u8], diff: &mut StateDiff) {
+    for (k, (mine, theirs)) in table.chunks_mut(64).zip(next.chunks(64)).enumerate() {
+        if mine != theirs {
+            mine.copy_from_slice(theirs);
+            diff.report(64 * k, |words| {
+                words.extend(theirs.iter().map(|&c| c as u64))
+            });
         }
     }
-
-    #[inline]
-    fn set_and_tag(&self, pc: u64) -> (usize, u64) {
-        match self.set_shift {
-            Some(shift) => ((pc & self.set_mask) as usize, pc >> shift),
-            None => ((pc % self.sets) as usize, pc / self.sets),
-        }
-    }
-
-    #[inline]
-    fn lookup(&mut self, pc: u64) -> Option<u64> {
-        self.tick += 1;
-        let tick = self.tick;
-        let (set, tag) = self.set_and_tag(pc);
-        let base = set * self.assoc;
-
-        let mru = self.mru[set] as usize;
-        if let Some(entry) = self.entries[base..base + self.assoc].get_mut(mru) {
-            if entry.valid && entry.tag == tag {
-                entry.lru = tick;
-                return Some(entry.target);
-            }
-        }
-        if let Some(way) = find_way(
-            &self.tags[base..base + self.assoc],
-            &self.entries[base..base + self.assoc],
-            tag,
-        ) {
-            let entry = &mut self.entries[base + way];
-            entry.lru = tick;
-            self.mru[set] = way as u32;
-            return Some(entry.target);
-        }
-        None
-    }
-
-    #[inline]
-    fn update(&mut self, pc: u64, target: u64) {
-        self.tick += 1;
-        let tick = self.tick;
-        let (set, tag) = self.set_and_tag(pc);
-        let base = set * self.assoc;
-
-        let mru = self.mru[set] as usize;
-        if let Some(entry) = self.entries[base..base + self.assoc].get_mut(mru) {
-            if entry.valid && entry.tag == tag {
-                entry.target = target;
-                entry.lru = tick;
-                return;
-            }
-        }
-        if let Some(way) = find_way(
-            &self.tags[base..base + self.assoc],
-            &self.entries[base..base + self.assoc],
-            tag,
-        ) {
-            let entry = &mut self.entries[base + way];
-            entry.target = target;
-            entry.lru = tick;
-            self.mru[set] = way as u32;
-            return;
-        }
-        let set_entries = &mut self.entries[base..base + self.assoc];
-        let mut victim = 0;
-        let mut best = u64::MAX;
-        for (way, entry) in set_entries.iter().enumerate() {
-            if !entry.valid {
-                victim = way;
-                break;
-            }
-            if entry.lru < best {
-                best = entry.lru;
-                victim = way;
-            }
-        }
-        set_entries[victim] = BtbEntry {
-            tag,
-            target,
-            lru: tick,
-            valid: true,
-        };
-        self.tags[base + victim] = tag;
-        self.mru[set] = victim as u32;
-    }
-
-    /// Appends the BTB's dynamic state as fixed-width words (geometry is
-    /// reconstructed from the config; the tag mirror is rebuilt on load).
-    /// The words are *canonical* exactly as for
-    /// [`crate::Cache::save_state`]: valid entries per set emitted
-    /// most-recent-first with recency-rank `lru`, all-zero words for
-    /// empty ways, constant MRU hints and tick — so behaviourally equal
-    /// BTBs serialize identically.
-    fn save_state(&self, out: &mut Vec<u64>) {
-        let mut order: Vec<usize> = Vec::with_capacity(self.assoc);
-        for set in 0..self.sets as usize {
-            let base = set * self.assoc;
-            order.clear();
-            order.extend((base..base + self.assoc).filter(|&i| self.entries[i].valid));
-            order.sort_by_key(|&i| std::cmp::Reverse(self.entries[i].lru));
-            let present = order.len() as u64;
-            for (rank, &i) in order.iter().enumerate() {
-                let entry = &self.entries[i];
-                out.push(entry.tag);
-                out.push(entry.target);
-                out.push(present - rank as u64);
-                out.push(1);
-            }
-            let absent = self.assoc - order.len();
-            out.resize(out.len() + 4 * absent, 0);
-        }
-        out.resize(out.len() + self.mru.len(), 0);
-        out.push(self.assoc as u64);
-    }
-
-    /// Restores state written by [`Btb::save_state`]; returns the words
-    /// consumed, or `None` if `words` is too short.
-    fn load_state(&mut self, words: &[u64]) -> Option<usize> {
-        let needed = 4 * self.entries.len() + self.mru.len() + 1;
-        let words = words.get(..needed)?;
-        let (entry_words, rest) = words.split_at(4 * self.entries.len());
-        for (i, chunk) in entry_words.chunks_exact(4).enumerate() {
-            let valid = chunk[3] & 1 != 0;
-            self.entries[i] = BtbEntry {
-                tag: chunk[0],
-                target: chunk[1],
-                lru: chunk[2],
-                valid,
-            };
-            self.tags[i] = if valid { chunk[0] } else { INVALID_TAG };
-        }
-        let (mru_words, tail) = rest.split_at(self.mru.len());
-        for (m, &w) in self.mru.iter_mut().zip(mru_words) {
-            *m = w as u32;
-        }
-        self.tick = tail[0];
-        Some(needed)
-    }
-}
-
-#[inline]
-fn counter_update(counter: &mut u8, taken: bool) {
-    if taken {
-        if *counter < 3 {
-            *counter += 1;
-        }
-    } else if *counter > 0 {
-        *counter -= 1;
-    }
+    diff.at += table.len();
 }
 
 /// Combined branch predictor with BTB and return address stack.
@@ -281,7 +72,8 @@ pub struct BranchPredictor {
     meta: Vec<u8>,
     history: u64,
     history_mask: u64,
-    btb: Btb,
+    // Keyed by pc, each way's payload word its target.
+    btb: LruSets,
     ras: Vec<u64>,
     ras_top: usize,
     ras_depth: usize,
@@ -303,13 +95,17 @@ impl BranchPredictor {
         assert!(cfg.gshare_entries.is_power_of_two());
         assert!(cfg.meta_entries.is_power_of_two());
         assert!(cfg.ras_entries > 0);
+        assert!(cfg.btb_assoc > 0 && cfg.btb_entries.is_multiple_of(cfg.btb_assoc));
+        // Block size 1: a pc is an instruction index, and with two or more
+        // sets any `u64` pc's tag fits beside the one (valid) flag bit.
+        let btb_sets = (cfg.btb_entries / cfg.btb_assoc) as u64;
         BranchPredictor {
             bimodal: vec![1; cfg.bimodal_entries as usize],
             gshare: vec![1; cfg.gshare_entries as usize],
             meta: vec![1; cfg.meta_entries as usize],
             history: 0,
             history_mask: (cfg.gshare_entries as u64) - 1,
-            btb: Btb::new(cfg.btb_entries, cfg.btb_assoc),
+            btb: LruSets::new(btb_sets, cfg.btb_assoc, 1, 1, true),
             ras: vec![0; cfg.ras_entries as usize],
             ras_top: 0,
             ras_depth: 0,
@@ -345,15 +141,13 @@ impl BranchPredictor {
         }
     }
 
-    /// Approximate bytes of backing store (direction tables, BTB with its
-    /// tag mirror, RAS), for checkpoint footprint accounting.
+    /// Approximate bytes of backing store (direction tables, BTB keys and
+    /// targets, RAS), for checkpoint footprint accounting.
     pub fn approx_bytes(&self) -> usize {
         self.bimodal.len()
             + self.gshare.len()
             + self.meta.len()
-            + self.btb.entries.len() * std::mem::size_of::<BtbEntry>()
-            + self.btb.tags.len() * std::mem::size_of::<u64>()
-            + self.btb.mru.len() * std::mem::size_of::<u32>()
+            + self.btb.approx_bytes()
             + self.ras.len() * std::mem::size_of::<u64>()
     }
 
@@ -376,6 +170,12 @@ impl BranchPredictor {
         out.extend(self.meta.iter().map(|&c| c as u64));
         out.push(self.history);
         self.btb.save_state(out);
+        self.save_ras(out);
+    }
+
+    /// The canonical RAS words and the (zeroed) statistics that end
+    /// [`BranchPredictor::save_state`].
+    fn save_ras(&self, out: &mut Vec<u64>) {
         // Gather the observable frames newest-first, then replay them
         // oldest-first through the push rule into a fresh buffer.
         let len = self.ras.len();
@@ -392,39 +192,62 @@ impl BranchPredictor {
             canonical[top] = frame;
         }
         out.extend_from_slice(&canonical);
-        out.push(top as u64);
-        out.push(self.ras_depth as u64);
-        out.push(0);
-        out.push(0);
-        out.push(0);
+        out.extend([top as u64, self.ras_depth as u64, 0, 0, 0]);
     }
 
     /// Restores state written by [`BranchPredictor::save_state`] into a
     /// predictor of the same configuration. Returns the number of words
-    /// consumed, or `None` if `words` is too short.
+    /// consumed, or `None` (the predictor is then unusable) if `words` is
+    /// too short or holds what no predictor state serializes to: a
+    /// counter above 3, history beyond its mask, an impossible BTB set, a
+    /// RAS position outside the stack, or nonzero statistics.
     pub fn load_state(&mut self, words: &[u64]) -> Option<usize> {
         let mut used = 0;
+        let mut widest = 0;
         for table in [&mut self.bimodal, &mut self.gshare, &mut self.meta] {
             let src = words.get(used..used + table.len())?;
             for (counter, &word) in table.iter_mut().zip(src) {
+                widest |= word;
                 *counter = word as u8;
             }
             used += table.len();
         }
-        self.history = *words.get(used)?;
+        if widest > 3 {
+            return None;
+        }
+        self.history = *words.get(used).filter(|&&h| h <= self.history_mask)?;
         used += 1;
         used += self.btb.load_state(words.get(used..)?)?;
-        let src = words.get(used..used + self.ras.len())?;
-        self.ras.copy_from_slice(src);
-        used += self.ras.len();
+        let len = self.ras.len();
+        self.ras.copy_from_slice(words.get(used..used + len)?);
+        used += len;
         let tail = words.get(used..used + 5)?;
-        self.ras_top = tail[0] as usize;
-        self.ras_depth = tail[1] as usize;
-        self.lookups = tail[2];
-        self.cond_lookups = tail[3];
-        self.cond_mispredicts = tail[4];
-        used += 5;
-        Some(used)
+        let depth = usize::try_from(tail[1]).ok().filter(|&d| d <= len)?;
+        if tail[0] != (depth % len) as u64 || tail[2..] != [0, 0, 0] {
+            return None;
+        }
+        self.ras_top = depth % len;
+        self.ras_depth = depth;
+        Some(used + 5)
+    }
+
+    /// Makes `self`'s predictor state equal to `next`'s, reporting the
+    /// store words that differ (see `WarmState::advance_to`): tables and
+    /// BTB sets where they changed, the few words around them whole.
+    pub(crate) fn advance_to(&mut self, next: &BranchPredictor, diff: &mut StateDiff) {
+        assert_eq!(self.cfg, next.cfg, "warm states of different geometry");
+        advance_counters(&mut self.bimodal, &next.bimodal, diff);
+        advance_counters(&mut self.gshare, &next.gshare, diff);
+        advance_counters(&mut self.meta, &next.meta, diff);
+        self.history = next.history;
+        diff.report(0, |words| words.push(next.history));
+        diff.at += 1;
+        self.btb.advance_to(&next.btb, diff);
+        self.ras.copy_from_slice(&next.ras);
+        self.ras_top = next.ras_top;
+        self.ras_depth = next.ras_depth;
+        diff.report(0, |words| next.save_ras(words));
+        diff.at += self.ras.len() + 5;
     }
 
     #[inline]
@@ -433,6 +256,7 @@ impl BranchPredictor {
         (pc & (self.bimodal.len() as u64 - 1)) as usize
     }
 
+    #[inline]
     fn gshare_index(&self, pc: u64) -> usize {
         ((pc ^ self.history) & self.history_mask) as usize
     }
@@ -503,31 +327,38 @@ impl BranchPredictor {
     ///
     /// Functional warming calls this for every control instruction during
     /// fast-forwarding; detailed simulation calls it at commit.
+    #[inline]
     pub fn update(&mut self, pc: u64, class: OpClass, taken: bool, target: u64) {
         match class {
             OpClass::CondBranch => {
                 let bi = self.bimodal_index(pc);
                 let gi = self.gshare_index(pc);
                 let mi = self.meta_index(pc);
-                let bimodal_correct = (self.bimodal[bi] >= 2) == taken;
-                let gshare_correct = (self.gshare[gi] >= 2) == taken;
-                let predicted = self.direction(pc);
-                if predicted != taken {
-                    self.cond_mispredicts += 1;
-                }
-                // Meta chooser trains toward whichever component was right.
-                if gshare_correct != bimodal_correct {
-                    counter_update(&mut self.meta[mi], gshare_correct);
-                }
-                counter_update(&mut self.bimodal[bi], taken);
-                counter_update(&mut self.gshare[gi], taken);
+                // One load of each counter decides the prediction, the
+                // mispredict and all three updates; nothing below branches
+                // on a counter or on `taken` except the BTB fill.
+                let (bimodal, gshare, meta) = (self.bimodal[bi], self.gshare[gi], self.meta[mi]);
+                let bimodal_correct = (bimodal >= 2) == taken;
+                let gshare_correct = (gshare >= 2) == taken;
+                let predicted_correct = if meta >= 2 {
+                    gshare_correct
+                } else {
+                    bimodal_correct
+                };
+                self.cond_mispredicts += !predicted_correct as u64;
+                // Meta chooser trains toward whichever component was
+                // right, and stays put when they agree.
+                self.meta[mi] = counter_step(meta, gshare_correct as i8 - bimodal_correct as i8);
+                let step = 2 * taken as i8 - 1;
+                self.bimodal[bi] = counter_step(bimodal, step);
+                self.gshare[gi] = counter_step(gshare, step);
                 self.history = ((self.history << 1) | taken as u64) & self.history_mask;
                 if taken {
-                    self.btb.update(pc, target);
+                    self.btb.store(pc, target);
                 }
             }
             OpClass::Jump | OpClass::Call => {
-                self.btb.update(pc, target);
+                self.btb.store(pc, target);
             }
             OpClass::Return => {}
             _ => {}
@@ -537,11 +368,12 @@ impl BranchPredictor {
     /// Trains the predictor from an architectural execution record during
     /// functional warming: performs the RAS push/pop side effects of
     /// calls/returns and updates direction/target state.
+    #[inline]
     pub fn warm(&mut self, pc: u64, class: OpClass, taken: bool, target: u64) {
         match class {
             OpClass::Call => {
                 self.ras_push(pc + 1);
-                self.btb.update(pc, target);
+                self.btb.store(pc, target);
             }
             OpClass::Return => {
                 let _ = self.ras_pop();

@@ -1,6 +1,8 @@
 //! Set-associative caches with true-LRU replacement.
 
 use crate::config::CacheConfig;
+use crate::lru::LruSets;
+use crate::warm::StateDiff;
 
 /// Outcome of a single cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -12,61 +14,10 @@ pub struct CacheOutcome {
     pub writeback: bool,
 }
 
-/// One cache line's bookkeeping, packed so a whole set is contiguous.
-///
-/// The warming hot loop reads every way of one set per access; keeping
-/// tag, recency, and state bits in one 24-byte record means a 2-way set
-/// spans 48 bytes (one host cache line) instead of the four separate
-/// heap arrays the original tags/valid/dirty/lru layout touched.
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    lru: u64,
-    valid: bool,
-    dirty: bool,
-}
-
-/// Mirror-array value for ways holding no line. A real tag is an address
-/// with at least the line-offset bits shifted off, so it can collide with
-/// this sentinel only in degenerate geometries — and even then the valid
-/// bit is consulted before a match is believed.
-const INVALID_TAG: u64 = u64::MAX;
-
-/// First way whose mirrored tag equals `tag` and whose line is valid.
-///
-/// The mirror keeps the set's tags in one contiguous `u64` run, so the
-/// chunked compare below is a fixed-width `u64x4` operation LLVM lowers
-/// to one vector compare + mask per four ways (no nightly `std::simd`).
-/// Candidates are confirmed against the packed records in ascending way
-/// order, which is exactly the scalar scan's first-match choice: at most
-/// one valid way per set can carry a given tag (fills happen only on
-/// miss), and sentinel false-positives are rejected by the valid bit.
-#[inline]
-fn find_way(tags: &[u64], lines: &[Line], tag: u64) -> Option<usize> {
-    let mut chunks = tags.chunks_exact(4);
-    let mut way = 0usize;
-    for c in &mut chunks {
-        let mut mask = (c[0] == tag) as u8
-            | (((c[1] == tag) as u8) << 1)
-            | (((c[2] == tag) as u8) << 2)
-            | (((c[3] == tag) as u8) << 3);
-        while mask != 0 {
-            let w = way + mask.trailing_zeros() as usize;
-            if lines[w].valid {
-                debug_assert_eq!(lines[w].tag, tag);
-                return Some(w);
-            }
-            mask &= mask - 1;
-        }
-        way += 4;
-    }
-    for (i, &t) in chunks.remainder().iter().enumerate() {
-        if t == tag && lines[way + i].valid {
-            return Some(way + i);
-        }
-    }
-    None
-}
+/// Flag bits below the tag in a way's key: bit 0 valid, bit 1 dirty —
+/// the flags word of the store format, as is.
+const FLAG_BITS: u32 = 2;
+const DIRTY: u64 = 2;
 
 /// A write-back, write-allocate, set-associative cache with LRU
 /// replacement.
@@ -77,10 +28,10 @@ fn find_way(tags: &[u64], lines: &[Line], tag: u64) -> Option<usize> {
 /// exactly the state detailed simulation would have produced for the same
 /// in-order access stream.
 ///
-/// Replacement state is bit-identical to the historical four-parallel-Vec
-/// layout: hits and victim choice depend only on (valid, tag, lru) per
-/// way, which this layout preserves exactly (see the golden-state
-/// equivalence tests). The per-set MRU index is a scan-order hint only.
+/// Replacement is true LRU over one recency-ordered key array (see
+/// `LruSets`); hits, write-backs and victims are those of the historical
+/// four-parallel-Vec layout with per-way timestamps, which
+/// `tests/golden_state.rs` keeps as the reference model.
 ///
 /// # Examples
 ///
@@ -95,25 +46,10 @@ fn find_way(tags: &[u64], lines: &[Line], tag: u64) -> Option<usize> {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    // lines[set * assoc + way], one packed record per line.
-    lines: Vec<Line>,
-    // Contiguous tag mirror, same indexing as `lines`; invalid ways hold
-    // `INVALID_TAG`. Lookup compares against this dense run (see
-    // `find_way`), so the invariant is: `lines[i].valid` implies
-    // `tags[i] == lines[i].tag`. Maintained at fill and flush.
-    tags: Vec<u64>,
-    // Most-recently-touched way per set: checked first on lookup. Purely
-    // a performance hint — replacement decisions never read it.
-    mru: Vec<u32>,
-    tick: u64,
-    sets: u64,
-    assoc: usize,
-    // Fast-path indexing when line size and set count are powers of two
-    // (true for every realistic geometry, including both Table 3
-    // machines): division/modulo become shift/mask on the hot path.
+    sets: LruSets,
+    // Shift instead of divide when the line size is a power of two (both
+    // Table 3 machines).
     line_shift: Option<u32>,
-    set_shift: u32,
-    set_mask: u64,
     accesses: u64,
     misses: u64,
 }
@@ -125,31 +61,13 @@ impl Cache {
     ///
     /// Panics if the configuration geometry does not divide evenly.
     pub fn new(cfg: CacheConfig) -> Self {
-        let lines = (cfg.sets() * cfg.assoc as u64) as usize;
         Cache {
-            lines: vec![Line::default(); lines],
-            tags: vec![INVALID_TAG; lines],
-            mru: vec![0; cfg.sets() as usize],
-            ..Self::without_lines(cfg)
-        }
-    }
-
-    /// The geometry of a cache, holding no lines yet.
-    fn without_lines(cfg: CacheConfig) -> Self {
-        let sets = cfg.sets();
-        let line_shift = (cfg.line_bytes.is_power_of_two() && sets.is_power_of_two())
-            .then(|| cfg.line_bytes.trailing_zeros());
-        Cache {
+            sets: LruSets::new(cfg.sets(), cfg.assoc, FLAG_BITS, cfg.line_bytes, false),
+            line_shift: cfg
+                .line_bytes
+                .is_power_of_two()
+                .then(|| cfg.line_bytes.trailing_zeros()),
             cfg,
-            lines: Vec::new(),
-            tags: Vec::new(),
-            mru: Vec::new(),
-            tick: 0,
-            sets,
-            assoc: cfg.assoc as usize,
-            line_shift,
-            set_shift: sets.trailing_zeros(),
-            set_mask: sets - 1,
             accesses: 0,
             misses: 0,
         }
@@ -185,26 +103,19 @@ impl Cache {
         self.misses = 0;
     }
 
-    /// Invalidates all lines (cold restart).
-    ///
-    /// Recency state is reset along with the valid bits: victim choice
-    /// among lines refilled after a flush must not be influenced by
-    /// pre-flush access order.
+    /// Invalidates all lines (cold restart), recency along with them:
+    /// victim choice among lines refilled after a flush must not be
+    /// influenced by pre-flush access order.
     pub fn flush(&mut self) {
-        self.lines.fill(Line::default());
-        self.tags.fill(INVALID_TAG);
-        self.mru.fill(0);
-        self.tick = 0;
+        self.sets.clear();
     }
 
+    /// The line number of `addr`.
     #[inline]
-    fn set_and_tag(&self, addr: u64) -> (u64, u64) {
-        if let Some(shift) = self.line_shift {
-            let line = addr >> shift;
-            (line & self.set_mask, line >> self.set_shift)
-        } else {
-            let line = addr / self.cfg.line_bytes;
-            (line % self.sets, line / self.sets)
+    fn line(&self, addr: u64) -> u64 {
+        match self.line_shift {
+            Some(shift) => addr >> shift,
+            None => addr / self.cfg.line_bytes,
         }
     }
 
@@ -212,176 +123,77 @@ impl Cache {
     ///
     /// `is_write` marks the line dirty (write-allocate); a dirty eviction
     /// is reported via [`CacheOutcome::writeback`].
-    #[inline]
+    // Out of line on purpose: the warming loop is instantiated per
+    // frontend in another crate, and five inlined copies of the set walk
+    // cost it more than the calls do (loopy-1 warming 206 → 233 MIPS).
+    #[inline(never)]
     pub fn access(&mut self, addr: u64, is_write: bool) -> CacheOutcome {
         self.accesses += 1;
-        self.tick += 1;
-        let tick = self.tick;
-        let (set, tag) = self.set_and_tag(addr);
-        let base = set as usize * self.assoc;
-
-        // MRU fast path: the way that hit last time hits again for any
-        // access stream with temporal locality — one compare, no scan.
-        let mru = self.mru[set as usize] as usize;
-        if let Some(line) = self.lines[base..base + self.assoc].get_mut(mru) {
-            if line.valid && line.tag == tag {
-                line.lru = tick;
-                line.dirty |= is_write;
-                return CacheOutcome {
-                    hit: true,
-                    writeback: false,
-                };
-            }
-        }
-
-        if let Some(way) = find_way(
-            &self.tags[base..base + self.assoc],
-            &self.lines[base..base + self.assoc],
-            tag,
-        ) {
-            let line = &mut self.lines[base + way];
-            line.lru = tick;
-            line.dirty |= is_write;
-            self.mru[set as usize] = way as u32;
-            return CacheOutcome {
+        let dirty = if is_write { DIRTY } else { 0 };
+        match self.sets.access(self.line(addr), dirty) {
+            Ok(()) => CacheOutcome {
                 hit: true,
                 writeback: false,
-            };
-        }
-
-        self.misses += 1;
-        let set_lines = &mut self.lines[base..base + self.assoc];
-        // Choose victim: invalid way first, else true LRU.
-        let mut victim = 0;
-        let mut best = u64::MAX;
-        for (way, line) in set_lines.iter().enumerate() {
-            if !line.valid {
-                victim = way;
-                break;
+            },
+            Err(victim) => {
+                self.misses += 1;
+                CacheOutcome {
+                    hit: false,
+                    writeback: victim & DIRTY != 0,
+                }
             }
-            if line.lru < best {
-                best = line.lru;
-                victim = way;
-            }
-        }
-        let line = &mut set_lines[victim];
-        let writeback = line.valid && line.dirty;
-        *line = Line {
-            tag,
-            lru: tick,
-            valid: true,
-            dirty: is_write,
-        };
-        self.tags[base + victim] = tag;
-        self.mru[set as usize] = victim as u32;
-        CacheOutcome {
-            hit: false,
-            writeback,
         }
     }
 
-    /// Approximate bytes of backing store (packed line records, the tag
-    /// mirror, and the per-set MRU hints), for checkpoint footprint
+    /// Approximate bytes of backing store, for checkpoint footprint
     /// accounting.
     pub fn approx_bytes(&self) -> usize {
-        self.lines.len() * std::mem::size_of::<Line>()
-            + self.tags.len() * std::mem::size_of::<u64>()
-            + self.mru.len() * std::mem::size_of::<u32>()
+        self.sets.approx_bytes()
     }
 
-    /// Appends replacement state, recency hints, and statistics as
-    /// fixed-width words for the checkpoint store. Geometry (the config
-    /// and its derived shifts) is not written — the loader reconstructs
+    /// Appends replacement state and statistics as fixed-width words for
+    /// the checkpoint store. Geometry is not written — the loader builds
     /// a cache from the same config and restores only dynamic state, so
     /// the word count is a pure function of the geometry.
     ///
-    /// The emitted words are *canonical*: within each set, valid lines
-    /// are written most-recent-first with `lru` rewritten to the recency
-    /// rank (most recent = number of resident lines, least recent = 1)
-    /// and the remaining ways as all-zero words; the MRU hints, the
-    /// global tick, and the statistics counters are written as the
-    /// constants (0, associativity, 0, 0). Two caches that behave
-    /// identically under any future access stream therefore serialize
-    /// identically, no matter the absolute access history that built
-    /// them — the property sharded-warm fixpoint detection relies on
-    /// (DESIGN.md §3.6e). The form is behaviour-preserving: rank
-    /// rewriting keeps relative recency, the restored tick exceeds
-    /// every rank so later accesses stay strictly newer, way order
-    /// within a set is immaterial to lookups, and an MRU hint of way 0
-    /// names the most-recent line (hints never change outcomes — see
-    /// `golden_state.rs`).
+    /// The emitted words are *canonical*: within each set, resident lines
+    /// are written most-recent-first as `(tag, recency rank, flags)` with
+    /// the most recent line's rank the number of resident lines and the
+    /// least recent's 1, the remaining ways as all-zero words; then one
+    /// zero per set, the associativity, and two zeros (where earlier
+    /// layouts kept scan hints, an access tick and the statistics). Two
+    /// caches that behave identically under any future access stream
+    /// therefore serialize identically, no matter the absolute access
+    /// history that built them — the property sharded-warm fixpoint
+    /// detection relies on (DESIGN.md §3.6e).
     pub fn save_state(&self, out: &mut Vec<u64>) {
-        let mut order: Vec<usize> = Vec::with_capacity(self.assoc);
-        for set in 0..self.sets as usize {
-            let base = set * self.assoc;
-            order.clear();
-            order.extend((base..base + self.assoc).filter(|&i| self.lines[i].valid));
-            // Distinct lru ticks within a set make this a total order.
-            order.sort_by_key(|&i| std::cmp::Reverse(self.lines[i].lru));
-            let present = order.len() as u64;
-            for (rank, &i) in order.iter().enumerate() {
-                let line = &self.lines[i];
-                out.push(line.tag);
-                out.push(present - rank as u64);
-                out.push(1 | ((line.dirty as u64) << 1));
-            }
-            let absent = self.assoc - order.len();
-            out.resize(out.len() + 3 * absent, 0);
-        }
-        out.resize(out.len() + self.mru.len(), 0);
-        out.push(self.assoc as u64);
-        out.push(0);
-        out.push(0);
+        self.sets.save_state(out);
+        out.extend([0, 0]);
     }
 
     /// Builds a cache of geometry `cfg` holding the state written by
-    /// [`Cache::save_state`] — each line written once, straight from its
-    /// words, with the contiguous tag mirror derived from the lines.
-    /// Returns the cache and the number of words consumed, or `None` if
-    /// `words` is too short.
+    /// [`Cache::save_state`], each line packed once, straight from its
+    /// words. Returns the cache and the number of words consumed, or
+    /// `None` if `words` is too short or is not something `save_state`
+    /// can have written.
     pub fn from_state(cfg: CacheConfig, words: &[u64]) -> Option<(Self, usize)> {
-        let (lines, sets) = (
-            (cfg.sets() * cfg.assoc as u64) as usize,
-            cfg.sets() as usize,
-        );
-        let needed = 3 * lines + sets + 3;
-        let (line_words, rest) = words.get(..needed)?.split_at(3 * lines);
-        let (mru_words, tail) = rest.split_at(sets);
-        let lines: Vec<Line> = line_words
-            .chunks_exact(3)
-            .map(|chunk| Line {
-                tag: chunk[0],
-                lru: chunk[1],
-                valid: chunk[2] & 1 != 0,
-                dirty: chunk[2] & 2 != 0,
-            })
-            .collect();
-        let tags = lines
-            .iter()
-            .map(|l| if l.valid { l.tag } else { INVALID_TAG });
-        let cache = Cache {
-            tags: tags.collect(),
-            lines,
-            mru: mru_words.iter().map(|&w| w as u32).collect(),
-            tick: tail[0],
-            accesses: tail[1],
-            misses: tail[2],
-            ..Self::without_lines(cfg)
-        };
-        Some((cache, needed))
+        let mut cache = Cache::new(cfg);
+        let used = cache.sets.load_state(words)?;
+        (words.get(used..used + 2)? == [0, 0]).then_some((cache, used + 2))
+    }
+
+    /// Makes `self`'s replacement state equal to `next`'s, reporting the
+    /// sets that differ (see `WarmState::advance_to`).
+    pub(crate) fn advance_to(&mut self, next: &Cache, diff: &mut StateDiff) {
+        assert_eq!(self.cfg, next.cfg, "warm states of different geometry");
+        self.sets.advance_to(&next.sets, diff);
+        diff.at += 2; // the statistics words, zero in every state
     }
 
     /// Whether the line containing `addr` is resident, without touching
     /// LRU state or statistics.
     pub fn probe(&self, addr: u64) -> bool {
-        let (set, tag) = self.set_and_tag(addr);
-        let base = set as usize * self.assoc;
-        find_way(
-            &self.tags[base..base + self.assoc],
-            &self.lines[base..base + self.assoc],
-            tag,
-        )
-        .is_some()
+        self.sets.probe(self.line(addr))
     }
 }
 
@@ -518,8 +330,8 @@ mod tests {
     }
 
     #[test]
-    fn high_assoc_vector_lookup_preserves_hit_and_victim_order() {
-        // 8-way × 2 sets: lookups go through two full 4-wide chunks.
+    fn high_assoc_lookup_preserves_hit_and_victim_order() {
+        // 8-way × 2 sets: hits at every way position, rotations up to 8.
         let mut c = Cache::new(CacheConfig {
             size_bytes: 1024,
             assoc: 8,
@@ -541,19 +353,18 @@ mod tests {
     }
 
     #[test]
-    fn mru_fast_path_updates_recency_like_the_scan_path() {
-        // Alternate hits between two ways so the MRU hint is wrong half
-        // the time; LRU outcomes must match a fresh cache fed the same
-        // stream shifted so the hint is always cold (scan path).
+    fn way_zero_hits_and_rotating_hits_keep_one_recency_order() {
+        // Alternate hits between two lines so half the hits land on way 0
+        // (nothing moves) and half rotate the set.
         let mut c = small();
         let a = 0u64;
         let b = 4 * 64;
         let d = 8 * 64;
         c.access(a, false);
         c.access(b, false);
-        c.access(a, false); // scan-path hit (MRU points at b)
-        c.access(a, false); // MRU fast-path hit
-        c.access(b, false); // scan-path hit again
+        c.access(a, false); // hit at way 1: rotates a to the front
+        c.access(a, false); // hit at way 0
+        c.access(b, false); // hit at way 1 again
         c.access(d, false); // must evict a: recency order is b > a
         assert!(!c.probe(a));
         assert!(c.probe(b));

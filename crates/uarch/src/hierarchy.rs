@@ -2,6 +2,7 @@
 
 use crate::cache::Cache;
 use crate::config::MachineConfig;
+use crate::warm::StateDiff;
 
 /// Result of a hierarchy access: total latency and which levels were
 /// touched (for energy accounting and MSHR management in the pipeline).
@@ -78,6 +79,7 @@ impl CacheHierarchy {
         self.l1d.probe(addr)
     }
 
+    #[inline]
     fn access(
         cache: &mut Cache,
         l2: &mut Cache,
@@ -152,12 +154,22 @@ impl CacheHierarchy {
         Some((hierarchy, i + d + u))
     }
 
+    /// Makes every cache's replacement state equal to `next`'s (see
+    /// `WarmState::advance_to`).
+    pub(crate) fn advance_to(&mut self, next: &CacheHierarchy, diff: &mut StateDiff) {
+        self.l1i.advance_to(&next.l1i, diff);
+        self.l1d.advance_to(&next.l1d, diff);
+        self.l2.advance_to(&next.l2, diff);
+    }
+
     /// Instruction fetch of the line containing `addr`.
+    #[inline]
     pub fn access_instr(&mut self, addr: u64) -> AccessResult {
         Self::access(&mut self.l1i, &mut self.l2, self.mem_latency, addr, false)
     }
 
     /// Data access of the line containing `addr`.
+    #[inline]
     pub fn access_data(&mut self, addr: u64, is_store: bool) -> AccessResult {
         Self::access(
             &mut self.l1d,

@@ -56,6 +56,7 @@ mod bpred;
 mod cache;
 mod config;
 mod hierarchy;
+mod lru;
 mod pipeline;
 mod scan;
 mod tlb;

@@ -45,6 +45,24 @@ pub struct WarmState {
     line_shift: Option<u32>,
 }
 
+/// The walk of [`WarmState::advance_to`] over the serialization: where the
+/// structure being compared starts, and where the changed runs go.
+pub(crate) struct StateDiff<'a> {
+    pub(crate) at: usize,
+    scratch: Vec<u64>,
+    changed: &'a mut dyn FnMut(usize, &[u64]),
+}
+
+impl StateDiff<'_> {
+    /// Reports the words `fill` appends as the new content `offset` words
+    /// into the current structure.
+    pub(crate) fn report(&mut self, offset: usize, fill: impl FnOnce(&mut Vec<u64>)) {
+        self.scratch.clear();
+        fill(&mut self.scratch);
+        (self.changed)(self.at + offset, &self.scratch);
+    }
+}
+
 impl WarmState {
     /// Creates cold (empty) warmable state for a machine configuration.
     pub fn new(cfg: &MachineConfig) -> Self {
@@ -129,11 +147,36 @@ impl WarmState {
         out.push(self.last_fetch_line);
     }
 
+    /// Makes `self` serialize as `next` does, calling
+    /// `changed(offset, words)` in ascending offset order with runs of
+    /// [`WarmState::save_state`] words that cover every position where
+    /// the two serializations differ. A cache, TLB or BTB set whose ways
+    /// are equal is neither expanded nor reported, so a checkpoint writer
+    /// that keeps the previous unit's state pays per changed set, not per
+    /// word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two states are of different machine geometry.
+    pub fn advance_to(&mut self, next: &WarmState, mut changed: impl FnMut(usize, &[u64])) {
+        let diff = &mut StateDiff {
+            at: 0,
+            scratch: Vec::new(),
+            changed: &mut changed,
+        };
+        self.hierarchy.advance_to(&next.hierarchy, diff);
+        self.itlb.advance_to(&next.itlb, diff);
+        self.dtlb.advance_to(&next.dtlb, diff);
+        self.bpred.advance_to(&next.bpred, diff);
+        self.last_fetch_line = next.last_fetch_line;
+        diff.report(0, |words| words.push(next.last_fetch_line));
+    }
+
     /// Builds the warm state of machine `cfg` holding the state written
-    /// by [`WarmState::save_state`]. The caches — nearly all of the
-    /// words — are built straight from them, written once. Returns the
-    /// state and the number of words consumed, or `None` if `words` is
-    /// too short.
+    /// by [`WarmState::save_state`], every structure packed straight from
+    /// its words. Returns the state and the number of words consumed, or
+    /// `None` if `words` is too short or holds a set, counter or stack
+    /// position no warm state serializes to.
     pub fn from_state(cfg: &MachineConfig, words: &[u64]) -> Option<(Self, usize)> {
         let (hierarchy, mut used) = CacheHierarchy::from_state(cfg, words)?;
         let mut warm = Self::with_hierarchy(hierarchy, cfg);
@@ -239,12 +282,17 @@ mod tests {
 
     #[test]
     fn warm_state_approx_bytes_is_plausible() {
-        let cfg = MachineConfig::eight_way();
-        let warm = WarmState::new(&cfg);
-        let bytes = warm.approx_bytes();
-        // The Table 3 machine warms a few hundred KiB of structures.
-        assert!(bytes > 100 * 1024, "approx_bytes = {bytes}");
-        assert!(bytes < 10 * 1024 * 1024, "approx_bytes = {bytes}");
+        // One 8-byte key per cache line, TLB entry and BTB way (plus its
+        // target) and a byte per counter: what every instruction walks
+        // and every unit clones. A field added per way blows the ceiling.
+        for (cfg, ceiling_kib) in [
+            (MachineConfig::eight_way(), 200),
+            (MachineConfig::sixteen_way(), 400),
+        ] {
+            let bytes = WarmState::new(&cfg).approx_bytes();
+            assert!(bytes > 100 * 1024, "{}: {bytes} B", cfg.name);
+            assert!(bytes < ceiling_kib * 1024, "{}: {bytes} B", cfg.name);
+        }
     }
 
     #[test]
