@@ -9,11 +9,13 @@
 //! 2. **Functional warming ablation** — accuracy at fixed cost for
 //!    (no warming, detailed-only warming, functional warming), the
 //!    Section 4 narrative in one table.
-//! 3. **Checkpoint replay fidelity** — the TurboSMARTS-style library
-//!    versus direct sampling (extension).
+//! 3. **Checkpoint replay fidelity** — TurboSMARTS-style replay of a
+//!    warmed checkpoint store versus direct sampling (extension).
 
 use smarts_bench::{banner, upct, HarnessArgs, RefCache};
 use smarts_core::{SamplingParams, SmartsSim, Warming};
+use smarts_exec::{replay_store, warm_store, Executor};
+use smarts_isa::BuiltinIsa;
 use smarts_stats::{systematic_sample_means, RandomDesign};
 use smarts_uarch::MachineConfig;
 
@@ -112,6 +114,7 @@ fn main() {
         "{:<12}{:>14}{:>14}{:>16}{:>14}",
         "benchmark", "direct CPI", "replay CPI", "divergence", "replay speed"
     );
+    let store = std::env::temp_dir().join(format!("smarts-ablation-{}.ckpt", std::process::id()));
     for bench in suite.iter().take(4) {
         let n = (bench.approx_len() / 1000 / 30).max(10);
         let params = SamplingParams::for_sample_size(
@@ -124,8 +127,16 @@ fn main() {
         )
         .expect("valid parameters");
         let direct = sim.sample(bench, &params).expect("sampling succeeds");
-        let library = sim.build_library(bench, &params).expect("library builds");
-        let replay = sim.sample_library(&library).expect("replay succeeds");
+        // Warm once into a store, then time the replay alone: what a
+        // second design point on the same warm geometry would pay.
+        let one = Executor::new(1).expect("executor");
+        let len = bench.approx_len();
+        warm_store::<BuiltinIsa>(&one, &sim, bench.name(), args.scale, len, &params, &store)
+            .expect("warming pass");
+        let replay = replay_store::<BuiltinIsa>(&one, &sim, &store)
+            .expect("replay succeeds")
+            .report
+            .report;
         let divergence = (direct.cpi().mean() - replay.cpi().mean()).abs() / direct.cpi().mean();
         println!(
             "{:<12}{:>14.4}{:>14.4}{:>16}{:>13.1}x",
@@ -136,6 +147,7 @@ fn main() {
             direct.wall_total().as_secs_f64() / replay.wall_total().as_secs_f64(),
         );
     }
+    std::fs::remove_file(&store).ok();
     println!("(expected: sub-percent divergence; replay speedup grows with stream length)");
     println!();
 

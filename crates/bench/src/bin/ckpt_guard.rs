@@ -9,16 +9,18 @@
 //! * the store's encode or decode rate (MiB/s) drops more than
 //!   [`TOLERANCE`] below its reference, or
 //! * replaying the store through the parallel executor is not
-//!   bit-identical to sequential in-memory library replay — the
-//!   correctness contract `--from-checkpoints` rests on.
+//!   bit-identical to replaying the warming pass's checkpoints in memory,
+//!   one after another — the correctness contract `--from-checkpoints`
+//!   rests on.
 //!
 //! `--quick` checks only the first reference probe; `--bench <name>`
 //! restricts to one probe.
 
 use smarts_bench::timing::time;
 use smarts_ckpt::{CkptReader, CkptWriter, IsaId, StoreMeta};
-use smarts_core::{SampleReport, SamplingParams, SmartsSim, Warming};
+use smarts_core::{ModeInstructions, SampleReport, SamplingParams, SmartsSim, UnitReplay, Warming};
 use smarts_exec::{replay_store, Executor};
+use smarts_isa::BuiltinIsa;
 use smarts_uarch::MachineConfig;
 use std::time::Duration;
 
@@ -86,8 +88,8 @@ fn assert_bit_identical(replayed: &SampleReport, sequential: &SampleReport, what
             .all(|(p, s)| p.cycles == s.cycles && p.cpi.to_bits() == s.cpi.to_bits());
     if !same {
         fail(&format!(
-            "{what}: store replay is not bit-identical to library replay \
-             (store CPI {} vs library CPI {})",
+            "{what}: store replay is not bit-identical to in-memory replay \
+             (store CPI {} vs in-memory CPI {})",
             replayed.cpi().mean(),
             sequential.cpi().mean()
         ));
@@ -118,7 +120,7 @@ fn main() {
         "Checkpoint-store guard",
         &format!(
             "fails if store encode or decode MiB/s drops more than {:.0}% below \
-             results/bench_ckpt.json, or if store replay diverges from library replay",
+             results/bench_ckpt.json, or if store replay diverges from in-memory replay",
             TOLERANCE * 100.0
         ),
     );
@@ -158,7 +160,9 @@ fn main() {
             isa: IsaId::Builtin,
         };
         let mut checkpoints = Vec::new();
-        sim.stream_checkpoints(bench.load(), &params, |checkpoint| {
+        let loaded = bench.load();
+        let program = loaded.program.clone();
+        sim.stream_checkpoints(loaded, &params, |checkpoint| {
             checkpoints.push(checkpoint);
             true
         })
@@ -184,16 +188,22 @@ fn main() {
             || time(&write_store),
         );
 
-        // Bit-identity: executor replay from disk vs sequential
-        // in-memory library replay.
-        let library = sim
-            .build_library(&bench, &params)
-            .unwrap_or_else(|e| fail(&format!("{}: library build: {e}", reference.benchmark)));
-        let sequential = sim
-            .sample_library(&library)
-            .unwrap_or_else(|e| fail(&format!("{}: library replay: {e}", reference.benchmark)));
+        // Bit-identity: executor replay from disk vs the same
+        // checkpoints replayed in memory, in order, on this thread.
+        let mut units = Vec::new();
+        let mut instructions = ModeInstructions::default();
+        for checkpoint in &checkpoints {
+            let replay = sim.replay_checkpoint(&program, &params, checkpoint);
+            replay.account(&mut instructions);
+            match replay {
+                UnitReplay::Complete { sample, .. } => units.push(*sample),
+                UnitReplay::Partial { .. } => break,
+            }
+        }
+        let sequential =
+            SampleReport::from_units(params, units, instructions, Duration::ZERO, Duration::ZERO);
         let executor = Executor::new(2).unwrap_or_else(|e| fail(&format!("executor: {e}")));
-        let replayed = replay_store(&executor, &sim, &store)
+        let replayed = replay_store::<BuiltinIsa>(&executor, &sim, &store)
             .unwrap_or_else(|e| fail(&format!("{}: store replay: {e}", reference.benchmark)));
         if let Some(damage) = &replayed.damage {
             fail(&format!(

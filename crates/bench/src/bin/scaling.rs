@@ -1,26 +1,34 @@
-//! Worker-count scaling of the parallel execution subsystem.
+//! Worker-count scaling of the parallel execution subsystem, and the
+//! ablation that ruled out its one biased alternative.
 //!
-//! For 1, 2, 4, and `nproc` workers this reports, per mode:
+//! For 1, 2, 4, and `nproc` workers this reports:
 //!
-//! * **checkpoint** — wall-clock split into the sequential library-build
-//!   pass and the parallel replay phase, with the replay-phase speedup
-//!   over one worker (the build pass is the Amdahl term; replay itself
-//!   is embarrassingly parallel and bit-identical to sequential).
-//! * **sharded** — end-to-end wall-clock against the sequential driver
-//!   (no sequential pass at all) plus the residual cold-start bias of
-//!   the merged estimate, which checkpoint mode avoids by construction.
-//! * **pipeline** — streamed checkpoints: the warming producer overlaps
-//!   the replay consumers, so there is no sequential build pass and at
-//!   most `depth + jobs + 1` checkpoints are ever resident, versus the
-//!   whole library in checkpoint mode. Also bit-identical.
+//! * **pipeline** — the shipped route: the warming producer overlaps the
+//!   replay consumers, so there is no sequential build pass, at most
+//!   `depth + jobs + 1` checkpoints are ever resident, and the merged
+//!   report is bit-identical at every worker count (asserted here).
+//! * **leapfrog** — an ablation, implemented in this binary only: the
+//!   stream splits into one contiguous shard per worker with no warming
+//!   pass at all; each worker plain-fast-forwards to a run-in before its
+//!   shard and then samples it like the in-order driver. Units near a
+//!   shard start see warming history truncated to the run-in — the
+//!   residual cold-start bias the paper's Section 4 predicts, reported
+//!   here against the in-order run — and worker `p` still executes the
+//!   stream prefix functionally, so the critical path is bounded below
+//!   by fast-forwarding `(P−1)/P` of the stream. The library does not
+//!   offer it: it measures slower than the in-order driver *and* biased
+//!   (EXPERIMENTS.md § Parallel execution scaling).
 //!
-//! Results (wall-clock splits plus the residency figures) are written to
-//! `results/bench_scaling.json`.
+//! Results are written to `results/bench_scaling.json`.
 
 use smarts_bench::{banner, pct, HarnessArgs};
-use smarts_core::{SamplingParams, SmartsSim, Warming};
-use smarts_exec::{residual_bias, Executor, ParallelDriver, ParallelMode};
-use smarts_uarch::MachineConfig;
+use smarts_core::{
+    FunctionalEngine, ModeInstructions, SampleReport, SamplingParams, SmartsSim, UnitSample,
+    Warming,
+};
+use smarts_exec::Executor;
+use smarts_uarch::{MachineConfig, Pipeline, WarmState};
+use smarts_workloads::Benchmark;
 use std::io::Write as _;
 use std::time::{Duration, Instant};
 
@@ -32,23 +40,169 @@ fn mib(bytes: u64) -> f64 {
     bytes as f64 / (1024.0 * 1024.0)
 }
 
+/// Functional-warming run-in before a leapfrog shard's first unit, in
+/// instructions. Ample for the Table 3 cache geometries.
+const LEAPFROG_WARMUP: u64 = 200_000;
+
+/// The smallest unit index of the systematic grid `{j, j+k, j+2k, ...}`
+/// whose unit starts at or after `position` (in instructions).
+fn first_grid_index(params: &SamplingParams, position: u64) -> u64 {
+    let lowest_unit = position.div_ceil(params.unit_size);
+    if lowest_unit <= params.offset {
+        params.offset
+    } else {
+        let steps = (lowest_unit - params.offset).div_ceil(params.interval);
+        params.offset + steps * params.interval
+    }
+}
+
+/// One leapfrog worker: a cold engine, a plain fast-forward to the
+/// run-in point, then the in-order loop over `[region_start, region_end)`.
+fn run_shard(
+    sim: &SmartsSim,
+    bench: &Benchmark,
+    params: &SamplingParams,
+    region_start: u64,
+    region_end: u64,
+) -> Vec<UnitSample> {
+    let u = params.unit_size;
+    let w = params.detailed_warming;
+    let mut engine = FunctionalEngine::new(bench.load());
+    let mut warm = WarmState::new(sim.config());
+    let mut units = Vec::new();
+
+    // Leapfrog: plain fast-forward (no warming) to the run-in point, so
+    // only the run-in itself pays the slower functional-warming rate.
+    if params.warming == Warming::Functional {
+        engine.fast_forward(region_start.saturating_sub(LEAPFROG_WARMUP));
+    }
+
+    let mut unit_index = first_grid_index(params, region_start);
+    loop {
+        let unit_start = unit_index * u;
+        if unit_start >= region_end {
+            break;
+        }
+        if engine.position() >= unit_start + u {
+            // Pipeline overshoot past this entire unit (tiny k); skip.
+            unit_index += params.interval;
+            continue;
+        }
+        let warm_start = unit_start.saturating_sub(w);
+        match params.warming {
+            Warming::None => engine.fast_forward(warm_start),
+            Warming::Functional => engine.fast_forward_warming(warm_start, &mut warm),
+        };
+        if engine.finished() {
+            break;
+        }
+        let mut pipeline = Pipeline::new(sim.config());
+        let warm_commits = unit_start.saturating_sub(engine.position());
+        pipeline.run(&mut warm, &mut engine, warm_commits, false);
+        let measured = pipeline.run(&mut warm, &mut engine, u, true);
+        if measured.instructions < u {
+            break; // partial tail unit: consumed but not recorded
+        }
+        let cpi = measured.cpi();
+        let epi = sim
+            .energy()
+            .energy_per_instruction(&measured.counters, measured.cycles);
+        units.push(UnitSample {
+            start_instr: unit_start,
+            cycles: measured.cycles,
+            instructions: measured.instructions,
+            cpi,
+            epi,
+            counters: measured.counters,
+        });
+        unit_index += params.interval;
+    }
+    units
+}
+
+/// Runs one leapfrog sampling simulation on `jobs` threads and merges
+/// the shards' units in stream order (shards partition the stream, so
+/// sorting by start offset recovers the sequential measurement order).
+fn sample_leapfrog(
+    sim: &SmartsSim,
+    bench: &Benchmark,
+    params: &SamplingParams,
+    jobs: usize,
+) -> SampleReport {
+    let stream_len = bench.approx_len();
+    let t0 = Instant::now();
+    let mut units: Vec<UnitSample> = std::thread::scope(|scope| {
+        let shards: Vec<_> = (0..jobs as u64)
+            .map(|worker| {
+                let region_start = stream_len * worker / jobs as u64;
+                // The last shard runs to the true stream end, not the estimate.
+                let region_end = if worker + 1 == jobs as u64 {
+                    u64::MAX
+                } else {
+                    stream_len * (worker + 1) / jobs as u64
+                };
+                scope.spawn(move || run_shard(sim, bench, params, region_start, region_end))
+            })
+            .collect();
+        shards
+            .into_iter()
+            .flat_map(|shard| shard.join().expect("leapfrog worker"))
+            .collect()
+    });
+    units.sort_unstable_by_key(|unit| unit.start_instr);
+    if let Some(max) = params.max_units {
+        units.truncate(max as usize);
+    }
+    assert!(!units.is_empty(), "leapfrog run measured no unit");
+    let instructions = ModeInstructions::default();
+    SampleReport::from_units(*params, units, instructions, t0.elapsed(), Duration::ZERO)
+}
+
+/// Relative CPI bias of `candidate`'s aggregate estimate against
+/// `reference`, and the largest relative per-unit CPI error over the
+/// units (matched by stream offset) the two runs share.
+fn residual_bias(candidate: &SampleReport, reference: &SampleReport) -> (f64, f64) {
+    let mut max_unit_cpi_error = 0.0f64;
+    let mut ci = candidate.units.iter().peekable();
+    let mut ri = reference.units.iter().peekable();
+    while let (Some(c), Some(r)) = (ci.peek(), ri.peek()) {
+        match c.start_instr.cmp(&r.start_instr) {
+            std::cmp::Ordering::Less => {
+                ci.next();
+            }
+            std::cmp::Ordering::Greater => {
+                ri.next();
+            }
+            std::cmp::Ordering::Equal => {
+                if r.cpi != 0.0 {
+                    let err = ((c.cpi - r.cpi) / r.cpi).abs();
+                    max_unit_cpi_error = max_unit_cpi_error.max(err);
+                }
+                ci.next();
+                ri.next();
+            }
+        }
+    }
+    let (c, r) = (candidate.cpi().mean(), reference.cpi().mean());
+    let cpi_bias = if r == 0.0 { 0.0 } else { (c - r) / r };
+    (cpi_bias, max_unit_cpi_error)
+}
+
 struct JobsRow {
     jobs: usize,
-    ckpt_total: Duration,
-    build: Duration,
-    replay: Duration,
-    shard_total: Duration,
     pipe_total: Duration,
     pipe_producer: Duration,
     pipe_peak_checkpoints: usize,
     pipe_peak_bytes: u64,
+    leapfrog_total: Duration,
+    leapfrog_cpi_bias: f64,
+    leapfrog_max_unit_error: f64,
 }
 
 struct BenchResult {
     name: String,
     sample_size: u64,
     seq_wall: Duration,
-    library_bytes: u64,
     rows: Vec<JobsRow>,
 }
 
@@ -87,8 +241,8 @@ fn main() {
 
     let mut bench_results = Vec::new();
     for bench in &benches {
-        // Enough detailed work (n·(W+U)) that replay, not the build pass,
-        // carries the run; the same design is used at every worker count.
+        // Enough detailed work (n·(W+U)) that replay, not the warming
+        // pass, carries the run; the same design at every worker count.
         let n = if args.quick { 20 } else { 60 };
         let params = SamplingParams::for_sample_size(
             bench.approx_len(),
@@ -100,141 +254,93 @@ fn main() {
         )
         .expect("valid sampling parameters");
 
+        // The in-order driver: the wall every row is a speedup over, and
+        // the reference the leapfrog bias is measured against (a
+        // checkpointed run warms through one functional pass instead of
+        // interleaved detailed episodes, so its bits differ).
         let seq_start = Instant::now();
         let sequential = sim.sample(bench, &params).expect("sequential run");
         let seq_wall = seq_start.elapsed();
-        // The bit-identity baseline: a sequential replay of the same
-        // library (a direct run's warm state differs per the checkpoint
-        // module docs, so it is compared only for sharded-mode bias).
-        let library = sim.build_library(bench, &params).expect("library");
-        let library_bytes = library.approx_resident_bytes();
-        let replay_start = Instant::now();
-        let seq_replay = sim.sample_library(&library).expect("sequential replay");
-        let seq_replay_wall = replay_start.elapsed();
         println!(
-            "--- {} (n = {}, sequential driver: {}, sequential replay: {}) ---",
+            "--- {} (n = {}, in-order driver: {}) ---",
             bench.name(),
             sequential.sample_size(),
             fmt(seq_wall),
-            fmt(seq_replay_wall)
         );
         println!(
-            "{:>5} {:>12} {:>12} {:>12} {:>10} {:>12} {:>12} {:>10} {:>10}",
+            "{:>5} {:>12} {:>12} {:>9} {:>10} {:>10} {:>14} {:>9} {:>10} {:>10}",
             "jobs",
-            "ckpt-total",
-            "build",
-            "replay",
-            "replay-x",
-            "shard-total",
-            "shard-x",
+            "pipe-total",
+            "producer",
+            "pipe-x",
+            "peak-ckpt",
+            "peak-MiB",
+            "leapfrog-total",
+            "leap-x",
             "cpi-bias",
             "max-unit"
         );
 
         let mut rows: Vec<JobsRow> = Vec::new();
-        let mut replay_base: Option<Duration> = None;
+        let mut pipeline_bits: Option<u64> = None;
         for &jobs in &job_counts {
             let executor = Executor::new(jobs).expect("executor");
             let start = Instant::now();
-            let ckpt = sim
-                .sample_parallel(bench, &params, &executor)
-                .expect("checkpoint run");
-            let ckpt_total = start.elapsed();
-            assert_eq!(
-                ckpt.report.cpi().mean().to_bits(),
-                seq_replay.cpi().mean().to_bits(),
-                "checkpoint merge must be bit-identical to sequential replay"
-            );
-            let replay = ckpt.parallel_wall;
-            let base = *replay_base.get_or_insert(replay);
-            let replay_x = base.as_secs_f64() / replay.as_secs_f64().max(1e-9);
-
-            let sharded_exec = Executor::new(jobs)
-                .expect("executor")
-                .with_mode(ParallelMode::Sharded)
-                .with_shard_warmup(200_000);
-            let start = Instant::now();
-            let sharded = sim
-                .sample_parallel(bench, &params, &sharded_exec)
-                .expect("sharded run");
-            let shard_total = start.elapsed();
-            let shard_x = seq_wall.as_secs_f64() / shard_total.as_secs_f64().max(1e-9);
-            let bias = residual_bias(&sharded.report, &sequential);
-
-            let pipeline_exec = Executor::new(jobs)
-                .expect("executor")
-                .with_mode(ParallelMode::Pipeline);
-            let start = Instant::now();
-            let pipe = sim
-                .sample_parallel(bench, &params, &pipeline_exec)
-                .expect("pipeline run");
+            let pipe = executor.sample(&sim, bench, &params).expect("pipeline run");
             let pipe_total = start.elapsed();
+            let bits = pipe.report.cpi().mean().to_bits();
             assert_eq!(
-                pipe.report.cpi().mean().to_bits(),
-                seq_replay.cpi().mean().to_bits(),
-                "pipeline merge must be bit-identical to sequential replay"
+                *pipeline_bits.get_or_insert(bits),
+                bits,
+                "the pipeline merge must be bit-identical at every worker count"
             );
             let stats = pipe.pipeline.expect("pipeline stats");
 
+            let start = Instant::now();
+            let leapfrog = sample_leapfrog(&sim, bench, &params, jobs);
+            let leapfrog_total = start.elapsed();
+            let (cpi_bias, max_unit) = residual_bias(&leapfrog, &sequential);
+
+            let speedup = |wall: Duration| seq_wall.as_secs_f64() / wall.as_secs_f64().max(1e-9);
             println!(
-                "{:>5} {:>12} {:>12} {:>12} {:>9.2}x {:>12} {:>11.2}x {:>10} {:>10}",
+                "{:>5} {:>12} {:>12} {:>8.2}x {:>10} {:>10.1} {:>14} {:>8.2}x {:>10} {:>10}",
                 jobs,
-                fmt(ckpt_total),
-                fmt(ckpt.build_wall),
-                fmt(replay),
-                replay_x,
-                fmt(shard_total),
-                shard_x,
-                pct(bias.cpi_bias),
-                pct(bias.max_unit_cpi_error),
+                fmt(pipe_total),
+                fmt(stats.producer_wall),
+                speedup(pipe_total),
+                stats.peak_resident_checkpoints,
+                mib(stats.peak_resident_bytes),
+                fmt(leapfrog_total),
+                speedup(leapfrog_total),
+                pct(cpi_bias),
+                pct(max_unit),
             );
             rows.push(JobsRow {
                 jobs,
-                ckpt_total,
-                build: ckpt.build_wall,
-                replay,
-                shard_total,
                 pipe_total,
                 pipe_producer: stats.producer_wall,
                 pipe_peak_checkpoints: stats.peak_resident_checkpoints,
                 pipe_peak_bytes: stats.peak_resident_bytes,
+                leapfrog_total,
+                leapfrog_cpi_bias: cpi_bias,
+                leapfrog_max_unit_error: max_unit,
             });
-        }
-
-        println!(
-            "{:>5} {:>12} {:>12} {:>10} {:>10} {:>10}   (pipeline, depth {}; library {:.1} MiB)",
-            "jobs",
-            "pipe-total",
-            "producer",
-            "vs-ckpt",
-            "peak-ckpt",
-            "peak-MiB",
-            smarts_exec::DEFAULT_PIPELINE_DEPTH,
-            mib(library_bytes),
-        );
-        for row in &rows {
-            println!(
-                "{:>5} {:>12} {:>12} {:>9.2}x {:>10} {:>10.1}",
-                row.jobs,
-                fmt(row.pipe_total),
-                fmt(row.pipe_producer),
-                row.ckpt_total.as_secs_f64() / row.pipe_total.as_secs_f64().max(1e-9),
-                row.pipe_peak_checkpoints,
-                mib(row.pipe_peak_bytes),
-            );
         }
         println!();
         bench_results.push(BenchResult {
             name: bench.name().to_string(),
             sample_size: sequential.sample_size(),
             seq_wall,
-            library_bytes,
             rows,
         });
     }
-    println!("(checkpoint and pipeline modes are bit-identical to sequential at every");
-    println!(" worker count; sharded trades the sequential build pass for the residual");
-    println!(" bias shown; pipeline keeps at most depth + jobs + 1 checkpoints resident.)");
+    println!(
+        "(the pipeline is bit-identical at every worker count and keeps at most depth {} + jobs + 1",
+        smarts_exec::DEFAULT_PIPELINE_DEPTH
+    );
+    println!(
+        " checkpoints resident; leapfrog trades the warming pass for the residual bias shown.)"
+    );
 
     write_json(&bench_results).expect("write results/bench_scaling.json");
     println!("\nwrote results/bench_scaling.json");
@@ -254,6 +360,7 @@ fn write_json(benches: &[BenchResult]) -> std::io::Result<()> {
         "  \"pipeline_depth\": {},",
         smarts_exec::DEFAULT_PIPELINE_DEPTH
     )?;
+    writeln!(f, "  \"leapfrog_warmup\": {LEAPFROG_WARMUP},")?;
     writeln!(f, "  \"results\": [")?;
     for (i, b) in benches.iter().enumerate() {
         let comma = if i + 1 < benches.len() { "," } else { "" };
@@ -265,32 +372,11 @@ fn write_json(benches: &[BenchResult]) -> std::io::Result<()> {
             "      \"sequential_wall_s\": {:.4},",
             b.seq_wall.as_secs_f64()
         )?;
-        writeln!(f, "      \"library_resident_bytes\": {},", b.library_bytes)?;
         writeln!(f, "      \"jobs\": [")?;
         for (j, row) in b.rows.iter().enumerate() {
             let comma = if j + 1 < b.rows.len() { "," } else { "" };
             writeln!(f, "        {{")?;
             writeln!(f, "          \"jobs\": {},", row.jobs)?;
-            writeln!(
-                f,
-                "          \"checkpoint_total_s\": {:.4},",
-                row.ckpt_total.as_secs_f64()
-            )?;
-            writeln!(
-                f,
-                "          \"checkpoint_build_s\": {:.4},",
-                row.build.as_secs_f64()
-            )?;
-            writeln!(
-                f,
-                "          \"checkpoint_replay_s\": {:.4},",
-                row.replay.as_secs_f64()
-            )?;
-            writeln!(
-                f,
-                "          \"sharded_total_s\": {:.4},",
-                row.shard_total.as_secs_f64()
-            )?;
             writeln!(
                 f,
                 "          \"pipeline_total_s\": {:.4},",
@@ -308,8 +394,23 @@ fn write_json(benches: &[BenchResult]) -> std::io::Result<()> {
             )?;
             writeln!(
                 f,
-                "          \"pipeline_peak_resident_bytes\": {}",
+                "          \"pipeline_peak_resident_bytes\": {},",
                 row.pipe_peak_bytes
+            )?;
+            writeln!(
+                f,
+                "          \"leapfrog_total_s\": {:.4},",
+                row.leapfrog_total.as_secs_f64()
+            )?;
+            writeln!(
+                f,
+                "          \"leapfrog_cpi_bias\": {:.6},",
+                row.leapfrog_cpi_bias
+            )?;
+            writeln!(
+                f,
+                "          \"leapfrog_max_unit_cpi_error\": {:.6}",
+                row.leapfrog_max_unit_error
             )?;
             writeln!(f, "        }}{comma}")?;
         }

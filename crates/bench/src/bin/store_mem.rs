@@ -28,6 +28,7 @@ use smarts_bench::timing::{self, time};
 use smarts_ckpt::{CkptWriter, IsaId, MappedStore, StoreMeta};
 use smarts_core::{SamplingParams, SmartsSim, UnitCheckpoint, Warming};
 use smarts_exec::{replay_store_mapped, Executor};
+use smarts_isa::BuiltinIsa;
 use smarts_uarch::MachineConfig;
 use std::io::Write as _;
 
@@ -118,7 +119,7 @@ fn main() {
     // Lazy peak residency: a real replay through the executor, with the
     // per-claim flat + rebuilt-checkpoint accounting.
     let executor = Executor::new(JOBS).unwrap_or_else(|e| fail(&format!("executor: {e}")));
-    let replayed = replay_store_mapped(&executor, &sim, &store)
+    let replayed = replay_store_mapped::<BuiltinIsa>(&executor, &sim, &store)
         .unwrap_or_else(|e| fail(&format!("lazy replay failed: {e}")));
     if let Some(damage) = &replayed.damage {
         fail(&format!("fresh store reported damage: {damage}"));

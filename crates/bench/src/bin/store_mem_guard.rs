@@ -26,6 +26,7 @@ use smarts_bench::timing::time;
 use smarts_ckpt::{CkptWriter, IsaId, MappedStore, StoreMeta};
 use smarts_core::{SamplingParams, SmartsSim, Warming};
 use smarts_exec::{replay_store_mapped, Executor};
+use smarts_isa::BuiltinIsa;
 use smarts_uarch::MachineConfig;
 
 /// Largest tolerated relative drop below the reference for decode MIPS,
@@ -132,7 +133,7 @@ fn main() {
 
     // Residency: one real lazy replay.
     let executor = Executor::new(JOBS).unwrap_or_else(|e| fail(&format!("executor: {e}")));
-    let replayed = replay_store_mapped(&executor, &sim, &store)
+    let replayed = replay_store_mapped::<BuiltinIsa>(&executor, &sim, &store)
         .unwrap_or_else(|e| fail(&format!("lazy replay failed: {e}")));
     if let Some(damage) = &replayed.damage {
         fail(&format!("fresh store reported damage: {damage}"));

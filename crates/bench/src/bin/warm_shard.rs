@@ -3,9 +3,9 @@
 //!
 //! SMARTS's pipeline wall is `max(T_warm, T_detail / jobs)`; once replay
 //! is parallel, the serial warming pass is the bottleneck this repo's
-//! sharded-warm mode attacks. For each shard count this binary runs the
-//! full sharded-warm pipeline (median of [`timing::SAMPLES`] runs by
-//! producer wall), and reports:
+//! sharded warming attacks. For each shard count this binary runs the
+//! full pipeline (median of [`timing::SAMPLES`] runs by producer wall;
+//! one shard is the serial producer itself), and reports:
 //!
 //! * **producer** — the producer-side wall (parallel warm + stitch),
 //!   the quantity sharding is supposed to divide,
@@ -25,8 +25,8 @@
 //! `--quick` shrinks the stream for the CI smoke run.
 
 use smarts_bench::timing;
-use smarts_core::{SamplingParams, SmartsSim, Warming};
-use smarts_exec::{Executor, ParallelMode, ParallelReport};
+use smarts_core::{FunctionalEngine, SamplingParams, SmartsSim, Warming};
+use smarts_exec::{Executor, ParallelReport};
 use smarts_uarch::MachineConfig;
 use std::io::Write as _;
 use std::time::Duration;
@@ -62,7 +62,6 @@ fn measure(
 ) -> Row {
     let executor = Executor::new(1)
         .expect("executor")
-        .with_mode(ParallelMode::ShardedWarm)
         .with_warm_jobs(warm_jobs);
     let run = || -> ParallelReport {
         executor
@@ -74,23 +73,29 @@ fn measure(
     // consumer's replay work is constant across shard counts).
     std::hint::black_box(run());
     let mut reports: Vec<ParallelReport> = (0..timing::SAMPLES).map(|_| run()).collect();
-    reports.sort_by_key(|r| {
-        r.pipeline
-            .as_ref()
-            .expect("sharded-warm is pipeline-shaped")
-            .producer_wall
-    });
+    reports.sort_by_key(|r| r.pipeline.as_ref().expect("pipeline stats").producer_wall);
     let median = reports.swap_remove(timing::SAMPLES / 2);
-    let pipeline = median.pipeline.expect("pipeline stats");
-    let shard = median.shard.expect("shard stats");
-    Row {
-        warm_jobs,
-        producer: pipeline.producer_wall,
-        warm: shard.warm_wall,
-        stitch: shard.stitch_wall,
-        instructions: shard.shard_instructions.iter().sum(),
-        rewarm_units: shard.rewarm_units(),
-        rewarm_instructions: shard.rewarm_instructions,
+    let producer = median.pipeline.expect("pipeline stats").producer_wall;
+    match median.shard {
+        Some(shard) => Row {
+            warm_jobs,
+            producer,
+            warm: shard.warm_wall,
+            stitch: shard.stitch_wall,
+            instructions: shard.shard_instructions.iter().sum(),
+            rewarm_units: shard.rewarm_units(),
+            rewarm_instructions: shard.rewarm_instructions,
+        },
+        // One shard is the serial producer: the stream once, no stitch.
+        None => Row {
+            warm_jobs,
+            producer,
+            warm: producer,
+            stitch: Duration::ZERO,
+            instructions: FunctionalEngine::new(bench.load()).fast_forward(u64::MAX - 1),
+            rewarm_units: 0,
+            rewarm_instructions: 0,
+        },
     }
 }
 

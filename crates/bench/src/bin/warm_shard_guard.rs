@@ -18,8 +18,8 @@
 //! `--quick` keeps only the first and last reference shard counts.
 
 use smarts_bench::timing;
-use smarts_core::{SamplingParams, SmartsSim, Warming};
-use smarts_exec::{Executor, ParallelMode};
+use smarts_core::{FunctionalEngine, SamplingParams, SmartsSim, Warming};
+use smarts_exec::Executor;
 use smarts_uarch::MachineConfig;
 use std::time::Duration;
 
@@ -96,12 +96,12 @@ fn main() {
         "{:>9} {:>12} {:>12} {:>8}  verdict",
         "warm_jobs", "ref MIPS", "now MIPS", "ratio"
     );
+    let stream_len = FunctionalEngine::new(bench.load()).fast_forward(u64::MAX - 1);
     let mut regressed = false;
     let mut measured: Vec<(usize, Duration)> = Vec::new();
     for reference in &references {
         let executor = Executor::new(1)
             .unwrap_or_else(|e| fail(&e.to_string()))
-            .with_mode(ParallelMode::ShardedWarm)
             .with_warm_jobs(reference.warm_jobs);
         let run = || {
             executor
@@ -112,11 +112,14 @@ fn main() {
         let mut walls: Vec<(Duration, u64)> = (0..timing::SAMPLES)
             .map(|_| {
                 let report = run();
-                let pipeline = report.pipeline.expect("sharded-warm is pipeline-shaped");
-                let shard = report.shard.expect("shard stats");
+                let instructions = match report.shard {
+                    Some(shard) => shard.shard_instructions.iter().sum(),
+                    // One shard is the serial producer: the stream once.
+                    None => stream_len,
+                };
                 (
-                    pipeline.producer_wall,
-                    shard.shard_instructions.iter().sum(),
+                    report.pipeline.expect("pipeline stats").producer_wall,
+                    instructions,
                 )
             })
             .collect();

@@ -8,7 +8,7 @@
 //! at the same scale reproduces the checked-in
 //! `results/bench_ci_eff.json` numbers bit-for-bit.
 
-use smarts_core::{SamplingParams, SmartsSim, UnitReplay, Warming};
+use smarts_core::{SamplingParams, SmartsSim, Warming};
 use smarts_stats::{
     drive_sampler, required_sample_size, AdaptiveSampler, Confidence, RunningStats,
     StratifiedConfig, StratifiedSampler,
@@ -130,14 +130,14 @@ pub fn measure(
         0,
     )
     .expect("full-grid parameters");
-    let library = sim.build_library(bench, &params).expect("library build");
-    let mut cpis = Vec::with_capacity(library.len());
-    for index in 0..library.len() {
-        match sim.replay_unit(&library, index).expect("unit replay") {
-            UnitReplay::Complete { sample, .. } => cpis.push(sample.cpi),
-            UnitReplay::Partial { .. } => break, // tail unit only
-        }
-    }
+    // One warming pass, every unit replayed from its checkpoint as the
+    // pass streams by; the merged report holds the complete units in
+    // stream order, bit-identical at any worker count.
+    let census = smarts_exec::Executor::new(2)
+        .expect("executor")
+        .sample(sim, bench, &params)
+        .expect("full-grid run");
+    let cpis: Vec<f64> = census.report.unit_cpis().collect();
     let pool = cpis.len() as u64;
     let mut all = RunningStats::new();
     for &v in &cpis {

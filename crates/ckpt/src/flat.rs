@@ -18,7 +18,7 @@
 //! Warm state between nearby units differs only where the stream
 //! touched new sets/counters, so the fixed-section deltas are sparse
 //! too — this is what makes the on-disk store far smaller than the
-//! resident library.
+//! resident checkpoints.
 
 use crate::codec::{apply_deltas, read_varint, write_varint, RleEncoder};
 use crate::error::CkptError;

@@ -415,7 +415,7 @@ impl MappedStore {
     }
 
     /// Approximate resident bytes of the *decoded* store — what the
-    /// eager reader or library would hold. Derived without decoding:
+    /// eager reader would hold. Derived without decoding:
     /// the delta chain's flats all share the geometry-fixed section
     /// length, so this walks the chain once. Costs O(store) decode
     /// time; meant for inventory tools, not hot paths.

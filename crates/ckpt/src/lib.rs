@@ -1,9 +1,9 @@
 //! Persistent on-disk checkpoint store: warm once, replay many configs.
 //!
-//! The SMARTS rate is bounded by functional warming (`S_FW`), and the
-//! in-memory [`smarts_core::CheckpointLibrary`] already lets one warming
-//! pass serve many detailed replays — but only within one process. This
-//! crate persists the warm-state library to disk so the warming pass is
+//! The SMARTS rate is bounded by functional warming (`S_FW`), and a
+//! [`smarts_core::UnitCheckpoint`] lets one warming pass serve many
+//! detailed replays — but only for as long as something holds it. This
+//! crate persists the checkpoints to disk so the warming pass is
 //! paid **once per (benchmark, sampling design, warm geometry)** and
 //! amortized across every later experiment that only changes the
 //! detailed-machine core (widths, window, FUs, store buffer): the
@@ -23,7 +23,7 @@
 //!   **delta-encoded against the previous unit's state** with zigzag
 //!   varints and run-length-collapsed zero runs — consecutive units
 //!   share almost all of their warm state and memory pages, so the
-//!   store is far smaller than the resident library;
+//!   store is far smaller than the resident checkpoints;
 //! * a CRC-32 per record and over the header, so corruption is
 //!   localized: the reader yields every intact prefix record and
 //!   surfaces [`CkptError::Corrupted`] / [`CkptError::Truncated`] for

@@ -110,8 +110,8 @@ fn mix_bpred(h: u64, b: &PredictorConfig) -> u64 {
 }
 
 /// Fingerprint of a machine's functional-warming geometry: exactly the
-/// fields [`smarts_core::CheckpointLibrary::compatible_with`] compares
-/// (caches, TLBs, predictor, memory latency). Machines that differ only
+/// fields functional warming depends on (caches, TLBs, predictor, memory
+/// latency). Machines that differ only
 /// in pipeline-core parameters (widths, window, FUs) fingerprint
 /// identically — that is the warm-once/replay-many-configs contract.
 pub fn warm_fingerprint(cfg: &MachineConfig) -> u64 {

@@ -13,12 +13,10 @@ use smarts_core::{
     SamplingParams, SmartsSim, Warming,
 };
 use smarts_exec::{
-    compare_machines_parallel, replay_store, replay_store_isa, replay_store_sampled,
-    replay_store_sampled_isa, sample_pipeline_saving, sample_pipeline_saving_isa,
-    sample_two_step_parallel, warm_store_saving, warm_store_saving_isa, Executor, ParallelMode,
-    ParallelReport, SampledReplay,
+    compare_machines_parallel, replay_store_mapped, replay_store_sampled, sample,
+    sample_two_step_parallel, warm_store, ExecError, Executor, ParallelReport, SampledReplay,
 };
-use smarts_isa::{write_trace, IsaId, RiscIsa, TraceIsa};
+use smarts_isa::{write_trace, BuiltinIsa, IsaId, RiscIsa, TraceIsa};
 use smarts_server::{
     canonical_report_line, report_from_json, sampled_report_line, Client, JobSpec, Server,
     ServerConfig,
@@ -52,14 +50,11 @@ pub struct Options {
     pub epsilon: Option<f64>,
     /// Confidence level (fraction).
     pub confidence: f64,
-    /// Worker threads for `sample` and `compare` (1 = sequential).
+    /// Replay workers for `sample` and `compare`.
     pub jobs: usize,
-    /// Parallel decomposition when `jobs > 1`.
-    pub parallel_mode: ParallelMode,
-    /// Warming shards (1 = serial warming). More than one implies
-    /// sharded-warm mode unless the mode was set to sharded (leapfrog).
+    /// Warming shards (1 = serial warming).
     pub warm_jobs: usize,
-    /// Bounded channel depth (checkpoints) for pipeline mode.
+    /// Bounded channel depth (checkpoints) between warming and replay.
     pub pipeline_depth: usize,
     /// Persist unit checkpoints to this store while sampling.
     pub save_checkpoints: Option<String>,
@@ -113,7 +108,6 @@ impl Default for Options {
             epsilon: None,
             confidence: 0.9973,
             jobs: 1,
-            parallel_mode: ParallelMode::Checkpoint,
             warm_jobs: 1,
             pipeline_depth: smarts_exec::DEFAULT_PIPELINE_DEPTH,
             save_checkpoints: None,
@@ -188,18 +182,14 @@ pub fn usage() -> String {
      \x20 --seed <u64>             sampler seed (stratified/adaptive)  [0]\n\
      \x20 --strata <count>         stratum count                       [4]\n\
      \x20 --pilot <units>          pilot sample size (0 = automatic)   [0]\n\
-     \x20 --jobs <count>           worker threads for sample/compare [1]\n\
-     \x20 --parallel-mode <mode>   checkpoint (bit-identical replay),\n\
-     \x20                          pipeline (bit-identical, warming overlaps replay,\n\
-     \x20                          bounded memory), sharded (leapfrog, small\n\
-     \x20                          residual bias), or sharded-warm (bit-identical,\n\
-     \x20                          warming itself split across --warm-jobs shards)\n\
-     \x20                          [checkpoint]\n\
-     \x20 --pipeline-depth <n>     pipeline-mode channel depth, in checkpoints [4]\n\
-     \x20 --warm-jobs <count>      warming shards; > 1 implies sharded-warm mode\n\
-     \x20                          (ignored by sharded leapfrog mode)  [1]\n\
+     \x20 --jobs <count>           replay workers for sample/compare: above 1, units\n\
+     \x20                          replay from checkpoints while warming runs ahead\n\
+     \x20                          (same bytes at any count)          [1]\n\
+     \x20 --pipeline-depth <n>     checkpoints queued between warming and replay [4]\n\
+     \x20 --warm-jobs <count>      split the warming pass itself into stitched\n\
+     \x20                          shards (same bytes at any count)   [1]\n\
      \x20 --save-checkpoints <p>   persist unit checkpoints to a store at <p> while\n\
-     \x20                          sampling (implies pipeline mode; not with --epsilon)\n\
+     \x20                          sampling (not with --epsilon)\n\
      \x20 --from-checkpoints <p>   replay a saved store, skipping functional warming;\n\
      \x20                          benchmark and sampling design come from the store\n\
      \x20                          (--bench is ignored; not with --epsilon)\n\
@@ -320,12 +310,6 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
                     .filter(|&n| n >= 1)
                     .ok_or_else(|| "--jobs takes a worker count of at least 1".to_string())?;
             }
-            "--parallel-mode" => {
-                options.parallel_mode = value("--parallel-mode")?.parse().map_err(|_| {
-                    "--parallel-mode takes checkpoint, pipeline, sharded, or sharded-warm"
-                        .to_string()
-                })?;
-            }
             "--warm-jobs" => {
                 options.warm_jobs = value("--warm-jobs")?
                     .parse()
@@ -391,7 +375,7 @@ fn benchmark(options: &Options) -> Result<Benchmark, String> {
 fn sampling_params(
     options: &Options,
     cfg: &MachineConfig,
-    bench: &Benchmark,
+    approx_len: u64,
 ) -> Result<SamplingParams, String> {
     let warming = if options.no_functional_warming {
         Warming::None
@@ -402,7 +386,7 @@ fn sampling_params(
         .warming_len
         .unwrap_or_else(|| cfg.recommended_detailed_warming());
     SamplingParams::for_sample_size(
-        bench.approx_len(),
+        approx_len,
         options.unit,
         w,
         warming,
@@ -439,33 +423,23 @@ fn cmd_list() {
     }
 }
 
-/// The parallel mode the options actually ask for: `--warm-jobs` above
-/// one upgrades the bit-identical modes (checkpoint, pipeline) to
-/// sharded-warm, while an explicit leapfrog request stays leapfrog.
-fn effective_mode(options: &Options) -> ParallelMode {
-    if options.warm_jobs > 1
-        && matches!(
-            options.parallel_mode,
-            ParallelMode::Checkpoint | ParallelMode::Pipeline
-        )
-    {
-        ParallelMode::ShardedWarm
-    } else {
-        options.parallel_mode
-    }
-}
-
 fn executor_for(options: &Options) -> Result<Executor, String> {
     Ok(Executor::new(options.jobs)
         .map_err(|e| e.to_string())?
-        .with_mode(effective_mode(options))
         .with_pipeline_depth(options.pipeline_depth)
         .with_warm_jobs(options.warm_jobs))
 }
 
+/// Whether the options ask for more than the in-order loop: replay
+/// workers or warming shards.
+fn wants_executor(options: &Options) -> bool {
+    options.jobs > 1 || options.warm_jobs > 1
+}
+
 /// The frontend the sampling options select, plus the workload name it
-/// resolves (a benchmark name for risc, a trace path for trace; unused
-/// when replaying a store, whose header names its own workload).
+/// resolves (a benchmark name for builtin and risc, a trace path for
+/// trace; unused when replaying a store, whose header names its own
+/// workload).
 fn sample_frontend(options: &Options) -> Result<(IsaId, String), String> {
     if let Some(trace) = &options.trace {
         if options.isa == IsaId::Risc {
@@ -473,212 +447,284 @@ fn sample_frontend(options: &Options) -> Result<(IsaId, String), String> {
         }
         return Ok((IsaId::Trace, trace.clone()));
     }
-    match options.isa {
-        IsaId::Builtin => Ok((IsaId::Builtin, String::new())),
-        IsaId::Risc => Ok((IsaId::Risc, options.bench.clone().unwrap_or_default())),
-        IsaId::Trace => {
-            if options.from_checkpoints.is_some() {
-                Ok((IsaId::Trace, String::new()))
-            } else {
-                Err(
-                    "--isa trace needs --trace <file> (or --from-checkpoints on a trace store)"
-                        .into(),
-                )
-            }
+    if options.isa == IsaId::Trace && options.from_checkpoints.is_none() {
+        return Err(
+            "--isa trace needs --trace <file> (or --from-checkpoints on a trace store)".into(),
+        );
+    }
+    Ok((options.isa, options.bench.clone().unwrap_or_default()))
+}
+
+/// What one `smarts sample` run estimated (one value per process, so
+/// the variants' sizes do not matter).
+#[allow(clippy::large_enum_variant)]
+enum Estimate {
+    /// The systematic estimator, from the paper's in-order loop.
+    InOrder(SampleReport),
+    /// The systematic estimator, through checkpoints.
+    Checkpointed(ParallelReport),
+    /// A stratified or adaptive selection from the checkpointed grid.
+    Sampled(SampledReplay),
+}
+
+/// Everything `smarts sample` prints, whichever source and estimator
+/// the options selected.
+struct SampleRun {
+    frontend: IsaId,
+    label: String,
+    params: SamplingParams,
+    conf: Confidence,
+    /// Prose lines about the store read or written and the two-step
+    /// procedure; `--json` prints the report line alone.
+    notes: Vec<String>,
+    estimate: Estimate,
+}
+
+impl Estimate {
+    /// The merged report and, unless the in-order loop produced it, the
+    /// parallel accounting of the run beside it.
+    fn parts(&self) -> (&SampleReport, Option<&ParallelReport>) {
+        match self {
+            Estimate::InOrder(report) => (report, None),
+            Estimate::Checkpointed(run) => (&run.report, Some(run)),
+            Estimate::Sampled(sampled) => (&sampled.report.report, Some(&sampled.report)),
         }
     }
 }
 
-fn cmd_sample(options: &Options) -> Result<(), String> {
-    match sample_frontend(options)? {
-        (IsaId::Builtin, _) => {}
-        (IsaId::Risc, workload) => return cmd_sample_isa::<RiscIsa>(options, &workload),
-        (IsaId::Trace, workload) => return cmd_sample_isa::<TraceIsa>(options, &workload),
+impl SampleRun {
+    /// The canonical bit-exact report line (`--json`).
+    fn json_line(&self) -> String {
+        match &self.estimate {
+            Estimate::Sampled(sampled) => sampled_report_line(sampled),
+            systematic => canonical_report_line(systematic.parts().0),
+        }
     }
-    if options.sampler != SamplerKind::Systematic {
-        return cmd_sample_sampled(options);
+}
+
+/// Validates the flag combinations every frontend shares, then runs
+/// the sample under the selected one.
+fn run_sample(options: &Options) -> Result<SampleRun, String> {
+    let stored = options.save_checkpoints.is_some() || options.from_checkpoints.is_some();
+    if options.save_checkpoints.is_some() && options.from_checkpoints.is_some() {
+        return Err("--save-checkpoints and --from-checkpoints are mutually exclusive".into());
     }
-    if options.epsilon.is_some()
-        && (options.save_checkpoints.is_some() || options.from_checkpoints.is_some())
-    {
+    if options.sampler == SamplerKind::Systematic && options.epsilon.is_some() && stored {
         return Err(
             "--epsilon tunes the sampling design between runs and cannot be combined \
              with --save-checkpoints/--from-checkpoints (a store fixes the design)"
                 .into(),
         );
     }
-    if options.save_checkpoints.is_some() && options.from_checkpoints.is_some() {
-        return Err("--save-checkpoints and --from-checkpoints are mutually exclusive".into());
+    match sample_frontend(options)? {
+        (IsaId::Builtin, workload) => sample_with::<BuiltinIsa>(options, &workload),
+        (IsaId::Risc, workload) => sample_with::<RiscIsa>(options, &workload),
+        (IsaId::Trace, workload) => sample_with::<TraceIsa>(options, &workload),
     }
-    if let Some(path) = &options.from_checkpoints {
-        return cmd_sample_from_store(options, path);
-    }
+}
 
+/// The `benchmark` line of a report: a suite entry of the built-in
+/// frontend prints with its scaled length, anything else by name.
+fn workload_label<F: Frontend>(name: &str, scale: f64) -> String {
+    match find(name) {
+        Some(bench) if F::ID == IsaId::Builtin => bench.scaled(scale).to_string(),
+        _ => name.to_string(),
+    }
+}
+
+/// A store path no other run of this process or machine is using, for
+/// the sampled strategies' cold runs.
+fn temp_store_path() -> std::path::PathBuf {
+    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    std::env::temp_dir().join(format!("smarts-sample-{}-{seq}.ck", std::process::id()))
+}
+
+fn store_written_note(write: &smarts_ckpt::WriteSummary, path: &std::path::Path) -> String {
+    format!(
+        "store         {} records, {:.2} MiB written to {}",
+        write.records,
+        write.bytes as f64 / (1024.0 * 1024.0),
+        path.display()
+    )
+}
+
+/// `smarts sample` under frontend `F`. The only forks are the source of
+/// the checkpoints — `--from-checkpoints`, a warming pass that keeps
+/// them (`--save-checkpoints`), or one that does not — and the
+/// estimator: the systematic one consumes checkpoints as they stream
+/// past, the sampled strategies need random access to the whole grid
+/// before they pick a unit, so they warm a store first (a temporary one
+/// without `--save-checkpoints`) and then replay their selection from
+/// it. Every route through checkpoints yields the same report bytes for
+/// the same design.
+fn sample_with<F: Frontend>(options: &Options, workload: &str) -> Result<SampleRun, String> {
     let cfg = machine(options);
-    let bench = benchmark(options)?;
     let sim = SmartsSim::new(cfg.clone());
-    let params = sampling_params(options, &cfg, &bench)?;
     let conf = Confidence::new(options.confidence).map_err(|e| e.to_string())?;
-
-    let announce_tuned = |outcome: &smarts_core::TwoStepOutcome, eps: f64| {
-        if let Some(tuned) = &outcome.tuned {
-            println!(
-                "initial n = {} missed ±{:.2}%; tuned rerun at n = {}",
-                outcome.initial.sample_size(),
-                eps * 100.0,
-                tuned.sample_size()
-            );
-        }
+    let spec = sampler_spec(options);
+    spec.validate().map_err(|e| e.to_string())?;
+    let executor = executor_for(options)?;
+    let text = |e: ExecError| e.to_string();
+    let mut notes = Vec::new();
+    let run = |label, params, notes, estimate| SampleRun {
+        frontend: F::ID,
+        label,
+        params,
+        conf,
+        notes,
+        estimate,
     };
-    let mut parallel: Option<ParallelReport> = None;
-    // Pipeline mode runs through the executor even at one worker: the
-    // producer/consumer overlap is the point, not the worker count.
-    // Saving checkpoints is pipeline-shaped by construction.
-    let use_executor = options.jobs > 1
-        || matches!(
-            effective_mode(options),
-            ParallelMode::Pipeline | ParallelMode::ShardedWarm
+
+    if let Some(path) = &options.from_checkpoints {
+        // The store's own workload and sampling design apply.
+        let store = MappedStore::open(path, &cfg).map_err(|e| text(e.into()))?;
+        let meta = store.meta().clone();
+        let estimate = if spec.is_systematic() {
+            let replayed = replay_store_mapped::<F>(&executor, &sim, &store).map_err(text)?;
+            notes.push(format!(
+                "store         {path}: {} records (workload {}, scale {})",
+                replayed.records, meta.benchmark, meta.scale
+            ));
+            if let Some(damage) = &replayed.damage {
+                notes.push(format!(
+                    "WARNING       store damaged past record {}: {damage}; \
+                     the intact prefix above was still replayed",
+                    replayed.records
+                ));
+            }
+            Estimate::Checkpointed(replayed.report)
+        } else {
+            Estimate::Sampled(
+                replay_store_sampled::<F>(&executor, &sim, &store, &spec).map_err(text)?,
+            )
+        };
+        let label = workload_label::<F>(&meta.benchmark, meta.scale);
+        return Ok(run(label, meta.params, notes, estimate));
+    }
+
+    if workload.is_empty() {
+        return Err("--bench is required".into());
+    }
+    let two_step = options.epsilon.filter(|_| spec.is_systematic());
+    if two_step.is_some() && F::ID != IsaId::Builtin {
+        return Err("--epsilon two-step tuning supports the built-in frontend only".into());
+    }
+    let approx_len = F::approx_len(workload, options.scale)?;
+    let params = sampling_params(options, &cfg, approx_len)?;
+    let label = workload_label::<F>(workload, options.scale);
+    let save = options
+        .save_checkpoints
+        .as_deref()
+        .map(std::path::Path::new);
+
+    let estimate = if !spec.is_systematic() {
+        let temp = temp_store_path();
+        let path = save.unwrap_or(&temp);
+        let sampled = warm_store::<F>(
+            &executor,
+            &sim,
+            workload,
+            options.scale,
+            approx_len,
+            &params,
+            path,
         )
-        || options.save_checkpoints.is_some();
-    let report = if let Some(path) = &options.save_checkpoints {
-        let executor = executor_for(options)?;
-        let saved = sample_pipeline_saving(&executor, &sim, &bench, options.scale, &params, path)
-            .map_err(|e| e.to_string())?;
-        println!(
-            "store         {} records, {:.2} MiB written to {path}",
-            saved.write.records,
-            saved.write.bytes as f64 / (1024.0 * 1024.0)
-        );
-        let report = saved.report.report.clone();
-        parallel = Some(saved.report);
-        report
-    } else if use_executor {
-        let executor = executor_for(options)?;
-        match options.epsilon {
-            None => {
-                let outcome = executor
-                    .sample(&sim, &bench, &params)
-                    .map_err(|e| e.to_string())?;
-                let report = outcome.report.clone();
-                parallel = Some(outcome);
-                report
+        .and_then(|(write, shard)| {
+            if save.is_some() {
+                notes.push(store_written_note(&write, path));
             }
-            Some(eps) => {
-                let outcome = sample_two_step_parallel(&executor, &sim, &bench, &params, eps, conf)
-                    .map_err(|e| e.to_string())?;
-                announce_tuned(&outcome, eps);
-                outcome.best().clone()
-            }
+            let store = MappedStore::open(path, &cfg)?;
+            let mut sampled = replay_store_sampled::<F>(&executor, &sim, &store, &spec)?;
+            // The replay knows nothing of the warming pass that fed it.
+            sampled.report.shard = shard;
+            Ok(sampled)
+        });
+        if save.is_none() {
+            let _ = std::fs::remove_file(&temp);
         }
-    } else {
-        match options.epsilon {
+        Estimate::Sampled(sampled.map_err(text)?)
+    } else if two_step.is_some()
+        || (F::ID == IsaId::Builtin && save.is_none() && !wants_executor(options))
+    {
+        // Two-step tuning reruns a suite `Benchmark` at a tuned n, and a
+        // plain one-worker run of the built-in frontend stays the
+        // paper's own in-order loop (`SmartsSim::sample`): warm, measure
+        // a unit in place, carry on — a second estimator, whose bits
+        // legitimately differ from checkpointed replay.
+        let bench = benchmark(options)?;
+        let report = match two_step {
             None => sim.sample(&bench, &params).map_err(|e| e.to_string())?,
             Some(eps) => {
-                let outcome = sim
-                    .sample_two_step(&bench, &params, eps, conf)
-                    .map_err(|e| e.to_string())?;
-                announce_tuned(&outcome, eps);
+                let outcome = if wants_executor(options) {
+                    sample_two_step_parallel(&executor, &sim, &bench, &params, eps, conf)
+                        .map_err(text)?
+                } else {
+                    sim.sample_two_step(&bench, &params, eps, conf)
+                        .map_err(|e| e.to_string())?
+                };
+                if let Some(tuned) = &outcome.tuned {
+                    notes.push(format!(
+                        "initial n = {} missed ±{:.2}%; tuned rerun at n = {}",
+                        outcome.initial.sample_size(),
+                        eps * 100.0,
+                        tuned.sample_size()
+                    ));
+                }
                 outcome.best().clone()
             }
+        };
+        Estimate::InOrder(report)
+    } else {
+        let (report, write) = sample::<F>(
+            &executor,
+            &sim,
+            workload,
+            options.scale,
+            approx_len,
+            &params,
+            save,
+        )
+        .map_err(text)?;
+        if let (Some(write), Some(path)) = (write, save) {
+            notes.push(store_written_note(&write, path));
         }
+        Estimate::Checkpointed(report)
     };
+    Ok(run(label, params, notes, estimate))
+}
 
+fn cmd_sample(options: &Options) -> Result<(), String> {
+    let run = run_sample(options)?;
     if options.json {
-        println!("{}", canonical_report_line(&report));
+        println!("{}", run.json_line());
         return Ok(());
     }
+    if run.frontend != IsaId::Builtin {
+        println!("frontend      {}", run.frontend);
+    }
+    for note in &run.notes {
+        println!("{note}");
+    }
+    if let Estimate::Sampled(sampled) = &run.estimate {
+        print_sampler_lines(sampled);
+    }
+    let (report, parallel) = run.estimate.parts();
     print_sample_report(
-        &bench.to_string(),
-        &cfg,
-        &params,
-        &report,
-        conf,
-        parallel.as_ref(),
+        &run.label,
+        &machine(options),
+        &run.params,
+        report,
+        run.conf,
+        parallel,
     );
     Ok(())
 }
 
-/// Runs a non-systematic (stratified/adaptive) sampling estimate.
-///
-/// Both strategies select a *subset* of the systematic checkpoint grid,
-/// so they always work against a store: `--from-checkpoints` replays an
-/// existing one, `--save-checkpoints` warms one and keeps it, and the
-/// bare cold path warms into a temporary store that is deleted after
-/// the replay. All three produce identical canonical lines for the
-/// same spec because the store bytes are identical by construction.
-fn cmd_sample_sampled(options: &Options) -> Result<(), String> {
-    if options.save_checkpoints.is_some() && options.from_checkpoints.is_some() {
-        return Err("--save-checkpoints and --from-checkpoints are mutually exclusive".into());
-    }
-    let cfg = machine(options);
-    let sim = SmartsSim::new(cfg.clone());
-    let spec = sampler_spec(options);
-    spec.validate().map_err(|e| e.to_string())?;
-    let executor = executor_for(options)?;
-
-    let sampled: SampledReplay = if let Some(path) = &options.from_checkpoints {
-        let store = MappedStore::open(path, &cfg).map_err(|e| e.to_string())?;
-        replay_store_sampled(&executor, &sim, &store, &spec).map_err(|e| e.to_string())?
-    } else {
-        let bench = benchmark(options)?;
-        let params = sampling_params(options, &cfg, &bench)?;
-        let (store_path, temporary) = match &options.save_checkpoints {
-            Some(p) => (std::path::PathBuf::from(p), false),
-            None => {
-                static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-                let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let name = format!(
-                    "smarts-sampled-{}-{}-{seq}.ck",
-                    std::process::id(),
-                    bench.name()
-                );
-                (std::env::temp_dir().join(name), true)
-            }
-        };
-        let write = warm_store_saving(&executor, &sim, &bench, options.scale, &params, &store_path)
-            .map_err(|e| e.to_string())?;
-        let replayed = {
-            let store = MappedStore::open(&store_path, &cfg).map_err(|e| e.to_string())?;
-            replay_store_sampled(&executor, &sim, &store, &spec).map_err(|e| e.to_string())
-        };
-        if temporary {
-            let _ = std::fs::remove_file(&store_path);
-        } else if !options.json {
-            println!(
-                "store         {} records, {:.2} MiB written to {}",
-                write.records,
-                write.bytes as f64 / (1024.0 * 1024.0),
-                store_path.display()
-            );
-        }
-        replayed?
-    };
-
-    if options.json {
-        println!("{}", sampled_report_line(&sampled));
-        return Ok(());
-    }
-    let conf = Confidence::new(options.confidence).map_err(|e| e.to_string())?;
-    let meta = &sampled.meta;
-    let label = match find(&meta.benchmark) {
-        Some(b) => b.scaled(meta.scale).to_string(),
-        None => meta.benchmark.clone(),
-    };
-    print_sampled_report(&spec, &sampled, &cfg, conf, &label);
-    Ok(())
-}
-
-/// Prose output shared by the sampled (stratified/adaptive) paths of
-/// every frontend: selection accounting, the sampler's own estimate, and
-/// the merged report.
-fn print_sampled_report(
-    spec: &SamplerSpec,
-    sampled: &SampledReplay,
-    cfg: &MachineConfig,
-    conf: Confidence,
-    label: &str,
-) {
-    let est = &sampled.estimate;
+/// What the sampled (stratified/adaptive) strategies print ahead of the
+/// merged report: selection accounting and the sampler's own estimate.
+fn print_sampler_lines(sampled: &SampledReplay) {
+    let (spec, est) = (&sampled.spec, &sampled.estimate);
     println!("sampler       {spec}");
     println!(
         "selection     {} of {} units over {} rounds ({} strata); stopped: {}",
@@ -699,236 +745,6 @@ fn print_sampled_report(
         spec.epsilon * 100.0,
         if est.target_met { "met" } else { "missed" }
     );
-    print_sample_report(
-        label,
-        cfg,
-        &sampled.meta.params,
-        &sampled.report.report,
-        conf,
-        Some(&sampled.report),
-    );
-}
-
-/// Replays a persisted checkpoint store: the store's own benchmark and
-/// sampling design apply, and functional warming is skipped entirely.
-fn cmd_sample_from_store(options: &Options, path: &str) -> Result<(), String> {
-    let cfg = machine(options);
-    let sim = SmartsSim::new(cfg.clone());
-    let conf = Confidence::new(options.confidence).map_err(|e| e.to_string())?;
-    let executor = executor_for(options)?;
-    let replayed = replay_store(&executor, &sim, path).map_err(|e| e.to_string())?;
-    if options.json {
-        println!("{}", canonical_report_line(&replayed.report.report));
-        return Ok(());
-    }
-    let meta = &replayed.meta;
-    let label = match find(&meta.benchmark) {
-        Some(b) => b.scaled(meta.scale).to_string(),
-        None => meta.benchmark.clone(),
-    };
-    println!(
-        "store         {path}: {} records (bench {}, scale {})",
-        replayed.records, meta.benchmark, meta.scale
-    );
-    if let Some(damage) = &replayed.damage {
-        println!(
-            "WARNING       store damaged past record {}: {damage}; \
-             the intact prefix above was still replayed",
-            replayed.records
-        );
-    }
-    print_sample_report(
-        &label,
-        &cfg,
-        &meta.params,
-        &replayed.report.report,
-        conf,
-        Some(&replayed.report),
-    );
-    Ok(())
-}
-
-fn sampling_params_isa<F: Frontend>(
-    options: &Options,
-    cfg: &MachineConfig,
-    workload: &str,
-) -> Result<SamplingParams, String> {
-    let warming = if options.no_functional_warming {
-        Warming::None
-    } else {
-        Warming::Functional
-    };
-    let w = options
-        .warming_len
-        .unwrap_or_else(|| cfg.recommended_detailed_warming());
-    let approx = F::approx_len(workload, options.scale)?;
-    SamplingParams::for_sample_size(approx, options.unit, w, warming, options.n, options.offset)
-        .map_err(|e| e.to_string())
-}
-
-/// A unique temp-store path for frontends that always sample through a
-/// store.
-fn temp_store_path(tag: &str) -> std::path::PathBuf {
-    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    std::env::temp_dir().join(format!("smarts-{tag}-{}-{seq}.ck", std::process::id()))
-}
-
-/// `smarts sample` for a non-built-in frontend. These frontends always
-/// sample through a checkpoint store (kept with `--save-checkpoints`,
-/// temporary otherwise), so the saved and cold paths are bit-identical
-/// by construction; `--from-checkpoints` replays an existing store,
-/// refusing one written by a different frontend.
-fn cmd_sample_isa<F: Frontend>(options: &Options, workload: &str) -> Result<(), String> {
-    if options.epsilon.is_some() {
-        return Err("--epsilon two-step tuning supports the built-in frontend only".into());
-    }
-    if options.save_checkpoints.is_some() && options.from_checkpoints.is_some() {
-        return Err("--save-checkpoints and --from-checkpoints are mutually exclusive".into());
-    }
-    if options.sampler != SamplerKind::Systematic {
-        return cmd_sample_sampled_isa::<F>(options, workload);
-    }
-    let cfg = machine(options);
-    let sim = SmartsSim::new(cfg.clone());
-    let conf = Confidence::new(options.confidence).map_err(|e| e.to_string())?;
-    let executor = executor_for(options)?;
-
-    if let Some(path) = &options.from_checkpoints {
-        let replayed = replay_store_isa::<F>(&executor, &sim, path).map_err(|e| e.to_string())?;
-        if options.json {
-            println!("{}", canonical_report_line(&replayed.report.report));
-            return Ok(());
-        }
-        let meta = &replayed.meta;
-        println!("frontend      {}", F::ID);
-        println!(
-            "store         {path}: {} records (workload {}, scale {})",
-            replayed.records, meta.benchmark, meta.scale
-        );
-        if let Some(damage) = &replayed.damage {
-            println!(
-                "WARNING       store damaged past record {}: {damage}; \
-                 the intact prefix above was still replayed",
-                replayed.records
-            );
-        }
-        print_sample_report(
-            &meta.benchmark,
-            &cfg,
-            &meta.params,
-            &replayed.report.report,
-            conf,
-            Some(&replayed.report),
-        );
-        return Ok(());
-    }
-
-    if workload.is_empty() {
-        return Err("--bench is required".into());
-    }
-    let params = sampling_params_isa::<F>(options, &cfg, workload)?;
-    let (store_path, temporary) = match &options.save_checkpoints {
-        Some(p) => (std::path::PathBuf::from(p), false),
-        None => (temp_store_path(F::NAME), true),
-    };
-    let saved = sample_pipeline_saving_isa::<F>(
-        &executor,
-        &sim,
-        workload,
-        options.scale,
-        &params,
-        &store_path,
-    )
-    .map_err(|e| e.to_string());
-    if temporary {
-        let _ = std::fs::remove_file(&store_path);
-    }
-    let saved = saved?;
-    if options.json {
-        println!("{}", canonical_report_line(&saved.report.report));
-        return Ok(());
-    }
-    println!("frontend      {}", F::ID);
-    if !temporary {
-        println!(
-            "store         {} records, {:.2} MiB written to {}",
-            saved.write.records,
-            saved.write.bytes as f64 / (1024.0 * 1024.0),
-            store_path.display()
-        );
-    }
-    print_sample_report(
-        workload,
-        &cfg,
-        &params,
-        &saved.report.report,
-        conf,
-        Some(&saved.report),
-    );
-    Ok(())
-}
-
-/// Non-systematic sampling for a non-built-in frontend: warm a store
-/// (kept or temporary), then replay the sampler-selected subset.
-fn cmd_sample_sampled_isa<F: Frontend>(options: &Options, workload: &str) -> Result<(), String> {
-    let cfg = machine(options);
-    let sim = SmartsSim::new(cfg.clone());
-    let spec = sampler_spec(options);
-    spec.validate().map_err(|e| e.to_string())?;
-    let executor = executor_for(options)?;
-
-    let sampled: SampledReplay = if let Some(path) = &options.from_checkpoints {
-        let store = MappedStore::open(path, &cfg).map_err(|e| e.to_string())?;
-        replay_store_sampled_isa::<F>(&executor, &sim, &store, &spec).map_err(|e| e.to_string())?
-    } else {
-        if workload.is_empty() {
-            return Err("--bench is required".into());
-        }
-        let params = sampling_params_isa::<F>(options, &cfg, workload)?;
-        let (store_path, temporary) = match &options.save_checkpoints {
-            Some(p) => (std::path::PathBuf::from(p), false),
-            None => (temp_store_path(F::NAME), true),
-        };
-        let result = warm_store_saving_isa::<F>(
-            &executor,
-            &sim,
-            workload,
-            options.scale,
-            &params,
-            &store_path,
-        )
-        .map_err(|e| e.to_string())
-        .and_then(|write| {
-            let store = MappedStore::open(&store_path, &cfg).map_err(|e| e.to_string())?;
-            let sampled = replay_store_sampled_isa::<F>(&executor, &sim, &store, &spec)
-                .map_err(|e| e.to_string())?;
-            Ok((write, sampled))
-        });
-        if temporary {
-            let _ = std::fs::remove_file(&store_path);
-        }
-        let (write, sampled) = result?;
-        if !temporary && !options.json {
-            println!(
-                "store         {} records, {:.2} MiB written to {}",
-                write.records,
-                write.bytes as f64 / (1024.0 * 1024.0),
-                store_path.display()
-            );
-        }
-        sampled
-    };
-
-    if options.json {
-        println!("{}", sampled_report_line(&sampled));
-        return Ok(());
-    }
-    let conf = Confidence::new(options.confidence).map_err(|e| e.to_string())?;
-    println!("frontend      {}", F::ID);
-    let label = sampled.meta.benchmark.clone();
-    print_sampled_report(&spec, &sampled, &cfg, conf, &label);
-    Ok(())
 }
 
 /// Records a benchmark's committed-instruction stream to a CRC-checked
@@ -1199,14 +1015,10 @@ fn cmd_compare(options: &Options) -> Result<(), String> {
     let bench = benchmark(options)?;
     let base = SmartsSim::new(MachineConfig::eight_way());
     let alt = SmartsSim::new(MachineConfig::sixteen_way());
-    let mut params = sampling_params(options, base.config(), &bench)?;
+    let mut params = sampling_params(options, base.config(), bench.approx_len())?;
     params.detailed_warming = 0; // per-machine recommendation
     let conf = Confidence::new(options.confidence).map_err(|e| e.to_string())?;
-    let use_executor = options.jobs > 1
-        || matches!(
-            effective_mode(options),
-            ParallelMode::Pipeline | ParallelMode::ShardedWarm
-        );
+    let use_executor = wants_executor(options);
     let cmp = if use_executor {
         let executor = executor_for(options)?;
         compare_machines_parallel(&executor, &base, &alt, &bench, &params)
@@ -1236,9 +1048,8 @@ fn cmd_compare(options: &Options) -> Result<(), String> {
     );
     if use_executor {
         println!(
-            "parallel      {} mode, {} workers per machine",
-            effective_mode(options),
-            options.jobs
+            "parallel      {} workers per machine, {} warming shards",
+            options.jobs, options.warm_jobs
         );
     }
     Ok(())
@@ -1554,6 +1365,7 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smarts_exec::ParallelMode;
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -1623,7 +1435,6 @@ mod tests {
         assert!(parse_options(&strings(&["--scale", "-1"])).is_err());
         assert!(parse_options(&strings(&["--n"])).is_err());
         assert!(parse_options(&strings(&["--jobs", "0"])).is_err());
-        assert!(parse_options(&strings(&["--parallel-mode", "magic"])).is_err());
         assert!(parse_options(&strings(&["--pipeline-depth", "0"])).is_err());
         assert!(parse_options(&strings(&["--warm-jobs", "0"])).is_err());
         assert!(parse_options(&strings(&["--warm-jobs", "x"])).is_err());
@@ -1631,55 +1442,65 @@ mod tests {
 
     #[test]
     fn parses_parallel_flags() {
-        let options =
-            parse_options(&strings(&["--jobs", "4", "--parallel-mode", "sharded"])).unwrap();
-        assert_eq!(options.jobs, 4);
-        assert_eq!(options.parallel_mode, ParallelMode::Sharded);
-        let defaults = parse_options(&[]).unwrap();
-        assert_eq!(defaults.jobs, 1);
-        assert_eq!(defaults.parallel_mode, ParallelMode::Checkpoint);
-        assert_eq!(defaults.pipeline_depth, smarts_exec::DEFAULT_PIPELINE_DEPTH);
-        let piped = parse_options(&strings(&[
-            "--parallel-mode",
-            "pipeline",
+        let options = parse_options(&strings(&[
+            "--jobs",
+            "4",
+            "--warm-jobs",
+            "3",
             "--pipeline-depth",
             "2",
         ]))
         .unwrap();
-        assert_eq!(piped.parallel_mode, ParallelMode::Pipeline);
-        assert_eq!(piped.pipeline_depth, 2);
+        assert_eq!(
+            (options.jobs, options.warm_jobs, options.pipeline_depth),
+            (4, 3, 2)
+        );
+        let executor = executor_for(&options).unwrap();
+        assert_eq!(
+            (
+                executor.jobs(),
+                executor.warm_jobs(),
+                executor.pipeline_depth()
+            ),
+            (4, 3, 2)
+        );
+        let defaults = parse_options(&[]).unwrap();
+        assert_eq!((defaults.jobs, defaults.warm_jobs), (1, 1));
+        assert_eq!(defaults.pipeline_depth, smarts_exec::DEFAULT_PIPELINE_DEPTH);
+        // How a run is parallelised is not an input any more.
+        assert_eq!(
+            parse_options(&strings(&["--parallel-mode", "pipeline"])).unwrap_err(),
+            "unknown option --parallel-mode"
+        );
     }
+
+    /// The parallel accounting of a run: the executor's own for the
+    /// systematic estimator, the replay's for a sampled one.
+    fn parallel_of(args: &[&str]) -> ParallelReport {
+        match run_sample(&parse_options(&strings(args)).unwrap())
+            .unwrap()
+            .estimate
+        {
+            Estimate::Checkpointed(parallel) => parallel,
+            Estimate::InOrder(_) => panic!("{args:?} did not run through the executor"),
+            Estimate::Sampled(sampled) => sampled.report,
+        }
+    }
+
+    const BUILTIN: [&str; 4] = ["--bench", "loopy-1", "--scale", "0.02"];
 
     #[test]
     fn warm_jobs_implies_sharded_warm_mode() {
-        let implied = parse_options(&strings(&["--warm-jobs", "4"])).unwrap();
-        assert_eq!(implied.warm_jobs, 4);
-        assert_eq!(implied.parallel_mode, ParallelMode::Checkpoint);
-        assert_eq!(effective_mode(&implied), ParallelMode::ShardedWarm);
+        let run = parallel_of(&[&BUILTIN[..], &["--n", "8", "--warm-jobs", "3"]].concat());
+        assert_eq!(run.mode, ParallelMode::ShardedWarm);
+        assert!(run.shard.expect("shard stats").warm_jobs > 1);
 
-        let piped = parse_options(&strings(&[
-            "--parallel-mode",
-            "pipeline",
-            "--warm-jobs",
-            "2",
-        ]))
-        .unwrap();
-        assert_eq!(effective_mode(&piped), ParallelMode::ShardedWarm);
-
-        // An explicit leapfrog request is not silently upgraded …
-        let leapfrog = parse_options(&strings(&[
-            "--parallel-mode",
-            "sharded",
-            "--warm-jobs",
-            "4",
-        ]))
-        .unwrap();
-        assert_eq!(effective_mode(&leapfrog), ParallelMode::Sharded);
-
-        // … and explicit sharded-warm works without --warm-jobs > 1.
-        let explicit = parse_options(&strings(&["--parallel-mode", "sharded-warm"])).unwrap();
-        assert_eq!(effective_mode(&explicit), ParallelMode::ShardedWarm);
-        assert_eq!(explicit.warm_jobs, 1);
+        // A sampled cold run warms a whole store before it replays any of
+        // it, and shards that warming pass just the same.
+        let sampled = ["--n", "8", "--sampler", "stratified", "--warm-jobs", "2"];
+        let run = parallel_of(&[&BUILTIN[..], &sampled].concat());
+        assert_eq!(run.mode, ParallelMode::Checkpoint);
+        assert!(run.shard.expect("shard stats").warm_jobs > 1);
     }
 
     #[test]
@@ -1718,40 +1539,38 @@ mod tests {
 
     #[test]
     fn sample_runs_parallel_in_all_modes() {
-        dispatch(&strings(&[
-            "sample", "--bench", "loopy-1", "--scale", "0.02", "--n", "8", "--jobs", "2",
-        ]))
-        .unwrap();
-        dispatch(&strings(&[
-            "sample",
-            "--bench",
-            "loopy-1",
-            "--scale",
-            "0.02",
-            "--n",
-            "8",
-            "--jobs",
-            "2",
-            "--parallel-mode",
-            "sharded",
-        ]))
-        .unwrap();
-        dispatch(&strings(&[
-            "sample",
-            "--bench",
-            "loopy-1",
-            "--scale",
-            "0.02",
-            "--n",
-            "8",
-            "--jobs",
-            "2",
-            "--parallel-mode",
-            "pipeline",
-            "--pipeline-depth",
-            "2",
-        ]))
-        .unwrap();
+        let path =
+            std::env::temp_dir().join(format!("smarts-cli-modes-{}.ckpt", std::process::id()));
+        let path_s = path.to_string_lossy().to_string();
+        let mode_of =
+            |flags: &[&str]| parallel_of(&[&BUILTIN[..], &["--n", "8"], flags].concat()).mode;
+        assert_eq!(
+            mode_of(&["--jobs", "2", "--save-checkpoints", &path_s]),
+            ParallelMode::Pipeline
+        );
+        assert_eq!(
+            mode_of(&["--jobs", "2", "--warm-jobs", "2", "--pipeline-depth", "2"]),
+            ParallelMode::ShardedWarm
+        );
+        let replayed = parallel_of(&["--from-checkpoints", &path_s, "--jobs", "2"]);
+        assert_eq!(replayed.mode, ParallelMode::Checkpoint);
+        std::fs::remove_file(&path).ok();
+        // One worker, no shards, no store: the in-order loop, no executor.
+        let in_order = run_sample(&parse_options(&strings(&BUILTIN)).unwrap()).unwrap();
+        assert!(matches!(in_order.estimate, Estimate::InOrder(_)));
+    }
+
+    #[test]
+    fn pipeline_mode_runs_without_an_explicit_jobs_flag() {
+        // A run that keeps its checkpoints goes through the pipeline even
+        // at one worker: warming still overlaps the single replayer.
+        let path =
+            std::env::temp_dir().join(format!("smarts-cli-one-job-{}.ckpt", std::process::id()));
+        let path_s = path.to_string_lossy().to_string();
+        let run =
+            parallel_of(&[&BUILTIN[..], &["--n", "8", "--save-checkpoints", &path_s]].concat());
+        assert_eq!((run.mode, run.jobs), (ParallelMode::Pipeline, 1));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1766,24 +1585,6 @@ mod tests {
             "8",
             "--warm-jobs",
             "3",
-        ]))
-        .unwrap();
-    }
-
-    #[test]
-    fn pipeline_mode_runs_without_an_explicit_jobs_flag() {
-        // Pipeline mode routes through the executor even at jobs = 1:
-        // warming still overlaps the single replayer.
-        dispatch(&strings(&[
-            "sample",
-            "--bench",
-            "loopy-1",
-            "--scale",
-            "0.02",
-            "--n",
-            "8",
-            "--parallel-mode",
-            "pipeline",
         ]))
         .unwrap();
     }
@@ -1810,38 +1611,6 @@ mod tests {
             "0.02",
         ]))
         .unwrap();
-    }
-
-    #[test]
-    fn save_and_replay_checkpoints_round_trip() {
-        let path = std::env::temp_dir().join(format!(
-            "smarts-cli-ckpt-roundtrip-{}.ckpt",
-            std::process::id()
-        ));
-        let path_s = path.to_string_lossy().to_string();
-        dispatch(&strings(&[
-            "sample",
-            "--bench",
-            "loopy-1",
-            "--scale",
-            "0.02",
-            "--n",
-            "8",
-            "--save-checkpoints",
-            &path_s,
-        ]))
-        .unwrap();
-        // Replay skips warming; the store supplies benchmark and design,
-        // so no --bench is needed.
-        dispatch(&strings(&[
-            "sample",
-            "--from-checkpoints",
-            &path_s,
-            "--jobs",
-            "2",
-        ]))
-        .unwrap();
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1946,67 +1715,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_strategies_run_cold_and_from_a_saved_store() {
-        let path = std::env::temp_dir().join(format!(
-            "smarts-cli-sampled-store-{}.ckpt",
-            std::process::id()
-        ));
-        let path_s = path.to_string_lossy().to_string();
-        // Stratified cold run that keeps its warmed store …
-        dispatch(&strings(&[
-            "sample",
-            "--bench",
-            "loopy-1",
-            "--scale",
-            "0.02",
-            "--n",
-            "12",
-            "--sampler",
-            "stratified",
-            "--seed",
-            "1",
-            "--save-checkpoints",
-            &path_s,
-        ]))
-        .unwrap();
-        // … then an adaptive replay of the same store, parallel + JSON.
-        dispatch(&strings(&[
-            "sample",
-            "--from-checkpoints",
-            &path_s,
-            "--sampler",
-            "adaptive",
-            "--seed",
-            "1",
-            "--jobs",
-            "2",
-            "--json",
-        ]))
-        .unwrap();
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn sampled_cold_run_cleans_up_its_temporary_store() {
-        // No --save-checkpoints: the store is warmed into a temp file
-        // and removed after the replay.
-        dispatch(&strings(&[
-            "sample",
-            "--bench",
-            "loopy-1",
-            "--scale",
-            "0.02",
-            "--n",
-            "12",
-            "--sampler",
-            "adaptive",
-            "--epsilon",
-            "0.05",
-        ]))
-        .unwrap();
-    }
-
-    #[test]
     fn sampled_save_and_from_are_still_mutually_exclusive() {
         let err = dispatch(&strings(&[
             "sample",
@@ -2074,43 +1782,119 @@ mod tests {
         );
     }
 
+    /// Serialises the matrix tests: between them they make every
+    /// temporary-store run of this process, so while one holds the lock
+    /// a leftover `smarts-sample-<pid>-*.ck` can only be its own.
+    static MATRIX: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn temp_stores() -> Vec<std::path::PathBuf> {
+        let prefix = format!("smarts-sample-{}-", std::process::id());
+        std::fs::read_dir(std::env::temp_dir())
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| {
+                let name = path.file_name().unwrap().to_string_lossy();
+                name.starts_with(&prefix)
+            })
+            .collect()
+    }
+
+    /// The `smarts sample` matrix — frontend {builtin, risc, trace} ×
+    /// sampler {systematic, stratified, adaptive} × source {cold,
+    /// `--save-checkpoints`, `--from-checkpoints`} — one frontend row at
+    /// a time: for every sampler the three sources print byte-equal
+    /// `--json` lines, and no temporary store outlives its run.
+    /// `workload` is the frontend's flags for a cold run, `replay` its
+    /// flags for replaying a store.
+    fn check_matrix(workload: &[&str], replay: &[&str], samplers: &[&str]) {
+        let _serial = MATRIX.lock().unwrap_or_else(|p| p.into_inner());
+        let line = |args: Vec<&str>| {
+            let run = run_sample(&parse_options(&strings(&args)).unwrap());
+            run.unwrap_or_else(|e| panic!("{args:?}: {e}")).json_line()
+        };
+        for (row, sampler) in samplers.iter().enumerate() {
+            let path = std::env::temp_dir().join(format!(
+                "smarts-cli-matrix-{}-{}-{row}.ckpt",
+                std::process::id(),
+                replay.join("")
+            ));
+            let path_s = path.to_string_lossy().to_string();
+            // Two workers: the built-in frontend's cold systematic cell
+            // must go through checkpoints like every other cell.
+            let design = [
+                "--n",
+                "12",
+                "--jobs",
+                "2",
+                "--sampler",
+                sampler,
+                "--seed",
+                "1",
+            ];
+            let cold = line([workload, &design].concat());
+            let saved = line([workload, &design, &["--save-checkpoints", &path_s]].concat());
+            let replayed = line([replay, &design[2..], &["--from-checkpoints", &path_s]].concat());
+            assert_eq!(
+                saved, cold,
+                "{workload:?} {sampler}: saving changed the line"
+            );
+            assert_eq!(
+                replayed, cold,
+                "{workload:?} {sampler}: replay changed the line"
+            );
+            assert_eq!(temp_stores(), Vec::<std::path::PathBuf>::new());
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
+    fn save_and_replay_checkpoints_round_trip() {
+        // Replay skips warming; the store supplies workload and design,
+        // so no --bench is needed.
+        check_matrix(&BUILTIN, &[], &["systematic"]);
+    }
+
+    #[test]
+    fn sampled_strategies_run_cold_and_from_a_saved_store() {
+        check_matrix(&BUILTIN, &[], &["stratified", "adaptive"]);
+    }
+
+    #[test]
+    fn sampled_cold_run_cleans_up_its_temporary_store() {
+        // A failed run removes its temporary store too: the first unit
+        // of this design starts past the end of the stream, so warming
+        // comes back empty-handed after the store was created.
+        let _serial = MATRIX.lock().unwrap_or_else(|p| p.into_inner());
+        let design = ["--sampler", "adaptive", "--u", "1000000", "--offset", "1"];
+        let args = [&BUILTIN[..], &design].concat();
+        assert!(run_sample(&parse_options(&strings(&args)).unwrap()).is_err());
+        assert_eq!(temp_stores(), Vec::<std::path::PathBuf>::new());
+    }
+
     #[test]
     fn risc_frontend_samples_and_round_trips_a_store() {
         let name = smarts_workloads::risc_suite()[0].name().to_string();
+        let workload = ["--isa", "risc", "--bench", &name, "--scale", "0.02"];
+        check_matrix(&workload, &["--isa", "risc"], &["systematic"]);
+
+        // The built-in frontend refuses a risc store with the typed
+        // mismatch, and inspecting it needs no frontend at all.
         let path =
-            std::env::temp_dir().join(format!("smarts-cli-risc-store-{}.ckpt", std::process::id()));
+            std::env::temp_dir().join(format!("smarts-cli-risc-{}.ckpt", std::process::id()));
         let path_s = path.to_string_lossy().to_string();
-        dispatch(&strings(&[
-            "sample",
-            "--isa",
-            "risc",
-            "--bench",
-            &name,
-            "--scale",
-            "0.02",
-            "--n",
-            "8",
-            "--save-checkpoints",
-            &path_s,
-        ]))
-        .unwrap();
-        // Replay through the same frontend works, inspecting works …
-        dispatch(&strings(&[
-            "sample",
-            "--isa",
-            "risc",
-            "--from-checkpoints",
-            &path_s,
-            "--jobs",
-            "2",
-        ]))
+        dispatch(&strings(
+            &[
+                &["sample"],
+                &workload[..],
+                &["--n", "8", "--save-checkpoints", &path_s],
+            ]
+            .concat(),
+        ))
         .unwrap();
         dispatch(&strings(&["ckpt-info", &path_s])).unwrap();
-        // … and the built-in frontend refuses the store with the typed
-        // mismatch.
         let err = dispatch(&strings(&["sample", "--from-checkpoints", &path_s])).unwrap_err();
         assert!(
-            err.contains("frontend"),
+            err.contains("written by the risc frontend, not builtin"),
             "expected a frontend mismatch, got: {err}"
         );
         std::fs::remove_file(&path).ok();
@@ -2119,22 +1903,8 @@ mod tests {
     #[test]
     fn risc_frontend_runs_the_sampled_strategies() {
         let name = smarts_workloads::risc_suite()[0].name().to_string();
-        dispatch(&strings(&[
-            "sample",
-            "--isa",
-            "risc",
-            "--bench",
-            &name,
-            "--scale",
-            "0.02",
-            "--n",
-            "12",
-            "--sampler",
-            "stratified",
-            "--seed",
-            "1",
-        ]))
-        .unwrap();
+        let workload = ["--isa", "risc", "--bench", &name, "--scale", "0.02"];
+        check_matrix(&workload, &["--isa", "risc"], &["stratified", "adaptive"]);
     }
 
     #[test]
@@ -2142,42 +1912,17 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("smarts-cli-trace-{}.smartstr", std::process::id()));
         let path_s = path.to_string_lossy().to_string();
-        dispatch(&strings(&[
-            "trace-export",
-            "--bench",
-            "loopy-1",
-            "--scale",
-            "0.02",
-            "--out",
-            &path_s,
-        ]))
+        dispatch(&strings(
+            &[&["trace-export"], &BUILTIN[..], &["--out", &path_s]].concat(),
+        ))
         .unwrap();
         dispatch(&strings(&["sample", "--trace", &path_s, "--n", "8"])).unwrap();
         // The trace frontend flows through stores like any other.
-        let store = std::env::temp_dir().join(format!(
-            "smarts-cli-trace-store-{}.ckpt",
-            std::process::id()
-        ));
-        let store_s = store.to_string_lossy().to_string();
-        dispatch(&strings(&[
-            "sample",
-            "--trace",
-            &path_s,
-            "--n",
-            "8",
-            "--save-checkpoints",
-            &store_s,
-        ]))
-        .unwrap();
-        dispatch(&strings(&[
-            "sample",
-            "--isa",
-            "trace",
-            "--from-checkpoints",
-            &store_s,
-        ]))
-        .unwrap();
-        std::fs::remove_file(&store).ok();
+        check_matrix(
+            &["--trace", &path_s],
+            &["--isa", "trace"],
+            &["systematic", "stratified", "adaptive"],
+        );
         std::fs::remove_file(&path).ok();
 
         let err = dispatch(&strings(&["trace-export", "--bench", "loopy-1"])).unwrap_err();

@@ -9,48 +9,34 @@
 //! warmable microarchitectural state at each sampling unit's
 //! warming-start point, then reconstitute units directly.
 //!
-//! This module implements that extension. A [`CheckpointLibrary`] is
-//! built with one functional-warming pass; [`SmartsSim::sample_library`]
-//! then measures the whole sample without executing a single
-//! fast-forward instruction. Because the long-history warm state is
-//! stored per checkpoint, the library can be replayed against any
-//! machine that shares the warmable-state geometry (caches, TLBs,
-//! predictor) — e.g. sweeps over FU counts, window sizes, store-buffer
-//! depth, or branch-penalty parameters reuse one library.
-//!
-//! Memory cost: the library is **delta-resident**. Each unit keeps its
-//! copy-on-write memory snapshot (cheap — unmodified pages are shared)
-//! plus only the sparse set of warm-state words that changed since the
-//! previous unit; one full warm-word image (the first unit's) anchors
-//! the chain. Consecutive units share almost all warm state, so
-//! residency is O(base + Σ deltas) rather than O(units × warm size) —
-//! the same delta representation the on-disk store uses, ported
-//! in-memory. A [`UnitCheckpoint`] is rebuilt transiently at replay
-//! time by rolling a cursor along the delta chain; a small cursor pool
-//! makes sequential (and mostly-sequential parallel) replays O(delta)
-//! per unit instead of O(chain).
+//! This module is the two halves of that extension.
+//! [`SmartsSim::stream_checkpoints`] runs one functional-warming pass
+//! and hands out a [`UnitCheckpoint`] at every unit boundary;
+//! [`SmartsSim::replay_checkpoint`] / [`SmartsSim::replay_owned`]
+//! measure one unit from its checkpoint without executing a single
+//! fast-forward instruction. Because the long-history warm state travels
+//! with the checkpoint, it replays against any machine that shares the
+//! warmable-state geometry (caches, TLBs, predictor) — sweeps over FU
+//! counts, window sizes, store-buffer depth, or branch-penalty
+//! parameters reuse one warming pass. Keeping checkpoints beyond one
+//! process (and checking that geometry) is `smarts-ckpt`'s store;
+//! overlapping the two halves across threads is `smarts-exec`.
 
 use crate::engine::{EngineSnapshot, FunctionalEngine};
 use crate::error::SmartsError;
-use crate::sampler::{
-    ModeInstructions, SampleReport, SamplingParams, SmartsSim, UnitSample, Warming,
-};
+use crate::sampler::{ModeInstructions, SamplingParams, SmartsSim, UnitSample, Warming};
 use smarts_isa::{BuiltinIsa, Isa};
-use smarts_uarch::{MachineConfig, Pipeline, WarmState};
-use smarts_workloads::{Benchmark, Loaded};
-use std::collections::HashSet;
+use smarts_uarch::{Pipeline, WarmState};
+use smarts_workloads::Loaded;
 use std::fmt;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// One reconstitutable sampling unit: architectural state plus warm
 /// microarchitectural state at the unit's detailed-warming start.
 ///
-/// Checkpoints are produced either in bulk by
-/// [`SmartsSim::build_library`] or one at a time by
-/// [`SmartsSim::stream_checkpoints`], and replayed with
-/// [`SmartsSim::replay_checkpoint`] (or [`SmartsSim::replay_unit`] via a
-/// library).
+/// Checkpoints are produced by [`SmartsSim::stream_checkpoints`] and
+/// replayed with [`SmartsSim::replay_checkpoint`] or
+/// [`SmartsSim::replay_owned`].
 /// Generic over the instruction-set frontend that produced it (default:
 /// the built-in one); the warm state is frontend-independent because all
 /// frontends warm through the shared record vocabulary.
@@ -112,9 +98,7 @@ impl<I: Isa> UnitCheckpoint<I> {
     /// snapshot's resident pages plus its warm-state copy.
     ///
     /// Pages shared copy-on-write with *other* checkpoints are counted
-    /// in full here (an upper bound on the marginal footprint); use
-    /// [`CheckpointLibrary::approx_resident_bytes`] for a deduplicated
-    /// total across a whole library.
+    /// in full here (an upper bound on the marginal footprint).
     pub fn approx_resident_bytes(&self) -> u64 {
         (self.snapshot.memory_resident_bytes() + self.warm.approx_bytes()) as u64
     }
@@ -253,265 +237,18 @@ impl UnitReplay {
     }
 }
 
-/// One unit's delta-resident record inside a [`CheckpointLibrary`]:
-/// the copy-on-write memory snapshot plus the sparse set of warm-state
-/// words that differ from the previous unit's image.
-#[derive(Debug, Clone)]
-struct LibraryUnit {
-    unit_start: u64,
-    snapshot: EngineSnapshot,
-    /// `(word index, new value)` pairs against the previous unit's
-    /// warm-word image (empty for the first unit — its full image is
-    /// the library's `base_warm`).
-    warm_delta: Vec<(u32, u64)>,
-}
-
-/// A warm-word image positioned at one unit of the delta chain, kept in
-/// a small pool so mostly-sequential replays advance O(delta) per unit
-/// instead of re-applying the chain from the base every time.
-#[derive(Debug, Clone)]
-struct WarmCursor {
-    unit: usize,
-    words: Vec<u64>,
-}
-
-/// How many rolled-forward warm images the library keeps around for
-/// reuse. Sequential replay needs one; a handful covers parallel
-/// workers striding through disjoint index ranges.
-const CURSOR_POOL_CAP: usize = 8;
-
-/// A library of per-unit checkpoints for one benchmark and one sampling
-/// design, built by a single functional-warming pass.
-#[derive(Debug)]
-pub struct CheckpointLibrary {
-    params: SamplingParams,
-    program: smarts_isa::Program,
-    warm_geometry: MachineConfig,
-    base_warm: Vec<u64>,
-    units: Vec<LibraryUnit>,
-    cursors: Mutex<Vec<WarmCursor>>,
-    build_wall: Duration,
-}
-
-impl Clone for CheckpointLibrary {
-    fn clone(&self) -> Self {
-        // The cursor pool is a cache, not state — a clone starts empty.
-        CheckpointLibrary {
-            params: self.params,
-            program: self.program.clone(),
-            warm_geometry: self.warm_geometry.clone(),
-            base_warm: self.base_warm.clone(),
-            units: self.units.clone(),
-            cursors: Mutex::new(Vec::new()),
-            build_wall: self.build_wall,
-        }
-    }
-}
-
-impl CheckpointLibrary {
-    /// Number of checkpointed units.
-    pub fn len(&self) -> usize {
-        self.units.len()
-    }
-
-    /// Whether the library holds no checkpoints.
-    pub fn is_empty(&self) -> bool {
-        self.units.is_empty()
-    }
-
-    /// The sampling design the library was built for.
-    pub fn params(&self) -> &SamplingParams {
-        &self.params
-    }
-
-    /// Wall-clock spent building the library (the one-time cost that
-    /// replays amortize).
-    pub fn build_wall(&self) -> Duration {
-        self.build_wall
-    }
-
-    /// The stream offset (in instructions) of each checkpointed unit, in
-    /// stream order.
-    pub fn unit_starts(&self) -> impl Iterator<Item = u64> + '_ {
-        self.units.iter().map(|u| u.unit_start)
-    }
-
-    /// Materialises unit `index`'s checkpoint transiently: the memory
-    /// snapshot is shared copy-on-write, and the warm state is rebuilt
-    /// by rolling a cursor along the delta chain. The returned
-    /// checkpoint is bit-identical to the one the warming pass emitted;
-    /// dropping it costs the library nothing (the library itself stays
-    /// delta-resident).
-    pub fn checkpoint(&self, index: usize) -> Option<UnitCheckpoint> {
-        let unit = self.units.get(index)?;
-        Some(UnitCheckpoint {
-            unit_start: unit.unit_start,
-            snapshot: unit.snapshot.clone(),
-            warm: self.warm_at(index),
-        })
-    }
-
-    /// Rebuilds the full warm state at `index` from the delta chain,
-    /// reusing (and then returning) a pooled cursor.
-    fn warm_at(&self, index: usize) -> WarmState {
-        let cursor = self.roll_cursor(index);
-        let (warm, used) = WarmState::from_state(&self.warm_geometry, &cursor.words)
-            .expect("library warm words parse against their own geometry");
-        debug_assert_eq!(used, cursor.words.len());
-        let mut pool = self.cursors.lock().unwrap_or_else(|p| p.into_inner());
-        if pool.len() < CURSOR_POOL_CAP {
-            pool.push(cursor);
-        } else if let Some(slot) = pool.iter_mut().min_by_key(|c| c.unit) {
-            // Evict the least-advanced cursor — it is the cheapest to
-            // recreate from the base image.
-            if slot.unit < cursor.unit {
-                *slot = cursor;
-            }
-        }
-        warm
-    }
-
-    /// Takes the most-advanced pooled cursor at or before `index` (or
-    /// starts a fresh one from the base image) and rolls it forward to
-    /// `index` by applying per-unit deltas.
-    fn roll_cursor(&self, index: usize) -> WarmCursor {
-        let mut cursor = {
-            let mut pool = self.cursors.lock().unwrap_or_else(|p| p.into_inner());
-            let best = pool
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.unit <= index)
-                .max_by_key(|&(_, c)| c.unit)
-                .map(|(i, _)| i);
-            match best {
-                Some(i) => pool.swap_remove(i),
-                None => WarmCursor {
-                    unit: 0,
-                    words: self.base_warm.clone(),
-                },
-            }
-        };
-        while cursor.unit < index {
-            cursor.unit += 1;
-            for &(at, word) in &self.units[cursor.unit].warm_delta {
-                cursor.words[at as usize] = word;
-            }
-        }
-        cursor
-    }
-
-    /// Approximate bytes the library holds alive: memory snapshot pages
-    /// with copy-on-write sharing counted once (deduplicated by `Arc`
-    /// identity), one full warm-word image anchoring the delta chain,
-    /// the sparse per-unit warm deltas, and the cursor pool.
-    ///
-    /// Because consecutive units share almost all warm state, this is
-    /// O(base + Σ deltas) — far below the one-full-warm-copy-per-unit
-    /// residency a naive library would have.
-    pub fn approx_resident_bytes(&self) -> u64 {
-        let mut seen = HashSet::new();
-        let mut total = 8 * self.base_warm.len() as u64;
-        for unit in &self.units {
-            total += unit.snapshot.memory_resident_bytes_dedup(&mut seen) as u64;
-            total += (std::mem::size_of::<(u32, u64)>() * unit.warm_delta.len()) as u64;
-        }
-        let pool = self.cursors.lock().unwrap_or_else(|p| p.into_inner());
-        total += pool.iter().map(|c| 8 * c.words.len() as u64).sum::<u64>();
-        total
-    }
-
-    /// Whether a machine can replay this library: its warmable-state
-    /// geometry (caches, TLBs, branch predictor, memory latency) must
-    /// match the configuration the library was warmed for; the pipeline
-    /// core (widths, window, FUs, store buffer) may differ freely.
-    pub fn compatible_with(&self, cfg: &MachineConfig) -> bool {
-        let a = &self.warm_geometry;
-        a.l1i == cfg.l1i
-            && a.l1d == cfg.l1d
-            && a.l2 == cfg.l2
-            && a.itlb == cfg.itlb
-            && a.dtlb == cfg.dtlb
-            && a.bpred == cfg.bpred
-            && a.mem_latency == cfg.mem_latency
-    }
-}
-
 impl SmartsSim {
-    /// Builds a checkpoint library for a sampling design with one
-    /// functional-warming pass over the stream.
+    /// Runs the single in-order functional-warming pass over the stream
+    /// and hands each unit's checkpoint to `emit` the moment its boundary
+    /// is reached — the producer side of every checkpointed route. Peak
+    /// memory is whatever the consumer retains, not O(n units).
     ///
-    /// With [`Warming::Functional`] the stored warm state at each unit is
-    /// the state a direct sampling run would have (up to the detailed
-    /// episodes' own pipeline-order updates). With [`Warming::None`] the
-    /// stored warm state is cold for every unit, so replays measure
-    /// cold-start units — a direct `Warming::None` run instead carries
-    /// *stale* state from the previous detailed episode; prefer
-    /// functional warming for libraries.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for invalid parameters or when the stream ends
-    /// before the first unit.
-    pub fn build_library(
-        &self,
-        bench: &Benchmark,
-        params: &SamplingParams,
-    ) -> Result<CheckpointLibrary, SmartsError> {
-        let loaded = bench.load();
-        let program = loaded.program.clone();
-        let mut units: Vec<LibraryUnit> = Vec::new();
-        let mut base_warm: Vec<u64> = Vec::new();
-        let mut prev_words: Vec<u64> = Vec::new();
-        let mut words: Vec<u64> = Vec::new();
-        let summary = self.stream_checkpoints(loaded, params, |checkpoint| {
-            let UnitCheckpoint {
-                unit_start,
-                snapshot,
-                warm,
-            } = checkpoint;
-            words.clear();
-            warm.save_state(&mut words);
-            debug_assert!(words.len() <= u32::MAX as usize);
-            let warm_delta = if units.is_empty() {
-                base_warm = words.clone();
-                Vec::new()
-            } else {
-                // Same geometry on every unit, so the word streams are
-                // positionally aligned and diff sparsely.
-                debug_assert_eq!(words.len(), prev_words.len());
-                words
-                    .iter()
-                    .zip(prev_words.iter())
-                    .enumerate()
-                    .filter(|(_, (now, before))| now != before)
-                    .map(|(at, (&now, _))| (at as u32, now))
-                    .collect()
-            };
-            units.push(LibraryUnit {
-                unit_start,
-                snapshot,
-                warm_delta,
-            });
-            std::mem::swap(&mut prev_words, &mut words);
-            true
-        })?;
-        Ok(CheckpointLibrary {
-            params: *params,
-            program,
-            warm_geometry: self.config().clone(),
-            base_warm,
-            units,
-            cursors: Mutex::new(Vec::new()),
-            build_wall: summary.build_wall,
-        })
-    }
-
-    /// Runs the single in-order functional-warming pass of
-    /// [`SmartsSim::build_library`], but hands each unit's checkpoint to
-    /// `emit` the moment its boundary is reached instead of materialising
-    /// the whole library — the producer side of a streamed
-    /// checkpoint-replay pipeline. Peak memory is whatever the consumer
-    /// retains, not O(n units).
+    /// With [`Warming::Functional`] the warm state at each unit is the
+    /// state a direct sampling run would have (up to the detailed
+    /// episodes' own pipeline-order updates). With [`Warming::None`] it is
+    /// cold for every unit, so replays measure cold-start units — a
+    /// direct `Warming::None` run instead carries *stale* state from the
+    /// previous detailed episode; prefer functional warming here.
     ///
     /// `emit` returns `false` to stop the stream early (e.g. when the
     /// consuming side has gone away); the pass then ends with
@@ -551,83 +288,20 @@ impl SmartsSim {
         })
     }
 
-    /// Measures the whole sample from a checkpoint library: no
-    /// fast-forwarding, one detailed `W + U` episode per checkpoint.
-    ///
-    /// The simulator's pipeline configuration may differ from the one the
-    /// library was built with, as long as the warmable-state geometry
-    /// matches ([`CheckpointLibrary::compatible_with`]) — this is how a
-    /// design-space sweep reuses one library.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SmartsError::EmptySample`] when no checkpointed unit
-    /// completes, or a parameter error when the geometry is incompatible.
-    pub fn sample_library(&self, library: &CheckpointLibrary) -> Result<SampleReport, SmartsError> {
-        let t0 = Instant::now();
-        let mut units = Vec::new();
-        let mut instructions = ModeInstructions::default();
-
-        for index in 0..library.len() {
-            let replay = self.replay_unit(library, index)?;
-            replay.account(&mut instructions);
-            match replay {
-                UnitReplay::Complete { sample, .. } => units.push(*sample),
-                UnitReplay::Partial { .. } => break, // partial tail unit
-            }
-        }
-        if units.is_empty() {
-            return Err(SmartsError::EmptySample);
-        }
-        Ok(SampleReport::from_units(
-            library.params,
-            units,
-            instructions,
-            Duration::ZERO,
-            t0.elapsed(),
-        ))
-    }
-
-    /// Replays a single checkpointed unit: one detailed `W + U` episode
-    /// starting from the stored architectural and warm state.
+    /// Replays a single checkpoint: one detailed `W + U` episode starting
+    /// from the stored architectural and warm state.
     ///
     /// Units are mutually independent — the result depends only on the
     /// checkpoint and this simulator's configuration — so any subset may
-    /// be replayed in any order (or concurrently on clones of `self`) and
-    /// reassembled with [`SampleReport::from_units`] into the exact report
-    /// [`SmartsSim::sample_library`] produces.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `index` is out of range or the warmable-state
-    /// geometry is incompatible.
-    pub fn replay_unit(
-        &self,
-        library: &CheckpointLibrary,
-        index: usize,
-    ) -> Result<UnitReplay, SmartsError> {
-        if !library.compatible_with(self.config()) {
-            return Err(SmartsError::ZeroParameter(
-                "warmable-state geometry differs from the library's",
-            ));
-        }
-        let Some(checkpoint) = library.checkpoint(index) else {
-            return Err(SmartsError::ZeroParameter("checkpoint index out of range"));
-        };
-        Ok(self.replay_owned(&library.program, &library.params, checkpoint))
-    }
-
-    /// Replays a single checkpoint without a materialised library: one
-    /// detailed `W + U` episode starting from the stored architectural
-    /// and warm state — the consumer side of a streamed pipeline.
+    /// be replayed in any order (or concurrently) and reassembled in
+    /// stream order with [`crate::SampleReport::from_units`]; results are
+    /// bit-identical however the checkpoint was delivered.
     ///
     /// The checkpoint must have been produced for `program` by a
-    /// simulator with this simulator's warmable-state geometry (true by
-    /// construction when the checkpoint comes from
-    /// [`SmartsSim::stream_checkpoints`] on the same simulator; library
-    /// replays go through [`SmartsSim::replay_unit`], which checks).
-    /// The replay math is identical to [`SmartsSim::replay_unit`]'s, so
-    /// results are bit-identical however the checkpoint was delivered.
+    /// simulator with this simulator's warmable-state geometry: true by
+    /// construction when it comes from [`SmartsSim::stream_checkpoints`]
+    /// on the same simulator, and checked by the store's fingerprint when
+    /// it comes from disk.
     ///
     /// Replaying mutates the warm state and the memory image, so this
     /// borrowing form replays a copy; a caller that is done with the
@@ -689,7 +363,9 @@ impl SmartsSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smarts_workloads::find;
+    use crate::sampler::SampleReport;
+    use smarts_uarch::MachineConfig;
+    use smarts_workloads::{find, Benchmark};
 
     fn sim() -> SmartsSim {
         SmartsSim::new(MachineConfig::eight_way())
@@ -700,21 +376,96 @@ mod tests {
             .unwrap()
     }
 
+    /// One warming pass kept whole: the program plus every checkpoint
+    /// the stream emitted, in stream order.
+    struct Library {
+        params: SamplingParams,
+        program: smarts_isa::Program,
+        checkpoints: Vec<UnitCheckpoint>,
+    }
+
+    fn library(sim: &SmartsSim, bench: &Benchmark, params: &SamplingParams) -> Library {
+        let loaded = bench.load();
+        let program = loaded.program.clone();
+        let mut checkpoints = Vec::new();
+        let summary = sim
+            .stream_checkpoints(loaded, params, |c| {
+                checkpoints.push(c);
+                true
+            })
+            .unwrap();
+        assert_eq!(summary.emitted as usize, checkpoints.len());
+        assert!(!summary.stopped);
+        Library {
+            params: *params,
+            program,
+            checkpoints,
+        }
+    }
+
+    impl Library {
+        fn replay(&self, sim: &SmartsSim, index: usize) -> UnitReplay {
+            sim.replay_checkpoint(&self.program, &self.params, &self.checkpoints[index])
+        }
+
+        /// The sequential oracle: every checkpoint in stream order,
+        /// reduced exactly as the in-order loop reduces its units.
+        fn sample(&self, sim: &SmartsSim) -> SampleReport {
+            let mut units = Vec::new();
+            let mut instructions = ModeInstructions::default();
+            for index in 0..self.checkpoints.len() {
+                let replay = self.replay(sim, index);
+                replay.account(&mut instructions);
+                match replay {
+                    UnitReplay::Complete { sample, .. } => units.push(*sample),
+                    UnitReplay::Partial { .. } => break, // partial tail unit
+                }
+            }
+            SampleReport::from_units(
+                self.params,
+                units,
+                instructions,
+                Duration::ZERO,
+                Duration::ZERO,
+            )
+        }
+    }
+
+    fn assert_same_replay(a: &UnitReplay, b: &UnitReplay, what: &str) {
+        match (a, b) {
+            (UnitReplay::Complete { sample: a, .. }, UnitReplay::Complete { sample: b, .. }) => {
+                assert_eq!(a.cycles, b.cycles, "{what}");
+                assert_eq!(a.cpi.to_bits(), b.cpi.to_bits(), "{what}");
+                assert_eq!(a.counters, b.counters, "{what}");
+            }
+            (
+                UnitReplay::Partial {
+                    measured: a,
+                    detailed_warmed: aw,
+                },
+                UnitReplay::Partial {
+                    measured: b,
+                    detailed_warmed: bw,
+                },
+            ) => assert_eq!((a, aw), (b, bw), "{what}"),
+            _ => panic!("variant mismatch: {what}"),
+        }
+    }
+
     #[test]
     fn library_replay_matches_direct_sampling() {
         let sim = sim();
         let bench = find("hashp-2").unwrap().scaled(0.1);
         let params = design(&bench, 15);
         let direct = sim.sample(&bench, &params).unwrap();
-        let library = sim.build_library(&bench, &params).unwrap();
-        let replay = sim.sample_library(&library).unwrap();
+        let replay = library(&sim, &bench, &params).sample(&sim);
         assert_eq!(direct.sample_size(), replay.sample_size());
         // Units align exactly. Cycle counts may differ slightly: in the
         // direct run each detailed episode warms the shared state through
-        // the pipeline's access stream, while the library warms everything
-        // functionally — two equally legitimate warming histories (the
-        // TurboSMARTS design point). Per-unit CPI must agree closely and
-        // the aggregate even more so.
+        // the pipeline's access stream, while the checkpoint stream warms
+        // everything functionally — two equally legitimate warming
+        // histories (the TurboSMARTS design point). Per-unit CPI must
+        // agree closely and the aggregate even more so.
         for (a, b) in direct.units.iter().zip(&replay.units) {
             assert_eq!(a.start_instr, b.start_instr);
             let rel = (a.cpi - b.cpi).abs() / a.cpi;
@@ -740,11 +491,10 @@ mod tests {
     fn library_is_replayable_many_times() {
         let sim = sim();
         let bench = find("loopy-1").unwrap().scaled(0.05);
-        let params = design(&bench, 8);
-        let library = sim.build_library(&bench, &params).unwrap();
-        let a = sim.sample_library(&library).unwrap();
-        let b = sim.sample_library(&library).unwrap();
-        assert_eq!(a.cpi().mean(), b.cpi().mean());
+        let library = library(&sim, &bench, &design(&bench, 8));
+        let a = library.sample(&sim);
+        let b = library.sample(&sim);
+        assert_eq!(a.cpi().mean().to_bits(), b.cpi().mean().to_bits());
     }
 
     #[test]
@@ -752,8 +502,7 @@ mod tests {
         // Same warm geometry, different core: halve the window and FUs.
         let sim8 = sim();
         let bench = find("branchy-1").unwrap().scaled(0.05);
-        let params = design(&bench, 10);
-        let library = sim8.build_library(&bench, &params).unwrap();
+        let library = library(&sim8, &bench, &design(&bench, 10));
 
         let mut narrow = MachineConfig::eight_way();
         narrow.ruu_size = 32;
@@ -763,10 +512,8 @@ mod tests {
         narrow.decode_width = 2;
         narrow.commit_width = 2;
         narrow.int_alu_units = 1;
-        let narrow_sim = SmartsSim::new(narrow);
-        assert!(library.compatible_with(narrow_sim.config()));
-        let wide = sim8.sample_library(&library).unwrap();
-        let slim = narrow_sim.sample_library(&library).unwrap();
+        let wide = library.sample(&sim8);
+        let slim = library.sample(&SmartsSim::new(narrow));
         assert!(
             slim.cpi().mean() > wide.cpi().mean() * 1.2,
             "narrow core {} should be slower than wide {}",
@@ -776,64 +523,27 @@ mod tests {
     }
 
     #[test]
-    fn incompatible_geometry_is_rejected() {
-        let sim8 = sim();
-        let bench = find("loopy-1").unwrap().scaled(0.02);
-        let library = sim8.build_library(&bench, &design(&bench, 5)).unwrap();
-        let sim16 = SmartsSim::new(MachineConfig::sixteen_way());
-        assert!(!library.compatible_with(sim16.config()));
-        assert!(sim16.sample_library(&library).is_err());
-    }
-
-    #[test]
     fn streamed_checkpoints_replay_identically_to_the_library() {
+        // A consumer that owns each checkpoint as it streams past
+        // (`replay_owned`, the pipeline's and the store's route) measures
+        // what a borrowing replay of the kept library measures.
         let sim = sim();
         let bench = find("branchy-1").unwrap().scaled(0.05);
         let params = design(&bench, 8);
-        let library = sim.build_library(&bench, &params).unwrap();
-
-        let loaded = bench.load();
-        let program = loaded.program.clone();
+        let library = library(&sim, &bench, &params);
         let mut streamed = Vec::new();
-        let summary = sim
-            .stream_checkpoints(loaded, &params, |c| {
-                streamed.push(c);
-                true
-            })
-            .unwrap();
-        assert_eq!(summary.emitted as usize, library.len());
-        assert!(!summary.stopped);
-        let starts: Vec<u64> = streamed.iter().map(|c| c.unit_start()).collect();
-        assert_eq!(starts, library.unit_starts().collect::<Vec<_>>());
-
-        // Every streamed checkpoint replays bit-identically to its
-        // library twin.
-        for (index, checkpoint) in streamed.iter().enumerate() {
-            let from_stream = sim.replay_checkpoint(&program, &params, checkpoint);
-            let from_library = sim.replay_unit(&library, index).unwrap();
-            match (from_stream, from_library) {
-                (
-                    UnitReplay::Complete { sample: a, .. },
-                    UnitReplay::Complete { sample: b, .. },
-                ) => {
-                    assert_eq!(a.cycles, b.cycles);
-                    assert_eq!(a.cpi.to_bits(), b.cpi.to_bits());
-                    assert_eq!(a.counters, b.counters);
-                }
-                (
-                    UnitReplay::Partial {
-                        measured: a,
-                        detailed_warmed: aw,
-                    },
-                    UnitReplay::Partial {
-                        measured: b,
-                        detailed_warmed: bw,
-                    },
-                ) => {
-                    assert_eq!((a, aw), (b, bw));
-                }
-                _ => panic!("variant mismatch at unit {index}"),
-            }
+        sim.stream_checkpoints(bench.load(), &params, |c| {
+            streamed.push(sim.replay_owned(&library.program, &params, c));
+            true
+        })
+        .unwrap();
+        assert_eq!(streamed.len(), library.checkpoints.len());
+        for (index, from_stream) in streamed.iter().enumerate() {
+            assert_same_replay(
+                from_stream,
+                &library.replay(&sim, index),
+                &format!("unit {index}"),
+            );
         }
     }
 
@@ -855,107 +565,46 @@ mod tests {
 
     #[test]
     fn library_residency_dedups_shared_pages() {
+        // Consecutive snapshots share unmodified memory pages
+        // copy-on-write, so the per-checkpoint footprints the residency
+        // accounting sums are an upper bound on what a kept set holds.
         let sim = sim();
         let bench = find("stream-2").unwrap().scaled(0.05);
-        let params = design(&bench, 8);
-        let library = sim.build_library(&bench, &params).unwrap();
-        let deduped = library.approx_resident_bytes();
-        // Summing per-checkpoint footprints ignores copy-on-write page
-        // sharing between snapshots, so it must exceed the deduped total
-        // for any multi-checkpoint library of this benchmark.
-        let mut naive = 0u64;
-        let mut per_unit_max = 0u64;
-        let loaded = bench.load();
-        sim.stream_checkpoints(loaded, &params, |c| {
+        let library = library(&sim, &bench, &design(&bench, 8));
+        let mut seen = std::collections::HashSet::new();
+        let (mut naive, mut deduped) = (0u64, 0u64);
+        for c in &library.checkpoints {
             naive += c.approx_resident_bytes();
-            per_unit_max = per_unit_max.max(c.approx_resident_bytes());
-            true
-        })
-        .unwrap();
+            deduped += (c.snapshot().memory().resident_bytes_dedup(&mut seen)
+                + c.warm().approx_bytes()) as u64;
+        }
         assert!(deduped > 0);
         assert!(naive > deduped, "naive {naive} vs deduped {deduped}");
-        // And a single checkpoint is far below the whole library.
-        assert!(per_unit_max < deduped);
     }
 
     #[test]
     fn out_of_order_replay_is_bit_identical_to_in_order() {
-        // The delta-resident library rebuilds warm state through a
-        // cursor pool; replay order must not leak into results. Reverse
-        // order forces worst-case chain rewinds (every materialisation
-        // misses the pool and rolls forward from the base image).
+        // Units are independent given their checkpoints: replay order
+        // must not leak into results.
         let sim = sim();
         let bench = find("hashp-2").unwrap().scaled(0.05);
-        let params = design(&bench, 10);
-        let library = sim.build_library(&bench, &params).unwrap();
-        let forward: Vec<UnitReplay> = (0..library.len())
-            .map(|i| sim.replay_unit(&library, i).unwrap())
-            .collect();
-        for index in (0..library.len()).rev() {
-            let again = sim.replay_unit(&library, index).unwrap();
-            match (&forward[index], &again) {
-                (
-                    UnitReplay::Complete { sample: a, .. },
-                    UnitReplay::Complete { sample: b, .. },
-                ) => {
-                    assert_eq!(a.cycles, b.cycles, "unit {index}");
-                    assert_eq!(a.cpi.to_bits(), b.cpi.to_bits(), "unit {index}");
-                    assert_eq!(a.counters, b.counters, "unit {index}");
-                }
-                (
-                    UnitReplay::Partial {
-                        measured: a,
-                        detailed_warmed: aw,
-                    },
-                    UnitReplay::Partial {
-                        measured: b,
-                        detailed_warmed: bw,
-                    },
-                ) => assert_eq!((a, aw), (b, bw), "unit {index}"),
-                _ => panic!("variant mismatch at unit {index}"),
-            }
+        let library = library(&sim, &bench, &design(&bench, 10));
+        let count = library.checkpoints.len();
+        let forward: Vec<UnitReplay> = (0..count).map(|i| library.replay(&sim, i)).collect();
+        for index in (0..count).rev() {
+            assert_same_replay(
+                &forward[index],
+                &library.replay(&sim, index),
+                &format!("unit {index}"),
+            );
         }
-    }
-
-    #[test]
-    fn delta_residency_is_far_below_per_unit_warm_copies() {
-        // The pre-delta representation held one full warm-state copy per
-        // unit; the delta chain must beat that comfortably once the
-        // library has more than a handful of units.
-        let sim = sim();
-        let bench = find("loopy-1").unwrap().scaled(0.1);
-        let params = design(&bench, 12);
-        let library = sim.build_library(&bench, &params).unwrap();
-        let mut eager_warm = 0u64;
-        let mut pages = std::collections::HashSet::new();
-        let mut deduped_pages = 0u64;
-        sim.stream_checkpoints(bench.load(), &params, |c| {
-            let mut w = Vec::new();
-            c.warm().save_state(&mut w);
-            eager_warm += 8 * w.len() as u64;
-            deduped_pages += c.snapshot().memory_resident_bytes_dedup(&mut pages) as u64;
-            true
-        })
-        .unwrap();
-        let eager = eager_warm + deduped_pages;
-        let delta = library.approx_resident_bytes();
-        assert!(
-            delta * 2 < eager,
-            "delta-resident {delta} should be well below eager {eager}"
-        );
     }
 
     #[test]
     fn library_len_matches_design() {
         let sim = sim();
         let bench = find("stream-2").unwrap().scaled(0.1);
-        let params = design(&bench, 12);
-        let library = sim.build_library(&bench, &params).unwrap();
-        assert!(!library.is_empty());
-        assert!(
-            (10..=16).contains(&library.len()),
-            "len = {}",
-            library.len()
-        );
+        let len = library(&sim, &bench, &design(&bench, 12)).checkpoints.len();
+        assert!((10..=16).contains(&len), "len = {len}");
     }
 }

@@ -33,7 +33,7 @@ pub struct FunctionalEngine<I: Isa = BuiltinIsa> {
 /// A resumable snapshot of an engine's architectural state.
 ///
 /// Cloning is cheap: memory pages are shared copy-on-write, so a snapshot
-/// costs O(pages) reference bumps. Used by the checkpoint library to jump
+/// costs O(pages) reference bumps. Unit checkpoints carry one to jump
 /// straight to a sampling unit without fast-forwarding.
 pub struct EngineSnapshot<I: Isa = BuiltinIsa> {
     cpu: I::Cpu,
@@ -181,16 +181,6 @@ impl<I: Isa> EngineSnapshot<I> {
     /// snapshot, with no copy-on-write sharing discounted.
     pub fn memory_resident_bytes(&self) -> usize {
         self.memory.resident_bytes()
-    }
-
-    /// Bytes of memory backing store not already counted in `seen` (page
-    /// identities accumulated across snapshots) — see
-    /// [`Memory::resident_bytes_dedup`].
-    pub fn memory_resident_bytes_dedup(
-        &self,
-        seen: &mut std::collections::HashSet<usize>,
-    ) -> usize {
-        self.memory.resident_bytes_dedup(seen)
     }
 }
 

@@ -57,8 +57,7 @@ mod sampler;
 mod speedup;
 
 pub use checkpoint::{
-    stream_checkpoints_range, CheckpointLibrary, RangeSummary, StreamSummary, UnitCheckpoint,
-    UnitReplay,
+    stream_checkpoints_range, RangeSummary, StreamSummary, UnitCheckpoint, UnitReplay,
 };
 pub use compare::{compare_machines, PairedComparison};
 pub use engine::{EngineSnapshot, FunctionalEngine};

@@ -1,53 +1,42 @@
-//! The executor: a configurable worker pool running sampling-unit jobs.
+//! The executor — worker-pool size, pipeline depth, warming shards,
+//! cancellation and progress hooks — and the report types every run
+//! returns.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::cancel::{CancelToken, ProgressFn};
 use crate::error::ExecError;
 use crate::pipeline;
-use crate::pool::run_workers;
-use crate::shard;
 use smarts_core::{
-    CheckpointLibrary, ModeInstructions, SampleReport, SamplingParams, SmartsError, SmartsSim,
-    UnitReplay, UnitSample,
+    ModeInstructions, SampleReport, SamplingParams, SmartsError, SmartsSim, UnitReplay, UnitSample,
 };
+use smarts_isa::BuiltinIsa;
 use smarts_workloads::Benchmark;
 
-/// How a parallel sampling run distributes work across workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// Which route produced a [`ParallelReport`]. A label on the result, not
+/// an input: the executor's `warm_jobs` picks the warming producer, and
+/// whether a run warms at all is the entry point the caller chose.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParallelMode {
-    /// One sequential functional-warming pass builds a
-    /// [`CheckpointLibrary`]; all units then replay concurrently. The
-    /// merged report is bit-identical to a sequential replay at any
-    /// worker count.
-    #[default]
+    /// Replayed from stored checkpoints ([`crate::replay_store`] and its
+    /// siblings): no warming pass, workers claim store records directly.
     Checkpoint,
-    /// The stream is split into one contiguous shard per worker; each
-    /// worker fast-forwards from a cold engine, functionally warming only
-    /// a configurable run-in before its first unit. No sequential pass at
-    /// all, but units near shard starts carry truncated warming history —
-    /// a residual bias measurable with [`crate::residual_bias`].
-    Sharded,
-    /// Streamed checkpoint pipeline: a producer thread runs the same
-    /// in-order functional-warming pass as [`ParallelMode::Checkpoint`]
-    /// but emits each unit's checkpoint into a bounded channel the moment
-    /// its boundary is reached; `jobs` consumers replay concurrently.
-    /// Warming and replay overlap (wall time tends to
-    /// `max(T_warm, T_detail/jobs)`), peak checkpoint residency is
-    /// bounded by the channel depth plus in-flight replays instead of
-    /// O(n units), and the merged report stays bit-identical to
-    /// sequential replay.
+    /// Streamed checkpoint pipeline: a producer thread runs the in-order
+    /// functional-warming pass and emits each unit's checkpoint into a
+    /// bounded channel the moment its boundary is reached; `jobs`
+    /// consumers replay concurrently. Warming and replay overlap (wall
+    /// time tends to `max(T_warm, T_detail/jobs)`) and peak checkpoint
+    /// residency is bounded by the channel depth plus in-flight replays
+    /// instead of O(n units).
     Pipeline,
-    /// Sharded warming with boundary re-warm stitching: the warming pass
-    /// itself — the serial bottleneck every other mode keeps — is split
-    /// into `warm_jobs` leapfrog shards writing private delta-encoded
-    /// segments, and a serial stitch pass re-warms each shard's leading
-    /// units from its predecessor's exact state until the canonical warm
-    /// states converge, then splices the rest verbatim. The merged
-    /// report (and any saved store) stays bit-identical to the serial
-    /// pipeline; warming wall tends to `T_warm / warm_jobs` plus the
-    /// measured re-warm overhead. See [`crate::ShardWarmStats`].
+    /// The same pipeline fed by sharded warming with boundary re-warm
+    /// stitching (`warm_jobs > 1`): the warming pass itself is split into
+    /// leapfrog shards writing private delta-encoded segments, and a
+    /// serial stitch pass re-warms each shard's leading units from its
+    /// predecessor's exact state until the canonical warm states
+    /// converge, then splices the rest verbatim. Warming wall tends to
+    /// `T_warm / warm_jobs` plus the measured re-warm overhead. See
+    /// [`crate::ShardWarmStats`].
     ShardedWarm,
 }
 
@@ -55,26 +44,9 @@ impl std::fmt::Display for ParallelMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             ParallelMode::Checkpoint => "checkpoint",
-            ParallelMode::Sharded => "sharded",
             ParallelMode::Pipeline => "pipeline",
             ParallelMode::ShardedWarm => "sharded-warm",
         })
-    }
-}
-
-impl std::str::FromStr for ParallelMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "checkpoint" => Ok(ParallelMode::Checkpoint),
-            "sharded" => Ok(ParallelMode::Sharded),
-            "pipeline" => Ok(ParallelMode::Pipeline),
-            "sharded-warm" => Ok(ParallelMode::ShardedWarm),
-            other => Err(format!(
-                "unknown parallel mode `{other}` (checkpoint|sharded|pipeline|sharded-warm)"
-            )),
-        }
     }
 }
 
@@ -100,48 +72,39 @@ pub struct WorkerStats {
 /// carry.
 #[derive(Debug, Clone)]
 pub struct ParallelReport {
-    /// The merged report, reduced in stream order.
-    ///
-    /// In [`ParallelMode::Checkpoint`] its estimates (CPI, EPI, V̂, and
-    /// hence every confidence interval) are bit-identical to
-    /// [`SmartsSim::sample_library`] on the same library. Its
-    /// `instructions` count the merged sample only; redundant per-worker
-    /// work (sharded fast-forward overlap) shows up in [`Self::workers`].
+    /// The merged report, reduced in stream order: its estimates (CPI,
+    /// EPI, V̂, and hence every confidence interval) are bit-identical to
+    /// replaying the same checkpoints one after another on one thread, at
+    /// any worker count, depth or shard count.
     pub report: SampleReport,
-    /// The mode the run used.
+    /// The route that produced the run.
     pub mode: ParallelMode,
     /// Worker-pool size the run was configured with.
     pub jobs: usize,
     /// Per-worker accounting, indexed by worker.
     pub workers: Vec<WorkerStats>,
-    /// Wall-clock of the sequential checkpoint-build pass. Zero in
-    /// sharded mode (no sequential phase) and in pipeline mode, where
-    /// the warming pass overlaps the parallel phase and is reported in
-    /// [`PipelineStats::producer_wall`] instead.
+    /// Wall-clock of a sequential phase ahead of the parallel one. No
+    /// route has one — warming overlaps replay and is reported in
+    /// [`PipelineStats::producer_wall`]; store replays do not warm — so
+    /// this is zero.
     pub build_wall: Duration,
     /// Wall-clock of the parallel phase (the longest worker critical
-    /// path, as observed by the caller). In pipeline mode this is the
-    /// whole overlapped run.
+    /// path, as observed by the caller): the whole overlapped run.
     pub parallel_wall: Duration,
-    /// Pipeline-mode accounting; `None` for the other modes.
-    /// [`ParallelMode::ShardedWarm`] runs are pipeline-shaped, so they
-    /// carry this too.
+    /// Producer-side and residency accounting.
     pub pipeline: Option<PipelineStats>,
-    /// Sharded-warm accounting; `None` for the other modes.
+    /// Sharded-warm accounting; `None` unless `warm_jobs > 1` warmed the
+    /// run.
     pub shard: Option<crate::ShardWarmStats>,
 }
 
 impl ParallelReport {
-    /// Total wall-clock: sequential build pass plus parallel phase.
-    /// In pipeline mode the phases overlap, so this is simply the
-    /// end-to-end elapsed time.
+    /// Total wall-clock of the run.
     pub fn wall_total(&self) -> Duration {
         self.build_wall + self.parallel_wall
     }
 
-    /// Sum of all workers' simulated instructions, by mode. In sharded
-    /// mode this exceeds the merged report's accounting by the redundant
-    /// fast-forwarding each worker performs to reach its shard.
+    /// Sum of all workers' simulated instructions, by mode.
     pub fn worker_instructions(&self) -> ModeInstructions {
         let mut total = ModeInstructions::default();
         for w in &self.workers {
@@ -153,18 +116,19 @@ impl ParallelReport {
     }
 }
 
-/// Accounting specific to [`ParallelMode::Pipeline`]: the overlapped
-/// producer pass and the bounded checkpoint residency that replaces the
-/// checkpoint library's O(n units) footprint.
+/// Producer-side accounting of one run and the bounded checkpoint
+/// residency that replaces an O(n units) footprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineStats {
-    /// Configured channel capacity, in checkpoints.
+    /// Configured channel capacity, in checkpoints (zero for a store
+    /// replay: no channel, workers claim record indices directly).
     pub depth: usize,
     /// Wall-clock of the producer's functional-warming pass. It runs
     /// concurrently with the consumers, so it is *not* added to
     /// [`ParallelReport::wall_total`]; `parallel_wall` already covers it.
     pub producer_wall: Duration,
-    /// Checkpoints the producer emitted.
+    /// Checkpoints the producer emitted (store records replayed, for a
+    /// store replay).
     pub emitted: u64,
     /// Most checkpoints simultaneously alive (queued, being replayed,
     /// plus the one the producer holds while offering it); bounded by
@@ -176,30 +140,109 @@ pub struct PipelineStats {
     pub peak_resident_bytes: u64,
 }
 
-/// Reduces per-unit replay outcomes in stream order, stopping at the
-/// first partial unit exactly as the sequential replay loop does — the
-/// deterministic merge shared by checkpoint and pipeline modes.
-///
-/// Every index must have been claimed exactly once, so after sorting the
-/// vector is a permutation-free `0..len`.
-pub(crate) fn merge_outcomes(
-    mut outcomes: Vec<(usize, UnitReplay)>,
-) -> (Vec<UnitSample>, ModeInstructions) {
-    outcomes.sort_unstable_by_key(|(index, _)| *index);
-    let mut units = Vec::with_capacity(outcomes.len());
-    let mut instructions = ModeInstructions::default();
-    for (_, replay) in outcomes {
-        replay.account(&mut instructions);
-        match replay {
-            UnitReplay::Complete { sample, .. } => units.push(*sample),
-            UnitReplay::Partial { .. } => break,
-        }
-    }
-    (units, instructions)
+/// One worker's share of a run, built up unit by unit — the accounting
+/// the pipeline's consumers and the store-replay workers share.
+pub(crate) struct WorkerLog {
+    started: Instant,
+    instructions: ModeInstructions,
+    outcomes: Vec<(usize, UnitReplay)>,
 }
 
-/// A parallel sampling executor: worker-pool size, work-distribution
-/// mode, and the sharded-mode warming run-in.
+impl WorkerLog {
+    pub(crate) fn start() -> Self {
+        WorkerLog {
+            started: Instant::now(),
+            instructions: ModeInstructions::default(),
+            outcomes: Vec::new(),
+        }
+    }
+
+    /// Books the outcome of stream-order unit `index`.
+    pub(crate) fn record(&mut self, index: usize, outcome: UnitReplay) {
+        outcome.account(&mut self.instructions);
+        self.outcomes.push((index, outcome));
+    }
+
+    pub(crate) fn finish(self, worker: usize) -> (WorkerStats, Vec<(usize, UnitReplay)>) {
+        let stats = WorkerStats {
+            worker,
+            units: self.outcomes.len() as u64,
+            wall: self.started.elapsed(),
+            instructions: self.instructions,
+        };
+        (stats, self.outcomes)
+    }
+}
+
+/// What the replay side of one run produced, before the deterministic
+/// merge: indexed per-unit outcomes, per-worker accounting, and the wall
+/// the workers ran for.
+pub(crate) struct Replayed {
+    pub outcomes: Vec<(usize, UnitReplay)>,
+    pub workers: Vec<WorkerStats>,
+    pub wall: Duration,
+}
+
+impl Replayed {
+    /// Collects finished [`WorkerLog`]s, in worker order.
+    pub(crate) fn gather(
+        logs: impl IntoIterator<Item = (WorkerStats, Vec<(usize, UnitReplay)>)>,
+        wall: Duration,
+    ) -> Self {
+        let mut run = Replayed {
+            outcomes: Vec::new(),
+            workers: Vec::new(),
+            wall,
+        };
+        for (stats, outcomes) in logs {
+            run.workers.push(stats);
+            run.outcomes.extend(outcomes);
+        }
+        run
+    }
+
+    /// Reduces the outcomes in stream order, stopping at the first
+    /// partial unit exactly as a sequential replay loop does — the one
+    /// merge behind every route. Indices are distinct, so sorting them
+    /// recovers stream order whichever worker measured what.
+    pub(crate) fn into_report(
+        mut self,
+        params: &SamplingParams,
+        jobs: usize,
+        mode: ParallelMode,
+        pipeline: PipelineStats,
+        shard: Option<crate::ShardWarmStats>,
+    ) -> Result<ParallelReport, ExecError> {
+        self.outcomes.sort_unstable_by_key(|(index, _)| *index);
+        let mut units: Vec<UnitSample> = Vec::with_capacity(self.outcomes.len());
+        let mut instructions = ModeInstructions::default();
+        for (_, replay) in self.outcomes {
+            replay.account(&mut instructions);
+            match replay {
+                UnitReplay::Complete { sample, .. } => units.push(*sample),
+                UnitReplay::Partial { .. } => break,
+            }
+        }
+        if units.is_empty() {
+            return Err(ExecError::Smarts(SmartsError::EmptySample));
+        }
+        let report =
+            SampleReport::from_units(*params, units, instructions, Duration::ZERO, self.wall);
+        Ok(ParallelReport {
+            report,
+            mode,
+            jobs,
+            workers: self.workers,
+            build_wall: Duration::ZERO,
+            parallel_wall: self.wall,
+            pipeline: Some(pipeline),
+            shard,
+        })
+    }
+}
+
+/// A parallel sampling executor: worker-pool size, pipeline depth, and
+/// how many shards the warming pass is split into.
 ///
 /// # Examples
 ///
@@ -224,8 +267,6 @@ pub(crate) fn merge_outcomes(
 #[derive(Clone)]
 pub struct Executor {
     jobs: usize,
-    mode: ParallelMode,
-    shard_warmup: u64,
     pipeline_depth: usize,
     warm_jobs: usize,
     cancel: CancelToken,
@@ -236,8 +277,6 @@ impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Executor")
             .field("jobs", &self.jobs)
-            .field("mode", &self.mode)
-            .field("shard_warmup", &self.shard_warmup)
             .field("pipeline_depth", &self.pipeline_depth)
             .field("warm_jobs", &self.warm_jobs)
             .field("cancelled", &self.cancel.is_cancelled())
@@ -246,11 +285,6 @@ impl std::fmt::Debug for Executor {
     }
 }
 
-/// Default functional-warming run-in before a shard's first unit, in
-/// instructions. Ample for the Table 3 cache geometries; tune with
-/// [`Executor::with_shard_warmup`].
-pub const DEFAULT_SHARD_WARMUP: u64 = 100_000;
-
 /// Default pipeline channel depth, in checkpoints. Deep enough to ride
 /// out replay-cost variance between units, shallow enough that resident
 /// checkpoints stay a small multiple of the worker count; tune with
@@ -258,8 +292,8 @@ pub const DEFAULT_SHARD_WARMUP: u64 = 100_000;
 pub const DEFAULT_PIPELINE_DEPTH: usize = 4;
 
 impl Executor {
-    /// Creates an executor with `jobs` workers, checkpoint mode, and the
-    /// default shard warm-up and pipeline depth.
+    /// Creates an executor with `jobs` workers, serial warming, and the
+    /// default pipeline depth.
     ///
     /// # Errors
     ///
@@ -270,8 +304,6 @@ impl Executor {
         }
         Ok(Executor {
             jobs,
-            mode: ParallelMode::Checkpoint,
-            shard_warmup: DEFAULT_SHARD_WARMUP,
             pipeline_depth: DEFAULT_PIPELINE_DEPTH,
             warm_jobs: 1,
             cancel: CancelToken::new(),
@@ -279,30 +311,29 @@ impl Executor {
         })
     }
 
-    /// Attaches a cancellation token: pipeline-shaped runs stop emitting
-    /// new units once the token is cancelled and return
-    /// [`ExecError::Cancelled`]. The caller keeps a clone of the token
-    /// and may cancel from any thread.
+    /// Attaches a cancellation token: runs stop taking on new units once
+    /// the token is cancelled and return [`ExecError::Cancelled`]. The
+    /// caller keeps a clone of the token and may cancel from any thread.
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = token;
         self
     }
 
-    /// Attaches a progress observer: pipeline-shaped runs push a
+    /// Attaches a progress observer: runs push a
     /// [`crate::PipelineProgress`] snapshot each time the producer emits a
-    /// checkpoint or a consumer finishes a unit. The callback runs on
-    /// producer/consumer threads, so it must be cheap and non-blocking.
+    /// checkpoint or a worker finishes a unit. The callback runs on
+    /// producer/worker threads, so it must be cheap and non-blocking.
     pub fn with_progress(mut self, observer: ProgressFn) -> Self {
         self.progress = Some(observer);
         self
     }
 
-    /// The cancellation token pipeline-shaped runs poll.
+    /// The cancellation token runs poll.
     pub fn cancel_token(&self) -> &CancelToken {
         &self.cancel
     }
 
-    /// Bundles the cancellation and progress hooks for a pipeline run.
+    /// Bundles the cancellation and progress hooks for one run.
     pub(crate) fn control(&self) -> pipeline::RunControl {
         pipeline::RunControl {
             cancel: self.cancel.clone(),
@@ -310,20 +341,7 @@ impl Executor {
         }
     }
 
-    /// Selects the work-distribution mode.
-    pub fn with_mode(mut self, mode: ParallelMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Sets the sharded-mode functional-warming run-in (instructions
-    /// before a shard's first unit).
-    pub fn with_shard_warmup(mut self, instructions: u64) -> Self {
-        self.shard_warmup = instructions;
-        self
-    }
-
-    /// Sets the pipeline-mode channel depth (bounded to at least one
+    /// Sets the pipeline channel depth (bounded to at least one
     /// checkpoint: a zero-capacity channel would deadlock the producer
     /// against its own emission).
     pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
@@ -331,9 +349,11 @@ impl Executor {
         self
     }
 
-    /// Sets the sharded-warm worker count (bounded to at least one; it
-    /// is further clamped to the estimated unit count at run time).
-    /// Only [`ParallelMode::ShardedWarm`] consults it.
+    /// Splits the warming pass into `warm_jobs` shards (bounded to at
+    /// least one; further clamped to the estimated unit count at run
+    /// time). Above one, every warming entry point — [`crate::sample`],
+    /// [`crate::warm_store`], [`Executor::sample`] — warms through the
+    /// sharded producer; reports and stores stay byte-identical.
     pub fn with_warm_jobs(mut self, warm_jobs: usize) -> Self {
         self.warm_jobs = warm_jobs.max(1);
         self
@@ -344,27 +364,20 @@ impl Executor {
         self.jobs
     }
 
-    /// Work-distribution mode.
-    pub fn mode(&self) -> ParallelMode {
-        self.mode
-    }
-
-    /// Sharded-mode warming run-in, in instructions.
-    pub fn shard_warmup(&self) -> u64 {
-        self.shard_warmup
-    }
-
-    /// Pipeline-mode channel depth, in checkpoints.
+    /// Pipeline channel depth, in checkpoints.
     pub fn pipeline_depth(&self) -> usize {
         self.pipeline_depth
     }
 
-    /// Sharded-warm worker count.
+    /// Warming shard count.
     pub fn warm_jobs(&self) -> usize {
         self.warm_jobs
     }
 
-    /// Runs one parallel sampling simulation in the configured mode.
+    /// Runs one pipelined sampling simulation of a suite benchmark,
+    /// keeping no store: [`crate::sample`] for a workload the caller
+    /// already holds (and may have scaled freely, since no store header
+    /// has to name it).
     ///
     /// # Errors
     ///
@@ -376,155 +389,27 @@ impl Executor {
         bench: &Benchmark,
         params: &SamplingParams,
     ) -> Result<ParallelReport, ExecError> {
-        match self.mode {
-            ParallelMode::Checkpoint => self.sample_checkpoint(sim, bench, params),
-            ParallelMode::Sharded => shard::sample_sharded(self, sim, bench, params),
-            ParallelMode::Pipeline => pipeline::sample_pipeline(self, sim, bench, params),
-            ParallelMode::ShardedWarm => {
-                crate::warm_shard::sample_sharded_warm(self, sim, bench, params)
-            }
-        }
-    }
-
-    /// Checkpoint-replay parallel sampling: build the library with one
-    /// sequential functional-warming pass, then replay all units across
-    /// the worker pool.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Executor::sample`].
-    pub fn sample_checkpoint(
-        &self,
-        sim: &SmartsSim,
-        bench: &Benchmark,
-        params: &SamplingParams,
-    ) -> Result<ParallelReport, ExecError> {
-        let library = sim.build_library(bench, params)?;
-        self.replay_library(sim, &library)
-    }
-
-    /// Replays an existing checkpoint library across the worker pool.
-    ///
-    /// Workers pull unit indices from a shared queue (dynamic load
-    /// balancing: unit cost varies with cache behavior), and the per-unit
-    /// results are reduced in stream order, so the merged report is
-    /// bit-identical to [`SmartsSim::sample_library`] at any worker
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Executor::sample`], plus a parameter error when the
-    /// simulator's warmable-state geometry is incompatible with the
-    /// library.
-    pub fn replay_library(
-        &self,
-        sim: &SmartsSim,
-        library: &CheckpointLibrary,
-    ) -> Result<ParallelReport, ExecError> {
-        if !library.compatible_with(sim.config()) {
-            return Err(ExecError::Smarts(SmartsError::ZeroParameter(
-                "warmable-state geometry differs from the library's",
-            )));
-        }
-        let count = library.len();
-        let queue = AtomicUsize::new(0);
-        let t0 = Instant::now();
-
-        struct WorkerOutput {
-            stats: WorkerStats,
-            outcomes: Vec<(usize, UnitReplay)>,
-        }
-
-        let outputs = run_workers(self.jobs, |worker| -> Result<WorkerOutput, SmartsError> {
-            let start = Instant::now();
-            let mut outcomes = Vec::new();
-            let mut instructions = ModeInstructions::default();
-            loop {
-                let index = queue.fetch_add(1, Ordering::Relaxed);
-                if index >= count {
-                    break;
-                }
-                let replay = sim.replay_unit(library, index)?;
-                replay.account(&mut instructions);
-                outcomes.push((index, replay));
-            }
-            Ok(WorkerOutput {
-                stats: WorkerStats {
-                    worker,
-                    units: outcomes.len() as u64,
-                    wall: start.elapsed(),
-                    instructions,
-                },
-                outcomes,
-            })
-        })?;
-        let parallel_wall = t0.elapsed();
-
-        let mut workers = Vec::with_capacity(self.jobs);
-        let mut outcomes: Vec<(usize, UnitReplay)> = Vec::with_capacity(count);
-        for output in outputs {
-            let output = output?;
-            workers.push(output.stats);
-            outcomes.extend(output.outcomes);
-        }
-
-        let (units, instructions) = merge_outcomes(outcomes);
-        if units.is_empty() {
-            return Err(ExecError::Smarts(SmartsError::EmptySample));
-        }
-        let report = SampleReport::from_units(
-            *library.params(),
-            units,
-            instructions,
-            Duration::ZERO,
-            parallel_wall,
-        );
-        Ok(ParallelReport {
-            report,
-            mode: ParallelMode::Checkpoint,
-            jobs: self.jobs,
-            workers,
-            build_wall: library.build_wall(),
-            parallel_wall,
-            pipeline: None,
-            shard: None,
-        })
-    }
-}
-
-/// Parallel sampling as an alternate driver on [`SmartsSim`] itself, for
-/// call sites that start from the simulator rather than the executor.
-pub trait ParallelDriver {
-    /// Runs one parallel sampling simulation with the given executor.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Executor::sample`].
-    fn sample_parallel(
-        &self,
-        bench: &Benchmark,
-        params: &SamplingParams,
-        executor: &Executor,
-    ) -> Result<ParallelReport, ExecError>;
-}
-
-impl ParallelDriver for SmartsSim {
-    fn sample_parallel(
-        &self,
-        bench: &Benchmark,
-        params: &SamplingParams,
-        executor: &Executor,
-    ) -> Result<ParallelReport, ExecError> {
-        executor.sample(self, bench, params)
+        let warmed = crate::warm::run_warm::<BuiltinIsa>(
+            self,
+            sim,
+            bench.load(),
+            bench.approx_len(),
+            params,
+            None,
+            true,
+        )?;
+        Ok(warmed.report.expect("a replaying run merges a report"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::{assert_bit_identical, sequential_oracle};
+    use crate::{replay_store, sample, warm_store};
     use smarts_core::Warming;
     use smarts_uarch::MachineConfig;
-    use smarts_workloads::find;
+    use smarts_workloads::{find, Frontend};
 
     fn sim() -> SmartsSim {
         SmartsSim::new(MachineConfig::eight_way())
@@ -535,59 +420,49 @@ mod tests {
             .unwrap()
     }
 
+    fn store_path(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("smarts-exec-{tag}-{}.ckpt", std::process::id()))
+    }
+
     #[test]
     fn executor_rejects_zero_jobs() {
         assert!(matches!(Executor::new(0), Err(ExecError::ZeroJobs)));
     }
 
     #[test]
-    fn parallel_mode_parses() {
-        assert_eq!(
-            "checkpoint".parse::<ParallelMode>(),
-            Ok(ParallelMode::Checkpoint)
-        );
-        assert_eq!("sharded".parse::<ParallelMode>(), Ok(ParallelMode::Sharded));
-        assert_eq!(
-            "sharded-warm".parse::<ParallelMode>(),
-            Ok(ParallelMode::ShardedWarm)
-        );
-        assert_eq!(ParallelMode::ShardedWarm.to_string(), "sharded-warm");
-        assert!("turbo".parse::<ParallelMode>().is_err());
-    }
-
-    #[test]
     fn checkpoint_replay_is_bit_identical_to_sequential() {
         let sim = sim();
-        let bench = find("hashp-2").unwrap().scaled(0.05);
+        let scale = 0.05;
+        let bench = find("hashp-2").unwrap().scaled(scale);
         let params = design(&bench, 10);
-        let library = sim.build_library(&bench, &params).unwrap();
-        let sequential = sim.sample_library(&library).unwrap();
+        let sequential = sequential_oracle(&sim, bench.load(), &params);
+        let path = store_path("replay");
+        let one = Executor::new(1).unwrap();
+        warm_store::<BuiltinIsa>(
+            &one,
+            &sim,
+            bench.name(),
+            scale,
+            bench.approx_len(),
+            &params,
+            &path,
+        )
+        .unwrap();
         for jobs in [1, 2, 4] {
-            let parallel = Executor::new(jobs)
-                .unwrap()
-                .replay_library(&sim, &library)
-                .unwrap();
-            assert_eq!(parallel.report.sample_size(), sequential.sample_size());
-            assert_eq!(
-                parallel.report.cpi().mean().to_bits(),
-                sequential.cpi().mean().to_bits(),
-                "CPI differs at {jobs} jobs"
+            let executor = Executor::new(jobs).unwrap();
+            let replayed = replay_store::<BuiltinIsa>(&executor, &sim, &path).unwrap();
+            assert_eq!(replayed.report.mode, ParallelMode::Checkpoint);
+            assert_eq!(replayed.report.workers.len(), jobs);
+            assert_bit_identical(
+                &replayed.report.report,
+                &sequential,
+                &format!("store replay at {jobs} jobs"),
             );
-            assert_eq!(
-                parallel.report.epi().mean().to_bits(),
-                sequential.epi().mean().to_bits()
-            );
-            assert_eq!(
-                parallel.report.cpi().coefficient_of_variation().to_bits(),
-                sequential.cpi().coefficient_of_variation().to_bits()
-            );
-            assert_eq!(parallel.report.instructions, sequential.instructions);
-            for (a, b) in parallel.report.units.iter().zip(&sequential.units) {
-                assert_eq!(a.start_instr, b.start_instr);
-                assert_eq!(a.cycles, b.cycles);
+            for (a, b) in replayed.report.report.units.iter().zip(&sequential.units) {
                 assert_eq!(a.counters, b.counters);
             }
         }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -600,6 +475,7 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.workers.len(), 3);
         assert_eq!(outcome.jobs, 3);
+        assert_eq!(outcome.mode, ParallelMode::Pipeline);
         // Workers claim every checkpointed unit, including a partial tail
         // the merge excludes from the sample.
         let claimed: u64 = outcome.workers.iter().map(|w| w.units).sum();
@@ -611,33 +487,56 @@ mod tests {
             totals.detailed_warmed,
             outcome.report.instructions.detailed_warmed
         );
-        assert!(outcome.build_wall > Duration::ZERO);
+        assert_eq!(outcome.build_wall, Duration::ZERO);
     }
 
     #[test]
     fn incompatible_geometry_is_rejected() {
         let sim8 = sim();
         let bench = find("loopy-1").unwrap().scaled(0.02);
-        let library = sim8.build_library(&bench, &design(&bench, 5)).unwrap();
+        let len = BuiltinIsa::approx_len("loopy-1", 0.02).unwrap();
+        let path = store_path("geometry");
+        let executor = Executor::new(2).unwrap();
+        let save = Some(path.as_path());
+        sample::<BuiltinIsa>(
+            &executor,
+            &sim8,
+            "loopy-1",
+            0.02,
+            len,
+            &design(&bench, 5),
+            save,
+        )
+        .unwrap();
         let sim16 = SmartsSim::new(MachineConfig::sixteen_way());
-        let err = Executor::new(2)
-            .unwrap()
-            .replay_library(&sim16, &library)
-            .unwrap_err();
-        assert!(matches!(err, ExecError::Smarts(_)));
+        let err = replay_store::<BuiltinIsa>(&executor, &sim16, &path).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ExecError::Ckpt(smarts_ckpt::CkptError::FingerprintMismatch { .. })
+            ),
+            "expected a fingerprint mismatch, got {err:?}"
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn driver_trait_delegates_to_the_executor() {
+    fn warm_jobs_alone_selects_the_sharded_producer() {
         let sim = sim();
         let bench = find("loopy-1").unwrap().scaled(0.05);
-        let params = design(&bench, 6);
-        let executor = Executor::new(2).unwrap();
-        let via_trait = sim.sample_parallel(&bench, &params, &executor).unwrap();
-        let direct = executor.sample(&sim, &bench, &params).unwrap();
-        assert_eq!(
-            via_trait.report.cpi().mean().to_bits(),
-            direct.report.cpi().mean().to_bits()
-        );
+        let params = design(&bench, 9);
+        let serial = Executor::new(2)
+            .unwrap()
+            .sample(&sim, &bench, &params)
+            .unwrap();
+        assert!(serial.shard.is_none());
+        let sharded = Executor::new(2)
+            .unwrap()
+            .with_warm_jobs(4)
+            .sample(&sim, &bench, &params)
+            .unwrap();
+        assert_eq!(sharded.mode, ParallelMode::ShardedWarm);
+        assert!(sharded.shard.expect("shard stats").warm_jobs > 1);
+        assert_bit_identical(&sharded.report, &serial.report, "warm_jobs 4 vs serial");
     }
 }

@@ -3,57 +3,56 @@
 //! SMARTS measures `n` mutually independent sampling units; the paper's
 //! conclusion points out that once fast-forwarding is replaced by
 //! checkpoints (the TurboSMARTS direction) those units become
-//! embarrassingly parallel. This crate is that execution subsystem:
+//! embarrassingly parallel. This crate is that execution subsystem, and
+//! it is one spine — **warm → store → replay** — seen from its two ends:
 //!
-//! * an [`Executor`] with a configurable worker pool
-//!   (`std::thread` + a shared work queue, no external dependencies),
-//! * **parallel checkpoint replay** ([`ParallelMode::Checkpoint`]) — one
-//!   sequential functional-warming pass builds a
-//!   [`smarts_core::CheckpointLibrary`]; every unit then replays
-//!   concurrently,
-//! * **sharded leapfrog sampling** ([`ParallelMode::Sharded`]) — the
-//!   stream splits into one shard per worker with a configurable warming
-//!   run-in and no sequential pass, trading a measurable residual bias
-//!   ([`residual_bias`]) for zero up-front cost,
-//! * a **streamed checkpoint pipeline** ([`ParallelMode::Pipeline`]) — a
-//!   producer thread runs the same warming pass but emits each checkpoint
-//!   into a bounded channel as its unit boundary is reached, so detailed
-//!   replay overlaps warming and peak checkpoint residency stays bounded
-//!   by the channel depth ([`PipelineStats`]) instead of O(n units),
-//! * **sharded warming with re-warm stitching**
-//!   ([`ParallelMode::ShardedWarm`]) — the warming pass itself splits
-//!   into `warm_jobs` leapfrog shards writing delta-encoded segments,
-//!   and a stitch pass re-warms each shard's leading units from its
-//!   predecessor's exact state until the canonical warm states converge
-//!   ([`ShardWarmStats`]), keeping reports and saved stores
-//!   bit-identical to the serial pipeline,
-//! * a **deterministic merge layer** — per-unit results are reduced in
-//!   stream order through [`smarts_core::SampleReport::from_units`], so a
-//!   checkpoint-mode run is *bit-identical* to the sequential
-//!   [`smarts_core::SmartsSim::sample_library`] at any worker count,
-//! * structured error propagation ([`ExecError::WorkerPanic`]) and
-//!   per-worker wall-clock/instruction accounting ([`WorkerStats`]) in
-//!   the paper's Table 6 mode categories.
+//! * the **warm side** ([`sample`], [`warm_store`], [`Executor::sample`]):
+//!   a producer runs the functional-warming pass — serial, or split into
+//!   `warm_jobs` stitched shards ([`ShardWarmStats`]) — and emits each
+//!   unit's checkpoint the moment its boundary is reached; an optional
+//!   sink tees the checkpoints into an on-disk store; `jobs` consumers
+//!   replay them off a bounded channel, so detailed replay overlaps
+//!   warming and peak checkpoint residency stays bounded by the channel
+//!   depth ([`PipelineStats`]) instead of O(n units);
+//! * the **replay side** ([`replay_store`], [`replay_store_mapped`],
+//!   [`replay_store_sampled`]): `jobs` workers claim record indices of a
+//!   memory-mapped store and decode them lazily, replaying the whole
+//!   grid or the subset a [`smarts_core::SamplerSpec`] selects, with no
+//!   warming at all;
+//! * both generic over the [`smarts_workloads::Frontend`] that executes
+//!   the workload, both reduced by one **deterministic merge** — per-unit
+//!   results in stream order through
+//!   [`smarts_core::SampleReport::from_units`] — so every route yields
+//!   the bytes of a sequential replay of the same checkpoints, at any
+//!   worker count, depth or shard count;
+//! * structured error propagation ([`ExecError::WorkerPanic`]),
+//!   cooperative cancellation ([`CancelToken`]) and per-worker
+//!   wall-clock/instruction accounting ([`WorkerStats`]) in the paper's
+//!   Table 6 mode categories.
 //!
 //! # Examples
 //!
 //! ```
-//! use smarts_exec::{Executor, ParallelDriver};
-//! use smarts_core::{SamplingParams, SmartsSim, Warming};
+//! use smarts_exec::{replay_store, sample, Executor};
+//! use smarts_core::{SamplingParams, SmartsSim};
+//! use smarts_isa::BuiltinIsa;
 //! use smarts_uarch::MachineConfig;
-//! use smarts_workloads::find;
+//! use smarts_workloads::Frontend;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let sim = SmartsSim::new(MachineConfig::eight_way());
-//! let bench = find("branchy-1").unwrap().scaled(0.05);
-//! let params = SamplingParams::paper_defaults(sim.config(), bench.approx_len(), 10)?;
+//! let len = BuiltinIsa::approx_len("branchy-1", 0.05)?;
+//! let params = SamplingParams::paper_defaults(sim.config(), len, 10)?;
+//! let store = std::env::temp_dir().join(format!("smarts-exec-doc-{}.ckpt", std::process::id()));
 //!
-//! // Sequential and 4-worker checkpoint replay agree bit-for-bit.
-//! let library = sim.build_library(&bench, &params)?;
-//! let sequential = sim.sample_library(&library)?;
-//! let parallel = sim.sample_parallel(&bench, &params, &Executor::new(4)?)?;
-//! assert_eq!(parallel.report.cpi().mean().to_bits(),
-//!            sequential.cpi().mean().to_bits());
+//! // Warm once on two workers, keeping the checkpoints …
+//! let (live, _) = sample::<BuiltinIsa>(
+//!     &Executor::new(2)?, &sim, "branchy-1", 0.05, len, &params, Some(&store))?;
+//! // … then replay them on four without warming: the same bits.
+//! let replayed = replay_store::<BuiltinIsa>(&Executor::new(4)?, &sim, &store)?;
+//! assert_eq!(replayed.report.report.cpi().mean().to_bits(),
+//!            live.report.cpi().mean().to_bits());
+//! # std::fs::remove_file(&store)?;
 //! # Ok(())
 //! # }
 //! ```
@@ -61,30 +60,28 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bias;
 mod cancel;
 mod compare;
 mod error;
 mod executor;
-mod persist;
 mod pipeline;
 mod pool;
-mod shard;
+mod replay;
+mod warm;
 mod warm_shard;
 
-pub use bias::{residual_bias, BiasReport};
+#[cfg(test)]
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+
 pub use cancel::{CancelToken, PipelineProgress, ProgressFn};
 pub use compare::{compare_machines_parallel, sample_two_step_parallel};
 pub use error::ExecError;
 pub use executor::{
-    Executor, ParallelDriver, ParallelMode, ParallelReport, PipelineStats, WorkerStats,
-    DEFAULT_PIPELINE_DEPTH, DEFAULT_SHARD_WARMUP,
+    Executor, ParallelMode, ParallelReport, PipelineStats, WorkerStats, DEFAULT_PIPELINE_DEPTH,
 };
-pub use persist::{
-    replay_store, replay_store_eager, replay_store_eager_isa, replay_store_indices,
-    replay_store_indices_isa, replay_store_isa, replay_store_mapped, replay_store_mapped_isa,
-    replay_store_sampled, replay_store_sampled_isa, sample_pipeline_saving,
-    sample_pipeline_saving_isa, warm_store_saving, warm_store_saving_isa, SampledReplay,
-    SavedSample, StoreReplay,
+pub use replay::{
+    replay_store, replay_store_mapped, replay_store_sampled, SampledReplay, StoreReplay,
 };
+pub use warm::{sample, warm_store};
 pub use warm_shard::ShardWarmStats;

@@ -1,13 +1,12 @@
-//! The streamed checkpoint pipeline: one producer thread runs the
-//! in-order functional-warming pass and emits each unit's checkpoint
-//! into a bounded channel the moment its boundary is reached; `jobs`
-//! consumer workers pull checkpoints and replay them concurrently.
+//! The streamed checkpoint pipeline: one producer thread emits each
+//! unit's checkpoint into a bounded channel the moment its boundary is
+//! reached; `jobs` consumer workers pull checkpoints and replay them
+//! concurrently.
 //!
-//! Compared with [`crate::ParallelMode::Checkpoint`], which materialises
-//! the whole library before any replay starts, the pipeline overlaps the
-//! two phases — wall time tends to `max(T_warm, T_detail/jobs)` instead
-//! of `T_warm + T_detail/jobs` — and bounds peak checkpoint residency by
-//! the channel depth plus in-flight replays instead of O(n units).
+//! The two phases overlap — wall time tends to
+//! `max(T_warm, T_detail/jobs)` instead of `T_warm + T_detail/jobs` —
+//! and peak checkpoint residency is bounded by the channel depth plus
+//! in-flight replays instead of O(n units).
 //!
 //! # Channel protocol
 //!
@@ -25,12 +24,11 @@
 //!
 //! # Bit-identity
 //!
-//! The producer runs [`smarts_core::SmartsSim::stream_checkpoints`] —
-//! the exact loop `build_library` uses — and consumers run
-//! [`smarts_core::SmartsSim::replay_owned`] — the exact per-unit
-//! episode `sample_library` uses. Units are mutually independent given
-//! their checkpoints, and the merge reduces them in stream order, so the
-//! report is bit-identical to sequential replay at any `jobs`/`depth`.
+//! Consumers run [`smarts_core::SmartsSim::replay_owned`], the one
+//! per-unit episode every replay shares. Units are mutually independent
+//! given their checkpoints, and the merge reduces them in stream order,
+//! so the report is bit-identical to replaying the producer's
+//! checkpoints one after another at any `jobs`/`depth`.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -40,16 +38,10 @@ use std::time::{Duration, Instant};
 
 use crate::cancel::{CancelToken, PipelineProgress, ProgressFn};
 use crate::error::ExecError;
-use crate::executor::{
-    merge_outcomes, Executor, ParallelMode, ParallelReport, PipelineStats, WorkerStats,
-};
+use crate::executor::{PipelineStats, Replayed, WorkerLog};
 use crate::pool::panic_message;
-use smarts_core::{
-    ModeInstructions, SampleReport, SamplingParams, SmartsError, SmartsSim, UnitCheckpoint,
-    UnitReplay,
-};
+use smarts_core::{UnitCheckpoint, UnitReplay};
 use smarts_isa::Isa;
-use smarts_workloads::Benchmark;
 
 struct ChannelState<T> {
     queue: VecDeque<T>,
@@ -157,8 +149,8 @@ impl<T> Drop for LeaveOnDrop<'_, T> {
 pub(crate) struct Residency {
     count: AtomicUsize,
     bytes: AtomicU64,
-    pub(crate) peak_count: AtomicUsize,
-    pub(crate) peak_bytes: AtomicU64,
+    peak_count: AtomicUsize,
+    peak_bytes: AtomicU64,
 }
 
 impl Residency {
@@ -173,48 +165,22 @@ impl Residency {
         self.count.fetch_sub(1, Ordering::Relaxed);
         self.bytes.fetch_sub(bytes, Ordering::Relaxed);
     }
-}
 
-struct ConsumerOutput {
-    stats: WorkerStats,
-    outcomes: Vec<(usize, UnitReplay)>,
-}
-
-/// Everything one pipeline run produced, before the deterministic merge:
-/// whatever the producer returned, per-worker accounting, the indexed
-/// replay outcomes, and the residency peaks.
-pub(crate) struct PipelineRun<S> {
-    pub produced: S,
-    pub workers: Vec<WorkerStats>,
-    pub outcomes: Vec<(usize, UnitReplay)>,
-    pub parallel_wall: Duration,
-    pub peak_resident_checkpoints: usize,
-    pub peak_resident_bytes: u64,
-}
-
-impl<S> PipelineRun<S> {
-    /// Splits off the producer's return value so the rest of the run can
-    /// flow into [`finish_pipeline_report`] without a partial move.
-    pub fn split(self) -> (S, PipelineRun<()>) {
-        let PipelineRun {
-            produced,
-            workers,
-            outcomes,
-            parallel_wall,
-            peak_resident_checkpoints,
-            peak_resident_bytes,
-        } = self;
-        (
-            produced,
-            PipelineRun {
-                produced: (),
-                workers,
-                outcomes,
-                parallel_wall,
-                peak_resident_checkpoints,
-                peak_resident_bytes,
-            },
-        )
+    /// The peaks so far, beside the producer-side figures of the run
+    /// they belong to.
+    pub(crate) fn stats(
+        &self,
+        depth: usize,
+        producer_wall: Duration,
+        emitted: u64,
+    ) -> PipelineStats {
+        PipelineStats {
+            depth,
+            producer_wall,
+            emitted,
+            peak_resident_checkpoints: self.peak_count.load(Ordering::Relaxed),
+            peak_resident_bytes: self.peak_bytes.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -243,12 +209,11 @@ impl ProgressCounters {
     }
 }
 
-/// The producer/consumer engine shared by every checkpoint source: live
-/// warming ([`sample_pipeline`]), warm-and-persist, and replay-from-disk
-/// (`crate::persist`). `produce` is handed an `emit` callback (returning
-/// `false` once every consumer has left *or* cancellation was requested)
-/// and runs on its own thread; `replay` runs on each of the `jobs`
-/// consumer threads.
+/// The producer/consumer engine under [`crate::warm::run_warm`].
+/// `produce` is handed an `emit` callback (returning `false` once every
+/// consumer has left *or* cancellation was requested) and runs on its
+/// own thread; `replay` runs on each of the `jobs` consumer threads.
+/// Returns whatever the producer returned beside the consumers' side.
 ///
 /// Cancellation stops the stream at the next unit boundary; consumers
 /// still drain whatever was already queued, so a cancelled run returns
@@ -259,9 +224,10 @@ pub(crate) fn run_pipeline<I, S, P, R>(
     jobs: usize,
     depth: usize,
     control: &RunControl,
+    residency: &Residency,
     produce: P,
     replay: R,
-) -> Result<PipelineRun<S>, ExecError>
+) -> Result<(S, Replayed), ExecError>
 where
     I: Isa,
     S: Send,
@@ -269,13 +235,11 @@ where
     R: Fn(UnitCheckpoint<I>) -> UnitReplay + Sync,
 {
     let channel: Channel<(usize, u64, UnitCheckpoint<I>)> = Channel::new(depth, jobs);
-    let residency = Residency::default();
     let counters = ProgressCounters::default();
     let t0 = Instant::now();
 
     let (producer_result, consumer_results) = thread::scope(|scope| {
         let channel = &channel;
-        let residency = &residency;
         let replay = &replay;
         let counters = &counters;
         let cancel = &control.cancel;
@@ -310,28 +274,17 @@ where
             .map(|worker| {
                 scope.spawn(move || {
                     let _leave = LeaveOnDrop(channel);
-                    let start = Instant::now();
-                    let mut outcomes = Vec::new();
-                    let mut instructions = ModeInstructions::default();
+                    let mut log = WorkerLog::start();
                     while let Some((index, bytes, checkpoint)) = channel.recv() {
                         let outcome = replay(checkpoint);
                         residency.remove(bytes);
-                        outcome.account(&mut instructions);
-                        outcomes.push((index, outcome));
+                        log.record(index, outcome);
                         counters.replayed.fetch_add(1, Ordering::Relaxed);
                         if let Some(observe) = progress {
                             observe(counters.snapshot());
                         }
                     }
-                    ConsumerOutput {
-                        stats: WorkerStats {
-                            worker,
-                            units: outcomes.len() as u64,
-                            wall: start.elapsed(),
-                            instructions,
-                        },
-                        outcomes,
-                    }
+                    log.finish(worker)
                 })
             })
             .collect();
@@ -353,115 +306,24 @@ where
         });
         (producer_result, consumer_results)
     });
-    let parallel_wall = t0.elapsed();
+    let wall = t0.elapsed();
 
     // Consumer panics take precedence: they are the usual root cause of a
     // producer that reports a stopped stream.
-    let mut workers = Vec::with_capacity(jobs);
-    let mut outcomes: Vec<(usize, UnitReplay)> = Vec::new();
-    for result in consumer_results {
-        let output = result?;
-        workers.push(output.stats);
-        outcomes.extend(output.outcomes);
-    }
-    let produced = producer_result?;
-
-    Ok(PipelineRun {
-        produced,
-        workers,
-        outcomes,
-        parallel_wall,
-        peak_resident_checkpoints: residency.peak_count.load(Ordering::Relaxed),
-        peak_resident_bytes: residency.peak_bytes.load(Ordering::Relaxed),
-    })
-}
-
-/// Merges one [`PipelineRun`] into the final [`ParallelReport`] — the
-/// deterministic stream-order reduction shared by every pipeline-shaped
-/// mode.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finish_pipeline_report<S>(
-    run: PipelineRun<S>,
-    params: &SamplingParams,
-    jobs: usize,
-    depth: usize,
-    producer_wall: Duration,
-    emitted: u64,
-    mode: ParallelMode,
-    shard: Option<crate::ShardWarmStats>,
-) -> Result<ParallelReport, ExecError> {
-    let (units, instructions) = merge_outcomes(run.outcomes);
-    if units.is_empty() {
-        return Err(ExecError::Smarts(SmartsError::EmptySample));
-    }
-    let report = SampleReport::from_units(
-        *params,
-        units,
-        instructions,
-        Duration::ZERO,
-        run.parallel_wall,
-    );
-    Ok(ParallelReport {
-        report,
-        mode,
-        jobs,
-        workers: run.workers,
-        build_wall: Duration::ZERO,
-        parallel_wall: run.parallel_wall,
-        pipeline: Some(PipelineStats {
-            depth,
-            producer_wall,
-            emitted,
-            peak_resident_checkpoints: run.peak_resident_checkpoints,
-            peak_resident_bytes: run.peak_resident_bytes,
-        }),
-        shard,
-    })
-}
-
-/// Runs one pipelined sampling simulation: producer thread warming and
-/// emitting, `jobs` consumer threads replaying, deterministic merge.
-pub(crate) fn sample_pipeline(
-    executor: &Executor,
-    sim: &SmartsSim,
-    bench: &Benchmark,
-    params: &SamplingParams,
-) -> Result<ParallelReport, ExecError> {
-    let jobs = executor.jobs();
-    let depth = executor.pipeline_depth();
-    let loaded = bench.load();
-    let program = loaded.program.clone();
-
-    let run = run_pipeline(
-        jobs,
-        depth,
-        &executor.control(),
-        move |emit| sim.stream_checkpoints(loaded, params, emit),
-        |checkpoint| sim.replay_owned(&program, params, checkpoint),
-    )?;
-    if executor.cancel_token().is_cancelled() {
-        return Err(ExecError::Cancelled);
-    }
-    let (summary, run) = run.split();
-    let summary = summary.map_err(ExecError::Smarts)?;
-    finish_pipeline_report(
-        run,
-        params,
-        jobs,
-        depth,
-        summary.build_wall,
-        summary.emitted,
-        ParallelMode::Pipeline,
-        None,
-    )
+    let logs = consumer_results
+        .into_iter()
+        .collect::<Result<Vec<_>, ExecError>>()?;
+    Ok((producer_result?, Replayed::gather(logs, wall)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smarts_core::Warming;
+    use crate::common::{assert_bit_identical, sequential_oracle};
+    use crate::{Executor, ParallelMode};
+    use smarts_core::{SamplingParams, SmartsError, SmartsSim, Warming};
     use smarts_uarch::MachineConfig;
-    use smarts_workloads::find;
+    use smarts_workloads::{find, Benchmark};
 
     #[test]
     fn channel_delivers_in_order_then_closes() {
@@ -538,26 +400,18 @@ mod tests {
         let sim = sim();
         let bench = find("branchy-1").unwrap().scaled(0.05);
         let params = design(&bench, 8);
-        let library = sim.build_library(&bench, &params).unwrap();
-        let sequential = sim.sample_library(&library).unwrap();
+        let sequential = sequential_oracle(&sim, bench.load(), &params);
         for (jobs, depth) in [(1, 1), (2, 4), (3, 2)] {
             let outcome = Executor::new(jobs)
                 .unwrap()
-                .with_mode(ParallelMode::Pipeline)
                 .with_pipeline_depth(depth)
                 .sample(&sim, &bench, &params)
                 .unwrap();
-            assert_eq!(outcome.report.sample_size(), sequential.sample_size());
-            assert_eq!(
-                outcome.report.cpi().mean().to_bits(),
-                sequential.cpi().mean().to_bits(),
-                "CPI differs at jobs={jobs} depth={depth}"
+            assert_bit_identical(
+                &outcome.report,
+                &sequential,
+                &format!("jobs={jobs} depth={depth}"),
             );
-            assert_eq!(
-                outcome.report.epi().mean().to_bits(),
-                sequential.epi().mean().to_bits()
-            );
-            assert_eq!(outcome.report.instructions, sequential.instructions);
         }
     }
 
@@ -566,34 +420,30 @@ mod tests {
         let sim = sim();
         let bench = find("hashp-2").unwrap().scaled(0.05);
         let params = design(&bench, 10);
-        let library = sim.build_library(&bench, &params).unwrap();
         let (jobs, depth) = (2, 2);
         let outcome = Executor::new(jobs)
             .unwrap()
-            .with_mode(ParallelMode::Pipeline)
             .with_pipeline_depth(depth)
             .sample(&sim, &bench, &params)
             .unwrap();
         let stats = outcome.pipeline.expect("pipeline stats present");
         assert_eq!(stats.depth, depth);
-        assert_eq!(stats.emitted as usize, library.len());
         // Queued (≤ depth) + replaying (≤ jobs) + the one the producer
         // holds while offering it.
         assert!(stats.peak_resident_checkpoints <= depth + jobs + 1);
         assert!(stats.peak_resident_checkpoints >= 1);
         assert!(stats.peak_resident_bytes > 0);
-        // And far below what materialising every unit's full checkpoint
-        // would hold (the library itself is delta-resident now, so the
-        // eager figure is reconstructed by streaming).
+        // And far below what keeping every unit's checkpoint would hold.
         let mut eager = 0u64;
-        sim.stream_checkpoints(bench.load(), &params, |c| {
-            eager += c.approx_resident_bytes();
-            true
-        })
-        .unwrap();
+        let summary = sim
+            .stream_checkpoints(bench.load(), &params, |c| {
+                eager += c.approx_resident_bytes();
+                true
+            })
+            .unwrap();
+        assert_eq!(stats.emitted, summary.emitted);
         assert!(stats.peak_resident_bytes < eager);
         assert!(stats.producer_wall > Duration::ZERO);
-        assert_eq!(outcome.build_wall, Duration::ZERO);
         assert_eq!(outcome.mode, ParallelMode::Pipeline);
         assert_eq!(outcome.workers.len(), jobs);
     }
@@ -607,7 +457,6 @@ mod tests {
         token.cancel();
         let err = Executor::new(2)
             .unwrap()
-            .with_mode(ParallelMode::Pipeline)
             .with_cancel(token)
             .sample(&sim, &bench, &params)
             .unwrap_err();
@@ -623,15 +472,15 @@ mod tests {
         let observer_token = token.clone();
         // Cancel from inside the progress observer after the first emit —
         // exactly how a server-side watcher would pull the plug.
-        let executor = Executor::new(2)
-            .unwrap()
-            .with_mode(ParallelMode::Pipeline)
-            .with_cancel(token)
-            .with_progress(std::sync::Arc::new(move |p: PipelineProgress| {
-                if p.emitted >= 1 {
-                    observer_token.cancel();
-                }
-            }));
+        let executor =
+            Executor::new(2)
+                .unwrap()
+                .with_cancel(token)
+                .with_progress(std::sync::Arc::new(move |p: PipelineProgress| {
+                    if p.emitted >= 1 {
+                        observer_token.cancel();
+                    }
+                }));
         let err = executor.sample(&sim, &bench, &params).unwrap_err();
         assert!(matches!(err, ExecError::Cancelled));
     }
@@ -645,7 +494,6 @@ mod tests {
         let sink = last.clone();
         let outcome = Executor::new(2)
             .unwrap()
-            .with_mode(ParallelMode::Pipeline)
             .with_progress(std::sync::Arc::new(move |p: PipelineProgress| {
                 let mut guard = sink.lock().unwrap();
                 guard.emitted = guard.emitted.max(p.emitted);
@@ -677,7 +525,6 @@ mod tests {
         let params = params.with_offset(params.interval - 1).unwrap();
         let err = Executor::new(2)
             .unwrap()
-            .with_mode(ParallelMode::Pipeline)
             .sample(&sim, &bench, &params)
             .unwrap_err();
         assert!(matches!(err, ExecError::Smarts(SmartsError::EmptySample)));

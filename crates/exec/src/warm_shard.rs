@@ -56,22 +56,22 @@ use std::time::{Duration, Instant};
 
 use crate::cancel::CancelToken;
 use crate::error::ExecError;
-use crate::executor::{Executor, ParallelMode, ParallelReport};
-use crate::persist::SavedSample;
-use crate::pipeline::{finish_pipeline_report, run_pipeline};
+use crate::executor::Executor;
 use crate::pool::run_workers;
+use crate::warm::Produced;
 use smarts_ckpt::{CkptError, CkptReader, CkptWriter, FlatCheckpoint, StoreMeta};
 use smarts_core::{
     stream_checkpoints_range, EngineSnapshot, FunctionalEngine, SamplingParams, SmartsSim,
     UnitCheckpoint, Warming,
 };
-use smarts_isa::{BuiltinIsa, Isa};
+use smarts_isa::Isa;
 use smarts_uarch::{MachineConfig, WarmState};
-use smarts_workloads::{Benchmark, Frontend, Loaded};
+use smarts_workloads::{Frontend, Loaded};
 
-/// Accounting specific to [`ParallelMode::ShardedWarm`]: how the warming
-/// pass was split, how quickly each shard converged back onto the serial
-/// warming history, and what the stitch cost.
+/// Accounting of a run warmed by the sharded producer
+/// ([`ParallelMode::ShardedWarm`](crate::ParallelMode::ShardedWarm)): how
+/// the warming pass was split, how quickly each shard converged back
+/// onto the serial warming history, and what the stitch cost.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ShardWarmStats {
     /// Shards the warming pass was split into (after clamping to the
@@ -207,7 +207,6 @@ struct SegmentOutput<F: Isa> {
 fn produce_segments<F: Frontend>(
     sim: &SmartsSim,
     loaded: &Loaded<F>,
-    name: &str,
     params: &SamplingParams,
     shards: &[(u64, u64)],
     paths: &[PathBuf],
@@ -219,7 +218,7 @@ fn produce_segments<F: Frontend>(
     // match or the typed-append guard rejects the shard's checkpoints.
     let meta = StoreMeta {
         params: *params,
-        benchmark: name.to_string(),
+        benchmark: loaded.name.clone(),
         scale: 1.0,
         isa: F::ID,
     };
@@ -499,45 +498,41 @@ fn stitch_shard<F: Frontend>(
     }
 }
 
-/// Everything the producer thread returns from one sharded-warm run.
-struct ShardedProduct {
-    emitted: u64,
-    producer_wall: Duration,
-    stats: ShardWarmStats,
-    error: Option<ExecError>,
-}
-
-/// The producer body: phase 1 (parallel segments) then phase 2 (stitch
-/// and splice), streaming each proven unit into the replay channel.
+/// The sharded producer: phase 1 (parallel segments) then phase 2
+/// (stitch and splice), streaming each proven unit into `sink` and
+/// `emit` exactly as the serial producer would. Segments live beside
+/// `store` when the run saves one, else under the system temp directory,
+/// and are deleted on the way out.
 #[allow(clippy::too_many_arguments)]
-fn produce_sharded<F: Frontend>(
+pub(crate) fn produce_sharded<F: Frontend>(
+    executor: &Executor,
     sim: &SmartsSim,
     loaded: &Loaded<F>,
-    name: &str,
+    approx_len: u64,
     params: &SamplingParams,
-    shards: &[(u64, u64)],
-    paths: &[PathBuf],
-    cancel: &CancelToken,
+    store: Option<&Path>,
     sink: Option<CkptWriter>,
     emit: &mut dyn FnMut(UnitCheckpoint<F>) -> bool,
-) -> (ShardedProduct, Option<CkptWriter>) {
+) -> Produced {
     let t0 = Instant::now();
+    let cancel = executor.cancel_token();
+    let shards = plan_shards(params, approx_len, executor.warm_jobs());
+    let paths = segment_paths(shards.len(), store);
+    let _cleanup = RemoveOnDrop(paths.clone());
     let mut stats = ShardWarmStats {
         warm_jobs: shards.len(),
         ..ShardWarmStats::default()
     };
-    let outputs = match produce_segments::<F>(sim, loaded, name, params, shards, paths, cancel) {
+    let outputs = match produce_segments::<F>(sim, loaded, params, &shards, &paths, cancel) {
         Ok(outputs) => outputs,
         Err(e) => {
-            return (
-                ShardedProduct {
-                    emitted: 0,
-                    producer_wall: t0.elapsed(),
-                    stats,
-                    error: Some(e),
-                },
+            return Produced {
+                emitted: 0,
+                producer_wall: t0.elapsed(),
+                shard: Some(stats),
                 sink,
-            )
+                error: Some(e),
+            }
         }
     };
     stats.warm_wall = t0.elapsed();
@@ -616,141 +611,13 @@ fn produce_sharded<F: Frontend>(
         Some(MergeStop::Failed(e)) => Some(e),
         _ => None,
     };
-    (
-        ShardedProduct {
-            emitted: merge.emitted,
-            producer_wall: t0.elapsed(),
-            stats,
-            error,
-        },
-        merge.sink,
-    )
-}
-
-/// Runs one sharded-warm sampling simulation without persisting a store:
-/// segments live in the temp directory and are deleted after the merge.
-pub(crate) fn sample_sharded_warm(
-    executor: &Executor,
-    sim: &SmartsSim,
-    bench: &Benchmark,
-    params: &SamplingParams,
-) -> Result<ParallelReport, ExecError> {
-    params.validate().map_err(ExecError::Smarts)?;
-    let jobs = executor.jobs();
-    let depth = executor.pipeline_depth();
-    let shards = plan_shards(params, bench.approx_len(), executor.warm_jobs());
-    let paths = segment_paths(shards.len(), None);
-    let _cleanup = RemoveOnDrop(paths.clone());
-    let cancel = executor.cancel_token().clone();
-    let loaded: Loaded<BuiltinIsa> = bench.load();
-    let name = bench.name();
-    let program = loaded.program.clone();
-
-    let run = run_pipeline(
-        jobs,
-        depth,
-        &executor.control(),
-        |emit| {
-            produce_sharded::<BuiltinIsa>(
-                sim, &loaded, name, params, &shards, &paths, &cancel, None, emit,
-            )
-        },
-        |checkpoint| sim.replay_owned(&program, params, checkpoint),
-    )?;
-    if executor.cancel_token().is_cancelled() {
-        return Err(ExecError::Cancelled);
+    Produced {
+        emitted: merge.emitted,
+        producer_wall: t0.elapsed(),
+        shard: Some(stats),
+        sink: merge.sink,
+        error,
     }
-    let ((product, _sink), run) = run.split();
-    if let Some(e) = product.error {
-        return Err(e);
-    }
-    finish_pipeline_report(
-        run,
-        params,
-        jobs,
-        depth,
-        product.producer_wall,
-        product.emitted,
-        ParallelMode::ShardedWarm,
-        Some(product.stats),
-    )
-}
-
-/// Runs one sharded-warm sampling simulation while splicing the stitched
-/// segments into a final store at `path` — byte-identical to the store a
-/// serial `--save-checkpoints` run writes. Generic over the frontend;
-/// reached through
-/// [`sample_pipeline_saving`](crate::sample_pipeline_saving) and its
-/// `_isa` variant when the executor is in sharded-warm mode.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sample_sharded_warm_saving_impl<F: Frontend>(
-    executor: &Executor,
-    sim: &SmartsSim,
-    loaded: Loaded<F>,
-    name: &str,
-    approx_len: u64,
-    scale: f64,
-    params: &SamplingParams,
-    path: impl AsRef<Path>,
-) -> Result<SavedSample, ExecError> {
-    params.validate().map_err(ExecError::Smarts)?;
-    let jobs = executor.jobs();
-    let depth = executor.pipeline_depth();
-    let meta = StoreMeta {
-        params: *params,
-        benchmark: name.to_string(),
-        scale,
-        isa: F::ID,
-    };
-    // Created before any thread spawns, so an unwritable path fails fast.
-    let writer = CkptWriter::create(path.as_ref(), sim.config(), &meta)?;
-    let shards = plan_shards(params, approx_len, executor.warm_jobs());
-    let paths = segment_paths(shards.len(), Some(path.as_ref()));
-    let _cleanup = RemoveOnDrop(paths.clone());
-    let cancel = executor.cancel_token().clone();
-    let program = loaded.program.clone();
-
-    let run = run_pipeline(
-        jobs,
-        depth,
-        &executor.control(),
-        |emit| {
-            produce_sharded::<F>(
-                sim,
-                &loaded,
-                name,
-                params,
-                &shards,
-                &paths,
-                &cancel,
-                Some(writer),
-                emit,
-            )
-        },
-        |checkpoint| sim.replay_owned(&program, params, checkpoint),
-    )?;
-    let ((product, sink), run) = run.split();
-    if let Some(e) = product.error {
-        return Err(e);
-    }
-    // A cancelled run still flushes the stitched prefix: every spliced
-    // record is provably serial and CRC-intact, so the partial store is
-    // a valid salvageable prefix rather than a torn file.
-    let write = sink.expect("saving run keeps its writer").finish()?;
-    if executor.cancel_token().is_cancelled() {
-        return Err(ExecError::Cancelled);
-    }
-    let report = finish_pipeline_report(
-        run,
-        params,
-        jobs,
-        depth,
-        product.producer_wall,
-        product.emitted,
-        ParallelMode::ShardedWarm,
-        Some(product.stats),
-    )?;
-    Ok(SavedSample { report, write })
 }
 
 #[cfg(test)]

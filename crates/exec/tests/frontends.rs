@@ -4,11 +4,14 @@
 //! frontend has, and a store must refuse replay under the wrong
 //! frontend with a typed error.
 
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+
+use common::{assert_bit_identical, eager_oracle};
 use smarts_ckpt::{CkptError, IsaId, MappedStore};
 use smarts_core::{SamplerSpec, SamplingParams, SmartsSim, Warming};
 use smarts_exec::{
-    replay_store, replay_store_eager_isa, replay_store_isa, replay_store_mapped_isa,
-    replay_store_sampled_isa, sample_pipeline_saving_isa, ExecError, Executor, ParallelMode,
+    replay_store, replay_store_mapped, replay_store_sampled, sample, ExecError, Executor,
 };
 use smarts_isa::{write_trace, BuiltinIsa, Cpu, RiscIsa, TraceIsa};
 use smarts_workloads::{risc_suite, Frontend};
@@ -34,19 +37,17 @@ fn risc_pipeline_round_trips_bit_identically_at_any_width() {
     let bench = &risc_suite()[0];
     let name = bench.name().to_string();
     let scale = 0.05;
-    let params = design(RiscIsa::approx_len(&name, scale).unwrap(), 10);
+    let len = RiscIsa::approx_len(&name, scale).unwrap();
+    let params = design(len, 10);
+    let save = |executor: &Executor, path: &std::path::Path| {
+        sample::<RiscIsa>(executor, &sim, &name, scale, len, &params, Some(path))
+            .unwrap()
+            .0
+    };
 
     // Reference: serial (jobs=1) warm-and-save through the RISC frontend.
     let ref_path = store_path("risc_ref");
-    let reference = sample_pipeline_saving_isa::<RiscIsa>(
-        &Executor::new(1).unwrap(),
-        &sim,
-        &name,
-        scale,
-        &params,
-        &ref_path,
-    )
-    .unwrap();
+    let reference = save(&Executor::new(1).unwrap(), &ref_path);
     let ref_bytes = std::fs::read(&ref_path).unwrap();
     let (_, meta) = smarts_ckpt::read_store_meta(&ref_path).unwrap();
     assert_eq!(
@@ -59,18 +60,10 @@ fn risc_pipeline_round_trips_bit_identically_at_any_width() {
     // sharded warming pass splices a byte-identical store.
     for jobs in [2usize, 8] {
         let path = store_path(&format!("risc_j{jobs}"));
-        let saved = sample_pipeline_saving_isa::<RiscIsa>(
-            &Executor::new(jobs).unwrap(),
-            &sim,
-            &name,
-            scale,
-            &params,
-            &path,
-        )
-        .unwrap();
+        let saved = save(&Executor::new(jobs).unwrap(), &path);
         assert_eq!(
-            saved.report.report.cpi().mean().to_bits(),
-            reference.report.report.cpi().mean().to_bits(),
+            saved.report.cpi().mean().to_bits(),
+            reference.report.cpi().mean().to_bits(),
             "risc live report differs at jobs={jobs}"
         );
         assert_eq!(
@@ -81,21 +74,13 @@ fn risc_pipeline_round_trips_bit_identically_at_any_width() {
         std::fs::remove_file(&path).ok();
 
         let sharded_path = store_path(&format!("risc_shard_j{jobs}"));
-        let sharded = sample_pipeline_saving_isa::<RiscIsa>(
-            &Executor::new(jobs)
-                .unwrap()
-                .with_mode(ParallelMode::ShardedWarm)
-                .with_warm_jobs(jobs),
-            &sim,
-            &name,
-            scale,
-            &params,
+        let sharded = save(
+            &Executor::new(jobs).unwrap().with_warm_jobs(jobs),
             &sharded_path,
-        )
-        .unwrap();
+        );
         assert_eq!(
-            sharded.report.report.cpi().mean().to_bits(),
-            reference.report.report.cpi().mean().to_bits(),
+            sharded.report.cpi().mean().to_bits(),
+            reference.report.cpi().mean().to_bits(),
             "sharded risc report differs at warm_jobs={jobs}"
         );
         assert_eq!(
@@ -106,23 +91,23 @@ fn risc_pipeline_round_trips_bit_identically_at_any_width() {
         std::fs::remove_file(&sharded_path).ok();
     }
 
-    // Replay from the store matches the live run, lazily and eagerly, at
-    // every worker count.
+    // Replay from the store matches the live run and the eager
+    // single-threaded oracle at every worker count.
+    let eager = eager_oracle::<RiscIsa>(&sim, &ref_path);
     for jobs in [1usize, 2, 8] {
         let executor = Executor::new(jobs).unwrap();
-        let replay = replay_store_isa::<RiscIsa>(&executor, &sim, &ref_path).unwrap();
+        let replay = replay_store::<RiscIsa>(&executor, &sim, &ref_path).unwrap();
         assert_eq!(
             replay.report.report.cpi().mean().to_bits(),
-            reference.report.report.cpi().mean().to_bits(),
+            reference.report.cpi().mean().to_bits(),
             "risc store replay differs at jobs={jobs}"
         );
         assert_eq!(replay.meta.isa, IsaId::Risc);
         assert!(replay.damage.is_none());
-        let eager = replay_store_eager_isa::<RiscIsa>(&executor, &sim, &ref_path).unwrap();
-        assert_eq!(
-            eager.report.report.cpi().mean().to_bits(),
-            replay.report.report.cpi().mean().to_bits(),
-            "eager and lazy risc replay disagree at jobs={jobs}"
+        assert_bit_identical(
+            &replay.report.report,
+            &eager,
+            &format!("lazy vs eager risc replay at jobs={jobs}"),
         );
     }
 
@@ -131,14 +116,10 @@ fn risc_pipeline_round_trips_bit_identically_at_any_width() {
     let store = MappedStore::open(&ref_path, sim.config()).unwrap();
     for jobs in [1usize, 2, 8] {
         let executor = Executor::new(jobs).unwrap();
-        let sampled = replay_store_sampled_isa::<RiscIsa>(
-            &executor,
-            &sim,
-            &store,
-            &SamplerSpec::systematic(),
-        )
-        .unwrap();
-        let full = replay_store_mapped_isa::<RiscIsa>(&executor, &sim, &store).unwrap();
+        let sampled =
+            replay_store_sampled::<RiscIsa>(&executor, &sim, &store, &SamplerSpec::systematic())
+                .unwrap();
+        let full = replay_store_mapped::<RiscIsa>(&executor, &sim, &store).unwrap();
         assert_eq!(
             sampled.report.report.cpi().mean().to_bits(),
             full.report.report.cpi().mean().to_bits(),
@@ -149,7 +130,7 @@ fn risc_pipeline_round_trips_bit_identically_at_any_width() {
 
     // Replaying a RISC store through the built-in frontend is refused
     // before any record is decoded.
-    let err = replay_store(&Executor::new(2).unwrap(), &sim, &ref_path).unwrap_err();
+    let err = replay_store::<BuiltinIsa>(&Executor::new(2).unwrap(), &sim, &ref_path).unwrap_err();
     match err {
         ExecError::Ckpt(CkptError::IsaMismatch { expected, found }) => {
             assert_eq!(expected, IsaId::Builtin);
@@ -181,17 +162,12 @@ fn trace_import_runs_the_full_pipeline() {
     write_trace(&trace_path, "loopy-1", &records).unwrap();
     let workload = trace_path.to_str().unwrap();
 
-    let params = design(TraceIsa::approx_len(workload, 1.0).unwrap(), 8);
+    let len = TraceIsa::approx_len(workload, 1.0).unwrap();
+    let params = design(len, 8);
     let ref_path = store_path("trace_ref");
-    let reference = sample_pipeline_saving_isa::<TraceIsa>(
-        &Executor::new(1).unwrap(),
-        &sim,
-        workload,
-        1.0,
-        &params,
-        &ref_path,
-    )
-    .unwrap();
+    let one = Executor::new(1).unwrap();
+    let (reference, _) =
+        sample::<TraceIsa>(&one, &sim, workload, 1.0, len, &params, Some(&ref_path)).unwrap();
     let (_, meta) = smarts_ckpt::read_store_meta(&ref_path).unwrap();
     assert_eq!(meta.isa, IsaId::Trace);
     assert_eq!(
@@ -201,10 +177,10 @@ fn trace_import_runs_the_full_pipeline() {
 
     for jobs in [2usize, 8] {
         let replay =
-            replay_store_isa::<TraceIsa>(&Executor::new(jobs).unwrap(), &sim, &ref_path).unwrap();
+            replay_store::<TraceIsa>(&Executor::new(jobs).unwrap(), &sim, &ref_path).unwrap();
         assert_eq!(
             replay.report.report.cpi().mean().to_bits(),
-            reference.report.report.cpi().mean().to_bits(),
+            reference.report.cpi().mean().to_bits(),
             "trace store replay differs at jobs={jobs}"
         );
         assert!(replay.damage.is_none());
@@ -212,7 +188,7 @@ fn trace_import_runs_the_full_pipeline() {
 
     // Wrong-frontend replay of a trace store is refused with the typed
     // mismatch, naming both sides.
-    let err = replay_store_isa::<RiscIsa>(&Executor::new(1).unwrap(), &sim, &ref_path).unwrap_err();
+    let err = replay_store::<RiscIsa>(&Executor::new(1).unwrap(), &sim, &ref_path).unwrap_err();
     match err {
         ExecError::Ckpt(CkptError::IsaMismatch { expected, found }) => {
             assert_eq!(expected, IsaId::Risc);
@@ -224,8 +200,7 @@ fn trace_import_runs_the_full_pipeline() {
     // Deleting the trace breaks replay resolution with the frontend's own
     // message — the store alone is not enough for a trace workload.
     std::fs::remove_file(&trace_path).unwrap();
-    let err =
-        replay_store_isa::<TraceIsa>(&Executor::new(1).unwrap(), &sim, &ref_path).unwrap_err();
+    let err = replay_store::<TraceIsa>(&Executor::new(1).unwrap(), &sim, &ref_path).unwrap_err();
     assert!(
         matches!(err, ExecError::Frontend(_)),
         "expected ExecError::Frontend, got {err:?}"

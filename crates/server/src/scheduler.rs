@@ -30,8 +30,7 @@ use std::sync::Arc;
 use smarts_ckpt::{IsaId, MappedStore, StoreMeta};
 use smarts_core::{SamplingParams, SmartsSim, Warming};
 use smarts_exec::{
-    replay_store_mapped_isa, replay_store_sampled_isa, sample_pipeline_saving_isa,
-    warm_store_saving_isa, CancelToken, ExecError, Executor, ParallelMode,
+    replay_store_mapped, replay_store_sampled, sample, warm_store, CancelToken, ExecError, Executor,
 };
 use smarts_isa::{BuiltinIsa, RiscIsa};
 use smarts_uarch::MachineConfig;
@@ -71,8 +70,10 @@ pub fn machine_for(spec: &JobSpec) -> MachineConfig {
 
 /// Builds the sampling design a spec describes, mirroring the CLI's
 /// parameter derivation so server results are comparable to one-shot
-/// `smarts sample` runs.
-pub fn params_for(spec: &JobSpec, cfg: &MachineConfig) -> Result<SamplingParams, String> {
+/// `smarts sample` runs, beside the stream-length estimate it was
+/// derived from. Fails for a workload the spec's frontend cannot serve
+/// (unknown name, or a kernel outside the risc encoding).
+fn design_for(spec: &JobSpec, cfg: &MachineConfig) -> Result<(u64, SamplingParams), String> {
     let approx_len = match spec.isa {
         // The builtin lookup keeps its pre-frontend error message.
         IsaId::Builtin => find(&spec.bench)
@@ -93,46 +94,44 @@ pub fn params_for(spec: &JobSpec, cfg: &MachineConfig) -> Result<SamplingParams,
         .warming_len
         .unwrap_or_else(|| cfg.recommended_detailed_warming());
     SamplingParams::for_sample_size(approx_len, spec.unit, w, warming, spec.n, spec.offset)
+        .map(|params| (approx_len, params))
         .map_err(|e| e.to_string())
+}
+
+/// The sampling design a spec describes.
+pub fn params_for(spec: &JobSpec, cfg: &MachineConfig) -> Result<SamplingParams, String> {
+    design_for(spec, cfg).map(|(_, params)| params)
 }
 
 fn run_job(shared: &Arc<Shared>, id: &str, spec: &JobSpec, cancel: &CancelToken) -> JobEnd {
     match spec.isa {
-        IsaId::Builtin => run_job_isa::<BuiltinIsa>(shared, id, spec, cancel),
-        IsaId::Risc => run_job_isa::<RiscIsa>(shared, id, spec, cancel),
+        IsaId::Builtin => run_job_with::<BuiltinIsa>(shared, id, spec, cancel),
+        IsaId::Risc => run_job_with::<RiscIsa>(shared, id, spec, cancel),
         // Refused at submit; a job table can never hold a trace spec.
         IsaId::Trace => JobEnd::Failed("trace workloads are not servable".to_string()),
     }
 }
 
-/// Runs one claimed job under frontend `F`. Builtin jobs take exactly
-/// the pre-frontend path (the `_isa` entry points are the same
-/// implementations the builtin wrappers delegate to), so reports,
-/// stores, and cache lines are unchanged; risc jobs resolve the same
-/// benchmark names through the compact encoding and their stores carry
-/// the frontend in the header — and in the fingerprint, so a risc job
-/// can never be answered from a builtin store or cache line.
-fn run_job_isa<F: Frontend>(
+/// Runs one claimed job under frontend `F`. Risc jobs resolve the same
+/// benchmark names as builtin ones through the compact encoding, and
+/// their stores carry the frontend in the header — and in the
+/// fingerprint, so a risc job can never be answered from a builtin
+/// store or cache line.
+fn run_job_with<F: Frontend>(
     shared: &Arc<Shared>,
     id: &str,
     spec: &JobSpec,
     cancel: &CancelToken,
 ) -> JobEnd {
     let cfg = machine_for(spec);
-    let params = match params_for(spec, &cfg) {
-        Ok(p) => p,
-        Err(message) => return JobEnd::Failed(message),
-    };
-    // Resolve up front so an unservable workload (unknown name, or a
-    // kernel outside the risc encoding) fails before a store ticket is
-    // taken; replay re-resolves from store metadata as usual.
-    let resolved_name = match F::resolve(&spec.bench, spec.scale) {
-        Ok(loaded) => loaded.name,
+    // An unservable workload fails here, before a store ticket is taken.
+    let (approx_len, params) = match design_for(spec, &cfg) {
+        Ok(design) => design,
         Err(message) => return JobEnd::Failed(message),
     };
     let meta = StoreMeta {
         params,
-        benchmark: resolved_name,
+        benchmark: spec.bench.clone(),
         scale: spec.scale,
         isa: F::ID,
     };
@@ -155,14 +154,8 @@ fn run_job_isa<F: Frontend>(
 
     // warm_jobs > 1 shards a cold run's warming pass; the spliced store
     // and report stay byte-identical, so cache/store paths are unchanged.
-    let mode = if spec.warm_jobs > 1 {
-        ParallelMode::ShardedWarm
-    } else {
-        ParallelMode::Pipeline
-    };
     let executor = match Executor::new(spec.jobs) {
         Ok(e) => e
-            .with_mode(mode)
             .with_pipeline_depth(spec.depth)
             .with_warm_jobs(spec.warm_jobs)
             .with_cancel(cancel.clone()),
@@ -201,27 +194,35 @@ fn run_job_isa<F: Frontend>(
             // sampler's selection from the just-written bytes. The store
             // is byte-identical to what the pipeline path saves (same
             // serial producer), so this line equals the store-hit line.
-            let outcome =
-                warm_store_saving_isa::<F>(&executor, &sim, &spec.bench, spec.scale, &params, temp)
-                    .and_then(|_| {
-                        to_replaying();
-                        let store = MappedStore::open(temp, &cfg)?;
-                        replay_store_sampled_isa::<F>(&executor, &sim, &store, &sampler)
-                            .map(|sampled| sampled_report_line(&sampled))
-                    });
-            (ResultSource::Cold, outcome)
-        }
-        StoreTicket::Warm { temp, .. } => (
-            ResultSource::Cold,
-            sample_pipeline_saving_isa::<F>(
+            let warmed = warm_store::<F>(
                 &executor,
                 &sim,
                 &spec.bench,
                 spec.scale,
+                approx_len,
                 &params,
                 temp,
+            );
+            let outcome = warmed.and_then(|_| {
+                to_replaying();
+                let store = MappedStore::open(temp, &cfg)?;
+                replay_store_sampled::<F>(&executor, &sim, &store, &sampler)
+                    .map(|sampled| sampled_report_line(&sampled))
+            });
+            (ResultSource::Cold, outcome)
+        }
+        StoreTicket::Warm { temp, .. } => (
+            ResultSource::Cold,
+            sample::<F>(
+                &executor,
+                &sim,
+                &spec.bench,
+                spec.scale,
+                approx_len,
+                &params,
+                Some(temp),
             )
-            .map(|saved| canonical_report_line(&saved.report.report)),
+            .map(|(report, _)| canonical_report_line(&report.report)),
         ),
         StoreTicket::Replay { path } => {
             to_replaying();
@@ -232,7 +233,7 @@ fn run_job_isa<F: Frontend>(
                 Err(message) => return JobEnd::Failed(message),
             };
             let outcome = if sampler.is_systematic() {
-                replay_store_mapped_isa::<F>(&executor, &sim, &store).and_then(|replayed| {
+                replay_store_mapped::<F>(&executor, &sim, &store).and_then(|replayed| {
                     match replayed.damage {
                         // The server never serves a damaged store: the
                         // rename-on-success protocol makes this unreachable
@@ -242,7 +243,7 @@ fn run_job_isa<F: Frontend>(
                     }
                 })
             } else {
-                replay_store_sampled_isa::<F>(&executor, &sim, &store, &sampler)
+                replay_store_sampled::<F>(&executor, &sim, &store, &sampler)
                     .map(|sampled| sampled_report_line(&sampled))
             };
             (ResultSource::Store, outcome)

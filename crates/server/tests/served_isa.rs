@@ -1,17 +1,17 @@
 //! End-to-end frontend coverage for the job server: a `risc` job must
-//! serve the exact canonical bytes of a one-shot `_isa` pipeline run,
+//! serve the exact canonical bytes of a one-shot pipeline run,
 //! resubmits must come back from the results cache unchanged, and a
 //! builtin job for the same benchmark/design must resolve to a distinct
 //! store and cache entry (the fingerprint folds the frontend tag).
 
 use smarts_ckpt::IsaId;
 use smarts_core::SmartsSim;
-use smarts_exec::{sample_pipeline_saving_isa, Executor};
+use smarts_exec::{sample, Executor};
 use smarts_isa::{BuiltinIsa, RiscIsa};
 use smarts_server::{
     canonical_report_line, machine_for, params_for, Client, JobSpec, Server, ServerConfig,
 };
-use smarts_workloads::risc_suite;
+use smarts_workloads::{risc_suite, Frontend};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("smarts_served_isa_{tag}_{}", std::process::id()));
@@ -52,19 +52,13 @@ fn served_risc_job_matches_a_one_shot_run_and_keys_its_own_cache() {
     let cfg = machine_for(&spec);
     let params = params_for(&spec, &cfg).unwrap();
     let sim = SmartsSim::new(cfg);
-    let one_shot = temp_dir("oneshot").join("risc.ckpt");
-    let saved = sample_pipeline_saving_isa::<RiscIsa>(
-        &Executor::new(2).unwrap(),
-        &sim,
-        &bench,
-        spec.scale,
-        &params,
-        &one_shot,
-    )
-    .unwrap();
+    let len = RiscIsa::approx_len(&bench, spec.scale).unwrap();
+    let two = Executor::new(2).unwrap();
+    let (one_shot, _) =
+        sample::<RiscIsa>(&two, &sim, &bench, spec.scale, len, &params, None).unwrap();
     assert_eq!(
         served,
-        canonical_report_line(&saved.report.report),
+        canonical_report_line(&one_shot.report),
         "served risc report is not byte-identical to the one-shot run"
     );
 
@@ -86,19 +80,11 @@ fn served_risc_job_matches_a_one_shot_run_and_keys_its_own_cache() {
     assert_eq!(client.wait(&job).unwrap(), "done");
     let (source, builtin_served) = client.result(&job).unwrap();
     assert_eq!(source, "cold", "builtin job must not reuse the risc store");
-    let builtin_one_shot = temp_dir("oneshot").join("builtin.ckpt");
-    let builtin_saved = sample_pipeline_saving_isa::<BuiltinIsa>(
-        &Executor::new(2).unwrap(),
-        &sim,
-        &bench,
-        spec.scale,
-        &params,
-        &builtin_one_shot,
-    )
-    .unwrap();
+    let (builtin_one_shot, _) =
+        sample::<BuiltinIsa>(&two, &sim, &bench, spec.scale, len, &params, None).unwrap();
     assert_eq!(
         builtin_served,
-        canonical_report_line(&builtin_saved.report.report)
+        canonical_report_line(&builtin_one_shot.report)
     );
 
     // A trace submit is refused at the protocol boundary.
@@ -112,5 +98,4 @@ fn served_risc_job_matches_a_one_shot_run_and_keys_its_own_cache() {
     client.shutdown().unwrap();
     handle.join().unwrap().unwrap();
     std::fs::remove_dir_all(&store_dir).ok();
-    std::fs::remove_dir_all(temp_dir("oneshot")).ok();
 }

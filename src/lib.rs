@@ -14,8 +14,9 @@
 //! * [`energy`] — the Wattch-like activity energy model for EPI.
 //! * [`core`] — the SMARTS framework itself: systematic sampling with
 //!   functional + detailed warming and the two-step confidence procedure.
-//! * [`exec`] — the parallel execution subsystem: multi-threaded
-//!   checkpoint replay and sharded sampling with a deterministic merge.
+//! * [`exec`] — the parallel execution subsystem: one warm → store →
+//!   replay spine (pipelined warming, store replay) with a deterministic
+//!   merge.
 //! * [`ckpt`] — the persistent on-disk checkpoint store (delta-encoded,
 //!   CRC-checked): warm once, replay many detailed configurations.
 //! * [`server`] — sampling as a service: a TCP job server over a shared
@@ -61,11 +62,11 @@ pub use smarts_workloads as workloads;
 pub mod prelude {
     pub use smarts_ckpt::{CkptReader, CkptWriter, StoreMeta};
     pub use smarts_core::{
-        compare_machines, CheckpointLibrary, PairedComparison, ReferenceRun, SampleReport,
-        SamplingParams, SmartsError, SmartsSim, SpeedupModel, Warming,
+        compare_machines, PairedComparison, ReferenceRun, SampleReport, SamplingParams,
+        SmartsError, SmartsSim, SpeedupModel, Warming,
     };
     pub use smarts_energy::EnergyModel;
-    pub use smarts_exec::{Executor, ParallelDriver, ParallelMode};
+    pub use smarts_exec::{Executor, ParallelMode};
     pub use smarts_isa::{reg, Asm, Cpu, Memory, Program};
     pub use smarts_stats::{Confidence, RunningStats, SampleEstimate, SystematicDesign};
     pub use smarts_uarch::{MachineConfig, Pipeline, WarmState};

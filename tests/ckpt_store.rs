@@ -1,55 +1,35 @@
 //! End-to-end guarantees of the persistent checkpoint store: replaying
-//! a store from disk is bit-identical to in-memory library replay at
-//! any worker count, one store serves many detailed machines, and tail
-//! damage costs only the damaged suffix.
+//! a store from disk is bit-identical to replaying the warming pass's
+//! checkpoints in memory at any worker count, one store serves many
+//! detailed machines, and tail damage costs only the damaged suffix.
+
+mod common;
 
 use std::path::PathBuf;
 
-use smarts::exec::{
-    replay_store, replay_store_eager, sample_pipeline_saving, Executor, ParallelMode,
-};
+use common::{assert_bit_identical, eager_oracle, sequential_oracle};
+use smarts::exec::{replay_store, sample, Executor, ParallelReport};
+use smarts::isa::BuiltinIsa;
 use smarts::prelude::*;
 
 fn store_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("smarts-store-{tag}-{}.ckpt", std::process::id()))
 }
 
-fn assert_bit_identical(replayed: &SampleReport, sequential: &SampleReport, what: &str) {
-    assert_eq!(
-        replayed.sample_size(),
-        sequential.sample_size(),
-        "{what}: sample size"
-    );
-    for (p, s) in replayed.units.iter().zip(&sequential.units) {
-        assert_eq!(p.start_instr, s.start_instr, "{what}: unit placement");
-        assert_eq!(p.cycles, s.cycles, "{what}: unit cycles");
-        assert_eq!(p.cpi.to_bits(), s.cpi.to_bits(), "{what}: unit CPI bits");
-        assert_eq!(p.epi.to_bits(), s.epi.to_bits(), "{what}: unit EPI bits");
-    }
-    let pairs = [
-        (replayed.cpi(), sequential.cpi(), "CPI"),
-        (replayed.epi(), sequential.epi(), "EPI"),
-    ];
-    for (p, s, which) in pairs {
-        assert_eq!(
-            p.mean().to_bits(),
-            s.mean().to_bits(),
-            "{what}: {which} mean bits"
-        );
-        assert_eq!(
-            p.coefficient_of_variation().to_bits(),
-            s.coefficient_of_variation().to_bits(),
-            "{what}: {which} V̂ bits"
-        );
-        let (plo, phi) = p.interval(Confidence::THREE_SIGMA).expect("interval");
-        let (slo, shi) = s.interval(Confidence::THREE_SIGMA).expect("interval");
-        assert_eq!(plo.to_bits(), slo.to_bits(), "{what}: {which} CI low bits");
-        assert_eq!(phi.to_bits(), shi.to_bits(), "{what}: {which} CI high bits");
-    }
-    assert_eq!(
-        replayed.instructions, sequential.instructions,
-        "{what}: mode accounting"
-    );
+/// Warms `bench` (a suite entry at `scale`) on two workers while saving
+/// the store every test here then replays.
+fn warm_and_save(
+    sim: &SmartsSim,
+    bench: &Benchmark,
+    scale: f64,
+    p: &SamplingParams,
+    path: &std::path::Path,
+) -> (ParallelReport, smarts::ckpt::WriteSummary) {
+    let two = Executor::new(2).expect("executor");
+    let len = bench.approx_len();
+    let (report, write) = sample::<BuiltinIsa>(&two, sim, bench.name(), scale, len, p, Some(path))
+        .expect("warm-and-save run");
+    (report, write.expect("write summary"))
 }
 
 #[test]
@@ -67,28 +47,24 @@ fn store_replay_is_bit_identical_across_the_suite() {
             0,
         )
         .expect("valid sampling parameters");
-        let library = sim.build_library(&bench, &p).expect("library builds");
-        let sequential = sim.sample_library(&library).expect("sequential replay");
+        let sequential = sequential_oracle(&sim, bench.load(), &p);
 
         let path = store_path(bench.name());
-        let saver = Executor::new(2)
-            .expect("executor")
-            .with_mode(ParallelMode::Pipeline);
-        let saved = sample_pipeline_saving(&saver, &sim, &bench, scale, &p, &path)
-            .expect("warm-and-save run");
+        let (saved, write) = warm_and_save(&sim, &bench, scale, &p, &path);
         assert_bit_identical(
-            &saved.report.report,
+            &saved.report,
             &sequential,
             &format!("{} while saving", bench.name()),
         );
-        assert!(saved.write.records >= sequential.sample_size());
+        assert!(write.records >= sequential.sample_size());
+        // The eager single-threaded decode of the file agrees too.
+        let eager = eager_oracle::<BuiltinIsa>(&sim, &path);
+        assert_bit_identical(&eager, &sequential, &format!("{} eager", bench.name()));
 
         for jobs in [1usize, 2, 8] {
             let executor = Executor::new(jobs).expect("executor");
-            // Lazy mmap replay (the `replay_store` default) and the
-            // eager full-decode oracle must agree byte-for-byte with
-            // each other and with sequential library replay.
-            let replayed = replay_store(&executor, &sim, &path).expect("store replay");
+            let replayed =
+                replay_store::<BuiltinIsa>(&executor, &sim, &path).expect("store replay");
             assert!(
                 replayed.damage.is_none(),
                 "{}: clean store reported damage",
@@ -100,14 +76,7 @@ fn store_replay_is_bit_identical_across_the_suite() {
                 &sequential,
                 &format!("{} from disk at {jobs} jobs", bench.name()),
             );
-            let eager = replay_store_eager(&executor, &sim, &path).expect("eager store replay");
-            assert!(eager.damage.is_none());
-            assert_eq!(eager.records, replayed.records);
-            assert_bit_identical(
-                &eager.report.report,
-                &replayed.report.report,
-                &format!("{} eager vs lazy at {jobs} jobs", bench.name()),
-            );
+            assert_eq!(replayed.records, write.records);
         }
         std::fs::remove_file(&path).ok();
     }
@@ -136,19 +105,15 @@ fn one_store_serves_many_detailed_machines() {
 
     // One warming pass, persisted by the wide machine.
     let path = store_path("many-configs");
-    let saver = Executor::new(2)
-        .expect("executor")
-        .with_mode(ParallelMode::Pipeline);
-    sample_pipeline_saving(&saver, &sim_wide, &bench, scale, &p, &path).expect("warm-and-save run");
+    warm_and_save(&sim_wide, &bench, scale, &p, &path);
 
     // Both machines replay it with zero warming, each bit-identical to
-    // its own sequential library replay.
+    // its own sequential oracle.
     let executor = Executor::new(4).expect("executor");
     let mut means = Vec::new();
     for (label, sim) in [("8-way", &sim_wide), ("narrow", &sim_narrow)] {
-        let library = sim.build_library(&bench, &p).expect("library builds");
-        let sequential = sim.sample_library(&library).expect("sequential replay");
-        let replayed = replay_store(&executor, sim, &path).expect("store replay");
+        let sequential = sequential_oracle(sim, bench.load(), &p);
+        let replayed = replay_store::<BuiltinIsa>(&executor, sim, &path).expect("store replay");
         assert!(replayed.damage.is_none());
         assert_bit_identical(
             &replayed.report.report,
@@ -177,11 +142,7 @@ fn tail_damage_costs_only_the_damaged_suffix() {
         SamplingParams::for_sample_size(bench.approx_len(), 1000, 2000, Warming::Functional, 8, 0)
             .expect("valid sampling parameters");
     let path = store_path("tail-damage");
-    let saver = Executor::new(2)
-        .expect("executor")
-        .with_mode(ParallelMode::Pipeline);
-    let saved =
-        sample_pipeline_saving(&saver, &sim, &bench, scale, &p, &path).expect("warm-and-save run");
+    let (_, write) = warm_and_save(&sim, &bench, scale, &p, &path);
 
     let bytes = std::fs::read(&path).expect("read store");
     let records_end = smarts::ckpt::MappedStore::open(&path, sim.config())
@@ -192,8 +153,9 @@ fn tail_damage_costs_only_the_damaged_suffix() {
     // back — but the damage is still surfaced as a typed error.
     std::fs::write(&path, &bytes[..bytes.len() - 3]).expect("truncate footer");
     let executor = Executor::new(2).expect("executor");
-    let replayed = replay_store(&executor, &sim, &path).expect("footer-damaged replay");
-    assert_eq!(replayed.records, saved.write.records);
+    let replayed =
+        replay_store::<BuiltinIsa>(&executor, &sim, &path).expect("footer-damaged replay");
+    assert_eq!(replayed.records, write.records);
     assert!(
         matches!(
             replayed.damage,
@@ -207,8 +169,8 @@ fn tail_damage_costs_only_the_damaged_suffix() {
     // the damage surfaced as a typed error instead of a failure.
     std::fs::write(&path, &bytes[..records_end - 3]).expect("truncate store");
     let executor = Executor::new(2).expect("executor");
-    let replayed = replay_store(&executor, &sim, &path).expect("prefix replay");
-    assert_eq!(replayed.records, saved.write.records - 1);
+    let replayed = replay_store::<BuiltinIsa>(&executor, &sim, &path).expect("prefix replay");
+    assert_eq!(replayed.records, write.records - 1);
     assert!(
         matches!(
             replayed.damage,
@@ -329,8 +291,8 @@ fn pinned_store_bytes<F: smarts::workloads::Frontend>(name: &str, offset: u64) -
             .expect("valid sampling parameters");
     let path = store_path(&format!("pinned-{name}-{}-{offset}", F::NAME));
     let executor = Executor::new(1).expect("executor");
-    smarts::exec::warm_store_saving_isa::<F>(&executor, &sim, name, scale, &p, &path)
-        .expect("warm-and-save run");
+    smarts::exec::warm_store::<F>(&executor, &sim, name, scale, approx_len, &p, &path)
+        .expect("warming pass");
     let bytes = std::fs::read(&path).expect("read store");
     std::fs::remove_file(&path).ok();
     bytes

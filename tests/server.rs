@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::thread::JoinHandle;
 
-use smarts::exec::{Executor, ParallelMode};
+use smarts::exec::Executor;
 use smarts::prelude::*;
 use smarts::server::json::Json;
 use smarts::server::{
@@ -84,12 +84,45 @@ fn one_shot_line(spec: &JobSpec) -> String {
         .scaled(spec.scale);
     let executor = Executor::new(spec.jobs)
         .expect("executor")
-        .with_mode(ParallelMode::Pipeline)
         .with_pipeline_depth(spec.depth);
     let outcome = executor
         .sample(&sim, &bench, &params)
         .expect("pipeline run");
     canonical_report_line(&outcome.report)
+}
+
+/// The line a one-shot sampled run over a serially warmed store
+/// produces for a spec.
+fn one_shot_sampled_line(spec: &JobSpec) -> String {
+    let cfg = machine_for(spec);
+    let params = params_for(spec, &cfg).expect("valid spec");
+    let sim = SmartsSim::new(cfg.clone());
+    let len = find(&spec.bench)
+        .expect("suite benchmark")
+        .scaled(spec.scale)
+        .approx_len();
+    let path = temp_dir("one-shot-sampled").with_extension("ckpt");
+    let executor = Executor::new(spec.jobs).expect("executor");
+    smarts::exec::warm_store::<smarts::isa::BuiltinIsa>(
+        &executor,
+        &sim,
+        &spec.bench,
+        spec.scale,
+        len,
+        &params,
+        &path,
+    )
+    .expect("serial warming pass");
+    let store = smarts::ckpt::MappedStore::open(&path, &cfg).expect("store opens");
+    let sampled = smarts::exec::replay_store_sampled::<smarts::isa::BuiltinIsa>(
+        &executor,
+        &sim,
+        &store,
+        &spec.sampler_spec(),
+    )
+    .expect("sampled replay");
+    std::fs::remove_file(&path).ok();
+    smarts::server::sampled_report_line(&sampled)
 }
 
 #[test]
@@ -187,6 +220,24 @@ fn sampled_jobs_are_deterministic_and_cache_keyed_by_sampler() {
     let (source, cold_line) = client.result(&first).expect("cold result");
     assert_eq!(source, "cold");
 
+    // A sampled cold job whose warm-only pass is split across three
+    // shards (a fresh design, so a fresh store) serves the serial bytes.
+    let serial = JobSpec {
+        offset: 1,
+        ..spec.clone()
+    };
+    let sharded = JobSpec {
+        warm_jobs: 3,
+        ..serial.clone()
+    };
+    let job = client
+        .submit(&sharded)
+        .expect("submit sharded sampled cold");
+    assert_eq!(client.wait(&job).expect("wait"), "done");
+    let (source, sharded_line) = client.result(&job).expect("sharded result");
+    assert_eq!(source, "cold");
+    assert_eq!(sharded_line, one_shot_sampled_line(&serial));
+
     // Exact repeat: the sampler spec is part of the cache key, so this
     // is a cache hit with the same bytes.
     let second = client.submit(&spec).expect("submit sampled repeat");
@@ -211,8 +262,9 @@ fn sampled_jobs_are_deterministic_and_cache_keyed_by_sampler() {
     );
     assert_ne!(raw, cold_line, "reseeded line carries its own spec");
 
+    // Two designs, two warming passes, however many selections.
     let stats = client.stats().expect("stats");
-    assert_eq!(stats.get("warm_passes").and_then(Json::as_u64), Some(1));
+    assert_eq!(stats.get("warm_passes").and_then(Json::as_u64), Some(2));
     server.shutdown();
 
     // Fresh server over the same directory: the in-memory cache is
