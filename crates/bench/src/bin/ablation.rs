@@ -130,8 +130,7 @@ fn main() {
         // Warm once into a store, then time the replay alone: what a
         // second design point on the same warm geometry would pay.
         let one = Executor::new(1).expect("executor");
-        let len = bench.approx_len();
-        warm_store::<BuiltinIsa>(&one, &sim, bench.name(), args.scale, len, &params, &store)
+        warm_store::<BuiltinIsa>(&one, &sim, bench.name(), args.scale, &params, &store)
             .expect("warming pass");
         let replay = replay_store::<BuiltinIsa>(&one, &sim, &store)
             .expect("replay succeeds")

@@ -336,7 +336,7 @@ fn main() {
     }
     println!(
         "(the pipeline is bit-identical at every worker count and keeps at most depth {} + jobs + 1",
-        smarts_exec::DEFAULT_PIPELINE_DEPTH
+        smarts_exec::PIPELINE_DEPTH
     );
     println!(
         " checkpoints resident; leapfrog trades the warming pass for the residual bias shown.)"
@@ -355,11 +355,7 @@ fn write_json(benches: &[BenchResult]) -> std::io::Result<()> {
     writeln!(f, "  \"bench\": \"scaling\",")?;
     writeln!(f, "  \"samples_per_case\": 1,")?;
     writeln!(f, "  \"machine\": \"8-way\",")?;
-    writeln!(
-        f,
-        "  \"pipeline_depth\": {},",
-        smarts_exec::DEFAULT_PIPELINE_DEPTH
-    )?;
+    writeln!(f, "  \"pipeline_depth\": {},", smarts_exec::PIPELINE_DEPTH)?;
     writeln!(f, "  \"leapfrog_warmup\": {LEAPFROG_WARMUP},")?;
     writeln!(f, "  \"results\": [")?;
     for (i, b) in benches.iter().enumerate() {

@@ -172,13 +172,9 @@ fn write_json(rows: &[Row]) -> std::io::Result<()> {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         writeln!(f, "    {{")?;
         writeln!(f, "      \"benchmark\": \"{}\",", row.name)?;
-        // Rows are keyed (benchmark, isa, warm_jobs): this bin measures
-        // the single-producer pass only, so every row is warm_jobs = 1;
-        // sharded rows live in results/bench_warm_shard.json with their
-        // own guard. The fields keep the guard populations from silently
-        // comparing across modes or frontends.
+        // Rows are keyed (benchmark, isa): the field keeps the guard
+        // populations from silently comparing across frontends.
         writeln!(f, "      \"isa\": \"{}\",", row.isa)?;
-        writeln!(f, "      \"warm_jobs\": 1,")?;
         writeln!(f, "      \"instructions\": {},", row.instructions)?;
         writeln!(
             f,

@@ -25,7 +25,6 @@ const TOLERANCE: f64 = 0.20;
 struct Reference {
     benchmark: String,
     isa: String,
-    warm_jobs: u64,
     instructions: u64,
     warming_mips: f64,
 }
@@ -39,13 +38,6 @@ fn main() {
         .unwrap_or_else(|e| fail(&format!("cannot parse reference {path}: {e}")));
     if references.is_empty() {
         fail(&format!("reference {path} lists no probes"));
-    }
-    // This guard re-measures the single-producer pass; sharded rows
-    // (warm_jobs > 1) are guarded by `warm_shard_guard` against their own
-    // baseline, never compared against serial references here.
-    references.retain(|r| r.warm_jobs == 1);
-    if references.is_empty() {
-        fail(&format!("reference {path} lists no warm_jobs=1 probes"));
     }
     if args.quick {
         // Quick mode still guards every frontend: keep the first probe
@@ -134,32 +126,24 @@ fn remeasure<F: Frontend>(reference: &Reference, cfg: &MachineConfig) -> f64 {
     instructions as f64 / warming.as_secs_f64() / 1e6
 }
 
-/// Extracts `(benchmark, isa, warm_jobs, instructions, warming_mips)`
+/// Extracts `(benchmark, isa, instructions, warming_mips)`
 /// rows from the reference file. Hand-rolled (the workspace builds
 /// offline, no serde): scans for the keys in order within each result
 /// object, which is exactly the shape the `warming` binary writes.
-/// `isa` and `warm_jobs` default to builtin / 1 for rows written before
-/// the fields existed.
+/// `isa` defaults to builtin for rows written before the field
+/// existed.
 fn parse_references(text: &str) -> Result<Vec<Reference>, String> {
     let mut references = Vec::new();
     let mut benchmark: Option<String> = None;
     let mut isa: Option<String> = None;
-    let mut warm_jobs: Option<u64> = None;
     let mut instructions: Option<u64> = None;
     for line in text.lines() {
         let line = line.trim();
         if let Some(value) = key_value(line, "benchmark") {
             benchmark = Some(value.trim_matches('"').to_string());
             isa = None;
-            warm_jobs = None;
         } else if let Some(value) = key_value(line, "isa") {
             isa = Some(value.trim_matches('"').to_string());
-        } else if let Some(value) = key_value(line, "warm_jobs") {
-            warm_jobs = Some(
-                value
-                    .parse()
-                    .map_err(|_| format!("bad warm_jobs value `{value}`"))?,
-            );
         } else if let Some(value) = key_value(line, "instructions") {
             instructions = Some(
                 value
@@ -183,7 +167,6 @@ fn parse_references(text: &str) -> Result<Vec<Reference>, String> {
                 benchmark,
                 // Rows written before the frontend existed are builtin.
                 isa: isa.take().unwrap_or_else(|| "builtin".to_string()),
-                warm_jobs: warm_jobs.take().unwrap_or(1),
                 instructions,
                 warming_mips: mips,
             });

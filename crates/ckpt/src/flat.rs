@@ -38,10 +38,7 @@ pub(crate) const PAGE_WORDS: usize = Memory::PAGE_BYTES / 8;
 /// `smarts_uarch::Cache::save_state`), so two checkpoints whose states
 /// behave identically flatten to equal flats regardless of the history
 /// that built them (pages compare by content; identity is only a
-/// shortcut). Sharded-warm stitching compares flats with `==` to detect
-/// re-warm convergence, and equal flats delta-encode to identical
-/// record bytes — the bit-identity argument of DESIGN.md §3.6e rests on
-/// this equivalence.
+/// shortcut), and equal flats delta-encode to identical record bytes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlatCheckpoint {
     /// Unit start, CPU state, warm state — geometry-determined length.
@@ -807,7 +804,7 @@ mod tests {
 
     #[test]
     fn incremental_encoding_is_flatten_plus_encode_record() {
-        use crate::store::{CkptWriter, StoreMeta};
+        use crate::store::{encode_footer, encode_header, warm_fingerprint, CkptWriter, StoreMeta};
         for seed in 0..10u64 {
             let mut rng = SplitMix64::new(0x1AC4_E000 + seed);
             let cfg = if seed % 3 == 0 {
@@ -827,50 +824,49 @@ mod tests {
                 assert_eq!(prev, flat, "seed {seed} record {unit}: flat left behind");
             }
 
-            // Through the writer: every record appended incrementally,
-            // every record spliced as a full flat, and a random mix of
-            // the two (so the first record and the record after a splice
-            // take the full serializer) finish to the same file.
-            let write = |tag: &str, incremental: &mut dyn FnMut() -> bool| {
-                let path = std::env::temp_dir().join(format!(
-                    "smarts-flat-prop-{}-{seed}-{tag}.ckpt",
-                    std::process::id()
-                ));
-                let meta = StoreMeta {
-                    params: smarts_core::SamplingParams::for_sample_size(
-                        1 << 20,
-                        1000,
-                        2000,
-                        smarts_core::Warming::Functional,
-                        10,
-                        0,
-                    )
-                    .expect("valid params"),
-                    benchmark: "walk".to_string(),
-                    scale: 1.0,
-                    isa: smarts_isa::IsaId::Builtin,
-                };
-                let mut writer = CkptWriter::create(&path, &cfg, &meta).expect("create");
-                for checkpoint in &chain {
-                    if incremental() {
-                        writer.append(checkpoint).expect("append");
-                    } else {
-                        let flat = FlatCheckpoint::flatten(checkpoint);
-                        writer.append_flat(flat).expect("append_flat");
-                    }
-                }
-                writer.finish().expect("finish");
-                let bytes = std::fs::read(&path).expect("read back");
-                std::fs::remove_file(&path).ok();
-                bytes
+            // Through the writer: the file it finishes is the header, each
+            // record's full-serializer encoding framed by length and CRC,
+            // and the footer over those frames' offsets.
+            let path = std::env::temp_dir().join(format!(
+                "smarts-flat-prop-{}-{seed}.ckpt",
+                std::process::id()
+            ));
+            let meta = StoreMeta {
+                params: smarts_core::SamplingParams::for_sample_size(
+                    1 << 20,
+                    1000,
+                    2000,
+                    smarts_core::Warming::Functional,
+                    10,
+                    0,
+                )
+                .expect("valid params"),
+                benchmark: "walk".to_string(),
+                scale: 1.0,
+                isa: smarts_isa::IsaId::Builtin,
             };
-            let appended = write("append", &mut || true);
-            assert_eq!(appended, write("splice", &mut || false), "seed {seed}");
-            assert_eq!(
-                appended,
-                write("mixed", &mut || rng.next_below(2) == 1),
-                "seed {seed}"
-            );
+            let mut writer = CkptWriter::create(&path, &cfg, &meta).expect("create");
+            for checkpoint in &chain {
+                writer.append(checkpoint).expect("append");
+            }
+            writer.finish().expect("finish");
+            let appended = std::fs::read(&path).expect("read back");
+            std::fs::remove_file(&path).ok();
+
+            let mut reference = encode_header(warm_fingerprint(&cfg), &meta);
+            let mut offsets = Vec::new();
+            let mut prev: Option<FlatCheckpoint> = None;
+            for checkpoint in &chain {
+                let flat = FlatCheckpoint::flatten(checkpoint);
+                let payload = encode_record(&flat, prev.as_ref());
+                offsets.push(reference.len() as u64);
+                reference.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                reference.extend_from_slice(&smarts_isa::crc32(&payload).to_le_bytes());
+                reference.extend_from_slice(&payload);
+                prev = Some(flat);
+            }
+            reference.extend_from_slice(&encode_footer(&offsets));
+            assert_eq!(appended, reference, "seed {seed}");
         }
     }
 

@@ -26,9 +26,9 @@
 //! is a pure function of the record stream — [`CkptWriter::finish`]
 //! derives it from the offsets it tracked while appending — so two
 //! stores with identical records are byte-identical files including
-//! the footer (the sharded-warm splice invariant carries over). The
-//! marker doubles as an end-of-records sentinel for the sequential
-//! reader: no legal record has a payload length of `0xFFFF_FFFF`.
+//! the footer. The marker doubles as an end-of-records sentinel for the
+//! sequential reader: no legal record has a payload length of
+//! `0xFFFF_FFFF`.
 //! Version-1 stores (no footer) remain fully readable; readers fall
 //! back to a sequential scan whenever the footer is missing or
 //! damaged.
@@ -402,11 +402,10 @@ pub struct CkptWriter {
     file: BufWriter<File>,
     fingerprint: u64,
     isa: IsaId,
-    prev: Option<FlatCheckpoint>,
-    /// The warm state `prev` was flattened from, while the last record
-    /// came through [`CkptWriter::append`]: the next append compares
-    /// packed sets against it instead of re-serializing the machine.
-    shadow: Option<WarmState>,
+    /// The last appended record's flat and the warm state it was
+    /// flattened from: the next append compares packed sets against the
+    /// latter instead of re-serializing the machine.
+    prev: Option<(FlatCheckpoint, WarmState)>,
     records: u64,
     bytes: u64,
     offsets: Vec<u64>,
@@ -434,7 +433,6 @@ impl CkptWriter {
             fingerprint,
             isa: meta.isa,
             prev: None,
-            shadow: None,
             records: 0,
             bytes: header.len() as u64,
             offsets: Vec::new(),
@@ -463,44 +461,22 @@ impl CkptWriter {
                 found: self.isa,
             });
         }
-        let payload = match (&mut self.prev, &mut self.shadow) {
-            (Some(prev), Some(shadow)) => encode_next(prev, shadow, checkpoint),
-            // Record 0, or the record after a spliced flat: serialize the
-            // whole state once and start shadowing it.
-            _ => {
+        let payload = match &mut self.prev {
+            Some((prev, shadow)) => encode_next(prev, shadow, checkpoint),
+            // Record 0: serialize the whole state once and start
+            // shadowing it.
+            None => {
                 let flat = FlatCheckpoint::flatten(checkpoint);
-                let payload = encode_record(&flat, self.prev.as_ref());
-                self.prev = Some(flat);
-                self.shadow = Some(checkpoint.warm().clone());
+                let payload = encode_record(&flat, None);
+                self.prev = Some((flat, checkpoint.warm().clone()));
                 payload
             }
         };
-        self.write_record(&payload)
-    }
-
-    /// Appends one already-flattened checkpoint (see [`CkptWriter::append`]).
-    /// This is the splice seam for sharded warming: a merge pass streams
-    /// flats decoded from per-shard segment stores straight into the
-    /// final store, and because [`crate::flat::encode_record`] is a pure
-    /// function of `(current flat, previous flat)`, re-encoding a decoded
-    /// chain reproduces the single-producer store byte-for-byte.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CkptError::Io`] when the write fails.
-    pub fn append_flat(&mut self, flat: FlatCheckpoint) -> Result<(), CkptError> {
-        let payload = encode_record(&flat, self.prev.as_ref());
-        self.prev = Some(flat);
-        self.shadow = None;
-        self.write_record(&payload)
-    }
-
-    fn write_record(&mut self, payload: &[u8]) -> Result<(), CkptError> {
-        let crc = crc32(payload);
+        let crc = crc32(&payload);
         self.file
             .write_all(&(u32::try_from(payload.len()).expect("record fits u32")).to_le_bytes())?;
         self.file.write_all(&crc.to_le_bytes())?;
-        self.file.write_all(payload)?;
+        self.file.write_all(&payload)?;
         self.offsets.push(self.bytes);
         self.bytes += 8 + payload.len() as u64;
         self.records += 1;
@@ -671,12 +647,9 @@ impl CkptReader {
         }
     }
 
-    /// Decodes the next record to its flattened form without rebuilding
-    /// live state — the sharded-warm stitch path, which compares and
-    /// splices flats directly. Same streaming/error contract as
-    /// [`CkptReader::next_checkpoint`].
-    #[allow(clippy::should_implement_trait)] // fallible, not an Iterator
-    pub fn next_flat(&mut self) -> Option<Result<FlatCheckpoint, CkptError>> {
+    /// Decodes the next record to its flattened form. Same
+    /// streaming/error contract as [`CkptReader::next_checkpoint`].
+    fn next_flat(&mut self) -> Option<Result<FlatCheckpoint, CkptError>> {
         if self.done {
             return None;
         }

@@ -52,10 +52,6 @@ pub struct Options {
     pub confidence: f64,
     /// Replay workers for `sample` and `compare`.
     pub jobs: usize,
-    /// Warming shards (1 = serial warming).
-    pub warm_jobs: usize,
-    /// Bounded channel depth (checkpoints) between warming and replay.
-    pub pipeline_depth: usize,
     /// Persist unit checkpoints to this store while sampling.
     pub save_checkpoints: Option<String>,
     /// Replay a persisted checkpoint store instead of warming.
@@ -108,8 +104,6 @@ impl Default for Options {
             epsilon: None,
             confidence: 0.9973,
             jobs: 1,
-            warm_jobs: 1,
-            pipeline_depth: smarts_exec::DEFAULT_PIPELINE_DEPTH,
             save_checkpoints: None,
             from_checkpoints: None,
             json: false,
@@ -185,9 +179,6 @@ pub fn usage() -> String {
      \x20 --jobs <count>           replay workers for sample/compare: above 1, units\n\
      \x20                          replay from checkpoints while warming runs ahead\n\
      \x20                          (same bytes at any count)          [1]\n\
-     \x20 --pipeline-depth <n>     checkpoints queued between warming and replay [4]\n\
-     \x20 --warm-jobs <count>      split the warming pass itself into stitched\n\
-     \x20                          shards (same bytes at any count)   [1]\n\
      \x20 --save-checkpoints <p>   persist unit checkpoints to a store at <p> while\n\
      \x20                          sampling (not with --epsilon)\n\
      \x20 --from-checkpoints <p>   replay a saved store, skipping functional warming;\n\
@@ -310,20 +301,6 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
                     .filter(|&n| n >= 1)
                     .ok_or_else(|| "--jobs takes a worker count of at least 1".to_string())?;
             }
-            "--warm-jobs" => {
-                options.warm_jobs = value("--warm-jobs")?
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| "--warm-jobs takes a shard count of at least 1".to_string())?;
-            }
-            "--pipeline-depth" => {
-                options.pipeline_depth = value("--pipeline-depth")?
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| "--pipeline-depth takes a depth of at least 1".to_string())?;
-            }
             "--save-checkpoints" => {
                 options.save_checkpoints = Some(value("--save-checkpoints")?);
             }
@@ -421,19 +398,6 @@ fn cmd_list() {
             family
         );
     }
-}
-
-fn executor_for(options: &Options) -> Result<Executor, String> {
-    Ok(Executor::new(options.jobs)
-        .map_err(|e| e.to_string())?
-        .with_pipeline_depth(options.pipeline_depth)
-        .with_warm_jobs(options.warm_jobs))
-}
-
-/// Whether the options ask for more than the in-order loop: replay
-/// workers or warming shards.
-fn wants_executor(options: &Options) -> bool {
-    options.jobs > 1 || options.warm_jobs > 1
 }
 
 /// The frontend the sampling options select, plus the workload name it
@@ -564,7 +528,7 @@ fn sample_with<F: Frontend>(options: &Options, workload: &str) -> Result<SampleR
     let conf = Confidence::new(options.confidence).map_err(|e| e.to_string())?;
     let spec = sampler_spec(options);
     spec.validate().map_err(|e| e.to_string())?;
-    let executor = executor_for(options)?;
+    let executor = Executor::new(options.jobs).map_err(|e| e.to_string())?;
     let text = |e: ExecError| e.to_string();
     let mut notes = Vec::new();
     let run = |label, params, notes, estimate| SampleRun {
@@ -610,8 +574,7 @@ fn sample_with<F: Frontend>(options: &Options, workload: &str) -> Result<SampleR
     if two_step.is_some() && F::ID != IsaId::Builtin {
         return Err("--epsilon two-step tuning supports the built-in frontend only".into());
     }
-    let approx_len = F::approx_len(workload, options.scale)?;
-    let params = sampling_params(options, &cfg, approx_len)?;
+    let params = sampling_params(options, &cfg, F::approx_len(workload, options.scale)?)?;
     let label = workload_label::<F>(workload, options.scale);
     let save = options
         .save_checkpoints
@@ -621,31 +584,19 @@ fn sample_with<F: Frontend>(options: &Options, workload: &str) -> Result<SampleR
     let estimate = if !spec.is_systematic() {
         let temp = temp_store_path();
         let path = save.unwrap_or(&temp);
-        let sampled = warm_store::<F>(
-            &executor,
-            &sim,
-            workload,
-            options.scale,
-            approx_len,
-            &params,
-            path,
-        )
-        .and_then(|(write, shard)| {
-            if save.is_some() {
-                notes.push(store_written_note(&write, path));
-            }
-            let store = MappedStore::open(path, &cfg)?;
-            let mut sampled = replay_store_sampled::<F>(&executor, &sim, &store, &spec)?;
-            // The replay knows nothing of the warming pass that fed it.
-            sampled.report.shard = shard;
-            Ok(sampled)
-        });
+        let sampled = warm_store::<F>(&executor, &sim, workload, options.scale, &params, path)
+            .and_then(|write| {
+                if save.is_some() {
+                    notes.push(store_written_note(&write, path));
+                }
+                let store = MappedStore::open(path, &cfg)?;
+                replay_store_sampled::<F>(&executor, &sim, &store, &spec)
+            });
         if save.is_none() {
             let _ = std::fs::remove_file(&temp);
         }
         Estimate::Sampled(sampled.map_err(text)?)
-    } else if two_step.is_some()
-        || (F::ID == IsaId::Builtin && save.is_none() && !wants_executor(options))
+    } else if two_step.is_some() || (F::ID == IsaId::Builtin && save.is_none() && options.jobs == 1)
     {
         // Two-step tuning reruns a suite `Benchmark` at a tuned n, and a
         // plain one-worker run of the built-in frontend stays the
@@ -656,7 +607,7 @@ fn sample_with<F: Frontend>(options: &Options, workload: &str) -> Result<SampleR
         let report = match two_step {
             None => sim.sample(&bench, &params).map_err(|e| e.to_string())?,
             Some(eps) => {
-                let outcome = if wants_executor(options) {
+                let outcome = if options.jobs > 1 {
                     sample_two_step_parallel(&executor, &sim, &bench, &params, eps, conf)
                         .map_err(text)?
                 } else {
@@ -676,16 +627,8 @@ fn sample_with<F: Frontend>(options: &Options, workload: &str) -> Result<SampleR
         };
         Estimate::InOrder(report)
     } else {
-        let (report, write) = sample::<F>(
-            &executor,
-            &sim,
-            workload,
-            options.scale,
-            approx_len,
-            &params,
-            save,
-        )
-        .map_err(text)?;
+        let (report, write) =
+            sample::<F>(&executor, &sim, workload, options.scale, &params, save).map_err(text)?;
         if let (Some(write), Some(path)) = (write, save) {
             notes.push(store_written_note(&write, path));
         }
@@ -975,17 +918,6 @@ fn print_sample_report(
                 pr.mode, pr.jobs, pr.build_wall, pr.parallel_wall
             ),
         }
-        if let Some(ss) = &pr.shard {
-            println!(
-                "warm shards   {}: {:.2?} parallel warm + {:.2?} stitch \
-                 ({} units re-warmed, {} instructions)",
-                ss.warm_jobs,
-                ss.warm_wall,
-                ss.stitch_wall,
-                ss.rewarm_units(),
-                ss.rewarm_instructions
-            );
-        }
         for w in &pr.workers {
             let i = &w.instructions;
             println!(
@@ -1018,9 +950,8 @@ fn cmd_compare(options: &Options) -> Result<(), String> {
     let mut params = sampling_params(options, base.config(), bench.approx_len())?;
     params.detailed_warming = 0; // per-machine recommendation
     let conf = Confidence::new(options.confidence).map_err(|e| e.to_string())?;
-    let use_executor = wants_executor(options);
-    let cmp = if use_executor {
-        let executor = executor_for(options)?;
+    let cmp = if options.jobs > 1 {
+        let executor = Executor::new(options.jobs).map_err(|e| e.to_string())?;
         compare_machines_parallel(&executor, &base, &alt, &bench, &params)
             .map_err(|e| e.to_string())?
     } else {
@@ -1046,11 +977,8 @@ fn cmd_compare(options: &Options) -> Result<(), String> {
         "pairing gain  {:.1}x tighter than independent runs",
         cmp.pairing_gain()
     );
-    if use_executor {
-        println!(
-            "parallel      {} workers per machine, {} warming shards",
-            options.jobs, options.warm_jobs
-        );
+    if options.jobs > 1 {
+        println!("parallel      {} workers per machine", options.jobs);
     }
     Ok(())
 }
@@ -1154,8 +1082,6 @@ fn job_spec(options: &Options) -> Result<JobSpec, String> {
         functional_warming: !options.no_functional_warming,
         offset: options.offset,
         jobs: options.jobs,
-        depth: options.pipeline_depth,
-        warm_jobs: options.warm_jobs,
         sampler: options.sampler,
         seed: options.seed,
         strata: options.strata,
@@ -1435,43 +1361,25 @@ mod tests {
         assert!(parse_options(&strings(&["--scale", "-1"])).is_err());
         assert!(parse_options(&strings(&["--n"])).is_err());
         assert!(parse_options(&strings(&["--jobs", "0"])).is_err());
-        assert!(parse_options(&strings(&["--pipeline-depth", "0"])).is_err());
-        assert!(parse_options(&strings(&["--warm-jobs", "0"])).is_err());
-        assert!(parse_options(&strings(&["--warm-jobs", "x"])).is_err());
     }
 
     #[test]
     fn parses_parallel_flags() {
-        let options = parse_options(&strings(&[
-            "--jobs",
-            "4",
-            "--warm-jobs",
-            "3",
-            "--pipeline-depth",
-            "2",
-        ]))
-        .unwrap();
-        assert_eq!(
-            (options.jobs, options.warm_jobs, options.pipeline_depth),
-            (4, 3, 2)
-        );
-        let executor = executor_for(&options).unwrap();
-        assert_eq!(
-            (
-                executor.jobs(),
-                executor.warm_jobs(),
-                executor.pipeline_depth()
-            ),
-            (4, 3, 2)
-        );
-        let defaults = parse_options(&[]).unwrap();
-        assert_eq!((defaults.jobs, defaults.warm_jobs), (1, 1));
-        assert_eq!(defaults.pipeline_depth, smarts_exec::DEFAULT_PIPELINE_DEPTH);
-        // How a run is parallelised is not an input any more.
-        assert_eq!(
-            parse_options(&strings(&["--parallel-mode", "pipeline"])).unwrap_err(),
-            "unknown option --parallel-mode"
-        );
+        let options = parse_options(&strings(&["--jobs", "4"])).unwrap();
+        assert_eq!(options.jobs, 4);
+        assert_eq!(parse_options(&[]).unwrap().jobs, 1);
+        // How a run is parallelised is not an input any more: `--jobs` is
+        // the only knob.
+        for (flag, value) in [
+            ("--parallel-mode", "pipeline"),
+            ("--warm-jobs", "2"),
+            ("--pipeline-depth", "4"),
+        ] {
+            assert_eq!(
+                parse_options(&strings(&[flag, value])).unwrap_err(),
+                format!("unknown option {flag}")
+            );
+        }
     }
 
     /// The parallel accounting of a run: the executor's own for the
@@ -1488,20 +1396,6 @@ mod tests {
     }
 
     const BUILTIN: [&str; 4] = ["--bench", "loopy-1", "--scale", "0.02"];
-
-    #[test]
-    fn warm_jobs_implies_sharded_warm_mode() {
-        let run = parallel_of(&[&BUILTIN[..], &["--n", "8", "--warm-jobs", "3"]].concat());
-        assert_eq!(run.mode, ParallelMode::ShardedWarm);
-        assert!(run.shard.expect("shard stats").warm_jobs > 1);
-
-        // A sampled cold run warms a whole store before it replays any of
-        // it, and shards that warming pass just the same.
-        let sampled = ["--n", "8", "--sampler", "stratified", "--warm-jobs", "2"];
-        let run = parallel_of(&[&BUILTIN[..], &sampled].concat());
-        assert_eq!(run.mode, ParallelMode::Checkpoint);
-        assert!(run.shard.expect("shard stats").warm_jobs > 1);
-    }
 
     #[test]
     fn dispatch_rejects_unknown_commands() {
@@ -1548,14 +1442,10 @@ mod tests {
             mode_of(&["--jobs", "2", "--save-checkpoints", &path_s]),
             ParallelMode::Pipeline
         );
-        assert_eq!(
-            mode_of(&["--jobs", "2", "--warm-jobs", "2", "--pipeline-depth", "2"]),
-            ParallelMode::ShardedWarm
-        );
         let replayed = parallel_of(&["--from-checkpoints", &path_s, "--jobs", "2"]);
         assert_eq!(replayed.mode, ParallelMode::Checkpoint);
         std::fs::remove_file(&path).ok();
-        // One worker, no shards, no store: the in-order loop, no executor.
+        // One worker, no store: the in-order loop, no executor.
         let in_order = run_sample(&parse_options(&strings(&BUILTIN)).unwrap()).unwrap();
         assert!(matches!(in_order.estimate, Estimate::InOrder(_)));
     }
@@ -1571,22 +1461,6 @@ mod tests {
             parallel_of(&[&BUILTIN[..], &["--n", "8", "--save-checkpoints", &path_s]].concat());
         assert_eq!((run.mode, run.jobs), (ParallelMode::Pipeline, 1));
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn sample_runs_sharded_warm_end_to_end() {
-        dispatch(&strings(&[
-            "sample",
-            "--bench",
-            "loopy-1",
-            "--scale",
-            "0.02",
-            "--n",
-            "8",
-            "--warm-jobs",
-            "3",
-        ]))
-        .unwrap();
     }
 
     #[test]

@@ -115,79 +115,6 @@ pub struct StreamSummary {
     pub stopped: bool,
 }
 
-/// Summary of one [`stream_checkpoints_range`] drive.
-#[derive(Debug, Clone, Copy)]
-pub struct RangeSummary {
-    /// Checkpoints offered to the consumer.
-    pub emitted: u64,
-    /// Whether the consumer stopped the stream before the range end.
-    pub stopped: bool,
-}
-
-/// Drives functional warming across one contiguous range of the
-/// systematic grid, emitting each unit's checkpoint at its boundary:
-/// the inner loop of [`SmartsSim::stream_checkpoints`], exposed so
-/// sharded warming can run disjoint grid subranges on their own
-/// threads from fast-forwarded start states and re-drive shard
-/// prefixes during boundary stitching.
-///
-/// `grid_start` must lie on the grid (`offset + i·interval`);
-/// `grid_end` is an exclusive unit-index bound (`u64::MAX` for "until
-/// the stream ends"). The engine is expected to stand at or before
-/// `grid_start`'s warm-start point; `params` must already be
-/// validated. At most `max_units` checkpoints are emitted. On return
-/// the engine stands wherever the last fast-forward left it — for a
-/// completed range, at the last emitted unit's warm-start point.
-pub fn stream_checkpoints_range<I: Isa>(
-    engine: &mut FunctionalEngine<I>,
-    warm: &mut WarmState,
-    params: &SamplingParams,
-    grid_start: u64,
-    grid_end: u64,
-    max_units: Option<u64>,
-    emit: &mut dyn FnMut(UnitCheckpoint<I>) -> bool,
-) -> RangeSummary {
-    let mut emitted: u64 = 0;
-    let mut stopped = false;
-    let mut unit_index = grid_start;
-    while unit_index < grid_end {
-        if let Some(max) = max_units {
-            if emitted >= max {
-                break;
-            }
-        }
-        let unit_start = unit_index * params.unit_size;
-        let warm_start = unit_start.saturating_sub(params.detailed_warming);
-        match params.warming {
-            Warming::None => engine.fast_forward(warm_start),
-            Warming::Functional => engine.fast_forward_warming(warm_start, warm),
-        };
-        if engine.finished() {
-            break;
-        }
-        if engine.position() > unit_start {
-            // Overlapping designs (k·U < W) can leave the engine past
-            // this unit entirely; skip to the next one.
-            unit_index += params.interval;
-            continue;
-        }
-        // The unit (and its detailed warming) must fit in the stream;
-        // probe cheaply by checkpointing now and validating on replay.
-        let checkpoint = UnitCheckpoint {
-            unit_start,
-            snapshot: engine.snapshot(),
-            warm: warm.clone(),
-        };
-        if !emit(checkpoint) {
-            stopped = true;
-            break;
-        }
-        emitted += 1;
-        unit_index += params.interval;
-    }
-    RangeSummary { emitted, stopped }
-}
-
 /// Outcome of replaying one checkpointed sampling unit in isolation.
 ///
 /// The accounting fields let callers rebuild the exact
@@ -269,22 +196,52 @@ impl SmartsSim {
         let start = Instant::now();
         let mut engine = FunctionalEngine::new(loaded);
         let mut warm = WarmState::new(self.config());
-        let summary = stream_checkpoints_range(
-            &mut engine,
-            &mut warm,
-            params,
-            params.offset,
-            u64::MAX,
-            params.max_units,
-            &mut emit,
-        );
-        if summary.emitted == 0 && !summary.stopped {
+        let mut emitted: u64 = 0;
+        let mut stopped = false;
+
+        let mut unit_index = params.offset;
+        loop {
+            if let Some(max) = params.max_units {
+                if emitted >= max {
+                    break;
+                }
+            }
+            let unit_start = unit_index * params.unit_size;
+            let warm_start = unit_start.saturating_sub(params.detailed_warming);
+            match params.warming {
+                Warming::None => engine.fast_forward(warm_start),
+                Warming::Functional => engine.fast_forward_warming(warm_start, &mut warm),
+            };
+            if engine.finished() {
+                break;
+            }
+            if engine.position() > unit_start {
+                // Overlapping designs (k·U < W) can leave the engine past
+                // this unit entirely; skip to the next one.
+                unit_index += params.interval;
+                continue;
+            }
+            // The unit (and its detailed warming) must fit in the stream;
+            // probe cheaply by checkpointing now and validating on replay.
+            let checkpoint = UnitCheckpoint {
+                unit_start,
+                snapshot: engine.snapshot(),
+                warm: warm.clone(),
+            };
+            if !emit(checkpoint) {
+                stopped = true;
+                break;
+            }
+            emitted += 1;
+            unit_index += params.interval;
+        }
+        if emitted == 0 && !stopped {
             return Err(SmartsError::EmptySample);
         }
         Ok(StreamSummary {
-            emitted: summary.emitted,
+            emitted,
             build_wall: start.elapsed(),
-            stopped: summary.stopped,
+            stopped,
         })
     }
 

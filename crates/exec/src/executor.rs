@@ -1,6 +1,5 @@
-//! The executor — worker-pool size, pipeline depth, warming shards,
-//! cancellation and progress hooks — and the report types every run
-//! returns.
+//! The executor — worker-pool size, cancellation and progress hooks —
+//! and the report types every run returns.
 
 use std::time::{Duration, Instant};
 
@@ -14,8 +13,8 @@ use smarts_isa::BuiltinIsa;
 use smarts_workloads::Benchmark;
 
 /// Which route produced a [`ParallelReport`]. A label on the result, not
-/// an input: the executor's `warm_jobs` picks the warming producer, and
-/// whether a run warms at all is the entry point the caller chose.
+/// an input: whether a run warms at all is the entry point the caller
+/// chose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParallelMode {
     /// Replayed from stored checkpoints ([`crate::replay_store`] and its
@@ -29,15 +28,6 @@ pub enum ParallelMode {
     /// residency is bounded by the channel depth plus in-flight replays
     /// instead of O(n units).
     Pipeline,
-    /// The same pipeline fed by sharded warming with boundary re-warm
-    /// stitching (`warm_jobs > 1`): the warming pass itself is split into
-    /// leapfrog shards writing private delta-encoded segments, and a
-    /// serial stitch pass re-warms each shard's leading units from its
-    /// predecessor's exact state until the canonical warm states
-    /// converge, then splices the rest verbatim. Warming wall tends to
-    /// `T_warm / warm_jobs` plus the measured re-warm overhead. See
-    /// [`crate::ShardWarmStats`].
-    ShardedWarm,
 }
 
 impl std::fmt::Display for ParallelMode {
@@ -45,7 +35,6 @@ impl std::fmt::Display for ParallelMode {
         f.write_str(match self {
             ParallelMode::Checkpoint => "checkpoint",
             ParallelMode::Pipeline => "pipeline",
-            ParallelMode::ShardedWarm => "sharded-warm",
         })
     }
 }
@@ -75,7 +64,7 @@ pub struct ParallelReport {
     /// The merged report, reduced in stream order: its estimates (CPI,
     /// EPI, V̂, and hence every confidence interval) are bit-identical to
     /// replaying the same checkpoints one after another on one thread, at
-    /// any worker count, depth or shard count.
+    /// any worker count.
     pub report: SampleReport,
     /// The route that produced the run.
     pub mode: ParallelMode,
@@ -93,9 +82,9 @@ pub struct ParallelReport {
     pub parallel_wall: Duration,
     /// Producer-side and residency accounting.
     pub pipeline: Option<PipelineStats>,
-    /// Sharded-warm accounting; `None` unless `warm_jobs > 1` warmed the
-    /// run.
-    pub shard: Option<crate::ShardWarmStats>,
+    /// Always `None`: sharded warming was measured and deleted, and the
+    /// benchmark's staged pass still spells this field in a literal.
+    pub shard: Option<std::convert::Infallible>,
 }
 
 impl ParallelReport {
@@ -120,8 +109,8 @@ impl ParallelReport {
 /// residency that replaces an O(n units) footprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineStats {
-    /// Configured channel capacity, in checkpoints (zero for a store
-    /// replay: no channel, workers claim record indices directly).
+    /// Channel capacity, in checkpoints: [`PIPELINE_DEPTH`] (zero for a
+    /// store replay: no channel, workers claim record indices directly).
     pub depth: usize,
     /// Wall-clock of the producer's functional-warming pass. It runs
     /// concurrently with the consumers, so it is *not* added to
@@ -211,7 +200,6 @@ impl Replayed {
         jobs: usize,
         mode: ParallelMode,
         pipeline: PipelineStats,
-        shard: Option<crate::ShardWarmStats>,
     ) -> Result<ParallelReport, ExecError> {
         self.outcomes.sort_unstable_by_key(|(index, _)| *index);
         let mut units: Vec<UnitSample> = Vec::with_capacity(self.outcomes.len());
@@ -236,13 +224,13 @@ impl Replayed {
             build_wall: Duration::ZERO,
             parallel_wall: self.wall,
             pipeline: Some(pipeline),
-            shard,
+            shard: None,
         })
     }
 }
 
-/// A parallel sampling executor: worker-pool size, pipeline depth, and
-/// how many shards the warming pass is split into.
+/// A parallel sampling executor: the worker-pool size, plus the
+/// cancellation and progress hooks its runs honor.
 ///
 /// # Examples
 ///
@@ -267,8 +255,6 @@ impl Replayed {
 #[derive(Clone)]
 pub struct Executor {
     jobs: usize,
-    pipeline_depth: usize,
-    warm_jobs: usize,
     cancel: CancelToken,
     progress: Option<ProgressFn>,
 }
@@ -277,23 +263,20 @@ impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Executor")
             .field("jobs", &self.jobs)
-            .field("pipeline_depth", &self.pipeline_depth)
-            .field("warm_jobs", &self.warm_jobs)
             .field("cancelled", &self.cancel.is_cancelled())
             .field("progress", &self.progress.as_ref().map(|_| "<observer>"))
             .finish()
     }
 }
 
-/// Default pipeline channel depth, in checkpoints. Deep enough to ride
-/// out replay-cost variance between units, shallow enough that resident
-/// checkpoints stay a small multiple of the worker count; tune with
-/// [`Executor::with_pipeline_depth`].
-pub const DEFAULT_PIPELINE_DEPTH: usize = 4;
+/// Pipeline channel depth, in checkpoints. Deep enough to ride out
+/// replay-cost variance between units, shallow enough that resident
+/// checkpoints stay a small multiple of the worker count; no other
+/// value measured better (EXPERIMENTS.md § What PR 18 deleted).
+pub const PIPELINE_DEPTH: usize = 4;
 
 impl Executor {
-    /// Creates an executor with `jobs` workers, serial warming, and the
-    /// default pipeline depth.
+    /// Creates an executor with `jobs` workers.
     ///
     /// # Errors
     ///
@@ -304,8 +287,6 @@ impl Executor {
         }
         Ok(Executor {
             jobs,
-            pipeline_depth: DEFAULT_PIPELINE_DEPTH,
-            warm_jobs: 1,
             cancel: CancelToken::new(),
             progress: None,
         })
@@ -341,37 +322,9 @@ impl Executor {
         }
     }
 
-    /// Sets the pipeline channel depth (bounded to at least one
-    /// checkpoint: a zero-capacity channel would deadlock the producer
-    /// against its own emission).
-    pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
-        self.pipeline_depth = depth.max(1);
-        self
-    }
-
-    /// Splits the warming pass into `warm_jobs` shards (bounded to at
-    /// least one; further clamped to the estimated unit count at run
-    /// time). Above one, every warming entry point — [`crate::sample`],
-    /// [`crate::warm_store`], [`Executor::sample`] — warms through the
-    /// sharded producer; reports and stores stay byte-identical.
-    pub fn with_warm_jobs(mut self, warm_jobs: usize) -> Self {
-        self.warm_jobs = warm_jobs.max(1);
-        self
-    }
-
     /// Worker-pool size.
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// Pipeline channel depth, in checkpoints.
-    pub fn pipeline_depth(&self) -> usize {
-        self.pipeline_depth
-    }
-
-    /// Warming shard count.
-    pub fn warm_jobs(&self) -> usize {
-        self.warm_jobs
     }
 
     /// Runs one pipelined sampling simulation of a suite benchmark,
@@ -389,15 +342,8 @@ impl Executor {
         bench: &Benchmark,
         params: &SamplingParams,
     ) -> Result<ParallelReport, ExecError> {
-        let warmed = crate::warm::run_warm::<BuiltinIsa>(
-            self,
-            sim,
-            bench.load(),
-            bench.approx_len(),
-            params,
-            None,
-            true,
-        )?;
+        let warmed =
+            crate::warm::run_warm::<BuiltinIsa>(self, sim, bench.load(), params, None, true)?;
         Ok(warmed.report.expect("a replaying run merges a report"))
     }
 }
@@ -409,7 +355,7 @@ mod tests {
     use crate::{replay_store, sample, warm_store};
     use smarts_core::Warming;
     use smarts_uarch::MachineConfig;
-    use smarts_workloads::{find, Frontend};
+    use smarts_workloads::find;
 
     fn sim() -> SmartsSim {
         SmartsSim::new(MachineConfig::eight_way())
@@ -438,16 +384,7 @@ mod tests {
         let sequential = sequential_oracle(&sim, bench.load(), &params);
         let path = store_path("replay");
         let one = Executor::new(1).unwrap();
-        warm_store::<BuiltinIsa>(
-            &one,
-            &sim,
-            bench.name(),
-            scale,
-            bench.approx_len(),
-            &params,
-            &path,
-        )
-        .unwrap();
+        warm_store::<BuiltinIsa>(&one, &sim, bench.name(), scale, &params, &path).unwrap();
         for jobs in [1, 2, 4] {
             let executor = Executor::new(jobs).unwrap();
             let replayed = replay_store::<BuiltinIsa>(&executor, &sim, &path).unwrap();
@@ -494,20 +431,10 @@ mod tests {
     fn incompatible_geometry_is_rejected() {
         let sim8 = sim();
         let bench = find("loopy-1").unwrap().scaled(0.02);
-        let len = BuiltinIsa::approx_len("loopy-1", 0.02).unwrap();
         let path = store_path("geometry");
         let executor = Executor::new(2).unwrap();
         let save = Some(path.as_path());
-        sample::<BuiltinIsa>(
-            &executor,
-            &sim8,
-            "loopy-1",
-            0.02,
-            len,
-            &design(&bench, 5),
-            save,
-        )
-        .unwrap();
+        sample::<BuiltinIsa>(&executor, &sim8, "loopy-1", 0.02, &design(&bench, 5), save).unwrap();
         let sim16 = SmartsSim::new(MachineConfig::sixteen_way());
         let err = replay_store::<BuiltinIsa>(&executor, &sim16, &path).unwrap_err();
         assert!(
@@ -518,25 +445,5 @@ mod tests {
             "expected a fingerprint mismatch, got {err:?}"
         );
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn warm_jobs_alone_selects_the_sharded_producer() {
-        let sim = sim();
-        let bench = find("loopy-1").unwrap().scaled(0.05);
-        let params = design(&bench, 9);
-        let serial = Executor::new(2)
-            .unwrap()
-            .sample(&sim, &bench, &params)
-            .unwrap();
-        assert!(serial.shard.is_none());
-        let sharded = Executor::new(2)
-            .unwrap()
-            .with_warm_jobs(4)
-            .sample(&sim, &bench, &params)
-            .unwrap();
-        assert_eq!(sharded.mode, ParallelMode::ShardedWarm);
-        assert!(sharded.shard.expect("shard stats").warm_jobs > 1);
-        assert_bit_identical(&sharded.report, &serial.report, "warm_jobs 4 vs serial");
     }
 }

@@ -7,13 +7,12 @@
 //! it is one spine — **warm → store → replay** — seen from its two ends:
 //!
 //! * the **warm side** ([`sample`], [`warm_store`], [`Executor::sample`]):
-//!   a producer runs the functional-warming pass — serial, or split into
-//!   `warm_jobs` stitched shards ([`ShardWarmStats`]) — and emits each
-//!   unit's checkpoint the moment its boundary is reached; an optional
-//!   sink tees the checkpoints into an on-disk store; `jobs` consumers
-//!   replay them off a bounded channel, so detailed replay overlaps
-//!   warming and peak checkpoint residency stays bounded by the channel
-//!   depth ([`PipelineStats`]) instead of O(n units);
+//!   one producer runs the in-order functional-warming pass and emits
+//!   each unit's checkpoint the moment its boundary is reached; an
+//!   optional sink tees the checkpoints into an on-disk store; `jobs`
+//!   consumers replay them off a bounded channel, so detailed replay
+//!   overlaps warming and peak checkpoint residency stays bounded by the
+//!   channel depth ([`PipelineStats`]) instead of O(n units);
 //! * the **replay side** ([`replay_store`], [`replay_store_mapped`],
 //!   [`replay_store_sampled`]): `jobs` workers claim record indices of a
 //!   memory-mapped store and decode them lazily, replaying the whole
@@ -24,7 +23,7 @@
 //!   results in stream order through
 //!   [`smarts_core::SampleReport::from_units`] — so every route yields
 //!   the bytes of a sequential replay of the same checkpoints, at any
-//!   worker count, depth or shard count;
+//!   worker count;
 //! * structured error propagation ([`ExecError::WorkerPanic`]),
 //!   cooperative cancellation ([`CancelToken`]) and per-worker
 //!   wall-clock/instruction accounting ([`WorkerStats`]) in the paper's
@@ -47,7 +46,7 @@
 //!
 //! // Warm once on two workers, keeping the checkpoints …
 //! let (live, _) = sample::<BuiltinIsa>(
-//!     &Executor::new(2)?, &sim, "branchy-1", 0.05, len, &params, Some(&store))?;
+//!     &Executor::new(2)?, &sim, "branchy-1", 0.05, &params, Some(&store))?;
 //! // … then replay them on four without warming: the same bits.
 //! let replayed = replay_store::<BuiltinIsa>(&Executor::new(4)?, &sim, &store)?;
 //! assert_eq!(replayed.report.report.cpi().mean().to_bits(),
@@ -68,7 +67,6 @@ mod pipeline;
 mod pool;
 mod replay;
 mod warm;
-mod warm_shard;
 
 #[cfg(test)]
 #[path = "../../../tests/common/mod.rs"]
@@ -78,10 +76,9 @@ pub use cancel::{CancelToken, PipelineProgress, ProgressFn};
 pub use compare::{compare_machines_parallel, sample_two_step_parallel};
 pub use error::ExecError;
 pub use executor::{
-    Executor, ParallelMode, ParallelReport, PipelineStats, WorkerStats, DEFAULT_PIPELINE_DEPTH,
+    Executor, ParallelMode, ParallelReport, PipelineStats, WorkerStats, PIPELINE_DEPTH,
 };
 pub use replay::{
     replay_store, replay_store_mapped, replay_store_sampled, SampledReplay, StoreReplay,
 };
 pub use warm::{sample, warm_store};
-pub use warm_shard::ShardWarmStats;

@@ -28,7 +28,7 @@
 //! per-unit episode every replay shares. Units are mutually independent
 //! given their checkpoints, and the merge reduces them in stream order,
 //! so the report is bit-identical to replaying the producer's
-//! checkpoints one after another at any `jobs`/`depth`.
+//! checkpoints one after another at any `jobs`.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -320,7 +320,7 @@ where
 mod tests {
     use super::*;
     use crate::common::{assert_bit_identical, sequential_oracle};
-    use crate::{Executor, ParallelMode};
+    use crate::{Executor, ParallelMode, PIPELINE_DEPTH};
     use smarts_core::{SamplingParams, SmartsError, SmartsSim, Warming};
     use smarts_uarch::MachineConfig;
     use smarts_workloads::{find, Benchmark};
@@ -401,17 +401,12 @@ mod tests {
         let bench = find("branchy-1").unwrap().scaled(0.05);
         let params = design(&bench, 8);
         let sequential = sequential_oracle(&sim, bench.load(), &params);
-        for (jobs, depth) in [(1, 1), (2, 4), (3, 2)] {
+        for jobs in [1, 2, 8] {
             let outcome = Executor::new(jobs)
                 .unwrap()
-                .with_pipeline_depth(depth)
                 .sample(&sim, &bench, &params)
                 .unwrap();
-            assert_bit_identical(
-                &outcome.report,
-                &sequential,
-                &format!("jobs={jobs} depth={depth}"),
-            );
+            assert_bit_identical(&outcome.report, &sequential, &format!("jobs={jobs}"));
         }
     }
 
@@ -420,10 +415,9 @@ mod tests {
         let sim = sim();
         let bench = find("hashp-2").unwrap().scaled(0.05);
         let params = design(&bench, 10);
-        let (jobs, depth) = (2, 2);
+        let (jobs, depth) = (2, PIPELINE_DEPTH);
         let outcome = Executor::new(jobs)
             .unwrap()
-            .with_pipeline_depth(depth)
             .sample(&sim, &bench, &params)
             .unwrap();
         let stats = outcome.pipeline.expect("pipeline stats present");

@@ -130,7 +130,6 @@ impl<'a, F: Frontend> ReplayContext<'a, F> {
             ParallelMode::Checkpoint,
             // No channel, no producer: workers claim indices directly.
             self.residency.stats(0, Duration::ZERO, records),
-            None,
         )
     }
 }

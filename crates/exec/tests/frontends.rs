@@ -1,8 +1,8 @@
 //! End-to-end frontend coverage for the persisted-store pipeline: the
-//! RISC and trace frontends must run warm → store → sharded warm →
-//! sampled replay with the same bit-identity guarantees the built-in
-//! frontend has, and a store must refuse replay under the wrong
-//! frontend with a typed error.
+//! RISC and trace frontends must run warm → store → sampled replay
+//! with the same bit-identity guarantees the built-in frontend has, and
+//! a store must refuse replay under the wrong frontend with a typed
+//! error.
 
 #[path = "../../../tests/common/mod.rs"]
 mod common;
@@ -40,7 +40,7 @@ fn risc_pipeline_round_trips_bit_identically_at_any_width() {
     let len = RiscIsa::approx_len(&name, scale).unwrap();
     let params = design(len, 10);
     let save = |executor: &Executor, path: &std::path::Path| {
-        sample::<RiscIsa>(executor, &sim, &name, scale, len, &params, Some(path))
+        sample::<RiscIsa>(executor, &sim, &name, scale, &params, Some(path))
             .unwrap()
             .0
     };
@@ -56,8 +56,7 @@ fn risc_pipeline_round_trips_bit_identically_at_any_width() {
         "store header must record the frontend"
     );
 
-    // Warm-and-save and replay are bit-identical at jobs 2 and 8, and the
-    // sharded warming pass splices a byte-identical store.
+    // Warm-and-save and replay are bit-identical at jobs 2 and 8.
     for jobs in [2usize, 8] {
         let path = store_path(&format!("risc_j{jobs}"));
         let saved = save(&Executor::new(jobs).unwrap(), &path);
@@ -72,23 +71,6 @@ fn risc_pipeline_round_trips_bit_identically_at_any_width() {
             "risc store bytes differ at jobs={jobs}"
         );
         std::fs::remove_file(&path).ok();
-
-        let sharded_path = store_path(&format!("risc_shard_j{jobs}"));
-        let sharded = save(
-            &Executor::new(jobs).unwrap().with_warm_jobs(jobs),
-            &sharded_path,
-        );
-        assert_eq!(
-            sharded.report.cpi().mean().to_bits(),
-            reference.report.cpi().mean().to_bits(),
-            "sharded risc report differs at warm_jobs={jobs}"
-        );
-        assert_eq!(
-            std::fs::read(&sharded_path).unwrap(),
-            ref_bytes,
-            "sharded risc store not byte-identical at warm_jobs={jobs}"
-        );
-        std::fs::remove_file(&sharded_path).ok();
     }
 
     // Replay from the store matches the live run and the eager
@@ -167,7 +149,7 @@ fn trace_import_runs_the_full_pipeline() {
     let ref_path = store_path("trace_ref");
     let one = Executor::new(1).unwrap();
     let (reference, _) =
-        sample::<TraceIsa>(&one, &sim, workload, 1.0, len, &params, Some(&ref_path)).unwrap();
+        sample::<TraceIsa>(&one, &sim, workload, 1.0, &params, Some(&ref_path)).unwrap();
     let (_, meta) = smarts_ckpt::read_store_meta(&ref_path).unwrap();
     assert_eq!(meta.isa, IsaId::Trace);
     assert_eq!(

@@ -45,11 +45,6 @@ pub struct JobSpec {
     pub offset: u64,
     /// Replay worker threads inside this job's pipeline.
     pub jobs: usize,
-    /// Pipeline channel depth, in checkpoints.
-    pub depth: usize,
-    /// Warming shards for a cold run (> 1 selects sharded-warm mode;
-    /// the spliced store stays byte-identical to a serial warm).
-    pub warm_jobs: usize,
     /// Unit-selection strategy: systematic (the default), stratified,
     /// or adaptive.
     pub sampler: SamplerKind,
@@ -80,8 +75,6 @@ impl Default for JobSpec {
             functional_warming: true,
             offset: 0,
             jobs: 1,
-            depth: 4,
-            warm_jobs: 1,
             sampler: SamplerKind::Systematic,
             seed: 0,
             strata: 4,
@@ -124,8 +117,6 @@ impl JobSpec {
             ("functional_warming", Json::Bool(self.functional_warming)),
             ("offset", Json::U64(self.offset)),
             ("jobs", Json::U64(self.jobs as u64)),
-            ("depth", Json::U64(self.depth as u64)),
-            ("warm_jobs", Json::U64(self.warm_jobs as u64)),
             ("sampler", Json::Str(self.sampler.tag().to_string())),
             ("seed", Json::U64(self.seed)),
             ("strata", Json::U64(self.strata as u64)),
@@ -200,18 +191,6 @@ impl JobSpec {
                 .as_u64()
                 .filter(|&j| (1..=256).contains(&j))
                 .ok_or("`jobs` takes a worker count in 1..=256")? as usize;
-        }
-        if let Some(v) = value.get("depth") {
-            spec.depth =
-                v.as_u64()
-                    .filter(|&d| (1..=1024).contains(&d))
-                    .ok_or("`depth` takes a channel depth in 1..=1024")? as usize;
-        }
-        if let Some(v) = value.get("warm_jobs") {
-            spec.warm_jobs =
-                v.as_u64()
-                    .filter(|&j| (1..=256).contains(&j))
-                    .ok_or("`warm_jobs` takes a shard count in 1..=256")? as usize;
         }
         if let Some(v) = value.get("sampler") {
             spec.sampler = v
@@ -341,8 +320,6 @@ mod tests {
             functional_warming: false,
             offset: 2,
             jobs: 3,
-            depth: 2,
-            warm_jobs: 4,
             sampler: SamplerKind::Stratified,
             seed: 77,
             strata: 6,
@@ -361,6 +338,12 @@ mod tests {
     #[test]
     fn submit_applies_defaults() {
         let request = parse_request(r#"{"cmd":"submit","bench":"loopy-1"}"#).unwrap();
+        // The removed knobs are unknown keys like any other: ignored on
+        // the way in, never written on the way out.
+        let stale = r#"{"cmd":"submit","bench":"loopy-1","warm_jobs":3,"depth":9}"#;
+        assert_eq!(parse_request(stale).unwrap(), request);
+        let line = JobSpec::default().to_json().to_line();
+        assert!(!line.contains("warm_jobs") && !line.contains("depth"));
         match request {
             Request::Submit(spec) => {
                 assert_eq!(spec.bench, "loopy-1");
@@ -370,7 +353,6 @@ mod tests {
                 assert_eq!(spec.warming_len, None);
                 assert!(spec.functional_warming);
                 assert_eq!(spec.jobs, 1);
-                assert_eq!(spec.warm_jobs, 1);
                 assert_eq!(spec.sampler, SamplerKind::Systematic);
                 assert_eq!(spec.seed, 0);
                 assert_eq!(spec.strata, 4);
@@ -448,8 +430,6 @@ mod tests {
         assert!(parse_request(r#"{"cmd":"submit","bench":"x","config":12}"#).is_err());
         assert!(parse_request(r#"{"cmd":"submit","bench":"x","scale":-1}"#).is_err());
         assert!(parse_request(r#"{"cmd":"submit","bench":"x","jobs":0}"#).is_err());
-        assert!(parse_request(r#"{"cmd":"submit","bench":"x","warm_jobs":0}"#).is_err());
-        assert!(parse_request(r#"{"cmd":"submit","bench":"x","warm_jobs":300}"#).is_err());
     }
 
     #[test]

@@ -70,10 +70,9 @@ pub fn machine_for(spec: &JobSpec) -> MachineConfig {
 
 /// Builds the sampling design a spec describes, mirroring the CLI's
 /// parameter derivation so server results are comparable to one-shot
-/// `smarts sample` runs, beside the stream-length estimate it was
-/// derived from. Fails for a workload the spec's frontend cannot serve
-/// (unknown name, or a kernel outside the risc encoding).
-fn design_for(spec: &JobSpec, cfg: &MachineConfig) -> Result<(u64, SamplingParams), String> {
+/// `smarts sample` runs. Fails for a workload the spec's frontend cannot
+/// serve (unknown name, or a kernel outside the risc encoding).
+pub fn params_for(spec: &JobSpec, cfg: &MachineConfig) -> Result<SamplingParams, String> {
     let approx_len = match spec.isa {
         // The builtin lookup keeps its pre-frontend error message.
         IsaId::Builtin => find(&spec.bench)
@@ -94,13 +93,7 @@ fn design_for(spec: &JobSpec, cfg: &MachineConfig) -> Result<(u64, SamplingParam
         .warming_len
         .unwrap_or_else(|| cfg.recommended_detailed_warming());
     SamplingParams::for_sample_size(approx_len, spec.unit, w, warming, spec.n, spec.offset)
-        .map(|params| (approx_len, params))
         .map_err(|e| e.to_string())
-}
-
-/// The sampling design a spec describes.
-pub fn params_for(spec: &JobSpec, cfg: &MachineConfig) -> Result<SamplingParams, String> {
-    design_for(spec, cfg).map(|(_, params)| params)
 }
 
 fn run_job(shared: &Arc<Shared>, id: &str, spec: &JobSpec, cancel: &CancelToken) -> JobEnd {
@@ -125,8 +118,8 @@ fn run_job_with<F: Frontend>(
 ) -> JobEnd {
     let cfg = machine_for(spec);
     // An unservable workload fails here, before a store ticket is taken.
-    let (approx_len, params) = match design_for(spec, &cfg) {
-        Ok(design) => design,
+    let params = match params_for(spec, &cfg) {
+        Ok(params) => params,
         Err(message) => return JobEnd::Failed(message),
     };
     let meta = StoreMeta {
@@ -152,13 +145,8 @@ fn run_job_with<F: Frontend>(
         Err(message) => return JobEnd::Failed(message),
     };
 
-    // warm_jobs > 1 shards a cold run's warming pass; the spliced store
-    // and report stay byte-identical, so cache/store paths are unchanged.
     let executor = match Executor::new(spec.jobs) {
-        Ok(e) => e
-            .with_pipeline_depth(spec.depth)
-            .with_warm_jobs(spec.warm_jobs)
-            .with_cancel(cancel.clone()),
+        Ok(e) => e.with_cancel(cancel.clone()),
         Err(e) => {
             shared.stores.abort(&ticket);
             return JobEnd::Failed(e.to_string());
@@ -194,15 +182,7 @@ fn run_job_with<F: Frontend>(
             // sampler's selection from the just-written bytes. The store
             // is byte-identical to what the pipeline path saves (same
             // serial producer), so this line equals the store-hit line.
-            let warmed = warm_store::<F>(
-                &executor,
-                &sim,
-                &spec.bench,
-                spec.scale,
-                approx_len,
-                &params,
-                temp,
-            );
+            let warmed = warm_store::<F>(&executor, &sim, &spec.bench, spec.scale, &params, temp);
             let outcome = warmed.and_then(|_| {
                 to_replaying();
                 let store = MappedStore::open(temp, &cfg)?;
@@ -218,7 +198,6 @@ fn run_job_with<F: Frontend>(
                 &sim,
                 &spec.bench,
                 spec.scale,
-                approx_len,
                 &params,
                 Some(temp),
             )

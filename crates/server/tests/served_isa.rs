@@ -11,7 +11,7 @@ use smarts_isa::{BuiltinIsa, RiscIsa};
 use smarts_server::{
     canonical_report_line, machine_for, params_for, Client, JobSpec, Server, ServerConfig,
 };
-use smarts_workloads::{risc_suite, Frontend};
+use smarts_workloads::risc_suite;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("smarts_served_isa_{tag}_{}", std::process::id()));
@@ -52,10 +52,8 @@ fn served_risc_job_matches_a_one_shot_run_and_keys_its_own_cache() {
     let cfg = machine_for(&spec);
     let params = params_for(&spec, &cfg).unwrap();
     let sim = SmartsSim::new(cfg);
-    let len = RiscIsa::approx_len(&bench, spec.scale).unwrap();
     let two = Executor::new(2).unwrap();
-    let (one_shot, _) =
-        sample::<RiscIsa>(&two, &sim, &bench, spec.scale, len, &params, None).unwrap();
+    let (one_shot, _) = sample::<RiscIsa>(&two, &sim, &bench, spec.scale, &params, None).unwrap();
     assert_eq!(
         served,
         canonical_report_line(&one_shot.report),
@@ -81,7 +79,7 @@ fn served_risc_job_matches_a_one_shot_run_and_keys_its_own_cache() {
     let (source, builtin_served) = client.result(&job).unwrap();
     assert_eq!(source, "cold", "builtin job must not reuse the risc store");
     let (builtin_one_shot, _) =
-        sample::<BuiltinIsa>(&two, &sim, &bench, spec.scale, len, &params, None).unwrap();
+        sample::<BuiltinIsa>(&two, &sim, &bench, spec.scale, &params, None).unwrap();
     assert_eq!(
         builtin_served,
         canonical_report_line(&builtin_one_shot.report)

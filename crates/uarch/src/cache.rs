@@ -164,8 +164,7 @@ impl Cache {
     /// layouts kept scan hints, an access tick and the statistics). Two
     /// caches that behave identically under any future access stream
     /// therefore serialize identically, no matter the absolute access
-    /// history that built them — the property sharded-warm fixpoint
-    /// detection relies on (DESIGN.md §3.6e).
+    /// history that built them.
     pub fn save_state(&self, out: &mut Vec<u64>) {
         self.sets.save_state(out);
         out.extend([0, 0]);

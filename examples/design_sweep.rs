@@ -33,9 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         std::env::temp_dir().join(format!("smarts-design-sweep-{}.ckpt", std::process::id()));
     let executor = Executor::new(2)?;
     let warm_start = std::time::Instant::now();
-    let len = bench.approx_len();
-    let (write, _) =
-        warm_store::<BuiltinIsa>(&executor, &sim, bench.name(), scale, len, &params, &path)?;
+    let write = warm_store::<BuiltinIsa>(&executor, &sim, bench.name(), scale, &params, &path)?;
     let warm_wall = warm_start.elapsed();
     println!(
         "  {} checkpoints, {:.1} MiB, in {warm_wall:.2?} (one-time cost)\n",

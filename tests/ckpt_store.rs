@@ -26,8 +26,7 @@ fn warm_and_save(
     path: &std::path::Path,
 ) -> (ParallelReport, smarts::ckpt::WriteSummary) {
     let two = Executor::new(2).expect("executor");
-    let len = bench.approx_len();
-    let (report, write) = sample::<BuiltinIsa>(&two, sim, bench.name(), scale, len, p, Some(path))
+    let (report, write) = sample::<BuiltinIsa>(&two, sim, bench.name(), scale, p, Some(path))
         .expect("warm-and-save run");
     (report, write.expect("write summary"))
 }
@@ -291,8 +290,7 @@ fn pinned_store_bytes<F: smarts::workloads::Frontend>(name: &str, offset: u64) -
             .expect("valid sampling parameters");
     let path = store_path(&format!("pinned-{name}-{}-{offset}", F::NAME));
     let executor = Executor::new(1).expect("executor");
-    smarts::exec::warm_store::<F>(&executor, &sim, name, scale, approx_len, &p, &path)
-        .expect("warming pass");
+    smarts::exec::warm_store::<F>(&executor, &sim, name, scale, &p, &path).expect("warming pass");
     let bytes = std::fs::read(&path).expect("read store");
     std::fs::remove_file(&path).ok();
     bytes

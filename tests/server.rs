@@ -67,8 +67,6 @@ fn small_spec() -> JobSpec {
         functional_warming: true,
         offset: 0,
         jobs: 2,
-        depth: 4,
-        warm_jobs: 1,
         ..JobSpec::default()
     }
 }
@@ -82,25 +80,19 @@ fn one_shot_line(spec: &JobSpec) -> String {
     let bench = find(&spec.bench)
         .expect("suite benchmark")
         .scaled(spec.scale);
-    let executor = Executor::new(spec.jobs)
-        .expect("executor")
-        .with_pipeline_depth(spec.depth);
+    let executor = Executor::new(spec.jobs).expect("executor");
     let outcome = executor
         .sample(&sim, &bench, &params)
         .expect("pipeline run");
     canonical_report_line(&outcome.report)
 }
 
-/// The line a one-shot sampled run over a serially warmed store
+/// The line a one-shot sampled run over a freshly warmed store
 /// produces for a spec.
 fn one_shot_sampled_line(spec: &JobSpec) -> String {
     let cfg = machine_for(spec);
     let params = params_for(spec, &cfg).expect("valid spec");
     let sim = SmartsSim::new(cfg.clone());
-    let len = find(&spec.bench)
-        .expect("suite benchmark")
-        .scaled(spec.scale)
-        .approx_len();
     let path = temp_dir("one-shot-sampled").with_extension("ckpt");
     let executor = Executor::new(spec.jobs).expect("executor");
     smarts::exec::warm_store::<smarts::isa::BuiltinIsa>(
@@ -108,11 +100,10 @@ fn one_shot_sampled_line(spec: &JobSpec) -> String {
         &sim,
         &spec.bench,
         spec.scale,
-        len,
         &params,
         &path,
     )
-    .expect("serial warming pass");
+    .expect("warming pass");
     let store = smarts::ckpt::MappedStore::open(&path, &cfg).expect("store opens");
     let sampled = smarts::exec::replay_store_sampled::<smarts::isa::BuiltinIsa>(
         &executor,
@@ -170,40 +161,6 @@ fn cold_store_and_cache_paths_serve_identical_bytes() {
 }
 
 #[test]
-fn sharded_warm_jobs_serve_bytes_identical_to_a_serial_warm() {
-    let store_dir = temp_dir("sharded-warm");
-    let expected = one_shot_line(&small_spec());
-    let server = RunningServer::start(&store_dir, 2);
-    let mut client = server.client();
-
-    // A cold run whose warming pass is split across three shards must
-    // serve the exact bytes of a serial pipeline run.
-    let mut sharded = small_spec();
-    sharded.warm_jobs = 3;
-    let first = client.submit(&sharded).expect("submit sharded cold");
-    assert_eq!(client.wait(&first).expect("wait"), "done");
-    let (source, raw) = client.result(&first).expect("sharded result");
-    assert_eq!(source, "cold");
-    assert_eq!(raw, expected, "sharded warm must match the serial one-shot");
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.get("warm_passes").and_then(Json::as_u64), Some(1));
-
-    // The spliced store is interchangeable with a serially-written one:
-    // a serial-warm submit for the same design is answered from cache
-    // (same fingerprint) with the same bytes, not re-warmed.
-    let second = client.submit(&small_spec()).expect("submit serial");
-    assert_eq!(client.wait(&second).expect("wait"), "done");
-    let (source, raw) = client.result(&second).expect("serial result");
-    assert_eq!(source, "cache");
-    assert_eq!(raw, expected);
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.get("warm_passes").and_then(Json::as_u64), Some(1));
-
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(&store_dir);
-}
-
-#[test]
 fn sampled_jobs_are_deterministic_and_cache_keyed_by_sampler() {
     let store_dir = temp_dir("sampled");
     let spec = JobSpec {
@@ -219,24 +176,7 @@ fn sampled_jobs_are_deterministic_and_cache_keyed_by_sampler() {
     assert_eq!(client.wait(&first).expect("wait"), "done");
     let (source, cold_line) = client.result(&first).expect("cold result");
     assert_eq!(source, "cold");
-
-    // A sampled cold job whose warm-only pass is split across three
-    // shards (a fresh design, so a fresh store) serves the serial bytes.
-    let serial = JobSpec {
-        offset: 1,
-        ..spec.clone()
-    };
-    let sharded = JobSpec {
-        warm_jobs: 3,
-        ..serial.clone()
-    };
-    let job = client
-        .submit(&sharded)
-        .expect("submit sharded sampled cold");
-    assert_eq!(client.wait(&job).expect("wait"), "done");
-    let (source, sharded_line) = client.result(&job).expect("sharded result");
-    assert_eq!(source, "cold");
-    assert_eq!(sharded_line, one_shot_sampled_line(&serial));
+    assert_eq!(cold_line, one_shot_sampled_line(&spec));
 
     // Exact repeat: the sampler spec is part of the cache key, so this
     // is a cache hit with the same bytes.
@@ -262,9 +202,9 @@ fn sampled_jobs_are_deterministic_and_cache_keyed_by_sampler() {
     );
     assert_ne!(raw, cold_line, "reseeded line carries its own spec");
 
-    // Two designs, two warming passes, however many selections.
+    // One design, one warming pass, however many selections.
     let stats = client.stats().expect("stats");
-    assert_eq!(stats.get("warm_passes").and_then(Json::as_u64), Some(2));
+    assert_eq!(stats.get("warm_passes").and_then(Json::as_u64), Some(1));
     server.shutdown();
 
     // Fresh server over the same directory: the in-memory cache is
