@@ -4,10 +4,10 @@
 //! under systematic, two-phase stratified, and online adaptive unit
 //! selection.
 //!
-//! The measurement procedure lives in [`smarts_bench::ci_eff`] (shared
-//! with the `ci_eff_guard` regression gate). Everything is seeded and
+//! The measurement procedure lives in [`smarts_bench::ci_eff`], whose
+//! golden test pins its first rows. Everything is seeded and
 //! simulator-deterministic, so `results/bench_ci_eff.json` is
-//! reproducible bit-for-bit and the guard can gate regressions tightly.
+//! reproducible bit-for-bit.
 //!
 //! The emitted JSON feeds EXPERIMENTS.md's CI-efficiency table.
 

@@ -1,12 +1,11 @@
-//! Shared measurement core for the `ci_eff` benchmark and its CI guard.
+//! Measurement core of the `ci_eff` benchmark.
 //!
-//! Both binaries need the same deterministic procedure — full-grid
-//! ground truth, the paper's two-step matched-systematic baseline, and
-//! offline drives of the stratified and adaptive samplers — so it lives
-//! here and the binaries stay thin. Everything is seeded and
-//! simulator-deterministic: re-running [`measure`] on the same workload
-//! at the same scale reproduces the checked-in
-//! `results/bench_ci_eff.json` numbers bit-for-bit.
+//! One deterministic procedure — full-grid ground truth, the paper's
+//! two-step matched-systematic baseline, and offline drives of the
+//! stratified and adaptive samplers — kept here so the golden test below
+//! can call it. Everything is seeded and simulator-deterministic:
+//! re-running [`measure`] on the same workload at the same scale
+//! reproduces the checked-in `results/bench_ci_eff.json` bit-for-bit.
 
 use smarts_core::{SamplingParams, SmartsSim, Warming};
 use smarts_stats::{
@@ -205,8 +204,8 @@ fn outcome(est: &smarts_stats::SamplerEstimate, truth: f64, n_systematic: u64) -
     }
 }
 
-/// Renders the results file, one key per line so the guard's line
-/// scanner can re-read it without a JSON parser.
+/// Renders the results file, one key per line so a diff of two runs
+/// reads field by field.
 pub fn render_json(rows: &[Row], scale: f64, qualifying: usize, mean_best: f64) -> String {
     let mut out = String::from("{\n");
     out.push_str("\"bench\": \"ci_eff\",\n");
@@ -244,4 +243,39 @@ pub fn render_json(rows: &[Row], scale: f64, qualifying: usize, mean_best: f64) 
     out.push_str(&format!("\"best_savings_mean\": {mean_best:.6}\n"));
     out.push_str("}\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn measure_reproduces_the_checked_in_results() {
+        // `(benchmark, pool, stratified.n, adaptive.n, honest_cost,
+        // qualifies)` of the first two suite workloads at scale 0.5,
+        // copied from `results/bench_ci_eff.json`: a change to a sampler,
+        // the seed, the pool geometry or the detailed engine's per-unit
+        // CPI moves one of them.
+        let golden = [
+            ("stream-1", 492, 45, 126, Some(378_000), true),
+            ("stream-2", 487, 45, 94, Some(135_000), true),
+        ];
+        let cfg = MachineConfig::eight_way();
+        let sim = SmartsSim::new(cfg.clone());
+        let suite = smarts_workloads::suite();
+        for (bench, golden) in suite.iter().zip(golden) {
+            let row = measure(&sim, &cfg, &bench.scaled(0.5), Confidence::THREE_SIGMA);
+            assert_eq!(
+                (
+                    row.benchmark.as_str(),
+                    row.pool,
+                    row.stratified.n,
+                    row.adaptive.n,
+                    row.honest_cost(),
+                    row.qualifies(),
+                ),
+                golden
+            );
+        }
+    }
 }

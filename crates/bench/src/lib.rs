@@ -178,7 +178,7 @@ pub mod timing {
 
     /// Times `f` (one warmup + [`SAMPLES`] timed runs) and returns the
     /// median duration of a single run.
-    pub fn time<R>(mut f: impl FnMut() -> R) -> Duration {
+    fn time<R>(mut f: impl FnMut() -> R) -> Duration {
         std::hint::black_box(f());
         let mut samples: Vec<Duration> = (0..SAMPLES)
             .map(|_| {
@@ -207,7 +207,7 @@ pub mod timing {
     }
 
     /// Formats a duration at a human scale (`1.23 ms`, `45.6 µs`).
-    pub fn pretty(d: Duration) -> String {
+    fn pretty(d: Duration) -> String {
         let ns = d.as_nanos() as f64;
         if ns >= 1e9 {
             format!("{:.2} s", ns / 1e9)

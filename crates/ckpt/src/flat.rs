@@ -23,7 +23,7 @@
 use crate::codec::{apply_deltas, read_varint, write_varint, RleEncoder};
 use crate::error::CkptError;
 use smarts_core::{EngineSnapshot, UnitCheckpoint};
-use smarts_isa::{BuiltinIsa, Isa, Memory, Page};
+use smarts_isa::{Isa, Memory, Page};
 use smarts_uarch::{MachineConfig, WarmState};
 use std::sync::Arc;
 
@@ -66,12 +66,6 @@ impl FlatCheckpoint {
         }
     }
 
-    /// Rebuilds a built-in-frontend checkpoint — see
-    /// [`FlatCheckpoint::rebuild_isa`].
-    pub fn rebuild(&self, cfg: &MachineConfig) -> Result<UnitCheckpoint, &'static str> {
-        self.rebuild_isa::<BuiltinIsa>(cfg)
-    }
-
     /// Rebuilds the checkpoint for a machine of the geometry the store
     /// was written for, parsing the CPU-state words under frontend `I`;
     /// the memory snapshot shares this flat's pages copy-on-write.
@@ -112,8 +106,8 @@ impl FlatCheckpoint {
     /// Approximate resident bytes of this flat: the fixed section's word
     /// storage plus every page and its index. This is what one
     /// lazy-replay cursor keeps materialized at a time — the per-worker
-    /// residency unit the `store_mem` bench and the pipeline accounting
-    /// report. Pages shared with a live snapshot are counted in full.
+    /// residency unit the pipeline accounting reports. Pages shared with
+    /// a live snapshot are counted in full.
     pub fn approx_bytes(&self) -> u64 {
         8 * self.fixed.len() as u64 + (8 + Memory::PAGE_BYTES as u64) * self.pages.len() as u64
     }
@@ -442,7 +436,7 @@ pub(crate) fn advance_record(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smarts_isa::Cpu;
+    use smarts_isa::{BuiltinIsa, Cpu};
     use smarts_workloads::SplitMix64;
 
     fn flat(fixed: Vec<u64>, pages: Vec<(u64, Arc<Page>)>) -> FlatCheckpoint {

@@ -172,7 +172,9 @@ impl MappedStore {
             return None;
         }
         let count = u64::from_le_bytes(footer[4..12].try_into().ok()?);
-        if footer.len() as u64 != 16 + 8 * count {
+        // `count` is the file's word: a huge one must not wrap into a
+        // length that matches.
+        if count.checked_mul(8).and_then(|b| b.checked_add(16)) != Some(footer.len() as u64) {
             return None;
         }
         let stored_crc = u32::from_le_bytes(footer[footer.len() - 4..].try_into().ok()?);

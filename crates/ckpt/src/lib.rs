@@ -45,6 +45,7 @@
 //! ```
 //! use smarts_ckpt::{CkptReader, CkptWriter, IsaId, StoreMeta};
 //! use smarts_core::{SamplingParams, SmartsSim, Warming};
+//! use smarts_isa::BuiltinIsa;
 //! use smarts_uarch::MachineConfig;
 //! use smarts_workloads::find;
 //!
@@ -71,7 +72,7 @@
 //! // Replay later — any machine sharing the warm geometry may open it.
 //! let mut reader = CkptReader::open(&path, sim.config())?;
 //! let mut units = 0;
-//! while let Some(checkpoint) = reader.next_checkpoint() {
+//! while let Some(checkpoint) = reader.next_checkpoint_isa::<BuiltinIsa>() {
 //!     let _checkpoint = checkpoint?;
 //!     units += 1;
 //! }

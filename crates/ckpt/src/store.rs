@@ -36,7 +36,7 @@
 use crate::error::CkptError;
 use crate::flat::{advance_record, decode_record, encode_next, encode_record, FlatCheckpoint};
 use smarts_core::{SamplingParams, UnitCheckpoint, Warming};
-use smarts_isa::{crc32, BuiltinIsa, Isa, IsaId};
+use smarts_isa::{crc32, Isa, IsaId};
 use smarts_uarch::{CacheConfig, MachineConfig, PredictorConfig, TlbConfig, WarmState};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -605,19 +605,13 @@ impl CkptReader {
         Ok(true)
     }
 
-    /// Decodes the next checkpoint. `None` after the last record (or
-    /// after any error — errors are terminal for the stream). Intact
-    /// records before a tear or a corrupted record have all been
-    /// yielded by earlier calls.
-    #[allow(clippy::should_implement_trait)] // fallible, not an Iterator
-    pub fn next_checkpoint(&mut self) -> Option<Result<UnitCheckpoint, CkptError>> {
-        self.next_checkpoint_isa::<BuiltinIsa>()
-    }
-
-    /// Decodes the next checkpoint for frontend `I`. A store written by
-    /// a different frontend is refused with [`CkptError::IsaMismatch`]
-    /// before any record is decoded — the typed alternative to letting
-    /// the wrong frontend's state words surface as a decode failure.
+    /// Decodes the next checkpoint for frontend `I`. `None` after the
+    /// last record (or after any error — errors are terminal for the
+    /// stream). Intact records before a tear or a corrupted record have
+    /// all been yielded by earlier calls. A store written by a different
+    /// frontend is refused with [`CkptError::IsaMismatch`] before any
+    /// record is decoded — the typed alternative to letting the wrong
+    /// frontend's state words surface as a decode failure.
     #[allow(clippy::should_implement_trait)] // fallible, not an Iterator
     pub fn next_checkpoint_isa<I: Isa>(&mut self) -> Option<Result<UnitCheckpoint<I>, CkptError>> {
         if self.done {
@@ -648,7 +642,7 @@ impl CkptReader {
     }
 
     /// Decodes the next record to its flattened form. Same
-    /// streaming/error contract as [`CkptReader::next_checkpoint`].
+    /// streaming/error contract as [`CkptReader::next_checkpoint_isa`].
     fn next_flat(&mut self) -> Option<Result<FlatCheckpoint, CkptError>> {
         if self.done {
             return None;

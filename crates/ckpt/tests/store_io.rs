@@ -9,7 +9,7 @@ use std::path::PathBuf;
 
 use smarts_ckpt::{CkptError, CkptReader, CkptWriter, IsaId, MappedStore, StoreMeta};
 use smarts_core::{SamplingParams, SmartsSim, UnitCheckpoint, Warming};
-use smarts_isa::{Isa, RiscIsa};
+use smarts_isa::{BuiltinIsa, Isa, RiscIsa};
 use smarts_uarch::MachineConfig;
 use smarts_workloads::{find, Benchmark, Frontend};
 
@@ -111,7 +111,7 @@ fn store_round_trips_every_checkpoint_bit_exactly() {
     let mut reader = CkptReader::open(&path, &cfg).expect("open store");
     assert_eq!(reader.meta(), &meta);
     let mut decoded = Vec::new();
-    while let Some(next) = reader.next_checkpoint() {
+    while let Some(next) = reader.next_checkpoint_isa::<BuiltinIsa>() {
         decoded.push(next.expect("intact record"));
     }
     assert_eq!(decoded.len(), originals.len());
@@ -188,7 +188,7 @@ fn any_flipped_record_byte_surfaces_a_typed_error() {
         let mut reader = CkptReader::open(&path, &cfg).expect("header is intact");
         let mut intact = 0usize;
         let mut failure = None;
-        while let Some(next) = reader.next_checkpoint() {
+        while let Some(next) = reader.next_checkpoint_isa::<BuiltinIsa>() {
             match next {
                 Ok(_) => intact += 1,
                 Err(e) => {
@@ -221,7 +221,7 @@ fn any_flipped_record_byte_surfaces_a_typed_error() {
             assert_eq!(intact, originals.len(), "footer flip at byte {offset}");
         }
         // Errors are terminal: the stream stays ended.
-        assert!(reader.next_checkpoint().is_none());
+        assert!(reader.next_checkpoint_isa::<BuiltinIsa>().is_none());
 
         // The mapped reader agrees record-for-record: same intact
         // count, and the damage never goes unreported.
@@ -233,6 +233,34 @@ fn any_flipped_record_byte_surfaces_a_typed_error() {
             "mapped store swallowed the flip at byte {offset} bit {bit}"
         );
     }
+
+    // A footer whose record count makes `16 + 8 * count` wrap to the
+    // length of an empty footer, with a valid CRC over that count: no
+    // flip gets here, a crafted file does. It is index damage like any
+    // other, not an allocation of 2^61 frames.
+    let count = (1u64 << 61).to_le_bytes();
+    let mut bytes = pristine[..header_len].to_vec();
+    bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+    bytes.extend_from_slice(&count);
+    bytes.extend_from_slice(&smarts_isa::crc32(&count).to_le_bytes());
+    bytes.extend_from_slice(&16u64.to_le_bytes());
+    bytes.extend_from_slice(&smarts_ckpt::INDEX_MAGIC);
+    fs::write(&path, &bytes).expect("write crafted copy");
+    let footer_damaged = |e: &CkptError| {
+        matches!(
+            e,
+            CkptError::Corrupted {
+                record: 0,
+                detail: "index footer damaged"
+            }
+        )
+    };
+    let store = MappedStore::open(&path, &cfg).expect("header is intact");
+    assert_eq!(store.len(), 0);
+    assert!(store.damage().as_ref().is_some_and(footer_damaged));
+    let mut reader = CkptReader::open(&path, &cfg).expect("header is intact");
+    let first = reader.next_checkpoint_isa::<BuiltinIsa>();
+    assert!(matches!(first, Some(Err(ref e)) if footer_damaged(e)));
     fs::remove_file(&path).ok();
 }
 
@@ -271,7 +299,7 @@ fn truncation_recovers_the_intact_prefix() {
         let mut reader = CkptReader::open(&path, &cfg).expect("header is intact");
         let mut intact = 0usize;
         let mut tear = None;
-        while let Some(next) = reader.next_checkpoint() {
+        while let Some(next) = reader.next_checkpoint_isa::<BuiltinIsa>() {
             match next {
                 Ok(checkpoint) => {
                     // The prefix is not merely decodable — it is the
@@ -316,7 +344,7 @@ fn truncation_recovers_the_intact_prefix() {
             let rebuilt = cursor
                 .flat_at(index)
                 .expect("intact record")
-                .rebuild(&cfg)
+                .rebuild_isa::<BuiltinIsa>(&cfg)
                 .expect("rebuilds");
             assert_eq!(&state_words(&rebuilt), expected);
         }
@@ -470,7 +498,7 @@ fn checksummed_records_of_impossible_sets_end_the_intact_prefix() {
         let mut intact = Vec::new();
         let failure = loop {
             match reader
-                .next_checkpoint()
+                .next_checkpoint_isa::<BuiltinIsa>()
                 .expect("the forged record is reached")
             {
                 Ok(checkpoint) => intact.push(checkpoint),
@@ -484,7 +512,7 @@ fn checksummed_records_of_impossible_sets_end_the_intact_prefix() {
             "{what}: surfaced as {failure:?}"
         );
         assert!(
-            reader.next_checkpoint().is_none(),
+            reader.next_checkpoint_isa::<BuiltinIsa>().is_none(),
             "{what}: errors are terminal"
         );
 
@@ -496,9 +524,17 @@ fn checksummed_records_of_impossible_sets_end_the_intact_prefix() {
             "{what}: frames and index are sound"
         );
         let mut cursor = store.cursor();
-        assert!(cursor.flat_at(last - 1).unwrap().rebuild(&cfg).is_ok());
+        assert!(cursor
+            .flat_at(last - 1)
+            .unwrap()
+            .rebuild_isa::<BuiltinIsa>(&cfg)
+            .is_ok());
         assert!(
-            cursor.flat_at(last).unwrap().rebuild(&cfg).is_err(),
+            cursor
+                .flat_at(last)
+                .unwrap()
+                .rebuild_isa::<BuiltinIsa>(&cfg)
+                .is_err(),
             "{what}: rebuilt into a warm state"
         );
     }
@@ -553,7 +589,7 @@ fn v1_stores_without_a_footer_still_read_cleanly() {
     // Sequential reader: every record, clean EOF, no footer expected.
     let mut reader = CkptReader::open(&path, &cfg).expect("v1 opens");
     let mut intact = 0usize;
-    while let Some(next) = reader.next_checkpoint() {
+    while let Some(next) = reader.next_checkpoint_isa::<BuiltinIsa>() {
         let checkpoint = next.expect("v1 record is intact");
         assert_eq!(state_words(&checkpoint), state_words(&originals[intact]));
         intact += 1;
@@ -601,7 +637,7 @@ fn mapped_and_buffered_stores_decode_identically_across_threads() {
                         let rebuilt = cursor
                             .flat_at(index)
                             .expect("record decodes")
-                            .rebuild(cfg)
+                            .rebuild_isa::<BuiltinIsa>(cfg)
                             .expect("record rebuilds");
                         assert_eq!(state_words(&rebuilt), reference[index]);
                     }
@@ -667,7 +703,10 @@ fn incompatible_stores_are_rejected_before_replay() {
     narrow.commit_width = 2;
     narrow.ruu_size = 32;
     let mut reader = CkptReader::open(&path, &narrow).expect("compatible core variant");
-    assert!(reader.next_checkpoint().expect("record").is_ok());
+    assert!(reader
+        .next_checkpoint_isa::<BuiltinIsa>()
+        .expect("record")
+        .is_ok());
 
     fs::remove_file(&path).ok();
 }

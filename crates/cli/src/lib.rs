@@ -18,8 +18,7 @@ use smarts_exec::{
 };
 use smarts_isa::{write_trace, BuiltinIsa, IsaId, RiscIsa, TraceIsa};
 use smarts_server::{
-    canonical_report_line, report_from_json, sampled_report_line, Client, JobSpec, Server,
-    ServerConfig,
+    canonical_report_line, report_from_json, sampled_report_line, Client, JobSpec,
 };
 use smarts_simpoint::{estimate_cpi, SimPointConfig};
 use smarts_stats::Confidence;
@@ -64,16 +63,6 @@ pub struct Options {
     pub job: Option<String>,
     /// Block `submit` until the job finishes and print its report.
     pub wait: bool,
-    /// Listen address for `serve`.
-    pub listen: String,
-    /// Store directory for `serve`.
-    pub store_dir: String,
-    /// Scheduler worker threads for `serve`.
-    pub server_workers: usize,
-    /// Mapped stores the server keeps open across jobs (LRU beyond this).
-    pub max_open_stores: usize,
-    /// Write the bound port here after `serve` binds.
-    pub port_file: Option<String>,
     /// Unit-selection strategy for `sample`/`submit`.
     pub sampler: SamplerKind,
     /// Seed for the sampler's randomized phases.
@@ -110,11 +99,6 @@ impl Default for Options {
             addr: "127.0.0.1:4617".to_string(),
             job: None,
             wait: false,
-            listen: "127.0.0.1:4617".to_string(),
-            store_dir: "smarts-store".to_string(),
-            server_workers: 2,
-            max_open_stores: smarts_server::DEFAULT_MAX_OPEN_STORES,
-            port_file: None,
             sampler: SamplerKind::Systematic,
             seed: 0,
             strata: 4,
@@ -138,8 +122,7 @@ pub fn usage() -> String {
      \x20 simpoint                 SimPoint baseline estimate\n\
      \x20 cachesim                 functional cache/TLB simulation (sim-cache analogue)\n\
      \x20 bpredsim                 functional branch-predictor simulation (sim-bpred analogue)\n\
-     \x20 serve                    run the sampling-as-a-service job server\n\
-     \x20 submit                   submit a sampling job to a running server\n\
+     \x20 submit                   submit a sampling job to a running smarts-server\n\
      \x20 status                   list server jobs (or one with --job)\n\
      \x20 result                   fetch a finished job's report (--job)\n\
      \x20 cancel                   cancel a queued or running job (--job)\n\
@@ -190,12 +173,7 @@ pub fn usage() -> String {
      server options:\n\
      \x20 --addr <host:port>       server to contact           [127.0.0.1:4617]\n\
      \x20 --job <id>               job id for status/result/cancel\n\
-     \x20 --wait                   submit: block until done and print the report\n\
-     \x20 --listen <host:port>     serve: listen address       [127.0.0.1:4617]\n\
-     \x20 --store-dir <dir>        serve: checkpoint-store directory [smarts-store]\n\
-     \x20 --server-workers <n>     serve: concurrent jobs      [2]\n\
-     \x20 --max-open-stores <n>    serve: mapped stores kept open (LRU) [8]\n\
-     \x20 --port-file <path>       serve: write the bound port here"
+     \x20 --wait                   submit: block until done and print the report"
         .to_string()
 }
 
@@ -311,23 +289,6 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
             "--addr" => options.addr = value("--addr")?,
             "--job" => options.job = Some(value("--job")?),
             "--wait" => options.wait = true,
-            "--listen" => options.listen = value("--listen")?,
-            "--store-dir" => options.store_dir = value("--store-dir")?,
-            "--server-workers" => {
-                options.server_workers = value("--server-workers")?
-                    .parse()
-                    .ok()
-                    .filter(|&n| (1..=256).contains(&n))
-                    .ok_or_else(|| "--server-workers takes a count in 1..=256".to_string())?;
-            }
-            "--max-open-stores" => {
-                options.max_open_stores = value("--max-open-stores")?
-                    .parse()
-                    .ok()
-                    .filter(|&n| (1..=1024).contains(&n))
-                    .ok_or_else(|| "--max-open-stores takes a count in 1..=1024".to_string())?;
-            }
-            "--port-file" => options.port_file = Some(value("--port-file")?),
             other => return Err(format!("unknown option {other}")),
         }
     }
@@ -1122,36 +1083,6 @@ fn print_fetched_result(
     Ok(())
 }
 
-fn cmd_serve(options: &Options) -> Result<(), String> {
-    let config = ServerConfig {
-        addr: options.listen.clone(),
-        store_dir: std::path::PathBuf::from(&options.store_dir),
-        workers: options.server_workers,
-        max_open_stores: options.max_open_stores,
-    };
-    let server = Server::bind(&config)?;
-    let addr = server.local_addr();
-    if let Some(path) = &options.port_file {
-        std::fs::write(path, format!("{}\n", addr.port()))
-            .map_err(|e| format!("cannot write port file {path}: {e}"))?;
-    }
-    println!(
-        "serving on {addr} (stores in {}, {} workers); send {{\"cmd\":\"shutdown\"}} to drain",
-        options.store_dir, options.server_workers
-    );
-    let summary = server.serve()?;
-    if summary.abandoned.is_empty() {
-        println!("drained cleanly");
-        Ok(())
-    } else {
-        Err(format!(
-            "abandoned {} queued job(s): {}",
-            summary.abandoned.len(),
-            summary.abandoned.join(", ")
-        ))
-    }
-}
-
 fn cmd_submit(options: &Options) -> Result<(), String> {
     let spec = job_spec(options)?;
     let mut client = Client::connect(&options.addr)?;
@@ -1265,7 +1196,6 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
         "simpoint" => cmd_simpoint(&parse_options(rest)?),
         "cachesim" => cmd_cachesim(&parse_options(rest)?),
         "bpredsim" => cmd_bpredsim(&parse_options(rest)?),
-        "serve" => cmd_serve(&parse_options(rest)?),
         "submit" => cmd_submit(&parse_options(rest)?),
         "status" => cmd_status(&parse_options(rest)?),
         "result" => cmd_result(&parse_options(rest)?),
@@ -1369,11 +1299,13 @@ mod tests {
         assert_eq!(options.jobs, 4);
         assert_eq!(parse_options(&[]).unwrap().jobs, 1);
         // How a run is parallelised is not an input any more: `--jobs` is
-        // the only knob.
+        // the only knob. Nor is where a server listens: that is
+        // `smarts-server`'s flag.
         for (flag, value) in [
             ("--parallel-mode", "pipeline"),
             ("--warm-jobs", "2"),
             ("--pipeline-depth", "4"),
+            ("--listen", "127.0.0.1:0"),
         ] {
             assert_eq!(
                 parse_options(&strings(&[flag, value])).unwrap_err(),
@@ -1400,6 +1332,11 @@ mod tests {
     #[test]
     fn dispatch_rejects_unknown_commands() {
         assert!(dispatch(&strings(&["frobnicate"])).is_err());
+        // The server is its own binary, `smarts-server`.
+        assert_eq!(
+            dispatch(&strings(&["serve"])).unwrap_err(),
+            "unknown command `serve`"
+        );
         assert!(dispatch(&[]).is_err());
     }
 

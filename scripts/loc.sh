@@ -3,7 +3,9 @@
 # (top level only: the bench bins and the workload kernels are not
 # library code), the lines before the file's first `#[cfg(test)]`.
 # ROADMAP aim 2 tracks `exec+cli+ckpt+core`; the `lint` CI job prints
-# this so every PR shows where that sum went.
+# this so every PR shows where that sum went. The last row, `bench-bins`,
+# is every line of `crates/bench/src/bin/*.rs` (top level, so the `perf`
+# package is not in it): the harness trajectory next to the spine's.
 #
 #   sh scripts/loc.sh [repo-root]
 set -eu
@@ -23,3 +25,4 @@ for dir in crates/*/; do
 done
 printf '%-10s %6d\n' "all" "$total"
 printf '%-10s %6d\n' "exec+cli+ckpt+core" "$spine"
+printf '%-10s %6d\n' "bench-bins" "$(cat crates/bench/src/bin/*.rs | wc -l)"

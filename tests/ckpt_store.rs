@@ -1,14 +1,15 @@
 //! End-to-end guarantees of the persistent checkpoint store: replaying
 //! a store from disk is bit-identical to replaying the warming pass's
 //! checkpoints in memory at any worker count, one store serves many
-//! detailed machines, and tail damage costs only the damaged suffix.
+//! detailed machines, lazy replay holds O(workers) checkpoints, and tail
+//! damage costs only the damaged suffix.
 
 mod common;
 
 use std::path::PathBuf;
 
 use common::{assert_bit_identical, eager_oracle, sequential_oracle};
-use smarts::exec::{replay_store, sample, Executor, ParallelReport};
+use smarts::exec::{replay_store, replay_store_mapped, sample, Executor, ParallelReport};
 use smarts::isa::BuiltinIsa;
 use smarts::prelude::*;
 
@@ -128,6 +129,48 @@ fn one_store_serves_many_detailed_machines() {
         "narrow core CPI {} should exceed 8-way CPI {}",
         means[1],
         means[0]
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn lazy_replay_holds_a_tenth_of_the_decoded_store_at_most() {
+    // The contract lazy replay was built for: residency is O(workers),
+    // not O(units) — each worker holds the one checkpoint it is
+    // replaying, so a store of a few hundred units decodes to at least
+    // ten times what a replay of it ever has resident.
+    let sim = SmartsSim::new(MachineConfig::eight_way());
+    let scale = 0.25;
+    let bench = find("hashp-2").expect("suite benchmark").scaled(scale);
+    let p = SamplingParams::for_sample_size(
+        bench.approx_len(),
+        1000,
+        2000,
+        Warming::Functional,
+        250,
+        0,
+    )
+    .expect("valid sampling parameters");
+    let path = store_path("lazy-residency");
+    warm_and_save(&sim, &bench, scale, &p, &path);
+
+    let store = smarts::ckpt::MappedStore::open(&path, sim.config()).expect("store maps");
+    assert!(store.len() >= 200, "only {} units", store.len());
+    let jobs = 2;
+    let executor = Executor::new(jobs).expect("executor");
+    let replayed = replay_store_mapped::<BuiltinIsa>(&executor, &sim, &store).expect("replay");
+    assert!(replayed.damage.is_none());
+    let stats = replayed.report.pipeline.expect("residency stats");
+    assert!(
+        (1..=jobs).contains(&stats.peak_resident_checkpoints),
+        "{jobs} workers held {} checkpoints",
+        stats.peak_resident_checkpoints
+    );
+    let decoded = store.approx_decoded_bytes().expect("intact store");
+    assert!(
+        decoded >= 10 * stats.peak_resident_bytes,
+        "decoded store {decoded} B is under 10x the lazy peak {} B",
+        stats.peak_resident_bytes
     );
     std::fs::remove_file(&path).ok();
 }

@@ -84,7 +84,7 @@ fn event_engine_matches_the_scan_oracle_on_stored_units() {
                 let checkpoint = cursor
                     .flat_at(index)
                     .expect("record decodes")
-                    .rebuild(&cfg)
+                    .rebuild_isa::<BuiltinIsa>(&cfg)
                     .expect("checkpoint rebuilds");
                 let mut event = Pipeline::new(&cfg);
                 let mut scan = ScanPipeline::new(&cfg);
