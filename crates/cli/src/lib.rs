@@ -126,6 +126,7 @@ pub fn usage() -> String {
      \x20 status                   list server jobs (or one with --job)\n\
      \x20 result                   fetch a finished job's report (--job)\n\
      \x20 cancel                   cancel a queued or running job (--job)\n\
+     \x20 stats                    print the server's counters as one JSON line\n\
      \x20 shutdown                 ask the server to drain and exit\n\
      \x20 ckpt-info <store>        inspect a checkpoint store (no replay);\n\
      \x20                          reports its frontend; --json emits a\n\
@@ -161,7 +162,8 @@ pub fn usage() -> String {
      \x20 --pilot <units>          pilot sample size (0 = automatic)   [0]\n\
      \x20 --jobs <count>           replay workers for sample/compare: above 1, units\n\
      \x20                          replay from checkpoints while warming runs ahead\n\
-     \x20                          (same bytes at any count)          [1]\n\
+     \x20                          (same bytes at any count above 1; a plain run at\n\
+     \x20                          1 is the in-order estimator: other last digits) [1]\n\
      \x20 --save-checkpoints <p>   persist unit checkpoints to a store at <p> while\n\
      \x20                          sampling (not with --epsilon)\n\
      \x20 --from-checkpoints <p>   replay a saved store, skipping functional warming;\n\
@@ -1168,6 +1170,11 @@ fn cmd_cancel(options: &Options) -> Result<(), String> {
     Ok(())
 }
 
+fn cmd_stats(options: &Options) -> Result<(), String> {
+    println!("{}", Client::connect(&options.addr)?.stats()?.to_line());
+    Ok(())
+}
+
 fn cmd_shutdown(options: &Options) -> Result<(), String> {
     let mut client = Client::connect(&options.addr)?;
     client.shutdown()?;
@@ -1201,6 +1208,7 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
         "result" => cmd_result(&parse_options(rest)?),
         "cancel" => cmd_cancel(&parse_options(rest)?),
         "trace-export" => cmd_trace_export(&parse_options(rest)?),
+        "stats" => cmd_stats(&parse_options(rest)?),
         "shutdown" => cmd_shutdown(&parse_options(rest)?),
         "ckpt-info" => {
             let json = rest.iter().any(|a| a == "--json");
@@ -1591,6 +1599,27 @@ mod tests {
             err.contains("smarts sample --trace"),
             "unexpected error: {err}"
         );
+    }
+
+    #[test]
+    fn stats_asks_a_running_server_for_its_counters() {
+        assert!(usage().contains("\n  stats  "), "usage must list `stats`");
+        let dir = std::env::temp_dir().join(format!("smarts-cli-stats-{}", std::process::id()));
+        let server = smarts_server::Server::bind(&smarts_server::ServerConfig {
+            store_dir: dir.clone(),
+            ..Default::default()
+        })
+        .unwrap();
+        let addr = server.local_addr().to_string();
+        let stop = server.stop_flag();
+        let serving = std::thread::spawn(move || server.serve());
+        dispatch(&strings(&["stats", "--addr", &addr])).unwrap();
+        stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        serving.join().unwrap().unwrap();
+        // Nobody listening any more: a named error, not a panic.
+        let err = dispatch(&strings(&["stats", "--addr", &addr])).unwrap_err();
+        assert!(err.contains("cannot connect"), "unexpected error: {err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Serialises the matrix tests: between them they make every

@@ -609,7 +609,7 @@ impl fmt::Display for SampleReport {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SmartsSim {
     cfg: MachineConfig,
     energy: EnergyModel,

@@ -35,6 +35,8 @@ pub enum ExecError {
     },
     /// The executor was configured with zero workers.
     ZeroJobs,
+    /// The executor's [`crate::UnitMemo`] is another simulator's or store's.
+    MemoMismatch,
     /// The run was cancelled through its [`crate::CancelToken`] before
     /// completing; any partial results were discarded.
     Cancelled,
@@ -55,6 +57,7 @@ impl fmt::Display for ExecError {
                 write!(f, "worker {worker} panicked: {message}")
             }
             ExecError::ZeroJobs => write!(f, "executor needs at least one worker"),
+            ExecError::MemoMismatch => write!(f, "unit memo is for another simulator or store"),
             ExecError::Cancelled => write!(f, "run cancelled before completion"),
         }
     }
@@ -101,6 +104,7 @@ mod tests {
         assert!(p.to_string().contains("boom"));
         assert!(p.source().is_none());
         assert!(ExecError::ZeroJobs.to_string().contains("at least one"));
+        assert!(ExecError::MemoMismatch.to_string().contains("unit memo"));
         assert!(ExecError::Cancelled.to_string().contains("cancelled"));
         assert!(ExecError::Cancelled.source().is_none());
         let u = ExecError::UnknownBenchmark("ghost-9".into());

@@ -1,11 +1,13 @@
 //! The executor — worker-pool size, cancellation and progress hooks —
 //! and the report types every run returns.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::cancel::{CancelToken, ProgressFn};
 use crate::error::ExecError;
 use crate::pipeline;
+use crate::replay::UnitMemo;
 use smarts_core::{
     ModeInstructions, SampleReport, SamplingParams, SmartsError, SmartsSim, UnitReplay, UnitSample,
 };
@@ -50,6 +52,8 @@ pub struct WorkerStats {
     pub worker: usize,
     /// Sampling units this worker measured (including a partial tail).
     pub units: u64,
+    /// How many of `units` came out of a [`UnitMemo`], not a simulation.
+    pub memoized: u64,
     /// Wall-clock the worker spent on its share of the run.
     pub wall: Duration,
     /// Instructions the worker simulated, by mode.
@@ -135,6 +139,7 @@ pub(crate) struct WorkerLog {
     started: Instant,
     instructions: ModeInstructions,
     outcomes: Vec<(usize, UnitReplay)>,
+    pub(crate) memoized: u64,
 }
 
 impl WorkerLog {
@@ -143,6 +148,7 @@ impl WorkerLog {
             started: Instant::now(),
             instructions: ModeInstructions::default(),
             outcomes: Vec::new(),
+            memoized: 0,
         }
     }
 
@@ -156,6 +162,7 @@ impl WorkerLog {
         let stats = WorkerStats {
             worker,
             units: self.outcomes.len() as u64,
+            memoized: self.memoized,
             wall: self.started.elapsed(),
             instructions: self.instructions,
         };
@@ -257,6 +264,7 @@ pub struct Executor {
     jobs: usize,
     cancel: CancelToken,
     progress: Option<ProgressFn>,
+    pub(crate) memo: Option<Arc<UnitMemo>>,
 }
 
 impl std::fmt::Debug for Executor {
@@ -289,6 +297,7 @@ impl Executor {
             jobs,
             cancel: CancelToken::new(),
             progress: None,
+            memo: None,
         })
     }
 
@@ -306,6 +315,14 @@ impl Executor {
     /// producer/worker threads, so it must be cheap and non-blocking.
     pub fn with_progress(mut self, observer: ProgressFn) -> Self {
         self.progress = Some(observer);
+        self
+    }
+
+    /// Attaches a [`UnitMemo`]: store replays book the outcomes it holds
+    /// instead of simulating them again, and fill in the rest. It must be
+    /// the memo of their simulator and store ([`ExecError::MemoMismatch`]).
+    pub fn with_memo(mut self, memo: Arc<UnitMemo>) -> Self {
+        self.memo = Some(memo);
         self
     }
 

@@ -79,6 +79,6 @@ pub use executor::{
     Executor, ParallelMode, ParallelReport, PipelineStats, WorkerStats, PIPELINE_DEPTH,
 };
 pub use replay::{
-    replay_store, replay_store_mapped, replay_store_sampled, SampledReplay, StoreReplay,
+    replay_store, replay_store_mapped, replay_store_sampled, SampledReplay, StoreReplay, UnitMemo,
 };
 pub use warm::{sample, warm_store};

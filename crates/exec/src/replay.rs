@@ -22,7 +22,7 @@
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::cancel::PipelineProgress;
@@ -72,6 +72,33 @@ pub struct SampledReplay {
     pub measured: Vec<u64>,
 }
 
+/// Outcomes of store records already replayed, one slot per record: a
+/// unit's `W + U` episode is a pure function of (checkpoint, machine), so
+/// a run through [`Executor::with_memo`] books a filled slot, not a second
+/// simulation. Reads take no lock; two runs racing on an empty slot
+/// compute one value and the first `set` wins.
+#[derive(Debug)]
+pub struct UnitMemo {
+    /// All the outcomes are valid for: simulator, store identity, records.
+    key: (SmartsSim, u64, usize),
+    slots: Box<[OnceLock<UnitReplay>]>,
+}
+
+impl UnitMemo {
+    fn key(sim: &SmartsSim, store: &MappedStore) -> (SmartsSim, u64, usize) {
+        let identity = store.meta().fingerprint(sim.config());
+        (sim.clone(), identity, store.len())
+    }
+
+    /// An empty memo for replays of `store` under `sim`.
+    pub fn new(sim: &SmartsSim, store: &MappedStore) -> Self {
+        UnitMemo {
+            key: Self::key(sim, store),
+            slots: (0..store.len()).map(|_| OnceLock::new()).collect(),
+        }
+    }
+}
+
 /// Refuses a store written by a different frontend, then reconstructs
 /// its workload's program from the recorded `(benchmark, scale)`. The
 /// built-in frontend keeps its historical error shape
@@ -111,6 +138,10 @@ impl<'a, F: Frontend> ReplayContext<'a, F> {
         sim: &'a SmartsSim,
         store: &'a MappedStore,
     ) -> Result<Self, ExecError> {
+        let memo = executor.memo.as_deref();
+        if memo.is_some_and(|memo| memo.key != UnitMemo::key(sim, store)) {
+            return Err(ExecError::MemoMismatch);
+        }
         Ok(ReplayContext {
             executor,
             sim,
@@ -149,6 +180,7 @@ fn replay_subset<F: Frontend>(
     let cancel = &control.cancel;
     let progress = control.progress.as_deref();
     let pool = ctx.store.len() as u64;
+    let memo = ctx.executor.memo.as_deref();
 
     let queue = AtomicUsize::new(0);
     let damage: Mutex<Option<(u64, CkptError)>> = Mutex::new(None);
@@ -171,26 +203,36 @@ fn replay_subset<F: Frontend>(
             let Some(&index) = indices.get(queue.fetch_add(1, Ordering::Relaxed)) else {
                 break;
             };
-            let flat = match cursor.flat_at(index) {
-                Ok(flat) => flat,
-                Err(e) => {
-                    // Every later claim would hit the same break.
-                    note_damage(index, e);
-                    break;
+            let slot = memo.map(|memo| &memo.slots[index]);
+            let outcome = if let Some(known) = slot.and_then(OnceLock::get) {
+                log.memoized += 1;
+                known.clone()
+            } else {
+                let flat = match cursor.flat_at(index) {
+                    Ok(flat) => flat,
+                    Err(e) => {
+                        // Every later claim would hit the same break.
+                        note_damage(index, e);
+                        break;
+                    }
+                };
+                let checkpoint = match flat.rebuild_isa::<F>(ctx.sim.config()) {
+                    Ok(checkpoint) => checkpoint,
+                    Err(detail) => {
+                        let record = index as u64;
+                        note_damage(index, CkptError::Corrupted { record, detail });
+                        break;
+                    }
+                };
+                let bytes = flat.approx_bytes() + checkpoint.approx_resident_bytes();
+                ctx.residency.add(bytes);
+                let outcome = ctx.sim.replay_owned(&ctx.program, &ctx.params, checkpoint);
+                ctx.residency.remove(bytes);
+                if let Some(slot) = slot {
+                    let _ = slot.set(outcome.clone());
                 }
+                outcome
             };
-            let checkpoint = match flat.rebuild_isa::<F>(ctx.sim.config()) {
-                Ok(checkpoint) => checkpoint,
-                Err(detail) => {
-                    let record = index as u64;
-                    note_damage(index, CkptError::Corrupted { record, detail });
-                    break;
-                }
-            };
-            let bytes = flat.approx_bytes() + checkpoint.approx_resident_bytes();
-            ctx.residency.add(bytes);
-            let outcome = ctx.sim.replay_owned(&ctx.program, &ctx.params, checkpoint);
-            ctx.residency.remove(bytes);
             log.record(index, outcome);
             let replayed = ctx.done.fetch_add(1, Ordering::Relaxed) + 1;
             if let Some(observe) = progress {
@@ -276,6 +318,7 @@ fn fold_workers(acc: &mut Vec<WorkerStats>, phase: Vec<WorkerStats>) {
         match acc.iter_mut().find(|w| w.worker == stats.worker) {
             Some(slot) => {
                 slot.units += stats.units;
+                slot.memoized += stats.memoized;
                 slot.wall += stats.wall;
                 slot.instructions.fast_forwarded += stats.instructions.fast_forwarded;
                 slot.instructions.detailed_warmed += stats.instructions.detailed_warmed;

@@ -27,7 +27,8 @@
 //!   machine, progress counters, change notification for watchers;
 //! * [`store_mgr`] — the store manager: fingerprint → path mapping,
 //!   single-warmer coordination with rename-on-success publication,
-//!   plus the results cache;
+//!   the LRU of open stores (each with the memo of its units already
+//!   replayed), plus the results cache;
 //! * [`scheduler`] — workers that drive each claimed job down the
 //!   cheapest path: cache hit → store replay → cold warm-and-save;
 //! * [`server`] / [`client`] — the TCP accept loop with graceful
@@ -57,4 +58,4 @@ pub use report::{
 };
 pub use scheduler::{machine_for, params_for, Shared};
 pub use server::{Server, ServerConfig, ShutdownSummary};
-pub use store_mgr::{ResultsCache, StoreManager, StoreTicket, DEFAULT_MAX_OPEN_STORES};
+pub use store_mgr::{OpenStore, ResultsCache, StoreManager, StoreTicket, DEFAULT_MAX_OPEN_STORES};

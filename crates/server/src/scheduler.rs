@@ -8,15 +8,20 @@
 //!    (store fingerprint, machine config, sampler key); answered in
 //!    O(lookup) with zero simulation.
 //! 2. **store** — a complete checkpoint store exists (this run or a
-//!    previous one); detailed replay only, no functional warming.
+//!    previous one); detailed replay only, no functional warming — and
+//!    only of the units no earlier job on the open store replayed: the
+//!    rest come out of the store's [`smarts_exec::UnitMemo`].
 //! 3. **cold** — this job wins the warm ticket and runs the combined
 //!    warm-and-save pipeline; concurrent jobs for the same store block
-//!    on the ticket and then replay, so one warming pass serves all.
+//!    on the ticket, so one warming pass serves all — then the ones
+//!    that asked for the warmer's very line take it from the cache, and
+//!    the rest replay.
 //!
 //! All three paths produce byte-identical canonical report lines for
 //! the same (workload, design, machine, sampler): the store replay is
 //! bit-identical to the live pipeline by `smarts-exec`'s merge
-//! contract, and the cache stores the exact serialized line.
+//! contract, a memoized unit is the outcome its simulation produced,
+//! and the cache stores the exact serialized line.
 //!
 //! Non-systematic samplers (stratified, adaptive) share the same warmed
 //! stores — unit selection happens at replay, so the store fingerprint
@@ -30,7 +35,8 @@ use std::sync::Arc;
 use smarts_ckpt::{IsaId, MappedStore, StoreMeta};
 use smarts_core::{SamplingParams, SmartsSim, Warming};
 use smarts_exec::{
-    replay_store_mapped, replay_store_sampled, sample, warm_store, CancelToken, ExecError, Executor,
+    replay_store_mapped, replay_store_sampled, sample, warm_store, CancelToken, ExecError,
+    Executor, SampledReplay,
 };
 use smarts_isa::{BuiltinIsa, RiscIsa};
 use smarts_uarch::MachineConfig;
@@ -176,6 +182,11 @@ fn run_job_with<F: Frontend>(
             }
         });
     };
+    // Every simulating path adds its units to the served totals.
+    let sampled_line = |sampled: SampledReplay| {
+        shared.stores.count_units(&sampled.report);
+        sampled_report_line(&sampled)
+    };
     let (source, outcome) = match &ticket {
         StoreTicket::Warm { temp, .. } if !sampler.is_systematic() => {
             // Sampled cold path: warm-only store write, then replay the
@@ -186,8 +197,7 @@ fn run_job_with<F: Frontend>(
             let outcome = warmed.and_then(|_| {
                 to_replaying();
                 let store = MappedStore::open(temp, &cfg)?;
-                replay_store_sampled::<F>(&executor, &sim, &store, &sampler)
-                    .map(|sampled| sampled_report_line(&sampled))
+                replay_store_sampled::<F>(&executor, &sim, &store, &sampler).map(sampled_line)
             });
             (ResultSource::Cold, outcome)
         }
@@ -201,18 +211,30 @@ fn run_job_with<F: Frontend>(
                 &params,
                 Some(temp),
             )
-            .map(|(report, _)| canonical_report_line(&report.report)),
+            .map(|(run, _)| {
+                shared.stores.count_units(&run);
+                canonical_report_line(&run.report)
+            }),
         ),
         StoreTicket::Replay { path } => {
+            // A job that waited here for a racing warmer of its own spec
+            // finds the warmer's line cached: it was put before the
+            // commit woke anyone.
+            if let Some(line) = shared.cache.get(fingerprint, spec.config, sampler_key) {
+                return JobEnd::Done(ResultSource::Cache, line);
+            }
             to_replaying();
             // Pull the shared mapping from the LRU open-store cache so
-            // back-to-back jobs on a hot store reuse one zero-copy map.
-            let store = match shared.stores.open_store(fingerprint, path, &cfg) {
-                Ok(store) => store,
+            // back-to-back jobs on a hot store reuse one zero-copy map,
+            // and its memo so they simulate no unit a second time.
+            let open = match shared.stores.open_store(fingerprint, path, &sim) {
+                Ok(open) => open,
                 Err(message) => return JobEnd::Failed(message),
             };
+            let (store, executor) = (open.store, executor.with_memo(open.memo));
             let outcome = if sampler.is_systematic() {
                 replay_store_mapped::<F>(&executor, &sim, &store).and_then(|replayed| {
+                    shared.stores.count_units(&replayed.report);
                     match replayed.damage {
                         // The server never serves a damaged store: the
                         // rename-on-success protocol makes this unreachable
@@ -222,8 +244,7 @@ fn run_job_with<F: Frontend>(
                     }
                 })
             } else {
-                replay_store_sampled::<F>(&executor, &sim, &store, &sampler)
-                    .map(|sampled| sampled_report_line(&sampled))
+                replay_store_sampled::<F>(&executor, &sim, &store, &sampler).map(sampled_line)
             };
             (ResultSource::Store, outcome)
         }
@@ -231,13 +252,15 @@ fn run_job_with<F: Frontend>(
 
     match outcome {
         Ok(line) => {
-            if let Err(message) = shared.stores.commit(&ticket) {
-                return JobEnd::Failed(message);
-            }
+            // Cached before the commit wakes the racers, so one that
+            // asked for this very line takes it instead of replaying.
             let line = Arc::new(line);
             shared
                 .cache
                 .put(fingerprint, spec.config, sampler_key, Arc::clone(&line));
+            if let Err(message) = shared.stores.commit(&ticket) {
+                return JobEnd::Failed(message);
+            }
             JobEnd::Done(source, line)
         }
         Err(ExecError::Cancelled) => {

@@ -396,6 +396,7 @@ fn handle_line(
         Request::Stats => {
             let jobs = shared.jobs.list();
             let done = jobs.iter().filter(|r| r.result.is_some()).count();
+            let (units_replayed, units_memoized) = shared.stores.units();
             write_line(
                 stream,
                 &ok_response(vec![
@@ -407,6 +408,8 @@ fn handle_line(
                     ("open_stores", Json::U64(shared.stores.open_stores() as u64)),
                     ("stores_opened", Json::U64(shared.stores.stores_opened())),
                     ("stores_evicted", Json::U64(shared.stores.stores_evicted())),
+                    ("units_replayed", Json::U64(units_replayed)),
+                    ("units_memoized", Json::U64(units_memoized)),
                 ]),
             )?;
         }

@@ -27,7 +27,10 @@
 //! share one zero-copy mapping. A store file never changes after its
 //! rename-on-commit (same fingerprint ⇒ byte-identical content), so
 //! cached mappings need no invalidation — only LRU eviction when the
-//! cap is exceeded.
+//! cap is exceeded. Each open slot also owns the store's
+//! [`UnitMemo`](smarts_exec::UnitMemo): every job on the mapping shares
+//! it, so a unit one job replayed is statistics, not simulation, for the
+//! next — and it is evicted with the mapping, which bounds it.
 
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -36,7 +39,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use smarts_ckpt::{read_store_meta, MappedStore, StoreMeta};
-use smarts_exec::CancelToken;
+use smarts_core::SmartsSim;
+use smarts_exec::{CancelToken, ParallelReport, UnitMemo};
 use smarts_uarch::MachineConfig;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,11 +75,22 @@ pub enum StoreTicket {
 /// Default cap on concurrently open (memory-mapped) stores.
 pub const DEFAULT_MAX_OPEN_STORES: usize = 8;
 
+/// One open store: the shared mapping, and the outcomes of the units
+/// already replayed from it under the machine it was opened for.
+#[derive(Debug, Clone)]
+pub struct OpenStore {
+    /// The zero-copy mapping.
+    pub store: Arc<MappedStore>,
+    /// The unit outcomes known so far; lives and dies with the mapping's
+    /// LRU slot, so at most `cap × records` outcomes (~300 B each) stay.
+    pub memo: Arc<UnitMemo>,
+}
+
 /// The LRU cache of open mappings. `order` holds fingerprints from
-/// least- to most-recently used; `stores` owns the shared mappings.
+/// least- to most-recently used; `stores` owns the shared slots.
 struct OpenStores {
     cap: usize,
-    stores: HashMap<u64, Arc<MappedStore>>,
+    stores: HashMap<u64, OpenStore>,
     order: VecDeque<u64>,
 }
 
@@ -109,6 +124,8 @@ pub struct StoreManager {
     open: Mutex<OpenStores>,
     stores_opened: AtomicU64,
     stores_evicted: AtomicU64,
+    units_replayed: AtomicU64,
+    units_memoized: AtomicU64,
 }
 
 impl StoreManager {
@@ -134,6 +151,8 @@ impl StoreManager {
             }),
             stores_opened: AtomicU64::new(0),
             stores_evicted: AtomicU64::new(0),
+            units_replayed: AtomicU64::new(0),
+            units_memoized: AtomicU64::new(0),
         })
     }
 
@@ -270,11 +289,13 @@ impl StoreManager {
         }
     }
 
-    /// Returns the shared mapping for a committed store, opening (and
-    /// caching) it on first use. Hits touch the LRU order; misses map
-    /// the file at `path` and may evict the least-recently-used mapping
-    /// past the cap. Eviction only drops the cache's `Arc` — jobs
-    /// mid-replay keep their clone alive until they finish.
+    /// Returns the shared mapping for a committed store and its unit
+    /// memo, opening (and caching) the store on first use. Hits touch
+    /// the LRU order; misses map the file at `path` under `sim`'s
+    /// machine, start an empty memo for `sim`, and may evict the
+    /// least-recently-used slot past the cap. Eviction only drops the
+    /// cache's `Arc`s — jobs mid-replay keep their clones alive until
+    /// they finish.
     ///
     /// Committed store files are immutable (rename-on-commit) and
     /// content-deterministic per fingerprint, so a cached mapping never
@@ -287,19 +308,21 @@ impl StoreManager {
         &self,
         fingerprint: u64,
         path: &Path,
-        cfg: &MachineConfig,
-    ) -> Result<Arc<MappedStore>, String> {
+        sim: &SmartsSim,
+    ) -> Result<OpenStore, String> {
         let mut open = self.open.lock().expect("open-store cache poisoned");
-        if let Some(store) = open.stores.get(&fingerprint).cloned() {
+        if let Some(slot) = open.stores.get(&fingerprint).cloned() {
             open.touch(fingerprint);
-            return Ok(store);
+            return Ok(slot);
         }
-        let store = Arc::new(
-            MappedStore::open(path, cfg)
-                .map_err(|e| format!("cannot open store {}: {e}", path.display()))?,
-        );
+        let store = MappedStore::open(path, sim.config())
+            .map_err(|e| format!("cannot open store {}: {e}", path.display()))?;
+        let slot = OpenStore {
+            memo: Arc::new(UnitMemo::new(sim, &store)),
+            store: Arc::new(store),
+        };
         self.stores_opened.fetch_add(1, Ordering::Relaxed);
-        open.stores.insert(fingerprint, Arc::clone(&store));
+        open.stores.insert(fingerprint, slot.clone());
         open.order.push_back(fingerprint);
         while open.order.len() > open.cap {
             if let Some(oldest) = open.order.pop_front() {
@@ -307,7 +330,27 @@ impl StoreManager {
                 self.stores_evicted.fetch_add(1, Ordering::Relaxed);
             }
         }
-        Ok(store)
+        Ok(slot)
+    }
+
+    /// Adds one finished run's units to the served totals: all it
+    /// booked, and those of them that came out of a memo.
+    pub fn count_units(&self, run: &ParallelReport) {
+        for worker in &run.workers {
+            self.units_replayed
+                .fetch_add(worker.units, Ordering::Relaxed);
+            self.units_memoized
+                .fetch_add(worker.memoized, Ordering::Relaxed);
+        }
+    }
+
+    /// Units every served run booked, and how many of them a memo
+    /// supplied without simulation: `(replayed, memoized)`.
+    pub fn units(&self) -> (u64, u64) {
+        (
+            self.units_replayed.load(Ordering::Relaxed),
+            self.units_memoized.load(Ordering::Relaxed),
+        )
     }
 
     /// Stores currently held open in the LRU cache.
@@ -554,6 +597,7 @@ mod tests {
         let root = temp_root("openlru");
         let mgr = StoreManager::new(&root).unwrap().with_max_open_stores(2);
         let cfg = MachineConfig::eight_way();
+        let sim = SmartsSim::new(cfg.clone());
 
         // Seed three distinct committed stores.
         let fps: Vec<u64> = (0..3u64)
@@ -568,36 +612,110 @@ mod tests {
             .collect();
         let path = |fp: u64| mgr.final_path(fp);
 
-        let a = mgr.open_store(fps[0], &path(fps[0]), &cfg).unwrap();
-        let a_again = mgr.open_store(fps[0], &path(fps[0]), &cfg).unwrap();
-        assert!(Arc::ptr_eq(&a, &a_again), "hit must share the mapping");
+        let a = mgr.open_store(fps[0], &path(fps[0]), &sim).unwrap();
+        let a_again = mgr.open_store(fps[0], &path(fps[0]), &sim).unwrap();
+        assert!(
+            Arc::ptr_eq(&a.store, &a_again.store) && Arc::ptr_eq(&a.memo, &a_again.memo),
+            "hit must share the mapping and its memo"
+        );
         assert_eq!(mgr.stores_opened(), 1);
         assert_eq!(mgr.stores_evicted(), 0);
 
-        mgr.open_store(fps[1], &path(fps[1]), &cfg).unwrap();
+        mgr.open_store(fps[1], &path(fps[1]), &sim).unwrap();
         assert_eq!(mgr.open_stores(), 2);
 
         // Touch store 0 so store 1 is now least-recently used, then
         // overflow the cap: store 1 must be the eviction victim.
-        mgr.open_store(fps[0], &path(fps[0]), &cfg).unwrap();
-        mgr.open_store(fps[2], &path(fps[2]), &cfg).unwrap();
+        mgr.open_store(fps[0], &path(fps[0]), &sim).unwrap();
+        mgr.open_store(fps[2], &path(fps[2]), &sim).unwrap();
         assert_eq!(mgr.open_stores(), 2);
         assert_eq!(mgr.stores_evicted(), 1);
         assert_eq!(mgr.stores_opened(), 3);
 
         // Store 0 survived the eviction (still a hit); store 1 did not.
-        mgr.open_store(fps[0], &path(fps[0]), &cfg).unwrap();
+        mgr.open_store(fps[0], &path(fps[0]), &sim).unwrap();
         assert_eq!(mgr.stores_opened(), 3);
-        mgr.open_store(fps[1], &path(fps[1]), &cfg).unwrap();
+        mgr.open_store(fps[1], &path(fps[1]), &sim).unwrap();
         assert_eq!(mgr.stores_opened(), 4);
         assert_eq!(mgr.stores_evicted(), 2);
 
         // A junk file fails to open and is not cached.
         let junk = root.join("junk.ck");
         std::fs::write(&junk, b"not a store").unwrap();
-        let err = mgr.open_store(0xdead, &junk, &cfg).unwrap_err();
+        let err = mgr.open_store(0xdead, &junk, &sim).unwrap_err();
         assert!(err.contains("cannot open store"), "unexpected error: {err}");
         assert_eq!(mgr.open_stores(), 2);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn evicting_an_open_store_drops_its_memo_and_a_reopen_starts_empty() {
+        use smarts_exec::{replay_store_mapped, warm_store, Executor};
+        use smarts_isa::BuiltinIsa;
+        use smarts_workloads::Frontend;
+        let root = temp_root("memolru");
+        let mgr = StoreManager::new(&root).unwrap().with_max_open_stores(1);
+        let cfg = MachineConfig::eight_way();
+        let sim = SmartsSim::new(cfg.clone());
+
+        // Two committed stores with records in them.
+        let len = BuiltinIsa::approx_len("loopy-1", 0.02).unwrap();
+        let functional = Warming::Functional;
+        let fps: Vec<u64> = (0..2u64)
+            .map(|offset| {
+                let meta = StoreMeta {
+                    params: SamplingParams::for_sample_size(len, 100, 200, functional, 6, offset)
+                        .unwrap(),
+                    benchmark: "loopy-1".to_string(),
+                    scale: 0.02,
+                    isa: IsaId::Builtin,
+                };
+                let fp = meta.fingerprint(&cfg);
+                let one = Executor::new(1).unwrap();
+                let path = mgr.final_path(fp);
+                warm_store::<BuiltinIsa>(&one, &sim, "loopy-1", 0.02, &meta.params, &path).unwrap();
+                fp
+            })
+            .collect();
+        // One full replay through the slot's memo, counted as a served
+        // run: the units it booked, and how many the memo supplied.
+        let replay = |open: &OpenStore| {
+            let executor = Executor::new(1).unwrap().with_memo(Arc::clone(&open.memo));
+            let run = replay_store_mapped::<BuiltinIsa>(&executor, &sim, &open.store).unwrap();
+            mgr.count_units(&run.report);
+            let worker = run.report.workers[0];
+            (worker.units, worker.memoized)
+        };
+
+        let first = mgr
+            .open_store(fps[0], &mgr.final_path(fps[0]), &sim)
+            .unwrap();
+        let (units, memoized) = replay(&first);
+        assert!(units > 0 && memoized == 0, "a new slot's memo starts empty");
+        // A second job on the open store shares the slot, memo included.
+        let again = mgr
+            .open_store(fps[0], &mgr.final_path(fps[0]), &sim)
+            .unwrap();
+        assert_eq!(replay(&again), (units, units));
+
+        // Opening the other store evicts the slot; once the jobs that
+        // hold it are done, the memo is gone with the mapping.
+        let (mapping, memo) = (Arc::downgrade(&first.store), Arc::downgrade(&first.memo));
+        drop((first, again));
+        assert!(memo.upgrade().is_some(), "the open slot keeps its memo");
+        mgr.open_store(fps[1], &mgr.final_path(fps[1]), &sim)
+            .unwrap();
+        assert_eq!(mgr.stores_evicted(), 1);
+        assert!(mapping.upgrade().is_none() && memo.upgrade().is_none());
+
+        // A re-open maps the file again and knows nothing.
+        let reopened = mgr
+            .open_store(fps[0], &mgr.final_path(fps[0]), &sim)
+            .unwrap();
+        assert_eq!(mgr.stores_opened(), 3);
+        assert_eq!(replay(&reopened), (units, 0));
+        assert_eq!(replay(&reopened), (units, units));
+        assert_eq!(mgr.units(), (4 * units, 2 * units));
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -1,8 +1,9 @@
 //! End-to-end guarantees of the sampling-as-a-service job server:
 //! reports served over the wire are byte-identical to one-shot pipeline
-//! runs on every path (cold, store hit, cache hit), concurrent
-//! submissions of the same store trigger exactly one warming pass, the
-//! wire protocol refuses abuse crisply, and shutdown drains.
+//! runs on every path (cold, store hit, memoized store hit, cache hit),
+//! concurrent submissions of the same store trigger exactly one warming
+//! pass and one simulation, the wire protocol refuses abuse crisply, and
+//! shutdown drains.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -155,6 +156,33 @@ fn cold_store_and_cache_paths_serve_identical_bytes() {
     let stats = client.stats().expect("stats");
     assert_eq!(stats.get("warm_passes").and_then(Json::as_u64), Some(0));
     assert_eq!(stats.get("store_hits").and_then(Json::as_u64), Some(1));
+    assert_eq!(stats.get("units_memoized").and_then(Json::as_u64), Some(0));
+    let simulated = stats.get("units_replayed").and_then(Json::as_u64);
+    assert!(simulated > Some(0), "the store hit replayed its units");
+
+    // A different selection over the store that hit just replayed: a
+    // store hit again, but every unit it draws is already known, so it
+    // is served from the memo — the bytes of a run that simulated them.
+    let sampled = JobSpec {
+        sampler: smarts::core::SamplerKind::Stratified,
+        seed: 3,
+        ..small_spec()
+    };
+    let fourth = client.submit(&sampled).expect("submit memoized store hit");
+    assert_eq!(client.wait(&fourth).expect("wait"), "done");
+    let (source, raw) = client.result(&fourth).expect("memoized result");
+    assert_eq!(source, "store");
+    assert_eq!(raw, one_shot_sampled_line(&sampled));
+    let stats = client.stats().expect("stats");
+    let count = |name: &str| stats.get(name).and_then(Json::as_u64).expect(name);
+    assert_eq!(count("store_hits"), 2);
+    assert_eq!(count("stores_opened"), 1);
+    assert!(count("units_memoized") > 0, "nothing came out of the memo");
+    assert_eq!(
+        Some(count("units_replayed") - count("units_memoized")),
+        simulated,
+        "a memoized unit was simulated again"
+    );
     server.shutdown();
 
     let _ = std::fs::remove_dir_all(&store_dir);
@@ -229,7 +257,8 @@ fn concurrent_submissions_share_one_warming_pass() {
     let server = RunningServer::start(&store_dir, 4);
 
     // Two clients race the same spec; the store manager must elect a
-    // single warmer and replay the racer from the committed store.
+    // single warmer, and the racer takes the warmer's line: it is
+    // cached before the commit wakes the racer, which simulates nothing.
     let submitters: Vec<_> = (0..2)
         .map(|_| {
             let addr = server.addr.clone();
@@ -246,13 +275,12 @@ fn concurrent_submissions_share_one_warming_pass() {
         .map(|h| h.join().expect("submitter thread"))
         .collect();
 
-    for (source, raw) in &results {
+    for (_, raw) in &results {
         assert_eq!(raw, &expected, "every concurrent result is byte-identical");
-        assert!(
-            source == "cold" || source == "store" || source == "cache",
-            "unexpected source {source}"
-        );
     }
+    let mut sources: Vec<&str> = results.iter().map(|(source, _)| source.as_str()).collect();
+    sources.sort_unstable();
+    assert_eq!(sources, ["cache", "cold"], "the loser re-simulated");
     let mut client = server.client();
     let stats = client.stats().expect("stats");
     assert_eq!(
@@ -260,6 +288,7 @@ fn concurrent_submissions_share_one_warming_pass() {
         Some(1),
         "exactly one warming pass serves all concurrent jobs"
     );
+    assert_eq!(stats.get("stores_opened").and_then(Json::as_u64), Some(0));
     server.shutdown();
     let _ = std::fs::remove_dir_all(&store_dir);
 }
