@@ -7,6 +7,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::path::Path;
+use std::sync::Arc;
+use std::time::UNIX_EPOCH;
+
 use smarts_ckpt::MappedStore;
 use smarts_core::{
     compare_machines, FunctionalEngine, ModeInstructions, SampleReport, SamplerKind, SamplerSpec,
@@ -15,6 +19,7 @@ use smarts_core::{
 use smarts_exec::{
     compare_machines_parallel, replay_store_mapped, replay_store_sampled, sample,
     sample_two_step_parallel, warm_store, ExecError, Executor, ParallelReport, SampledReplay,
+    UnitMemo,
 };
 use smarts_isa::{write_trace, BuiltinIsa, IsaId, RiscIsa, TraceIsa};
 use smarts_server::{
@@ -160,15 +165,19 @@ pub fn usage() -> String {
      \x20 --seed <u64>             sampler seed (stratified/adaptive)  [0]\n\
      \x20 --strata <count>         stratum count                       [4]\n\
      \x20 --pilot <units>          pilot sample size (0 = automatic)   [0]\n\
-     \x20 --jobs <count>           replay workers for sample/compare: above 1, units\n\
-     \x20                          replay from checkpoints while warming runs ahead\n\
-     \x20                          (same bytes at any count above 1; a plain run at\n\
-     \x20                          1 is the in-order estimator: other last digits) [1]\n\
+     \x20 --jobs <count>           replay workers for sample/compare: units replay\n\
+     \x20                          from checkpoints while warming runs ahead, the\n\
+     \x20                          same bytes at any count; only a built-in run with\n\
+     \x20                          no store at 1 is the in-order estimator instead\n\
+     \x20                          (other last digits)                 [1]\n\
      \x20 --save-checkpoints <p>   persist unit checkpoints to a store at <p> while\n\
      \x20                          sampling (not with --epsilon)\n\
      \x20 --from-checkpoints <p>   replay a saved store, skipping functional warming;\n\
      \x20                          benchmark and sampling design come from the store\n\
-     \x20                          (--bench is ignored; not with --epsilon)\n\
+     \x20                          (--bench is ignored; not with --epsilon). Unit\n\
+     \x20                          outcomes this build already measured on this\n\
+     \x20                          machine are reused from <p>.<machine>.units\n\
+     \x20                          beside the store; delete it to re-simulate\n\
      \x20 --json                   emit the canonical bit-exact report JSON (sample,\n\
      \x20                          submit --wait, result)\n\
      \n\
@@ -467,6 +476,14 @@ fn temp_store_path() -> std::path::PathBuf {
     std::env::temp_dir().join(format!("smarts-sample-{}-{seq}.ck", std::process::id()))
 }
 
+/// This executable's identity for outcome files: its length and mtime, so
+/// a rebuilt binary never books an outcome an older one measured.
+fn build_identity() -> Option<String> {
+    let exe = std::fs::metadata(std::env::current_exe().ok()?).ok()?;
+    let mtime = exe.modified().ok()?.duration_since(UNIX_EPOCH).ok()?;
+    Some(format!("{} bytes, modified {mtime:?}", exe.len()))
+}
+
 fn store_written_note(write: &smarts_ckpt::WriteSummary, path: &std::path::Path) -> String {
     format!(
         "store         {} records, {:.2} MiB written to {}",
@@ -507,6 +524,17 @@ fn sample_with<F: Frontend>(options: &Options, workload: &str) -> Result<SampleR
         // The store's own workload and sampling design apply.
         let store = MappedStore::open(path, &cfg).map_err(|e| text(e.into()))?;
         let meta = store.meta().clone();
+        // Outcomes an earlier run of this build measured on this machine
+        // are booked, not simulated again.
+        let units = UnitMemo::file_beside(Path::new(path), &sim);
+        let build = build_identity();
+        let memo = Arc::new(match &build {
+            Some(build) => UnitMemo::load(&units, &sim, &store, build),
+            None => UnitMemo::new(&sim, &store),
+        });
+        let known = memo.known();
+        let executor = executor.with_memo(Arc::clone(&memo));
+        let mut damaged = false;
         let estimate = if spec.is_systematic() {
             let replayed = replay_store_mapped::<F>(&executor, &sim, &store).map_err(text)?;
             notes.push(format!(
@@ -514,6 +542,7 @@ fn sample_with<F: Frontend>(options: &Options, workload: &str) -> Result<SampleR
                 replayed.records, meta.benchmark, meta.scale
             ));
             if let Some(damage) = &replayed.damage {
+                damaged = true;
                 notes.push(format!(
                     "WARNING       store damaged past record {}: {damage}; \
                      the intact prefix above was still replayed",
@@ -526,6 +555,20 @@ fn sample_with<F: Frontend>(options: &Options, workload: &str) -> Result<SampleR
                 replay_store_sampled::<F>(&executor, &sim, &store, &spec).map_err(text)?,
             )
         };
+        let written = match build {
+            _ if memo.known() == known => "unchanged".to_string(),
+            _ if damaged => "not written: the store is damaged".to_string(),
+            None => "not written: this executable's build is unknown".to_string(),
+            Some(build) => match memo.save(&units, &build) {
+                Ok(()) => "written".to_string(),
+                Err(e) => format!("not written: {e}"),
+            },
+        };
+        notes.push(format!(
+            "memo          {known} of {} units known from {} ({written})",
+            store.len(),
+            units.display()
+        ));
         let label = workload_label::<F>(&meta.benchmark, meta.scale);
         return Ok(run(label, meta.params, notes, estimate));
     }
@@ -691,8 +734,20 @@ fn cmd_trace_export(options: &Options) -> Result<(), String> {
 fn cmd_ckpt_info(path: &str, json: bool) -> Result<(), String> {
     let store = MappedStore::open_unchecked(path).map_err(|e| e.to_string())?;
     let meta = store.meta();
+    let build = build_identity().unwrap_or_default();
+    let outcome_files = UnitMemo::files_beside(Path::new(path), &store, &build);
     if json {
         use smarts_server::json::Json;
+        let outcome_files: Vec<Json> = (outcome_files.iter())
+            .map(|file| {
+                Json::obj(vec![
+                    ("path", Json::Str(file.path.display().to_string())),
+                    ("machine", Json::Str(format!("{:016x}", file.machine))),
+                    ("outcomes", Json::U64(file.outcomes as u64)),
+                    ("usable", Json::Bool(file.usable)),
+                ])
+            })
+            .collect();
         let spans: Vec<Json> = (0..store.len())
             .map(|i| {
                 let span = store.record_span(i);
@@ -733,6 +788,7 @@ fn cmd_ckpt_info(path: &str, json: bool) -> Result<(), String> {
                 },
             ),
             ("spans", Json::Arr(spans)),
+            ("outcome_files", Json::Arr(outcome_files)),
         ]);
         println!("{}", value.to_line());
         return Ok(());
@@ -797,6 +853,11 @@ fn cmd_ckpt_info(path: &str, json: bool) -> Result<(), String> {
     }
     if let Some(damage) = store.damage() {
         println!("damage        {damage}; records above are the intact prefix");
+    }
+    for file in &outcome_files {
+        let (path, machine, n) = (file.path.display(), file.machine, file.outcomes);
+        let usable = if file.usable { "usable" } else { "not usable" };
+        println!("outcomes      {path}: machine {machine:016x}, {n} held, {usable} by this build");
     }
     Ok(())
 }
@@ -882,9 +943,10 @@ fn print_sample_report(
             ),
         }
         for w in &pr.workers {
-            let i = &w.instructions;
+            let (i, memoized) = (&w.instructions, w.memoized);
             println!(
-                "  worker {:<3} {:>5} units  {:>10.2?}  ff {:>12}  warm {:>10}  measured {:>10}",
+                "  worker {:<3} {:>5} units  {:>10.2?}  ff {:>12}  warm {:>10}  measured {:>10}  \
+                 memoized {memoized:>5}",
                 w.worker, w.units, w.wall, i.fast_forwarded, i.detailed_warmed, i.measured
             );
         }
@@ -1229,7 +1291,7 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smarts_exec::ParallelMode;
+    use smarts_exec::{ParallelMode, WorkerStats};
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -1389,7 +1451,7 @@ mod tests {
         );
         let replayed = parallel_of(&["--from-checkpoints", &path_s, "--jobs", "2"]);
         assert_eq!(replayed.mode, ParallelMode::Checkpoint);
-        std::fs::remove_file(&path).ok();
+        remove_store(&path);
         // One worker, no store: the in-order loop, no executor.
         let in_order = run_sample(&parse_options(&strings(&BUILTIN)).unwrap()).unwrap();
         assert!(matches!(in_order.estimate, Estimate::InOrder(_)));
@@ -1683,8 +1745,65 @@ mod tests {
                 "{workload:?} {sampler}: replay changed the line"
             );
             assert_eq!(temp_stores(), Vec::<std::path::PathBuf>::new());
-            std::fs::remove_file(&path).unwrap();
+            remove_store(&path);
         }
+    }
+
+    /// Removes a store and the outcomes file replays keep beside it.
+    fn remove_store(path: &Path) {
+        let sim = SmartsSim::new(MachineConfig::eight_way());
+        std::fs::remove_file(UnitMemo::file_beside(path, &sim)).ok();
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn a_store_replay_books_the_outcomes_kept_beside_the_store() {
+        let path =
+            std::env::temp_dir().join(format!("smarts-cli-memo-{}.ckpt", std::process::id()));
+        let path_s = path.to_string_lossy().to_string();
+        let run = |args: &[&str]| run_sample(&parse_options(&strings(args)).unwrap()).unwrap();
+        let design = [&BUILTIN[..], &["--n", "8", "--jobs", "2"]].concat();
+        let cold = run(&[&design[..], &["--save-checkpoints", &path_s]].concat()).json_line();
+        let units = UnitMemo::file_beside(&path, &SmartsSim::new(MachineConfig::eight_way()));
+        let records = MappedStore::open_unchecked(&path).unwrap().len();
+        let replay = |sampler: &[&str]| run(&[&["--from-checkpoints", &path_s], sampler].concat());
+        let memo_line = |known: usize, written: &str| {
+            let file = units.display();
+            format!("memo          {known} of {records} units known from {file} ({written})")
+        };
+        let memoized = |run: &SampleRun| {
+            let workers = &run.estimate.parts().1.unwrap().workers;
+            let sum = |f: fn(&WorkerStats) -> u64| workers.iter().map(f).sum::<u64>();
+            (sum(|w| w.units), sum(|w| w.memoized))
+        };
+
+        let first = replay(&[]);
+        assert_eq!(first.json_line(), cold);
+        assert!(first.notes.contains(&memo_line(0, "written")));
+        assert_eq!(memoized(&first), (records as u64, 0));
+        let stratified = ["--sampler", "stratified", "--seed", "4"];
+        for sampler in [&[][..], &stratified] {
+            let again = replay(sampler);
+            assert!(again.notes.contains(&memo_line(records, "unchanged")));
+            let (booked, memoized) = memoized(&again);
+            assert_eq!(
+                booked, memoized,
+                "{sampler:?}: every unit booked from the file"
+            );
+        }
+        assert_eq!(replay(&[]).json_line(), cold);
+
+        // A damaged file costs a re-simulation, and is rewritten.
+        let mut bytes = std::fs::read(&units).unwrap();
+        let middle = bytes.len() / 2;
+        bytes[middle] ^= 0x10;
+        std::fs::write(&units, bytes).unwrap();
+        let damaged = replay(&[]);
+        assert_eq!(damaged.json_line(), cold);
+        assert!(damaged.notes.contains(&memo_line(0, "written")));
+        assert!(replay(&[]).notes.contains(&memo_line(records, "unchanged")));
+        dispatch(&strings(&["ckpt-info", &path_s, "--json"])).unwrap();
+        remove_store(&path);
     }
 
     #[test]

@@ -73,34 +73,51 @@ pub struct ActivityCounters {
 }
 
 impl ActivityCounters {
+    /// How many counters there are.
+    pub const COUNT: usize = 26;
+
+    /// Every counter, in declaration order — the order the canonical
+    /// report and the unit-outcome files store them in.
+    #[rustfmt::skip]
+    fn fields_mut(&mut self) -> [&mut u64; Self::COUNT] {
+        // Exhaustive on purpose: a new counter fails to compile here
+        // instead of going unmerged or unsaved.
+        let ActivityCounters {
+            fetches, decodes, renames, window_wakeups, window_issues, regfile_reads,
+            regfile_writes, int_alu_ops, int_mul_ops, int_div_ops, fp_alu_ops, fp_mul_ops,
+            fp_div_ops, l1i_accesses, l1d_accesses, l2_accesses, mem_accesses, itlb_accesses,
+            dtlb_accesses, bpred_lookups, bpred_updates, btb_lookups, lsq_searches,
+            store_buffer_ops, commits, branch_mispredicts,
+        } = self;
+        [
+            fetches, decodes, renames, window_wakeups, window_issues, regfile_reads,
+            regfile_writes, int_alu_ops, int_mul_ops, int_div_ops, fp_alu_ops, fp_mul_ops,
+            fp_div_ops, l1i_accesses, l1d_accesses, l2_accesses, mem_accesses, itlb_accesses,
+            dtlb_accesses, bpred_lookups, bpred_updates, btb_lookups, lsq_searches,
+            store_buffer_ops, commits, branch_mispredicts,
+        ]
+    }
+
+    /// The counters in declaration order.
+    pub fn to_array(&self) -> [u64; Self::COUNT] {
+        let mut copy = *self;
+        copy.fields_mut().map(|count| *count)
+    }
+
+    /// The counter set [`ActivityCounters::to_array`] lists.
+    pub fn from_array(counts: [u64; Self::COUNT]) -> Self {
+        let mut counters = ActivityCounters::default();
+        for (field, count) in counters.fields_mut().into_iter().zip(counts) {
+            *field = count;
+        }
+        counters
+    }
+
     /// Adds another counter set field-wise.
     pub fn merge(&mut self, other: &ActivityCounters) {
-        self.fetches += other.fetches;
-        self.decodes += other.decodes;
-        self.renames += other.renames;
-        self.window_wakeups += other.window_wakeups;
-        self.window_issues += other.window_issues;
-        self.regfile_reads += other.regfile_reads;
-        self.regfile_writes += other.regfile_writes;
-        self.int_alu_ops += other.int_alu_ops;
-        self.int_mul_ops += other.int_mul_ops;
-        self.int_div_ops += other.int_div_ops;
-        self.fp_alu_ops += other.fp_alu_ops;
-        self.fp_mul_ops += other.fp_mul_ops;
-        self.fp_div_ops += other.fp_div_ops;
-        self.l1i_accesses += other.l1i_accesses;
-        self.l1d_accesses += other.l1d_accesses;
-        self.l2_accesses += other.l2_accesses;
-        self.mem_accesses += other.mem_accesses;
-        self.itlb_accesses += other.itlb_accesses;
-        self.dtlb_accesses += other.dtlb_accesses;
-        self.bpred_lookups += other.bpred_lookups;
-        self.bpred_updates += other.bpred_updates;
-        self.btb_lookups += other.btb_lookups;
-        self.lsq_searches += other.lsq_searches;
-        self.store_buffer_ops += other.store_buffer_ops;
-        self.commits += other.commits;
-        self.branch_mispredicts += other.branch_mispredicts;
+        for (field, count) in self.fields_mut().into_iter().zip(other.to_array()) {
+            *field += count;
+        }
     }
 
     /// Total functional-unit operations of any kind.
@@ -389,6 +406,15 @@ mod tests {
         assert!(p16.l2_nj > p8.l2_nj);
         // FU op energy is per-op and unchanged.
         assert_eq!(p16.int_alu_nj, p8.int_alu_nj);
+    }
+
+    #[test]
+    fn the_array_view_round_trips_in_declaration_order() {
+        let c = busy_counters();
+        let counts = c.to_array();
+        let last = ActivityCounters::COUNT - 1;
+        assert_eq!((counts[0], counts[last]), (c.fetches, c.branch_mispredicts));
+        assert_eq!(ActivityCounters::from_array(counts), c);
     }
 
     #[test]

@@ -80,5 +80,6 @@ pub use executor::{
 };
 pub use replay::{
     replay_store, replay_store_mapped, replay_store_sampled, SampledReplay, StoreReplay, UnitMemo,
+    UnitsFile,
 };
 pub use warm::{sample, warm_store};

@@ -20,7 +20,9 @@
 //! [`CkptError::IsaMismatch`](smarts_ckpt::CkptError::IsaMismatch)
 //! before any record is decoded.
 
-use std::path::Path;
+use std::fs::File;
+use std::io::Read;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -31,8 +33,9 @@ use crate::executor::{Executor, ParallelMode, ParallelReport, Replayed, WorkerLo
 use crate::pipeline::Residency;
 use crate::pool::run_workers;
 use smarts_ckpt::{CkptError, MappedStore, StoreMeta};
-use smarts_core::{SamplerSpec, SamplingParams, SmartsError, SmartsSim, UnitReplay};
-use smarts_isa::IsaId;
+use smarts_core::{SamplerSpec, SamplingParams, SmartsError, SmartsSim, UnitReplay, UnitSample};
+use smarts_energy::ActivityCounters;
+use smarts_isa::{crc32, IsaId};
 use smarts_stats::{SamplerEstimate, SamplerPhase};
 use smarts_workloads::Frontend;
 
@@ -77,40 +80,253 @@ pub struct SampledReplay {
 /// a run through [`Executor::with_memo`] books a filled slot, not a second
 /// simulation. Reads take no lock; two runs racing on an empty slot
 /// compute one value and the first `set` wins.
+///
+/// A memo outlives its process as an *outcomes file* beside the store
+/// ([`UnitMemo::file_beside`], [`UnitMemo::load`], [`UnitMemo::save`]),
+/// keyed in full — simulator, store contents and build — so a file for
+/// anything else is ignored, never borrowed from.
 #[derive(Debug)]
 pub struct UnitMemo {
-    /// All the outcomes are valid for: simulator, store identity, records.
-    key: (SmartsSim, u64, usize),
+    /// What every outcome is a function of ([`UnitMemo::key`]).
+    key: String,
     slots: Box<[OnceLock<UnitReplay>]>,
 }
 
+/// An outcomes file as [`UnitMemo::files_beside`] finds it.
+#[derive(Debug)]
+pub struct UnitsFile {
+    /// Where the file is.
+    pub path: PathBuf,
+    /// The file name's digest of the simulator its outcomes are for.
+    pub machine: u64,
+    /// Outcomes held (0 for a file that does not parse for this store).
+    pub outcomes: usize,
+    /// Whether a replay of this store by this build would book them.
+    pub usable: bool,
+}
+
+/// Outcomes file layout (little-endian): magic | key length u32 | key |
+/// count u64 | count × [`ENTRY_WORDS`] words | CRC-32 of all before it.
+const UNITS_MAGIC: [u8; 8] = *b"SMARTSUM";
+/// Words per outcome: record index, tag (0 complete, 1 partial),
+/// `detailed_warmed`, `start_instr` (a partial unit's `measured`),
+/// `cycles`, `instructions`, `cpi` and `epi` as IEEE bits, the counters.
+const ENTRY_WORDS: usize = 8 + ActivityCounters::COUNT;
+/// Key bytes a file is read for (the key is compared, never trusted).
+const MAX_KEY_BYTES: usize = 1 << 16;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a of `bytes`, continued from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    let step = |h: u64, &b: &u8| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+    bytes.iter().fold(hash, step)
+}
+
+/// Whether every record of `store` passes its CRC. A booked outcome
+/// never decodes its record, so only then can booking hide no damage.
+fn verifies(store: &MappedStore) -> bool {
+    store.damage().is_none() && (0..store.len()).all(|i| store.record(i).is_ok())
+}
+
+/// Record `index`'s outcome as the words a file stores.
+fn entry(index: usize, outcome: &UnitReplay) -> [u64; ENTRY_WORDS] {
+    let mut words = [0; ENTRY_WORDS];
+    match outcome {
+        UnitReplay::Complete {
+            sample: s,
+            detailed_warmed,
+        } => {
+            let head = [0, *detailed_warmed, s.start_instr, s.cycles, s.instructions];
+            words[1..6].copy_from_slice(&head);
+            words[6..8].copy_from_slice(&[s.cpi.to_bits(), s.epi.to_bits()]);
+            words[8..].copy_from_slice(&s.counters.to_array());
+        }
+        UnitReplay::Partial {
+            detailed_warmed,
+            measured,
+        } => words[1..4].copy_from_slice(&[1, *detailed_warmed, *measured]),
+    }
+    words[0] = index as u64;
+    words
+}
+
+/// The outcome an [`entry`] holds; `None` for an unknown tag.
+fn outcome(entry: &[u64]) -> Option<UnitReplay> {
+    let &[_, tag, detailed_warmed, start_instr, cycles, instructions, cpi, epi, ref counts @ ..] =
+        entry
+    else {
+        return None;
+    };
+    let sample = UnitSample {
+        start_instr,
+        cycles,
+        instructions,
+        cpi: f64::from_bits(cpi),
+        epi: f64::from_bits(epi),
+        counters: ActivityCounters::from_array(counts.try_into().ok()?),
+    };
+    match tag {
+        0 => Some(UnitReplay::Complete {
+            sample: Box::new(sample),
+            detailed_warmed,
+        }),
+        1 => Some(UnitReplay::Partial {
+            detailed_warmed,
+            measured: start_instr,
+        }),
+        _ => None,
+    }
+}
+
+/// The key and outcomes in the file at `path`, for a store of `records`
+/// records: `None` for a missing, unreadable or garbage file — a short
+/// read, a bad CRC, a count past `records`, an index out of range or not
+/// above the one before (so no repeat), an unknown tag. Reads no more
+/// bytes than such a file can hold.
+fn read_units(path: &Path, records: usize) -> Option<(String, Vec<(usize, UnitReplay)>)> {
+    let most = records.checked_mul(ENTRY_WORDS * 8)? + MAX_KEY_BYTES + 24;
+    let mut bytes = Vec::new();
+    let file = File::open(path).ok()?;
+    file.take(most as u64 + 1).read_to_end(&mut bytes).ok()?;
+    let (body, crc) = bytes.split_last_chunk::<4>()?;
+    (bytes.len() <= most && crc32(body) == u32::from_le_bytes(*crc)).then_some(())?;
+    let (len, rest) = body.strip_prefix(&UNITS_MAGIC)?.split_first_chunk::<4>()?;
+    let (key, rest) = rest.split_at_checked(u32::from_le_bytes(*len) as usize)?;
+    let word = |w: &[u8]| Some(u64::from_le_bytes(w.try_into().ok()?));
+    let words: Vec<u64> = rest.chunks(8).map(word).collect::<Option<_>>()?;
+    let (&count, entries) = words.split_first()?;
+    let fits = count <= records as u64 && count as usize * ENTRY_WORDS == entries.len();
+    fits.then_some(())?;
+    let mut floor = 0;
+    let outcomes = (entries.chunks_exact(ENTRY_WORDS))
+        .map(|entry| {
+            let index = usize::try_from(entry[0]).ok();
+            let index = index.filter(|&i| i >= floor && i < records)?;
+            floor = index + 1;
+            Some((index, outcome(entry)?))
+        })
+        .collect::<Option<_>>()?;
+    Some((String::from_utf8(key.to_vec()).ok()?, outcomes))
+}
+
 impl UnitMemo {
-    fn key(sim: &SmartsSim, store: &MappedStore) -> (SmartsSim, u64, usize) {
-        let identity = store.meta().fingerprint(sim.config());
-        (sim.clone(), identity, store.len())
+    /// What outcomes are a function of, compared whole: the store
+    /// (header, record count and a digest of every record's CRC, so
+    /// another store at the same path differs), then the simulator
+    /// (`sim` is its `Debug` text: machine and energy model).
+    fn key(store: &MappedStore, sim: &str) -> String {
+        let crc = |h, i| fnv1a(h, &store.record_span(i).crc.to_le_bytes());
+        let crcs = (0..store.len()).fold(FNV_OFFSET, crc);
+        let (meta, fingerprint, n) = (store.meta(), store.fingerprint(), store.len());
+        format!("{meta:?} {fingerprint:016x} {n} {crcs:016x}\n{sim}")
     }
 
     /// An empty memo for replays of `store` under `sim`.
     pub fn new(sim: &SmartsSim, store: &MappedStore) -> Self {
         UnitMemo {
-            key: Self::key(sim, store),
+            key: Self::key(store, &format!("{sim:?}")),
             slots: (0..store.len()).map(|_| OnceLock::new()).collect(),
         }
     }
+
+    /// Outcomes held.
+    pub fn known(&self) -> usize {
+        self.slots.iter().filter_map(OnceLock::get).count()
+    }
+
+    /// Where `sim`'s outcomes for the store at `store` are kept, beside
+    /// it: `<store>.<16-hex machine digest>.units`.
+    pub fn file_beside(store: &Path, sim: &SmartsSim) -> PathBuf {
+        let machine = fnv1a(FNV_OFFSET, format!("{sim:?}").as_bytes());
+        let mut name = store.as_os_str().to_owned();
+        name.push(format!(".{machine:016x}.units"));
+        PathBuf::from(name)
+    }
+
+    /// A memo for replays of `store` under `sim` by `build` (an identity
+    /// of the running program: a rebuilt one misses) holding the outcomes
+    /// saved at `path` — none, and never an error, when the file is
+    /// missing, unreadable, damaged, for another simulator, store or
+    /// build, or when any record of `store` fails its CRC.
+    pub fn load(path: &Path, sim: &SmartsSim, store: &MappedStore, build: &str) -> Self {
+        let memo = UnitMemo::new(sim, store);
+        let key = format!("{build}\n{}", memo.key);
+        let file = read_units(path, store.len()).filter(|(found, _)| *found == key);
+        if let Some((_, outcomes)) = file.filter(|_| verifies(store)) {
+            for (index, outcome) in outcomes {
+                let _ = memo.slots[index].set(outcome);
+            }
+        }
+        memo
+    }
+
+    /// Writes every outcome held to `path`, for [`UnitMemo::load`] by
+    /// `build`: to a temporary file beside it, renamed over it, so a
+    /// reader finds the old file or the new one (a torn one fails its CRC).
+    ///
+    /// # Errors
+    ///
+    /// The I/O error.
+    pub fn save(&self, path: &Path, build: &str) -> std::io::Result<()> {
+        let key = format!("{build}\n{}", self.key);
+        // A snapshot: other runs may go on filling slots.
+        let entries: Vec<[u64; ENTRY_WORDS]> = (self.slots.iter().enumerate())
+            .filter_map(|(index, slot)| Some(entry(index, slot.get()?)))
+            .collect();
+        let len = (key.len() as u32).to_le_bytes();
+        let mut out = [&UNITS_MAGIC[..], &len, key.as_bytes()].concat();
+        let words = std::iter::once(entries.len() as u64).chain(entries.into_iter().flatten());
+        out.extend(words.flat_map(u64::to_le_bytes));
+        out.extend(crc32(&out).to_le_bytes());
+
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+        let mut temp = path.as_os_str().to_owned();
+        temp.push(format!(".{}-{seq}.tmp", std::process::id()));
+        let written = std::fs::write(&temp, &out).and_then(|()| std::fs::rename(&temp, path));
+        if written.is_err() {
+            let _ = std::fs::remove_file(&temp);
+        }
+        written
+    }
+
+    /// Every outcomes file beside the store at `path`, by name, inspected
+    /// for the open `store` and this `build`.
+    pub fn files_beside(path: &Path, store: &MappedStore, build: &str) -> Vec<UnitsFile> {
+        let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+        let store_name = path.file_name().unwrap_or_default().to_string_lossy();
+        let prefix = format!("{store_name}.");
+        let entries = std::fs::read_dir(dir.unwrap_or(Path::new(".")));
+        let mut files: Vec<UnitsFile> = (entries.into_iter().flatten())
+            .filter_map(|entry| {
+                let name = entry.ok()?.file_name().into_string().ok()?;
+                let hex = name.strip_prefix(&prefix)?.strip_suffix(".units")?;
+                let machine = u64::from_str_radix(hex, 16).ok()?;
+                let path = path.with_file_name(&name);
+                let (key, outcomes) = read_units(&path, store.len()).unwrap_or_default();
+                let sim = key.rsplit_once('\n').map_or("", |(_, sim)| sim);
+                let usable = fnv1a(FNV_OFFSET, sim.as_bytes()) == machine
+                    && key == format!("{build}\n{}", Self::key(store, sim))
+                    && verifies(store);
+                let outcomes = outcomes.len();
+                Some(UnitsFile {
+                    path,
+                    machine,
+                    outcomes,
+                    usable,
+                })
+            })
+            .collect();
+        files.sort_by(|a, b| a.path.cmp(&b.path));
+        files
+    }
 }
 
-/// Refuses a store written by a different frontend, then reconstructs
-/// its workload's program from the recorded `(benchmark, scale)`. The
-/// built-in frontend keeps its historical error shape
-/// ([`ExecError::UnknownBenchmark`]); other frontends surface the
+/// Reconstructs a store's workload program from the recorded
+/// `(benchmark, scale)`. The built-in frontend keeps its historical error
+/// shape ([`ExecError::UnknownBenchmark`]); other frontends surface the
 /// resolver's own message.
 fn program_of<F: Frontend>(meta: &StoreMeta) -> Result<F::Program, ExecError> {
-    if meta.isa != F::ID {
-        return Err(ExecError::Ckpt(CkptError::IsaMismatch {
-            expected: F::ID,
-            found: meta.isa,
-        }));
-    }
     match F::resolve(&meta.benchmark, meta.scale) {
         Ok(loaded) => Ok(loaded.program),
         Err(_) if F::ID == IsaId::Builtin => {
@@ -125,7 +341,8 @@ struct ReplayContext<'a, F: Frontend> {
     executor: &'a Executor,
     sim: &'a SmartsSim,
     store: &'a MappedStore,
-    program: F::Program,
+    /// Resolved by the first pass with a unit to simulate.
+    program: OnceLock<F::Program>,
     params: SamplingParams,
     residency: Residency,
     /// Units replayed so far, across passes (the progress counter).
@@ -139,18 +356,32 @@ impl<'a, F: Frontend> ReplayContext<'a, F> {
         store: &'a MappedStore,
     ) -> Result<Self, ExecError> {
         let memo = executor.memo.as_deref();
-        if memo.is_some_and(|memo| memo.key != UnitMemo::key(sim, store)) {
+        if memo.is_some_and(|memo| memo.key != UnitMemo::key(store, &format!("{sim:?}"))) {
             return Err(ExecError::MemoMismatch);
+        }
+        let found = store.meta().isa;
+        if found != F::ID {
+            let expected = F::ID;
+            return Err(ExecError::Ckpt(CkptError::IsaMismatch { expected, found }));
         }
         Ok(ReplayContext {
             executor,
             sim,
             store,
-            program: program_of::<F>(store.meta())?,
+            program: OnceLock::new(),
             params: store.meta().params,
             residency: Residency::default(),
             done: AtomicU64::new(0),
         })
+    }
+
+    /// The store's workload program, resolved on first use.
+    fn program(&self) -> Result<&F::Program, ExecError> {
+        if let Some(program) = self.program.get() {
+            return Ok(program);
+        }
+        let program = program_of::<F>(self.store.meta())?;
+        Ok(self.program.get_or_init(|| program))
     }
 
     /// The report of a finished replay of `records` store records.
@@ -181,6 +412,14 @@ fn replay_subset<F: Frontend>(
     let progress = control.progress.as_deref();
     let pool = ctx.store.len() as u64;
     let memo = ctx.executor.memo.as_deref();
+    // Slots only ever fill, so a pass whose every unit is known at its
+    // start simulates none and needs no program.
+    let unknown = |&index: &usize| memo.is_none_or(|memo| memo.slots[index].get().is_none());
+    let program = indices
+        .iter()
+        .any(unknown)
+        .then(|| ctx.program())
+        .transpose()?;
 
     let queue = AtomicUsize::new(0);
     let damage: Mutex<Option<(u64, CkptError)>> = Mutex::new(None);
@@ -226,7 +465,8 @@ fn replay_subset<F: Frontend>(
                 };
                 let bytes = flat.approx_bytes() + checkpoint.approx_resident_bytes();
                 ctx.residency.add(bytes);
-                let outcome = ctx.sim.replay_owned(&ctx.program, &ctx.params, checkpoint);
+                let program = program.expect("a pass with an unknown unit resolved its program");
+                let outcome = ctx.sim.replay_owned(program, &ctx.params, checkpoint);
                 ctx.residency.remove(bytes);
                 if let Some(slot) = slot {
                     let _ = slot.set(outcome.clone());

@@ -32,80 +32,25 @@ fn bits_f64(value: &Json) -> Result<f64, String> {
 }
 
 fn counters_to_json(c: &ActivityCounters) -> Json {
-    // Fixed declaration order; adding a counter to ActivityCounters
-    // without extending this list fails the length check on read.
-    Json::Arr(
-        [
-            c.fetches,
-            c.decodes,
-            c.renames,
-            c.window_wakeups,
-            c.window_issues,
-            c.regfile_reads,
-            c.regfile_writes,
-            c.int_alu_ops,
-            c.int_mul_ops,
-            c.int_div_ops,
-            c.fp_alu_ops,
-            c.fp_mul_ops,
-            c.fp_div_ops,
-            c.l1i_accesses,
-            c.l1d_accesses,
-            c.l2_accesses,
-            c.mem_accesses,
-            c.itlb_accesses,
-            c.dtlb_accesses,
-            c.bpred_lookups,
-            c.bpred_updates,
-            c.btb_lookups,
-            c.lsq_searches,
-            c.store_buffer_ops,
-            c.commits,
-            c.branch_mispredicts,
-        ]
-        .iter()
-        .map(|&v| Json::U64(v))
-        .collect(),
-    )
+    // Fixed declaration order; a counter added to ActivityCounters
+    // lengthens the array, which an older reader's length check refuses.
+    Json::Arr(c.to_array().iter().map(|&v| Json::U64(v)).collect())
 }
 
 fn counters_from_json(value: &Json) -> Result<ActivityCounters, String> {
     let arr = value.as_arr().ok_or("counters must be an array")?;
-    if arr.len() != 26 {
-        return Err(format!("counters array has {} entries, want 26", arr.len()));
+    let want = ActivityCounters::COUNT;
+    if arr.len() != want {
+        return Err(format!(
+            "counters array has {} entries, want {want}",
+            arr.len()
+        ));
     }
-    let mut v = [0u64; 26];
+    let mut v = [0u64; ActivityCounters::COUNT];
     for (slot, entry) in v.iter_mut().zip(arr) {
         *slot = entry.as_u64().ok_or("counters entries must be u64")?;
     }
-    Ok(ActivityCounters {
-        fetches: v[0],
-        decodes: v[1],
-        renames: v[2],
-        window_wakeups: v[3],
-        window_issues: v[4],
-        regfile_reads: v[5],
-        regfile_writes: v[6],
-        int_alu_ops: v[7],
-        int_mul_ops: v[8],
-        int_div_ops: v[9],
-        fp_alu_ops: v[10],
-        fp_mul_ops: v[11],
-        fp_div_ops: v[12],
-        l1i_accesses: v[13],
-        l1d_accesses: v[14],
-        l2_accesses: v[15],
-        mem_accesses: v[16],
-        itlb_accesses: v[17],
-        dtlb_accesses: v[18],
-        bpred_lookups: v[19],
-        bpred_updates: v[20],
-        btb_lookups: v[21],
-        lsq_searches: v[22],
-        store_buffer_ops: v[23],
-        commits: v[24],
-        branch_mispredicts: v[25],
-    })
+    Ok(ActivityCounters::from_array(v))
 }
 
 /// Serializes a report to its canonical JSON value.
