@@ -229,6 +229,9 @@ fn encode_deltas<T: PartialEq>(
     enc.finish();
 }
 
+/// The little-endian word `bytes` holds. Invariant: every caller passes
+/// exactly one word — a `chunks_exact(8)` chunk, or an 8-byte range at a
+/// word offset inside a 4 KiB page — so the conversion cannot fail.
 fn page_word(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(bytes.try_into().expect("8-byte word"))
 }

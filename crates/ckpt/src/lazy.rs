@@ -25,8 +25,8 @@ use crate::error::CkptError;
 use crate::flat::{FlatCheckpoint, FlatCheckpointRef};
 use crate::mmap::StoreMap;
 use crate::store::{
-    check_fingerprint, decode_header, encode_footer, encode_header, StoreMeta, FOOTER_MARKER,
-    INDEX_MAGIC, MAX_PAYLOAD,
+    check_fingerprint, decode_header, encode_footer, encode_header, split_prefix, StoreMeta,
+    FOOTER_MARKER, INDEX_MAGIC, MAX_PAYLOAD,
 };
 use smarts_uarch::MachineConfig;
 use std::path::Path;
@@ -243,15 +243,15 @@ impl MappedStore {
                 }
                 return;
             }
-            if pos + 8 > bytes.len() {
+            let Some(&prefix) = bytes[pos..].first_chunk::<8>() else {
                 self.damage = Some(CkptError::Truncated {
                     record,
                     recovered: record,
                 });
                 return;
-            }
-            let payload_len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
-            let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
+            };
+            let (payload_len, crc) = split_prefix(prefix);
+            let crc = u32::from_le_bytes(crc);
             if self.version >= 2 && payload_len == FOOTER_MARKER {
                 // Reached a footer marker with a footer that failed
                 // end-anchored validation (or trailing bytes follow a
@@ -472,23 +472,22 @@ impl StoreCursor<'_> {
             "record {index} out of range for a store of {} records",
             self.store.len()
         );
-        if self.flat.is_none() || index + 1 < self.next {
-            self.next = 0;
-            self.flat = None;
-        }
+        let mut flat = match self.flat.take() {
+            Some(flat) if index + 1 >= self.next => flat,
+            // Past `index` already, not started, or consumed by a failed
+            // advance: restart from record 0.
+            _ => {
+                self.next = 0;
+                let flat = self.store.record(0)?.decode(None)?;
+                self.next = 1;
+                flat
+            }
+        };
         while self.next <= index {
-            let record = self.store.record(self.next)?;
-            let flat = match self.flat.take() {
-                None if self.next == 0 => record.decode(None)?,
-                // A mid-chain cursor whose flat was consumed by a
-                // failed advance restarts from the beginning.
-                None => unreachable!("cursor flat only absent at position 0"),
-                Some(prev) => record.advance(prev)?,
-            };
-            self.flat = Some(flat);
+            flat = self.store.record(self.next)?.advance(flat)?;
             self.next += 1;
         }
-        Ok(self.flat.as_ref().expect("advanced past index"))
+        Ok(self.flat.insert(flat))
     }
 }
 

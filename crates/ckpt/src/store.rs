@@ -367,6 +367,13 @@ pub(crate) fn decode_header(reader: &mut impl Read) -> Result<(u64, StoreMeta, u
     ))
 }
 
+/// A record's 8-byte prefix: the payload length, and the payload CRC —
+/// after a [`FOOTER_MARKER`], the footer's next bytes — unparsed.
+pub(crate) fn split_prefix(prefix: [u8; 8]) -> (u32, [u8; 4]) {
+    let [l0, l1, l2, l3, c0, c1, c2, c3] = prefix;
+    (u32::from_le_bytes([l0, l1, l2, l3]), [c0, c1, c2, c3])
+}
+
 /// Encodes the v2 index footer for the given record-prefix offsets.
 /// A pure function of the record stream, so stores with identical
 /// records carry identical footers.
@@ -473,8 +480,13 @@ impl CkptWriter {
             }
         };
         let crc = crc32(&payload);
-        self.file
-            .write_all(&(u32::try_from(payload.len()).expect("record fits u32")).to_le_bytes())?;
+        // A reader refuses a longer record as implausible; never write one.
+        let len = u32::try_from(payload.len())
+            .ok()
+            .filter(|&len| len <= MAX_PAYLOAD);
+        let too_long = "checkpoint record longer than a store reader accepts";
+        let len = len.ok_or_else(|| CkptError::Io(std::io::Error::other(too_long)))?;
+        self.file.write_all(&len.to_le_bytes())?;
         self.file.write_all(&crc.to_le_bytes())?;
         self.file.write_all(&payload)?;
         self.offsets.push(self.bytes);
@@ -674,11 +686,11 @@ impl CkptReader {
             Ok(true) => {}
             Err(e) => return Some(Err(e)),
         }
-        let payload_len = u32::from_le_bytes(prefix[..4].try_into().expect("4 bytes"));
-        let stored_crc = u32::from_le_bytes(prefix[4..].try_into().expect("4 bytes"));
+        let (payload_len, crc_bytes) = split_prefix(prefix);
         if self.version >= 2 && payload_len == FOOTER_MARKER {
-            return self.check_footer(prefix[4..].try_into().expect("4 bytes"));
+            return self.check_footer(crc_bytes);
         }
+        let stored_crc = u32::from_le_bytes(crc_bytes);
         if payload_len > MAX_PAYLOAD {
             return Some(Err(CkptError::Corrupted {
                 record: self.record,

@@ -29,6 +29,7 @@ use smarts_isa::{BuiltinIsa, Isa};
 use smarts_uarch::{Pipeline, WarmState};
 use smarts_workloads::Loaded;
 use std::fmt;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One reconstitutable sampling unit: architectural state plus warm
@@ -101,6 +102,87 @@ impl<I: Isa> UnitCheckpoint<I> {
     /// in full here (an upper bound on the marginal footprint).
     pub fn approx_resident_bytes(&self) -> u64 {
         (self.snapshot.memory_resident_bytes() + self.warm.approx_bytes()) as u64
+    }
+
+    /// Gives up the checkpoint, keeping its warm state — for
+    /// [`WarmSpares::put`] once nothing will replay it.
+    pub fn into_warm(self) -> WarmState {
+        self.warm
+    }
+}
+
+/// Warm states a stream copies each checkpoint's state into instead of
+/// cloning it afresh, handed back by the replays done with them.
+///
+/// Every checkpoint carries its own warm state (~140 KB on the 8-way
+/// machine, whose L2 key array alone is 128 KiB — exactly glibc's default
+/// mmap threshold). Cloning one per unit and freeing it after the replay
+/// churns the allocator: once the threshold has risen, those arrays come
+/// out of per-thread arenas and fragment the heap of a long-lived
+/// process. Through spares, [`SmartsSim::stream_checkpoints_with`] copies
+/// into a state [`SmartsSim::replay_with`] has finished with
+/// ([`WarmState::clone_from`] reuses every array), so a steady stream
+/// allocates no warm state at all: it clones afresh only while fewer
+/// states exist than are in flight at once.
+///
+/// At most [`WarmSpares::keep`]'s cap of idle states are kept (none by
+/// default); one handed back past it is dropped. The set may outlive a
+/// run — a server worker keeps one across the jobs it runs.
+#[derive(Debug, Default)]
+pub struct WarmSpares {
+    idle: Mutex<IdleStates>,
+}
+
+#[derive(Debug, Default)]
+struct IdleStates {
+    states: Vec<WarmState>,
+    cap: usize,
+}
+
+impl WarmSpares {
+    /// The idle states. The lock guards a plain `Vec` that every holder
+    /// leaves whole (a push or a pop), so a holder that panicked left a
+    /// valid set behind: poisoning is ignored.
+    fn idle(&self) -> MutexGuard<'_, IdleStates> {
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Keeps at most `cap` idle states from now on, dropping any past it.
+    pub fn keep(&self, cap: usize) {
+        let mut idle = self.idle();
+        idle.cap = cap;
+        idle.states.truncate(cap);
+    }
+
+    /// A copy of `live`: an idle state overwritten in place when there is
+    /// one, else a fresh clone.
+    pub fn copy_of(&self, live: &WarmState) -> WarmState {
+        match self.idle().states.pop() {
+            Some(mut spare) => {
+                spare.clone_from(live);
+                spare
+            }
+            None => live.clone(),
+        }
+    }
+
+    /// Hands back a state nothing reads any more, for a later
+    /// [`WarmSpares::copy_of`].
+    pub fn put(&self, state: WarmState) {
+        let mut idle = self.idle();
+        if idle.states.len() < idle.cap {
+            idle.states.push(state);
+        }
+    }
+
+    /// Idle states held.
+    pub fn len(&self) -> usize {
+        self.idle().states.len()
+    }
+
+    /// Whether no idle state is held.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -190,6 +272,24 @@ impl SmartsSim {
         &self,
         loaded: Loaded<I>,
         params: &SamplingParams,
+        emit: impl FnMut(UnitCheckpoint<I>) -> bool,
+    ) -> Result<StreamSummary, SmartsError> {
+        self.stream_checkpoints_with(loaded, params, &WarmSpares::default(), emit)
+    }
+
+    /// [`SmartsSim::stream_checkpoints`] with each checkpoint's warm
+    /// state copied into one of `spares` when there is one idle — the
+    /// stream a consumer recycles into through [`SmartsSim::replay_with`].
+    /// The checkpoints are the same either way.
+    ///
+    /// # Errors
+    ///
+    /// As for [`SmartsSim::stream_checkpoints`].
+    pub fn stream_checkpoints_with<I: Isa>(
+        &self,
+        loaded: Loaded<I>,
+        params: &SamplingParams,
+        spares: &WarmSpares,
         mut emit: impl FnMut(UnitCheckpoint<I>) -> bool,
     ) -> Result<StreamSummary, SmartsError> {
         params.validate()?;
@@ -226,7 +326,7 @@ impl SmartsSim {
             let checkpoint = UnitCheckpoint {
                 unit_start,
                 snapshot: engine.snapshot(),
-                warm: warm.clone(),
+                warm: spares.copy_of(&warm),
             };
             if !emit(checkpoint) {
                 stopped = true;
@@ -283,6 +383,19 @@ impl SmartsSim {
         params: &SamplingParams,
         checkpoint: UnitCheckpoint<I>,
     ) -> UnitReplay {
+        self.replay_with(program, params, checkpoint, &WarmSpares::default())
+    }
+
+    /// [`SmartsSim::replay_owned`] handing the checkpoint's warm state to
+    /// `spares` once the episode is done with it, for the stream's next
+    /// checkpoint ([`SmartsSim::stream_checkpoints_with`]).
+    pub fn replay_with<I: Isa>(
+        &self,
+        program: &I::Program,
+        params: &SamplingParams,
+        checkpoint: UnitCheckpoint<I>,
+        spares: &WarmSpares,
+    ) -> UnitReplay {
         let UnitCheckpoint {
             unit_start,
             snapshot,
@@ -293,6 +406,7 @@ impl SmartsSim {
         let warm_commits = unit_start.saturating_sub(engine.position());
         let warm_run = pipeline.run(&mut warm, &mut engine, warm_commits, false);
         let measured = pipeline.run(&mut warm, &mut engine, params.unit_size, true);
+        spares.put(warm);
         if measured.instructions < params.unit_size {
             return UnitReplay::Partial {
                 detailed_warmed: warm_run.instructions,
@@ -502,6 +616,35 @@ mod tests {
                 &format!("unit {index}"),
             );
         }
+    }
+
+    #[test]
+    fn recycled_warm_states_replay_identically_and_stay_few() {
+        // A stream copying into the states its replays hand back measures
+        // what a stream of fresh clones measures, keeping one idle state.
+        let sim = sim();
+        let bench = find("hashp-2").unwrap().scaled(0.05);
+        let params = design(&bench, 10);
+        let library = library(&sim, &bench, &params);
+        let spares = WarmSpares::default();
+        spares.keep(2);
+        let mut recycled = Vec::new();
+        sim.stream_checkpoints_with(bench.load(), &params, &spares, |c| {
+            recycled.push(sim.replay_with(&library.program, &params, c, &spares));
+            true
+        })
+        .unwrap();
+        assert_eq!(recycled.len(), library.checkpoints.len());
+        for (index, replay) in recycled.iter().enumerate() {
+            assert_same_replay(
+                replay,
+                &library.replay(&sim, index),
+                &format!("unit {index}"),
+            );
+        }
+        assert_eq!(spares.len(), 1, "one state went round the whole stream");
+        spares.keep(0);
+        assert!(spares.is_empty());
     }
 
     #[test]

@@ -56,7 +56,7 @@ mod reference;
 mod sampler;
 mod speedup;
 
-pub use checkpoint::{StreamSummary, UnitCheckpoint, UnitReplay};
+pub use checkpoint::{StreamSummary, UnitCheckpoint, UnitReplay, WarmSpares};
 pub use compare::{compare_machines, PairedComparison};
 pub use engine::{EngineSnapshot, FunctionalEngine};
 pub use error::SmartsError;

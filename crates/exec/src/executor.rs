@@ -10,6 +10,7 @@ use crate::pipeline;
 use crate::replay::UnitMemo;
 use smarts_core::{
     ModeInstructions, SampleReport, SamplingParams, SmartsError, SmartsSim, UnitReplay, UnitSample,
+    WarmSpares,
 };
 use smarts_isa::BuiltinIsa;
 use smarts_workloads::Benchmark;
@@ -265,6 +266,7 @@ pub struct Executor {
     cancel: CancelToken,
     progress: Option<ProgressFn>,
     pub(crate) memo: Option<Arc<UnitMemo>>,
+    pub(crate) spares: Arc<WarmSpares>,
 }
 
 impl std::fmt::Debug for Executor {
@@ -298,6 +300,7 @@ impl Executor {
             cancel: CancelToken::new(),
             progress: None,
             memo: None,
+            spares: Arc::default(),
         })
     }
 
@@ -323,6 +326,15 @@ impl Executor {
     /// the memo of their simulator and store ([`ExecError::MemoMismatch`]).
     pub fn with_memo(mut self, memo: Arc<UnitMemo>) -> Self {
         self.memo = Some(memo);
+        self
+    }
+
+    /// Recycles checkpoint warm states through `spares` instead of a set
+    /// of this executor's own: a caller that runs one job after another
+    /// (a server worker) keeps them across runs. A warming run keeps up
+    /// to `PIPELINE_DEPTH + jobs + 1` idle states — its most in flight.
+    pub fn with_spares(mut self, spares: Arc<WarmSpares>) -> Self {
+        self.spares = spares;
         self
     }
 

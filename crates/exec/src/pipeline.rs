@@ -24,7 +24,8 @@
 //!
 //! # Bit-identity
 //!
-//! Consumers run [`smarts_core::SmartsSim::replay_owned`], the one
+//! Consumers run [`smarts_core::SmartsSim::replay_with`] (the episode of
+//! `replay_owned`, handing the warm state back to the producer), the one
 //! per-unit episode every replay shares. Units are mutually independent
 //! given their checkpoints, and the merge reduces them in stream order,
 //! so the report is bit-identical to replaying the producer's
@@ -32,7 +33,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -73,11 +74,30 @@ impl<T> Channel<T> {
         }
     }
 
+    /// The channel state, locked. Poisoning is ignored: every critical
+    /// section is one push, pop, flag write or counter step, none of which
+    /// runs caller code, so a panicking holder cannot leave the state
+    /// half-updated — and a consumer that panics *outside* the lock must
+    /// still be able to `leave` (its drop guard) without a second panic.
+    fn lock(&self) -> MutexGuard<'_, ChannelState<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks on `condvar` until notified, ignoring poisoning as
+    /// [`Channel::lock`] does.
+    fn wait<'a>(
+        &self,
+        condvar: &Condvar,
+        state: MutexGuard<'a, ChannelState<T>>,
+    ) -> MutexGuard<'a, ChannelState<T>> {
+        condvar.wait(state).unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Blocks while the queue is at capacity; delivers `item` and
     /// returns `true`, or drops it and returns `false` once every
     /// consumer has left.
     fn send(&self, item: T) -> bool {
-        let mut state = self.state.lock().unwrap();
+        let mut state = self.lock();
         loop {
             if state.consumers == 0 {
                 return false;
@@ -87,14 +107,14 @@ impl<T> Channel<T> {
                 self.not_empty.notify_one();
                 return true;
             }
-            state = self.not_full.wait(state).unwrap();
+            state = self.wait(&self.not_full, state);
         }
     }
 
     /// Blocks while the queue is empty; returns `None` once the producer
     /// has closed and the queue has drained.
     fn recv(&self) -> Option<T> {
-        let mut state = self.state.lock().unwrap();
+        let mut state = self.lock();
         loop {
             if let Some(item) = state.queue.pop_front() {
                 self.not_full.notify_one();
@@ -103,18 +123,18 @@ impl<T> Channel<T> {
             if state.closed {
                 return None;
             }
-            state = self.not_empty.wait(state).unwrap();
+            state = self.wait(&self.not_empty, state);
         }
     }
 
     fn close(&self) {
-        let mut state = self.state.lock().unwrap();
+        let mut state = self.lock();
         state.closed = true;
         self.not_empty.notify_all();
     }
 
     fn leave(&self) {
-        let mut state = self.state.lock().unwrap();
+        let mut state = self.lock();
         state.consumers -= 1;
         self.not_full.notify_all();
     }
@@ -397,16 +417,28 @@ mod tests {
 
     #[test]
     fn pipeline_is_bit_identical_to_sequential_replay() {
+        // Every run recycles its warm states through one spare set, as a
+        // server worker does across jobs: the states a run hands back are
+        // overwritten by the next run's checkpoints, of whatever workload.
         let sim = sim();
-        let bench = find("branchy-1").unwrap().scaled(0.05);
-        let params = design(&bench, 8);
-        let sequential = sequential_oracle(&sim, bench.load(), &params);
-        for jobs in [1, 2, 8] {
-            let outcome = Executor::new(jobs)
-                .unwrap()
-                .sample(&sim, &bench, &params)
-                .unwrap();
-            assert_bit_identical(&outcome.report, &sequential, &format!("jobs={jobs}"));
+        let spares = std::sync::Arc::new(smarts_core::WarmSpares::default());
+        for name in ["branchy-1", "hashp-2"] {
+            let bench = find(name).unwrap().scaled(0.05);
+            let params = design(&bench, 8);
+            let sequential = sequential_oracle(&sim, bench.load(), &params);
+            for jobs in [1, 2, 8] {
+                let outcome = Executor::new(jobs)
+                    .unwrap()
+                    .with_spares(std::sync::Arc::clone(&spares))
+                    .sample(&sim, &bench, &params)
+                    .unwrap();
+                assert_bit_identical(&outcome.report, &sequential, &format!("{name} jobs={jobs}"));
+                let kept = spares.len();
+                assert!(
+                    (1..=PIPELINE_DEPTH + jobs + 1).contains(&kept),
+                    "{kept} kept"
+                );
+            }
         }
     }
 

@@ -465,6 +465,9 @@ fn replay_subset<F: Frontend>(
                 };
                 let bytes = flat.approx_bytes() + checkpoint.approx_resident_bytes();
                 ctx.residency.add(bytes);
+                // Invariant: `program` was resolved above when any claimed
+                // index was unknown at the pass's start, and slots only
+                // fill — so a unit that needs simulating always has it.
                 let program = program.expect("a pass with an unknown unit resolved its program");
                 let outcome = ctx.sim.replay_owned(program, &ctx.params, checkpoint);
                 ctx.residency.remove(bytes);

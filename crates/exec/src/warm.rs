@@ -3,14 +3,16 @@
 //! that executes a workload.
 //!
 //! * The **producer** is the in-order functional-warming pass
-//!   ([`SmartsSim::stream_checkpoints`]).
+//!   ([`SmartsSim::stream_checkpoints_with`]), copying each checkpoint's
+//!   warm state into one a consumer has handed back
+//!   ([`smarts_core::WarmSpares`]) — no warm state is allocated per unit.
 //! * The **sink** tees every checkpoint into a [`CkptWriter`] *before*
 //!   it is offered downstream, so persistence overlaps both warming and
 //!   detailed replay and costs no extra pass.
 //! * The **consumers** are `jobs` threads replaying checkpoints off the
 //!   bounded channel ([`crate::pipeline`]); a warm-only run has none and
-//!   drives the same producer with an `emit` that only polls
-//!   cancellation.
+//!   drives the same producer with an `emit` that hands the written
+//!   checkpoint's warm state straight back and polls cancellation.
 //!
 //! A store header records exactly `(workload, scale)`, so the public
 //! entry points take exactly that pair and resolve the program from it
@@ -26,7 +28,10 @@ use smarts_core::{SamplingParams, SmartsSim, UnitCheckpoint};
 use smarts_isa::IsaId;
 use smarts_workloads::{Frontend, Loaded};
 
-/// What one warming run leaves behind.
+/// What one warming run leaves behind. Invariant, by construction of
+/// [`run_warm`]: `report` is `Some` exactly when the run replayed and
+/// `write` exactly when it had a sink, so the callers' `expect`s on them
+/// restate their own arguments.
 pub(crate) struct Warmed {
     /// The merged report of a run that replayed what it warmed.
     pub report: Option<ParallelReport>,
@@ -53,11 +58,15 @@ pub(crate) fn run_warm<F: Frontend>(
     let jobs = executor.jobs();
     let cancel = executor.cancel_token();
     let program = loaded.program.clone();
+    // Every checkpoint's warm state goes back to the producer once it is
+    // replayed (or, warm-only, written): at most this many are in flight.
+    let spares = &*executor.spares;
+    spares.keep(PIPELINE_DEPTH + jobs + 1);
     // The one producer: the in-order warming pass, teed into the sink.
     // A failed append ends the stream and is the run's error.
     let produce = |emit: &mut dyn FnMut(UnitCheckpoint<F>) -> bool| {
         let mut failed = None;
-        let summary = sim.stream_checkpoints(loaded, params, |checkpoint| {
+        let summary = sim.stream_checkpoints_with(loaded, params, spares, |checkpoint| {
             if let Some(writer) = sink.as_mut() {
                 if let Err(e) = writer.append(&checkpoint) {
                     failed = Some(ExecError::Ckpt(e));
@@ -73,7 +82,7 @@ pub(crate) fn run_warm<F: Frontend>(
     };
     let residency = Residency::default();
     let (summary, replayed) = if replay {
-        let consume = |checkpoint| sim.replay_owned(&program, params, checkpoint);
+        let consume = |checkpoint| sim.replay_with(&program, params, checkpoint, spares);
         let (summary, replayed) = run_pipeline(
             jobs,
             PIPELINE_DEPTH,
@@ -85,9 +94,13 @@ pub(crate) fn run_warm<F: Frontend>(
         (summary, Some(replayed))
     } else {
         // No consumers: a channel nobody reads refuses every send, so the
-        // producer runs on this thread against an `emit` that only polls
-        // cancellation.
-        (produce(&mut |_| !cancel.is_cancelled()), None)
+        // producer runs on this thread against an `emit` that recycles
+        // the written checkpoint and polls cancellation.
+        let emit = &mut |checkpoint: UnitCheckpoint<F>| {
+            spares.put(checkpoint.into_warm());
+            !cancel.is_cancelled()
+        };
+        (produce(emit), None)
     };
     let summary = summary?;
     let write = sink.map(CkptWriter::finish).transpose()?;

@@ -9,6 +9,17 @@ use std::net::TcpStream;
 use crate::json::Json;
 use crate::proto::JobSpec;
 
+/// The message of a refusal (`"ok":false`), led by its code when it is
+/// a typed one: `busy: …`, `evicted: …`.
+fn refusal(value: &Json) -> String {
+    let message = value.get("error").and_then(Json::as_str);
+    let message = message.unwrap_or("unspecified server error");
+    match value.get("code").and_then(Json::as_str) {
+        Some(code) => format!("{code}: {message}"),
+        None => message.to_string(),
+    }
+}
+
 /// One connection to a running `smarts-server`.
 #[derive(Debug)]
 pub struct Client {
@@ -73,11 +84,7 @@ impl Client {
         let value = crate::json::parse(&response).map_err(|e| format!("bad response: {e}"))?;
         match value.get("ok").and_then(Json::as_bool) {
             Some(true) => Ok(value),
-            Some(false) => Err(value
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("unspecified server error")
-                .to_string()),
+            Some(false) => Err(refusal(&value)),
             None => Err(format!("response missing `ok`: {response}")),
         }
     }
@@ -95,7 +102,8 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Returns the server's refusal (bad spec, shutting down) verbatim.
+    /// Returns the server's refusal (bad spec, shutting down) verbatim;
+    /// past the admission cap it starts `busy: `.
     pub fn submit(&mut self, spec: &JobSpec) -> Result<String, String> {
         let mut line = String::from(r#"{"cmd":"submit","#);
         line.push_str(&spec.to_json().to_line()[1..]);
@@ -133,7 +141,8 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Returns the server's refusal (unknown id, no result yet).
+    /// Returns the server's refusal (unknown id, no result yet); a job
+    /// whose record or report is no longer retained starts `evicted: `.
     pub fn result(&mut self, job: &str) -> Result<(String, String), String> {
         let line = self.round_trip(
             &Json::obj(vec![
@@ -144,11 +153,7 @@ impl Client {
         )?;
         let value = crate::json::parse(&line).map_err(|e| format!("bad response: {e}"))?;
         if value.get("ok").and_then(Json::as_bool) != Some(true) {
-            return Err(value
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("unspecified server error")
-                .to_string());
+            return Err(refusal(&value));
         }
         let source = value
             .get("source")
@@ -220,11 +225,7 @@ impl Client {
         loop {
             let value = crate::json::parse(&line).map_err(|e| format!("bad event: {e}"))?;
             if value.get("ok").and_then(Json::as_bool) == Some(false) {
-                return Err(value
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("watch refused")
-                    .to_string());
+                return Err(refusal(&value));
             }
             on_event(&value);
             if value.get("event").and_then(Json::as_str) == Some("end") {

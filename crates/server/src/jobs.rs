@@ -6,14 +6,30 @@
 //! a single mutex plus one condvar; every mutation bumps a sequence
 //! number so watchers can block for "anything changed since seq X"
 //! without polling.
+//!
+//! The table holds O(1) per job and a bounded number of jobs: at most
+//! [`MAX_QUEUED_JOBS`] wait in the queue (a submit past that is refused
+//! as [`Refusal::Busy`]), and past [`MAX_FINISHED_JOBS`] finished records
+//! the one that finished first is dropped. Ids are sequential, so an id
+//! below the next one that has no record was evicted
+//! ([`Refusal::Evicted`]); no tombstone is kept. A record points at its
+//! report line without owning it — the results cache is the line's one
+//! owner.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::Duration;
 
 use smarts_exec::CancelToken;
 
 use crate::proto::JobSpec;
+
+/// Finished (done, failed or cancelled) records kept for `status`,
+/// `watch` and `result`; past this many, the first to finish is evicted.
+pub const MAX_FINISHED_JOBS: usize = 4096;
+
+/// Queued jobs past which `submit` is refused as [`Refusal::Busy`].
+pub const MAX_QUEUED_JOBS: usize = 256;
 
 /// Lifecycle of a job. Legal transitions:
 /// `Queued → Warming → Replaying → Done`, with `Failed` reachable from
@@ -79,6 +95,20 @@ impl ResultSource {
     }
 }
 
+/// Why the table cannot answer for a job id, or take a job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    /// No job was ever given this id.
+    Unknown,
+    /// The job existed, but its record — or, asked for its result, its
+    /// report line — is no longer retained.
+    Evicted,
+    /// [`MAX_QUEUED_JOBS`] jobs are queued already.
+    Busy,
+    /// Shutdown has begun; no job is taken any more.
+    ShuttingDown,
+}
+
 /// One job's full record.
 #[derive(Debug, Clone)]
 pub struct JobRecord {
@@ -96,23 +126,63 @@ pub struct JobRecord {
     pub error: Option<String>,
     /// Where the result came from, once `Done`.
     pub source: Option<ResultSource>,
-    /// Canonical report line, once `Done`. Shared so serving a result
-    /// to N watchers is N reference bumps, not N copies.
-    pub result: Option<Arc<String>>,
+    /// Canonical report line, once `Done`: the results cache's, which
+    /// may since have evicted it — serving it to N watchers is N
+    /// upgrades, never a copy.
+    pub result: Option<Weak<String>>,
     /// Cancellation flag shared with the running pipeline.
     pub cancel: CancelToken,
 }
 
 struct TableInner {
-    jobs: HashMap<String, JobRecord>,
-    /// Submission order of still-queued job ids (FIFO claim order).
-    queue: VecDeque<String>,
+    /// Retained records by job number. A B-tree, not a hash table: ids
+    /// are inserted at one end and evicted near the other, and a table
+    /// under that churn would now and then rehash into twice its size.
+    jobs: BTreeMap<u64, JobRecord>,
+    /// Submission order of still-queued job numbers (FIFO claim order).
+    queue: VecDeque<u64>,
+    /// Finished job numbers in the order they finished: eviction order.
+    finished: VecDeque<u64>,
     next_id: u64,
+    /// Jobs that reached `Done`, evicted ones included.
+    done: u64,
     /// Bumped on every mutation; watchers block on it.
     seq: u64,
     /// Set once shutdown begins: submissions are refused and
     /// `claim_next` returns `None` immediately so workers exit.
     closed: bool,
+}
+
+impl TableInner {
+    /// The number inside a well-formed id (`j-` and a decimal without a
+    /// leading zero) that was handed out; [`Refusal::Unknown`] otherwise.
+    fn number(&self, id: &str) -> Result<u64, Refusal> {
+        let digits = id.strip_prefix("j-").ok_or(Refusal::Unknown)?;
+        let canonical = !digits.starts_with('0') && digits.bytes().all(|b| b.is_ascii_digit());
+        let n = digits.parse::<u64>().ok().filter(|_| canonical);
+        n.filter(|&n| n < self.next_id).ok_or(Refusal::Unknown)
+    }
+
+    /// Job `id`'s number and record.
+    fn record_mut(&mut self, id: &str) -> Result<(u64, &mut JobRecord), Refusal> {
+        let n = self.number(id)?;
+        self.jobs
+            .get_mut(&n)
+            .map(|r| (n, r))
+            .ok_or(Refusal::Evicted)
+    }
+
+    /// Books job `n`'s move from a live to a terminal `state`, evicting
+    /// the earliest-finished record past [`MAX_FINISHED_JOBS`].
+    fn finish(&mut self, n: u64, state: JobState) {
+        self.done += u64::from(state == JobState::Done);
+        self.finished.push_back(n);
+        while self.finished.len() > MAX_FINISHED_JOBS {
+            if let Some(oldest) = self.finished.pop_front() {
+                self.jobs.remove(&oldest);
+            }
+        }
+    }
 }
 
 /// Shared, thread-safe job registry.
@@ -132,9 +202,11 @@ impl JobTable {
     pub fn new() -> Self {
         JobTable {
             inner: Mutex::new(TableInner {
-                jobs: HashMap::new(),
+                jobs: BTreeMap::new(),
                 queue: VecDeque::new(),
+                finished: VecDeque::new(),
                 next_id: 1,
+                done: 0,
                 seq: 0,
                 closed: false,
             }),
@@ -142,19 +214,34 @@ impl JobTable {
         }
     }
 
+    /// The table, locked. Poisoning is ignored because no holder can
+    /// leave the table half-changed: the table's own critical sections
+    /// are single field writes and collection inserts/removes, and the
+    /// one foreign code run under the lock — an [`JobTable::update`]
+    /// closure — only assigns record fields. A panic under the lock
+    /// therefore leaves a table every other holder can keep serving.
+    fn lock(&self) -> MutexGuard<'_, TableInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn bump(&self, inner: &mut TableInner) {
         inner.seq += 1;
         self.changed.notify_all();
     }
 
-    /// Accepts a job, returning its id, or `None` if shutting down.
-    pub fn submit(&self, spec: JobSpec) -> Option<String> {
-        let mut inner = self.inner.lock().expect("job table poisoned");
+    /// Accepts a job, returning its id; refuses it as
+    /// [`Refusal::ShuttingDown`] or [`Refusal::Busy`].
+    pub fn submit(&self, spec: JobSpec) -> Result<String, Refusal> {
+        let mut inner = self.lock();
         if inner.closed {
-            return None;
+            return Err(Refusal::ShuttingDown);
         }
-        let id = format!("j-{}", inner.next_id);
+        if inner.queue.len() >= MAX_QUEUED_JOBS {
+            return Err(Refusal::Busy);
+        }
+        let n = inner.next_id;
         inner.next_id += 1;
+        let id = format!("j-{n}");
         let record = JobRecord {
             id: id.clone(),
             spec,
@@ -166,102 +253,111 @@ impl JobTable {
             result: None,
             cancel: CancelToken::new(),
         };
-        inner.jobs.insert(id.clone(), record);
-        inner.queue.push_back(id.clone());
+        inner.jobs.insert(n, record);
+        inner.queue.push_back(n);
         self.bump(&mut inner);
-        Some(id)
+        Ok(id)
     }
 
     /// Blocks until a queued job is available (returning a claim) or the
-    /// table closes (returning `None`). Cancelled-while-queued jobs are
-    /// finalized here rather than handed to a worker.
+    /// table closes (returning `None`).
     pub fn claim_next(&self) -> Option<(String, JobSpec, CancelToken)> {
-        let mut inner = self.inner.lock().expect("job table poisoned");
+        let mut inner = self.lock();
         loop {
-            while let Some(id) = inner.queue.pop_front() {
-                let Some(record) = inner.jobs.get_mut(&id) else {
+            // Queued jobs are live, hence retained; a cancelled one has
+            // left the queue.
+            while let Some(n) = inner.queue.pop_front() {
+                let Some(record) = inner.jobs.get_mut(&n) else {
                     continue;
                 };
-                if record.cancel.is_cancelled() {
-                    record.state = JobState::Cancelled;
-                    self.bump(&mut inner);
-                    continue;
-                }
                 record.state = JobState::Warming;
-                let claim = (id, record.spec.clone(), record.cancel.clone());
+                let claim = (
+                    record.id.clone(),
+                    record.spec.clone(),
+                    record.cancel.clone(),
+                );
                 self.bump(&mut inner);
                 return Some(claim);
             }
             if inner.closed {
                 return None;
             }
-            inner = self.changed.wait(inner).expect("job table poisoned");
+            inner = self
+                .changed
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    /// Applies a mutation to one job and wakes watchers. Returns `false`
-    /// for an unknown id.
+    /// Applies a mutation to one job and wakes watchers; a mutation that
+    /// makes the job terminal finishes it. Returns `false` for an id
+    /// without a record.
     pub fn update<F: FnOnce(&mut JobRecord)>(&self, id: &str, mutate: F) -> bool {
-        let mut inner = self.inner.lock().expect("job table poisoned");
-        let Some(record) = inner.jobs.get_mut(id) else {
+        let mut inner = self.lock();
+        let Ok((n, record)) = inner.record_mut(id) else {
             return false;
         };
+        let was_terminal = record.state.is_terminal();
         mutate(record);
+        let state = record.state;
+        if state.is_terminal() && !was_terminal {
+            inner.finish(n, state);
+        }
         self.bump(&mut inner);
         true
     }
 
     /// Requests cancellation. Idempotent: cancelling a terminal or
     /// already-cancelled job succeeds without effect. Returns the state
-    /// observed at the time of the request, or `None` for an unknown id.
-    pub fn cancel(&self, id: &str) -> Option<JobState> {
-        let mut inner = self.inner.lock().expect("job table poisoned");
-        let record = inner.jobs.get_mut(id)?;
+    /// observed at the time of the request.
+    pub fn cancel(&self, id: &str) -> Result<JobState, Refusal> {
+        let mut inner = self.lock();
+        let (n, record) = inner.record_mut(id)?;
         let observed = record.state;
         if !observed.is_terminal() {
             record.cancel.cancel();
             if observed == JobState::Queued {
-                // Finalize immediately; claim_next also handles the race
-                // where a worker claims it first.
+                // Finalize immediately: out of the queue, never claimed.
                 record.state = JobState::Cancelled;
+                inner.queue.retain(|&queued| queued != n);
+                inner.finish(n, JobState::Cancelled);
             }
             self.bump(&mut inner);
         }
-        Some(observed)
+        Ok(observed)
     }
 
-    /// A snapshot of one job, or `None` for an unknown id.
-    pub fn get(&self, id: &str) -> Option<JobRecord> {
-        let inner = self.inner.lock().expect("job table poisoned");
-        inner.jobs.get(id).cloned()
+    /// A snapshot of one job.
+    pub fn get(&self, id: &str) -> Result<JobRecord, Refusal> {
+        self.lock().record_mut(id).map(|(_, record)| record.clone())
     }
 
-    /// Snapshots of every job, in id order.
+    /// Snapshots of every retained job, in id order.
     pub fn list(&self) -> Vec<JobRecord> {
-        let inner = self.inner.lock().expect("job table poisoned");
-        let mut jobs: Vec<JobRecord> = inner.jobs.values().cloned().collect();
-        jobs.sort_by_key(|r| {
-            r.id.strip_prefix("j-")
-                .and_then(|n| n.parse::<u64>().ok())
-                .unwrap_or(u64::MAX)
-        });
-        jobs
+        self.lock().jobs.values().cloned().collect()
+    }
+
+    /// Jobs ever accepted, and how many of them reached `Done` —
+    /// cumulative, evicted records included.
+    pub fn counts(&self) -> (u64, u64) {
+        let inner = self.lock();
+        (inner.next_id - 1, inner.done)
     }
 
     /// The current change sequence number.
     pub fn seq(&self) -> u64 {
-        self.inner.lock().expect("job table poisoned").seq
+        self.lock().seq
     }
 
     /// Blocks until the sequence number advances past `seen` or the
     /// timeout lapses; returns the latest sequence number.
     pub fn wait_change(&self, seen: u64, timeout: Duration) -> u64 {
-        let mut inner = self.inner.lock().expect("job table poisoned");
+        let mut inner = self.lock();
         while inner.seq <= seen {
             let (guard, result) = self
                 .changed
                 .wait_timeout(inner, timeout)
-                .expect("job table poisoned");
+                .unwrap_or_else(PoisonError::into_inner);
             inner = guard;
             if result.timed_out() {
                 break;
@@ -274,14 +370,18 @@ impl JobTable {
     /// cancels+finalizes still-queued jobs. Returns the ids of the jobs
     /// abandoned in the queue.
     pub fn close(&self) -> Vec<String> {
-        let mut inner = self.inner.lock().expect("job table poisoned");
+        let mut inner = self.lock();
         inner.closed = true;
-        let abandoned: Vec<String> = inner.queue.drain(..).collect();
-        for id in &abandoned {
-            if let Some(record) = inner.jobs.get_mut(id) {
-                record.cancel.cancel();
-                record.state = JobState::Cancelled;
-            }
+        let queued: Vec<u64> = inner.queue.drain(..).collect();
+        let mut abandoned = Vec::new();
+        for n in queued {
+            let Some(record) = inner.jobs.get_mut(&n) else {
+                continue;
+            };
+            record.cancel.cancel();
+            record.state = JobState::Cancelled;
+            abandoned.push(record.id.clone());
+            inner.finish(n, JobState::Cancelled);
         }
         self.bump(&mut inner);
         abandoned
@@ -289,13 +389,13 @@ impl JobTable {
 
     /// Whether `close` has been called.
     pub fn is_closed(&self) -> bool {
-        self.inner.lock().expect("job table poisoned").closed
+        self.lock().closed
     }
 }
 
 impl std::fmt::Debug for JobTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock().expect("job table poisoned");
+        let inner = self.lock();
         f.debug_struct("JobTable")
             .field("jobs", &inner.jobs.len())
             .field("queued", &inner.queue.len())
@@ -308,6 +408,7 @@ impl std::fmt::Debug for JobTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn spec(bench: &str) -> JobSpec {
         JobSpec {
@@ -327,25 +428,27 @@ mod tests {
         assert_eq!(claimed_spec.bench, "loopy-1");
         assert_eq!(table.get(&id).unwrap().state, JobState::Warming);
 
+        let line = Arc::new("{}".to_string());
         table.update(&id, |r| {
             r.state = JobState::Done;
             r.source = Some(ResultSource::Cold);
-            r.result = Some(Arc::new("{}".to_string()));
+            r.result = Some(Arc::downgrade(&line));
         });
         let record = table.get(&id).unwrap();
         assert!(record.state.is_terminal());
         assert_eq!(record.source, Some(ResultSource::Cold));
+        assert_eq!(table.counts(), (1, 1));
     }
 
     #[test]
     fn cancel_is_idempotent_and_finalizes_queued_jobs() {
         let table = JobTable::new();
         let id = table.submit(spec("hashp-2")).unwrap();
-        assert_eq!(table.cancel(&id), Some(JobState::Queued));
+        assert_eq!(table.cancel(&id), Ok(JobState::Queued));
         assert_eq!(table.get(&id).unwrap().state, JobState::Cancelled);
         // Double-cancel: still answered, no state change.
-        assert_eq!(table.cancel(&id), Some(JobState::Cancelled));
-        assert_eq!(table.cancel("j-404"), None);
+        assert_eq!(table.cancel(&id), Ok(JobState::Cancelled));
+        assert_eq!(table.cancel("j-404"), Err(Refusal::Unknown));
     }
 
     #[test]
@@ -353,7 +456,7 @@ mod tests {
         let table = JobTable::new();
         let doomed = table.submit(spec("a")).unwrap();
         let live = table.submit(spec("b")).unwrap();
-        table.cancel(&doomed);
+        table.cancel(&doomed).unwrap();
         let (claimed, _, _) = table.claim_next().unwrap();
         assert_eq!(claimed, live);
     }
@@ -365,7 +468,7 @@ mod tests {
         let abandoned = table.close();
         assert_eq!(abandoned, vec![id.clone()]);
         assert_eq!(table.get(&id).unwrap().state, JobState::Cancelled);
-        assert!(table.submit(spec("b")).is_none());
+        assert_eq!(table.submit(spec("b")), Err(Refusal::ShuttingDown));
         assert!(table.claim_next().is_none());
     }
 
@@ -382,5 +485,70 @@ mod tests {
         };
         table.submit(spec("a")).unwrap();
         assert!(waiter.join().unwrap() > seen);
+    }
+
+    #[test]
+    fn a_full_queue_answers_busy_until_a_job_is_claimed() {
+        let table = JobTable::new();
+        for _ in 0..MAX_QUEUED_JOBS {
+            table.submit(spec("a")).unwrap();
+        }
+        assert_eq!(table.submit(spec("a")), Err(Refusal::Busy));
+        assert_eq!(table.counts(), (MAX_QUEUED_JOBS as u64, 0));
+        table.claim_next().unwrap();
+        assert!(table.submit(spec("a")).is_ok());
+    }
+
+    #[test]
+    fn finished_records_are_capped_and_evicted_ids_are_typed() {
+        let table = JobTable::new();
+        let total = 100_000u64;
+        let mut first = None;
+        for k in 0..total {
+            let id = table.submit(spec("a")).unwrap();
+            first.get_or_insert(id);
+            let (claimed, _, _) = table.claim_next().unwrap();
+            let state = match k % 3 {
+                0 => JobState::Done,
+                1 => JobState::Failed,
+                _ => JobState::Cancelled,
+            };
+            table.update(&claimed, |r| r.state = state);
+        }
+        assert_eq!(table.list().len(), MAX_FINISHED_JOBS);
+        assert_eq!(table.counts(), (total, total.div_ceil(3)));
+        // The newest finished records are the ones kept.
+        let newest = format!("j-{total}");
+        assert_eq!(table.get(&newest).unwrap().id, newest);
+        let oldest_kept = format!("j-{}", total - MAX_FINISHED_JOBS as u64 + 1);
+        assert!(table.get(&oldest_kept).is_ok());
+        let evicted = format!("j-{}", total - MAX_FINISHED_JOBS as u64);
+        for id in [first.unwrap(), evicted] {
+            assert_eq!(table.get(&id).unwrap_err(), Refusal::Evicted, "{id}");
+            assert_eq!(table.cancel(&id), Err(Refusal::Evicted));
+            assert!(!table.update(&id, |_| {}));
+        }
+        // Never handed out, or not an id at all: unknown, not evicted.
+        for id in [
+            format!("j-{}", total + 1),
+            "j-0".into(),
+            "j-007".into(),
+            "x".into(),
+        ] {
+            assert_eq!(table.get(&id).unwrap_err(), Refusal::Unknown, "{id}");
+        }
+    }
+
+    #[test]
+    fn live_jobs_are_never_evicted() {
+        let table = JobTable::new();
+        let running = table.submit(spec("long")).unwrap();
+        table.claim_next().unwrap();
+        for _ in 0..MAX_FINISHED_JOBS + 10 {
+            let id = table.submit(spec("a")).unwrap();
+            table.cancel(&id).unwrap();
+        }
+        assert_eq!(table.get(&running).unwrap().state, JobState::Warming);
+        assert_eq!(table.list().len(), MAX_FINISHED_JOBS + 1);
     }
 }

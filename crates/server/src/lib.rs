@@ -24,11 +24,14 @@
 //!   that makes "bit-identical" a plain string comparison;
 //! * [`jobs`] — the job table: ids, the
 //!   queued → warming → replaying → done/failed/cancelled state
-//!   machine, progress counters, change notification for watchers;
+//!   machine, progress counters, change notification for watchers, an
+//!   admission cap (`busy`) and first-finished-first-out eviction of
+//!   finished records (`evicted`);
 //! * [`store_mgr`] — the store manager: fingerprint → path mapping,
 //!   single-warmer coordination with rename-on-success publication,
 //!   the LRU of open stores (each with the memo of its units already
-//!   replayed), plus the results cache;
+//!   replayed), plus the results cache, the one owner of every report
+//!   line, bounded by the lines' bytes;
 //! * [`scheduler`] — workers that drive each claimed job down the
 //!   cheapest path: cache hit → store replay → cold warm-and-save;
 //! * [`server`] / [`client`] — the TCP accept loop with graceful
@@ -50,7 +53,9 @@ pub mod server;
 pub mod store_mgr;
 
 pub use client::Client;
-pub use jobs::{JobRecord, JobState, JobTable, ResultSource};
+pub use jobs::{
+    JobRecord, JobState, JobTable, Refusal, ResultSource, MAX_FINISHED_JOBS, MAX_QUEUED_JOBS,
+};
 pub use proto::{JobSpec, Request, MAX_LINE};
 pub use report::{
     canonical_report_line, report_fingerprint, report_from_json, report_to_json,
@@ -58,4 +63,7 @@ pub use report::{
 };
 pub use scheduler::{machine_for, params_for, Shared};
 pub use server::{Server, ServerConfig, ShutdownSummary};
-pub use store_mgr::{OpenStore, ResultsCache, StoreManager, StoreTicket, DEFAULT_MAX_OPEN_STORES};
+pub use store_mgr::{
+    OpenStore, ResultsCache, StoreManager, StoreTicket, DEFAULT_MAX_OPEN_STORES,
+    MAX_CACHED_LINE_BYTES,
+};

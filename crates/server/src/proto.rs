@@ -303,6 +303,18 @@ pub fn err_response(message: &str) -> String {
     .to_line()
 }
 
+/// Builds a typed refusal: a [`err_response`] whose `code` names what a
+/// client can do about it — `busy` (retry later) or `evicted` (the job's
+/// record or report is gone; resubmit the spec).
+pub fn coded_err_response(code: &str, message: &str) -> String {
+    Json::obj(vec![
+        ("ok", Json::Bool(false)),
+        ("error", Json::Str(message.to_string())),
+        ("code", Json::Str(code.to_string())),
+    ])
+    .to_line()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,5 +466,9 @@ mod tests {
             r#"{"ok":true,"job":"j-1"}"#
         );
         assert_eq!(err_response("nope"), r#"{"ok":false,"error":"nope"}"#);
+        assert_eq!(
+            coded_err_response("busy", "later"),
+            r#"{"ok":false,"error":"later","code":"busy"}"#
+        );
     }
 }

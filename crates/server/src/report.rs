@@ -55,6 +55,11 @@ fn counters_from_json(value: &Json) -> Result<ActivityCounters, String> {
 
 /// Serializes a report to its canonical JSON value.
 pub fn report_to_json(report: &SampleReport) -> Json {
+    Json::obj(report_fields(report))
+}
+
+/// The fields of [`report_to_json`]'s object, in order.
+fn report_fields(report: &SampleReport) -> Vec<(&'static str, Json)> {
     let p = &report.params;
     let params = Json::obj(vec![
         ("unit_size", Json::U64(p.unit_size)),
@@ -106,7 +111,7 @@ pub fn report_to_json(report: &SampleReport) -> Json {
             })
             .collect(),
     );
-    Json::obj(vec![
+    vec![
         ("params", params),
         ("instructions", instructions),
         // Aggregate means are derivable from the units, but carrying
@@ -115,7 +120,7 @@ pub fn report_to_json(report: &SampleReport) -> Json {
         ("cpi_mean_bits", f64_bits(report.cpi().mean())),
         ("epi_mean_bits", f64_bits(report.epi().mean())),
         ("units", units),
-    ])
+    ]
 }
 
 /// Serializes a report to its canonical single-line string form — the
@@ -158,11 +163,9 @@ pub fn sampled_report_line(sampled: &smarts_exec::SampledReplay) -> String {
             Json::Arr(sampled.measured.iter().map(|&i| Json::U64(i)).collect()),
         ),
     ]);
-    let Json::Obj(mut pairs) = report_to_json(&sampled.report.report) else {
-        unreachable!("report_to_json returns an object");
-    };
-    pairs.push(("sampler".to_string(), section));
-    Json::Obj(pairs).to_line()
+    let mut fields = report_fields(&sampled.report.report);
+    fields.push(("sampler", section));
+    Json::obj(fields).to_line()
 }
 
 /// Rebuilds a report from its canonical JSON value.

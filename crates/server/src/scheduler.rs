@@ -33,7 +33,7 @@
 use std::sync::Arc;
 
 use smarts_ckpt::{IsaId, MappedStore, StoreMeta};
-use smarts_core::{SamplingParams, SmartsSim, Warming};
+use smarts_core::{SamplingParams, SmartsSim, WarmSpares, Warming};
 use smarts_exec::{
     replay_store_mapped, replay_store_sampled, sample, warm_store, CancelToken, ExecError,
     Executor, SampledReplay,
@@ -102,10 +102,18 @@ pub fn params_for(spec: &JobSpec, cfg: &MachineConfig) -> Result<SamplingParams,
         .map_err(|e| e.to_string())
 }
 
-fn run_job(shared: &Arc<Shared>, id: &str, spec: &JobSpec, cancel: &CancelToken) -> JobEnd {
+/// Runs one claimed job; `spares` are the worker's warm states, recycled
+/// from one job to the next.
+fn run_job(
+    shared: &Arc<Shared>,
+    id: &str,
+    spec: &JobSpec,
+    cancel: &CancelToken,
+    spares: &Arc<WarmSpares>,
+) -> JobEnd {
     match spec.isa {
-        IsaId::Builtin => run_job_with::<BuiltinIsa>(shared, id, spec, cancel),
-        IsaId::Risc => run_job_with::<RiscIsa>(shared, id, spec, cancel),
+        IsaId::Builtin => run_job_with::<BuiltinIsa>(shared, id, spec, cancel, spares),
+        IsaId::Risc => run_job_with::<RiscIsa>(shared, id, spec, cancel, spares),
         // Refused at submit; a job table can never hold a trace spec.
         IsaId::Trace => JobEnd::Failed("trace workloads are not servable".to_string()),
     }
@@ -121,6 +129,7 @@ fn run_job_with<F: Frontend>(
     id: &str,
     spec: &JobSpec,
     cancel: &CancelToken,
+    spares: &Arc<WarmSpares>,
 ) -> JobEnd {
     let cfg = machine_for(spec);
     // An unservable workload fails here, before a store ticket is taken.
@@ -152,7 +161,9 @@ fn run_job_with<F: Frontend>(
     };
 
     let executor = match Executor::new(spec.jobs) {
-        Ok(e) => e.with_cancel(cancel.clone()),
+        Ok(e) => e
+            .with_cancel(cancel.clone())
+            .with_spares(Arc::clone(spares)),
         Err(e) => {
             shared.stores.abort(&ticket);
             return JobEnd::Failed(e.to_string());
@@ -253,11 +264,11 @@ fn run_job_with<F: Frontend>(
     match outcome {
         Ok(line) => {
             // Cached before the commit wakes the racers, so one that
-            // asked for this very line takes it instead of replaying.
-            let line = Arc::new(line);
-            shared
+            // asked for this very line takes it instead of replaying. The
+            // cache owns it from here on; the job record points at it.
+            let line = shared
                 .cache
-                .put(fingerprint, spec.config, sampler_key, Arc::clone(&line));
+                .put(fingerprint, spec.config, sampler_key, line);
             if let Err(message) = shared.stores.commit(&ticket) {
                 return JobEnd::Failed(message);
             }
@@ -274,15 +285,17 @@ fn run_job_with<F: Frontend>(
     }
 }
 
-/// One scheduler worker: claims jobs until the table closes.
+/// One scheduler worker: claims jobs until the table closes, recycling
+/// one bounded set of warm states across all of them.
 pub fn worker_loop(shared: Arc<Shared>) {
+    let spares = Arc::new(WarmSpares::default());
     while let Some((id, spec, cancel)) = shared.jobs.claim_next() {
-        let end = run_job(&shared, &id, &spec, &cancel);
+        let end = run_job(&shared, &id, &spec, &cancel, &spares);
         shared.jobs.update(&id, |r| match &end {
             JobEnd::Done(source, line) => {
                 r.state = JobState::Done;
                 r.source = Some(*source);
-                r.result = Some(Arc::clone(line));
+                r.result = Some(Arc::downgrade(line));
             }
             JobEnd::Cancelled => r.state = JobState::Cancelled,
             JobEnd::Failed(message) => {

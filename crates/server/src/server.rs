@@ -18,13 +18,15 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::jobs::{JobRecord, JobTable};
+use crate::jobs::{JobRecord, JobState, JobTable, Refusal, ResultSource, MAX_QUEUED_JOBS};
 use crate::json::Json;
-use crate::proto::{err_response, ok_response, parse_request, Request, MAX_LINE};
+use crate::proto::{
+    coded_err_response, err_response, ok_response, parse_request, Request, MAX_LINE,
+};
 use crate::scheduler::{machine_for, params_for, worker_loop, Shared};
 use crate::store_mgr::{ResultsCache, StoreManager};
 
@@ -226,19 +228,14 @@ fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
     stream.write_all(b"\n")
 }
 
-/// One job's protocol representation (used by `status` and `watch`).
-fn job_json(record: &JobRecord) -> Json {
-    Json::obj(vec![
+/// One job's protocol fields (a `status` reply, a `watch` event, an
+/// element of the `status` list).
+fn job_fields(record: &JobRecord) -> Vec<(&'static str, Json)> {
+    vec![
         ("job", Json::Str(record.id.clone())),
         ("bench", Json::Str(record.spec.bench.clone())),
         ("state", Json::Str(record.state.name().to_string())),
-        (
-            "source",
-            match record.source {
-                None => Json::Null,
-                Some(s) => Json::Str(s.name().to_string()),
-            },
-        ),
+        ("source", source_json(record.source)),
         ("emitted", Json::U64(record.emitted)),
         ("replayed", Json::U64(record.replayed)),
         (
@@ -248,7 +245,30 @@ fn job_json(record: &JobRecord) -> Json {
                 Some(e) => Json::Str(e.clone()),
             },
         ),
-    ])
+    ]
+}
+
+fn source_json(source: Option<ResultSource>) -> Json {
+    match source {
+        None => Json::Null,
+        Some(s) => Json::Str(s.name().to_string()),
+    }
+}
+
+/// The reply refusing a request about job `id` (or a submit).
+fn refusal_line(refusal: Refusal, id: &str) -> String {
+    match refusal {
+        Refusal::Unknown => err_response(&format!("unknown job `{id}`")),
+        Refusal::Evicted => coded_err_response(
+            "evicted",
+            &format!("job `{id}` is no longer retained; resubmit its spec"),
+        ),
+        Refusal::Busy => coded_err_response(
+            "busy",
+            &format!("{MAX_QUEUED_JOBS} jobs are queued already; retry later"),
+        ),
+        Refusal::ShuttingDown => err_response("server is shutting down"),
+    }
 }
 
 /// Handles one request line; returns `Ok(false)` to close the
@@ -280,59 +300,46 @@ fn handle_line(
                 return Ok(true);
             }
             match shared.jobs.submit(spec) {
-                Some(id) => {
-                    write_line(stream, &ok_response(vec![("job", Json::Str(id))]))?;
-                }
-                None => write_line(stream, &err_response("server is shutting down"))?,
+                Ok(id) => write_line(stream, &ok_response(vec![("job", Json::Str(id))]))?,
+                Err(refusal) => write_line(stream, &refusal_line(refusal, ""))?,
             }
         }
         Request::Status(None) => {
-            let jobs = Json::Arr(shared.jobs.list().iter().map(job_json).collect());
+            let jobs = shared.jobs.list();
+            let jobs = Json::Arr(jobs.iter().map(|r| Json::obj(job_fields(r))).collect());
             write_line(stream, &ok_response(vec![("jobs", jobs)]))?;
         }
         Request::Status(Some(id)) => match shared.jobs.get(&id) {
-            Some(record) => {
-                let Json::Obj(fields) = job_json(&record) else {
-                    unreachable!("job_json builds an object");
-                };
-                let owned: Vec<(String, Json)> = fields;
-                let mut pairs = vec![("ok", Json::Bool(true))];
-                // Reuse the job fields at the top level of the reply.
-                let line = {
-                    let borrowed: Vec<(&str, Json)> =
-                        owned.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
-                    pairs.extend(borrowed);
-                    Json::obj(pairs).to_line()
-                };
-                write_line(stream, &line)?;
-            }
-            None => write_line(stream, &err_response(&format!("unknown job `{id}`")))?,
+            Ok(record) => write_line(stream, &ok_response(job_fields(&record)))?,
+            Err(refusal) => write_line(stream, &refusal_line(refusal, &id))?,
         },
-        Request::Result(id) => match shared.jobs.get(&id) {
-            None => write_line(stream, &err_response(&format!("unknown job `{id}`")))?,
-            Some(record) => match (&record.result, record.source) {
-                (Some(report), source) => {
+        Request::Result(id) => {
+            let record = match shared.jobs.get(&id) {
+                Ok(record) => record,
+                Err(refusal) => {
+                    write_line(stream, &refusal_line(refusal, &id))?;
+                    return Ok(true);
+                }
+            };
+            match record.result.as_ref().map(Weak::upgrade) {
+                Some(Some(report)) => {
                     // Splice the cached canonical line in verbatim —
                     // string concatenation, never re-serialization — so
                     // every path serves byte-identical report bytes.
                     let head = ok_response(vec![
                         ("job", Json::Str(record.id.clone())),
-                        (
-                            "source",
-                            match source {
-                                None => Json::Null,
-                                Some(s) => Json::Str(s.name().to_string()),
-                            },
-                        ),
+                        ("source", source_json(record.source)),
                     ]);
                     let mut line = String::with_capacity(head.len() + report.len() + 12);
                     line.push_str(&head[..head.len() - 1]);
                     line.push_str(",\"report\":");
-                    line.push_str(report);
+                    line.push_str(&report);
                     line.push('}');
                     write_line(stream, &line)?;
                 }
-                (None, _) => {
+                // Done, but the results cache has let the line go.
+                Some(None) => write_line(stream, &refusal_line(Refusal::Evicted, &id))?,
+                None => {
                     write_line(
                         stream,
                         &err_response(&format!(
@@ -341,22 +348,27 @@ fn handle_line(
                         )),
                     )?;
                 }
-            },
-        },
+            }
+        }
         Request::Watch(id) => {
-            if shared.jobs.get(&id).is_none() {
-                write_line(stream, &err_response(&format!("unknown job `{id}`")))?;
+            if let Err(refusal) = shared.jobs.get(&id) {
+                write_line(stream, &refusal_line(refusal, &id))?;
                 return Ok(true);
             }
             let mut seq = 0; // emit the current state immediately
-            let mut last: Option<(String, u64, u64)> = None;
-            while let Some(record) = shared.jobs.get(&id) {
-                let snapshot = (
-                    record.state.name().to_string(),
-                    record.emitted,
-                    record.replayed,
-                );
-                if last.as_ref() != Some(&snapshot) {
+            let mut last: Option<(JobState, u64, u64)> = None;
+            loop {
+                // Only a finished record can go, once `MAX_FINISHED_JOBS`
+                // later jobs have finished: a watcher that slow is told so.
+                let record = match shared.jobs.get(&id) {
+                    Ok(record) => record,
+                    Err(refusal) => {
+                        write_line(stream, &refusal_line(refusal, &id))?;
+                        break;
+                    }
+                };
+                let snapshot = (record.state, record.emitted, record.replayed);
+                if last != Some(snapshot) {
                     last = Some(snapshot);
                     let kind = if record.state.is_terminal() {
                         "end"
@@ -364,14 +376,7 @@ fn handle_line(
                         "progress"
                     };
                     let mut fields = vec![("event", Json::Str(kind.to_string()))];
-                    let Json::Obj(job_fields) = job_json(&record) else {
-                        unreachable!("job_json builds an object");
-                    };
-                    let borrowed: Vec<(&str, Json)> = job_fields
-                        .iter()
-                        .map(|(k, v)| (k.as_str(), v.clone()))
-                        .collect();
-                    fields.extend(borrowed);
+                    fields.extend(job_fields(&record));
                     write_line(stream, &Json::obj(fields).to_line())?;
                 }
                 if record.state.is_terminal() {
@@ -384,24 +389,23 @@ fn handle_line(
             }
         }
         Request::Cancel(id) => match shared.jobs.cancel(&id) {
-            Some(observed) => write_line(
+            Ok(observed) => write_line(
                 stream,
                 &ok_response(vec![
                     ("job", Json::Str(id)),
                     ("was", Json::Str(observed.name().to_string())),
                 ]),
             )?,
-            None => write_line(stream, &err_response(&format!("unknown job `{id}`")))?,
+            Err(refusal) => write_line(stream, &refusal_line(refusal, &id))?,
         },
         Request::Stats => {
-            let jobs = shared.jobs.list();
-            let done = jobs.iter().filter(|r| r.result.is_some()).count();
+            let (jobs, done) = shared.jobs.counts();
             let (units_replayed, units_memoized) = shared.stores.units();
             write_line(
                 stream,
                 &ok_response(vec![
-                    ("jobs", Json::U64(jobs.len() as u64)),
-                    ("done", Json::U64(done as u64)),
+                    ("jobs", Json::U64(jobs)),
+                    ("done", Json::U64(done)),
                     ("warm_passes", Json::U64(shared.stores.warm_passes())),
                     ("store_hits", Json::U64(shared.stores.store_hits())),
                     ("cache_hits", Json::U64(shared.cache.hits())),

@@ -32,16 +32,27 @@
 //! it, so a unit one job replayed is statistics, not simulation, for the
 //! next — and it is evicted with the mapping, which bounds it.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use smarts_ckpt::{read_store_meta, MappedStore, StoreMeta};
 use smarts_core::SmartsSim;
 use smarts_exec::{CancelToken, ParallelReport, UnitMemo};
 use smarts_uarch::MachineConfig;
+
+/// Locks one of this module's maps, ignoring poisoning. Every critical
+/// section here is a lookup, an insert or a remove on a map or queue
+/// — plus, for the results cache, byte and tick counters updated beside
+/// them — and none runs foreign code, so a holder can only panic before
+/// or after a whole update, never inside one: a poisoned lock still
+/// guards a consistent map. (A `ResultsCache` byte count could lag its
+/// map only through an allocation failure, which aborts the process.)
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StoreState {
@@ -160,7 +171,7 @@ impl StoreManager {
     /// A cap of zero is clamped to one.
     #[must_use]
     pub fn with_max_open_stores(self, cap: usize) -> StoreManager {
-        self.open.lock().expect("open-store cache poisoned").cap = cap.max(1);
+        lock(&self.open).cap = cap.max(1);
         self
     }
 
@@ -203,7 +214,7 @@ impl StoreManager {
         cancel: &CancelToken,
     ) -> Result<StoreTicket, String> {
         let fingerprint = meta.fingerprint(cfg);
-        let mut states = self.states.lock().expect("store manager poisoned");
+        let mut states = lock(&self.states);
         loop {
             match states.get(&fingerprint) {
                 Some(StoreState::Ready) => {
@@ -219,7 +230,7 @@ impl StoreManager {
                     let (guard, _) = self
                         .changed
                         .wait_timeout(states, Duration::from_millis(50))
-                        .expect("store manager poisoned");
+                        .unwrap_or_else(PoisonError::into_inner);
                     states = guard;
                 }
                 None => {
@@ -262,7 +273,7 @@ impl StoreManager {
         };
         let renamed = std::fs::rename(temp, final_path)
             .map_err(|e| format!("cannot publish store {}: {e}", final_path.display()));
-        let mut states = self.states.lock().expect("store manager poisoned");
+        let mut states = lock(&self.states);
         match renamed {
             Ok(()) => {
                 states.insert(*fingerprint, StoreState::Ready);
@@ -283,7 +294,7 @@ impl StoreManager {
     /// next warmer truncates it on create.
     pub fn abort(&self, ticket: &StoreTicket) {
         if let StoreTicket::Warm { fingerprint, .. } = ticket {
-            let mut states = self.states.lock().expect("store manager poisoned");
+            let mut states = lock(&self.states);
             states.remove(fingerprint);
             self.changed.notify_all();
         }
@@ -310,7 +321,7 @@ impl StoreManager {
         path: &Path,
         sim: &SmartsSim,
     ) -> Result<OpenStore, String> {
-        let mut open = self.open.lock().expect("open-store cache poisoned");
+        let mut open = lock(&self.open);
         if let Some(slot) = open.stores.get(&fingerprint).cloned() {
             open.touch(fingerprint);
             return Ok(slot);
@@ -355,11 +366,7 @@ impl StoreManager {
 
     /// Stores currently held open in the LRU cache.
     pub fn open_stores(&self) -> usize {
-        self.open
-            .lock()
-            .expect("open-store cache poisoned")
-            .order
-            .len()
+        lock(&self.open).order.len()
     }
 
     /// Mappings opened (cache misses) since the manager was created.
@@ -392,10 +399,51 @@ impl StoreManager {
 /// unit-selection strategies over the same store — without it, two jobs
 /// differing only in sampler, seed, or CI target would alias to one
 /// cached line.
+///
+/// The cache is the one owner of every line it holds (a job record
+/// keeps a `Weak`), and it is a least-recently-used cache bounded by the
+/// lines' total bytes: past [`MAX_CACHED_LINE_BYTES`] the least recently
+/// put or served line goes — except that the newest
+/// [`MIN_CACHED_LINES`] stay whatever their size, so a line larger than
+/// the bound is still there for the client that waits on its job.
 #[derive(Debug, Default)]
 pub struct ResultsCache {
-    entries: Mutex<HashMap<(u64, u32, u64), Arc<String>>>,
+    lines: Mutex<CachedLines>,
     hits: AtomicU64,
+}
+
+/// Total bytes of report lines the results cache keeps: about 45 of the
+/// ~22 KB lines of an n = 100 job.
+pub const MAX_CACHED_LINE_BYTES: usize = 1 << 20;
+
+/// Lines the results cache keeps whatever their size: the most recent.
+pub const MIN_CACHED_LINES: usize = 4;
+
+/// (store fingerprint, machine config, sampler key).
+type CacheKey = (u64, u32, u64);
+
+#[derive(Debug, Default)]
+struct CachedLines {
+    /// Each line with its last use.
+    entries: HashMap<CacheKey, (Arc<String>, u64)>,
+    /// Last use → key, oldest first.
+    recency: BTreeMap<u64, CacheKey>,
+    /// Sum of the cached lines' lengths.
+    bytes: usize,
+    /// The last use handed out.
+    tick: u64,
+}
+
+impl CachedLines {
+    /// Marks `key`'s entry used now; returns its line.
+    fn touch(&mut self, key: CacheKey) -> Option<Arc<String>> {
+        self.tick += 1;
+        let (line, used) = self.entries.get_mut(&key)?;
+        self.recency.remove(used);
+        *used = self.tick;
+        self.recency.insert(self.tick, key);
+        Some(Arc::clone(line))
+    }
 }
 
 impl ResultsCache {
@@ -411,25 +459,43 @@ impl ResultsCache {
         config: u32,
         sampler_key: u64,
     ) -> Option<Arc<String>> {
-        let cached = self
-            .entries
-            .lock()
-            .expect("results cache poisoned")
-            .get(&(store_fingerprint, config, sampler_key))
-            .cloned();
+        let cached = lock(&self.lines).touch((store_fingerprint, config, sampler_key));
         if cached.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
         cached
     }
 
-    /// Inserts (or replaces, idempotently — the line is deterministic) a
-    /// canonical report line.
-    pub fn put(&self, store_fingerprint: u64, config: u32, sampler_key: u64, line: Arc<String>) {
-        self.entries
-            .lock()
-            .expect("results cache poisoned")
-            .insert((store_fingerprint, config, sampler_key), line);
+    /// Caches a canonical report line and returns the cache's own copy —
+    /// the one already there if another job put it first (the line is
+    /// deterministic, so the two are equal) — evicting least-recently
+    /// used lines past the byte bound.
+    pub fn put(
+        &self,
+        store_fingerprint: u64,
+        config: u32,
+        sampler_key: u64,
+        line: String,
+    ) -> Arc<String> {
+        let key = (store_fingerprint, config, sampler_key);
+        let mut lines = lock(&self.lines);
+        if let Some(cached) = lines.touch(key) {
+            return cached;
+        }
+        let line = Arc::new(line);
+        lines.bytes += line.len();
+        let tick = lines.tick;
+        lines.entries.insert(key, (Arc::clone(&line), tick));
+        lines.recency.insert(tick, key);
+        while lines.bytes > MAX_CACHED_LINE_BYTES && lines.entries.len() > MIN_CACHED_LINES {
+            let Some((_, oldest)) = lines.recency.pop_first() else {
+                break;
+            };
+            if let Some((evicted, _)) = lines.entries.remove(&oldest) {
+                lines.bytes -= evicted.len();
+            }
+        }
+        line
     }
 
     /// Cache hits served.
@@ -439,7 +505,12 @@ impl ResultsCache {
 
     /// Entries currently cached.
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("results cache poisoned").len()
+        lock(&self.lines).entries.len()
+    }
+
+    /// Bytes of the lines currently cached.
+    pub fn bytes(&self) -> usize {
+        lock(&self.lines).bytes
     }
 
     /// Whether the cache is empty.
@@ -727,8 +798,9 @@ mod tests {
         assert!(cache.is_empty());
         assert!(cache.get(1, 8, sys).is_none());
         assert_eq!(cache.hits(), 0);
-        cache.put(1, 8, sys, Arc::new("line".to_string()));
-        assert_eq!(cache.get(1, 8, sys).unwrap().as_str(), "line");
+        let put = cache.put(1, 8, sys, "line".to_string());
+        assert!(Arc::ptr_eq(&cache.get(1, 8, sys).unwrap(), &put));
+        assert_eq!(put.as_str(), "line");
         assert_eq!(cache.hits(), 1);
         // Same store, different detailed core: distinct entry.
         assert!(cache.get(1, 16, sys).is_none());
@@ -751,9 +823,9 @@ mod tests {
         // Same store and machine, different sampling designs: three
         // distinct entries — the regression this key exists to prevent
         // is a stratified job being answered with the systematic line.
-        cache.put(7, 8, sys.cache_key(), Arc::new("sys".to_string()));
-        cache.put(7, 8, stratified.cache_key(), Arc::new("strat".to_string()));
-        cache.put(7, 8, reseeded.cache_key(), Arc::new("strat-s1".to_string()));
+        cache.put(7, 8, sys.cache_key(), "sys".to_string());
+        cache.put(7, 8, stratified.cache_key(), "strat".to_string());
+        cache.put(7, 8, reseeded.cache_key(), "strat-s1".to_string());
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.get(7, 8, sys.cache_key()).unwrap().as_str(), "sys");
         assert_eq!(
@@ -800,19 +872,60 @@ mod tests {
             builtin.fingerprint(&cfg),
             8,
             sys,
-            Arc::new("builtin-line".to_string()),
+            "builtin-line".to_string(),
         );
         assert!(cache.get(risc.fingerprint(&cfg), 8, sys).is_none());
-        cache.put(
-            risc.fingerprint(&cfg),
-            8,
-            sys,
-            Arc::new("risc-line".to_string()),
-        );
+        cache.put(risc.fingerprint(&cfg), 8, sys, "risc-line".to_string());
         assert_eq!(cache.len(), 2);
         assert_eq!(
             cache.get(risc.fingerprint(&cfg), 8, sys).unwrap().as_str(),
             "risc-line"
         );
+    }
+
+    #[test]
+    fn results_cache_stays_within_its_byte_bound_and_keeps_the_newest() {
+        let cache = ResultsCache::new();
+        let line = |k: u64| format!("{k:0>1000}");
+        let total = 100_000u64;
+        for k in 0..total {
+            let cached = cache.put(k, 8, 0, line(k));
+            assert!(cache.bytes() <= MAX_CACHED_LINE_BYTES, "after put {k}");
+            // Every put stays served for the job that made it.
+            assert_eq!(*cached, line(k));
+        }
+        let kept = cache.len();
+        assert_eq!(kept, MAX_CACHED_LINE_BYTES / 1000);
+        assert_eq!(cache.bytes(), kept * 1000);
+        // The newest are served; the ones before them are gone.
+        for k in total - kept as u64..total {
+            assert_eq!(cache.get(k, 8, 0).as_deref(), Some(&line(k)), "{k}");
+        }
+        assert!(cache.get(total - kept as u64 - 1, 8, 0).is_none());
+        assert!(cache.get(0, 8, 0).is_none());
+    }
+
+    #[test]
+    fn results_cache_evicts_the_least_recently_used_line() {
+        let cache = ResultsCache::new();
+        let big = |tag: char| tag.to_string().repeat(MAX_CACHED_LINE_BYTES / 5);
+        for k in 0..5 {
+            cache.put(k, 8, 0, big('a'));
+        }
+        // Serving line 0 makes line 1 the least recently used.
+        assert!(cache.get(0, 8, 0).is_some());
+        cache.put(5, 8, 0, big('b'));
+        assert!(cache.get(1, 8, 0).is_none());
+        assert!(cache.get(0, 8, 0).is_some());
+        // A repeated put is the line already cached, not a second copy.
+        let first = cache.get(5, 8, 0).unwrap();
+        assert!(Arc::ptr_eq(&cache.put(5, 8, 0, big('b')), &first));
+        assert_eq!(cache.len(), 5);
+        // Lines over the whole bound: the newest few stay regardless.
+        for k in 10..20 {
+            cache.put(k, 8, 0, "x".repeat(MAX_CACHED_LINE_BYTES + 1));
+        }
+        assert_eq!(cache.len(), MIN_CACHED_LINES);
+        assert!(cache.get(19, 8, 0).is_some());
     }
 }

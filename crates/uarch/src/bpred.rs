@@ -64,7 +64,7 @@ fn advance_counters(table: &mut [u8], next: &[u8], diff: &mut StateDiff) {
 /// assert!(p.taken);
 /// assert_eq!(p.target, Some(5));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BranchPredictor {
     cfg: PredictorConfig,
     bimodal: Vec<u8>,
@@ -80,6 +80,47 @@ pub struct BranchPredictor {
     lookups: u64,
     cond_lookups: u64,
     cond_mispredicts: u64,
+}
+
+// Field-wise, so `clone_from` copies into the tables it already has.
+impl Clone for BranchPredictor {
+    fn clone(&self) -> Self {
+        BranchPredictor {
+            bimodal: self.bimodal.clone(),
+            gshare: self.gshare.clone(),
+            meta: self.meta.clone(),
+            btb: self.btb.clone(),
+            ras: self.ras.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let BranchPredictor {
+            cfg,
+            bimodal,
+            gshare,
+            meta,
+            history,
+            history_mask,
+            btb,
+            ras,
+            ras_top,
+            ras_depth,
+            lookups,
+            cond_lookups,
+            cond_mispredicts,
+        } = self;
+        bimodal.clone_from(&source.bimodal);
+        gshare.clone_from(&source.gshare);
+        meta.clone_from(&source.meta);
+        btb.clone_from(&source.btb);
+        ras.clone_from(&source.ras);
+        (*cfg, *history, *history_mask) = (source.cfg, source.history, source.history_mask);
+        (*ras_top, *ras_depth) = (source.ras_top, source.ras_depth);
+        (*lookups, *cond_lookups) = (source.lookups, source.cond_lookups);
+        *cond_mispredicts = source.cond_mispredicts;
+    }
 }
 
 impl BranchPredictor {

@@ -43,7 +43,7 @@ const DIRTY: u64 = 2;
 /// assert!(!cache.access(0x100, false).hit); // cold miss
 /// assert!(cache.access(0x100, false).hit); // now resident
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Cache {
     cfg: CacheConfig,
     sets: LruSets,
@@ -52,6 +52,29 @@ pub struct Cache {
     line_shift: Option<u32>,
     accesses: u64,
     misses: u64,
+}
+
+// Field-wise, so `clone_from` reuses the key array (see `LruSets`).
+impl Clone for Cache {
+    fn clone(&self) -> Self {
+        Cache {
+            sets: self.sets.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Cache {
+            cfg,
+            sets,
+            line_shift,
+            accesses,
+            misses,
+        } = self;
+        sets.clone_from(&source.sets);
+        (*cfg, *line_shift) = (source.cfg, source.line_shift);
+        (*accesses, *misses) = (source.accesses, source.misses);
+    }
 }
 
 impl Cache {

@@ -38,12 +38,37 @@ pub struct AccessResult {
 /// let warm = hier.access_data(0x8000, false);
 /// assert_eq!(warm.latency, 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CacheHierarchy {
     l1i: Cache,
     l1d: Cache,
     l2: Cache,
     mem_latency: u64,
+}
+
+// Field-wise, so `clone_from` reuses every level's key array.
+impl Clone for CacheHierarchy {
+    fn clone(&self) -> Self {
+        CacheHierarchy {
+            l1i: self.l1i.clone(),
+            l1d: self.l1d.clone(),
+            l2: self.l2.clone(),
+            mem_latency: self.mem_latency,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let CacheHierarchy {
+            l1i,
+            l1d,
+            l2,
+            mem_latency,
+        } = self;
+        l1i.clone_from(&source.l1i);
+        l1d.clone_from(&source.l1d);
+        l2.clone_from(&source.l2);
+        *mem_latency = source.mem_latency;
+    }
 }
 
 impl CacheHierarchy {

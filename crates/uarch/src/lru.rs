@@ -19,7 +19,7 @@ const _: () = assert!(std::mem::size_of::<Way>() == 8);
 /// this is true LRU exactly as a per-way timestamp would give it — and
 /// the in-memory order is the canonical order [`LruSets::save_state`]
 /// writes.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct LruSets {
     keys: Vec<Way>,
     // One word per way rotated with the keys (the BTB's targets); empty
@@ -33,6 +33,34 @@ pub(crate) struct LruSets {
     // Shift/mask indexing when the set count is a power of two (every
     // Table 3 structure); the divide path computes the same values.
     set_shift: Option<u32>,
+}
+
+// Field-wise, so `clone_from` copies into the arrays it already has: a
+// warm state recycled for the next unit's checkpoint allocates nothing.
+impl Clone for LruSets {
+    fn clone(&self) -> Self {
+        LruSets {
+            keys: self.keys.clone(),
+            payload: self.payload.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let LruSets {
+            keys,
+            payload,
+            assoc,
+            flag_bits,
+            match_mask,
+            set_count,
+            set_shift,
+        } = self;
+        keys.clone_from(&source.keys);
+        payload.clone_from(&source.payload);
+        (*assoc, *flag_bits, *match_mask) = (source.assoc, source.flag_bits, source.match_mask);
+        (*set_count, *set_shift) = (source.set_count, source.set_shift);
+    }
 }
 
 /// Moves `ways[way]` to the front as `value`, shifting the ways before it
@@ -302,5 +330,28 @@ impl LruSets {
             diff.report(base * self.per_way(), |words| next.expand_set(base, words));
         }
         diff.at += self.state_words();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn clone_from_copies_into_the_arrays_it_has() {
+        let mut source = LruSets::new(64, 4, 1, 1, true);
+        for block in 0..500 {
+            source.store(block * 7, block);
+        }
+        let mut spare = LruSets::new(64, 4, 1, 1, true);
+        spare.store(3, 9);
+        let arrays = (spare.keys.as_ptr(), spare.payload.as_ptr());
+        spare.clone_from(&source);
+        assert_eq!((spare.keys.as_ptr(), spare.payload.as_ptr()), arrays);
+        assert_eq!(
+            (&spare.keys, &spare.payload),
+            (&source.keys, &source.payload)
+        );
+        assert_eq!(spare.lookup(7 * 499), Some(499));
     }
 }

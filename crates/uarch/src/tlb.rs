@@ -22,13 +22,36 @@ use crate::warm::StateDiff;
 /// assert!(!tlb.access(0x1234)); // cold miss
 /// assert!(tlb.access(0x1FFF)); // same page
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Tlb {
     cfg: TlbConfig,
     sets: LruSets,
     page_shift: u32,
     accesses: u64,
     misses: u64,
+}
+
+// Field-wise, so `clone_from` reuses the key array (see `LruSets`).
+impl Clone for Tlb {
+    fn clone(&self) -> Self {
+        Tlb {
+            sets: self.sets.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Tlb {
+            cfg,
+            sets,
+            page_shift,
+            accesses,
+            misses,
+        } = self;
+        sets.clone_from(&source.sets);
+        (*cfg, *page_shift) = (source.cfg, source.page_shift);
+        (*accesses, *misses) = (source.accesses, source.misses);
+    }
 }
 
 impl Tlb {

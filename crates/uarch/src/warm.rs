@@ -27,7 +27,7 @@ use smarts_isa::ExecRecord;
 /// let warm = WarmState::new(&cfg);
 /// assert_eq!(warm.hierarchy.l1d().accesses(), 0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct WarmState {
     /// L1 I/D + unified L2 caches.
     pub hierarchy: CacheHierarchy,
@@ -43,6 +43,40 @@ pub struct WarmState {
     // the Table 3 machines): the per-instruction line computation in the
     // warming hot loop becomes one shift instead of a 64-bit divide.
     line_shift: Option<u32>,
+}
+
+/// `clone_from` copies field by field into the arrays `self` already
+/// has, so a state recycled as the next unit's checkpoint allocates
+/// nothing (a derived `clone_from` would reallocate every table). Any
+/// geometry may be copied over any other.
+impl Clone for WarmState {
+    fn clone(&self) -> Self {
+        WarmState {
+            hierarchy: self.hierarchy.clone(),
+            itlb: self.itlb.clone(),
+            dtlb: self.dtlb.clone(),
+            bpred: self.bpred.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let WarmState {
+            hierarchy,
+            itlb,
+            dtlb,
+            bpred,
+            last_fetch_line,
+            line_bytes,
+            line_shift,
+        } = self;
+        hierarchy.clone_from(&source.hierarchy);
+        itlb.clone_from(&source.itlb);
+        dtlb.clone_from(&source.dtlb);
+        bpred.clone_from(&source.bpred);
+        (*last_fetch_line, *line_bytes) = (source.last_fetch_line, source.line_bytes);
+        *line_shift = source.line_shift;
+    }
 }
 
 /// The walk of [`WarmState::advance_to`] over the serialization: where the
@@ -292,6 +326,82 @@ mod tests {
             let bytes = WarmState::new(&cfg).approx_bytes();
             assert!(bytes > 100 * 1024, "{}: {bytes} B", cfg.name);
             assert!(bytes < ceiling_kib * 1024, "{}: {bytes} B", cfg.name);
+        }
+    }
+
+    /// Warms `warm` with `count` pseudo-random records drawn from `seed`:
+    /// fetches, loads and stores over a footprint larger than the L2,
+    /// branches, calls and returns.
+    fn warm_randomly(warm: &mut WarmState, mut seed: u64, count: usize) {
+        for _ in 0..count {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            let pc = seed % 50_000;
+            let addr = 0x10_0000 + (seed >> 20) % (8 << 20);
+            let mem = |is_store| {
+                Some(MemAccess {
+                    addr,
+                    size: 8,
+                    is_store,
+                })
+            };
+            let (inst, mem, taken, next_pc) = match seed >> 61 {
+                0 | 1 => (Inst::new(Opcode::Ld, 4, 5, 0, 0), mem(false), false, pc + 1),
+                2 => (Inst::new(Opcode::Sd, 0, 5, 6, 0), mem(true), false, pc + 1),
+                3 | 4 => {
+                    let taken = seed & 1 == 1;
+                    let target = seed % 997;
+                    let next = if taken { target } else { pc + 1 };
+                    (
+                        Inst::new(Opcode::Bne, 0, 4, 5, target as i64),
+                        None,
+                        taken,
+                        next,
+                    )
+                }
+                5 => (Inst::new(Opcode::Jal, 1, 0, 0, 77), None, true, 77),
+                6 => (Inst::new(Opcode::Jalr, 0, 1, 0, 0), None, true, pc / 2),
+                _ => (Inst::nop(), None, false, pc + 1),
+            };
+            warm.warm_record(&record(pc, inst, mem, taken, next_pc));
+        }
+    }
+
+    fn words(warm: &WarmState) -> Vec<u64> {
+        let mut out = Vec::new();
+        warm.save_state(&mut out);
+        out
+    }
+
+    #[test]
+    fn clone_from_is_clone_word_for_word() {
+        // A spare with a history of its own — or of another geometry —
+        // copied over by `clone_from` serializes exactly as a fresh
+        // clone of the source does.
+        let eight = MachineConfig::eight_way();
+        let sixteen = MachineConfig::sixteen_way();
+        for (seed, source_cfg, spare_cfg) in [
+            (1, &eight, &eight),
+            (2, &eight, &sixteen),
+            (3, &sixteen, &eight),
+            (4, &sixteen, &sixteen),
+        ] {
+            let mut source = WarmState::new(source_cfg);
+            warm_randomly(&mut source, seed, 40_000);
+            let mut spare = WarmState::new(spare_cfg);
+            warm_randomly(&mut spare, seed + 100, 25_000);
+            spare.clone_from(&source);
+            assert_eq!(words(&spare), words(&source.clone()), "seed {seed}");
+            assert_eq!(spare.approx_bytes(), source.approx_bytes());
+            // And the copy goes on warming exactly as the source does.
+            warm_randomly(&mut source, seed + 200, 5_000);
+            warm_randomly(&mut spare, seed + 200, 5_000);
+            assert_eq!(words(&spare), words(&source), "seed {seed} after warming");
+            assert_eq!(
+                spare.hierarchy.l2().misses(),
+                source.hierarchy.l2().misses()
+            );
         }
     }
 

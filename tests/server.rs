@@ -13,8 +13,8 @@ use smarts::exec::Executor;
 use smarts::prelude::*;
 use smarts::server::json::Json;
 use smarts::server::{
-    canonical_report_line, machine_for, params_for, Client, JobSpec, Server, ServerConfig,
-    ShutdownSummary,
+    canonical_report_line, machine_for, params_for, Client, JobSpec, Server, ServerConfig, Shared,
+    ShutdownSummary, MAX_CACHED_LINE_BYTES, MAX_FINISHED_JOBS,
 };
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -27,6 +27,7 @@ struct RunningServer {
     addr: String,
     handle: JoinHandle<Result<ShutdownSummary, String>>,
     stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    shared: std::sync::Arc<Shared>,
 }
 
 impl RunningServer {
@@ -40,8 +41,14 @@ impl RunningServer {
         .expect("bind ephemeral server");
         let addr = server.local_addr().to_string();
         let stop = server.stop_flag();
+        let shared = server.shared();
         let handle = std::thread::spawn(move || server.serve());
-        RunningServer { addr, handle, stop }
+        RunningServer {
+            addr,
+            handle,
+            stop,
+            shared,
+        }
     }
 
     fn client(&self) -> Client {
@@ -450,5 +457,67 @@ fn shutdown_drains_in_flight_work_and_reports_abandoned_jobs() {
     for id in &summary.abandoned {
         assert!(ids.contains(id), "abandoned id {id} was submitted");
     }
+    let _ = std::fs::remove_dir_all(&store_dir);
+}
+
+#[test]
+fn evicted_lines_and_records_get_a_typed_refusal() {
+    let store_dir = temp_dir("evicted");
+    let server = RunningServer::start(&store_dir, 1);
+    let mut client = server.client();
+    let id = client.submit(&small_spec()).expect("submit");
+    assert_eq!(client.wait(&id).expect("wait"), "done");
+    let (_, line) = client.result(&id).expect("result while cached");
+
+    // Other jobs' lines push this one out of the results cache: the
+    // record stays, the result is `evicted`, not a wrong or empty line.
+    let filler = "x".repeat(64 * 1024);
+    for key in 0..(MAX_CACHED_LINE_BYTES / filler.len() + 1) as u64 {
+        server.shared.cache.put(key, 8, 0, filler.clone());
+    }
+    let status = client.status(Some(&id)).expect("the record is retained");
+    assert_eq!(status.get("state").and_then(Json::as_str), Some("done"));
+    let err = client.result(&id).unwrap_err();
+    assert!(err.starts_with("evicted: "), "got {err}");
+    let raw = Json::obj(vec![
+        ("cmd", Json::Str("result".into())),
+        ("job", Json::Str(id.clone())),
+    ]);
+    let response = client.round_trip(&raw.to_line()).expect("reply");
+    assert!(response.contains(r#""code":"evicted""#), "got {response}");
+
+    // Past the cap of finished records, the first to finish goes: every
+    // question about it is `evicted`, while an id never handed out stays
+    // unknown. (The filler jobs name no benchmark, so one a worker claims
+    // before its cancel lands fails instead of finishing `done`.)
+    let unservable = JobSpec {
+        bench: "no-such-bench".to_string(),
+        ..small_spec()
+    };
+    for _ in 0..MAX_FINISHED_JOBS {
+        let other = server.shared.jobs.submit(unservable.clone());
+        let _ = server.shared.jobs.cancel(&other.expect("submit"));
+    }
+    for err in [
+        client.status(Some(&id)).map(|_| ()).unwrap_err(),
+        client.result(&id).map(|_| ()).unwrap_err(),
+        client.watch(&id, |_| {}).map(|_| ()).unwrap_err(),
+        client.cancel(&id).map(|_| ()).unwrap_err(),
+    ] {
+        assert!(err.starts_with("evicted: "), "got {err}");
+    }
+    let unknown = client.status(Some("j-999999")).unwrap_err();
+    assert!(unknown.starts_with("unknown job"), "got {unknown}");
+    // `stats` still counts every job ever accepted.
+    let stats = client.stats().expect("stats");
+    let jobs = stats.get("jobs").and_then(Json::as_u64);
+    assert_eq!(jobs, Some(MAX_FINISHED_JOBS as u64 + 1));
+    assert_eq!(stats.get("done").and_then(Json::as_u64), Some(1));
+
+    // A resubmit of the evicted job's spec serves the same bytes.
+    let again = client.submit(&small_spec()).expect("resubmit");
+    assert_eq!(client.wait(&again).expect("wait"), "done");
+    assert_eq!(client.result(&again).expect("result").1, line);
+    server.shutdown();
     let _ = std::fs::remove_dir_all(&store_dir);
 }
