@@ -2,8 +2,8 @@
 //! sampling-unit size U, warming mode, and detailed-warming length W.
 //!
 //! These measure the *cost* side of each knob (wall-clock of a complete
-//! sampling run); the accuracy side is reported by the `table4`/`table5`
-//! binaries.
+//! sampling run); the accuracy side is reported by `repro table4` and
+//! `repro table5`.
 
 use smarts_bench::timing::bench;
 use smarts_core::{SamplingParams, SmartsSim, Warming};

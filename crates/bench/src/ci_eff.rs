@@ -1,4 +1,4 @@
-//! Measurement core of the `ci_eff` benchmark.
+//! Measurement core of the `repro ci_eff` experiment.
 //!
 //! One deterministic procedure — full-grid ground truth, the paper's
 //! two-step matched-systematic baseline, and offline drives of the

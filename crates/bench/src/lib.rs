@@ -1,15 +1,17 @@
-//! Shared harness utilities for the figure/table reproduction binaries.
-//!
-//! Each binary in `src/bin/` regenerates one table or figure of the
-//! SMARTS paper (see DESIGN.md §4 for the full index). They share a tiny
-//! command-line convention:
+//! Shared harness of the `repro` binary, which regenerates every table and
+//! figure of the SMARTS paper (see DESIGN.md §4 for the full index) with
+//! one command-line convention:
 //!
 //! * `--scale <f>` — multiply every benchmark's dynamic length
-//!   (default 1.0; figures in EXPERIMENTS.md were produced at the
-//!   default).
+//!   (default 1.0, or an experiment's own smaller default).
 //! * `--config <8|16|both>` — which Table 3 machine(s) to run.
 //! * `--bench <name>` — restrict to one benchmark.
 //! * `--quick` — a fast smoke-test preset (small scale, fewer units).
+//! * `--extended` — the 28-combination suite instead of the default 18.
+//!
+//! An experiment prints an [`Output`]: a deterministic block, a function
+//! of the simulated machines and seeds alone, and a host block of
+//! wall-clock seconds and rates. [`check`] compares only the first.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,7 +24,7 @@ use smarts_workloads::Benchmark;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-/// Which machine configuration(s) a binary should evaluate.
+/// Which machine configuration(s) an experiment should evaluate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigChoice {
     /// The 8-way baseline only.
@@ -57,8 +59,6 @@ pub struct HarnessArgs {
     pub bench: Option<String>,
     /// Fast smoke-test preset.
     pub quick: bool,
-    /// Extra flag used by `fig2 --icc`.
-    pub icc: bool,
     /// Use the extended (28-combination) suite instead of the default 18.
     pub extended: bool,
 }
@@ -70,48 +70,45 @@ impl Default for HarnessArgs {
             config: ConfigChoice::Eight,
             bench: None,
             quick: false,
-            icc: false,
             extended: false,
         }
     }
 }
 
 impl HarnessArgs {
-    /// Parses `std::env::args`, exiting with a usage message on errors.
-    pub fn parse() -> Self {
+    /// Parses the flags (see the crate docs); the error names the bad one.
+    pub fn parse(flags: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut args = HarnessArgs::default();
-        let mut iter = std::env::args().skip(1);
+        let mut iter = flags.into_iter();
         while let Some(arg) = iter.next() {
             match arg.as_str() {
                 "--scale" => {
                     args.scale = iter
                         .next()
                         .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--scale needs a positive number"));
+                        .ok_or("--scale needs a positive number")?;
                 }
-                "--config" => match iter.next().as_deref() {
-                    Some("8") => args.config = ConfigChoice::Eight,
-                    Some("16") => args.config = ConfigChoice::Sixteen,
-                    Some("both") => args.config = ConfigChoice::Both,
-                    _ => usage("--config takes 8, 16, or both"),
-                },
-                "--bench" => {
-                    args.bench = Some(iter.next().unwrap_or_else(|| usage("--bench needs a name")));
+                "--config" => {
+                    args.config = match iter.next().as_deref() {
+                        Some("8") => ConfigChoice::Eight,
+                        Some("16") => ConfigChoice::Sixteen,
+                        Some("both") => ConfigChoice::Both,
+                        _ => return Err("--config takes 8, 16, or both".into()),
+                    }
                 }
+                "--bench" => args.bench = Some(iter.next().ok_or("--bench needs a name")?),
                 "--quick" => {
                     args.quick = true;
                     args.scale = args.scale.min(0.1);
                 }
-                "--icc" => args.icc = true,
                 "--extended" => args.extended = true,
-                "--help" | "-h" => usage("usage"),
-                other => usage(&format!("unknown flag {other}")),
+                other => return Err(format!("unknown flag {other}")),
             }
         }
         if args.scale <= 0.0 {
-            usage("--scale must be positive");
+            return Err("--scale must be positive".into());
         }
-        args
+        Ok(args)
     }
 
     /// The benchmark suite at the requested scale and filter.
@@ -128,19 +125,16 @@ impl HarnessArgs {
     }
 }
 
-fn usage(msg: &str) -> ! {
-    eprintln!(
-        "{msg}\n\nflags: [--scale <f>] [--config 8|16|both] [--bench <name>] [--quick] [--icc] [--extended]"
-    );
-    std::process::exit(2)
-}
-
-/// A process-local cache of full-detail reference runs, so binaries that
+/// A process-local cache of full-detail reference runs, so experiments that
 /// need the same ground truth for several analyses pay for it once.
 #[derive(Debug, Default)]
 pub struct RefCache {
-    runs: Mutex<HashMap<(String, &'static str, u64), ReferenceRun>>,
+    runs: Mutex<HashMap<RefKey, ReferenceRun>>,
 }
+
+/// Benchmark name and length (which tells scales apart), machine name,
+/// unit size.
+type RefKey = (String, u64, &'static str, u64);
 
 impl RefCache {
     /// Creates an empty cache.
@@ -148,10 +142,15 @@ impl RefCache {
         RefCache::default()
     }
 
-    /// The reference run for (benchmark, machine, unit size), computed on
-    /// first use.
+    /// The reference run for (benchmark at its scale, machine, unit size),
+    /// computed on first use.
     pub fn get(&self, sim: &SmartsSim, bench: &Benchmark, unit_size: u64) -> ReferenceRun {
-        let key = (bench.name().to_string(), sim.config().name, unit_size);
+        let key = (
+            bench.name().to_string(),
+            bench.approx_len(),
+            sim.config().name,
+            unit_size,
+        );
         if let Some(hit) = self.runs.lock().expect("cache lock").get(&key) {
             return hit.clone();
         }
@@ -231,18 +230,87 @@ pub fn upct(x: f64) -> String {
     format!("{:.2}%", x * 100.0)
 }
 
-/// Prints a figure/table banner.
-pub fn banner(title: &str, detail: &str) {
-    println!("=== {title} ===");
-    if !detail.is_empty() {
-        println!("{detail}");
+/// The line a rendered [`Output`] puts between its two blocks.
+pub const HOST_BLOCK: &str = "--- host-dependent (not compared by `repro check`) ---";
+
+/// What one experiment prints, in two blocks.
+#[derive(Debug, Default)]
+pub struct Output {
+    /// Lines that are functions of the simulated machines, workloads and
+    /// seeds alone (CPI, error, V̂, interval, n, bias, W, U*, δ): the same
+    /// bytes on every host and every run.
+    pub det: String,
+    /// Lines measured on the host (seconds, MIPS).
+    pub host: String,
+}
+
+impl Output {
+    /// An output whose deterministic block opens with a figure/table banner.
+    pub fn new(title: &str, detail: &str) -> Self {
+        Output {
+            det: format!("=== {title} ===\n{detail}\n\n"),
+            host: String::new(),
+        }
     }
-    println!();
+
+    /// The deterministic block, then — when there is one — [`HOST_BLOCK`]
+    /// and the host block.
+    pub fn render(&self) -> String {
+        if self.host.is_empty() {
+            self.det.clone()
+        } else {
+            format!("{}{HOST_BLOCK}\n{}", self.det, self.host)
+        }
+    }
+}
+
+/// Compares a fresh deterministic block with the one in `expected`, a
+/// rendered [`Output`] (a checked-in results file); host blocks are not
+/// compared. The error names the first line that differs.
+pub fn check(expected: &str, det: &str) -> Result<(), String> {
+    let want = expected
+        .split_once(&format!("{HOST_BLOCK}\n"))
+        .map_or(expected, |(det, _)| det);
+    if want == det {
+        return Ok(());
+    }
+    let mut got = det.lines();
+    for (i, w) in want.lines().enumerate() {
+        match got.next() {
+            Some(g) if g == w => {}
+            g => {
+                let g = g.unwrap_or("<end>");
+                return Err(format!("line {}: expected {w:?}, got {g:?}", i + 1));
+            }
+        }
+    }
+    let extra = got.next().unwrap_or("<a different line ending>");
+    Err(format!("past the expected end: got {extra:?}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn check_compares_the_deterministic_block_only() {
+        let mut out = Output::new("Figure 6", "CPI error");
+        out.det.push_str("phased-1      50.213      -0.12%\n");
+        out.host
+            .push_str("mean runtime per benchmark: SMARTS 0.85s\n");
+        let file = out.render();
+        assert_eq!(check(&file, &out.det), Ok(()));
+        // A host value moves from run to run: never a failure.
+        let host_moved = file.replace("0.85s", "0.91s");
+        assert_eq!(check(&host_moved, &out.det), Ok(()));
+        // A deterministic value that moves is.
+        let det_moved = file.replace("-0.12%", "-0.13%");
+        let err = check(&det_moved, &out.det).unwrap_err();
+        assert!(err.starts_with("line 4:"), "{err}");
+        // So is a deterministic line that appears or disappears.
+        assert!(check(&file, &format!("{}extra\n", out.det)).is_err());
+        assert!(check(&file, "=== Figure 6 ===\n").is_err());
+    }
 
     #[test]
     fn config_choice_expands() {
@@ -271,6 +339,11 @@ mod tests {
         let a = cache.get(&sim, &bench, 1000);
         let b = cache.get(&sim, &bench, 1000);
         assert_eq!(a.cycles, b.cycles);
+        // The same benchmark at another scale is another run.
+        let longer = bench.scaled(2.0);
+        let c = cache.get(&sim, &longer, 1000);
+        assert_eq!(c.instructions, sim.reference(&longer, 1000).instructions);
+        assert_ne!(a.instructions, c.instructions);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Scales are kept tiny so the suite runs quickly in debug builds; the
 //! statistically demanding versions of these comparisons live in the
-//! `smarts-bench` figure binaries.
+//! `smarts-bench` `repro` experiments.
 
 use smarts::prelude::*;
 
