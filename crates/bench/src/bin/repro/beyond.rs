@@ -5,13 +5,11 @@ use crate::Result;
 use smarts_bench::ci_eff::{measure, render_json, Row, EPSILON, SAVINGS_BAR};
 use smarts_bench::{upct, HarnessArgs, Output, RefCache};
 use smarts_core::{SamplingParams, SmartsSim, Warming};
-use smarts_exec::{replay_store, warm_store, Executor};
-use smarts_isa::BuiltinIsa;
 use smarts_stats::{systematic_sample_means, Confidence, RandomDesign};
 use smarts_uarch::MachineConfig;
 use std::fmt::Write;
 
-/// Four ablations on the first benchmarks of the suite (8-way):
+/// Three ablations on the first benchmarks of the suite (8-way):
 ///
 /// 1. **Systematic vs random sampling** — Section 2 argues they are
 ///    equivalent when the intraclass correlation is negligible: estimator
@@ -20,14 +18,12 @@ use std::fmt::Write;
 /// 2. **Warming modes** — accuracy at fixed cost for no warming,
 ///    detailed-only warming and functional warming: Section 4 in one
 ///    table.
-/// 3. **Checkpoint replay fidelity** — TurboSMARTS-style replay of a
-///    warmed checkpoint store against direct sampling.
-/// 4. **Wrong-path fetch modelling** — full-detail CPI with the knob off
+/// 3. **Wrong-path fetch modelling** — full-detail CPI with the knob off
 ///    and on (the Section 4.5 corroboration).
 pub fn ablation(args: &HarnessArgs, cache: &RefCache) -> Result {
     let mut out = Output::new(
         "Ablations",
-        "systematic vs random; warming modes; checkpoint replay (8-way)",
+        "systematic vs random; warming modes; wrong-path fetch (8-way)",
     );
     let sim = SmartsSim::new(MachineConfig::eight_way());
     let suite = args.suite();
@@ -101,49 +97,6 @@ pub fn ablation(args: &HarnessArgs, cache: &RefCache) -> Result {
         )?;
     }
     d.push_str("(expected: functional warming matches or beats 8x as much detailed warming)\n\n");
-
-    writeln!(d, "--- checkpoint replay vs direct sampling ---")?;
-    writeln!(
-        d,
-        "{:<12}{:>14}{:>14}{:>16}",
-        "benchmark", "direct CPI", "replay CPI", "divergence"
-    )?;
-    let h = &mut out.host;
-    h.push_str("--- checkpoint replay speed (direct wall / replay wall) ---\n");
-    let store = std::env::temp_dir().join(format!("smarts-ablation-{}.ckpt", std::process::id()));
-    for bench in suite.iter().take(4) {
-        let n = (bench.approx_len() / 1000 / 30).max(10);
-        let params = SamplingParams::for_sample_size(
-            bench.approx_len(),
-            1000,
-            2000,
-            Warming::Functional,
-            n,
-            1,
-        )
-        .expect("valid parameters");
-        let direct = sim.sample(bench, &params).expect("sampling succeeds");
-        // Warm once into a store, then time the replay alone: what a
-        // second design point on the same warm geometry would pay.
-        let one = Executor::new(1).expect("executor");
-        warm_store::<BuiltinIsa>(&one, &sim, bench.name(), args.scale, &params, &store)
-            .expect("warming pass");
-        let replay = replay_store::<BuiltinIsa>(&one, &sim, &store)
-            .expect("replay succeeds")
-            .report
-            .report;
-        let (direct_cpi, replay_cpi) = (direct.cpi().mean(), replay.cpi().mean());
-        let divergence = upct((direct_cpi - replay_cpi).abs() / direct_cpi);
-        let name = bench.name();
-        writeln!(
-            d,
-            "{name:<12}{direct_cpi:>14.4}{replay_cpi:>14.4}{divergence:>16}"
-        )?;
-        let speed = direct.wall_total().as_secs_f64() / replay.wall_total().as_secs_f64();
-        writeln!(h, "{name:<12}{speed:>13.1}x")?;
-    }
-    std::fs::remove_file(&store).ok();
-    d.push_str("(expected: sub-percent divergence; replay speedup grows with stream length)\n\n");
 
     d.push_str("--- wrong-path fetch modelling: full-detail CPI with the knob off vs on ---\n");
     writeln!(

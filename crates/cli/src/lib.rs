@@ -13,13 +13,12 @@ use std::time::UNIX_EPOCH;
 
 use smarts_ckpt::MappedStore;
 use smarts_core::{
-    compare_machines, FunctionalEngine, ModeInstructions, SampleReport, SamplerKind, SamplerSpec,
-    SamplingParams, SmartsSim, Warming,
+    FunctionalEngine, PairedComparison, SampleReport, SamplerKind, SamplerSpec, SamplingParams,
+    SmartsSim, TwoStepOutcome, Warming,
 };
 use smarts_exec::{
-    compare_machines_parallel, replay_store_mapped, replay_store_sampled, sample,
-    sample_two_step_parallel, warm_store, ExecError, Executor, ParallelReport, SampledReplay,
-    UnitMemo,
+    replay_store_mapped, replay_store_sampled, sample, warm_store, ExecError, Executor,
+    ParallelReport, SampledReplay, UnitMemo,
 };
 use smarts_isa::{write_trace, BuiltinIsa, IsaId, RiscIsa, TraceIsa};
 use smarts_server::{
@@ -153,7 +152,8 @@ pub fn usage() -> String {
      \x20 --n <count>              target sample size         [100]\n\
      \x20 --u <insts>              sampling unit size U       [1000]\n\
      \x20 --w <insts>              detailed warming W         [machine default]\n\
-     \x20 --no-functional-warming  fast-forward without warming\n\
+     \x20 --no-functional-warming  fast-forward without warming (at --jobs 1 without\n\
+     \x20                          a store: no checkpoint holds the stale state)\n\
      \x20 --offset <units>         systematic phase offset j  [0]\n\
      \x20 --epsilon <f>            two-step target (e.g. 0.03); for stratified/\n\
      \x20                          adaptive samplers, the CI half-width target\n\
@@ -166,10 +166,9 @@ pub fn usage() -> String {
      \x20 --strata <count>         stratum count                       [4]\n\
      \x20 --pilot <units>          pilot sample size (0 = automatic)   [0]\n\
      \x20 --jobs <count>           replay workers for sample/compare: units replay\n\
-     \x20                          from checkpoints while warming runs ahead, the\n\
-     \x20                          same bytes at any count; only a built-in run with\n\
-     \x20                          no store at 1 is the in-order estimator instead\n\
-     \x20                          (other last digits)                 [1]\n\
+     \x20                          from checkpoints while warming runs ahead (at 1\n\
+     \x20                          without a store, on the warming thread), the\n\
+     \x20                          same bytes at any count             [1]\n\
      \x20 --save-checkpoints <p>   persist unit checkpoints to a store at <p> while\n\
      \x20                          sampling (not with --epsilon)\n\
      \x20 --from-checkpoints <p>   replay a saved store, skipping functional warming;\n\
@@ -395,10 +394,8 @@ fn sample_frontend(options: &Options) -> Result<(IsaId, String), String> {
 /// the variants' sizes do not matter).
 #[allow(clippy::large_enum_variant)]
 enum Estimate {
-    /// The systematic estimator, from the paper's in-order loop.
-    InOrder(SampleReport),
-    /// The systematic estimator, through checkpoints.
-    Checkpointed(ParallelReport),
+    /// The systematic estimator over every checkpointed unit.
+    Systematic(ParallelReport),
     /// A stratified or adaptive selection from the checkpointed grid.
     Sampled(SampledReplay),
 }
@@ -417,13 +414,11 @@ struct SampleRun {
 }
 
 impl Estimate {
-    /// The merged report and, unless the in-order loop produced it, the
-    /// parallel accounting of the run beside it.
-    fn parts(&self) -> (&SampleReport, Option<&ParallelReport>) {
+    /// The run's merged report with its parallel accounting.
+    fn run(&self) -> &ParallelReport {
         match self {
-            Estimate::InOrder(report) => (report, None),
-            Estimate::Checkpointed(run) => (&run.report, Some(run)),
-            Estimate::Sampled(sampled) => (&sampled.report.report, Some(&sampled.report)),
+            Estimate::Systematic(run) => run,
+            Estimate::Sampled(sampled) => &sampled.report,
         }
     }
 }
@@ -432,8 +427,8 @@ impl SampleRun {
     /// The canonical bit-exact report line (`--json`).
     fn json_line(&self) -> String {
         match &self.estimate {
+            Estimate::Systematic(run) => canonical_report_line(&run.report),
             Estimate::Sampled(sampled) => sampled_report_line(sampled),
-            systematic => canonical_report_line(systematic.parts().0),
         }
     }
 }
@@ -500,8 +495,7 @@ fn store_written_note(write: &smarts_ckpt::WriteSummary, path: &std::path::Path)
 /// past, the sampled strategies need random access to the whole grid
 /// before they pick a unit, so they warm a store first (a temporary one
 /// without `--save-checkpoints`) and then replay their selection from
-/// it. Every route through checkpoints yields the same report bytes for
-/// the same design.
+/// it. Every route yields the same report bytes for the same design.
 fn sample_with<F: Frontend>(options: &Options, workload: &str) -> Result<SampleRun, String> {
     let cfg = machine(options);
     let sim = SmartsSim::new(cfg.clone());
@@ -549,7 +543,7 @@ fn sample_with<F: Frontend>(options: &Options, workload: &str) -> Result<SampleR
                     replayed.records
                 ));
             }
-            Estimate::Checkpointed(replayed.report)
+            Estimate::Systematic(replayed.report)
         } else {
             Estimate::Sampled(
                 replay_store_sampled::<F>(&executor, &sim, &store, &spec).map_err(text)?,
@@ -602,43 +596,34 @@ fn sample_with<F: Frontend>(options: &Options, workload: &str) -> Result<SampleR
             let _ = std::fs::remove_file(&temp);
         }
         Estimate::Sampled(sampled.map_err(text)?)
-    } else if two_step.is_some() || (F::ID == IsaId::Builtin && save.is_none() && options.jobs == 1)
-    {
-        // Two-step tuning reruns a suite `Benchmark` at a tuned n, and a
-        // plain one-worker run of the built-in frontend stays the
-        // paper's own in-order loop (`SmartsSim::sample`): warm, measure
-        // a unit in place, carry on — a second estimator, whose bits
-        // legitimately differ from checkpointed replay.
+    } else if let Some(eps) = two_step {
+        // Two-step tuning reruns a suite `Benchmark` at a tuned n; the
+        // run that stands is the last one.
         let bench = benchmark(options)?;
-        let report = match two_step {
-            None => sim.sample(&bench, &params).map_err(|e| e.to_string())?,
-            Some(eps) => {
-                let outcome = if options.jobs > 1 {
-                    sample_two_step_parallel(&executor, &sim, &bench, &params, eps, conf)
-                        .map_err(text)?
-                } else {
-                    sim.sample_two_step(&bench, &params, eps, conf)
-                        .map_err(|e| e.to_string())?
-                };
-                if let Some(tuned) = &outcome.tuned {
-                    notes.push(format!(
-                        "initial n = {} missed ±{:.2}%; tuned rerun at n = {}",
-                        outcome.initial.sample_size(),
-                        eps * 100.0,
-                        tuned.sample_size()
-                    ));
-                }
-                outcome.best().clone()
-            }
-        };
-        Estimate::InOrder(report)
+        let mut last = None;
+        let outcome = TwoStepOutcome::run(bench.approx_len(), &params, eps, conf, |p| {
+            let run = executor.sample(&sim, &bench, p)?;
+            let report = run.report.clone();
+            last = Some(run);
+            Ok::<_, ExecError>(report)
+        })
+        .map_err(text)?;
+        if let Some(tuned) = &outcome.tuned {
+            notes.push(format!(
+                "initial n = {} missed ±{:.2}%; tuned rerun at n = {}",
+                outcome.initial.sample_size(),
+                eps * 100.0,
+                tuned.sample_size()
+            ));
+        }
+        Estimate::Systematic(last.expect("the two-step procedure sampled"))
     } else {
         let (report, write) =
             sample::<F>(&executor, &sim, workload, options.scale, &params, save).map_err(text)?;
         if let (Some(write), Some(path)) = (write, save) {
             notes.push(store_written_note(&write, path));
         }
-        Estimate::Checkpointed(report)
+        Estimate::Systematic(report)
     };
     Ok(run(label, params, notes, estimate))
 }
@@ -658,14 +643,14 @@ fn cmd_sample(options: &Options) -> Result<(), String> {
     if let Estimate::Sampled(sampled) = &run.estimate {
         print_sampler_lines(sampled);
     }
-    let (report, parallel) = run.estimate.parts();
+    let parallel = run.estimate.run();
     print_sample_report(
         &run.label,
         &machine(options),
         &run.params,
-        report,
+        &parallel.report,
         run.conf,
-        parallel,
+        Some(parallel),
     );
     Ok(())
 }
@@ -862,23 +847,6 @@ fn cmd_ckpt_info(path: &str, json: bool) -> Result<(), String> {
     Ok(())
 }
 
-/// The `sample` line of the human-readable report. A replay from
-/// checkpoints fast-forwards nothing, so "percent of the stream" has no
-/// stream to be a percentage of; it reports what it simulated instead.
-fn sample_line(units: u64, instructions: &ModeInstructions) -> String {
-    if instructions.fast_forwarded == 0 {
-        format!(
-            "sample        {units} units, {} instructions in detail, replayed from checkpoints",
-            instructions.detailed_warmed + instructions.measured
-        )
-    } else {
-        format!(
-            "sample        {units} units, {:.4}% of the stream in detail",
-            instructions.detailed_fraction() * 100.0
-        )
-    }
-}
-
 fn print_sample_report(
     bench_label: &str,
     cfg: &MachineConfig,
@@ -897,8 +865,9 @@ fn print_sample_report(
         cfg.name, params.unit_size, params.detailed_warming, params.interval, params.offset
     );
     println!(
-        "{}",
-        sample_line(report.sample_size(), &report.instructions)
+        "sample        {} units, {} instructions in detail, replayed from checkpoints",
+        report.sample_size(),
+        report.instructions.detailed()
     );
     let pct = |e: smarts_stats::SampleEstimate| -> String {
         match e.achieved_epsilon(conf) {
@@ -938,16 +907,16 @@ fn print_sample_report(
                 );
             }
             None => println!(
-                "parallel      {} mode, {} workers: {:.2?} sequential build + {:.2?} parallel",
-                pr.mode, pr.jobs, pr.build_wall, pr.parallel_wall
+                "parallel      none: one thread replays each unit as warming reaches it ({:.2?})",
+                pr.parallel_wall
             ),
         }
         for w in &pr.workers {
             let (i, memoized) = (&w.instructions, w.memoized);
             println!(
-                "  worker {:<3} {:>5} units  {:>10.2?}  ff {:>12}  warm {:>10}  measured {:>10}  \
+                "  worker {:<3} {:>5} units  {:>10.2?}  warm {:>10}  measured {:>10}  \
                  memoized {memoized:>5}",
-                w.worker, w.units, w.wall, i.fast_forwarded, i.detailed_warmed, i.measured
+                w.worker, w.units, w.wall, i.detailed_warmed, i.measured
             );
         }
     }
@@ -968,20 +937,25 @@ fn cmd_reference(options: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compare(options: &Options) -> Result<(), String> {
+/// The paired 8-way vs 16-way comparison the options describe, each
+/// machine sampled on `--jobs` workers.
+fn run_compare(options: &Options) -> Result<PairedComparison, String> {
     let bench = benchmark(options)?;
     let base = SmartsSim::new(MachineConfig::eight_way());
     let alt = SmartsSim::new(MachineConfig::sixteen_way());
     let mut params = sampling_params(options, base.config(), bench.approx_len())?;
     params.detailed_warming = 0; // per-machine recommendation
+    let executor = Executor::new(options.jobs).map_err(|e| e.to_string())?;
+    PairedComparison::run(&base, &alt, &params, |sim, p| {
+        executor.sample(sim, &bench, p).map(|run| run.report)
+    })
+    .map_err(|e: ExecError| e.to_string())
+}
+
+fn cmd_compare(options: &Options) -> Result<(), String> {
+    let bench = benchmark(options)?;
     let conf = Confidence::new(options.confidence).map_err(|e| e.to_string())?;
-    let cmp = if options.jobs > 1 {
-        let executor = Executor::new(options.jobs).map_err(|e| e.to_string())?;
-        compare_machines_parallel(&executor, &base, &alt, &bench, &params)
-            .map_err(|e| e.to_string())?
-    } else {
-        compare_machines(&base, &alt, &bench, &params).map_err(|e| e.to_string())?
-    };
+    let cmp = run_compare(options)?;
     println!("benchmark     {}", bench);
     println!("pairs         {}", cmp.pairs());
     println!("8-way CPI     {:.4}", cmp.baseline.cpi().mean());
@@ -1334,27 +1308,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_line_reports_a_share_only_of_a_stream_it_saw() {
-        let cold = ModeInstructions {
-            fast_forwarded: 9_970_000,
-            detailed_warmed: 20_000,
-            measured: 10_000,
-        };
-        assert_eq!(
-            sample_line(10, &cold),
-            "sample        10 units, 0.3000% of the stream in detail"
-        );
-        let replay = ModeInstructions {
-            fast_forwarded: 0,
-            ..cold
-        };
-        assert_eq!(
-            sample_line(10, &replay),
-            "sample        10 units, 30000 instructions in detail, replayed from checkpoints"
-        );
-    }
-
-    #[test]
     fn rejects_unknown_flags_and_bad_values() {
         assert!(parse_options(&strings(&["--wat"])).is_err());
         assert!(parse_options(&strings(&["--config", "12"])).is_err());
@@ -1391,10 +1344,15 @@ mod tests {
             .unwrap()
             .estimate
         {
-            Estimate::Checkpointed(parallel) => parallel,
-            Estimate::InOrder(_) => panic!("{args:?} did not run through the executor"),
+            Estimate::Systematic(parallel) => parallel,
             Estimate::Sampled(sampled) => sampled.report,
         }
+    }
+
+    /// The `--json` line of a `smarts sample` run.
+    fn json_of(args: &[&str]) -> String {
+        let run = run_sample(&parse_options(&strings(args)).unwrap());
+        run.unwrap_or_else(|e| panic!("{args:?}: {e}")).json_line()
     }
 
     const BUILTIN: [&str; 4] = ["--bench", "loopy-1", "--scale", "0.02"];
@@ -1452,9 +1410,123 @@ mod tests {
         let replayed = parallel_of(&["--from-checkpoints", &path_s, "--jobs", "2"]);
         assert_eq!(replayed.mode, ParallelMode::Checkpoint);
         remove_store(&path);
-        // One worker, no store: the in-order loop, no executor.
-        let in_order = run_sample(&parse_options(&strings(&BUILTIN)).unwrap()).unwrap();
-        assert!(matches!(in_order.estimate, Estimate::InOrder(_)));
+        // One worker, no store: the warming thread replays each unit, with
+        // no channel — and the same bytes as every other route.
+        let inline = parallel_of(&[&BUILTIN[..], &["--n", "8"]].concat());
+        assert_eq!((inline.jobs, inline.pipeline), (1, None));
+        let line = |flags: &[&str]| json_of(&[&BUILTIN[..], &["--n", "8"], flags].concat());
+        let one = line(&["--jobs", "1"]);
+        assert_eq!(line(&["--jobs", "2"]), one, "--jobs 2");
+        assert_eq!(line(&["--save-checkpoints", &path_s]), one, "saving");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn every_route_prints_the_same_json_for_the_reference_designs() {
+        // The designs `smarts sample` is timed on (n = 100, j = 0,
+        // W = 2000), on shorter streams: one worker, two workers, a run
+        // that saves its checkpoints and a served job print one line.
+        let dir = std::env::temp_dir().join(format!("smarts-cli-routes-{}", std::process::id()));
+        let server = smarts_server::Server::bind(&smarts_server::ServerConfig {
+            store_dir: dir.clone(),
+            ..Default::default()
+        })
+        .unwrap();
+        let addr = server.local_addr().to_string();
+        let stop = server.stop_flag();
+        let serving = std::thread::spawn(move || server.serve());
+        let mut client = Client::connect(&addr).unwrap();
+        let path = dir.join("saved.ckpt");
+        let path_s = path.to_string_lossy().to_string();
+        for bench in ["hashp-2", "loopy-1", "chase-2", "branchy-1"] {
+            let design = [
+                "--bench", bench, "--scale", "0.05", "--n", "100", "--offset", "0", "--w", "2000",
+            ];
+            let line = |flags: &[&str]| json_of(&[&design[..], flags].concat());
+            let one = line(&["--jobs", "1"]);
+            assert_eq!(line(&["--jobs", "2"]), one, "{bench}: --jobs 2");
+            assert_eq!(
+                line(&["--save-checkpoints", &path_s]),
+                one,
+                "{bench}: saving"
+            );
+            std::fs::remove_file(&path).unwrap();
+            let spec = job_spec(&parse_options(&strings(&design)).unwrap()).unwrap();
+            let id = client.submit(&spec).unwrap();
+            assert_eq!(client.wait(&id).unwrap(), "done", "{bench}: served");
+            assert_eq!(client.result(&id).unwrap().1, one, "{bench}: served");
+        }
+        stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        serving.join().unwrap().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn two_step_tunes_to_the_same_bytes_at_any_jobs() {
+        let args = |jobs| {
+            [
+                &BUILTIN[..],
+                &["--n", "8", "--epsilon", "0.001", "--jobs", jobs],
+            ]
+            .concat()
+        };
+        let one = run_sample(&parse_options(&strings(&args("1"))).unwrap()).unwrap();
+        let two = run_sample(&parse_options(&strings(&args("2"))).unwrap()).unwrap();
+        assert!(
+            one.notes.iter().any(|n| n.contains("tuned rerun")),
+            "an unreachable target tunes: {:?}",
+            one.notes
+        );
+        assert_eq!(two.notes, one.notes);
+        assert_eq!(two.json_line(), one.json_line());
+    }
+
+    #[test]
+    fn compare_pairs_the_same_units_at_any_jobs() {
+        let args = ["--bench", "stream-2", "--scale", "0.05", "--n", "6"];
+        let compare = |jobs| {
+            run_compare(&parse_options(&strings(&[&args[..], &["--jobs", jobs]].concat())).unwrap())
+                .unwrap()
+        };
+        let (one, two) = (compare("1"), compare("2"));
+        assert_eq!(two.pairs(), one.pairs());
+        assert_eq!(two.cpi_delta().to_bits(), one.cpi_delta().to_bits());
+        assert_eq!(two.speedup().to_bits(), one.speedup().to_bits());
+    }
+
+    #[test]
+    fn no_functional_warming_is_refused_at_two_workers() {
+        let args = [&BUILTIN[..], &["--n", "8", "--no-functional-warming"]].concat();
+        // One worker without a store carries the stale state unit to unit.
+        run_sample(&parse_options(&strings(&args)).unwrap()).unwrap();
+        let two = [&args[..], &["--jobs", "2"]].concat();
+        let err = run_sample(&parse_options(&strings(&two)).unwrap())
+            .err()
+            .unwrap();
+        assert_eq!(err, ExecError::NoFunctionalWarming.to_string());
+    }
+
+    #[test]
+    fn no_functional_warming_is_refused_when_saving_checkpoints() {
+        let path =
+            std::env::temp_dir().join(format!("smarts-cli-no-fw-{}.ckpt", std::process::id()));
+        let path_s = path.to_string_lossy().to_string();
+        let args = [
+            &BUILTIN[..],
+            &[
+                "--n",
+                "8",
+                "--no-functional-warming",
+                "--save-checkpoints",
+                &path_s,
+            ],
+        ]
+        .concat();
+        let err = run_sample(&parse_options(&strings(&args)).unwrap())
+            .err()
+            .unwrap();
+        assert_eq!(err, ExecError::NoFunctionalWarming.to_string());
+        assert!(!path.exists(), "a refused run writes no store");
     }
 
     #[test]
@@ -1710,10 +1782,7 @@ mod tests {
     /// flags for replaying a store.
     fn check_matrix(workload: &[&str], replay: &[&str], samplers: &[&str]) {
         let _serial = MATRIX.lock().unwrap_or_else(|p| p.into_inner());
-        let line = |args: Vec<&str>| {
-            let run = run_sample(&parse_options(&strings(&args)).unwrap());
-            run.unwrap_or_else(|e| panic!("{args:?}: {e}")).json_line()
-        };
+        let line = |args: Vec<&str>| json_of(&args);
         for (row, sampler) in samplers.iter().enumerate() {
             let path = std::env::temp_dir().join(format!(
                 "smarts-cli-matrix-{}-{}-{row}.ckpt",
@@ -1721,8 +1790,7 @@ mod tests {
                 replay.join("")
             ));
             let path_s = path.to_string_lossy().to_string();
-            // Two workers: the built-in frontend's cold systematic cell
-            // must go through checkpoints like every other cell.
+            // Two workers, so every cell runs the threaded pipeline.
             let design = [
                 "--n",
                 "12",
@@ -1772,7 +1840,7 @@ mod tests {
             format!("memo          {known} of {records} units known from {file} ({written})")
         };
         let memoized = |run: &SampleRun| {
-            let workers = &run.estimate.parts().1.unwrap().workers;
+            let workers = &run.estimate.run().workers;
             let sum = |f: fn(&WorkerStats) -> u64| workers.iter().map(f).sum::<u64>();
             (sum(|w| w.units), sum(|w| w.memoized))
         };

@@ -29,28 +29,44 @@ pub struct PairedComparison {
 }
 
 impl PairedComparison {
-    /// Pairs two already-measured reports of the same systematic design
-    /// (same `U`, `k`, `j`, so unit starts coincide).
+    /// Samples the same systematic design on two machines with `sample` —
+    /// on one thread ([`compare_machines`]) or on a worker pool — and
+    /// pairs the per-unit measurements.
     ///
-    /// This is the assembly half of [`compare_machines`], split out so
-    /// the reports can come from any driver — in particular the parallel
-    /// executor in `smarts-exec`.
+    /// Both runs use the caller's `params` (same `U`, `k`, `j`), so unit
+    /// starts coincide exactly; the detailed-warming length is taken from
+    /// each machine's own recommendation when `params.detailed_warming`
+    /// is 0.
     ///
     /// # Errors
     ///
-    /// Returns [`SmartsError::EmptySample`] if the runs measured no
-    /// common units.
-    pub fn from_reports(
-        baseline: SampleReport,
-        alternative: SampleReport,
-    ) -> Result<Self, SmartsError> {
+    /// Whatever `sample` returns, and [`SmartsError::EmptySample`] if the
+    /// two runs measured no common units.
+    pub fn run<E: From<SmartsError>>(
+        baseline: &SmartsSim,
+        alternative: &SmartsSim,
+        params: &SamplingParams,
+        mut sample: impl FnMut(&SmartsSim, &SamplingParams) -> Result<SampleReport, E>,
+    ) -> Result<Self, E> {
+        let with_w = |sim: &SmartsSim| -> SamplingParams {
+            if params.detailed_warming == 0 {
+                SamplingParams {
+                    detailed_warming: sim.config().recommended_detailed_warming(),
+                    ..*params
+                }
+            } else {
+                *params
+            }
+        };
+        let baseline = sample(baseline, &with_w(baseline))?;
+        let alternative = sample(alternative, &with_w(alternative))?;
         let mut diffs = RunningStats::new();
         for (ua, ub) in baseline.units.iter().zip(&alternative.units) {
             debug_assert_eq!(ua.start_instr, ub.start_instr, "designs must align");
             diffs.push(ub.cpi - ua.cpi);
         }
         if diffs.count() == 0 {
-            return Err(SmartsError::EmptySample);
+            return Err(SmartsError::EmptySample.into());
         }
         Ok(PairedComparison {
             baseline,
@@ -128,36 +144,18 @@ impl SampleReport {
     }
 }
 
-/// Samples the same systematic design on two machines and pairs the
-/// per-unit measurements.
-///
-/// Both runs use the caller's `params` (same `U`, `k`, `j`), so unit
-/// starts coincide exactly; the detailed-warming length is taken from
-/// each machine's own recommendation when `params.detailed_warming` is 0.
+/// [`PairedComparison::run`] with [`SmartsSim::sample`] over `bench`.
 ///
 /// # Errors
 ///
-/// Propagates sampling errors from either run, and fails with
-/// [`SmartsError::EmptySample`] if the two runs measured no common units.
+/// As for [`PairedComparison::run`].
 pub fn compare_machines(
     baseline: &SmartsSim,
     alternative: &SmartsSim,
     bench: &Benchmark,
     params: &SamplingParams,
 ) -> Result<PairedComparison, SmartsError> {
-    let with_w = |sim: &SmartsSim| -> SamplingParams {
-        if params.detailed_warming == 0 {
-            SamplingParams {
-                detailed_warming: sim.config().recommended_detailed_warming(),
-                ..*params
-            }
-        } else {
-            *params
-        }
-    };
-    let a = baseline.sample(bench, &with_w(baseline))?;
-    let b = alternative.sample(bench, &with_w(alternative))?;
-    PairedComparison::from_reports(a, b)
+    PairedComparison::run(baseline, alternative, params, |sim, p| sim.sample(bench, p))
 }
 
 #[cfg(test)]

@@ -3,11 +3,11 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use crate::engine::FunctionalEngine;
+use crate::checkpoint::{UnitReplay, WarmSpares};
 use crate::error::SmartsError;
 use smarts_energy::{ActivityCounters, EnergyModel};
 use smarts_stats::{Confidence, RunningStats, SampleEstimate};
-use smarts_uarch::{MachineConfig, Pipeline, WarmState};
+use smarts_uarch::{MachineConfig, WarmState};
 use smarts_workloads::{Benchmark, Loaded};
 
 /// How microarchitectural state is maintained between sampling units.
@@ -413,7 +413,9 @@ impl UnitSample {
 /// Instruction counts by simulation mode for one sampling run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ModeInstructions {
-    /// Instructions fast-forwarded (with or without functional warming).
+    /// Instructions fast-forwarded between a unit's checkpoint and its
+    /// detailed episode: always 0, since every unit replays from its
+    /// warming start. Kept as a field of the canonical report line.
     pub fast_forwarded: u64,
     /// Instructions simulated in detail without measurement (`n·W`).
     pub detailed_warmed: u64,
@@ -422,19 +424,9 @@ pub struct ModeInstructions {
 }
 
 impl ModeInstructions {
-    /// Total instructions consumed from the stream.
-    pub fn total(&self) -> u64 {
-        self.fast_forwarded + self.detailed_warmed + self.measured
-    }
-
-    /// Fraction of the consumed stream simulated in detail.
-    pub fn detailed_fraction(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            (self.detailed_warmed + self.measured) as f64 / total as f64
-        }
+    /// Instructions simulated in detail, warming and measured.
+    pub fn detailed(&self) -> u64 {
+        self.detailed_warmed + self.measured
     }
 }
 
@@ -579,11 +571,11 @@ impl fmt::Display for SampleReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "n={} CPI {} EPI {} detail-fraction {:.4}%",
+            "n={} CPI {} EPI {} detailed {} instructions",
             self.sample_size(),
             self.cpi(),
             self.epi(),
-            self.instructions.detailed_fraction() * 100.0
+            self.instructions.detailed()
         )
     }
 }
@@ -659,7 +651,15 @@ impl SmartsSim {
     }
 
     /// Runs one systematic sampling simulation over an already-loaded
-    /// benchmark image.
+    /// benchmark image: the functional-warming pass of
+    /// [`SmartsSim::stream_checkpoints_with`] hands each unit's checkpoint
+    /// to [`SmartsSim::replay_with`] on this thread the moment its
+    /// boundary is reached. Units are independent, so this is the report
+    /// every checkpointed route reduces to, at any worker count; one
+    /// checkpoint and one spare warm state are resident at a time.
+    ///
+    /// Under [`Warming::None`] each unit replays instead on the warm state
+    /// the previous unit's episode left: the paper's stale-state design.
     ///
     /// # Errors
     ///
@@ -669,96 +669,43 @@ impl SmartsSim {
         loaded: Loaded<I>,
         params: &SamplingParams,
     ) -> Result<SampleReport, SmartsError> {
-        params.validate()?;
-        let u = params.unit_size;
-        let w = params.detailed_warming;
-        let k = params.interval;
-
-        let mut engine = FunctionalEngine::new(loaded);
-        let mut warm = WarmState::new(&self.cfg);
+        let program = loaded.program.clone();
+        let spares = WarmSpares::default();
+        spares.keep(1);
+        let mut stale = (params.warming == Warming::None).then(|| WarmState::new(&self.cfg));
         let mut units = Vec::new();
-        let mut cpi_stats = RunningStats::new();
-        let mut epi_stats = RunningStats::new();
         let mut instructions = ModeInstructions::default();
-        let mut wall_functional = Duration::ZERO;
         let mut wall_detailed = Duration::ZERO;
-
-        let mut unit_index = params.offset;
-        loop {
-            if let Some(max) = params.max_units {
-                if units.len() as u64 >= max {
-                    break;
-                }
-            }
-            let unit_start = unit_index * u;
-            if engine.position() >= unit_start + u {
-                // The pipeline overshot past this entire unit (only
-                // possible for tiny k); skip to the next one.
-                unit_index += k;
-                continue;
-            }
-            let warm_start = unit_start.saturating_sub(w);
-
+        let summary = self.stream_checkpoints_with(loaded, params, &spares, |checkpoint| {
             let t0 = Instant::now();
-            let ff = match params.warming {
-                Warming::None => engine.fast_forward(warm_start),
-                Warming::Functional => engine.fast_forward_warming(warm_start, &mut warm),
-            };
-            wall_functional += t0.elapsed();
-            instructions.fast_forwarded += ff;
-            if engine.finished() {
-                break;
-            }
-
-            let t1 = Instant::now();
-            let mut pipeline = Pipeline::new(&self.cfg);
-            let warm_commits = unit_start.saturating_sub(engine.position());
-            let warm_run = pipeline.run(&mut warm, &mut engine, warm_commits, false);
-            let measured = pipeline.run(&mut warm, &mut engine, u, true);
-            wall_detailed += t1.elapsed();
-            instructions.detailed_warmed += warm_run.instructions;
-
-            if measured.instructions < u {
+            let replay = self.replay_unit(&program, params, checkpoint, stale.as_mut(), &spares);
+            wall_detailed += t0.elapsed();
+            replay.account(&mut instructions);
+            match replay {
+                UnitReplay::Complete { sample, .. } => {
+                    units.push(*sample);
+                    true
+                }
                 // Partial unit at end of stream: excluded from the sample,
                 // consistent with a population of ⌊stream/U⌋ whole units.
-                instructions.measured += measured.instructions;
-                break;
+                UnitReplay::Partial { .. } => false,
             }
-            instructions.measured += measured.instructions;
-            let cpi = measured.cpi();
-            let epi = self
-                .energy
-                .energy_per_instruction(&measured.counters, measured.cycles);
-            cpi_stats.push(cpi);
-            epi_stats.push(epi);
-            units.push(UnitSample {
-                start_instr: unit_start,
-                cycles: measured.cycles,
-                instructions: measured.instructions,
-                cpi,
-                epi,
-                counters: measured.counters,
-            });
-            unit_index += k;
-        }
-
+        })?;
         if units.is_empty() {
             return Err(SmartsError::EmptySample);
         }
-        Ok(SampleReport {
-            params: *params,
+        let wall_functional = summary.build_wall.saturating_sub(wall_detailed);
+        Ok(SampleReport::from_units(
+            *params,
             units,
             instructions,
             wall_functional,
             wall_detailed,
-            cpi_stats,
-            epi_stats,
-        })
+        ))
     }
 
-    /// Runs the paper's two-step procedure (Section 5.1): one run at
-    /// `n_init`; if the achieved interval misses `±epsilon` at the given
-    /// confidence, a second run at `n_tuned = (z·V̂/ε)²`.
+    /// Runs the paper's two-step procedure (Section 5.1) with
+    /// [`SmartsSim::sample`]: [`TwoStepOutcome::run`] on this simulator.
     ///
     /// # Errors
     ///
@@ -770,28 +717,9 @@ impl SmartsSim {
         epsilon: f64,
         confidence: Confidence,
     ) -> Result<TwoStepOutcome, SmartsError> {
-        let initial = self.sample(bench, params)?;
-        match initial.recommended_n(epsilon, confidence)? {
-            None => Ok(TwoStepOutcome {
-                initial,
-                tuned: None,
-            }),
-            Some(n_tuned) => {
-                let retuned = SamplingParams::for_sample_size(
-                    bench.approx_len(),
-                    params.unit_size,
-                    params.detailed_warming,
-                    params.warming,
-                    n_tuned,
-                    0, // the tuned run's interval shrinks; restart at phase 0
-                )?;
-                let tuned = self.sample(bench, &retuned)?;
-                Ok(TwoStepOutcome {
-                    initial,
-                    tuned: Some(tuned),
-                })
-            }
-        }
+        TwoStepOutcome::run(bench.approx_len(), params, epsilon, confidence, |p| {
+            self.sample(bench, p)
+        })
     }
 }
 
@@ -805,6 +733,40 @@ pub struct TwoStepOutcome {
 }
 
 impl TwoStepOutcome {
+    /// The paper's two-step procedure (Section 5.1) over a stream of about
+    /// `stream_len` instructions: one run at `params`; if the achieved
+    /// interval misses `±epsilon` at the given confidence, a second run at
+    /// `n_tuned = (z·V̂/ε)²`. `sample` performs each run — on one thread
+    /// ([`SmartsSim::sample_two_step`]) or on a worker pool.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `sample` returns, plus invalid `epsilon`/confidence.
+    pub fn run<E: From<SmartsError>>(
+        stream_len: u64,
+        params: &SamplingParams,
+        epsilon: f64,
+        confidence: Confidence,
+        mut sample: impl FnMut(&SamplingParams) -> Result<SampleReport, E>,
+    ) -> Result<Self, E> {
+        let initial = sample(params)?;
+        let tuned = match initial.recommended_n(epsilon, confidence)? {
+            None => None,
+            Some(n_tuned) => {
+                let retuned = SamplingParams::for_sample_size(
+                    stream_len,
+                    params.unit_size,
+                    params.detailed_warming,
+                    params.warming,
+                    n_tuned,
+                    0, // the tuned run's interval shrinks; restart at phase 0
+                )?;
+                Some(sample(&retuned)?)
+            }
+        };
+        Ok(TwoStepOutcome { initial, tuned })
+    }
+
     /// The report that should be used for the final estimate.
     pub fn best(&self) -> &SampleReport {
         self.tuned.as_ref().unwrap_or(&self.initial)
@@ -862,12 +824,11 @@ mod tests {
         let params =
             SamplingParams::paper_defaults(sim().config(), bench.approx_len(), 10).unwrap();
         let report = sim().sample(&bench, &params).unwrap();
-        assert!(
-            report.instructions.detailed_fraction() < 0.2,
-            "fraction = {}",
-            report.instructions.detailed_fraction()
-        );
-        assert!(report.instructions.fast_forwarded > 0);
+        let fraction = report.instructions.detailed() as f64 / bench.approx_len() as f64;
+        assert!(fraction < 0.2, "fraction = {fraction}");
+        // Every unit replays from its checkpoint: nothing is fast-forwarded
+        // inside a detailed episode.
+        assert_eq!(report.instructions.fast_forwarded, 0);
     }
 
     #[test]
@@ -967,6 +928,11 @@ mod tests {
         assert_eq!(m.measured, report.sample_size() * 500);
         assert!(report.sample_size() >= 9, "close to the requested 10 units");
         assert!(m.detailed_warmed <= report.sample_size() * 1000);
-        assert!(m.fast_forwarded > m.measured, "fast-forwarding dominates");
+        assert_eq!(m.fast_forwarded, 0, "units replay from their checkpoints");
+        assert_eq!(m.detailed(), m.detailed_warmed + m.measured);
+        assert!(
+            m.detailed() * 5 < bench.approx_len(),
+            "the warming pass, not detail, covers the stream"
+        );
     }
 }

@@ -37,6 +37,11 @@ pub enum ExecError {
     ZeroJobs,
     /// The executor's [`crate::UnitMemo`] is another simulator's or store's.
     MemoMismatch,
+    /// A run through checkpoints was asked for [`smarts_core::Warming::None`].
+    /// Without functional warming a unit starts from the state the
+    /// previous unit's detailed episode left, which no checkpoint holds;
+    /// only a one-worker run that keeps no store measures it.
+    NoFunctionalWarming,
     /// The run was cancelled through its [`crate::CancelToken`] before
     /// completing; any partial results were discarded.
     Cancelled,
@@ -58,6 +63,11 @@ impl fmt::Display for ExecError {
             }
             ExecError::ZeroJobs => write!(f, "executor needs at least one worker"),
             ExecError::MemoMismatch => write!(f, "unit memo is for another simulator or store"),
+            ExecError::NoFunctionalWarming => write!(
+                f,
+                "a run without functional warming cannot go through checkpoints: \
+                 run it at one worker without a store"
+            ),
             ExecError::Cancelled => write!(f, "run cancelled before completion"),
         }
     }
@@ -105,6 +115,9 @@ mod tests {
         assert!(p.source().is_none());
         assert!(ExecError::ZeroJobs.to_string().contains("at least one"));
         assert!(ExecError::MemoMismatch.to_string().contains("unit memo"));
+        assert!(ExecError::NoFunctionalWarming
+            .to_string()
+            .contains("functional warming"));
         assert!(ExecError::Cancelled.to_string().contains("cancelled"));
         assert!(ExecError::Cancelled.source().is_none());
         let u = ExecError::UnknownBenchmark("ghost-9".into());

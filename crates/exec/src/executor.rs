@@ -29,7 +29,8 @@ pub enum ParallelMode {
     /// consumers replay concurrently. Warming and replay overlap (wall
     /// time tends to `max(T_warm, T_detail/jobs)`) and peak checkpoint
     /// residency is bounded by the channel depth plus in-flight replays
-    /// instead of O(n units).
+    /// instead of O(n units). A one-worker run that keeps no store has
+    /// no channel: its one thread warms and replays in turn.
     Pipeline,
 }
 
@@ -44,9 +45,9 @@ impl std::fmt::Display for ParallelMode {
 
 /// Per-worker cost accounting for one parallel run.
 ///
-/// `instructions` uses the same mode breakdown as the sequential driver
-/// (the paper's Table 6 categories), so per-worker rows can be summed or
-/// tabulated with the existing reporting.
+/// `instructions` uses the report's mode breakdown (the paper's Table 6
+/// categories), so per-worker rows can be summed or tabulated with the
+/// existing reporting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerStats {
     /// Zero-based worker index.
@@ -85,7 +86,8 @@ pub struct ParallelReport {
     /// Wall-clock of the parallel phase (the longest worker critical
     /// path, as observed by the caller): the whole overlapped run.
     pub parallel_wall: Duration,
-    /// Producer-side and residency accounting.
+    /// Producer-side and residency accounting; `None` for a one-worker
+    /// run that keeps no store, which replays on the warming thread.
     pub pipeline: Option<PipelineStats>,
     /// Always `None`: sharded warming was measured and deleted, and the
     /// benchmark's staged pass still spells this field in a literal.
@@ -315,7 +317,8 @@ impl Executor {
     /// Attaches a progress observer: runs push a
     /// [`crate::PipelineProgress`] snapshot each time the producer emits a
     /// checkpoint or a worker finishes a unit. The callback runs on
-    /// producer/worker threads, so it must be cheap and non-blocking.
+    /// producer/worker threads, so it must be cheap and non-blocking. A
+    /// one-worker run that keeps no store has no producer and pushes none.
     pub fn with_progress(mut self, observer: ProgressFn) -> Self {
         self.progress = Some(observer);
         self
@@ -359,12 +362,13 @@ impl Executor {
     /// Runs one pipelined sampling simulation of a suite benchmark,
     /// keeping no store: [`crate::sample`] for a workload the caller
     /// already holds (and may have scaled freely, since no store header
-    /// has to name it).
+    /// has to name it). At one worker this is [`SmartsSim::sample`].
     ///
     /// # Errors
     ///
-    /// Propagates sampling errors, and reports worker panics as
-    /// [`ExecError::WorkerPanic`].
+    /// Propagates sampling errors, refuses a [`smarts_core::Warming::None`]
+    /// design above one worker ([`ExecError::NoFunctionalWarming`]), and
+    /// reports worker panics as [`ExecError::WorkerPanic`].
     pub fn sample(
         &self,
         sim: &SmartsSim,

@@ -12,7 +12,11 @@
 //!   optional sink tees the checkpoints into an on-disk store; `jobs`
 //!   consumers replay them off a bounded channel, so detailed replay
 //!   overlaps warming and peak checkpoint residency stays bounded by the
-//!   channel depth ([`PipelineStats`]) instead of O(n units);
+//!   channel depth ([`PipelineStats`]) instead of O(n units). A
+//!   one-worker run that keeps no store is
+//!   [`smarts_core::SmartsSim::sample`] itself, on the calling thread;
+//!   no checkpointed run takes [`smarts_core::Warming::None`]
+//!   ([`ExecError::NoFunctionalWarming`]);
 //! * the **replay side** ([`replay_store`], [`replay_store_mapped`],
 //!   [`replay_store_sampled`]): `jobs` workers claim record indices of a
 //!   memory-mapped store and decode them lazily, replaying the whole
@@ -60,7 +64,6 @@
 #![warn(missing_docs)]
 
 mod cancel;
-mod compare;
 mod error;
 mod executor;
 mod pipeline;
@@ -73,7 +76,6 @@ mod warm;
 mod common;
 
 pub use cancel::{CancelToken, PipelineProgress, ProgressFn};
-pub use compare::{compare_machines_parallel, sample_two_step_parallel};
 pub use error::ExecError;
 pub use executor::{
     Executor, ParallelMode, ParallelReport, PipelineStats, WorkerStats, PIPELINE_DEPTH,

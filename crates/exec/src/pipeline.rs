@@ -420,13 +420,17 @@ mod tests {
         // Every run recycles its warm states through one spare set, as a
         // server worker does across jobs: the states a run hands back are
         // overwritten by the next run's checkpoints, of whatever workload.
+        // (One worker without a store replays on the warming thread, with
+        // spares of its own: `SmartsSim::sample`, the oracle's twin.)
         let sim = sim();
         let spares = std::sync::Arc::new(smarts_core::WarmSpares::default());
         for name in ["branchy-1", "hashp-2"] {
             let bench = find(name).unwrap().scaled(0.05);
             let params = design(&bench, 8);
             let sequential = sequential_oracle(&sim, bench.load(), &params);
-            for jobs in [1, 2, 8] {
+            let direct = sim.sample(&bench, &params).unwrap();
+            assert_bit_identical(&direct, &sequential, &format!("{name} sim.sample"));
+            for jobs in [2, 8] {
                 let outcome = Executor::new(jobs)
                     .unwrap()
                     .with_spares(std::sync::Arc::clone(&spares))

@@ -14,17 +14,22 @@
 //!   drives the same producer with an `emit` that hands the written
 //!   checkpoint's warm state straight back and polls cancellation.
 //!
+//! A one-worker run with no sink needs none of the three: it is
+//! [`SmartsSim::sample_loaded`] on the calling thread, the same warming
+//! pass replaying each checkpoint as it reaches it.
+//!
 //! A store header records exactly `(workload, scale)`, so the public
 //! entry points take exactly that pair and resolve the program from it
 //! through the frontend `F`: header and program cannot disagree.
 
 use std::path::Path;
+use std::time::Duration;
 
 use crate::error::ExecError;
-use crate::executor::{Executor, ParallelMode, ParallelReport, PIPELINE_DEPTH};
+use crate::executor::{Executor, ParallelMode, ParallelReport, WorkerStats, PIPELINE_DEPTH};
 use crate::pipeline::{run_pipeline, Residency};
 use smarts_ckpt::{CkptWriter, StoreMeta, WriteSummary};
-use smarts_core::{SamplingParams, SmartsSim, UnitCheckpoint};
+use smarts_core::{SamplingParams, SmartsSim, UnitCheckpoint, Warming};
 use smarts_isa::IsaId;
 use smarts_workloads::{Frontend, Loaded};
 
@@ -39,8 +44,10 @@ pub(crate) struct Warmed {
     pub write: Option<WriteSummary>,
 }
 
-/// Warms `loaded` once, teeing each checkpoint into `sink` and, when
-/// `replay` is set, into the executor's consumers.
+/// Warms `loaded` once, teeing each checkpoint into a store created at
+/// `save` and, when `replay` is set, into the executor's consumers. The
+/// writer exists before any thread spawns, so an unwritable path fails
+/// fast.
 ///
 /// A cancelled run still finishes the sink — every record already
 /// appended is CRC-intact on disk, so the partial store is a valid
@@ -51,12 +58,25 @@ pub(crate) fn run_warm<F: Frontend>(
     sim: &SmartsSim,
     loaded: Loaded<F>,
     params: &SamplingParams,
-    mut sink: Option<CkptWriter>,
+    save: Option<(&Path, &StoreMeta)>,
     replay: bool,
 ) -> Result<Warmed, ExecError> {
     params.validate().map_err(ExecError::Smarts)?;
     let jobs = executor.jobs();
     let cancel = executor.cancel_token();
+    if replay && jobs == 1 && save.is_none() {
+        let report = sample_inline(cancel, sim, loaded, params)?;
+        return Ok(Warmed {
+            report: Some(report),
+            write: None,
+        });
+    }
+    if params.warming == Warming::None {
+        return Err(ExecError::NoFunctionalWarming);
+    }
+    let mut sink = save
+        .map(|(path, meta)| CkptWriter::create(path, sim.config(), meta))
+        .transpose()?;
     let program = loaded.program.clone();
     // Every checkpoint's warm state goes back to the producer once it is
     // replayed (or, warm-only, written): at most this many are in flight.
@@ -114,16 +134,50 @@ pub(crate) fn run_warm<F: Frontend>(
     Ok(Warmed { report, write })
 }
 
-/// Resolves `(workload, scale)` through `F` and, for a saving run,
-/// creates the store whose header records that same pair. The writer
-/// exists before any thread spawns, so an unwritable path fails fast.
-fn open_run<F: Frontend>(
+/// A one-worker run that keeps no store: [`SmartsSim::sample_loaded`] on
+/// this thread. It has no channel, so it reports no [`PipelineStats`]
+/// and no progress, and `cancel` is polled only before and after it.
+///
+/// [`PipelineStats`]: crate::PipelineStats
+fn sample_inline<F: Frontend>(
+    cancel: &crate::CancelToken,
     sim: &SmartsSim,
+    loaded: Loaded<F>,
+    params: &SamplingParams,
+) -> Result<ParallelReport, ExecError> {
+    if cancel.is_cancelled() {
+        return Err(ExecError::Cancelled);
+    }
+    let report = sim.sample_loaded(loaded, params)?;
+    if cancel.is_cancelled() {
+        return Err(ExecError::Cancelled);
+    }
+    let worker = WorkerStats {
+        worker: 0,
+        units: report.sample_size(),
+        memoized: 0,
+        wall: report.wall_detailed,
+        instructions: report.instructions,
+    };
+    Ok(ParallelReport {
+        parallel_wall: report.wall_total(),
+        report,
+        mode: ParallelMode::Pipeline,
+        jobs: 1,
+        workers: vec![worker],
+        build_wall: Duration::ZERO,
+        pipeline: None,
+        shard: None,
+    })
+}
+
+/// Resolves `(workload, scale)` through `F`, beside the header a store
+/// of this run records: that same pair.
+fn open_run<F: Frontend>(
     workload: &str,
     scale: f64,
     params: &SamplingParams,
-    save: Option<&Path>,
-) -> Result<(Loaded<F>, Option<CkptWriter>), ExecError> {
+) -> Result<(Loaded<F>, StoreMeta), ExecError> {
     let loaded = F::resolve(workload, scale).map_err(|message| {
         // The built-in frontend keeps its historical error shape.
         if F::ID == IsaId::Builtin {
@@ -138,10 +192,7 @@ fn open_run<F: Frontend>(
         scale,
         isa: F::ID,
     };
-    let sink = save
-        .map(|path| CkptWriter::create(path, sim.config(), &meta))
-        .transpose()?;
-    Ok((loaded, sink))
+    Ok((loaded, meta))
 }
 
 /// Runs one pipelined sampling simulation of `workload` at `scale`
@@ -150,15 +201,17 @@ fn open_run<F: Frontend>(
 /// order. With `save`, every unit checkpoint is also persisted to a
 /// store at that path — byte-identical at any `jobs` — which
 /// [`crate::replay_store`] then replays to the same report without
-/// warming.
+/// warming. At one worker without `save` this is
+/// [`SmartsSim::sample_loaded`] on the calling thread: the same report.
 ///
 /// # Errors
 ///
 /// [`ExecError::UnknownBenchmark`] / [`ExecError::Frontend`] when `F`
-/// cannot resolve the workload, [`ExecError::Ckpt`] when the store
-/// cannot be created or a write fails mid-stream (nothing is silently
-/// dropped), [`ExecError::Cancelled`], sampling errors, and worker
-/// panics as [`ExecError::WorkerPanic`].
+/// cannot resolve the workload, [`ExecError::NoFunctionalWarming`] for
+/// a [`Warming::None`] design with `save` or more than one worker,
+/// [`ExecError::Ckpt`] when the store cannot be created or a write fails
+/// mid-stream (nothing is silently dropped), [`ExecError::Cancelled`],
+/// sampling errors, and worker panics as [`ExecError::WorkerPanic`].
 pub fn sample<F: Frontend>(
     executor: &Executor,
     sim: &SmartsSim,
@@ -167,8 +220,9 @@ pub fn sample<F: Frontend>(
     params: &SamplingParams,
     save: Option<&Path>,
 ) -> Result<(ParallelReport, Option<WriteSummary>), ExecError> {
-    let (loaded, sink) = open_run::<F>(sim, workload, scale, params, save)?;
-    let warmed = run_warm::<F>(executor, sim, loaded, params, sink, true)?;
+    let (loaded, meta) = open_run::<F>(workload, scale, params)?;
+    let save = save.map(|path| (path, &meta));
+    let warmed = run_warm::<F>(executor, sim, loaded, params, save, true)?;
     let report = warmed.report.expect("a replaying run merges a report");
     Ok((report, warmed.write))
 }
@@ -191,7 +245,7 @@ pub fn warm_store<F: Frontend>(
     params: &SamplingParams,
     path: &Path,
 ) -> Result<WriteSummary, ExecError> {
-    let (loaded, sink) = open_run::<F>(sim, workload, scale, params, Some(path))?;
-    let warmed = run_warm::<F>(executor, sim, loaded, params, sink, false)?;
+    let (loaded, meta) = open_run::<F>(workload, scale, params)?;
+    let warmed = run_warm::<F>(executor, sim, loaded, params, Some((path, &meta)), false)?;
     Ok(warmed.write.expect("a run with a sink reports its write"))
 }

@@ -30,7 +30,7 @@ fn main() -> Result<(), SmartsError> {
         "           measured {} units of {} instructions = {:.3}% of the stream",
         report.sample_size(),
         params.unit_size,
-        report.instructions.detailed_fraction() * 100.0,
+        report.instructions.detailed() as f64 / bench.approx_len() as f64 * 100.0,
     );
 
     // Ground truth: simulate every instruction in detail.

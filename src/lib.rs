@@ -35,10 +35,10 @@
 //! let params = SamplingParams::paper_defaults(sim.config(), bench.approx_len(), 20)?;
 //! let report = sim.sample(&bench, &params)?;
 //! println!(
-//!     "CPI = {:.3} ± {:.1}% (99.7% confidence), measuring {:.3}% of the stream",
+//!     "CPI = {:.3} ± {:.1}% (99.7% confidence), {:.3}% of the stream in detail",
 //!     report.cpi().mean(),
 //!     report.cpi().achieved_epsilon(Confidence::THREE_SIGMA)? * 100.0,
-//!     report.instructions.detailed_fraction() * 100.0,
+//!     report.instructions.detailed() as f64 / bench.approx_len() as f64 * 100.0,
 //! );
 //! # Ok(())
 //! # }

@@ -52,7 +52,7 @@ pub fn assert_bit_identical(candidate: &SampleReport, reference: &SampleReport, 
     );
 }
 
-/// Reduces per-unit replays, in stream order, the way the in-order loop
+/// Reduces per-unit replays, in stream order, the way `SmartsSim::sample`
 /// reduces its units: account everything, stop at the partial tail.
 fn reduce(params: &SamplingParams, replays: impl IntoIterator<Item = UnitReplay>) -> SampleReport {
     let mut units = Vec::new();
@@ -70,7 +70,8 @@ fn reduce(params: &SamplingParams, replays: impl IntoIterator<Item = UnitReplay>
 
 /// The sequential oracle: collect the warming pass's checkpoints, then
 /// replay each in order on this thread. No channel, store, worker pool
-/// or merge between the producer and the report.
+/// or merge between the producer and the report — and, unlike
+/// `SmartsSim::sample`, every checkpoint is kept before any replays.
 pub fn sequential_oracle<F: Frontend>(
     sim: &SmartsSim,
     loaded: Loaded<F>,

@@ -1,7 +1,8 @@
 //! Golden-state equivalence: every suite benchmark's `SampleReport` must
 //! be bit-identical to the fingerprints recorded *before* the warm-state
 //! layout optimisation (packed cache/TLB/BTB lines, MRU fast path,
-//! batched warming loop).
+//! batched warming loop) — re-pinned once since, when `SmartsSim::sample`
+//! became the warming pass replaying each unit from its checkpoint.
 //!
 //! Functional warming's contract is that warmed state is exactly the
 //! state the old structures would have produced for the same in-order

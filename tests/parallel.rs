@@ -1,5 +1,5 @@
-//! End-to-end guarantee of the execution subsystem: every route
-//! through checkpoints — pipelined at any worker count, saved or not,
+//! End-to-end guarantee of the execution subsystem: every route —
+//! `SmartsSim::sample`, pipelined at any worker count, saved or not,
 //! replayed from the store — produces a `SampleReport` bit-identical to
 //! replaying the same checkpoints one after another on one thread, and
 //! every warming route writes the same store bytes.
@@ -61,6 +61,12 @@ fn pipeline_mode_is_bit_identical_across_the_suite() {
         let bench = bench.scaled(0.01);
         let p = small_params(&bench);
         let sequential = sequential_oracle(&sim, bench.load(), &p);
+        let direct = sim.sample(&bench, &p).expect("sampling");
+        assert_bit_identical(
+            &direct,
+            &sequential,
+            &format!("{} sim.sample", bench.name()),
+        );
         for jobs in [1usize, 2, 8] {
             let executor = Executor::new(jobs).expect("executor");
             let pipeline = executor
@@ -69,7 +75,11 @@ fn pipeline_mode_is_bit_identical_across_the_suite() {
             let what = format!("{} at {jobs} jobs", bench.name());
             assert_eq!(pipeline.mode, ParallelMode::Pipeline, "{what}: mode");
             assert_bit_identical(&pipeline.report, &sequential, &what);
-            let stats = pipeline.pipeline.expect("pipeline stats");
+            // One worker replays on the warming thread: no channel.
+            let Some(stats) = pipeline.pipeline else {
+                assert_eq!(jobs, 1, "{what}: pipeline stats");
+                continue;
+            };
             assert_eq!(stats.depth, PIPELINE_DEPTH, "{what}: reported depth");
             // Every measured unit was streamed; the producer may have
             // emitted one extra checkpoint whose unit the stream's

@@ -301,6 +301,29 @@ fn concurrent_submissions_share_one_warming_pass() {
 }
 
 #[test]
+fn a_job_without_functional_warming_fails_with_the_typed_refusal() {
+    // A served job always goes through a store, and no checkpoint holds
+    // the stale state such a design measures each unit on.
+    let store_dir = temp_dir("no-fw");
+    let server = RunningServer::start(&store_dir, 1);
+    let mut client = server.client();
+    let spec = JobSpec {
+        functional_warming: false,
+        ..small_spec()
+    };
+    let id = client.submit(&spec).expect("submit");
+    assert_eq!(client.wait(&id).expect("wait"), "failed");
+    let record = client.status(Some(&id)).expect("status");
+    let refusal = smarts::exec::ExecError::NoFunctionalWarming.to_string();
+    assert_eq!(
+        record.get("error").and_then(Json::as_str),
+        Some(refusal.as_str())
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&store_dir);
+}
+
+#[test]
 fn protocol_refuses_abuse_without_dying() {
     let store_dir = temp_dir("abuse");
     let server = RunningServer::start(&store_dir, 1);
