@@ -12,10 +12,10 @@
 //! worker plus the file's page cache, instead of O(units).
 //!
 //! Opening parses the header and locates every record frame — from the
-//! v2 index footer when it is intact (O(footer) work, no record bytes
-//! touched), by sequential frame scan otherwise (v1 stores, or a v2
-//! store whose footer is damaged). A damaged store still exposes its
-//! intact prefix; the damage itself is retained and reported through
+//! index footer when it is intact (O(footer) work, no record bytes
+//! touched), by sequential frame scan when the footer is missing or
+//! damaged. A damaged store still exposes its intact prefix; the
+//! damage itself is retained and reported through
 //! [`MappedStore::damage`], mirroring the truncation-tolerant contract
 //! of the streaming reader. Record CRCs are *not* checked at open:
 //! each record is verified on first touch, once, with the result
@@ -25,8 +25,8 @@ use crate::error::CkptError;
 use crate::flat::{FlatCheckpoint, FlatCheckpointRef};
 use crate::mmap::StoreMap;
 use crate::store::{
-    check_fingerprint, decode_header, encode_footer, encode_header, split_prefix, StoreMeta,
-    FOOTER_MARKER, INDEX_MAGIC, MAX_PAYLOAD,
+    check_fingerprint, decode_header, encode_header, split_prefix, StoreMeta, FOOTER_MARKER,
+    INDEX_MAGIC, MAX_PAYLOAD,
 };
 use smarts_uarch::MachineConfig;
 use std::path::Path;
@@ -64,10 +64,8 @@ pub struct MappedStore {
     map: StoreMap,
     fingerprint: u64,
     meta: StoreMeta,
-    version: u32,
     header_len: usize,
     frames: Vec<RecordFrame>,
-    index_present: bool,
     damage: Option<CkptError>,
     /// First-touch CRC memo: `checked[i]` is set once record `i` has
     /// passed its CRC, after which no reader re-hashes it.
@@ -115,7 +113,7 @@ impl MappedStore {
     fn open_unchecked_impl(path: &Path, allow_mmap: bool) -> Result<Self, CkptError> {
         let map = StoreMap::open(path, allow_mmap)?;
         let bytes = map.bytes();
-        let (fingerprint, meta, version) = decode_header(&mut &bytes[..])?;
+        let (fingerprint, meta) = decode_header(&mut &bytes[..])?;
         // Header length is a pure function of its fields; re-encoding
         // recovers where the record region starts.
         let header_len = encode_header(fingerprint, &meta).len();
@@ -123,10 +121,8 @@ impl MappedStore {
             map,
             fingerprint,
             meta,
-            version,
             header_len,
             frames: Vec::new(),
-            index_present: false,
             damage: None,
             checked: Vec::new(),
         };
@@ -140,14 +136,10 @@ impl MappedStore {
     /// Locates every record frame: via the index footer when intact,
     /// by sequential scan otherwise.
     fn locate_records(&mut self) {
-        if self.version >= 2 {
-            if let Some(frames) = self.frames_from_footer() {
-                self.frames = frames;
-                self.index_present = true;
-                return;
-            }
+        match self.frames_from_footer() {
+            Some(frames) => self.frames = frames,
+            None => self.scan_records(),
         }
-        self.scan_records();
     }
 
     /// Validates the index footer end-to-end and converts it to record
@@ -224,23 +216,20 @@ impl MappedStore {
         Some(frames)
     }
 
-    /// Sequential frame scan — the v1 path and the fallback for a
-    /// damaged v2 footer. Recovers the bit-exact intact prefix and
+    /// Sequential frame scan — the salvage path for a missing or
+    /// damaged footer. Recovers the bit-exact intact prefix and
     /// records what stopped the scan as [`MappedStore::damage`].
     /// Payload CRCs are still checked lazily at first touch.
     fn scan_records(&mut self) {
         let bytes = self.map.bytes();
         let mut pos = self.header_len;
-        let mut offsets: Vec<u64> = Vec::new();
         loop {
             let record = self.frames.len() as u64;
             if pos == bytes.len() {
-                if self.version >= 2 {
-                    self.damage = Some(CkptError::Corrupted {
-                        record,
-                        detail: "index footer missing",
-                    });
-                }
+                self.damage = Some(CkptError::Corrupted {
+                    record,
+                    detail: "index footer missing",
+                });
                 return;
             }
             let Some(&prefix) = bytes[pos..].first_chunk::<8>() else {
@@ -252,21 +241,14 @@ impl MappedStore {
             };
             let (payload_len, crc) = split_prefix(prefix);
             let crc = u32::from_le_bytes(crc);
-            if self.version >= 2 && payload_len == FOOTER_MARKER {
+            if payload_len == FOOTER_MARKER {
                 // Reached a footer marker with a footer that failed
                 // end-anchored validation (or trailing bytes follow a
                 // valid one): the prefix is intact, the index is not.
-                if bytes[pos..] == encode_footer(&offsets)[..] {
-                    // A byte-for-byte valid footer the end-anchored
-                    // parse missed is impossible in practice; treat it
-                    // as clean if it ever happens.
-                    self.index_present = true;
-                } else {
-                    self.damage = Some(CkptError::Corrupted {
-                        record,
-                        detail: "index footer damaged",
-                    });
-                }
+                self.damage = Some(CkptError::Corrupted {
+                    record,
+                    detail: "index footer damaged",
+                });
                 return;
             }
             if payload_len > MAX_PAYLOAD {
@@ -283,7 +265,6 @@ impl MappedStore {
                 });
                 return;
             }
-            offsets.push(pos as u64);
             self.frames.push(RecordFrame {
                 payload_start: pos + 8,
                 payload_len,
@@ -301,12 +282,6 @@ impl MappedStore {
     /// The warm-geometry fingerprint recorded in the store header.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// The store's on-disk format version (1 = pre-index, 2 = indexed,
-    /// 3 = indexed with a non-built-in frontend tag).
-    pub fn version(&self) -> u32 {
-        self.version
     }
 
     /// Intact records addressable in this store.
@@ -330,7 +305,7 @@ impl MappedStore {
     }
 
     /// File offset where the intact record region ends — the index
-    /// footer (v2), EOF (v1), or the first damaged byte.
+    /// footer, or the first damaged byte.
     pub fn records_end(&self) -> u64 {
         match self.frames.last() {
             Some(frame) => (frame.payload_start + frame.payload_len as usize) as u64,
@@ -360,16 +335,10 @@ impl MappedStore {
         self.map.is_mapped()
     }
 
-    /// Whether record addressing came from an intact index footer
-    /// (false for v1 stores and for v2 stores whose footer was damaged
-    /// and recovered by scan).
-    pub fn index_present(&self) -> bool {
-        self.index_present
-    }
-
-    /// The damage that limits this store to a prefix, if any. Records
-    /// `0..len()` are structurally intact regardless (their payload
-    /// CRCs are still verified at first touch).
+    /// The damage that limits this store to a prefix, if any — `None`
+    /// exactly when record addressing came from an intact index footer.
+    /// Records `0..len()` are structurally intact regardless (their
+    /// payload CRCs are still verified at first touch).
     pub fn damage(&self) -> Option<CkptError> {
         self.damage.as_ref().map(CkptError::replicate)
     }
@@ -530,9 +499,7 @@ mod tests {
         let store = MappedStore::open(&path, &cfg).unwrap();
         assert_eq!(store.len(), 0);
         assert!(store.is_empty());
-        assert!(store.index_present());
         assert!(store.damage().is_none());
-        assert_eq!(store.version(), crate::FORMAT_VERSION);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -13,11 +13,12 @@
 //! The format is hand-rolled and dependency-free (the workspace builds
 //! offline — no serde/bincode):
 //!
-//! * a versioned header carrying a [`warm_fingerprint`] of the
-//!   functional-warming geometry (caches, TLBs, predictor, memory
-//!   latency), so a store warmed for a different machine is rejected
-//!   with a typed [`CkptError::FingerprintMismatch`] before any record
-//!   is read;
+//! * a header carrying the one format version ([`FORMAT_VERSION`]; any
+//!   other is refused), the frontend's [`IsaId`] tag, and a
+//!   [`warm_fingerprint`] of the functional-warming geometry (caches,
+//!   TLBs, predictor, memory latency), so a store warmed for a
+//!   different machine is rejected with a typed
+//!   [`CkptError::FingerprintMismatch`] before any record is read;
 //! * one record per sampling unit, holding the unit's
 //!   [`smarts_core::UnitCheckpoint`] flattened to word streams and
 //!   **delta-encoded against the previous unit's state** with zigzag
@@ -99,7 +100,7 @@ pub use flat::{FlatCheckpoint, FlatCheckpointRef};
 pub use lazy::{MappedStore, RecordSpan, StoreCursor};
 pub use store::{
     check_fingerprint, read_store_meta, warm_fingerprint, CkptReader, CkptWriter, StoreMeta,
-    WriteSummary, FORMAT_VERSION, FORMAT_VERSION_ISA, INDEX_MAGIC, MAGIC, MIN_FORMAT_VERSION,
+    WriteSummary, FORMAT_VERSION, INDEX_MAGIC, MAGIC,
 };
 
 // Re-exported so store consumers can name the frontend recorded in a

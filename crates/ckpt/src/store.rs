@@ -4,7 +4,8 @@
 //! File layout (all integers little-endian):
 //!
 //! ```text
-//! header:  magic "SMARTSCK" | version u32 | fingerprint u64
+//! header:  magic "SMARTSCK" | version u32 = 3 | isa tag u8
+//!          | fingerprint u64
 //!          | unit_size u64 | detailed_warming u64 | warming u8
 //!          | interval u64 | offset u64 | max_units u8 [+ u64]
 //!          | scale f64-bits u64 | name_len u32 | name bytes
@@ -12,7 +13,7 @@
 //! record:  payload_len u32 | crc32 u32 (over payload) | payload
 //! footer:  marker u32 = 0xFFFF_FFFF | count u64 | offset u64 × count
 //!          | crc32 u32 (over count + offsets)
-//!          | footer_len u64 | magic "SMARTSIX"          (v2 only)
+//!          | footer_len u64 | magic "SMARTSIX"
 //! ```
 //!
 //! Records are the delta-encoded flats of [`crate::flat`], each
@@ -20,7 +21,7 @@
 //! yields every intact prefix record and then surfaces a typed error
 //! for the first bad one.
 //!
-//! The v2 index footer records the absolute file offset of every
+//! The index footer records the absolute file offset of every
 //! record's 8-byte prefix, so a mapped reader ([`crate::MappedStore`])
 //! can address records randomly without a sequential parse. The footer
 //! is a pure function of the record stream — [`CkptWriter::finish`]
@@ -28,10 +29,8 @@
 //! stores with identical records are byte-identical files including
 //! the footer. The marker doubles as an end-of-records sentinel for the
 //! sequential reader: no legal record has a payload length of
-//! `0xFFFF_FFFF`.
-//! Version-1 stores (no footer) remain fully readable; readers fall
-//! back to a sequential scan whenever the footer is missing or
-//! damaged.
+//! `0xFFFF_FFFF`. Readers fall back to a sequential scan whenever the
+//! footer is missing or damaged, which salvages the intact prefix.
 
 use crate::error::CkptError;
 use crate::flat::{advance_record, decode_record, encode_next, encode_record, FlatCheckpoint};
@@ -45,20 +44,13 @@ use std::path::Path;
 /// Store magic: the first eight bytes of every checkpoint store.
 pub const MAGIC: [u8; 8] = *b"SMARTSCK";
 
-/// On-disk format version this build writes for built-in-frontend
-/// stores (v2 = indexed footer). Built-in stores deliberately stay at
-/// v2 so their files are byte-identical to pre-frontend builds.
-pub const FORMAT_VERSION: u32 = 2;
+/// The one on-disk format version this build writes and reads: an
+/// [`IsaId`] tag byte after the version field, and an index footer
+/// after the records. Any other version is refused with
+/// [`CkptError::UnsupportedVersion`].
+pub const FORMAT_VERSION: u32 = 3;
 
-/// On-disk format version written for non-built-in frontends: identical
-/// to v2 plus one [`IsaId`] tag byte after the version field.
-pub const FORMAT_VERSION_ISA: u32 = 3;
-
-/// Oldest on-disk format version readers still accept (v1 stores have
-/// no index footer and are scanned sequentially).
-pub const MIN_FORMAT_VERSION: u32 = 1;
-
-/// Trailing magic closing a v2 store's index footer.
+/// Trailing magic closing a store's index footer.
 pub const INDEX_MAGIC: [u8; 8] = *b"SMARTSIX";
 
 /// Largest record payload the reader will allocate for; anything bigger
@@ -70,9 +62,8 @@ pub(crate) const MAX_PAYLOAD: u32 = 1 << 30;
 pub(crate) const FOOTER_MARKER: u32 = 0xFFFF_FFFF;
 
 /// Fingerprint schema version, mixed into [`warm_fingerprint`].
-/// Deliberately decoupled from [`FORMAT_VERSION`]: the v1 → v2
-/// container change (index footer) does not alter what a store's
-/// records mean, so fingerprints recorded by v1 stores stay valid.
+/// Decoupled from [`FORMAT_VERSION`]: a container change does not alter
+/// what a store's records mean.
 const FINGERPRINT_VERSION: u64 = 1;
 
 /// SplitMix64 finalizer folded over a running hash — the same mixing
@@ -160,9 +151,9 @@ pub struct StoreMeta {
     pub isa: IsaId,
 }
 
-/// Salt mixed ahead of the [`IsaId`] tag in non-built-in store
-/// fingerprints ("ISA" in ASCII), so an ISA tag can never collide with
-/// an adjacent benchmark-name byte fold.
+/// Salt mixed ahead of the [`IsaId`] tag in store fingerprints ("ISA"
+/// in ASCII), so an ISA tag can never collide with an adjacent
+/// benchmark-name byte fold.
 const FINGERPRINT_ISA_SALT: u64 = 0x0049_5341;
 
 impl StoreMeta {
@@ -173,15 +164,12 @@ impl StoreMeta {
     /// the `smarts-server` store manager maps to a store path and the
     /// results cache keys on.
     pub fn fingerprint(&self, cfg: &MachineConfig) -> u64 {
-        let h = warm_fingerprint(cfg);
-        // Built-in stores skip the ISA fold entirely so every
-        // fingerprint recorded by a pre-frontend (v1/v2) build stays
-        // valid; other frontends mix their tag so stores from different
+        // The frontend tag is folded in, so stores from different
         // frontends can never share an identity.
-        let h = match self.isa {
-            IsaId::Builtin => h,
-            other => mix(mix(h, FINGERPRINT_ISA_SALT), other.tag() as u64),
-        };
+        let h = mix(
+            mix(warm_fingerprint(cfg), FINGERPRINT_ISA_SALT),
+            self.isa.tag() as u64,
+        );
         let h = self
             .benchmark
             .as_bytes()
@@ -220,23 +208,14 @@ impl StoreMeta {
 /// [`CkptError::HeaderCorrupted`], or [`CkptError::Io`].
 pub fn read_store_meta(path: impl AsRef<Path>) -> Result<(u64, StoreMeta), CkptError> {
     let mut file = BufReader::new(File::open(path)?);
-    let (fingerprint, meta, _version) = decode_header(&mut file)?;
-    Ok((fingerprint, meta))
+    decode_header(&mut file)
 }
 
 pub(crate) fn encode_header(fingerprint: u64, meta: &StoreMeta) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);
-    // The version is derived from the frontend: built-in stores keep
-    // writing v2 byte-identically; other frontends write v3, which
-    // inserts exactly one ISA tag byte after the version field.
-    match meta.isa {
-        IsaId::Builtin => out.extend_from_slice(&FORMAT_VERSION.to_le_bytes()),
-        other => {
-            out.extend_from_slice(&FORMAT_VERSION_ISA.to_le_bytes());
-            out.push(other.tag());
-        }
-    }
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out.push(meta.isa.tag());
     out.extend_from_slice(&fingerprint.to_le_bytes());
     out.extend_from_slice(&meta.params.unit_size.to_le_bytes());
     out.extend_from_slice(&meta.params.detailed_warming.to_le_bytes());
@@ -301,7 +280,7 @@ impl<'a, R: Read> HeaderReader<'a, R> {
     }
 }
 
-pub(crate) fn decode_header(reader: &mut impl Read) -> Result<(u64, StoreMeta, u32), CkptError> {
+pub(crate) fn decode_header(reader: &mut impl Read) -> Result<(u64, StoreMeta), CkptError> {
     let mut h = HeaderReader {
         inner: reader,
         raw: Vec::new(),
@@ -311,16 +290,10 @@ pub(crate) fn decode_header(reader: &mut impl Read) -> Result<(u64, StoreMeta, u
         return Err(CkptError::BadMagic);
     }
     let version = h.u32()?;
-    if !(MIN_FORMAT_VERSION..=FORMAT_VERSION_ISA).contains(&version) {
+    if version != FORMAT_VERSION {
         return Err(CkptError::UnsupportedVersion(version));
     }
-    let isa = if version >= FORMAT_VERSION_ISA {
-        IsaId::from_tag(h.u8()?).ok_or(CkptError::HeaderCorrupted)?
-    } else {
-        // v1/v2 stores predate frontends and are built-in by
-        // definition.
-        IsaId::Builtin
-    };
+    let isa = IsaId::from_tag(h.u8()?).ok_or(CkptError::HeaderCorrupted)?;
     let fingerprint = h.u64()?;
     let unit_size = h.u64()?;
     let detailed_warming = h.u64()?;
@@ -363,7 +336,6 @@ pub(crate) fn decode_header(reader: &mut impl Read) -> Result<(u64, StoreMeta, u
             scale,
             isa,
         },
-        version,
     ))
 }
 
@@ -374,7 +346,7 @@ pub(crate) fn split_prefix(prefix: [u8; 8]) -> (u32, [u8; 4]) {
     (u32::from_le_bytes([l0, l1, l2, l3]), [c0, c1, c2, c3])
 }
 
-/// Encodes the v2 index footer for the given record-prefix offsets.
+/// Encodes the index footer for the given record-prefix offsets.
 /// A pure function of the record stream, so stores with identical
 /// records carry identical footers.
 pub(crate) fn encode_footer(offsets: &[u64]) -> Vec<u8> {
@@ -536,14 +508,13 @@ pub struct CkptReader {
     file: BufReader<File>,
     meta: StoreMeta,
     fingerprint: u64,
-    version: u32,
     cfg: MachineConfig,
     prev: Option<FlatCheckpoint>,
     record: u64,
     done: bool,
     /// Absolute offset of the next unread byte (= next record prefix).
     offset: u64,
-    /// Offsets of the records decoded so far, for validating the v2
+    /// Offsets of the records decoded so far, for validating the
     /// footer byte-for-byte when the end marker is reached.
     offsets: Vec<u64>,
 }
@@ -560,17 +531,15 @@ impl CkptReader {
     /// on filesystem errors.
     pub fn open(path: impl AsRef<Path>, cfg: &MachineConfig) -> Result<Self, CkptError> {
         let mut file = BufReader::new(File::open(path)?);
-        let (found, meta, version) = decode_header(&mut file)?;
+        let (found, meta) = decode_header(&mut file)?;
         check_fingerprint(cfg, found)?;
-        // The header length is a pure function of its fields (the
-        // version value changes, its width does not), so re-encoding
-        // recovers the offset the stream is now at.
+        // The header length is a pure function of its fields, so
+        // re-encoding recovers the offset the stream is now at.
         let header_len = encode_header(found, &meta).len() as u64;
         Ok(CkptReader {
             file,
             meta,
             fingerprint: found,
-            version,
             cfg: cfg.clone(),
             prev: None,
             record: 0,
@@ -670,24 +639,20 @@ impl CkptReader {
     fn read_one(&mut self) -> Option<Result<FlatCheckpoint, CkptError>> {
         let mut prefix = [0u8; 8];
         match self.read_exact_or_eof(&mut prefix) {
+            // A store must end with its index footer; a clean EOF at a
+            // record boundary means the tail was cut off. Every record
+            // is intact, so this is damage without data loss.
             Ok(false) => {
-                if self.version >= 2 {
-                    // A v2 store must end with its index footer; a
-                    // clean EOF at a record boundary means the tail
-                    // was cut off. Every record is intact, so this is
-                    // damage without data loss.
-                    return Some(Err(CkptError::Corrupted {
-                        record: self.record,
-                        detail: "index footer missing",
-                    }));
-                }
-                return None; // clean end of a v1 store
+                return Some(Err(CkptError::Corrupted {
+                    record: self.record,
+                    detail: "index footer missing",
+                }))
             }
             Ok(true) => {}
             Err(e) => return Some(Err(e)),
         }
         let (payload_len, crc_bytes) = split_prefix(prefix);
-        if self.version >= 2 && payload_len == FOOTER_MARKER {
+        if payload_len == FOOTER_MARKER {
             return self.check_footer(crc_bytes);
         }
         let stored_crc = u32::from_le_bytes(crc_bytes);
@@ -882,11 +847,11 @@ mod tests {
             isa: IsaId::Builtin,
         };
         let bytes = encode_header(0xDEAD_BEEF, &meta);
+        assert_eq!(bytes[8..12], FORMAT_VERSION.to_le_bytes());
         let mut cursor = &bytes[..];
-        let (fp, decoded, version) = decode_header(&mut cursor).unwrap();
+        let (fp, decoded) = decode_header(&mut cursor).unwrap();
         assert_eq!(fp, 0xDEAD_BEEF);
         assert_eq!(decoded, meta);
-        assert_eq!(version, FORMAT_VERSION);
     }
 
     #[test]
@@ -918,23 +883,19 @@ mod tests {
             scale: 0.25,
             isa: IsaId::Risc,
         };
-        for isa in [IsaId::Risc, IsaId::Trace] {
+        let mut lens = Vec::new();
+        for isa in [IsaId::Builtin, IsaId::Risc, IsaId::Trace] {
             meta.isa = isa;
             let bytes = encode_header(0xDEAD_BEEF, &meta);
+            assert_eq!(bytes[12], isa.tag());
             let mut cursor = &bytes[..];
-            let (fp, decoded, version) = decode_header(&mut cursor).unwrap();
+            let (fp, decoded) = decode_header(&mut cursor).unwrap();
             assert_eq!(fp, 0xDEAD_BEEF);
             assert_eq!(decoded, meta);
-            assert_eq!(version, FORMAT_VERSION_ISA);
+            lens.push(bytes.len());
         }
-
-        // The built-in frontend keeps writing v2 headers byte-for-byte:
-        // a v3 header is exactly one ISA tag byte longer.
-        meta.isa = IsaId::Builtin;
-        let builtin = encode_header(0xDEAD_BEEF, &meta);
-        meta.isa = IsaId::Risc;
-        let risc = encode_header(0xDEAD_BEEF, &meta);
-        assert_eq!(risc.len(), builtin.len() + 1);
+        // Every frontend writes the same layout; only the tag differs.
+        assert!(lens.iter().all(|&len| len == lens[0]));
     }
 
     #[test]

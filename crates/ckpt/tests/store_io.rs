@@ -1,8 +1,8 @@
 //! End-to-end store tests against real warming checkpoints: bit-exact
 //! round-trips, randomized corruption/truncation recovery (sequential
 //! and mapped readers in lockstep), CRC-valid records that describe an
-//! impossible warm state, v1 compatibility, and gating (version,
-//! fingerprint).
+//! impossible warm state, the refusal of other format versions, and
+//! gating (version, fingerprint).
 
 use std::fs;
 use std::path::PathBuf;
@@ -159,6 +159,21 @@ fn mapped_intact(store: &MappedStore) -> (usize, Option<CkptError>) {
     (store.len(), store.damage())
 }
 
+/// The store at `path` opened both ways: memory-mapped, then through
+/// the owned-buffer fallback that must agree with it byte for byte.
+fn both_opens(path: &PathBuf, cfg: &MachineConfig) -> [(&'static str, MappedStore); 2] {
+    [
+        (
+            "mapped",
+            MappedStore::open(path, cfg).expect("header is intact"),
+        ),
+        (
+            "buffered",
+            MappedStore::open_buffered(path, cfg).expect("header is intact"),
+        ),
+    ]
+}
+
 #[test]
 fn any_flipped_record_byte_surfaces_a_typed_error() {
     let cfg = MachineConfig::eight_way();
@@ -173,9 +188,9 @@ fn any_flipped_record_byte_surfaces_a_typed_error() {
     let layout = MappedStore::open(&path, &cfg).expect("pristine store maps");
     let header_len = layout.header_bytes() as usize;
     let records_end = layout.records_end() as usize;
-    assert!(layout.index_present() && layout.damage().is_none());
+    assert!(layout.damage().is_none());
     drop(layout);
-    assert!(pristine.len() > records_end, "v2 stores carry a footer");
+    assert!(pristine.len() > records_end, "stores carry a footer");
 
     let mut rng = SplitMix64(0xC0FF_EE00_5EED);
     for _ in 0..40 {
@@ -223,15 +238,20 @@ fn any_flipped_record_byte_surfaces_a_typed_error() {
         // Errors are terminal: the stream stays ended.
         assert!(reader.next_checkpoint_isa::<BuiltinIsa>().is_none());
 
-        // The mapped reader agrees record-for-record: same intact
-        // count, and the damage never goes unreported.
-        let store = MappedStore::open(&path, &cfg).expect("header is intact");
-        let (lazy_intact, lazy_failure) = mapped_intact(&store);
-        assert_eq!(lazy_intact, intact, "flip at byte {offset} bit {bit}");
-        assert!(
-            lazy_failure.is_some(),
-            "mapped store swallowed the flip at byte {offset} bit {bit}"
-        );
+        // The mapped reader and its owned-buffer fallback agree
+        // record-for-record: same intact count, and the damage never
+        // goes unreported.
+        for (how, store) in both_opens(&path, &cfg) {
+            let (lazy_intact, lazy_failure) = mapped_intact(&store);
+            assert_eq!(
+                lazy_intact, intact,
+                "{how}: flip at byte {offset} bit {bit}"
+            );
+            assert!(
+                lazy_failure.is_some(),
+                "{how} store swallowed the flip at byte {offset} bit {bit}"
+            );
+        }
     }
 
     // A footer whose record count makes `16 + 8 * count` wrap to the
@@ -255,9 +275,10 @@ fn any_flipped_record_byte_surfaces_a_typed_error() {
             }
         )
     };
-    let store = MappedStore::open(&path, &cfg).expect("header is intact");
-    assert_eq!(store.len(), 0);
-    assert!(store.damage().as_ref().is_some_and(footer_damaged));
+    for (how, store) in both_opens(&path, &cfg) {
+        assert_eq!(store.len(), 0, "{how}");
+        assert!(store.damage().as_ref().is_some_and(footer_damaged), "{how}");
+    }
     let mut reader = CkptReader::open(&path, &cfg).expect("header is intact");
     let first = reader.next_checkpoint_isa::<BuiltinIsa>();
     assert!(matches!(first, Some(Err(ref e)) if footer_damaged(e)));
@@ -319,7 +340,7 @@ fn truncation_recovers_the_intact_prefix() {
             // Cutting the footer (or just the footer) loses no record.
             assert_eq!(intact, originals.len(), "cut at byte {cut}");
         }
-        // Any cut damages a v2 store — at minimum its index footer —
+        // Any cut damages a store — at minimum its index footer —
         // and the damage always carries the intact count.
         match tear {
             Some(CkptError::Truncated { record, recovered }) => {
@@ -333,20 +354,21 @@ fn truncation_recovers_the_intact_prefix() {
             None => panic!("cut at byte {cut} was swallowed silently"),
         }
 
-        // The mapped reader recovers the same bit-exact prefix and
-        // surfaces the same damage class.
-        let store = MappedStore::open(&path, &cfg).expect("header is intact");
-        let (lazy_intact, lazy_failure) = mapped_intact(&store);
-        assert_eq!(lazy_intact, intact, "cut at byte {cut}");
-        assert!(lazy_failure.is_some(), "cut at byte {cut}");
-        let mut cursor = store.cursor();
-        for (index, expected) in reference.iter().take(lazy_intact).enumerate() {
-            let rebuilt = cursor
-                .flat_at(index)
-                .expect("intact record")
-                .rebuild_isa::<BuiltinIsa>(&cfg)
-                .expect("rebuilds");
-            assert_eq!(&state_words(&rebuilt), expected);
+        // The mapped reader and its owned-buffer fallback recover the
+        // same bit-exact prefix and surface the same damage class.
+        for (how, store) in both_opens(&path, &cfg) {
+            let (lazy_intact, lazy_failure) = mapped_intact(&store);
+            assert_eq!(lazy_intact, intact, "{how}: cut at byte {cut}");
+            assert!(lazy_failure.is_some(), "{how}: cut at byte {cut}");
+            let mut cursor = store.cursor();
+            for (index, expected) in reference.iter().take(lazy_intact).enumerate() {
+                let rebuilt = cursor
+                    .flat_at(index)
+                    .expect("intact record")
+                    .rebuild_isa::<BuiltinIsa>(&cfg)
+                    .expect("rebuilds");
+                assert_eq!(&state_words(&rebuilt), expected, "{how}");
+            }
         }
     }
     fs::remove_file(&path).ok();
@@ -541,41 +563,33 @@ fn checksummed_records_of_impossible_sets_end_the_intact_prefix() {
     fs::remove_file(&path).ok();
 }
 
-/// Rewrites a pristine v2 store as its byte-identical v1 equivalent:
-/// version field set to 1, header CRC recomputed, index footer
-/// stripped. This is exactly what a pre-index build would have
-/// written, so it pins backward compatibility.
-fn make_v1(pristine: &[u8], header_len: usize, records_end: usize) -> Vec<u8> {
-    let mut bytes = pristine[..records_end].to_vec();
-    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-    let crc = {
-        // IEEE CRC-32, matching the store codec.
-        let mut c = 0xFFFF_FFFFu32;
-        for &b in &bytes[..header_len - 4] {
-            c ^= b as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-        }
-        !c
+/// Rewrites a pristine store in the layout an older build wrote for
+/// `version`: no ISA tag byte after the version field, no index footer
+/// for version 1, and the header CRC resealed over the result — so only
+/// the version can be what a reader refuses.
+fn old_layout(pristine: &[u8], header_len: usize, records_end: usize, version: u32) -> Vec<u8> {
+    let end = if version == 1 {
+        records_end
+    } else {
+        pristine.len()
     };
-    bytes[header_len - 4..header_len].copy_from_slice(&crc.to_le_bytes());
+    let mut bytes = pristine[..8].to_vec();
+    bytes.extend_from_slice(&version.to_le_bytes());
+    bytes.extend_from_slice(&pristine[13..header_len - 4]);
+    bytes.extend_from_slice(&smarts_isa::crc32(&bytes).to_le_bytes());
+    bytes.extend_from_slice(&pristine[header_len..end]);
     bytes
 }
 
 #[test]
-fn v1_stores_without_a_footer_still_read_cleanly() {
+fn older_format_versions_are_refused() {
     let cfg = MachineConfig::eight_way();
     let sim = SmartsSim::new(cfg.clone());
     let bench = small_bench();
     let params = small_params(&bench);
     let originals = collect_checkpoints(&sim, &bench, &params);
-    let path = temp_path("v1compat");
-    write_store(&path, &cfg, &originals);
+    let path = temp_path("oldversions");
+    write_store(&path, &cfg, &originals[..2]);
     let pristine = fs::read(&path).expect("read store");
     let layout = MappedStore::open(&path, &cfg).expect("pristine store maps");
     let (header_len, records_end) = (
@@ -584,27 +598,42 @@ fn v1_stores_without_a_footer_still_read_cleanly() {
     );
     drop(layout);
 
-    fs::write(&path, make_v1(&pristine, header_len, records_end)).expect("write v1 store");
-
-    // Sequential reader: every record, clean EOF, no footer expected.
-    let mut reader = CkptReader::open(&path, &cfg).expect("v1 opens");
-    let mut intact = 0usize;
-    while let Some(next) = reader.next_checkpoint_isa::<BuiltinIsa>() {
-        let checkpoint = next.expect("v1 record is intact");
-        assert_eq!(state_words(&checkpoint), state_words(&originals[intact]));
-        intact += 1;
+    for version in [1u32, 2] {
+        fs::write(
+            &path,
+            old_layout(&pristine, header_len, records_end, version),
+        )
+        .expect("write old store");
+        let refused =
+            |e: &CkptError| matches!(e, CkptError::UnsupportedVersion(v) if *v == version);
+        let err = CkptReader::open(&path, &cfg)
+            .err()
+            .expect("an older version is refused");
+        assert!(refused(&err), "reader: {err:?}");
+        let err = MappedStore::open(&path, &cfg).expect_err("an older version is refused");
+        assert!(refused(&err), "mapped: {err:?}");
+        let err = smarts_ckpt::read_store_meta(&path).expect_err("an older version is refused");
+        assert!(refused(&err), "header peek: {err:?}");
     }
-    assert_eq!(intact, originals.len());
-
-    // Mapped reader: index-less scan, no damage, same records.
-    let store = MappedStore::open(&path, &cfg).expect("v1 maps");
-    assert_eq!(store.version(), 1);
-    assert!(!store.index_present());
-    assert!(store.damage().is_none());
-    let (lazy_intact, lazy_failure) = mapped_intact(&store);
-    assert_eq!(lazy_intact, originals.len());
-    assert!(lazy_failure.is_none());
     fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_directory_is_an_io_error_on_every_open() {
+    // `File::open` succeeds on a directory; the map and the owned-buffer
+    // read both fail, and that surfaces as a typed error.
+    let cfg = MachineConfig::eight_way();
+    let dir = temp_path("dir");
+    fs::create_dir_all(&dir).expect("create directory");
+    let opens = [
+        MappedStore::open(&dir, &cfg),
+        MappedStore::open_unchecked(&dir),
+        MappedStore::open_buffered(&dir, &cfg),
+    ];
+    for result in opens {
+        assert!(matches!(result, Err(CkptError::Io(_))), "{result:?}");
+    }
+    fs::remove_dir(&dir).ok();
 }
 
 #[test]

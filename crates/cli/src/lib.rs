@@ -753,8 +753,7 @@ fn cmd_ckpt_info(path: &str, json: bool) -> Result<(), String> {
                 "fingerprint",
                 Json::Str(format!("{:016x}", store.fingerprint())),
             ),
-            ("version", Json::U64(u64::from(store.version()))),
-            ("index_present", Json::Bool(store.index_present())),
+            ("version", Json::U64(u64::from(smarts_ckpt::FORMAT_VERSION))),
             ("mapped", Json::Bool(store.is_mapped())),
             ("unit_size", Json::U64(meta.params.unit_size)),
             ("detailed_warming", Json::U64(meta.params.detailed_warming)),
@@ -803,13 +802,8 @@ fn cmd_ckpt_info(path: &str, json: bool) -> Result<(), String> {
         meta.params.warming
     );
     println!(
-        "format        v{}, index {}, {}",
-        store.version(),
-        if store.index_present() {
-            "present"
-        } else {
-            "absent (addressed by scan)"
-        },
+        "format        v{}, {}",
+        smarts_ckpt::FORMAT_VERSION,
         if store.is_mapped() {
             "memory-mapped"
         } else {
@@ -1067,6 +1061,10 @@ fn job_spec(options: &Options) -> Result<JobSpec, String> {
                 .to_string(),
         );
     }
+    // A served job always goes through a store.
+    if options.no_functional_warming {
+        return Err(ExecError::NoFunctionalWarming.to_string());
+    }
     Ok(JobSpec {
         bench: options
             .bench
@@ -1078,7 +1076,6 @@ fn job_spec(options: &Options) -> Result<JobSpec, String> {
         n: options.n,
         unit: options.unit,
         warming_len: options.warming_len,
-        functional_warming: !options.no_functional_warming,
         offset: options.offset,
         jobs: options.jobs,
         sampler: options.sampler,
@@ -1503,6 +1500,13 @@ mod tests {
         let err = run_sample(&parse_options(&strings(&two)).unwrap())
             .err()
             .unwrap();
+        assert_eq!(err, ExecError::NoFunctionalWarming.to_string());
+    }
+
+    #[test]
+    fn no_functional_warming_is_refused_before_a_submit() {
+        let args = [&BUILTIN[..], &["--no-functional-warming"]].concat();
+        let err = job_spec(&parse_options(&strings(&args)).unwrap()).unwrap_err();
         assert_eq!(err, ExecError::NoFunctionalWarming.to_string());
     }
 

@@ -390,23 +390,9 @@ impl UnitSample {
         self.per_kilo_instruction(self.counters.branch_mispredicts)
     }
 
-    /// L1-miss traffic (L2 lookups) per kilo-instruction.
-    pub fn l2_traffic_pki(&self) -> f64 {
-        self.per_kilo_instruction(self.counters.l2_accesses)
-    }
-
     /// Main-memory accesses per kilo-instruction.
     pub fn memory_pki(&self) -> f64 {
         self.per_kilo_instruction(self.counters.mem_accesses)
-    }
-
-    /// Issued instructions per cycle (window utilization).
-    pub fn issue_ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.counters.window_issues as f64 / self.cycles as f64
-        }
     }
 }
 
@@ -617,12 +603,6 @@ impl SmartsSim {
             EnergyModel::eight_way()
         };
         SmartsSim { cfg, energy }
-    }
-
-    /// Replaces the energy model.
-    pub fn with_energy(mut self, energy: EnergyModel) -> Self {
-        self.energy = energy;
-        self
     }
 
     /// The machine configuration.

@@ -58,11 +58,6 @@ impl ExecRecord {
         Program::fetch_addr(self.pc)
     }
 
-    /// Byte address of the next-instruction fetch.
-    pub fn next_fetch_addr(&self) -> u64 {
-        Program::fetch_addr(self.next_pc)
-    }
-
     /// Instruction class ([`Inst::class`], decoded at program load).
     #[inline]
     pub fn class(&self) -> OpClass {

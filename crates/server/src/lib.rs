@@ -35,7 +35,8 @@
 //! * [`scheduler`] — workers that drive each claimed job down the
 //!   cheapest path: cache hit → store replay → cold warm-and-save;
 //! * [`server`] / [`client`] — the TCP accept loop with graceful
-//!   drain, and a thin blocking client used by the CLI and tests.
+//!   drain and a cap on open connections (`busy` past it), and a thin
+//!   blocking client used by the CLI and tests.
 //!
 //! Everything is `std`-only, in keeping with the workspace's
 //! no-external-dependencies rule.
@@ -62,7 +63,7 @@ pub use report::{
     sampled_report_line,
 };
 pub use scheduler::{machine_for, params_for, Shared};
-pub use server::{Server, ServerConfig, ShutdownSummary};
+pub use server::{Server, ServerConfig, ShutdownSummary, MAX_CONNECTIONS};
 pub use store_mgr::{
     OpenStore, ResultsCache, StoreManager, StoreTicket, DEFAULT_MAX_OPEN_STORES,
     MAX_CACHED_LINE_BYTES,

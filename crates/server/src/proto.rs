@@ -13,6 +13,7 @@
 use crate::json::Json;
 use smarts_ckpt::IsaId;
 use smarts_core::{SamplerKind, SamplerSpec};
+use smarts_exec::ExecError;
 
 /// Longest request line the server will buffer, in bytes. Submit
 /// requests are a few hundred bytes; the bound exists to keep a hostile
@@ -39,8 +40,6 @@ pub struct JobSpec {
     pub unit: u64,
     /// Detailed warming `W` (`None` = the machine's recommendation).
     pub warming_len: Option<u64>,
-    /// Functional warming on fast-forward (off = cold-start bias).
-    pub functional_warming: bool,
     /// Systematic phase offset `j`.
     pub offset: u64,
     /// Replay worker threads inside this job's pipeline.
@@ -72,7 +71,6 @@ impl Default for JobSpec {
             n: 100,
             unit: 1000,
             warming_len: None,
-            functional_warming: true,
             offset: 0,
             jobs: 1,
             sampler: SamplerKind::Systematic,
@@ -114,7 +112,6 @@ impl JobSpec {
                     Some(w) => Json::U64(w),
                 },
             ),
-            ("functional_warming", Json::Bool(self.functional_warming)),
             ("offset", Json::U64(self.offset)),
             ("jobs", Json::U64(self.jobs as u64)),
             ("sampler", Json::Str(self.sampler.tag().to_string())),
@@ -127,7 +124,8 @@ impl JobSpec {
     }
 
     /// Reads a spec from a request object, applying defaults for absent
-    /// fields and validating the present ones.
+    /// fields and validating the present ones. Every served job warms
+    /// functionally, so `"functional_warming": false` is refused here.
     ///
     /// # Errors
     ///
@@ -180,8 +178,8 @@ impl JobSpec {
                 spec.warming_len = Some(v.as_u64().ok_or("`warming_len` takes a count")?);
             }
         }
-        if let Some(v) = value.get("functional_warming") {
-            spec.functional_warming = v.as_bool().ok_or("`functional_warming` takes a bool")?;
+        if let Some(Json::Bool(false)) = value.get("functional_warming") {
+            return Err(ExecError::NoFunctionalWarming.to_string());
         }
         if let Some(v) = value.get("offset") {
             spec.offset = v.as_u64().ok_or("`offset` takes a count")?;
@@ -329,7 +327,6 @@ mod tests {
             n: 42,
             unit: 500,
             warming_len: Some(3000),
-            functional_warming: false,
             offset: 2,
             jobs: 3,
             sampler: SamplerKind::Stratified,
@@ -363,7 +360,6 @@ mod tests {
                 assert_eq!(spec.config, 8);
                 assert_eq!(spec.n, 100);
                 assert_eq!(spec.warming_len, None);
-                assert!(spec.functional_warming);
                 assert_eq!(spec.jobs, 1);
                 assert_eq!(spec.sampler, SamplerKind::Systematic);
                 assert_eq!(spec.seed, 0);
@@ -442,6 +438,10 @@ mod tests {
         assert!(parse_request(r#"{"cmd":"submit","bench":"x","config":12}"#).is_err());
         assert!(parse_request(r#"{"cmd":"submit","bench":"x","scale":-1}"#).is_err());
         assert!(parse_request(r#"{"cmd":"submit","bench":"x","jobs":0}"#).is_err());
+        assert_eq!(
+            parse_request(r#"{"cmd":"submit","bench":"x","functional_warming":false}"#),
+            Err(ExecError::NoFunctionalWarming.to_string())
+        );
     }
 
     #[test]

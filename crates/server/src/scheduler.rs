@@ -90,16 +90,18 @@ pub fn params_for(spec: &JobSpec, cfg: &MachineConfig) -> Result<SamplingParams,
         // specs before a job is created.
         IsaId::Trace => return Err("trace workloads are not servable".to_string()),
     };
-    let warming = if spec.functional_warming {
-        Warming::Functional
-    } else {
-        Warming::None
-    };
     let w = spec
         .warming_len
         .unwrap_or_else(|| cfg.recommended_detailed_warming());
-    SamplingParams::for_sample_size(approx_len, spec.unit, w, warming, spec.n, spec.offset)
-        .map_err(|e| e.to_string())
+    SamplingParams::for_sample_size(
+        approx_len,
+        spec.unit,
+        w,
+        Warming::Functional,
+        spec.n,
+        spec.offset,
+    )
+    .map_err(|e| e.to_string())
 }
 
 /// Runs one claimed job; `spares` are the worker's warm states, recycled

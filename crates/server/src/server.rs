@@ -4,7 +4,8 @@
 //! Every connection is one thread running a bounded line reader: bytes
 //! accumulate until a newline, lines longer than
 //! [`MAX_LINE`](crate::proto::MAX_LINE) are refused and the connection
-//! closed. Responses are written back one line each; `watch` streams
+//! closed. At most [`MAX_CONNECTIONS`] are open at once; one more is
+//! answered with a single `busy` line and closed. Responses are written back one line each; `watch` streams
 //! event lines until the watched job reaches a terminal state.
 //!
 //! Shutdown (the `shutdown` command, [`Server::stop_flag`], or a signal
@@ -29,6 +30,10 @@ use crate::proto::{
 };
 use crate::scheduler::{machine_for, params_for, worker_loop, Shared};
 use crate::store_mgr::{ResultsCache, StoreManager};
+
+/// Most connections served at once. Each holds a thread, so a peer
+/// opening sockets in a loop cannot grow the process without bound.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// How a server is configured at bind time.
 #[derive(Debug, Clone)]
@@ -137,7 +142,17 @@ impl Server {
         let mut conns: Vec<JoinHandle<()>> = Vec::new();
         while !self.stop.load(Ordering::SeqCst) {
             match self.listener.accept() {
-                Ok((stream, _peer)) => {
+                Ok((mut stream, _peer)) => {
+                    conns.retain(|handle| !handle.is_finished());
+                    if conns.len() >= MAX_CONNECTIONS {
+                        let busy = coded_err_response(
+                            "busy",
+                            &format!("{MAX_CONNECTIONS} connections are open already; retry later"),
+                        );
+                        // Dropping the stream closes it.
+                        let _ = write_line(&mut stream, &busy);
+                        continue;
+                    }
                     let shared = Arc::clone(&self.shared);
                     let stop = Arc::clone(&self.stop);
                     let conn_stop = Arc::clone(&conn_stop);
@@ -153,7 +168,6 @@ impl Server {
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(format!("accept failed: {e}")),
             }
-            conns.retain(|handle| !handle.is_finished());
         }
 
         // Drain: abandon the queue, let claimed jobs finish, then

@@ -206,18 +206,6 @@ impl StratifiedEstimator {
         }
         Ok(self.relative_half_width(confidence)? <= epsilon)
     }
-
-    /// The coefficient of variation a simple-random sample of the same
-    /// size would have needed to reach this half-width: `√(n·Var)/|μ̂|`.
-    /// A value below the population CV is the efficiency stratification
-    /// bought.
-    pub fn equivalent_cv(&self) -> f64 {
-        let mean = self.mean();
-        if mean == 0.0 {
-            return 0.0;
-        }
-        (self.sample_size() as f64 * self.variance_of_mean()).sqrt() / mean.abs()
-    }
 }
 
 /// Neyman allocation: distributes `total` sampling units across strata

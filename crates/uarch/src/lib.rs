@@ -11,7 +11,9 @@
 //!   sampling units: [`CacheHierarchy`], two [`Tlb`]s, and a
 //!   [`BranchPredictor`]. Functional warming applies
 //!   [`WarmState::warm_record`] per fast-forwarded instruction.
-//! * [`Pipeline`] — the cycle-accurate out-of-order engine. It replays a
+//! * [`Pipeline`] — the cycle-accurate out-of-order engine, and the
+//!   only timing engine this library ships (its tests keep the
+//!   scan-per-cycle original as a bit-identity oracle). It replays a
 //!   correct-path trace (any [`TraceSource`]) and reports
 //!   [`UnitMeasurement`]s (cycles, instructions, activity counters).
 //!
@@ -58,7 +60,6 @@ mod config;
 mod hierarchy;
 mod lru;
 mod pipeline;
-mod scan;
 mod tlb;
 mod warm;
 
@@ -67,6 +68,5 @@ pub use cache::{Cache, CacheOutcome};
 pub use config::{CacheConfig, MachineConfig, OpLatencies, PredictorConfig, TlbConfig};
 pub use hierarchy::{AccessResult, CacheHierarchy};
 pub use pipeline::{Pipeline, TraceSource, UnitMeasurement};
-pub use scan::ScanPipeline;
 pub use tlb::Tlb;
 pub use warm::WarmState;

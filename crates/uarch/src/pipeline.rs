@@ -11,8 +11,8 @@
 //! writeback looking for due completions, once in issue re-evaluating
 //! operand readiness) and stepped every cycle even when the machine was
 //! provably stalled. This implementation is event-driven with the *same*
-//! cycle-level semantics, bit-identical to the scan model kept in
-//! [`crate::scan`]:
+//! cycle-level semantics, bit-identical to the scan model the tests keep
+//! as an oracle (`crates/uarch/tests/oracles/scan.rs`):
 //!
 //! - **Wakeup lists** — each in-flight producer keeps an intrusive list
 //!   of the consumers waiting on it; completion walks the list and moves
@@ -1128,7 +1128,6 @@ fn wrong_path_start(rec: &smarts_isa::ExecRecord, pred: Prediction) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::ScanPipeline;
     use smarts_isa::{reg, Asm, Cpu, Memory, Program};
 
     /// Functional CPU wrapped as a trace source.
@@ -1172,14 +1171,6 @@ mod tests {
     fn run_program(program: Program, cfg: &MachineConfig) -> UnitMeasurement {
         let mut warm = WarmState::new(cfg);
         let mut pipeline = Pipeline::new(cfg);
-        let mut source = CpuSource::new(program);
-        pipeline.run(&mut warm, &mut source, u64::MAX, true)
-    }
-
-    /// Runs `program` through the scan reference model.
-    fn run_scan(program: Program, cfg: &MachineConfig) -> UnitMeasurement {
-        let mut warm = WarmState::new(cfg);
-        let mut pipeline = ScanPipeline::new(cfg);
         let mut source = CpuSource::new(program);
         pipeline.run(&mut warm, &mut source, u64::MAX, true)
     }
@@ -1460,60 +1451,5 @@ mod tests {
         let m = run_program(a.finish().unwrap(), &cfg);
         // Store misses overlap through 8 MSHRs but still dominate runtime.
         assert!(m.cpi() > 2.0, "cpi = {}", m.cpi());
-    }
-
-    #[test]
-    fn cycle_skipping_engages_and_matches_scan_on_memory_stalls() {
-        // A miss-every-iteration load loop spends most of its cycles
-        // stalled on memory: the next-event jump must engage, and the
-        // total must stay bit-identical to the scan reference.
-        let cfg = MachineConfig::eight_way();
-        let program = load_loop(400, 1 << 20);
-
-        let mut warm = WarmState::new(&cfg);
-        let mut pipeline = Pipeline::new(&cfg);
-        let mut source = CpuSource::new(program.clone());
-        let event = pipeline.run(&mut warm, &mut source, u64::MAX, true);
-        assert!(
-            pipeline.skipped_cycles() > event.cycles / 4,
-            "skipped {} of {} cycles",
-            pipeline.skipped_cycles(),
-            event.cycles
-        );
-
-        let scanned = run_scan(program, &cfg);
-        assert_eq!(event, scanned);
-    }
-
-    #[test]
-    fn skip_never_jumps_past_fetch_refill_or_store_drain() {
-        // Store bursts keep the store buffer draining through MSHRs while
-        // strided code misses the I-cache, so the quiescent spans are
-        // bounded by store-drain, MSHR-release, and fetch-refill events.
-        // Bit-equality with the scan model (which steps every cycle)
-        // while skipping engaged proves no jump overshot an event.
-        let cfg = MachineConfig::eight_way();
-        let mut a = Asm::new();
-        a.li(reg::S0, 0x100_0000);
-        for i in 0..200 {
-            a.sd(reg::T0, reg::S0, (i as i64) << 20);
-            // Pad with dependent adds so commit outruns the drain and the
-            // buffer alternates between full and empty.
-            for _ in 0..8 {
-                a.addi(reg::T1, reg::T1, 1);
-            }
-        }
-        a.halt();
-        let program = a.finish().unwrap();
-
-        let mut warm = WarmState::new(&cfg);
-        let mut pipeline = Pipeline::new(&cfg);
-        let mut source = CpuSource::new(program.clone());
-        let event = pipeline.run(&mut warm, &mut source, u64::MAX, true);
-        assert!(pipeline.skipped_cycles() > 0, "skipping never engaged");
-
-        let scanned = run_scan(program, &cfg);
-        assert_eq!(event.cycles, scanned.cycles);
-        assert_eq!(event, scanned);
     }
 }

@@ -9,12 +9,15 @@
 //! data-dependent branches) and run on 2-, 4-, and 8-wide machines so
 //! narrow structural hazards (single cache port, two MSHRs, tiny store
 //! buffer) and wide ones are both covered. Failures reproduce from the
-//! fixed seeds.
+//! fixed seeds. Two hand-built programs then pin the next-event jump:
+//! it must engage, and never overshoot an event the scan would see.
 
+#[path = "oracles/scan.rs"]
+mod scan;
+
+use scan::ScanPipeline;
 use smarts_isa::{reg, Asm, Cpu, ExecRecord, Memory, Program};
-use smarts_uarch::{
-    MachineConfig, Pipeline, ScanPipeline, TraceSource, UnitMeasurement, WarmState,
-};
+use smarts_uarch::{MachineConfig, Pipeline, TraceSource, UnitMeasurement, WarmState};
 use smarts_workloads::SplitMix64;
 
 /// Functional CPU wrapped as a trace source.
@@ -252,4 +255,85 @@ fn event_driven_matches_scan_on_detailed_warming_intervals() {
         assert_eq!(event_m, scan_m, "case {case} measured interval");
         assert_eq!(event_warm, scan_warm, "case {case} warm state");
     }
+}
+
+/// Runs `program` through the scan reference model.
+fn run_scan(program: Program, cfg: &MachineConfig) -> UnitMeasurement {
+    let mut warm = WarmState::new(cfg);
+    let mut pipeline = ScanPipeline::new(cfg);
+    let mut source = CpuSource::new(program);
+    pipeline.run(&mut warm, &mut source, u64::MAX, true)
+}
+
+/// A load loop: stride 0 keeps hitting one line, a large stride misses
+/// every time. The loop body keeps the I-cache warm.
+fn load_loop(iters: i64, stride: i64) -> Program {
+    let mut a = Asm::new();
+    a.li(reg::S0, 0x10_0000);
+    a.li(reg::S1, 0);
+    a.li(reg::S2, iters);
+    let top = a.label();
+    a.bind(top).unwrap();
+    a.ld(reg::T0, reg::S0, 0);
+    a.add(reg::T1, reg::T1, reg::T0);
+    a.addi(reg::S0, reg::S0, stride);
+    a.addi(reg::S1, reg::S1, 1);
+    a.blt(reg::S1, reg::S2, top);
+    a.halt();
+    a.finish().unwrap()
+}
+
+#[test]
+fn cycle_skipping_engages_and_matches_scan_on_memory_stalls() {
+    // A miss-every-iteration load loop spends most of its cycles
+    // stalled on memory: the next-event jump must engage, and the
+    // total must stay bit-identical to the scan reference.
+    let cfg = MachineConfig::eight_way();
+    let program = load_loop(400, 1 << 20);
+
+    let mut warm = WarmState::new(&cfg);
+    let mut pipeline = Pipeline::new(&cfg);
+    let mut source = CpuSource::new(program.clone());
+    let event = pipeline.run(&mut warm, &mut source, u64::MAX, true);
+    assert!(
+        pipeline.skipped_cycles() > event.cycles / 4,
+        "skipped {} of {} cycles",
+        pipeline.skipped_cycles(),
+        event.cycles
+    );
+
+    let scanned = run_scan(program, &cfg);
+    assert_eq!(event, scanned);
+}
+
+#[test]
+fn skip_never_jumps_past_fetch_refill_or_store_drain() {
+    // Store bursts keep the store buffer draining through MSHRs while
+    // strided code misses the I-cache, so the quiescent spans are
+    // bounded by store-drain, MSHR-release, and fetch-refill events.
+    // Bit-equality with the scan model (which steps every cycle)
+    // while skipping engaged proves no jump overshot an event.
+    let cfg = MachineConfig::eight_way();
+    let mut a = Asm::new();
+    a.li(reg::S0, 0x100_0000);
+    for i in 0..200 {
+        a.sd(reg::T0, reg::S0, (i as i64) << 20);
+        // Pad with dependent adds so commit outruns the drain and the
+        // buffer alternates between full and empty.
+        for _ in 0..8 {
+            a.addi(reg::T1, reg::T1, 1);
+        }
+    }
+    a.halt();
+    let program = a.finish().unwrap();
+
+    let mut warm = WarmState::new(&cfg);
+    let mut pipeline = Pipeline::new(&cfg);
+    let mut source = CpuSource::new(program.clone());
+    let event = pipeline.run(&mut warm, &mut source, u64::MAX, true);
+    assert!(pipeline.skipped_cycles() > 0, "skipping never engaged");
+
+    let scanned = run_scan(program, &cfg);
+    assert_eq!(event.cycles, scanned.cycles);
+    assert_eq!(event, scanned);
 }

@@ -6,7 +6,7 @@
 //! (re-evaluating every waiting entry's operand readiness), and it never
 //! skips a cycle — a stalled machine burns one `step_cycle` per tick.
 //!
-//! The production [`crate::Pipeline`] replaces those scans with
+//! The shipped `smarts_uarch::Pipeline` replaces those scans with
 //! producer→consumer wakeup lists, a completion list keyed on
 //! `complete_cycle`, and a next-interesting-cycle bound that jumps dead
 //! cycles in one step. Its contract is *bit-identical* cycle counts,
@@ -14,20 +14,19 @@
 //! updates for any trace — and this module is the oracle for that
 //! contract: the cross-model property tests
 //! (`crates/uarch/tests/cross_model.rs`) replay SplitMix64-random
-//! programs through both models and assert equality.
+//! programs through both models and assert equality, and
+//! `tests/engine_oracle.rs` replays stored sampling units through both.
 //!
-//! This model is compiled for tests and benchmarks only in spirit: it is
-//! public API so integration tests and the bench harness can reach it,
-//! but nothing in the production sampling path should instantiate it.
+//! This model is test-only code: it is built from the public
+//! `smarts_uarch` surface alone, and each test that compares against it
+//! includes this file as a module. The shipped library has one timing
+//! engine.
 
 use std::collections::VecDeque;
 
-use crate::bpred::Prediction;
-use crate::config::MachineConfig;
-use crate::pipeline::{TraceSource, UnitMeasurement};
-use crate::warm::WarmState;
 use smarts_energy::ActivityCounters;
 use smarts_isa::{OpClass, Opcode};
+use smarts_uarch::{MachineConfig, Prediction, TraceSource, UnitMeasurement, WarmState};
 
 const NO_PRODUCER: u64 = u64::MAX;
 
@@ -85,10 +84,10 @@ enum FuPool {
 
 /// The scan-based out-of-order pipeline (reference model).
 ///
-/// Same public surface and same simulated machine as [`crate::Pipeline`];
-/// see the module docs for why it exists. State accumulates across
-/// successive [`ScanPipeline::run`] calls exactly like the production
-/// pipeline's.
+/// Same `run` surface and same simulated machine as the shipped
+/// `Pipeline`; see the module docs for why it exists. State accumulates
+/// across successive [`ScanPipeline::run`] calls exactly like the
+/// production pipeline's.
 #[derive(Debug, Clone)]
 pub struct ScanPipeline {
     cfg: MachineConfig,
@@ -139,24 +138,9 @@ impl ScanPipeline {
         }
     }
 
-    /// Current cycle count (monotonic across `run` calls).
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Whether a `halt` instruction has committed.
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
-    /// Whether the trace source reported end-of-stream.
-    pub fn source_done(&self) -> bool {
-        self.source_done
-    }
-
     /// Runs detailed simulation until `commits` more instructions commit
     /// (or the stream ends / the program halts). Semantics identical to
-    /// [`crate::Pipeline::run`].
+    /// the shipped `Pipeline::run`.
     ///
     /// # Panics
     ///

@@ -7,7 +7,10 @@
 # under `crates/bench/src/bin/` except the `perf` package (the `repro`
 # binary and its modules); `bench-total` adds the `bench` crate's own
 # non-test lines, so code moved from a bin into the library does not
-# read as a reduction.
+# read as a reduction. `oracles` is every line of the test-only
+# reference implementations (`crates/<crate>/tests/oracles/*.rs`, e.g.
+# the scan timing engine), so code moved out of a shipped crate into
+# them reads as a move, not a deletion.
 #
 #   sh scripts/loc.sh [repo-root]
 set -eu
@@ -35,3 +38,5 @@ printf '%-10s %6d\n' "all" "$total"
 printf '%-10s %6d\n' "exec+cli+ckpt+core" "$spine"
 printf '%-10s %6d\n' "bench-bins" "$bins"
 printf '%-10s %6d\n' "bench-total" "$((bins + bench))"
+oracles=$(cat crates/*/tests/oracles/*.rs 2>/dev/null | wc -l)
+printf '%-10s %6d\n' "oracles" "$oracles"

@@ -5,11 +5,15 @@
 //! window structures would hide from `crates/uarch/tests/cross_model.rs`,
 //! which drives random programs from a cold state only.
 
+#[path = "../crates/uarch/tests/oracles/scan.rs"]
+mod scan;
+
+use scan::ScanPipeline;
 use smarts::ckpt::{CkptWriter, MappedStore, StoreMeta};
 use smarts::core::{FunctionalEngine, UnitCheckpoint};
 use smarts::isa::{BuiltinIsa, Isa};
 use smarts::prelude::*;
-use smarts::uarch::{ScanPipeline, UnitMeasurement};
+use smarts::uarch::UnitMeasurement;
 use smarts::workloads::Frontend;
 
 const PROBES: [&str; 5] = ["hashp-2", "chase-2", "branchy-1", "loopy-1", "rle-1"];

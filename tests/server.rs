@@ -72,7 +72,6 @@ fn small_spec() -> JobSpec {
         n: 8,
         unit: 500,
         warming_len: Some(1000),
-        functional_warming: true,
         offset: 0,
         jobs: 2,
         ..JobSpec::default()
@@ -301,24 +300,25 @@ fn concurrent_submissions_share_one_warming_pass() {
 }
 
 #[test]
-fn a_job_without_functional_warming_fails_with_the_typed_refusal() {
+fn a_submit_without_functional_warming_is_refused_with_the_typed_message() {
     // A served job always goes through a store, and no checkpoint holds
-    // the stale state such a design measures each unit on.
+    // the stale state such a design measures each unit on: the submit
+    // itself is refused, and no job is created.
     let store_dir = temp_dir("no-fw");
     let server = RunningServer::start(&store_dir, 1);
     let mut client = server.client();
-    let spec = JobSpec {
-        functional_warming: false,
-        ..small_spec()
-    };
-    let id = client.submit(&spec).expect("submit");
-    assert_eq!(client.wait(&id).expect("wait"), "failed");
-    let record = client.status(Some(&id)).expect("status");
+    let mut line = String::from(r#"{"cmd":"submit","functional_warming":false,"#);
+    line.push_str(&small_spec().to_json().to_line()[1..]);
+    let response = smarts::server::json::parse(&client.round_trip(&line).expect("reply"))
+        .expect("response is JSON");
     let refusal = smarts::exec::ExecError::NoFunctionalWarming.to_string();
+    assert_eq!(response.get("ok"), Some(&Json::Bool(false)));
     assert_eq!(
-        record.get("error").and_then(Json::as_str),
+        response.get("error").and_then(Json::as_str),
         Some(refusal.as_str())
     );
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.get("jobs").and_then(Json::as_u64), Some(0));
     server.shutdown();
     let _ = std::fs::remove_dir_all(&store_dir);
 }
@@ -541,6 +541,41 @@ fn evicted_lines_and_records_get_a_typed_refusal() {
     let again = client.submit(&small_spec()).expect("resubmit");
     assert_eq!(client.wait(&again).expect("wait"), "done");
     assert_eq!(client.result(&again).expect("result").1, line);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&store_dir);
+}
+
+#[test]
+fn connections_past_the_cap_are_told_busy_and_closed() {
+    use smarts::server::MAX_CONNECTIONS;
+    let store_dir = temp_dir("conn-cap");
+    let server = RunningServer::start(&store_dir, 1);
+    // A ping proves each connection has its own handler thread.
+    let mut held: Vec<Client> = (0..MAX_CONNECTIONS)
+        .map(|_| {
+            let mut client = server.client();
+            client.ping().expect("under the cap");
+            client
+        })
+        .collect();
+
+    let mut extra = server.client();
+    let busy = extra.read_line().expect("one refusal line");
+    assert!(busy.contains(r#""code":"busy""#), "got {busy}");
+    assert!(extra.read_line().is_err(), "the refused socket is closed");
+
+    // Closing one held connection frees a slot once its handler sees
+    // the close.
+    drop(held.pop());
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    loop {
+        if server.client().ping().is_ok() {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "no slot came free");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    drop(held);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&store_dir);
 }
