@@ -130,13 +130,10 @@ pub fn measure(
     )
     .expect("full-grid parameters");
     // One warming pass, every unit replayed from its checkpoint as the
-    // pass streams by; the merged report holds the complete units in
-    // stream order, bit-identical at any worker count.
-    let census = smarts_exec::Executor::new(2)
-        .expect("executor")
-        .sample(sim, bench, &params)
-        .expect("full-grid run");
-    let cpis: Vec<f64> = census.report.unit_cpis().collect();
+    // pass streams by; the report holds the complete units in stream
+    // order, the bits of a replay at any worker count.
+    let census = sim.sample(bench, &params).expect("full-grid run");
+    let cpis: Vec<f64> = census.unit_cpis().collect();
     let pool = cpis.len() as u64;
     let mut all = RunningStats::new();
     for &v in &cpis {

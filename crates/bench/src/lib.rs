@@ -105,8 +105,8 @@ impl HarnessArgs {
                 other => return Err(format!("unknown flag {other}")),
             }
         }
-        if args.scale <= 0.0 {
-            return Err("--scale must be positive".into());
+        if !(args.scale.is_finite() && args.scale > 0.0) {
+            return Err("--scale must be finite and positive".into());
         }
         Ok(args)
     }
@@ -291,6 +291,17 @@ pub fn check(expected: &str, det: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_scale_that_is_not_finite_and_positive_is_refused() {
+        let parse = |scale: &str| HarnessArgs::parse(["--scale".into(), scale.to_string()]);
+        for scale in ["nan", "inf", "-inf", "0", "-1", "x"] {
+            assert!(parse(scale).unwrap_err().contains("--scale"), "{scale}");
+        }
+        assert_eq!(parse("0.5").unwrap().scale, 0.5);
+        let jobs = HarnessArgs::parse(["--jobs".into(), "257".into()]);
+        assert_eq!(jobs.unwrap_err(), "unknown flag --jobs");
+    }
 
     #[test]
     fn check_compares_the_deterministic_block_only() {

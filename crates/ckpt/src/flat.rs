@@ -597,9 +597,9 @@ mod tests {
         let mut page = [0u8; Memory::PAGE_BYTES];
         // Sparse, dense, or all-zero (a page allocated but never
         // written to a non-zero value is real state).
-        let writes = [0, 3, 700][rng.next_below(3) as usize];
+        let writes = [0, 3, 700][rng.below(3) as usize];
         for _ in 0..writes {
-            let at = rng.next_below(PAGE_WORDS as u64) as usize * 8;
+            let at = rng.below(PAGE_WORDS as u64) as usize * 8;
             page[at..at + 8].copy_from_slice(&rng.next_u64().to_le_bytes());
         }
         Arc::new(page)
@@ -612,29 +612,29 @@ mod tests {
     /// fresh pages are added between them.
     fn random_successor(rng: &mut SplitMix64, prev: &FlatCheckpoint) -> FlatCheckpoint {
         let mut fixed = prev.fixed.clone();
-        for _ in 0..rng.next_below(6) {
-            let at = rng.next_below(fixed.len() as u64) as usize;
-            let run = (1 + rng.next_below(40) as usize).min(fixed.len() - at);
+        for _ in 0..rng.below(6) {
+            let at = rng.below(fixed.len() as u64) as usize;
+            let run = (1 + rng.below(40) as usize).min(fixed.len() - at);
             for word in &mut fixed[at..at + run] {
-                *word = rng.next_u64() >> rng.next_below(64);
+                *word = rng.next_u64() >> rng.below(64);
             }
         }
         let mut pages = Vec::new();
         for (index, page) in &prev.pages {
-            match rng.next_below(5) {
+            match rng.below(5) {
                 0 => pages.push((*index, Arc::clone(page))),
                 1 => pages.push((*index, Arc::new(**page))),
                 2 => {
                     let mut copy = **page;
-                    let at = rng.next_below(PAGE_WORDS as u64) as usize * 8;
-                    copy[at] ^= 1 + rng.next_below(255) as u8;
+                    let at = rng.below(PAGE_WORDS as u64) as usize * 8;
+                    copy[at] ^= 1 + rng.below(255) as u8;
                     pages.push((*index, Arc::new(copy)));
                 }
                 3 => {}
-                _ => pages.push((*index + 1 + rng.next_below(3), random_page(rng))),
+                _ => pages.push((*index + 1 + rng.below(3), random_page(rng))),
             }
         }
-        pages.push((1 << 20 | rng.next_below(1 << 16), random_page(rng)));
+        pages.push((1 << 20 | rng.below(1 << 16), random_page(rng)));
         pages.sort_unstable_by_key(|&(index, _)| index);
         pages.dedup_by_key(|&mut (index, _)| index);
         flat(fixed, pages)
@@ -644,13 +644,13 @@ mod tests {
     fn identity_fast_path_encodes_what_the_contents_encode() {
         for seed in 0..24u64 {
             let mut rng = SplitMix64::new(seed);
-            let fixed_len = 1 + rng.next_below(200) as usize;
+            let fixed_len = 1 + rng.below(200) as usize;
             let first = {
                 let fixed = (0..fixed_len)
-                    .map(|_| rng.next_u64() >> rng.next_below(64))
+                    .map(|_| rng.next_u64() >> rng.below(64))
                     .collect();
-                let pages = (0..rng.next_below(12))
-                    .map(|k| (10 * k + rng.next_below(10), random_page(&mut rng)))
+                let pages = (0..rng.below(12))
+                    .map(|k| (10 * k + rng.below(10), random_page(&mut rng)))
                     .collect();
                 flat(fixed, pages)
             };
@@ -766,13 +766,13 @@ mod tests {
         let mut cpu = Cpu::new();
         let mut chain = Vec::new();
         for unit in 0..units {
-            let touches = [0, 3, 40, 3000][rng.next_below(4) as usize];
+            let touches = [0, 3, 40, 3000][rng.below(4) as usize];
             let region = rng.next_u64() & 0xFFFF_F000;
-            let spread = [8, 14, 22][rng.next_below(3) as usize];
+            let spread = [8, 14, 22][rng.below(3) as usize];
             for _ in 0..touches {
-                let addr = region + rng.next_below(1 << spread);
-                let flag = rng.next_below(2) == 1;
-                match rng.next_below(5) {
+                let addr = region + rng.below(1 << spread);
+                let flag = rng.below(2) == 1;
+                match rng.below(5) {
                     0 => {
                         warm.itlb.access(addr);
                         warm.hierarchy.access_instr(addr);
@@ -783,7 +783,7 @@ mod tests {
                     }
                     2 => warm.bpred.warm(addr % 5000, CondBranch, flag, addr % 777),
                     3 => {
-                        let class = [Jump, Call, Return][rng.next_below(3) as usize];
+                        let class = [Jump, Call, Return][rng.below(3) as usize];
                         warm.bpred.warm(addr % 5000, class, true, addr % 777);
                     }
                     _ => memory.write_u64(addr & !7, rng.next_u64()),

@@ -11,24 +11,7 @@ use smarts_ckpt::{CkptError, CkptReader, CkptWriter, IsaId, MappedStore, StoreMe
 use smarts_core::{SamplingParams, SmartsSim, UnitCheckpoint, Warming};
 use smarts_isa::{BuiltinIsa, Isa, RiscIsa};
 use smarts_uarch::MachineConfig;
-use smarts_workloads::{find, Benchmark, Frontend};
-
-/// Deterministic pseudo-random stream for the corruption property tests.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
+use smarts_workloads::{find, Benchmark, Frontend, SplitMix64};
 
 fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -192,7 +175,7 @@ fn any_flipped_record_byte_surfaces_a_typed_error() {
     drop(layout);
     assert!(pristine.len() > records_end, "stores carry a footer");
 
-    let mut rng = SplitMix64(0xC0FF_EE00_5EED);
+    let mut rng = SplitMix64::new(0xC0FF_EE00_5EED);
     for _ in 0..40 {
         let offset = header_len + rng.below((pristine.len() - header_len) as u64) as usize;
         let bit = rng.below(8) as u32;
@@ -305,7 +288,7 @@ fn truncation_recovers_the_intact_prefix() {
     // Random cuts, plus pinned ones for the boundary cases the random
     // draw may miss: mid-record, exactly at the record/footer seam
     // (footer fully missing), and mid-footer.
-    let mut rng = SplitMix64(0x7A11_FEED);
+    let mut rng = SplitMix64::new(0x7A11_FEED);
     let mut cuts: Vec<usize> = (0..25)
         .map(|_| header_len + rng.below((pristine.len() - header_len) as u64) as usize)
         .collect();

@@ -17,13 +17,11 @@ use smarts_core::{
     SmartsSim, TwoStepOutcome, Warming,
 };
 use smarts_exec::{
-    replay_store_mapped, replay_store_sampled, sample, warm_store, ExecError, Executor,
-    ParallelReport, SampledReplay, UnitMemo,
+    replay, sample, Estimate, ExecError, Executor, ParallelReport, SampledReplay, UnitMemo,
+    MAX_JOBS,
 };
 use smarts_isa::{write_trace, BuiltinIsa, IsaId, RiscIsa, TraceIsa};
-use smarts_server::{
-    canonical_report_line, report_from_json, sampled_report_line, Client, JobSpec,
-};
+use smarts_server::{estimate_line, machine_for, params_for, report_from_json, Client, JobSpec};
 use smarts_simpoint::{estimate_cpi, SimPointConfig};
 use smarts_stats::Confidence;
 use smarts_uarch::MachineConfig;
@@ -222,10 +220,9 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
             "--scale" => {
                 options.scale = value("--scale")?
                     .parse()
-                    .map_err(|_| "--scale takes a positive number".to_string())?;
-                if options.scale <= 0.0 {
-                    return Err("--scale takes a positive number".into());
-                }
+                    .ok()
+                    .filter(|s: &f64| s.is_finite() && *s > 0.0)
+                    .ok_or_else(|| "--scale takes a finite positive number".to_string())?;
             }
             "--n" => {
                 options.n = value("--n")?
@@ -286,8 +283,8 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
                 options.jobs = value("--jobs")?
                     .parse()
                     .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| "--jobs takes a worker count of at least 1".to_string())?;
+                    .filter(|n| (1..=MAX_JOBS).contains(n))
+                    .ok_or_else(|| format!("--jobs takes a worker count in 1..={MAX_JOBS}"))?;
             }
             "--save-checkpoints" => {
                 options.save_checkpoints = Some(value("--save-checkpoints")?);
@@ -305,14 +302,6 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
     Ok(options)
 }
 
-fn machine(options: &Options) -> MachineConfig {
-    if options.config == 16 {
-        MachineConfig::sixteen_way()
-    } else {
-        MachineConfig::eight_way()
-    }
-}
-
 fn benchmark(options: &Options) -> Result<Benchmark, String> {
     let name = options.bench.as_deref().ok_or("--bench is required")?;
     let bench =
@@ -320,42 +309,49 @@ fn benchmark(options: &Options) -> Result<Benchmark, String> {
     Ok(bench.scaled(options.scale))
 }
 
-fn sampling_params(
-    options: &Options,
-    cfg: &MachineConfig,
-    approx_len: u64,
-) -> Result<SamplingParams, String> {
-    let warming = if options.no_functional_warming {
-        Warming::None
-    } else {
-        Warming::Functional
-    };
-    let w = options
-        .warming_len
-        .unwrap_or_else(|| cfg.recommended_detailed_warming());
-    SamplingParams::for_sample_size(
-        approx_len,
-        options.unit,
-        w,
-        warming,
-        options.n,
-        options.offset,
-    )
-    .map_err(|e| e.to_string())
-}
-
-/// The sampler spec the options describe. `--epsilon` doubles as the
-/// CI half-width target for the non-systematic strategies (defaulting
-/// to the paper's ±3%), and `--confidence` carries over unchanged.
-fn sampler_spec(options: &Options) -> SamplerSpec {
-    SamplerSpec {
-        kind: options.sampler,
+/// The job the options describe: what `submit` sends, and what a local
+/// run derives its design and sampler from, so a one-shot run and a
+/// served job print the same line. `--epsilon` doubles as the CI
+/// half-width target for the non-systematic strategies (defaulting to
+/// the paper's ±3%).
+fn job_of(options: &Options) -> JobSpec {
+    JobSpec {
+        bench: options.bench.clone().unwrap_or_default(),
+        isa: options.isa,
+        config: options.config,
+        scale: options.scale,
+        n: options.n,
+        unit: options.unit,
+        warming_len: options.warming_len,
+        offset: options.offset,
+        jobs: options.jobs,
+        sampler: options.sampler,
         seed: options.seed,
         strata: options.strata,
         pilot: options.pilot,
         epsilon: options.epsilon.unwrap_or(0.03),
         confidence: options.confidence,
     }
+}
+
+/// The design the options describe for `workload` under `isa`: the
+/// server's derivation, plus `--no-functional-warming`.
+fn sampling_params(
+    options: &Options,
+    isa: IsaId,
+    workload: &str,
+) -> Result<SamplingParams, String> {
+    let bench = workload.to_string();
+    let job = JobSpec {
+        bench,
+        isa,
+        ..job_of(options)
+    };
+    let mut params = params_for(&job, &machine_for(options.config))?;
+    if options.no_functional_warming {
+        params.warming = Warming::None;
+    }
+    Ok(params)
 }
 
 fn cmd_list() {
@@ -390,16 +386,6 @@ fn sample_frontend(options: &Options) -> Result<(IsaId, String), String> {
     Ok((options.isa, options.bench.clone().unwrap_or_default()))
 }
 
-/// What one `smarts sample` run estimated (one value per process, so
-/// the variants' sizes do not matter).
-#[allow(clippy::large_enum_variant)]
-enum Estimate {
-    /// The systematic estimator over every checkpointed unit.
-    Systematic(ParallelReport),
-    /// A stratified or adaptive selection from the checkpointed grid.
-    Sampled(SampledReplay),
-}
-
 /// Everything `smarts sample` prints, whichever source and estimator
 /// the options selected.
 struct SampleRun {
@@ -413,23 +399,10 @@ struct SampleRun {
     estimate: Estimate,
 }
 
-impl Estimate {
-    /// The run's merged report with its parallel accounting.
-    fn run(&self) -> &ParallelReport {
-        match self {
-            Estimate::Systematic(run) => run,
-            Estimate::Sampled(sampled) => &sampled.report,
-        }
-    }
-}
-
 impl SampleRun {
     /// The canonical bit-exact report line (`--json`).
     fn json_line(&self) -> String {
-        match &self.estimate {
-            Estimate::Systematic(run) => canonical_report_line(&run.report),
-            Estimate::Sampled(sampled) => sampled_report_line(sampled),
-        }
+        estimate_line(&self.estimate)
     }
 }
 
@@ -463,14 +436,6 @@ fn workload_label<F: Frontend>(name: &str, scale: f64) -> String {
     }
 }
 
-/// A store path no other run of this process or machine is using, for
-/// the sampled strategies' cold runs.
-fn temp_store_path() -> std::path::PathBuf {
-    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    std::env::temp_dir().join(format!("smarts-sample-{}-{seq}.ck", std::process::id()))
-}
-
 /// This executable's identity for outcome files: its length and mtime, so
 /// a rebuilt binary never books an outcome an older one measured.
 fn build_identity() -> Option<String> {
@@ -479,40 +444,19 @@ fn build_identity() -> Option<String> {
     Some(format!("{} bytes, modified {mtime:?}", exe.len()))
 }
 
-fn store_written_note(write: &smarts_ckpt::WriteSummary, path: &std::path::Path) -> String {
-    format!(
-        "store         {} records, {:.2} MiB written to {}",
-        write.records,
-        write.bytes as f64 / (1024.0 * 1024.0),
-        path.display()
-    )
-}
-
-/// `smarts sample` under frontend `F`. The only forks are the source of
-/// the checkpoints — `--from-checkpoints`, a warming pass that keeps
-/// them (`--save-checkpoints`), or one that does not — and the
-/// estimator: the systematic one consumes checkpoints as they stream
-/// past, the sampled strategies need random access to the whole grid
-/// before they pick a unit, so they warm a store first (a temporary one
-/// without `--save-checkpoints`) and then replay their selection from
-/// it. Every route yields the same report bytes for the same design.
+/// `smarts sample` under frontend `F`. The one fork is the source of the
+/// checkpoints — `--from-checkpoints`, or a warming pass that keeps them
+/// (`--save-checkpoints`) or not — and each is one `smarts-exec` entry
+/// point, which runs the estimator the sampler spec names. Every route
+/// yields the same report bytes for the same design.
 fn sample_with<F: Frontend>(options: &Options, workload: &str) -> Result<SampleRun, String> {
-    let cfg = machine(options);
+    let cfg = machine_for(options.config);
     let sim = SmartsSim::new(cfg.clone());
     let conf = Confidence::new(options.confidence).map_err(|e| e.to_string())?;
-    let spec = sampler_spec(options);
-    spec.validate().map_err(|e| e.to_string())?;
+    let spec = job_of(options).sampler_spec();
     let executor = Executor::new(options.jobs).map_err(|e| e.to_string())?;
     let text = |e: ExecError| e.to_string();
     let mut notes = Vec::new();
-    let run = |label, params, notes, estimate| SampleRun {
-        frontend: F::ID,
-        label,
-        params,
-        conf,
-        notes,
-        estimate,
-    };
 
     if let Some(path) = &options.from_checkpoints {
         // The store's own workload and sampling design apply.
@@ -528,30 +472,21 @@ fn sample_with<F: Frontend>(options: &Options, workload: &str) -> Result<SampleR
         });
         let known = memo.known();
         let executor = executor.with_memo(Arc::clone(&memo));
-        let mut damaged = false;
-        let estimate = if spec.is_systematic() {
-            let replayed = replay_store_mapped::<F>(&executor, &sim, &store).map_err(text)?;
+        let run = replay::<F>(&executor, &sim, &store, &spec).map_err(text)?;
+        let records = run.damage.as_ref().map_or(store.len() as u64, |d| d.0);
+        notes.push(format!(
+            "store         {path}: {records} records (workload {}, scale {})",
+            meta.benchmark, meta.scale
+        ));
+        if let Some((_, damage)) = &run.damage {
             notes.push(format!(
-                "store         {path}: {} records (workload {}, scale {})",
-                replayed.records, meta.benchmark, meta.scale
+                "WARNING       store damaged past record {records}: {damage}; \
+                 the intact prefix above was still replayed"
             ));
-            if let Some(damage) = &replayed.damage {
-                damaged = true;
-                notes.push(format!(
-                    "WARNING       store damaged past record {}: {damage}; \
-                     the intact prefix above was still replayed",
-                    replayed.records
-                ));
-            }
-            Estimate::Systematic(replayed.report)
-        } else {
-            Estimate::Sampled(
-                replay_store_sampled::<F>(&executor, &sim, &store, &spec).map_err(text)?,
-            )
-        };
+        }
         let written = match build {
             _ if memo.known() == known => "unchanged".to_string(),
-            _ if damaged => "not written: the store is damaged".to_string(),
+            _ if run.damage.is_some() => "not written: the store is damaged".to_string(),
             None => "not written: this executable's build is unknown".to_string(),
             Some(build) => match memo.save(&units, &build) {
                 Ok(()) => "written".to_string(),
@@ -563,8 +498,14 @@ fn sample_with<F: Frontend>(options: &Options, workload: &str) -> Result<SampleR
             store.len(),
             units.display()
         ));
-        let label = workload_label::<F>(&meta.benchmark, meta.scale);
-        return Ok(run(label, meta.params, notes, estimate));
+        return Ok(SampleRun {
+            frontend: F::ID,
+            label: workload_label::<F>(&meta.benchmark, meta.scale),
+            params: meta.params,
+            conf,
+            notes,
+            estimate: run.estimate,
+        });
     }
 
     if workload.is_empty() {
@@ -574,58 +515,51 @@ fn sample_with<F: Frontend>(options: &Options, workload: &str) -> Result<SampleR
     if two_step.is_some() && F::ID != IsaId::Builtin {
         return Err("--epsilon two-step tuning supports the built-in frontend only".into());
     }
-    let params = sampling_params(options, &cfg, F::approx_len(workload, options.scale)?)?;
-    let label = workload_label::<F>(workload, options.scale);
-    let save = options
-        .save_checkpoints
-        .as_deref()
-        .map(std::path::Path::new);
-
-    let estimate = if !spec.is_systematic() {
-        let temp = temp_store_path();
-        let path = save.unwrap_or(&temp);
-        let sampled = warm_store::<F>(&executor, &sim, workload, options.scale, &params, path)
-            .and_then(|write| {
-                if save.is_some() {
-                    notes.push(store_written_note(&write, path));
-                }
-                let store = MappedStore::open(path, &cfg)?;
-                replay_store_sampled::<F>(&executor, &sim, &store, &spec)
-            });
-        if save.is_none() {
-            let _ = std::fs::remove_file(&temp);
+    let params = sampling_params(options, F::ID, workload)?;
+    let save = options.save_checkpoints.as_deref().map(Path::new);
+    let run_at =
+        |p: &SamplingParams| sample::<F>(&executor, &sim, workload, options.scale, p, &spec, save);
+    let run = match two_step {
+        // Two-step tuning reruns at a tuned n; the run that stands is the
+        // last one.
+        Some(eps) => {
+            let mut last = None;
+            let len = F::approx_len(workload, options.scale)?;
+            let outcome = TwoStepOutcome::run(len, &params, eps, conf, |p| {
+                let run = run_at(p)?;
+                let report = run.estimate.report().report.clone();
+                last = Some(run);
+                Ok::<_, ExecError>(report)
+            })
+            .map_err(text)?;
+            if let Some(tuned) = &outcome.tuned {
+                notes.push(format!(
+                    "initial n = {} missed ±{:.2}%; tuned rerun at n = {}",
+                    outcome.initial.sample_size(),
+                    eps * 100.0,
+                    tuned.sample_size()
+                ));
+            }
+            last.expect("the two-step procedure sampled")
         }
-        Estimate::Sampled(sampled.map_err(text)?)
-    } else if let Some(eps) = two_step {
-        // Two-step tuning reruns a suite `Benchmark` at a tuned n; the
-        // run that stands is the last one.
-        let bench = benchmark(options)?;
-        let mut last = None;
-        let outcome = TwoStepOutcome::run(bench.approx_len(), &params, eps, conf, |p| {
-            let run = executor.sample(&sim, &bench, p)?;
-            let report = run.report.clone();
-            last = Some(run);
-            Ok::<_, ExecError>(report)
-        })
-        .map_err(text)?;
-        if let Some(tuned) = &outcome.tuned {
-            notes.push(format!(
-                "initial n = {} missed ±{:.2}%; tuned rerun at n = {}",
-                outcome.initial.sample_size(),
-                eps * 100.0,
-                tuned.sample_size()
-            ));
-        }
-        Estimate::Systematic(last.expect("the two-step procedure sampled"))
-    } else {
-        let (report, write) =
-            sample::<F>(&executor, &sim, workload, options.scale, &params, save).map_err(text)?;
-        if let (Some(write), Some(path)) = (write, save) {
-            notes.push(store_written_note(&write, path));
-        }
-        Estimate::Systematic(report)
+        None => run_at(&params).map_err(text)?,
     };
-    Ok(run(label, params, notes, estimate))
+    if let (Some(write), Some(path)) = (&run.write, save) {
+        notes.push(format!(
+            "store         {} records, {:.2} MiB written to {}",
+            write.records,
+            write.bytes as f64 / (1024.0 * 1024.0),
+            path.display()
+        ));
+    }
+    Ok(SampleRun {
+        frontend: F::ID,
+        label: workload_label::<F>(workload, options.scale),
+        params,
+        conf,
+        notes,
+        estimate: run.estimate,
+    })
 }
 
 fn cmd_sample(options: &Options) -> Result<(), String> {
@@ -643,10 +577,10 @@ fn cmd_sample(options: &Options) -> Result<(), String> {
     if let Estimate::Sampled(sampled) = &run.estimate {
         print_sampler_lines(sampled);
     }
-    let parallel = run.estimate.run();
+    let parallel = run.estimate.report();
     print_sample_report(
         &run.label,
-        &machine(options),
+        &machine_for(options.config),
         &run.params,
         &parallel.report,
         run.conf,
@@ -713,9 +647,10 @@ fn cmd_trace_export(options: &Options) -> Result<(), String> {
 
 /// Inspects a checkpoint store without replaying it: identity, record
 /// count, and the file-bytes vs decoded-resident-bytes gap that lazy
-/// replay exploits. Opens unchecked, so it works on v1 stores, stores
-/// for a different machine geometry, and damaged stores (the intact
-/// prefix is reported alongside the damage).
+/// replay exploits. Opens unchecked, so it works on stores for a
+/// different machine geometry and on damaged stores (the intact prefix
+/// is reported alongside the damage); a store of another format version
+/// is refused with `UnsupportedVersion`.
 fn cmd_ckpt_info(path: &str, json: bool) -> Result<(), String> {
     let store = MappedStore::open_unchecked(path).map_err(|e| e.to_string())?;
     let meta = store.meta();
@@ -917,7 +852,7 @@ fn print_sample_report(
 }
 
 fn cmd_reference(options: &Options) -> Result<(), String> {
-    let cfg = machine(options);
+    let cfg = machine_for(options.config);
     let bench = benchmark(options)?;
     let sim = SmartsSim::new(cfg.clone());
     let reference = sim.reference(&bench, options.unit);
@@ -937,11 +872,19 @@ fn run_compare(options: &Options) -> Result<PairedComparison, String> {
     let bench = benchmark(options)?;
     let base = SmartsSim::new(MachineConfig::eight_way());
     let alt = SmartsSim::new(MachineConfig::sixteen_way());
-    let mut params = sampling_params(options, base.config(), bench.approx_len())?;
-    params.detailed_warming = 0; // per-machine recommendation
+    // The pair shares the 8-way design; each machine then warms with its
+    // own recommended W.
+    let eight = Options {
+        config: 8,
+        ..options.clone()
+    };
+    let mut params = sampling_params(&eight, IsaId::Builtin, bench.name())?;
+    params.detailed_warming = 0;
     let executor = Executor::new(options.jobs).map_err(|e| e.to_string())?;
+    let spec = SamplerSpec::systematic();
     PairedComparison::run(&base, &alt, &params, |sim, p| {
-        executor.sample(sim, &bench, p).map(|run| run.report)
+        let run = sample::<BuiltinIsa>(&executor, sim, bench.name(), options.scale, p, &spec, None);
+        run.map(|run| run.estimate.report().report.clone())
     })
     .map_err(|e: ExecError| e.to_string())
 }
@@ -977,7 +920,7 @@ fn cmd_compare(options: &Options) -> Result<(), String> {
 }
 
 fn cmd_simpoint(options: &Options) -> Result<(), String> {
-    let cfg = machine(options);
+    let cfg = machine_for(options.config);
     let bench = benchmark(options)?;
     let sim = SmartsSim::new(cfg.clone());
     let sp_config = SimPointConfig {
@@ -1004,7 +947,7 @@ fn cmd_simpoint(options: &Options) -> Result<(), String> {
 }
 
 fn cmd_cachesim(options: &Options) -> Result<(), String> {
-    let cfg = machine(options);
+    let cfg = machine_for(options.config);
     let bench = benchmark(options)?;
     let mut engine = FunctionalEngine::new(bench.load());
     let mut warm = WarmState::new(&cfg);
@@ -1033,7 +976,7 @@ fn cmd_cachesim(options: &Options) -> Result<(), String> {
 }
 
 fn cmd_bpredsim(options: &Options) -> Result<(), String> {
-    let cfg = machine(options);
+    let cfg = machine_for(options.config);
     let bench = benchmark(options)?;
     let mut engine = FunctionalEngine::new(bench.load());
     let mut warm = WarmState::new(&cfg);
@@ -1065,26 +1008,10 @@ fn job_spec(options: &Options) -> Result<JobSpec, String> {
     if options.no_functional_warming {
         return Err(ExecError::NoFunctionalWarming.to_string());
     }
-    Ok(JobSpec {
-        bench: options
-            .bench
-            .clone()
-            .ok_or("--bench is required to submit a job")?,
-        isa: options.isa,
-        config: options.config,
-        scale: options.scale,
-        n: options.n,
-        unit: options.unit,
-        warming_len: options.warming_len,
-        offset: options.offset,
-        jobs: options.jobs,
-        sampler: options.sampler,
-        seed: options.seed,
-        strata: options.strata,
-        pilot: options.pilot,
-        epsilon: options.epsilon.unwrap_or(0.03),
-        confidence: options.confidence,
-    })
+    if options.bench.is_none() {
+        return Err("--bench is required to submit a job".into());
+    }
+    Ok(job_of(options))
 }
 
 /// Prints a job's report fetched from a server: raw canonical bytes
@@ -1109,7 +1036,7 @@ fn print_fetched_result(
         .unwrap_or_else(|| "<server job>".to_string());
     print_sample_report(
         &label,
-        &machine(options),
+        &machine_for(options.config),
         &report.params,
         &report,
         conf,
@@ -1311,6 +1238,20 @@ mod tests {
         assert!(parse_options(&strings(&["--scale", "-1"])).is_err());
         assert!(parse_options(&strings(&["--n"])).is_err());
         assert!(parse_options(&strings(&["--jobs", "0"])).is_err());
+        // A scale that is not finite and positive, a worker count past
+        // the executor's bound: refused here, before anything runs.
+        for scale in ["nan", "inf", "-inf", "1e400", "0"] {
+            let err = parse_options(&strings(&["--scale", scale])).unwrap_err();
+            assert!(err.contains("finite positive"), "{scale}: {err}");
+        }
+        for jobs in ["257", "50000"] {
+            let err = parse_options(&strings(&["--jobs", jobs])).unwrap_err();
+            assert!(err.contains("1..=256"), "{jobs}: {err}");
+        }
+        assert_eq!(
+            parse_options(&strings(&["--jobs", "256"])).unwrap().jobs,
+            256
+        );
     }
 
     #[test]
@@ -1844,7 +1785,7 @@ mod tests {
             format!("memo          {known} of {records} units known from {file} ({written})")
         };
         let memoized = |run: &SampleRun| {
-            let workers = &run.estimate.run().workers;
+            let workers = &run.estimate.report().workers;
             let sum = |f: fn(&WorkerStats) -> u64| workers.iter().map(f).sum::<u64>();
             (sum(|w| w.units), sum(|w| w.memoized))
         };

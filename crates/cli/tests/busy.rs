@@ -34,7 +34,7 @@ fn submit_past_the_admission_cap_prints_busy() {
         n: 8,
         ..JobSpec::default()
     };
-    let cfg = machine_for(&spec);
+    let cfg = machine_for(spec.config);
     let meta = StoreMeta {
         params: params_for(&spec, &cfg).expect("valid spec"),
         benchmark: spec.bench.clone(),

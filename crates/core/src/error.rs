@@ -16,6 +16,9 @@ pub enum SmartsError {
     },
     /// The benchmark stream ended before any sampling unit was measured.
     EmptySample,
+    /// The systematic spec was asked for a sampler: it measures every
+    /// unit of its grid, and selects nothing.
+    NoSampler,
     /// An underlying statistics error (invalid confidence arguments).
     Stats(smarts_stats::StatsError),
     /// Functional execution failed (a malformed program).
@@ -40,6 +43,7 @@ impl fmt::Display for SmartsError {
                     "benchmark stream ended before any sampling unit was measured"
                 )
             }
+            SmartsError::NoSampler => write!(f, "the systematic spec selects no units"),
             SmartsError::Stats(e) => write!(f, "statistics error: {e}"),
             SmartsError::Isa(e) => write!(f, "functional execution error: {e}"),
         }

@@ -287,7 +287,9 @@ impl SamplerSpec {
     ///
     /// # Errors
     ///
-    /// Returns an error for an invalid spec or a zero pool.
+    /// Returns an error for an invalid spec or a zero pool, and
+    /// [`SmartsError::NoSampler`] for the systematic spec, which measures
+    /// every unit of its grid and selects nothing.
     pub fn build(&self, pool: u64) -> Result<Box<dyn smarts_stats::Sampler>, SmartsError> {
         self.validate()?;
         let confidence = Confidence::new(self.confidence)?;
@@ -300,17 +302,11 @@ impl SamplerSpec {
             seed: self.seed,
             max_units: None,
         };
-        Ok(match self.kind {
-            SamplerKind::Systematic => Box::new(smarts_stats::SystematicSampler::new(
-                pool,
-                pool,
-                0,
-                self.epsilon,
-                confidence,
-            )?),
-            SamplerKind::Stratified => Box::new(smarts_stats::StratifiedSampler::new(cfg)?),
-            SamplerKind::Adaptive => Box::new(smarts_stats::AdaptiveSampler::new(cfg, 0)?),
-        })
+        match self.kind {
+            SamplerKind::Systematic => Err(SmartsError::NoSampler),
+            SamplerKind::Stratified => Ok(Box::new(smarts_stats::StratifiedSampler::new(cfg)?)),
+            SamplerKind::Adaptive => Ok(Box::new(smarts_stats::AdaptiveSampler::new(cfg, 0)?)),
+        }
     }
 
     /// A 64-bit key separating every selection-relevant field — what the
@@ -914,5 +910,15 @@ mod tests {
             m.detailed() * 5 < bench.approx_len(),
             "the warming pass, not detail, covers the stream"
         );
+    }
+
+    #[test]
+    fn only_a_selecting_spec_builds_a_sampler() {
+        let systematic = SamplerSpec::systematic();
+        assert_eq!(systematic.build(100).err(), Some(SmartsError::NoSampler));
+        for kind in [SamplerKind::Stratified, SamplerKind::Adaptive] {
+            let spec = SamplerSpec { kind, ..systematic };
+            assert_eq!(spec.build(100).unwrap().name(), kind.tag());
+        }
     }
 }

@@ -16,10 +16,10 @@ fn sampling_invariants_hold_for_any_design() {
     let warmings = [0u64, 500, 2000];
     let mut rng = SplitMix64::new(301);
     for _ in 0..12 {
-        let unit_size = unit_sizes[rng.next_below(4) as usize];
-        let w = warmings[rng.next_below(3) as usize];
-        let n = 3 + rng.next_below(9);
-        let offset = rng.next_below(3);
+        let unit_size = unit_sizes[rng.below(4) as usize];
+        let w = warmings[rng.below(3) as usize];
+        let n = 3 + rng.below(9);
+        let offset = rng.below(3);
         let functional = rng.next_u64() & 1 == 1;
 
         let bench = find("branchy-1").unwrap().scaled(0.05);
@@ -73,8 +73,8 @@ fn sampling_invariants_hold_for_any_design() {
 fn warming_mode_never_changes_which_units_are_measured() {
     let mut rng = SplitMix64::new(302);
     for _ in 0..4 {
-        let n = 4 + rng.next_below(6);
-        let offset = rng.next_below(2);
+        let n = 4 + rng.below(6);
+        let offset = rng.below(2);
         let bench = find("hashp-2").unwrap().scaled(0.05);
         let build = |warming| {
             SamplingParams::for_sample_size(bench.approx_len(), 1000, 1000, warming, n, offset)

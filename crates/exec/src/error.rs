@@ -1,6 +1,7 @@
 use std::error::Error;
 use std::fmt;
 
+use crate::MAX_JOBS;
 use smarts_ckpt::CkptError;
 use smarts_core::SmartsError;
 
@@ -33,8 +34,9 @@ pub enum ExecError {
         /// The panic payload, stringified.
         message: String,
     },
-    /// The executor was configured with zero workers.
-    ZeroJobs,
+    /// The executor was configured with a worker count outside
+    /// `1..=`[`crate::MAX_JOBS`].
+    Jobs(usize),
     /// The executor's [`crate::UnitMemo`] is another simulator's or store's.
     MemoMismatch,
     /// A run through checkpoints was asked for [`smarts_core::Warming::None`].
@@ -61,7 +63,7 @@ impl fmt::Display for ExecError {
             ExecError::WorkerPanic { worker, message } => {
                 write!(f, "worker {worker} panicked: {message}")
             }
-            ExecError::ZeroJobs => write!(f, "executor needs at least one worker"),
+            ExecError::Jobs(jobs) => write!(f, "a worker count is 1..={MAX_JOBS}, not {jobs}"),
             ExecError::MemoMismatch => write!(f, "unit memo is for another simulator or store"),
             ExecError::NoFunctionalWarming => write!(
                 f,
@@ -113,7 +115,7 @@ mod tests {
         assert!(p.to_string().contains("worker 3"));
         assert!(p.to_string().contains("boom"));
         assert!(p.source().is_none());
-        assert!(ExecError::ZeroJobs.to_string().contains("at least one"));
+        assert!(ExecError::Jobs(0).to_string().contains("1..=256"));
         assert!(ExecError::MemoMismatch.to_string().contains("unit memo"));
         assert!(ExecError::NoFunctionalWarming
             .to_string()

@@ -7,21 +7,19 @@ use std::time::{Duration, Instant};
 use crate::cancel::{CancelToken, ProgressFn};
 use crate::error::ExecError;
 use crate::pipeline;
-use crate::replay::UnitMemo;
+use crate::replay::{SampledReplay, UnitMemo};
+use smarts_ckpt::{CkptError, WriteSummary};
 use smarts_core::{
-    ModeInstructions, SampleReport, SamplingParams, SmartsError, SmartsSim, UnitReplay, UnitSample,
-    WarmSpares,
+    ModeInstructions, SampleReport, SamplingParams, SmartsError, UnitReplay, UnitSample, WarmSpares,
 };
-use smarts_isa::BuiltinIsa;
-use smarts_workloads::Benchmark;
 
 /// Which route produced a [`ParallelReport`]. A label on the result, not
 /// an input: whether a run warms at all is the entry point the caller
 /// chose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParallelMode {
-    /// Replayed from stored checkpoints ([`crate::replay_store`] and its
-    /// siblings): no warming pass, workers claim store records directly.
+    /// Replayed from stored checkpoints ([`crate::replay`]): no warming
+    /// pass, workers claim store records directly.
     Checkpoint,
     /// Streamed checkpoint pipeline: a producer thread runs the in-order
     /// functional-warming pass and emits each unit's checkpoint into a
@@ -110,6 +108,40 @@ impl ParallelReport {
         }
         total
     }
+}
+
+/// What one run estimated: the systematic report over every checkpointed
+/// unit, or a sampler's selection from the grid.
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)]
+pub enum Estimate {
+    /// The systematic estimator, every unit merged in stream order.
+    Systematic(ParallelReport),
+    /// A stratified or adaptive selection, with the sampler's estimate.
+    Sampled(SampledReplay),
+}
+
+impl Estimate {
+    /// The merged report with its parallel accounting, either estimator's.
+    pub fn report(&self) -> &ParallelReport {
+        match self {
+            Estimate::Systematic(report) => report,
+            Estimate::Sampled(sampled) => &sampled.report,
+        }
+    }
+}
+
+/// The result of either entry point, [`crate::sample`] or [`crate::replay`].
+#[derive(Debug)]
+pub struct Run {
+    /// What the run estimated.
+    pub estimate: Estimate,
+    /// What the warming pass wrote to the store the caller kept, if any.
+    pub write: Option<WriteSummary>,
+    /// Where a systematic store replay met damage: the records of the
+    /// intact prefix it replayed, and the typed error for the rest. A
+    /// sampler refuses a damaged store instead ([`ExecError::Ckpt`]).
+    pub damage: Option<(u64, CkptError)>,
 }
 
 /// Producer-side accounting of one run and the bounded checkpoint
@@ -245,18 +277,19 @@ impl Replayed {
 /// # Examples
 ///
 /// ```
-/// use smarts_exec::Executor;
-/// use smarts_core::{SamplingParams, SmartsSim, Warming};
+/// use smarts_exec::{sample, Executor};
+/// use smarts_core::{SamplerSpec, SamplingParams, SmartsSim, Warming};
+/// use smarts_isa::BuiltinIsa;
 /// use smarts_uarch::MachineConfig;
-/// use smarts_workloads::find;
+/// use smarts_workloads::Frontend;
 ///
-/// # fn main() -> Result<(), smarts_exec::ExecError> {
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let sim = SmartsSim::new(MachineConfig::eight_way());
-/// let bench = find("loopy-1").unwrap().scaled(0.05);
-/// let params = SamplingParams::for_sample_size(
-///     bench.approx_len(), 1000, 2000, Warming::Functional, 10, 0)
-///     .map_err(smarts_exec::ExecError::Smarts)?;
-/// let outcome = Executor::new(2)?.sample(&sim, &bench, &params)?;
+/// let len = BuiltinIsa::approx_len("loopy-1", 0.05)?;
+/// let params = SamplingParams::for_sample_size(len, 1000, 2000, Warming::Functional, 10, 0)?;
+/// let spec = SamplerSpec::systematic();
+/// let run = sample::<BuiltinIsa>(&Executor::new(2)?, &sim, "loopy-1", 0.05, &params, &spec, None)?;
+/// let outcome = run.estimate.report();
 /// assert!(outcome.report.sample_size() > 0);
 /// assert_eq!(outcome.workers.len(), 2);
 /// # Ok(())
@@ -287,15 +320,20 @@ impl std::fmt::Debug for Executor {
 /// value measured better (EXPERIMENTS.md § What PR 18 deleted).
 pub const PIPELINE_DEPTH: usize = 4;
 
+/// The most workers one executor runs: the bound on `--jobs` and on a
+/// served job's `jobs`, far past any host's cores and short of the
+/// thread count that makes spawning fail.
+pub const MAX_JOBS: usize = 256;
+
 impl Executor {
-    /// Creates an executor with `jobs` workers.
+    /// Creates an executor with `jobs` workers, `1..=MAX_JOBS`.
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError::ZeroJobs`] when `jobs` is zero.
+    /// Returns [`ExecError::Jobs`] for a count outside `1..=MAX_JOBS`.
     pub fn new(jobs: usize) -> Result<Self, ExecError> {
-        if jobs == 0 {
-            return Err(ExecError::ZeroJobs);
+        if !(1..=MAX_JOBS).contains(&jobs) {
+            return Err(ExecError::Jobs(jobs));
         }
         Ok(Executor {
             jobs,
@@ -358,37 +396,18 @@ impl Executor {
     pub fn jobs(&self) -> usize {
         self.jobs
     }
-
-    /// Runs one pipelined sampling simulation of a suite benchmark,
-    /// keeping no store: [`crate::sample`] for a workload the caller
-    /// already holds (and may have scaled freely, since no store header
-    /// has to name it). At one worker this is [`SmartsSim::sample`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates sampling errors, refuses a [`smarts_core::Warming::None`]
-    /// design above one worker ([`ExecError::NoFunctionalWarming`]), and
-    /// reports worker panics as [`ExecError::WorkerPanic`].
-    pub fn sample(
-        &self,
-        sim: &SmartsSim,
-        bench: &Benchmark,
-        params: &SamplingParams,
-    ) -> Result<ParallelReport, ExecError> {
-        let warmed =
-            crate::warm::run_warm::<BuiltinIsa>(self, sim, bench.load(), params, None, true)?;
-        Ok(warmed.report.expect("a replaying run merges a report"))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::common::{assert_bit_identical, sequential_oracle};
-    use crate::{replay_store, sample, warm_store};
-    use smarts_core::Warming;
+    use crate::{replay, sample};
+    use smarts_ckpt::MappedStore;
+    use smarts_core::{SamplerSpec, SmartsSim, Warming};
+    use smarts_isa::BuiltinIsa;
     use smarts_uarch::MachineConfig;
-    use smarts_workloads::find;
+    use smarts_workloads::{find, Benchmark};
 
     fn sim() -> SmartsSim {
         SmartsSim::new(MachineConfig::eight_way())
@@ -405,7 +424,11 @@ mod tests {
 
     #[test]
     fn executor_rejects_zero_jobs() {
-        assert!(matches!(Executor::new(0), Err(ExecError::ZeroJobs)));
+        // And every count past the bound: no run tries to spawn them.
+        for jobs in [0, MAX_JOBS + 1, 50_000] {
+            assert!(matches!(Executor::new(jobs), Err(ExecError::Jobs(n)) if n == jobs));
+        }
+        assert_eq!(Executor::new(MAX_JOBS).unwrap().jobs(), MAX_JOBS);
     }
 
     #[test]
@@ -416,22 +439,24 @@ mod tests {
         let params = design(&bench, 10);
         let sequential = sequential_oracle(&sim, bench.load(), &params);
         let path = store_path("replay");
+        let spec = SamplerSpec::systematic();
         let one = Executor::new(1).unwrap();
-        warm_store::<BuiltinIsa>(&one, &sim, bench.name(), scale, &params, &path).unwrap();
+        let name = bench.name();
+        sample::<BuiltinIsa>(&one, &sim, name, scale, &params, &spec, Some(&path)).unwrap();
+        let store = MappedStore::open(&path, sim.config()).unwrap();
         for jobs in [1, 2, 4] {
             let executor = Executor::new(jobs).unwrap();
-            let replayed = replay_store::<BuiltinIsa>(&executor, &sim, &path).unwrap();
-            assert_eq!(replayed.report.mode, ParallelMode::Checkpoint);
-            assert_eq!(replayed.report.workers.len(), jobs);
-            assert_bit_identical(
-                &replayed.report.report,
-                &sequential,
-                &format!("store replay at {jobs} jobs"),
-            );
-            for (a, b) in replayed.report.report.units.iter().zip(&sequential.units) {
+            let run = replay::<BuiltinIsa>(&executor, &sim, &store, &spec).unwrap();
+            let replayed = run.estimate.report();
+            assert_eq!(replayed.mode, ParallelMode::Checkpoint);
+            assert_eq!(replayed.workers.len(), jobs);
+            let what = format!("store replay at {jobs} jobs");
+            assert_bit_identical(&replayed.report, &sequential, &what);
+            for (a, b) in replayed.report.units.iter().zip(&sequential.units) {
                 assert_eq!(a.counters, b.counters);
             }
         }
+        drop(store);
         std::fs::remove_file(&path).ok();
     }
 
@@ -439,10 +464,10 @@ mod tests {
     fn every_worker_is_accounted_for() {
         let sim = sim();
         let bench = find("loopy-1").unwrap().scaled(0.05);
-        let outcome = Executor::new(3)
-            .unwrap()
-            .sample(&sim, &bench, &design(&bench, 9))
-            .unwrap();
+        let (spec, executor) = (SamplerSpec::systematic(), Executor::new(3).unwrap());
+        let params = design(&bench, 9);
+        let run = sample::<BuiltinIsa>(&executor, &sim, "loopy-1", 0.05, &params, &spec, None);
+        let outcome = run.unwrap().estimate.report().clone();
         assert_eq!(outcome.workers.len(), 3);
         assert_eq!(outcome.jobs, 3);
         assert_eq!(outcome.mode, ParallelMode::Pipeline);
@@ -466,15 +491,15 @@ mod tests {
         let bench = find("loopy-1").unwrap().scaled(0.02);
         let path = store_path("geometry");
         let executor = Executor::new(2).unwrap();
-        let save = Some(path.as_path());
-        sample::<BuiltinIsa>(&executor, &sim8, "loopy-1", 0.02, &design(&bench, 5), save).unwrap();
+        let (spec, save) = (SamplerSpec::systematic(), Some(path.as_path()));
+        let params = design(&bench, 5);
+        sample::<BuiltinIsa>(&executor, &sim8, "loopy-1", 0.02, &params, &spec, save).unwrap();
+        // A replay needs the store open under its machine, which checks
+        // the warm geometry first.
         let sim16 = SmartsSim::new(MachineConfig::sixteen_way());
-        let err = replay_store::<BuiltinIsa>(&executor, &sim16, &path).unwrap_err();
+        let err = MappedStore::open(&path, sim16.config()).unwrap_err();
         assert!(
-            matches!(
-                err,
-                ExecError::Ckpt(smarts_ckpt::CkptError::FingerprintMismatch { .. })
-            ),
+            matches!(err, CkptError::FingerprintMismatch { .. }),
             "expected a fingerprint mismatch, got {err:?}"
         );
         std::fs::remove_file(&path).ok();

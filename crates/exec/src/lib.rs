@@ -6,22 +6,26 @@
 //! embarrassingly parallel. This crate is that execution subsystem, and
 //! it is one spine — **warm → store → replay** — seen from its two ends:
 //!
-//! * the **warm side** ([`sample`], [`warm_store`], [`Executor::sample`]):
-//!   one producer runs the in-order functional-warming pass and emits
-//!   each unit's checkpoint the moment its boundary is reached; an
-//!   optional sink tees the checkpoints into an on-disk store; `jobs`
-//!   consumers replay them off a bounded channel, so detailed replay
-//!   overlaps warming and peak checkpoint residency stays bounded by the
-//!   channel depth ([`PipelineStats`]) instead of O(n units). A
-//!   one-worker run that keeps no store is
-//!   [`smarts_core::SmartsSim::sample`] itself, on the calling thread;
-//!   no checkpointed run takes [`smarts_core::Warming::None`]
+//! * the **warm side** ([`sample`]): one producer runs the in-order
+//!   functional-warming pass and emits each unit's checkpoint the moment
+//!   its boundary is reached; an optional sink tees the checkpoints into
+//!   an on-disk store; `jobs` consumers replay them off a bounded
+//!   channel, so detailed replay overlaps warming and peak checkpoint
+//!   residency stays bounded by the channel depth ([`PipelineStats`])
+//!   instead of O(n units). A one-worker systematic run that keeps no
+//!   store is [`smarts_core::SmartsSim::sample`] itself, on the calling
+//!   thread; a sampler's run writes a store (a temporary one unless the
+//!   caller keeps it) and replays its selection from it; no checkpointed
+//!   run takes [`smarts_core::Warming::None`]
 //!   ([`ExecError::NoFunctionalWarming`]);
-//! * the **replay side** ([`replay_store`], [`replay_store_mapped`],
-//!   [`replay_store_sampled`]): `jobs` workers claim record indices of a
-//!   memory-mapped store and decode them lazily, replaying the whole
-//!   grid or the subset a [`smarts_core::SamplerSpec`] selects, with no
-//!   warming at all;
+//! * the **replay side** ([`replay`]): `jobs` workers claim record
+//!   indices of a memory-mapped store and decode them lazily, replaying
+//!   the whole grid or the subset a sampler selects, with no warming at
+//!   all;
+//! * both take a [`smarts_core::SamplerSpec`] and return one [`Run`]:
+//!   the systematic report or the [`SampledReplay`] ([`Estimate`]), plus
+//!   store damage where there is any — so the systematic/sampled fork
+//!   lives here, and callers serialize one type;
 //! * both generic over the [`smarts_workloads::Frontend`] that executes
 //!   the workload, both reduced by one **deterministic merge** — per-unit
 //!   results in stream order through
@@ -36,8 +40,9 @@
 //! # Examples
 //!
 //! ```
-//! use smarts_exec::{replay_store, sample, Executor};
-//! use smarts_core::{SamplingParams, SmartsSim};
+//! use smarts_ckpt::MappedStore;
+//! use smarts_exec::{replay, sample, Executor};
+//! use smarts_core::{SamplerSpec, SamplingParams, SmartsSim};
 //! use smarts_isa::BuiltinIsa;
 //! use smarts_uarch::MachineConfig;
 //! use smarts_workloads::Frontend;
@@ -46,15 +51,18 @@
 //! let sim = SmartsSim::new(MachineConfig::eight_way());
 //! let len = BuiltinIsa::approx_len("branchy-1", 0.05)?;
 //! let params = SamplingParams::paper_defaults(sim.config(), len, 10)?;
+//! let spec = SamplerSpec::systematic();
 //! let store = std::env::temp_dir().join(format!("smarts-exec-doc-{}.ckpt", std::process::id()));
 //!
 //! // Warm once on two workers, keeping the checkpoints …
-//! let (live, _) = sample::<BuiltinIsa>(
-//!     &Executor::new(2)?, &sim, "branchy-1", 0.05, &params, Some(&store))?;
+//! let live = sample::<BuiltinIsa>(
+//!     &Executor::new(2)?, &sim, "branchy-1", 0.05, &params, &spec, Some(&store))?;
 //! // … then replay them on four without warming: the same bits.
-//! let replayed = replay_store::<BuiltinIsa>(&Executor::new(4)?, &sim, &store)?;
-//! assert_eq!(replayed.report.report.cpi().mean().to_bits(),
-//!            live.report.cpi().mean().to_bits());
+//! let mapped = MappedStore::open(&store, sim.config())?;
+//! let replayed = replay::<BuiltinIsa>(&Executor::new(4)?, &sim, &mapped, &spec)?;
+//! assert_eq!(replayed.estimate.report().report.cpi().mean().to_bits(),
+//!            live.estimate.report().report.cpi().mean().to_bits());
+//! # drop(mapped);
 //! # std::fs::remove_file(&store)?;
 //! # Ok(())
 //! # }
@@ -78,10 +86,8 @@ mod common;
 pub use cancel::{CancelToken, PipelineProgress, ProgressFn};
 pub use error::ExecError;
 pub use executor::{
-    Executor, ParallelMode, ParallelReport, PipelineStats, WorkerStats, PIPELINE_DEPTH,
+    Estimate, Executor, ParallelMode, ParallelReport, PipelineStats, Run, WorkerStats, MAX_JOBS,
+    PIPELINE_DEPTH,
 };
-pub use replay::{
-    replay_store, replay_store_mapped, replay_store_sampled, SampledReplay, StoreReplay, UnitMemo,
-    UnitsFile,
-};
-pub use warm::{sample, warm_store};
+pub use replay::{replay, SampledReplay, UnitMemo, UnitsFile};
+pub use warm::sample;

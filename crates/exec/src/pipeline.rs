@@ -340,10 +340,24 @@ where
 mod tests {
     use super::*;
     use crate::common::{assert_bit_identical, sequential_oracle};
-    use crate::{Executor, ParallelMode, PIPELINE_DEPTH};
-    use smarts_core::{SamplingParams, SmartsError, SmartsSim, Warming};
+    use crate::{Executor, ParallelMode, ParallelReport, PIPELINE_DEPTH};
+    use smarts_core::{SamplerSpec, SamplingParams, SmartsError, SmartsSim, Warming};
+    use smarts_isa::BuiltinIsa;
     use smarts_uarch::MachineConfig;
     use smarts_workloads::{find, Benchmark};
+
+    /// The systematic run of suite benchmark `name` at `scale` that
+    /// keeps no store.
+    fn systematic(
+        executor: &Executor,
+        name: &str,
+        scale: f64,
+        params: &SamplingParams,
+    ) -> Result<ParallelReport, ExecError> {
+        let spec = SamplerSpec::systematic();
+        let run = crate::sample::<BuiltinIsa>(executor, &sim(), name, scale, params, &spec, None)?;
+        Ok(run.estimate.report().clone())
+    }
 
     #[test]
     fn channel_delivers_in_order_then_closes() {
@@ -431,11 +445,10 @@ mod tests {
             let direct = sim.sample(&bench, &params).unwrap();
             assert_bit_identical(&direct, &sequential, &format!("{name} sim.sample"));
             for jobs in [2, 8] {
-                let outcome = Executor::new(jobs)
+                let executor = Executor::new(jobs)
                     .unwrap()
-                    .with_spares(std::sync::Arc::clone(&spares))
-                    .sample(&sim, &bench, &params)
-                    .unwrap();
+                    .with_spares(std::sync::Arc::clone(&spares));
+                let outcome = systematic(&executor, name, 0.05, &params).unwrap();
                 assert_bit_identical(&outcome.report, &sequential, &format!("{name} jobs={jobs}"));
                 let kept = spares.len();
                 assert!(
@@ -452,10 +465,7 @@ mod tests {
         let bench = find("hashp-2").unwrap().scaled(0.05);
         let params = design(&bench, 10);
         let (jobs, depth) = (2, PIPELINE_DEPTH);
-        let outcome = Executor::new(jobs)
-            .unwrap()
-            .sample(&sim, &bench, &params)
-            .unwrap();
+        let outcome = systematic(&Executor::new(jobs).unwrap(), "hashp-2", 0.05, &params).unwrap();
         let stats = outcome.pipeline.expect("pipeline stats present");
         assert_eq!(stats.depth, depth);
         // Queued (≤ depth) + replaying (≤ jobs) + the one the producer
@@ -480,22 +490,17 @@ mod tests {
 
     #[test]
     fn pre_cancelled_pipeline_reports_cancelled() {
-        let sim = sim();
         let bench = find("loopy-1").unwrap().scaled(0.02);
         let params = design(&bench, 8);
         let token = CancelToken::new();
         token.cancel();
-        let err = Executor::new(2)
-            .unwrap()
-            .with_cancel(token)
-            .sample(&sim, &bench, &params)
-            .unwrap_err();
+        let executor = Executor::new(2).unwrap().with_cancel(token);
+        let err = systematic(&executor, "loopy-1", 0.02, &params).unwrap_err();
         assert!(matches!(err, ExecError::Cancelled));
     }
 
     #[test]
     fn mid_run_cancellation_stops_at_a_unit_boundary() {
-        let sim = sim();
         let bench = find("loopy-1").unwrap().scaled(0.05);
         let params = design(&bench, 10);
         let token = CancelToken::new();
@@ -511,26 +516,24 @@ mod tests {
                         observer_token.cancel();
                     }
                 }));
-        let err = executor.sample(&sim, &bench, &params).unwrap_err();
+        let err = systematic(&executor, "loopy-1", 0.05, &params).unwrap_err();
         assert!(matches!(err, ExecError::Cancelled));
     }
 
     #[test]
     fn progress_observer_sees_every_emit_and_replay() {
-        let sim = sim();
         let bench = find("hashp-2").unwrap().scaled(0.05);
         let params = design(&bench, 10);
         let last = std::sync::Arc::new(Mutex::new(PipelineProgress::default()));
         let sink = last.clone();
-        let outcome = Executor::new(2)
-            .unwrap()
-            .with_progress(std::sync::Arc::new(move |p: PipelineProgress| {
+        let executor = Executor::new(2).unwrap().with_progress(std::sync::Arc::new(
+            move |p: PipelineProgress| {
                 let mut guard = sink.lock().unwrap();
                 guard.emitted = guard.emitted.max(p.emitted);
                 guard.replayed = guard.replayed.max(p.replayed);
-            }))
-            .sample(&sim, &bench, &params)
-            .unwrap();
+            },
+        ));
+        let outcome = systematic(&executor, "hashp-2", 0.05, &params).unwrap();
         let stats = outcome.pipeline.expect("pipeline stats present");
         let seen = *last.lock().unwrap();
         assert_eq!(seen.emitted, stats.emitted);
@@ -539,7 +542,6 @@ mod tests {
 
     #[test]
     fn pipeline_propagates_an_empty_stream() {
-        let sim = sim();
         let bench = find("loopy-1").unwrap().scaled(0.02);
         // A design for a stream 100× longer than the real one, phased so
         // the first unit boundary lies past the benchmark's halt.
@@ -553,10 +555,7 @@ mod tests {
         )
         .unwrap();
         let params = params.with_offset(params.interval - 1).unwrap();
-        let err = Executor::new(2)
-            .unwrap()
-            .sample(&sim, &bench, &params)
-            .unwrap_err();
+        let err = systematic(&Executor::new(2).unwrap(), "loopy-1", 0.02, &params).unwrap_err();
         assert!(matches!(err, ExecError::Smarts(SmartsError::EmptySample)));
     }
 }

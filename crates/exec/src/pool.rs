@@ -29,7 +29,7 @@ where
     F: Fn(usize) -> R + Sync,
 {
     if jobs == 0 {
-        return Err(ExecError::ZeroJobs);
+        return Err(ExecError::Jobs(0));
     }
     if jobs == 1 {
         // Single-worker runs stay on the calling thread: no spawn cost,
@@ -83,7 +83,7 @@ mod tests {
 
     #[test]
     fn zero_jobs_is_an_error() {
-        assert!(matches!(run_workers(0, |w| w), Err(ExecError::ZeroJobs)));
+        assert!(matches!(run_workers(0, |w| w), Err(ExecError::Jobs(0))));
     }
 
     #[test]

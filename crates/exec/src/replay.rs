@@ -1,6 +1,6 @@
 //! The replay side of the spine: **one** index-claiming worker loop
-//! ([`replay_subset`]) over a [`MappedStore`], behind every entry point
-//! that replays stored checkpoints without re-warming.
+//! ([`replay_subset`]) over a [`MappedStore`], behind [`replay`], the one
+//! entry point that replays stored checkpoints without re-warming.
 //!
 //! The store is opened zero-copy and each worker decodes lazily through
 //! its own [`smarts_ckpt::StoreCursor`] — no channel, no central
@@ -29,7 +29,9 @@ use std::time::{Duration, Instant};
 
 use crate::cancel::PipelineProgress;
 use crate::error::ExecError;
-use crate::executor::{Executor, ParallelMode, ParallelReport, Replayed, WorkerLog, WorkerStats};
+use crate::executor::{
+    Estimate, Executor, ParallelMode, ParallelReport, Replayed, Run, WorkerLog, WorkerStats,
+};
 use crate::pipeline::Residency;
 use crate::pool::run_workers;
 use smarts_ckpt::{CkptError, MappedStore, StoreMeta};
@@ -39,26 +41,9 @@ use smarts_isa::{crc32, IsaId};
 use smarts_stats::{SamplerEstimate, SamplerPhase};
 use smarts_workloads::Frontend;
 
-/// Result of replaying a persisted checkpoint store.
-#[derive(Debug)]
-pub struct StoreReplay {
-    /// The merged sampling report — bit-identical to the run that saved
-    /// the store (for the same detailed machine).
-    pub report: ParallelReport,
-    /// The store's self-describing identity (benchmark, scale, sampling
-    /// design, frontend).
-    pub meta: StoreMeta,
-    /// Records decoded and replayed.
-    pub records: u64,
-    /// Damage encountered mid-store, if any: the intact prefix above was
-    /// still replayed, and this holds the typed error for the rest
-    /// (corruption or truncation). `None` for a clean read.
-    pub damage: Option<CkptError>,
-}
-
 /// Result of replaying a sampler-selected subset of a store: the report
 /// over the measured units plus the sampler's own estimate and
-/// accounting ([`replay_store_sampled`]).
+/// accounting ([`Estimate::Sampled`]).
 #[derive(Debug)]
 pub struct SampledReplay {
     /// The merged report over the units the sampler selected, in stream
@@ -495,61 +480,60 @@ fn replay_subset<F: Frontend>(
     Ok((run, damage))
 }
 
-/// Replays a persisted checkpoint store under `sim`'s machine, skipping
-/// functional warming entirely: [`replay_store_mapped`] on a store it
-/// opens (and closes) itself.
+/// Replays an open store under `spec` without warming — the replay
+/// side's one entry point. The store is self-describing: workload, scale
+/// and sampling design come from its header, and the program is
+/// reconstructed through `F` (only if a unit is left to simulate:
+/// [`Executor::with_memo`]). A caller that keeps stores mapped across
+/// runs, as the job server does, replays them without reopening the file.
 ///
-/// Opening validates magic, version, header CRC and the warm-geometry
-/// fingerprint against `sim.config()` — those are hard errors.
-pub fn replay_store<F: Frontend>(
-    executor: &Executor,
-    sim: &SmartsSim,
-    path: impl AsRef<Path>,
-) -> Result<StoreReplay, ExecError> {
-    let store = MappedStore::open(path, sim.config())?;
-    replay_store_mapped::<F>(executor, sim, &store)
-}
-
-/// Replays every record of an already-open [`MappedStore`] — the
-/// shared-store path: the job server keeps stores mapped across jobs and
-/// replays them here without reopening (or re-reading) the file.
-///
-/// The store is self-describing: workload, scale and sampling design
-/// come from its header, and the program is reconstructed through `F`.
-/// Record-level damage is tolerated: record CRCs are verified on first
-/// touch, the intact prefix below the first damaged record is replayed
-/// — the same prefix (and the same report) a sequential reader yields —
-/// and the first typed error is reported in [`StoreReplay::damage`], as
-/// is pre-existing structural damage (a missing or torn index footer
-/// that already truncated the frame table).
+/// The systematic spec replays every record and tolerates record-level
+/// damage: CRCs are verified on first touch, the intact prefix below the
+/// first damaged record is replayed — the prefix (and the report) a
+/// sequential reader yields — and [`Run::damage`] holds the typed error,
+/// as it does for structural damage the open found (a missing or torn
+/// index footer). A sampler's spec selects record subsets phase by
+/// phase, each replayed in parallel, deterministically for a fixed
+/// (store, spec) pair; it needs its designed population intact, so any
+/// damage is an error.
 ///
 /// # Errors
 ///
-/// [`ExecError::Ckpt`] for a store written by another frontend or whose
-/// intact prefix is empty, [`ExecError::UnknownBenchmark`] /
+/// [`ExecError::Ckpt`] for a store written by another frontend, a
+/// systematic replay whose intact prefix is empty or a sampled replay of
+/// a damaged store; [`ExecError::UnknownBenchmark`] /
 /// [`ExecError::Frontend`] when `F` can no longer resolve the recorded
-/// workload, [`ExecError::Cancelled`], and worker panics.
-pub fn replay_store_mapped<F: Frontend>(
+/// workload; [`ExecError::MemoMismatch`]; an invalid spec as
+/// [`ExecError::Smarts`]; [`ExecError::Cancelled`]; worker panics.
+pub fn replay<F: Frontend>(
     executor: &Executor,
     sim: &SmartsSim,
     store: &MappedStore,
-) -> Result<StoreReplay, ExecError> {
+    spec: &SamplerSpec,
+) -> Result<Run, ExecError> {
+    spec.validate()?;
+    if !spec.is_systematic() {
+        let sampled = replay_sampled::<F>(executor, sim, store, spec)?;
+        return Ok(Run {
+            estimate: Estimate::Sampled(sampled),
+            write: None,
+            damage: None,
+        });
+    }
     let ctx = ReplayContext::<F>::new(executor, sim, store)?;
     let every: Vec<usize> = (0..store.len()).collect();
     let (run, chain_damage) = replay_subset(&ctx, &every)?;
-    let (records, damage) = match chain_damage {
-        Some((index, error)) => (index, Some(error)),
-        None => (store.len() as u64, store.damage()),
-    };
+    let records = store.len() as u64;
+    let damage = chain_damage.or_else(|| Some((records, store.damage()?)));
     if run.outcomes.is_empty() {
-        if let Some(error) = damage {
+        if let Some((_, error)) = damage {
             return Err(ExecError::Ckpt(error));
         }
     }
-    Ok(StoreReplay {
-        report: ctx.report(run, records)?,
-        meta: store.meta().clone(),
-        records,
+    let records = damage.as_ref().map_or(records, |(intact, _)| *intact);
+    Ok(Run {
+        estimate: Estimate::Systematic(ctx.report(run, records)?),
+        write: None,
         damage,
     })
 }
@@ -572,32 +556,23 @@ fn fold_workers(acc: &mut Vec<WorkerStats>, phase: Vec<WorkerStats>) {
     }
 }
 
-/// Replays an already-open store under a [`SamplerSpec`]: the sampler
-/// selects record subsets phase by phase, each phase replays in
-/// parallel, and observations feed back in ascending record order — so
-/// the phase sequence, the final unit set, and the report are all
-/// deterministic for a fixed (store, spec) pair at any worker count.
-///
-/// For [`SamplerKind::Systematic`](smarts_core::SamplerKind) the
-/// sampler issues the whole pool in one phase, reproducing
-/// [`replay_store_mapped`]'s unit set. Adaptive sampling stops between
-/// phases once the running confidence interval meets the spec's
-/// `(±ε, confidence)` target; external cancellation is honored at the
-/// same seam via the executor's [`CancelToken`](crate::CancelToken).
-///
-/// # Errors
-///
-/// As for [`replay_store_mapped`], except that any store damage is a
-/// hard [`ExecError::Ckpt`] — a sampler needs its designed population
-/// intact, and a subset with silently missing units would bias the
-/// estimate — and invalid specs surface [`SmartsError::Stats`].
-pub fn replay_store_sampled<F: Frontend>(
+/// A sampler's replay of an open store ([`replay`] under a stratified or
+/// adaptive spec): the sampler selects record subsets phase by phase,
+/// each phase replays in parallel, and observations feed back in
+/// ascending record order — so the phase sequence, the final unit set,
+/// and the report are all deterministic for a fixed (store, spec) pair
+/// at any worker count. Adaptive sampling stops between phases once the
+/// running confidence interval meets the spec's `(±ε, confidence)`
+/// target; external cancellation is honored at the same seam via the
+/// executor's [`CancelToken`](crate::CancelToken). Any store damage is a
+/// hard [`ExecError::Ckpt`]: a subset with silently missing units would
+/// bias the estimate.
+pub(crate) fn replay_sampled<F: Frontend>(
     executor: &Executor,
     sim: &SmartsSim,
     store: &MappedStore,
     spec: &SamplerSpec,
 ) -> Result<SampledReplay, ExecError> {
-    spec.validate().map_err(ExecError::Smarts)?;
     if let Some(error) = store.damage() {
         return Err(ExecError::Ckpt(error));
     }

@@ -1,6 +1,6 @@
 //! The warm side of the spine: **producer → optional sink → optional
-//! consumers**, one function ([`run_warm`]) behind every entry point
-//! that executes a workload.
+//! consumers**, one function ([`run_warm`]) behind [`sample`], the one
+//! entry point that executes a workload.
 //!
 //! * The **producer** is the in-order functional-warming pass
 //!   ([`SmartsSim::stream_checkpoints_with`]), copying each checkpoint's
@@ -18,18 +18,22 @@
 //! [`SmartsSim::sample_loaded`] on the calling thread, the same warming
 //! pass replaying each checkpoint as it reaches it.
 //!
-//! A store header records exactly `(workload, scale)`, so the public
-//! entry points take exactly that pair and resolve the program from it
-//! through the frontend `F`: header and program cannot disagree.
+//! A store header records exactly `(workload, scale)`, so [`sample`]
+//! takes exactly that pair and resolves the program from it through the
+//! frontend `F`: header and program cannot disagree.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use crate::error::ExecError;
-use crate::executor::{Executor, ParallelMode, ParallelReport, WorkerStats, PIPELINE_DEPTH};
+use crate::executor::{
+    Estimate, Executor, ParallelMode, ParallelReport, Run, WorkerStats, PIPELINE_DEPTH,
+};
 use crate::pipeline::{run_pipeline, Residency};
-use smarts_ckpt::{CkptWriter, StoreMeta, WriteSummary};
-use smarts_core::{SamplingParams, SmartsSim, UnitCheckpoint, Warming};
+use crate::replay::replay_sampled;
+use smarts_ckpt::{CkptWriter, MappedStore, StoreMeta, WriteSummary};
+use smarts_core::{SamplerSpec, SamplingParams, SmartsSim, UnitCheckpoint, Warming};
 use smarts_isa::IsaId;
 use smarts_workloads::{Frontend, Loaded};
 
@@ -195,57 +199,76 @@ fn open_run<F: Frontend>(
     Ok((loaded, meta))
 }
 
-/// Runs one pipelined sampling simulation of `workload` at `scale`
-/// under frontend `F`: the warming producer overlaps `jobs` replaying
-/// consumers and the deterministic merge reduces their units in stream
-/// order. With `save`, every unit checkpoint is also persisted to a
-/// store at that path — byte-identical at any `jobs` — which
-/// [`crate::replay_store`] then replays to the same report without
-/// warming. At one worker without `save` this is
-/// [`SmartsSim::sample_loaded`] on the calling thread: the same report.
+/// Runs one sampling simulation of `workload` at `scale` under frontend
+/// `F` — the warm side's one entry point.
+///
+/// Under the systematic spec the warming producer overlaps `jobs`
+/// replaying consumers and the deterministic merge reduces their units
+/// in stream order. With `save`, every unit checkpoint is also persisted
+/// to a store at that path — byte-identical at any `jobs` — which
+/// [`crate::replay`] then replays to the same report without warming.
+/// At one worker without `save` this is [`SmartsSim::sample_loaded`] on
+/// the calling thread: the same report.
+///
+/// A sampler needs random access to the whole grid before it picks a
+/// unit, so under its spec the pass only writes a store — the one at
+/// `save`, or a temporary one deleted afterwards, on failure too — and
+/// the selection is then replayed from it: the bytes a [`crate::replay`]
+/// of a saved store reports.
 ///
 /// # Errors
 ///
 /// [`ExecError::UnknownBenchmark`] / [`ExecError::Frontend`] when `F`
 /// cannot resolve the workload, [`ExecError::NoFunctionalWarming`] for
-/// a [`Warming::None`] design with `save` or more than one worker,
-/// [`ExecError::Ckpt`] when the store cannot be created or a write fails
-/// mid-stream (nothing is silently dropped), [`ExecError::Cancelled`],
-/// sampling errors, and worker panics as [`ExecError::WorkerPanic`].
+/// a [`Warming::None`] design that goes through a store or more than
+/// one worker, [`ExecError::Ckpt`] when the store cannot be created or a
+/// write fails mid-stream (nothing is silently dropped),
+/// [`ExecError::Cancelled`], an invalid spec and other sampling errors
+/// as [`ExecError::Smarts`], and worker panics as
+/// [`ExecError::WorkerPanic`].
 pub fn sample<F: Frontend>(
     executor: &Executor,
     sim: &SmartsSim,
     workload: &str,
     scale: f64,
     params: &SamplingParams,
+    spec: &SamplerSpec,
     save: Option<&Path>,
-) -> Result<(ParallelReport, Option<WriteSummary>), ExecError> {
+) -> Result<Run, ExecError> {
+    spec.validate()?;
     let (loaded, meta) = open_run::<F>(workload, scale, params)?;
-    let save = save.map(|path| (path, &meta));
-    let warmed = run_warm::<F>(executor, sim, loaded, params, save, true)?;
-    let report = warmed.report.expect("a replaying run merges a report");
-    Ok((report, warmed.write))
+    if spec.is_systematic() {
+        let save = save.map(|path| (path, &meta));
+        let warmed = run_warm::<F>(executor, sim, loaded, params, save, true)?;
+        let report = warmed.report.expect("a replaying run merges a report");
+        return Ok(Run {
+            estimate: Estimate::Systematic(report),
+            write: warmed.write,
+            damage: None,
+        });
+    }
+    let temp = temp_store_path();
+    let path = save.unwrap_or(&temp);
+    let run = run_warm::<F>(executor, sim, loaded, params, Some((path, &meta)), false).and_then(
+        |warmed| {
+            let store = MappedStore::open(path, sim.config())?;
+            Ok(Run {
+                estimate: Estimate::Sampled(replay_sampled::<F>(executor, sim, &store, spec)?),
+                write: save.and(warmed.write),
+                damage: None,
+            })
+        },
+    );
+    if save.is_none() {
+        let _ = std::fs::remove_file(&temp);
+    }
+    run
 }
 
-/// Runs the warming pass only, persisting every unit checkpoint to a
-/// store at `path` without any detailed replay — the cold path of the
-/// sampled strategies, which need random access to the whole grid
-/// before they pick a unit. The store is byte-identical to the one
-/// [`sample`] saves, so a [`crate::replay_store_sampled`] over it
-/// reports exactly what a store hit reports.
-///
-/// # Errors
-///
-/// As for [`sample`].
-pub fn warm_store<F: Frontend>(
-    executor: &Executor,
-    sim: &SmartsSim,
-    workload: &str,
-    scale: f64,
-    params: &SamplingParams,
-    path: &Path,
-) -> Result<WriteSummary, ExecError> {
-    let (loaded, meta) = open_run::<F>(workload, scale, params)?;
-    let warmed = run_warm::<F>(executor, sim, loaded, params, Some((path, &meta)), false)?;
-    Ok(warmed.write.expect("a run with a sink reports its write"))
+/// A store path no other run of this process or machine is using, for a
+/// sampler's run that keeps no store.
+fn temp_store_path() -> PathBuf {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("smarts-sample-{}-{seq}.ck", std::process::id()))
 }

@@ -7,12 +7,12 @@
 #[path = "../../../tests/common/mod.rs"]
 mod common;
 
+use std::path::Path;
+
 use common::{assert_bit_identical, eager_oracle};
 use smarts_ckpt::{CkptError, IsaId, MappedStore};
-use smarts_core::{SamplerSpec, SamplingParams, SmartsSim, Warming};
-use smarts_exec::{
-    replay_store, replay_store_mapped, replay_store_sampled, sample, ExecError, Executor,
-};
+use smarts_core::{SamplerKind, SamplerSpec, SamplingParams, SmartsSim, Warming};
+use smarts_exec::{replay, sample, Estimate, ExecError, Executor, Run};
 use smarts_isa::{write_trace, BuiltinIsa, Cpu, RiscIsa, TraceIsa};
 use smarts_workloads::{risc_suite, Frontend};
 
@@ -31,6 +31,19 @@ fn store_path(tag: &str) -> std::path::PathBuf {
     ))
 }
 
+/// Replays the store at `path` under the systematic spec.
+fn replay_all<F: Frontend>(jobs: usize, path: &Path) -> Result<Run, ExecError> {
+    let sim = sim();
+    let store = MappedStore::open(path, sim.config())?;
+    let systematic = SamplerSpec::systematic();
+    replay::<F>(&Executor::new(jobs)?, &sim, &store, &systematic)
+}
+
+/// The CPI mean bits a run reports.
+fn cpi_bits(run: &Run) -> u64 {
+    run.estimate.report().report.cpi().mean().to_bits()
+}
+
 #[test]
 fn risc_pipeline_round_trips_bit_identically_at_any_width() {
     let sim = sim();
@@ -39,10 +52,18 @@ fn risc_pipeline_round_trips_bit_identically_at_any_width() {
     let scale = 0.05;
     let len = RiscIsa::approx_len(&name, scale).unwrap();
     let params = design(len, 10);
-    let save = |executor: &Executor, path: &std::path::Path| {
-        sample::<RiscIsa>(executor, &sim, &name, scale, &params, Some(path))
-            .unwrap()
-            .0
+    let systematic = SamplerSpec::systematic();
+    let save = |executor: &Executor, path: &Path| {
+        sample::<RiscIsa>(
+            executor,
+            &sim,
+            &name,
+            scale,
+            &params,
+            &systematic,
+            Some(path),
+        )
+        .unwrap()
     };
 
     // Reference: serial (jobs=1) warm-and-save through the RISC frontend.
@@ -61,8 +82,8 @@ fn risc_pipeline_round_trips_bit_identically_at_any_width() {
         let path = store_path(&format!("risc_j{jobs}"));
         let saved = save(&Executor::new(jobs).unwrap(), &path);
         assert_eq!(
-            saved.report.cpi().mean().to_bits(),
-            reference.report.cpi().mean().to_bits(),
+            cpi_bits(&saved),
+            cpi_bits(&reference),
             "risc live report differs at jobs={jobs}"
         );
         assert_eq!(
@@ -77,42 +98,42 @@ fn risc_pipeline_round_trips_bit_identically_at_any_width() {
     // single-threaded oracle at every worker count.
     let eager = eager_oracle::<RiscIsa>(&sim, &ref_path);
     for jobs in [1usize, 2, 8] {
-        let executor = Executor::new(jobs).unwrap();
-        let replay = replay_store::<RiscIsa>(&executor, &sim, &ref_path).unwrap();
+        let replay = replay_all::<RiscIsa>(jobs, &ref_path).unwrap();
         assert_eq!(
-            replay.report.report.cpi().mean().to_bits(),
-            reference.report.cpi().mean().to_bits(),
+            cpi_bits(&replay),
+            cpi_bits(&reference),
             "risc store replay differs at jobs={jobs}"
         );
-        assert_eq!(replay.meta.isa, IsaId::Risc);
         assert!(replay.damage.is_none());
         assert_bit_identical(
-            &replay.report.report,
+            &replay.estimate.report().report,
             &eager,
             &format!("lazy vs eager risc replay at jobs={jobs}"),
         );
     }
 
-    // The systematic sampler over the store reproduces the full-store
-    // unit set, served through the shared-mapping path.
+    // A sampler's replay of the same open store selects a subset of it,
+    // through the same entry point.
     let store = MappedStore::open(&ref_path, sim.config()).unwrap();
+    let stratified = SamplerSpec {
+        kind: SamplerKind::Stratified,
+        pilot: 4,
+        ..systematic
+    };
     for jobs in [1usize, 2, 8] {
         let executor = Executor::new(jobs).unwrap();
-        let sampled =
-            replay_store_sampled::<RiscIsa>(&executor, &sim, &store, &SamplerSpec::systematic())
-                .unwrap();
-        let full = replay_store_mapped::<RiscIsa>(&executor, &sim, &store).unwrap();
-        assert_eq!(
-            sampled.report.report.cpi().mean().to_bits(),
-            full.report.report.cpi().mean().to_bits(),
-            "sampled risc replay differs from full replay at jobs={jobs}"
-        );
-        assert_eq!(sampled.measured.len() as u64, full.records);
+        let run = replay::<RiscIsa>(&executor, &sim, &store, &stratified).unwrap();
+        let Estimate::Sampled(sampled) = run.estimate else {
+            panic!("a stratified spec replays a selection");
+        };
+        assert_eq!(sampled.meta.isa, IsaId::Risc);
+        assert!(sampled.measured.len() <= store.len());
+        assert_eq!(sampled.report.report.sample_size(), sampled.estimate.n);
     }
 
     // Replaying a RISC store through the built-in frontend is refused
     // before any record is decoded.
-    let err = replay_store::<BuiltinIsa>(&Executor::new(2).unwrap(), &sim, &ref_path).unwrap_err();
+    let err = replay_all::<BuiltinIsa>(2, &ref_path).unwrap_err();
     match err {
         ExecError::Ckpt(CkptError::IsaMismatch { expected, found }) => {
             assert_eq!(expected, IsaId::Builtin);
@@ -148,8 +169,17 @@ fn trace_import_runs_the_full_pipeline() {
     let params = design(len, 8);
     let ref_path = store_path("trace_ref");
     let one = Executor::new(1).unwrap();
-    let (reference, _) =
-        sample::<TraceIsa>(&one, &sim, workload, 1.0, &params, Some(&ref_path)).unwrap();
+    let systematic = SamplerSpec::systematic();
+    let reference = sample::<TraceIsa>(
+        &one,
+        &sim,
+        workload,
+        1.0,
+        &params,
+        &systematic,
+        Some(&ref_path),
+    )
+    .unwrap();
     let (_, meta) = smarts_ckpt::read_store_meta(&ref_path).unwrap();
     assert_eq!(meta.isa, IsaId::Trace);
     assert_eq!(
@@ -158,11 +188,10 @@ fn trace_import_runs_the_full_pipeline() {
     );
 
     for jobs in [2usize, 8] {
-        let replay =
-            replay_store::<TraceIsa>(&Executor::new(jobs).unwrap(), &sim, &ref_path).unwrap();
+        let replay = replay_all::<TraceIsa>(jobs, &ref_path).unwrap();
         assert_eq!(
-            replay.report.report.cpi().mean().to_bits(),
-            reference.report.cpi().mean().to_bits(),
+            cpi_bits(&replay),
+            cpi_bits(&reference),
             "trace store replay differs at jobs={jobs}"
         );
         assert!(replay.damage.is_none());
@@ -170,7 +199,7 @@ fn trace_import_runs_the_full_pipeline() {
 
     // Wrong-frontend replay of a trace store is refused with the typed
     // mismatch, naming both sides.
-    let err = replay_store::<RiscIsa>(&Executor::new(1).unwrap(), &sim, &ref_path).unwrap_err();
+    let err = replay_all::<RiscIsa>(1, &ref_path).unwrap_err();
     match err {
         ExecError::Ckpt(CkptError::IsaMismatch { expected, found }) => {
             assert_eq!(expected, IsaId::Risc);
@@ -182,7 +211,7 @@ fn trace_import_runs_the_full_pipeline() {
     // Deleting the trace breaks replay resolution with the frontend's own
     // message — the store alone is not enough for a trace workload.
     std::fs::remove_file(&trace_path).unwrap();
-    let err = replay_store::<TraceIsa>(&Executor::new(1).unwrap(), &sim, &ref_path).unwrap_err();
+    let err = replay_all::<TraceIsa>(1, &ref_path).unwrap_err();
     assert!(
         matches!(err, ExecError::Frontend(_)),
         "expected ExecError::Frontend, got {err:?}"

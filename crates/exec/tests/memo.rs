@@ -17,8 +17,7 @@ use common::assert_bit_identical;
 use smarts_ckpt::{CkptError, MappedStore};
 use smarts_core::{SampleReport, SamplerKind, SamplerSpec, SamplingParams, SmartsSim, Warming};
 use smarts_exec::{
-    replay_store_mapped, replay_store_sampled, warm_store, ExecError, Executor, ParallelReport,
-    SampledReplay, UnitMemo,
+    replay, sample, Estimate, ExecError, Executor, ParallelReport, SampledReplay, UnitMemo,
 };
 use smarts_isa::{crc32, write_trace, BuiltinIsa, Cpu, RiscIsa, TraceIsa};
 use smarts_uarch::MachineConfig;
@@ -49,8 +48,8 @@ fn warm_at(path: &Path, offset: u64, w: u64, units: u64) {
     let len = BuiltinIsa::approx_len(BENCH, SCALE).unwrap();
     let params =
         SamplingParams::for_sample_size(len, 100, w, Warming::Functional, units, offset).unwrap();
-    let one = Executor::new(1).unwrap();
-    warm_store::<BuiltinIsa>(&one, &sim(), BENCH, SCALE, &params, path).unwrap();
+    let (one, systematic) = (Executor::new(1).unwrap(), SamplerSpec::systematic());
+    sample::<BuiltinIsa>(&one, &sim(), BENCH, SCALE, &params, &systematic, Some(path)).unwrap();
 }
 
 fn spec(kind: SamplerKind, seed: u64) -> SamplerSpec {
@@ -102,13 +101,61 @@ fn booked(run: &ParallelReport) -> (u64, u64) {
         .fold((0, 0), |(u, m), w| (u + w.units, m + w.memoized))
 }
 
+/// A sampler's replay of `store` under `F`.
+fn sampled_as<F: Frontend>(
+    executor: &Executor,
+    sim: &SmartsSim,
+    store: &MappedStore,
+    spec: &SamplerSpec,
+) -> Result<SampledReplay, ExecError> {
+    match replay::<F>(executor, sim, store, spec)?.estimate {
+        Estimate::Sampled(sampled) => Ok(sampled),
+        Estimate::Systematic(_) => panic!("a sampler's spec replays a selection"),
+    }
+}
+
 fn sampled(
     executor: &Executor,
     sim: &SmartsSim,
     store: &MappedStore,
     spec: &SamplerSpec,
 ) -> SampledReplay {
-    replay_store_sampled::<BuiltinIsa>(executor, sim, store, spec).unwrap()
+    sampled_as::<BuiltinIsa>(executor, sim, store, spec).unwrap()
+}
+
+/// What the systematic replay of every record reported: the merged
+/// report, the records of the intact prefix it replayed, and the damage
+/// past them.
+#[derive(Debug)]
+struct Grid {
+    report: ParallelReport,
+    records: u64,
+    damage: Option<CkptError>,
+}
+
+/// The systematic replay of every record of `store` under `F`.
+fn grid_as<F: Frontend>(
+    executor: &Executor,
+    sim: &SmartsSim,
+    store: &MappedStore,
+) -> Result<Grid, ExecError> {
+    let run = replay::<F>(executor, sim, store, &SamplerSpec::systematic())?;
+    let Estimate::Systematic(report) = run.estimate else {
+        panic!("the systematic spec replays the grid");
+    };
+    let (records, damage) = match run.damage {
+        Some((records, error)) => (records, Some(error)),
+        None => (store.len() as u64, None),
+    };
+    Ok(Grid {
+        report,
+        records,
+        damage,
+    })
+}
+
+fn grid(executor: &Executor, sim: &SmartsSim, store: &MappedStore) -> Result<Grid, ExecError> {
+    grid_as::<BuiltinIsa>(executor, sim, store)
 }
 
 #[test]
@@ -145,10 +192,10 @@ fn memoized_replays_are_the_memoless_bytes_and_simulate_each_record_once() {
     assert!(sweep_hits > simulated, "the sweep must mostly hit the memo");
 
     // The full grid last: it simulates exactly the records no seed drew.
-    let reference = replay_store_mapped::<BuiltinIsa>(&plain, &sim, &store).unwrap();
+    let reference = grid(&plain, &sim, &store).unwrap();
     for jobs in [1, 2] {
         let executor = Executor::new(jobs).unwrap().with_memo(Arc::clone(&memo));
-        let through = replay_store_mapped::<BuiltinIsa>(&executor, &sim, &store).unwrap();
+        let through = grid(&executor, &sim, &store).unwrap();
         let what = format!("full grid at {jobs} jobs");
         assert_eq!(
             line(&through.report.report),
@@ -227,7 +274,7 @@ fn a_memo_refuses_another_simulator_or_store() {
     let store = MappedStore::open(&path, sim.config()).unwrap();
     let memo = Arc::new(UnitMemo::new(&sim, &store));
     let through = |memo: &Arc<UnitMemo>| Executor::new(1).unwrap().with_memo(Arc::clone(memo));
-    let first = replay_store_mapped::<BuiltinIsa>(&through(&memo), &sim, &store).unwrap();
+    let first = grid(&through(&memo), &sim, &store).unwrap();
 
     // Same warm geometry (the store opens), another core: the filled
     // memo holds outcomes that are wrong for this machine.
@@ -242,18 +289,17 @@ fn a_memo_refuses_another_simulator_or_store() {
             other.map(|_| "a report")
         ),
     };
-    refused(replay_store_mapped::<BuiltinIsa>(&through(&memo), &narrow, &store_narrow).map(drop));
+    refused(grid(&through(&memo), &narrow, &store_narrow).map(drop));
     let stratified = spec(SamplerKind::Stratified, 1);
     refused(
-        replay_store_sampled::<BuiltinIsa>(&through(&memo), &narrow, &store_narrow, &stratified)
-            .map(drop),
+        sampled_as::<BuiltinIsa>(&through(&memo), &narrow, &store_narrow, &stratified).map(drop),
     );
     // Its own memo gives that machine its own, different, bytes — the
     // ones it gets without any memo.
     let own = Arc::new(UnitMemo::new(&narrow, &store_narrow));
-    let second = replay_store_mapped::<BuiltinIsa>(&through(&own), &narrow, &store_narrow).unwrap();
+    let second = grid(&through(&own), &narrow, &store_narrow).unwrap();
     let plain = Executor::new(1).unwrap();
-    let memoless = replay_store_mapped::<BuiltinIsa>(&plain, &narrow, &store_narrow).unwrap();
+    let memoless = grid(&plain, &narrow, &store_narrow).unwrap();
     assert_eq!(line(&second.report.report), line(&memoless.report.report));
     assert_ne!(line(&second.report.report), line(&first.report.report));
 
@@ -261,7 +307,7 @@ fn a_memo_refuses_another_simulator_or_store() {
     let other_path = warmed("key_other", 1);
     let other = MappedStore::open(&other_path, sim.config()).unwrap();
     assert_eq!(other.len(), store.len());
-    refused(replay_store_mapped::<BuiltinIsa>(&through(&memo), &sim, &other).map(drop));
+    refused(grid(&through(&memo), &sim, &other).map(drop));
     drop((store, store_narrow, other));
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&other_path).ok();
@@ -289,14 +335,14 @@ fn a_memo_neither_masks_nor_moves_store_damage() {
         "the damage must be mid-chain only"
     );
     let plain = Executor::new(2).unwrap();
-    let reference = replay_store_mapped::<BuiltinIsa>(&plain, &sim, &store).unwrap();
+    let reference = grid(&plain, &sim, &store).unwrap();
     assert_eq!(reference.records, victim);
     let damage = format!("{:?}", reference.damage.as_ref().expect("typed damage"));
 
     let memo = Arc::new(UnitMemo::new(&sim, &store));
     for (pass, memoized) in [(1, 0), (2, victim)] {
         let executor = Executor::new(2).unwrap().with_memo(Arc::clone(&memo));
-        let through = replay_store_mapped::<BuiltinIsa>(&executor, &sim, &store).unwrap();
+        let through = grid(&executor, &sim, &store).unwrap();
         assert_eq!(through.records, victim, "pass {pass}");
         assert_eq!(
             format!("{:?}", through.damage.as_ref().unwrap()),
@@ -310,12 +356,14 @@ fn a_memo_neither_masks_nor_moves_store_damage() {
         );
         assert_eq!(booked(&through.report), (victim, memoized), "pass {pass}");
     }
-    // A sampler needs its population intact: still a hard error, even
-    // though every record below the damage is memoized by now.
-    let executor = Executor::new(1).unwrap().with_memo(Arc::clone(&memo));
-    let all = SamplerSpec::systematic();
-    let err = replay_store_sampled::<BuiltinIsa>(&executor, &sim, &store, &all).unwrap_err();
-    assert!(matches!(err, ExecError::Ckpt(_)), "got {err:?}");
+    // A sampler needs its population intact: a hard error with or without
+    // a memo, even though every record below the damage is memoized by now.
+    let memoized = Executor::new(1).unwrap().with_memo(Arc::clone(&memo));
+    let stratified = spec(SamplerKind::Stratified, 1);
+    for executor in [memoized, plain] {
+        let err = sampled_as::<BuiltinIsa>(&executor, &sim, &store, &stratified).unwrap_err();
+        assert!(matches!(err, ExecError::Ckpt(_)), "got {err:?}");
+    }
     drop(store);
     std::fs::remove_file(&path).ok();
 }
@@ -338,7 +386,7 @@ fn loaded(sim: &SmartsSim, store: &MappedStore, path: &Path, build: &str) -> Arc
 
 /// The full grid's line, and the units booked / memoized.
 fn full(executor: &Executor, sim: &SmartsSim, store: &MappedStore) -> (String, (u64, u64)) {
-    let run = replay_store_mapped::<BuiltinIsa>(executor, sim, store).unwrap();
+    let run = grid(executor, sim, store).unwrap();
     (line(&run.report.report), booked(&run.report))
 }
 
@@ -412,31 +460,31 @@ fn a_replay_with_every_unit_known_resolves_no_workload() {
         SamplingParams::for_sample_size(len, 100, 200, Warming::Functional, 40, 0).unwrap();
     let path = std::env::temp_dir().join(format!("smarts_memo_trace_{}.ckpt", std::process::id()));
     let one = Executor::new(1).unwrap();
-    warm_store::<TraceIsa>(&one, &sim, workload, 1.0, &params, &path).unwrap();
+    let systematic = SamplerSpec::systematic();
+    sample::<TraceIsa>(&one, &sim, workload, 1.0, &params, &systematic, Some(&path)).unwrap();
     let store = MappedStore::open(&path, sim.config()).unwrap();
     let file = UnitMemo::file_beside(&path, &sim);
     let stratified = spec(SamplerKind::Stratified, 3);
-    let expected = replay_store_sampled::<TraceIsa>(&one, &sim, &store, &stratified).unwrap();
+    let expected = sampled_as::<TraceIsa>(&one, &sim, &store, &stratified).unwrap();
 
     // Save one draw's outcomes, then take the workload away.
     let memo = Arc::new(UnitMemo::new(&sim, &store));
-    replay_store_sampled::<TraceIsa>(&through(&memo, 1), &sim, &store, &stratified).unwrap();
+    sampled_as::<TraceIsa>(&through(&memo, 1), &sim, &store, &stratified).unwrap();
     memo.save(&file, BUILD).unwrap();
     std::fs::remove_file(&trace).unwrap();
 
     let memo = Arc::new(UnitMemo::load(&file, &sim, &store, BUILD));
-    let again =
-        replay_store_sampled::<TraceIsa>(&through(&memo, 2), &sim, &store, &stratified).unwrap();
+    let again = sampled_as::<TraceIsa>(&through(&memo, 2), &sim, &store, &stratified).unwrap();
     assert_eq!(sampled_line(&again), sampled_line(&expected));
     // The frontend is still checked first, and a unit left to simulate
     // needs the workload and says so with the frontend's own error.
-    let err = replay_store_sampled::<RiscIsa>(&through(&memo, 1), &sim, &store, &stratified);
+    let err = sampled_as::<RiscIsa>(&through(&memo, 1), &sim, &store, &stratified);
     assert!(matches!(
         err.map(drop),
         Err(ExecError::Ckpt(CkptError::IsaMismatch { .. }))
     ));
     for executor in [through(&memo, 1), one] {
-        let err = replay_store_mapped::<TraceIsa>(&executor, &sim, &store).unwrap_err();
+        let err = grid_as::<TraceIsa>(&executor, &sim, &store).unwrap_err();
         assert!(matches!(err, ExecError::Frontend(_)), "got {err:?}");
     }
     drop(store);
@@ -623,10 +671,10 @@ fn a_full_outcomes_file_neither_masks_nor_moves_store_damage() {
     );
     assert_eq!(UnitMemo::load(&file, &sim, &store, BUILD).known(), 0);
 
-    let reference = replay_store_mapped::<BuiltinIsa>(&Executor::new(2).unwrap(), &sim, &store);
+    let reference = grid(&Executor::new(2).unwrap(), &sim, &store);
     let reference = reference.unwrap();
     let memo = loaded(&sim, &store, &path, BUILD);
-    let through_file = replay_store_mapped::<BuiltinIsa>(&through(&memo, 2), &sim, &store).unwrap();
+    let through_file = grid(&through(&memo, 2), &sim, &store).unwrap();
     assert_eq!((through_file.records, reference.records), (victim, victim));
     assert_eq!(
         format!("{:?}", through_file.damage),
@@ -636,9 +684,9 @@ fn a_full_outcomes_file_neither_masks_nor_moves_store_damage() {
         line(&through_file.report.report),
         line(&reference.report.report)
     );
-    let all = SamplerSpec::systematic();
+    let stratified = spec(SamplerKind::Stratified, 1);
     let memo = loaded(&sim, &store, &path, BUILD);
-    let err = replay_store_sampled::<BuiltinIsa>(&through(&memo, 1), &sim, &store, &all);
+    let err = sampled_as::<BuiltinIsa>(&through(&memo, 1), &sim, &store, &stratified);
     assert!(matches!(err.map(drop), Err(ExecError::Ckpt(_))));
     drop(store);
     remove(&[&path, &file]);

@@ -248,11 +248,6 @@ impl OpClass {
     pub fn is_mem(&self) -> bool {
         matches!(self, OpClass::Load | OpClass::Store)
     }
-
-    /// Whether the instruction writes a floating-point destination.
-    pub fn is_fp(&self) -> bool {
-        matches!(self, OpClass::FpAlu | OpClass::FpMul | OpClass::FpDiv)
-    }
 }
 
 impl fmt::Display for OpClass {
@@ -521,7 +516,5 @@ mod tests {
         assert!(OpClass::Load.is_mem());
         assert!(OpClass::Store.is_mem());
         assert!(!OpClass::IntAlu.is_mem());
-        assert!(OpClass::FpDiv.is_fp());
-        assert!(!OpClass::IntDiv.is_fp());
     }
 }

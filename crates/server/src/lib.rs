@@ -59,8 +59,7 @@ pub use jobs::{
 };
 pub use proto::{JobSpec, Request, MAX_LINE};
 pub use report::{
-    canonical_report_line, report_fingerprint, report_from_json, report_to_json,
-    sampled_report_line,
+    canonical_report_line, estimate_line, report_from_json, report_to_json, sampled_report_line,
 };
 pub use scheduler::{machine_for, params_for, Shared};
 pub use server::{Server, ServerConfig, ShutdownSummary, MAX_CONNECTIONS};

@@ -13,7 +13,7 @@
 use crate::json::Json;
 use smarts_ckpt::IsaId;
 use smarts_core::{SamplerKind, SamplerSpec};
-use smarts_exec::ExecError;
+use smarts_exec::{ExecError, MAX_JOBS};
 
 /// Longest request line the server will buffer, in bytes. Submit
 /// requests are a few hundred bytes; the bound exists to keep a hostile
@@ -187,8 +187,9 @@ impl JobSpec {
         if let Some(v) = value.get("jobs") {
             spec.jobs = v
                 .as_u64()
-                .filter(|&j| (1..=256).contains(&j))
-                .ok_or("`jobs` takes a worker count in 1..=256")? as usize;
+                .filter(|&j| (1..=MAX_JOBS as u64).contains(&j))
+                .ok_or(format!("`jobs` takes a worker count in 1..={MAX_JOBS}"))?
+                as usize;
         }
         if let Some(v) = value.get("sampler") {
             spec.sampler = v

@@ -13,6 +13,7 @@ use std::time::Duration;
 
 use smarts_core::{ModeInstructions, SampleReport, SamplingParams, UnitSample, Warming};
 use smarts_energy::ActivityCounters;
+use smarts_exec::Estimate;
 
 use crate::json::Json;
 
@@ -130,6 +131,17 @@ pub fn canonical_report_line(report: &SampleReport) -> String {
     report_to_json(report).to_line()
 }
 
+/// The line a run's estimate is served and printed as — by the server's
+/// workers and by `smarts sample --json`, whichever entry point ran it:
+/// [`canonical_report_line`] for the systematic estimator,
+/// [`sampled_report_line`] for a sampler's.
+pub fn estimate_line(estimate: &Estimate) -> String {
+    match estimate {
+        Estimate::Systematic(run) => canonical_report_line(&run.report),
+        Estimate::Sampled(sampled) => sampled_report_line(sampled),
+    }
+}
+
 /// Serializes a sampled (non-systematic) run: the canonical report
 /// object extended with a trailing `sampler` section carrying the spec,
 /// the sampler's estimate (as exact bit patterns), and the measured
@@ -241,17 +253,6 @@ pub fn report_from_json(value: &Json) -> Result<SampleReport, String> {
     Ok(report)
 }
 
-/// A 64-bit FNV-1a digest of the canonical report line — a compact
-/// identity for logging and quick equality checks.
-pub fn report_fingerprint(line: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in line.bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,23 +359,5 @@ mod tests {
             canonical_report_line(&report),
             canonical_report_line(&other)
         );
-    }
-
-    #[test]
-    fn fingerprint_separates_different_reports() {
-        let report = sample_report();
-        let line = canonical_report_line(&report);
-        let mut other = sample_report();
-        other.units[0].cycles += 1;
-        let rebuilt = SampleReport::from_units(
-            other.params,
-            other.units.clone(),
-            other.instructions,
-            Duration::ZERO,
-            Duration::ZERO,
-        );
-        let other_line = canonical_report_line(&rebuilt);
-        assert_ne!(report_fingerprint(&line), report_fingerprint(&other_line));
-        assert_eq!(report_fingerprint(&line), report_fingerprint(&line));
     }
 }

@@ -11,40 +11,38 @@
 //!    previous one); detailed replay only, no functional warming — and
 //!    only of the units no earlier job on the open store replayed: the
 //!    rest come out of the store's [`smarts_exec::UnitMemo`].
-//! 3. **cold** — this job wins the warm ticket and runs the combined
-//!    warm-and-save pipeline; concurrent jobs for the same store block
-//!    on the ticket, so one warming pass serves all — then the ones
-//!    that asked for the warmer's very line take it from the cache, and
-//!    the rest replay.
+//! 3. **cold** — this job wins the warm ticket and warms the store;
+//!    concurrent jobs for the same store block on the ticket, so one
+//!    warming pass serves all — then the ones that asked for the
+//!    warmer's very line take it from the cache, and the rest replay.
 //!
-//! All three paths produce byte-identical canonical report lines for
-//! the same (workload, design, machine, sampler): the store replay is
-//! bit-identical to the live pipeline by `smarts-exec`'s merge
-//! contract, a memoized unit is the outcome its simulation produced,
-//! and the cache stores the exact serialized line.
+//! Both simulating paths are `smarts-exec`'s two entry points, the same
+//! two `smarts sample` calls, under the job's [`SamplerSpec`]: the store
+//! path is [`smarts_exec::replay`] and the cold path
+//! [`smarts_exec::sample`], which saves the store the ticket names. Which
+//! estimator a spec runs — every unit, or a sampler's selection from the
+//! store — is decided there, so all three paths produce byte-identical
+//! canonical report lines for the same (workload, design, machine,
+//! sampler): a replay is bit-identical to the live pipeline by
+//! `smarts-exec`'s merge contract, a memoized unit is the outcome its
+//! simulation produced, and the cache stores the exact serialized line.
+//! Unit selection happens at replay, so the store fingerprint (and the
+//! warming pass) is independent of the sampler.
 //!
-//! Non-systematic samplers (stratified, adaptive) share the same warmed
-//! stores — unit selection happens at replay, so the store fingerprint
-//! (and the warm pass) is independent of the sampler. Their cold path
-//! runs a warm-only pass and then replays the sampler's selection from
-//! the just-written store, which makes cold and store-hit lines equal
-//! by construction.
+//! [`SamplerSpec`]: smarts_core::SamplerSpec
 
 use std::sync::Arc;
 
-use smarts_ckpt::{IsaId, MappedStore, StoreMeta};
+use smarts_ckpt::{IsaId, StoreMeta};
 use smarts_core::{SamplingParams, SmartsSim, WarmSpares, Warming};
-use smarts_exec::{
-    replay_store_mapped, replay_store_sampled, sample, warm_store, CancelToken, ExecError,
-    Executor, SampledReplay,
-};
-use smarts_isa::{BuiltinIsa, RiscIsa};
+use smarts_exec::{replay, sample, CancelToken, ExecError, Executor};
+use smarts_isa::{BuiltinIsa, RiscIsa, TraceIsa};
 use smarts_uarch::MachineConfig;
-use smarts_workloads::{find, Frontend};
+use smarts_workloads::Frontend;
 
 use crate::jobs::{JobState, JobTable, ResultSource};
 use crate::proto::JobSpec;
-use crate::report::{canonical_report_line, sampled_report_line};
+use crate::report::estimate_line;
 use crate::store_mgr::{ResultsCache, StoreManager, StoreTicket};
 
 /// State shared by every scheduler worker and the connection handlers.
@@ -65,30 +63,26 @@ enum JobEnd {
     Failed(String),
 }
 
-/// Resolves a spec to the machine configuration it names.
-pub fn machine_for(spec: &JobSpec) -> MachineConfig {
-    if spec.config == 16 {
+/// The machine configuration `config` names: 16 for the 16-way machine,
+/// anything else the 8-way one.
+pub fn machine_for(config: u32) -> MachineConfig {
+    if config == 16 {
         MachineConfig::sixteen_way()
     } else {
         MachineConfig::eight_way()
     }
 }
 
-/// Builds the sampling design a spec describes, mirroring the CLI's
-/// parameter derivation so server results are comparable to one-shot
-/// `smarts sample` runs. Fails for a workload the spec's frontend cannot
-/// serve (unknown name, or a kernel outside the risc encoding).
+/// The sampling design a spec describes — the one derivation behind
+/// served jobs and `smarts sample`, so their lines compare byte for byte.
+/// Fails for a workload the spec's frontend cannot resolve (an unknown
+/// name, a kernel outside the risc encoding, an unreadable trace).
 pub fn params_for(spec: &JobSpec, cfg: &MachineConfig) -> Result<SamplingParams, String> {
+    let (name, scale) = (spec.bench.as_str(), spec.scale);
     let approx_len = match spec.isa {
-        // The builtin lookup keeps its pre-frontend error message.
-        IsaId::Builtin => find(&spec.bench)
-            .ok_or_else(|| format!("unknown benchmark `{}`", spec.bench))?
-            .scaled(spec.scale)
-            .approx_len(),
-        IsaId::Risc => RiscIsa::approx_len(&spec.bench, spec.scale)?,
-        // Unreachable through the wire protocol: submit refuses trace
-        // specs before a job is created.
-        IsaId::Trace => return Err("trace workloads are not servable".to_string()),
+        IsaId::Builtin => BuiltinIsa::approx_len(name, scale)?,
+        IsaId::Risc => RiscIsa::approx_len(name, scale)?,
+        IsaId::Trace => TraceIsa::approx_len(name, scale)?,
     };
     let w = spec
         .warming_len
@@ -133,7 +127,7 @@ fn run_job_with<F: Frontend>(
     cancel: &CancelToken,
     spares: &Arc<WarmSpares>,
 ) -> JobEnd {
-    let cfg = machine_for(spec);
+    let cfg = machine_for(spec.config);
     // An unservable workload fails here, before a store ticket is taken.
     let params = match params_for(spec, &cfg) {
         Ok(params) => params,
@@ -146,10 +140,8 @@ fn run_job_with<F: Frontend>(
         isa: F::ID,
     };
     let fingerprint = meta.fingerprint(&cfg);
+    // Validated at submit, like every other field of the spec.
     let sampler = spec.sampler_spec();
-    if let Err(e) = sampler.validate() {
-        return JobEnd::Failed(e.to_string());
-    }
     let sampler_key = sampler.cache_key();
 
     if let Some(line) = shared.cache.get(fingerprint, spec.config, sampler_key) {
@@ -188,47 +180,12 @@ fn run_job_with<F: Frontend>(
     };
 
     let sim = SmartsSim::new(cfg.clone());
-    let to_replaying = || {
-        shared.jobs.update(id, |r| {
-            if r.state == JobState::Warming {
-                r.state = JobState::Replaying;
-            }
-        });
-    };
-    // Every simulating path adds its units to the served totals.
-    let sampled_line = |sampled: SampledReplay| {
-        shared.stores.count_units(&sampled.report);
-        sampled_report_line(&sampled)
-    };
     let (source, outcome) = match &ticket {
-        StoreTicket::Warm { temp, .. } if !sampler.is_systematic() => {
-            // Sampled cold path: warm-only store write, then replay the
-            // sampler's selection from the just-written bytes. The store
-            // is byte-identical to what the pipeline path saves (same
-            // serial producer), so this line equals the store-hit line.
-            let warmed = warm_store::<F>(&executor, &sim, &spec.bench, spec.scale, &params, temp);
-            let outcome = warmed.and_then(|_| {
-                to_replaying();
-                let store = MappedStore::open(temp, &cfg)?;
-                replay_store_sampled::<F>(&executor, &sim, &store, &sampler).map(sampled_line)
-            });
-            (ResultSource::Cold, outcome)
+        StoreTicket::Warm { temp, .. } => {
+            let (bench, scale) = (&spec.bench, spec.scale);
+            let run = sample::<F>(&executor, &sim, bench, scale, &params, &sampler, Some(temp));
+            (ResultSource::Cold, run)
         }
-        StoreTicket::Warm { temp, .. } => (
-            ResultSource::Cold,
-            sample::<F>(
-                &executor,
-                &sim,
-                &spec.bench,
-                spec.scale,
-                &params,
-                Some(temp),
-            )
-            .map(|(run, _)| {
-                shared.stores.count_units(&run);
-                canonical_report_line(&run.report)
-            }),
-        ),
         StoreTicket::Replay { path } => {
             // A job that waited here for a racing warmer of its own spec
             // finds the warmer's line cached: it was put before the
@@ -236,7 +193,11 @@ fn run_job_with<F: Frontend>(
             if let Some(line) = shared.cache.get(fingerprint, spec.config, sampler_key) {
                 return JobEnd::Done(ResultSource::Cache, line);
             }
-            to_replaying();
+            shared.jobs.update(id, |r| {
+                if r.state == JobState::Warming {
+                    r.state = JobState::Replaying;
+                }
+            });
             // Pull the shared mapping from the LRU open-store cache so
             // back-to-back jobs on a hot store reuse one zero-copy map,
             // and its memo so they simulate no unit a second time.
@@ -244,30 +205,28 @@ fn run_job_with<F: Frontend>(
                 Ok(open) => open,
                 Err(message) => return JobEnd::Failed(message),
             };
-            let (store, executor) = (open.store, executor.with_memo(open.memo));
-            let outcome = if sampler.is_systematic() {
-                replay_store_mapped::<F>(&executor, &sim, &store).and_then(|replayed| {
-                    shared.stores.count_units(&replayed.report);
-                    match replayed.damage {
-                        // The server never serves a damaged store: the
-                        // rename-on-success protocol makes this unreachable
-                        // short of on-disk corruption after commit.
-                        Some(damage) => Err(ExecError::Ckpt(damage)),
-                        None => Ok(canonical_report_line(&replayed.report.report)),
-                    }
-                })
-            } else {
-                replay_store_sampled::<F>(&executor, &sim, &store, &sampler).map(sampled_line)
-            };
-            (ResultSource::Store, outcome)
+            let executor = executor.with_memo(open.memo);
+            let run = replay::<F>(&executor, &sim, &open.store, &sampler).and_then(|run| {
+                match run.damage {
+                    // The server never serves a damaged store: the
+                    // rename-on-success protocol makes this unreachable
+                    // short of on-disk corruption after commit.
+                    Some((_, damage)) => Err(ExecError::Ckpt(damage)),
+                    None => Ok(run),
+                }
+            });
+            (ResultSource::Store, run)
         }
     };
 
     match outcome {
-        Ok(line) => {
+        Ok(run) => {
+            // Every simulating path adds its units to the served totals.
+            shared.stores.count_units(run.estimate.report());
             // Cached before the commit wakes the racers, so one that
             // asked for this very line takes it instead of replaying. The
             // cache owns it from here on; the job record points at it.
+            let line = estimate_line(&run.estimate);
             let line = shared
                 .cache
                 .put(fingerprint, spec.config, sampler_key, line);

@@ -309,7 +309,7 @@ fn handle_line(
         Request::Submit(spec) => {
             // Validate up front so a bad spec fails the submit, not the
             // job: the scheduler re-derives the same parameters.
-            if let Err(message) = params_for(&spec, &machine_for(&spec)) {
+            if let Err(message) = params_for(&spec, &machine_for(spec.config)) {
                 write_line(stream, &err_response(&message))?;
                 return Ok(true);
             }

@@ -721,7 +721,8 @@ mod tests {
 
     #[test]
     fn evicting_an_open_store_drops_its_memo_and_a_reopen_starts_empty() {
-        use smarts_exec::{replay_store_mapped, warm_store, Executor};
+        use smarts_core::SamplerSpec;
+        use smarts_exec::{replay, sample, Executor};
         use smarts_isa::BuiltinIsa;
         use smarts_workloads::Frontend;
         let root = temp_root("memolru");
@@ -742,9 +743,9 @@ mod tests {
                     isa: IsaId::Builtin,
                 };
                 let fp = meta.fingerprint(&cfg);
-                let one = Executor::new(1).unwrap();
-                let path = mgr.final_path(fp);
-                warm_store::<BuiltinIsa>(&one, &sim, "loopy-1", 0.02, &meta.params, &path).unwrap();
+                let (one, path) = (Executor::new(1).unwrap(), mgr.final_path(fp));
+                let (p, spec) = (&meta.params, SamplerSpec::systematic());
+                sample::<BuiltinIsa>(&one, &sim, "loopy-1", 0.02, p, &spec, Some(&path)).unwrap();
                 fp
             })
             .collect();
@@ -752,9 +753,11 @@ mod tests {
         // run: the units it booked, and how many the memo supplied.
         let replay = |open: &OpenStore| {
             let executor = Executor::new(1).unwrap().with_memo(Arc::clone(&open.memo));
-            let run = replay_store_mapped::<BuiltinIsa>(&executor, &sim, &open.store).unwrap();
-            mgr.count_units(&run.report);
-            let worker = run.report.workers[0];
+            let spec = SamplerSpec::systematic();
+            let run = replay::<BuiltinIsa>(&executor, &sim, &open.store, &spec).unwrap();
+            let report = run.estimate.report();
+            mgr.count_units(report);
+            let worker = report.workers[0];
             (worker.units, worker.memoized)
         };
 

@@ -9,7 +9,7 @@ use smarts_core::SmartsSim;
 use smarts_exec::{sample, Executor};
 use smarts_isa::{BuiltinIsa, RiscIsa};
 use smarts_server::{
-    canonical_report_line, machine_for, params_for, Client, JobSpec, Server, ServerConfig,
+    estimate_line, machine_for, params_for, Client, JobSpec, Server, ServerConfig,
 };
 use smarts_workloads::risc_suite;
 
@@ -49,14 +49,15 @@ fn served_risc_job_matches_a_one_shot_run_and_keys_its_own_cache() {
     assert_eq!(source, "cold");
 
     // One-shot reference through the same exec entry point the CLI uses.
-    let cfg = machine_for(&spec);
+    let cfg = machine_for(spec.config);
     let params = params_for(&spec, &cfg).unwrap();
     let sim = SmartsSim::new(cfg);
-    let two = Executor::new(2).unwrap();
-    let (one_shot, _) = sample::<RiscIsa>(&two, &sim, &bench, spec.scale, &params, None).unwrap();
+    let (two, sampler) = (Executor::new(2).unwrap(), spec.sampler_spec());
+    let one_shot =
+        sample::<RiscIsa>(&two, &sim, &bench, spec.scale, &params, &sampler, None).unwrap();
     assert_eq!(
         served,
-        canonical_report_line(&one_shot.report),
+        estimate_line(&one_shot.estimate),
         "served risc report is not byte-identical to the one-shot run"
     );
 
@@ -78,12 +79,9 @@ fn served_risc_job_matches_a_one_shot_run_and_keys_its_own_cache() {
     assert_eq!(client.wait(&job).unwrap(), "done");
     let (source, builtin_served) = client.result(&job).unwrap();
     assert_eq!(source, "cold", "builtin job must not reuse the risc store");
-    let (builtin_one_shot, _) =
-        sample::<BuiltinIsa>(&two, &sim, &bench, spec.scale, &params, None).unwrap();
-    assert_eq!(
-        builtin_served,
-        canonical_report_line(&builtin_one_shot.report)
-    );
+    let builtin_one_shot =
+        sample::<BuiltinIsa>(&two, &sim, &bench, spec.scale, &params, &sampler, None).unwrap();
+    assert_eq!(builtin_served, estimate_line(&builtin_one_shot.estimate));
 
     // A trace submit is refused at the protocol boundary.
     let err = client

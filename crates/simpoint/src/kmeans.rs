@@ -49,12 +49,12 @@ pub fn kmeans(data: &[Vec<f64>], k: usize, seed: u64, max_iters: usize) -> KMean
 
     // k-means++ seeding.
     let mut centroids: Vec<Vec<f64>> = Vec::with_capacity(k);
-    centroids.push(data[rng.next_below(data.len() as u64) as usize].clone());
+    centroids.push(data[rng.below(data.len() as u64) as usize].clone());
     let mut d2: Vec<f64> = data.iter().map(|p| sq_dist(p, &centroids[0])).collect();
     while centroids.len() < k {
         let total: f64 = d2.iter().sum();
         let choice = if total <= 0.0 {
-            rng.next_below(data.len() as u64) as usize
+            rng.below(data.len() as u64) as usize
         } else {
             let mut target = rng.next_f64() * total;
             let mut idx = 0;

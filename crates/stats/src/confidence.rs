@@ -197,66 +197,6 @@ pub fn required_sample_size(
     Ok(n.max(30))
 }
 
-/// Half-width of the Wald confidence interval for a population
-/// *proportion* estimated by a sample fraction `p_hat` over `n` units —
-/// the third population property (total, mean, proportion) Section 2's
-/// sampling theory covers: `±z·√(p̂(1−p̂)/n)`.
-///
-/// # Errors
-///
-/// Returns an error when `p_hat` is outside `[0, 1]` or `n` is zero.
-///
-/// # Examples
-///
-/// ```
-/// use smarts_stats::{proportion_half_width, Confidence};
-///
-/// # fn main() -> Result<(), smarts_stats::StatsError> {
-/// // Fraction of sampling units that miss to memory, say 30% of 400.
-/// let half = proportion_half_width(0.3, 400, Confidence::NINETY_FIVE)?;
-/// assert!(half < 0.05);
-/// # Ok(())
-/// # }
-/// ```
-pub fn proportion_half_width(
-    p_hat: f64,
-    n: u64,
-    confidence: Confidence,
-) -> Result<f64, StatsError> {
-    if !(0.0..=1.0).contains(&p_hat) || !p_hat.is_finite() {
-        return Err(StatsError::InvalidVariation(p_hat));
-    }
-    if n == 0 {
-        return Err(StatsError::InsufficientSample {
-            required: 1,
-            actual: 0,
-        });
-    }
-    Ok(confidence.z() * (p_hat * (1.0 - p_hat) / n as f64).sqrt())
-}
-
-/// Minimal sample size for a `±epsilon` (absolute) interval on a
-/// proportion near `p_hat`: `n ≥ z²·p̂(1−p̂)/ε²`, floored at 30.
-///
-/// # Errors
-///
-/// Returns an error when `p_hat` is outside `[0, 1]` or `epsilon ≤ 0`.
-pub fn required_sample_size_proportion(
-    p_hat: f64,
-    epsilon: f64,
-    confidence: Confidence,
-) -> Result<u64, StatsError> {
-    if !(0.0..=1.0).contains(&p_hat) || !p_hat.is_finite() {
-        return Err(StatsError::InvalidVariation(p_hat));
-    }
-    if !epsilon.is_finite() || epsilon <= 0.0 {
-        return Err(StatsError::InvalidErrorTarget(epsilon));
-    }
-    let z = confidence.z();
-    let n = (z * z * p_hat * (1.0 - p_hat) / (epsilon * epsilon)).ceil() as u64;
-    Ok(n.max(30))
-}
-
 /// A sample-derived mean estimate together with the dispersion information
 /// needed to quantify confidence in it.
 ///
@@ -445,33 +385,6 @@ mod tests {
             (hi - 2.0 - (2.0 - lo)).abs() < 1e-12,
             "interval is symmetric"
         );
-    }
-
-    #[test]
-    fn proportion_interval_behaves() {
-        // Widest at p = 0.5, zero at the extremes, shrinks with √n.
-        let conf = Confidence::NINETY_FIVE;
-        let mid = proportion_half_width(0.5, 100, conf).unwrap();
-        let edge = proportion_half_width(0.05, 100, conf).unwrap();
-        assert!(mid > edge);
-        assert_eq!(proportion_half_width(0.0, 100, conf).unwrap(), 0.0);
-        let big = proportion_half_width(0.5, 10_000, conf).unwrap();
-        assert!((mid / big - 10.0).abs() < 1e-9);
-        assert!(proportion_half_width(1.5, 10, conf).is_err());
-        assert!(proportion_half_width(0.5, 0, conf).is_err());
-    }
-
-    #[test]
-    fn proportion_sizing_achieves_target() {
-        let conf = Confidence::THREE_SIGMA;
-        let n = required_sample_size_proportion(0.3, 0.02, conf).unwrap();
-        let achieved = proportion_half_width(0.3, n, conf).unwrap();
-        assert!(
-            achieved <= 0.02 * (1.0 + 1e-9),
-            "achieved {achieved} at n={n}"
-        );
-        assert_eq!(required_sample_size_proportion(0.0, 0.1, conf).unwrap(), 30);
-        assert!(required_sample_size_proportion(0.3, 0.0, conf).is_err());
     }
 
     #[test]

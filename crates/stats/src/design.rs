@@ -129,28 +129,9 @@ impl SystematicDesign {
         self.sample_size() * self.unit_size
     }
 
-    /// Fraction of the stream that is measured, `n·U / (N·U)`.
-    pub fn measured_fraction(&self) -> f64 {
-        self.sample_size() as f64 / self.population as f64
-    }
-
     /// Indices (in units) of the selected sampling units: `j, j+k, …`.
     pub fn unit_indices(&self) -> impl Iterator<Item = u64> + '_ {
         (self.offset..self.population).step_by(self.interval as usize)
-    }
-
-    /// Starting instruction offsets of the selected sampling units.
-    pub fn unit_starts(&self) -> impl Iterator<Item = u64> + '_ {
-        self.unit_indices().map(move |i| i * self.unit_size)
-    }
-
-    /// The `k` evenly spaced phase offsets `{0, k/m, 2k/m, …}` used by the
-    /// paper's bias-approximation procedure (Section 4.3 uses `m = 5`).
-    ///
-    /// Returns fewer than `m` offsets when `k < m`.
-    pub fn phase_offsets(&self, m: u64) -> Vec<u64> {
-        let m = m.min(self.interval).max(1);
-        (0..m).map(|i| i * self.interval / m).collect()
     }
 }
 
@@ -252,11 +233,6 @@ impl RandomDesign {
     pub fn unit_indices(&self) -> impl Iterator<Item = u64> + '_ {
         self.indices.iter().copied()
     }
-
-    /// Starting instruction offsets of the selected sampling units.
-    pub fn unit_starts(&self) -> impl Iterator<Item = u64> + '_ {
-        self.indices.iter().map(move |&i| i * self.unit_size)
-    }
 }
 
 #[cfg(test)]
@@ -284,23 +260,7 @@ mod tests {
         let d = SystematicDesign::for_sample_size(10, 50, 1_000, 0).unwrap();
         assert_eq!(d.interval(), 1);
         assert_eq!(d.sample_size(), 50);
-        assert!((d.measured_fraction() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn unit_starts_are_instruction_offsets() {
-        let d = SystematicDesign::new(100, 10, 4, 1).unwrap();
-        let starts: Vec<u64> = d.unit_starts().collect();
-        assert_eq!(starts, vec![100, 500, 900]);
-    }
-
-    #[test]
-    fn phase_offsets_are_evenly_spread() {
-        let d = SystematicDesign::new(1000, 100_000, 10_000, 0).unwrap();
-        assert_eq!(d.phase_offsets(5), vec![0, 2000, 4000, 6000, 8000]);
-        // Small k degrades gracefully.
-        let small = SystematicDesign::new(1000, 10, 2, 0).unwrap();
-        assert_eq!(small.phase_offsets(5), vec![0, 1]);
+        assert_eq!(d.measured_instructions(), 500);
     }
 
     #[test]

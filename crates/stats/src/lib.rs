@@ -37,8 +37,7 @@ mod sampler;
 mod stratified;
 
 pub use confidence::{
-    confidence_interval, proportion_half_width, relative_half_width, required_sample_size,
-    required_sample_size_proportion, Confidence, SampleEstimate,
+    confidence_interval, relative_half_width, required_sample_size, Confidence, SampleEstimate,
 };
 pub use design::{RandomDesign, SystematicDesign};
 pub use error::StatsError;
@@ -48,7 +47,6 @@ pub use population::{
 pub use running::RunningStats;
 pub use sampler::{
     drive_sampler, AdaptiveSampler, Sampler, SamplerEstimate, SamplerPhase, SplitMix64, StopReason,
-    StratifiedConfig, StratifiedSampler, SystematicSampler, DEFAULT_BATCH, DEFAULT_STRATA,
-    MIN_SAMPLE,
+    StratifiedConfig, StratifiedSampler, DEFAULT_BATCH, DEFAULT_STRATA, MIN_SAMPLE,
 };
 pub use stratified::{cluster_1d, neyman_allocation, Clustering, StratifiedEstimator};

@@ -8,10 +8,10 @@
 //! pure and seeded, so a fixed seed reproduces the exact unit set — the
 //! reproducibility contract the caching and serving layers rely on.
 //!
-//! Three strategies are provided:
+//! The paper's own fixed-`n` systematic design needs no sampler: it
+//! measures every unit of its grid, which the execution layer replays
+//! whole. The two strategies that choose are:
 //!
-//! * [`SystematicSampler`] — the paper's fixed-`n` evenly spaced design,
-//!   as a trait-shaped reference point;
 //! * [`StratifiedSampler`] — two-phase stratified selection: a small
 //!   systematic pilot is clustered into strata
 //!   ([`crate::cluster_1d`]), phase 2 tops the sample up by Neyman
@@ -31,7 +31,7 @@
 //! documented in DESIGN.md §3.7.
 
 use crate::stratified::{cluster_1d, neyman_allocation, StratifiedEstimator};
-use crate::{Confidence, RunningStats, SampleEstimate, StatsError, SystematicDesign};
+use crate::{Confidence, RunningStats, StatsError, SystematicDesign};
 use std::collections::BTreeSet;
 
 /// Normal-approximation floor: no estimate is trusted (and no sequential
@@ -44,8 +44,9 @@ pub const DEFAULT_STRATA: usize = 4;
 /// Default per-round batch size of the adaptive sampler, in units.
 pub const DEFAULT_BATCH: u64 = 32;
 
-/// SplitMix64, the workspace's standard dependency-free PRNG.
-#[derive(Debug, Clone)]
+/// SplitMix64, the workspace's one dependency-free PRNG: the samplers'
+/// draws, the workload kernels' data and every seeded property test.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,
 }
@@ -76,6 +77,14 @@ impl SplitMix64 {
             0
         } else {
             self.next_u64() % bound
+        }
+    }
+
+    /// Fisher–Yates shuffle of a slice, in place.
+    pub fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            let j = self.below(i as u64 + 1) as usize;
+            items.swap(i, j);
         }
     }
 }
@@ -126,7 +135,7 @@ pub struct SamplerEstimate {
     pub n: u64,
     /// Population size the sampler selected from.
     pub pool: u64,
-    /// Strata in the final estimator (1 for systematic).
+    /// Strata in the final estimator.
     pub strata: usize,
     /// Measurement rounds driven (pilot counts as one).
     pub rounds: u32,
@@ -162,86 +171,6 @@ pub trait Sampler {
     /// Returns [`StatsError::InsufficientSample`] before any
     /// observation.
     fn estimate(&self) -> Result<SamplerEstimate, StatsError>;
-}
-
-/// The paper's fixed-size evenly spaced design behind the trait: one
-/// phase of `n` units at interval `pool/n`, estimated with the plain
-/// `z·V̂/√n` interval.
-#[derive(Debug)]
-pub struct SystematicSampler {
-    design: SystematicDesign,
-    epsilon: f64,
-    confidence: Confidence,
-    stats: RunningStats,
-    issued: bool,
-}
-
-impl SystematicSampler {
-    /// Creates a systematic sampler of `n` units over `pool`, starting
-    /// at `offset` (clamped into the interval).
-    ///
-    /// # Errors
-    ///
-    /// Returns design errors for zero `pool`/`n` or a bad target.
-    pub fn new(
-        pool: u64,
-        n: u64,
-        offset: u64,
-        epsilon: f64,
-        confidence: Confidence,
-    ) -> Result<Self, StatsError> {
-        if !epsilon.is_finite() || epsilon <= 0.0 {
-            return Err(StatsError::InvalidErrorTarget(epsilon));
-        }
-        let interval = (pool.max(1) / n.max(1)).max(1);
-        let design = SystematicDesign::new(1, pool, interval, offset % interval)?;
-        Ok(SystematicSampler {
-            design,
-            epsilon,
-            confidence,
-            stats: RunningStats::new(),
-            issued: false,
-        })
-    }
-}
-
-impl Sampler for SystematicSampler {
-    fn name(&self) -> &'static str {
-        "systematic"
-    }
-
-    fn next_phase(&mut self) -> Result<SamplerPhase, StatsError> {
-        if self.issued {
-            return Ok(SamplerPhase::Done);
-        }
-        self.issued = true;
-        Ok(SamplerPhase::Measure(self.design.unit_indices().collect()))
-    }
-
-    fn observe(&mut self, _unit: u64, value: f64) {
-        self.stats.push(value);
-    }
-
-    fn estimate(&self) -> Result<SamplerEstimate, StatsError> {
-        if self.stats.count() == 0 {
-            return Err(StatsError::InsufficientSample {
-                required: 1,
-                actual: 0,
-            });
-        }
-        let est = SampleEstimate::from_stats(&self.stats);
-        let half_width = est.achieved_epsilon(self.confidence)?;
-        Ok(SamplerEstimate {
-            mean: est.mean(),
-            half_width,
-            n: est.sample_size(),
-            pool: self.design.population(),
-            strata: 1,
-            rounds: 1,
-            target_met: half_width <= self.epsilon,
-            stop: StopReason::BudgetSpent,
-        })
-    }
 }
 
 /// Shared configuration of the stratified and adaptive samplers.
@@ -826,17 +755,6 @@ mod tests {
     }
 
     #[test]
-    fn systematic_sampler_measures_evenly_and_estimates() {
-        let pop = phased_population(1000, 7);
-        let mut sampler =
-            SystematicSampler::new(1000, 100, 0, 0.03, Confidence::NINETY_FIVE).unwrap();
-        let est = drive_sampler(&mut sampler, |u| pop[u as usize]).unwrap();
-        assert_eq!(est.n, 100);
-        assert_eq!(est.strata, 1);
-        assert!((est.mean - truth(&pop)).abs() / truth(&pop) < 0.2);
-    }
-
-    #[test]
     fn stratified_sampler_is_seed_deterministic() {
         let pop = phased_population(2000, 11);
         let cfg = StratifiedConfig::for_pool(2000, 0.03, Confidence::THREE_SIGMA, 42);
@@ -972,8 +890,6 @@ mod tests {
     #[test]
     fn bad_configurations_are_rejected() {
         let conf = Confidence::NINETY_FIVE;
-        assert!(SystematicSampler::new(0, 10, 0, 0.03, conf).is_err());
-        assert!(SystematicSampler::new(100, 10, 0, 0.0, conf).is_err());
         let bad = StratifiedConfig {
             pool: 0,
             ..StratifiedConfig::for_pool(1, 0.03, conf, 0)

@@ -26,18 +26,12 @@ struct Stratum {
 /// The point estimate is the stratum-weighted mean `μ̂ = Σ W_h·ȳ_h`
 /// with `W_h = N_h / N`, and its variance is estimated as
 /// `Var(μ̂) = Σ W_h²·(s_h²/n_h)·(1 − n_h/N_h)` — the textbook
-/// stratified-sampling formula with the finite-population correction,
-/// which [`StratifiedEstimator::without_fpc`] can disable. A stratum
-/// with fewer than two observations borrows the pooled sample variance
-/// as a conservative stand-in for its own `s_h²`.
-///
-/// With a single stratum and the correction disabled, the estimator
-/// degenerates exactly to the systematic estimator of
-/// [`crate::SampleEstimate`]: same mean, same `z·V̂/√n` half-width.
+/// stratified-sampling formula with the finite-population correction. A
+/// stratum with fewer than two observations borrows the pooled sample
+/// variance as a conservative stand-in for its own `s_h²`.
 #[derive(Debug, Clone)]
 pub struct StratifiedEstimator {
     strata: Vec<Stratum>,
-    use_fpc: bool,
 }
 
 impl StratifiedEstimator {
@@ -63,16 +57,7 @@ impl StratifiedEstimator {
                     stats: RunningStats::new(),
                 })
                 .collect(),
-            use_fpc: true,
         })
-    }
-
-    /// Disables the finite-population correction, so the variance is the
-    /// with-replacement `Σ W_h²·s_h²/n_h` — the form that degenerates
-    /// exactly to the systematic `z·V̂/√n` half-width with one stratum.
-    pub fn without_fpc(mut self) -> Self {
-        self.use_fpc = false;
-        self
     }
 
     /// Adds one observation to stratum `h`.
@@ -162,11 +147,7 @@ impl StratifiedEstimator {
                 let w = s.population as f64 / observed as f64;
                 let n = s.stats.count();
                 let s2 = if n >= 2 { s.stats.variance() } else { pooled };
-                let fpc = if self.use_fpc {
-                    (1.0 - n as f64 / s.population as f64).max(0.0)
-                } else {
-                    1.0
-                };
+                let fpc = (1.0 - n as f64 / s.population as f64).max(0.0);
                 w * w * s2 / n as f64 * fpc
             })
             .sum()
@@ -389,38 +370,20 @@ mod tests {
     use crate::sampler::SplitMix64;
 
     #[test]
-    fn one_stratum_without_fpc_degenerates_to_systematic() {
-        let values = [1.5, 2.0, 2.5, 3.0, 1.0, 2.2, 1.8, 2.6];
-        let mut est = StratifiedEstimator::new(&[1000]).unwrap().without_fpc();
-        let mut plain = RunningStats::new();
-        for &v in &values {
-            est.observe(0, v);
-            plain.push(v);
-        }
-        let simple = crate::SampleEstimate::from_stats(&plain);
-        assert!((est.mean() - simple.mean()).abs() < 1e-15);
-        let conf = Confidence::THREE_SIGMA;
-        let strat_eps = est.relative_half_width(conf).unwrap();
-        let simple_eps = simple.achieved_epsilon(conf).unwrap();
-        assert!(
-            (strat_eps - simple_eps).abs() < 1e-12,
-            "{strat_eps} vs {simple_eps}"
-        );
-    }
-
-    #[test]
     fn fpc_tightens_the_interval() {
+        // One stratum of 40 with 30 measured: the same mean as the plain
+        // estimator, and an interval narrower than its `z·V̂/√n`.
         let mut with = StratifiedEstimator::new(&[40]).unwrap();
-        let mut without = StratifiedEstimator::new(&[40]).unwrap().without_fpc();
+        let mut plain = RunningStats::new();
         for i in 0..30 {
             let v = 1.0 + (i % 7) as f64 * 0.1;
             with.observe(0, v);
-            without.observe(0, v);
+            plain.push(v);
         }
+        let simple = crate::SampleEstimate::from_stats(&plain);
+        assert!((with.mean() - simple.mean()).abs() < 1e-15);
         let conf = Confidence::NINETY_FIVE;
-        assert!(
-            with.relative_half_width(conf).unwrap() < without.relative_half_width(conf).unwrap()
-        );
+        assert!(with.relative_half_width(conf).unwrap() < simple.achieved_epsilon(conf).unwrap());
     }
 
     /// Ground-truth coverage: on random two-phase populations, the

@@ -1,34 +1,28 @@
-//! Randomized property tests of the statistical core, driven by a
-//! deterministic splitmix64 generator so the suite needs no external
-//! crates and every failure is reproducible from the fixed seeds.
+//! Randomized property tests of the statistical core, driven by the
+//! crate's deterministic splitmix64 so the suite needs no external crates
+//! and every failure is reproducible from the fixed seeds.
 
 use smarts_stats::{
     bias, confidence_interval, intraclass_correlation, relative_half_width, required_sample_size,
     systematic_sample_means, variation_curve, Confidence, RandomDesign, RunningStats,
-    SampleEstimate, SystematicDesign,
+    SampleEstimate, SplitMix64, SystematicDesign,
 };
 
-/// Splitmix64, duplicated locally: `smarts-stats` sits below the crate
-/// that owns the shared generator in the dependency DAG.
-struct Rng(u64);
+/// The crate's splitmix64, with the draws these properties need.
+struct Rng(SplitMix64);
 
 impl Rng {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+    fn new(seed: u64) -> Self {
+        Rng(SplitMix64::new(seed))
     }
 
     fn below(&mut self, bound: u64) -> u64 {
-        self.next_u64() % bound
+        self.0.below(bound)
     }
 
     /// Uniform f64 in [lo, hi).
     fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
-        let unit = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        lo + unit * (hi - lo)
+        lo + self.0.next_f64() * (hi - lo)
     }
 
     fn observations(&mut self, len_range: std::ops::Range<u64>, lo: f64, hi: f64) -> Vec<f64> {
@@ -41,7 +35,7 @@ const CASES: u64 = 64;
 
 #[test]
 fn running_stats_match_two_pass_reference() {
-    let mut rng = Rng(11);
+    let mut rng = Rng::new(11);
     for _ in 0..CASES {
         let xs = rng.observations(2..200, -1e6, 1e6);
         let stats: RunningStats = xs.iter().copied().collect();
@@ -57,7 +51,7 @@ fn running_stats_match_two_pass_reference() {
 
 #[test]
 fn merge_is_equivalent_to_concatenation() {
-    let mut rng = Rng(22);
+    let mut rng = Rng::new(22);
     for _ in 0..CASES {
         let a = rng.observations(2..200, -1e6, 1e6);
         let b = rng.observations(2..200, -1e6, 1e6);
@@ -78,7 +72,7 @@ fn merge_is_associative_across_many_chunks() {
     // Splitting one stream at arbitrary points and folding the chunk
     // accumulators left-to-right agrees with one-pass accumulation —
     // the property the parallel merge layer rests on.
-    let mut rng = Rng(33);
+    let mut rng = Rng::new(33);
     for _ in 0..CASES {
         let xs = rng.observations(8..300, 0.1, 100.0);
         let chunks = 1 + rng.below(7) as usize;
@@ -98,7 +92,7 @@ fn merge_is_associative_across_many_chunks() {
 
 #[test]
 fn required_n_achieves_the_target() {
-    let mut rng = Rng(44);
+    let mut rng = Rng::new(44);
     for _ in 0..CASES {
         let cv = rng.uniform(0.0, 10.0);
         let eps = rng.uniform(0.001, 0.5);
@@ -119,7 +113,7 @@ fn required_n_achieves_the_target() {
 
 #[test]
 fn half_width_monotonic_in_n_and_cv() {
-    let mut rng = Rng(55);
+    let mut rng = Rng::new(55);
     for _ in 0..CASES {
         let cv = rng.uniform(0.01, 5.0);
         let n = 1 + rng.below(100_000);
@@ -132,7 +126,7 @@ fn half_width_monotonic_in_n_and_cv() {
 
 #[test]
 fn interval_is_symmetric_and_contains_mean() {
-    let mut rng = Rng(66);
+    let mut rng = Rng::new(66);
     for _ in 0..CASES {
         let mean = rng.uniform(-1e3, 1e3);
         let cv = rng.uniform(0.0, 5.0);
@@ -148,7 +142,7 @@ fn interval_is_symmetric_and_contains_mean() {
 
 #[test]
 fn systematic_design_unit_count_is_consistent() {
-    let mut rng = Rng(77);
+    let mut rng = Rng::new(77);
     for _ in 0..CASES {
         let unit = 1 + rng.below(10_000);
         let population = 1 + rng.below(100_000);
@@ -167,7 +161,7 @@ fn systematic_design_unit_count_is_consistent() {
 
 #[test]
 fn systematic_phases_partition_the_population() {
-    let mut rng = Rng(88);
+    let mut rng = Rng::new(88);
     for _ in 0..CASES {
         let population = 1 + rng.below(2000);
         let interval = 1 + rng.below(50);
@@ -185,7 +179,7 @@ fn systematic_phases_partition_the_population() {
 
 #[test]
 fn random_design_is_sorted_distinct_in_range() {
-    let mut rng = Rng(99);
+    let mut rng = Rng::new(99);
     for _ in 0..CASES {
         let population = 1 + rng.below(10_000);
         let seed = rng.below(1000);
@@ -202,7 +196,7 @@ fn random_design_is_sorted_distinct_in_range() {
 
 #[test]
 fn variation_curve_grand_mean_invariant() {
-    let mut rng = Rng(111);
+    let mut rng = Rng::new(111);
     for _ in 0..CASES {
         let xs = rng.observations(16..128, 0.1, 10.0);
         let curve = variation_curve(&xs, 1, &[2]);
@@ -219,7 +213,7 @@ fn variation_curve_grand_mean_invariant() {
 
 #[test]
 fn aggregation_never_increases_variation() {
-    let mut rng = Rng(122);
+    let mut rng = Rng::new(122);
     for _ in 0..CASES {
         let xs = rng.observations(64..256, 0.1, 10.0);
         let curve = variation_curve(&xs, 1, &[1, xs.len() / 2]);
@@ -232,7 +226,7 @@ fn aggregation_never_increases_variation() {
 
 #[test]
 fn systematic_means_average_to_population_mean() {
-    let mut rng = Rng(133);
+    let mut rng = Rng::new(133);
     for _ in 0..CASES {
         let xs = rng.observations(10..200, 0.1, 10.0);
         let interval = 1 + rng.below(9) as usize;
@@ -249,7 +243,7 @@ fn systematic_means_average_to_population_mean() {
 
 #[test]
 fn icc_bounded_below_by_minus_one_over_n_minus_1() {
-    let mut rng = Rng(144);
+    let mut rng = Rng::new(144);
     for _ in 0..CASES {
         let xs = rng.observations(20..200, 0.0, 10.0);
         let delta = intraclass_correlation(&xs, 5);
@@ -263,7 +257,7 @@ fn icc_bounded_below_by_minus_one_over_n_minus_1() {
 
 #[test]
 fn bias_of_exact_estimates_is_zero() {
-    let mut rng = Rng(155);
+    let mut rng = Rng::new(155);
     for _ in 0..CASES {
         let truth = rng.uniform(-100.0, 100.0);
         assert!(bias(&[truth, truth, truth], truth).abs() < 1e-12);

@@ -120,12 +120,6 @@ impl Cache {
         }
     }
 
-    /// Resets hit/miss statistics without touching cache contents.
-    pub fn reset_stats(&mut self) {
-        self.accesses = 0;
-        self.misses = 0;
-    }
-
     /// Invalidates all lines (cold restart), recency along with them:
     /// victim choice among lines refilled after a flush must not be
     /// influenced by pre-flush access order.
@@ -307,8 +301,6 @@ mod tests {
         c.flush();
         assert!(!c.probe(0));
         assert_eq!(c.accesses(), 1);
-        c.reset_stats();
-        assert_eq!(c.accesses(), 0);
     }
 
     #[test]

@@ -275,11 +275,6 @@ impl Pipeline {
         self.cycle
     }
 
-    /// Whether a `halt` instruction has committed.
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
     /// Whether the trace source reported end-of-stream.
     pub fn source_done(&self) -> bool {
         self.source_done
@@ -1379,7 +1374,7 @@ mod tests {
         let mut pipeline = Pipeline::new(&cfg);
         let mut source = CpuSource::new(counted_loop(10));
         let m = pipeline.run(&mut warm, &mut source, u64::MAX, true);
-        assert!(pipeline.is_halted());
+        assert!(pipeline.halted);
         assert_eq!(m.instructions, 23);
         // Further runs are no-ops.
         let again = pipeline.run(&mut warm, &mut source, u64::MAX, true);

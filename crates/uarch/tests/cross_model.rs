@@ -53,10 +53,10 @@ impl TraceSource for CpuSource {
 /// state; T0..T6 are scratch for the random body.
 fn random_program(rng: &mut SplitMix64) -> Program {
     let mut a = Asm::new();
-    let iters = 8 + rng.next_below(48) as i64;
-    let body_len = 6 + rng.next_below(24);
+    let iters = 8 + rng.below(48) as i64;
+    let body_len = 6 + rng.below(24);
     // Stride picks cover same-line hits, L1/L2 conflicts, and full misses.
-    let stride = [0i64, 8, 64, 4096, 1 << 14, 1 << 20][rng.next_below(6) as usize];
+    let stride = [0i64, 8, 64, 4096, 1 << 14, 1 << 20][rng.below(6) as usize];
     a.li(reg::S0, 0x4_0000);
     a.li(reg::S1, 0);
     a.li(reg::S2, iters);
@@ -65,16 +65,12 @@ fn random_program(rng: &mut SplitMix64) -> Program {
     a.bind(top).unwrap();
     for _ in 0..body_len {
         let t = |r: u64| reg::T0 + (r % 7) as u8;
-        match rng.next_below(10) {
+        match rng.below(10) {
             0 => {
                 a.add(t(rng.next_u64()), t(rng.next_u64()), t(rng.next_u64()));
             }
             1 => {
-                a.addi(
-                    t(rng.next_u64()),
-                    t(rng.next_u64()),
-                    rng.next_below(100) as i64,
-                );
+                a.addi(t(rng.next_u64()), t(rng.next_u64()), rng.below(100) as i64);
             }
             2 => {
                 a.mul(t(rng.next_u64()), t(rng.next_u64()), t(rng.next_u64()));
@@ -87,11 +83,11 @@ fn random_program(rng: &mut SplitMix64) -> Program {
                 a.xor(t(rng.next_u64()), t(rng.next_u64()), t(rng.next_u64()));
             }
             5 | 6 => {
-                let disp = (rng.next_below(512) * 8) as i64;
+                let disp = (rng.below(512) * 8) as i64;
                 a.ld(t(rng.next_u64()), reg::S0, disp);
             }
             7 => {
-                let disp = (rng.next_below(512) * 8) as i64;
+                let disp = (rng.below(512) * 8) as i64;
                 a.sd(t(rng.next_u64()), reg::S0, disp);
             }
             8 => {
@@ -215,7 +211,7 @@ fn event_driven_matches_scan_reference_on_random_programs() {
         let mut rng = SplitMix64::new(0xC0DE + width as u64);
         for case in 0..24 {
             let program = random_program(&mut rng);
-            let split = 1 + rng.next_below(400);
+            let split = 1 + rng.below(400);
             assert_models_agree(program, &cfg, split, case);
         }
     }
@@ -229,7 +225,7 @@ fn event_driven_matches_scan_on_detailed_warming_intervals() {
     let mut rng = SplitMix64::new(0xFACE);
     for case in 0..8 {
         let program = random_program(&mut rng);
-        let warm_commits = 1 + rng.next_below(300);
+        let warm_commits = 1 + rng.below(300);
 
         let (event_m, event_warm) = {
             let mut warm = WarmState::new(&cfg);

@@ -47,8 +47,8 @@ impl RefLru {
 }
 
 fn addresses(rng: &mut SplitMix64, len_bound: u64, addr_bound: u64) -> Vec<u64> {
-    let len = 1 + rng.next_below(len_bound);
-    (0..len).map(|_| rng.next_below(addr_bound)).collect()
+    let len = 1 + rng.below(len_bound);
+    (0..len).map(|_| rng.below(addr_bound)).collect()
 }
 
 const CASES: u64 = 64;
@@ -134,7 +134,7 @@ fn tlb_same_page_always_hits_after_fill() {
 fn predictor_converges_on_any_fixed_direction() {
     let mut rng = SplitMix64::new(205);
     for _ in 0..CASES {
-        let pc = rng.next_below(1_000_000);
+        let pc = rng.below(1_000_000);
         let taken = rng.next_u64() & 1 == 1;
         let mut bp = BranchPredictor::new(MachineConfig::eight_way().bpred);
         for _ in 0..8 {
@@ -196,9 +196,9 @@ const EXEC_OPS: [Opcode; 7] = [
 ];
 
 fn exec_ops(rng: &mut SplitMix64, lo: u64, hi: u64) -> Vec<Opcode> {
-    let len = lo + rng.next_below(hi - lo);
+    let len = lo + rng.below(hi - lo);
     (0..len)
-        .map(|_| EXEC_OPS[rng.next_below(EXEC_OPS.len() as u64) as usize])
+        .map(|_| EXEC_OPS[rng.below(EXEC_OPS.len() as u64) as usize])
         .collect()
 }
 
@@ -225,7 +225,7 @@ fn cycle_count_is_additive_across_run_boundaries() {
     let mut rng = SplitMix64::new(207);
     for _ in 0..PIPE_CASES {
         let ops = exec_ops(&mut rng, 20, 300);
-        let split = 1 + rng.next_below(18);
+        let split = 1 + rng.below(18);
         let cfg = MachineConfig::eight_way();
         let whole = {
             let mut warm = WarmState::new(&cfg);
@@ -252,7 +252,7 @@ fn unpipelined_dividers_bound_throughput() {
     for _ in 0..PIPE_CASES {
         // n dependent-free divides on 2 unpipelined units of latency 20:
         // at least n/2 × 20 cycles.
-        let n_divs = 10 + rng.next_below(90);
+        let n_divs = 10 + rng.below(90);
         let cfg = MachineConfig::eight_way();
         let mut warm = WarmState::new(&cfg);
         let mut pipeline = Pipeline::new(&cfg);

@@ -81,8 +81,8 @@ pub trait Frontend: Isa {
 }
 
 fn find_scaled(name: &str, scale: f64) -> Result<Benchmark, String> {
-    if scale <= 0.0 {
-        return Err(format!("scale {scale} is not positive"));
+    if !(scale.is_finite() && scale > 0.0) {
+        return Err(format!("scale {scale} is not a finite positive number"));
     }
     find(name)
         .map(|b| b.scaled(scale))
@@ -163,7 +163,10 @@ mod tests {
             find("chase-1").unwrap().scaled(0.05).approx_len()
         );
         assert!(BuiltinIsa::resolve("no-such", 1.0).is_err());
-        assert!(BuiltinIsa::resolve("chase-1", 0.0).is_err());
+        for scale in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(BuiltinIsa::resolve("chase-1", scale).is_err(), "{scale}");
+            assert!(RiscIsa::approx_len("chase-1", scale).is_err(), "{scale}");
+        }
     }
 
     #[test]

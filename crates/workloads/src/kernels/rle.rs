@@ -30,7 +30,7 @@ pub fn build(n: usize, reps: u64, mean_run_len: usize, seed: u64) -> (Program, M
     let mut i = 0usize;
     while i < n {
         let value = (rng.next_u64() & 0xFF) as u8;
-        let run = 1 + (rng.next_below(2 * mean_run_len as u64 - 1)) as usize;
+        let run = 1 + (rng.below(2 * mean_run_len as u64 - 1)) as usize;
         for _ in 0..run.min(n - i) {
             memory.write_u8(src + i as u64, value);
             i += 1;

@@ -1,69 +1,11 @@
 //! Small deterministic generators used for data initialization.
 //!
 //! Workload construction must be reproducible from a seed alone, and the
-//! workspace builds offline, so the crate implements splitmix64 plus the
-//! few distributions kernels need (shuffles, weighted choice) directly
-//! instead of depending on `rand`.
+//! workspace builds offline, so kernels draw from the workspace's one
+//! splitmix64 ([`SplitMix64`], defined in `smarts-stats`) plus the
+//! permutation below instead of depending on `rand`.
 
-/// Splitmix64: a fast, well-distributed 64-bit mixer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// Creates a generator from a seed.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    /// Next 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform value in `0..bound` (bound > 0).
-    pub fn next_below(&mut self, bound: u64) -> u64 {
-        self.next_u64() % bound
-    }
-
-    /// A uniformly random f64 in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Fisher–Yates shuffle of a slice, in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
-
-    /// Picks an index in `0..weights.len()` with probability proportional
-    /// to its weight. Weights must be non-negative with a positive sum.
-    pub fn weighted_choice(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
-        assert!(
-            total > 0.0 && weights.iter().all(|&w| w >= 0.0),
-            "weights must be non-negative with a positive sum"
-        );
-        let mut target = self.next_f64() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            target -= w;
-            if target < 0.0 {
-                return i;
-            }
-        }
-        // Rounding can push the scan past the end; the last positive
-        // weight is the correct owner of the residual mass.
-        weights.iter().rposition(|&w| w > 0.0).unwrap()
-    }
-}
+pub use smarts_stats::SplitMix64;
 
 /// A random cyclic permutation of `0..n` (a single cycle visiting every
 /// element), used to build pointer-chase chains with no short cycles.
@@ -75,7 +17,7 @@ pub fn cyclic_permutation(n: usize, seed: u64) -> Vec<u32> {
     let mut rng = SplitMix64::new(seed);
     // Sattolo: shuffle into a single cycle.
     for i in (1..n).rev() {
-        let j = rng.next_below(i as u64) as usize;
+        let j = rng.below(i as u64) as usize;
         items.swap(i, j);
     }
     // items is now a cyclic order; produce next[] mapping.
@@ -127,33 +69,6 @@ mod tests {
         let mut one = [7u32];
         rng.shuffle(&mut one);
         assert_eq!(one, [7]);
-    }
-
-    #[test]
-    fn weighted_choice_respects_zero_weights() {
-        let mut rng = SplitMix64::new(11);
-        for _ in 0..1000 {
-            let i = rng.weighted_choice(&[0.0, 3.0, 0.0, 1.0, 0.0]);
-            assert!(i == 1 || i == 3, "picked zero-weight index {i}");
-        }
-    }
-
-    #[test]
-    fn weighted_choice_tracks_the_distribution() {
-        let mut rng = SplitMix64::new(13);
-        let weights = [1.0, 3.0];
-        let mut counts = [0u64; 2];
-        for _ in 0..10_000 {
-            counts[rng.weighted_choice(&weights)] += 1;
-        }
-        let ratio = counts[1] as f64 / counts[0] as f64;
-        assert!((2.5..3.5).contains(&ratio), "ratio {ratio} far from 3");
-    }
-
-    #[test]
-    #[should_panic(expected = "positive sum")]
-    fn weighted_choice_rejects_all_zero_weights() {
-        SplitMix64::new(1).weighted_choice(&[0.0, 0.0]);
     }
 
     #[test]

@@ -151,8 +151,16 @@ impl Benchmark {
     /// Returns a copy with the benchmark's repetition knob multiplied by
     /// `factor` (clamped to at least one unit of work), leaving data-set
     /// sizes unchanged.
+    ///
+    /// # Panics
+    ///
+    /// When `factor` is not finite and positive: callers that take a
+    /// scale from a user refuse such a value first.
     pub fn scaled(&self, factor: f64) -> Benchmark {
-        assert!(factor > 0.0, "scale factor must be positive");
+        assert!(
+            factor.is_finite() && factor > 0.0,
+            "scale factor must be finite and positive"
+        );
         let mul = |x: u64| ((x as f64 * factor).round() as u64).max(1);
         let spec = match self.spec.clone() {
             Spec::Stream { n, reps, seed } => Spec::Stream {

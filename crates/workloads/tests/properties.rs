@@ -20,9 +20,9 @@ const CASES: u64 = 24;
 fn chase_terminates_for_any_geometry() {
     let mut rng = SplitMix64::new(101);
     for _ in 0..CASES {
-        let nodes = 2 + rng.next_below(510) as usize;
-        let steps = 1 + rng.next_below(1999);
-        let seed = rng.next_below(100);
+        let nodes = 2 + rng.below(510) as usize;
+        let steps = 1 + rng.below(1999);
+        let seed = rng.below(100);
         let (program, memory) = kernels::chase::build(nodes, steps, seed);
         let (cpu, _) = run(&program, memory, 3 * steps + 100);
         assert_eq!(cpu.retired(), 3 * steps + 3);
@@ -33,9 +33,9 @@ fn chase_terminates_for_any_geometry() {
 fn stream_is_seed_deterministic() {
     let mut rng = SplitMix64::new(102);
     for _ in 0..CASES {
-        let n = 1 + rng.next_below(255) as usize;
-        let reps = 1 + rng.next_below(3);
-        let seed = rng.next_below(50);
+        let n = 1 + rng.below(255) as usize;
+        let reps = 1 + rng.below(3);
+        let seed = rng.below(50);
         let run_once = || {
             let (program, memory) = kernels::stream::build(n, reps, seed);
             let (_, memory) = run(&program, memory, 1_000_000);
@@ -51,9 +51,9 @@ fn stream_is_seed_deterministic() {
 fn sortk_always_terminates_and_bubbles_maxima() {
     let mut rng = SplitMix64::new(103);
     for _ in 0..CASES {
-        let n = 2 + rng.next_below(62) as usize;
-        let passes = 1 + rng.next_below(3);
-        let seed = rng.next_below(50);
+        let n = 2 + rng.below(62) as usize;
+        let passes = 1 + rng.below(3);
+        let seed = rng.below(50);
         let (program, memory) = kernels::sortk::build(n, passes, 1, seed, false);
         let (_, memory) = run(&program, memory, 3_000_000);
         let values: Vec<i64> = (0..n as u64)
@@ -72,7 +72,7 @@ fn sortk_always_terminates_and_bubbles_maxima() {
 fn cyclic_permutation_is_always_one_cycle() {
     let mut rng = SplitMix64::new(104);
     for _ in 0..CASES {
-        let n = 2 + rng.next_below(398) as usize;
+        let n = 2 + rng.below(398) as usize;
         let seed = rng.next_u64();
         let next = cyclic_permutation(n, seed);
         let mut at = 0usize;
@@ -94,10 +94,10 @@ fn splitmix_next_below_is_in_range() {
     let mut meta = SplitMix64::new(105);
     for _ in 0..CASES {
         let seed = meta.next_u64();
-        let bound = 1 + meta.next_below(999_999);
+        let bound = 1 + meta.below(999_999);
         let mut rng = SplitMix64::new(seed);
         for _ in 0..100 {
-            assert!(rng.next_below(bound) < bound);
+            assert!(rng.below(bound) < bound);
         }
     }
 }

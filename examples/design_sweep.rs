@@ -14,7 +14,8 @@
 //! ```
 
 use smarts::ckpt::MappedStore;
-use smarts::exec::{replay_store_mapped, warm_store};
+use smarts::core::SamplerSpec;
+use smarts::exec::{replay, sample};
 use smarts::isa::BuiltinIsa;
 use smarts::prelude::*;
 
@@ -32,8 +33,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let path =
         std::env::temp_dir().join(format!("smarts-design-sweep-{}.ckpt", std::process::id()));
     let executor = Executor::new(2)?;
+    let spec = SamplerSpec::systematic();
     let warm_start = std::time::Instant::now();
-    let write = warm_store::<BuiltinIsa>(&executor, &sim, bench.name(), scale, &params, &path)?;
+    let save = Some(path.as_path());
+    let run = sample::<BuiltinIsa>(&executor, &sim, bench.name(), scale, &params, &spec, save)?;
+    let write = run
+        .write
+        .expect("a run that keeps its store reports the write");
     let warm_wall = warm_start.elapsed();
     println!(
         "  {} checkpoints, {:.1} MiB, in {warm_wall:.2?} (one-time cost)\n",
@@ -54,9 +60,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cfg.ruu_size = ruu;
         cfg.lsq_size = lsq;
         let point = SmartsSim::new(cfg);
-        let report = replay_store_mapped::<BuiltinIsa>(&executor, &point, &store)?
-            .report
-            .report;
+        let run = replay::<BuiltinIsa>(&executor, &point, &store, &spec)?;
+        let report = &run.estimate.report().report;
         total_replay += report.wall_detailed;
         println!(
             "{:>9}/{:<3} {:>10.3} {:>9.1}% {:>12.2?}",

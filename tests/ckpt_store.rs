@@ -9,7 +9,9 @@ mod common;
 use std::path::PathBuf;
 
 use common::{assert_bit_identical, eager_oracle, sequential_oracle};
-use smarts::exec::{replay_store, replay_store_mapped, sample, Executor, ParallelReport};
+use smarts::ckpt::{CkptError, MappedStore};
+use smarts::core::SamplerSpec;
+use smarts::exec::{replay, sample, Estimate, ExecError, Executor, ParallelReport};
 use smarts::isa::BuiltinIsa;
 use smarts::prelude::*;
 
@@ -26,10 +28,49 @@ fn warm_and_save(
     p: &SamplingParams,
     path: &std::path::Path,
 ) -> (ParallelReport, smarts::ckpt::WriteSummary) {
-    let two = Executor::new(2).expect("executor");
-    let (report, write) = sample::<BuiltinIsa>(&two, sim, bench.name(), scale, p, Some(path))
+    let (two, spec) = (
+        Executor::new(2).expect("executor"),
+        SamplerSpec::systematic(),
+    );
+    let run = sample::<BuiltinIsa>(&two, sim, bench.name(), scale, p, &spec, Some(path))
         .expect("warm-and-save run");
-    (report, write.expect("write summary"))
+    let Estimate::Systematic(report) = run.estimate else {
+        panic!("the systematic spec runs every unit");
+    };
+    (report, run.write.expect("write summary"))
+}
+
+/// What a systematic store replay reported: the merged report, the
+/// records of the intact prefix it replayed, and the damage past them.
+struct StoreReplay {
+    report: ParallelReport,
+    meta: StoreMeta,
+    records: u64,
+    damage: Option<CkptError>,
+}
+
+/// Replays every record of the store at `path` under `sim`'s machine.
+fn replay_store(
+    executor: &Executor,
+    sim: &SmartsSim,
+    path: &std::path::Path,
+) -> Result<StoreReplay, ExecError> {
+    let store = MappedStore::open(path, sim.config())?;
+    let run = replay::<BuiltinIsa>(executor, sim, &store, &SamplerSpec::systematic())?;
+    let Estimate::Systematic(report) = run.estimate else {
+        panic!("the systematic spec replays the grid");
+    };
+    let (records, damage) = match run.damage {
+        Some((records, error)) => (records, Some(error)),
+        None => (store.len() as u64, None),
+    };
+    let meta = store.meta().clone();
+    Ok(StoreReplay {
+        report,
+        meta,
+        records,
+        damage,
+    })
 }
 
 #[test]
@@ -63,8 +104,7 @@ fn store_replay_is_bit_identical_across_the_suite() {
 
         for jobs in [1usize, 2, 8] {
             let executor = Executor::new(jobs).expect("executor");
-            let replayed =
-                replay_store::<BuiltinIsa>(&executor, &sim, &path).expect("store replay");
+            let replayed = replay_store(&executor, &sim, &path).expect("store replay");
             assert!(
                 replayed.damage.is_none(),
                 "{}: clean store reported damage",
@@ -113,7 +153,7 @@ fn one_store_serves_many_detailed_machines() {
     let mut means = Vec::new();
     for (label, sim) in [("8-way", &sim_wide), ("narrow", &sim_narrow)] {
         let sequential = sequential_oracle(sim, bench.load(), &p);
-        let replayed = replay_store::<BuiltinIsa>(&executor, sim, &path).expect("store replay");
+        let replayed = replay_store(&executor, sim, &path).expect("store replay");
         assert!(replayed.damage.is_none());
         assert_bit_identical(
             &replayed.report.report,
@@ -158,9 +198,14 @@ fn lazy_replay_holds_a_tenth_of_the_decoded_store_at_most() {
     assert!(store.len() >= 200, "only {} units", store.len());
     let jobs = 2;
     let executor = Executor::new(jobs).expect("executor");
-    let replayed = replay_store_mapped::<BuiltinIsa>(&executor, &sim, &store).expect("replay");
+    let spec = SamplerSpec::systematic();
+    let replayed = replay::<BuiltinIsa>(&executor, &sim, &store, &spec).expect("replay");
     assert!(replayed.damage.is_none());
-    let stats = replayed.report.pipeline.expect("residency stats");
+    let stats = replayed
+        .estimate
+        .report()
+        .pipeline
+        .expect("residency stats");
     assert!(
         (1..=jobs).contains(&stats.peak_resident_checkpoints),
         "{jobs} workers held {} checkpoints",
@@ -195,8 +240,7 @@ fn tail_damage_costs_only_the_damaged_suffix() {
     // back — but the damage is still surfaced as a typed error.
     std::fs::write(&path, &bytes[..bytes.len() - 3]).expect("truncate footer");
     let executor = Executor::new(2).expect("executor");
-    let replayed =
-        replay_store::<BuiltinIsa>(&executor, &sim, &path).expect("footer-damaged replay");
+    let replayed = replay_store(&executor, &sim, &path).expect("footer-damaged replay");
     assert_eq!(replayed.records, write.records);
     assert!(
         matches!(
@@ -211,7 +255,7 @@ fn tail_damage_costs_only_the_damaged_suffix() {
     // the damage surfaced as a typed error instead of a failure.
     std::fs::write(&path, &bytes[..records_end - 3]).expect("truncate store");
     let executor = Executor::new(2).expect("executor");
-    let replayed = replay_store::<BuiltinIsa>(&executor, &sim, &path).expect("prefix replay");
+    let replayed = replay_store(&executor, &sim, &path).expect("prefix replay");
     assert_eq!(replayed.records, write.records - 1);
     assert!(
         matches!(
@@ -222,7 +266,7 @@ fn tail_damage_costs_only_the_damaged_suffix() {
         replayed.damage
     );
     assert_eq!(
-        replayed.report.report.sample_size() as u64,
+        replayed.report.report.sample_size(),
         replayed.records,
         "every intact record becomes a sample unit"
     );
@@ -336,8 +380,11 @@ fn pinned_store_bytes<F: smarts::workloads::Frontend>(name: &str, offset: u64) -
         SamplingParams::for_sample_size(approx_len, 1000, 2000, Warming::Functional, 100, offset)
             .expect("valid sampling parameters");
     let path = store_path(&format!("pinned-{name}-{}-{offset}", F::NAME));
-    let executor = Executor::new(1).expect("executor");
-    smarts::exec::warm_store::<F>(&executor, &sim, name, scale, &p, &path).expect("warming pass");
+    let (executor, spec) = (
+        Executor::new(1).expect("executor"),
+        SamplerSpec::systematic(),
+    );
+    sample::<F>(&executor, &sim, name, scale, &p, &spec, Some(&path)).expect("warming pass");
     let bytes = std::fs::read(&path).expect("read store");
     std::fs::remove_file(&path).ok();
     bytes

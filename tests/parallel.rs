@@ -6,10 +6,15 @@
 
 mod common;
 
+use std::path::Path;
+
 use common::{assert_bit_identical, sequential_oracle};
-use smarts::exec::{replay_store, sample, warm_store, Executor, PIPELINE_DEPTH};
+use smarts::ckpt::MappedStore;
+use smarts::core::{SamplerKind, SamplerSpec};
+use smarts::exec::{replay, sample, ExecError, Executor, Run, PIPELINE_DEPTH};
 use smarts::isa::BuiltinIsa;
 use smarts::prelude::*;
+use smarts::workloads::SplitMix64;
 
 fn params(bench: &Benchmark, n: u64) -> SamplingParams {
     SamplingParams::for_sample_size(bench.approx_len(), 1000, 2000, Warming::Functional, n, 0)
@@ -27,25 +32,49 @@ fn store_path(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("smarts-parallel-{tag}-{}.ckpt", std::process::id()))
 }
 
+/// A run of suite benchmark `name` at `scale` on `jobs` workers under
+/// `spec`, keeping its checkpoints at `save`.
+fn run(
+    sim: &SmartsSim,
+    jobs: usize,
+    (name, scale): (&str, f64),
+    p: &SamplingParams,
+    spec: &SamplerSpec,
+    save: Option<&Path>,
+) -> Result<Run, ExecError> {
+    sample::<BuiltinIsa>(&Executor::new(jobs)?, sim, name, scale, p, spec, save)
+}
+
+/// The systematic replay of every record of the store at `path`.
+fn replay_all(sim: &SmartsSim, jobs: usize, path: &Path) -> Result<Run, ExecError> {
+    let store = MappedStore::open(path, sim.config())?;
+    replay::<BuiltinIsa>(
+        &Executor::new(jobs)?,
+        sim,
+        &store,
+        &SamplerSpec::systematic(),
+    )
+}
+
 #[test]
 fn checkpoint_replay_is_bit_identical_across_worker_counts() {
     let sim = SmartsSim::new(MachineConfig::eight_way());
     let scale = 0.05;
+    let systematic = SamplerSpec::systematic();
     for name in ["branchy-1", "stream-2"] {
         let bench = find(name).expect("suite benchmark").scaled(scale);
         let p = params(&bench, 10);
         let sequential = sequential_oracle(&sim, bench.load(), &p);
         // One warming pass, kept; then many replays of it.
         let path = store_path(name);
-        let one = Executor::new(1).expect("executor");
-        warm_store::<BuiltinIsa>(&one, &sim, name, scale, &p, &path).expect("warming pass");
+        run(&sim, 1, (name, scale), &p, &systematic, Some(&path)).expect("warming pass");
         for jobs in [1usize, 2, 8] {
-            let executor = Executor::new(jobs).expect("executor");
-            let replayed = replay_store::<BuiltinIsa>(&executor, &sim, &path).expect("replay");
-            assert_eq!(replayed.report.mode, ParallelMode::Checkpoint);
-            assert_eq!(replayed.report.jobs, jobs);
+            let replayed = replay_all(&sim, jobs, &path).expect("replay");
+            let replayed = replayed.estimate.report();
+            assert_eq!(replayed.mode, ParallelMode::Checkpoint);
+            assert_eq!(replayed.jobs, jobs);
             assert_bit_identical(
-                &replayed.report.report,
+                &replayed.report,
                 &sequential,
                 &format!("{name} at {jobs} jobs"),
             );
@@ -57,22 +86,19 @@ fn checkpoint_replay_is_bit_identical_across_worker_counts() {
 #[test]
 fn pipeline_mode_is_bit_identical_across_the_suite() {
     let sim = SmartsSim::new(MachineConfig::eight_way());
+    let systematic = SamplerSpec::systematic();
     for bench in smarts::workloads::suite() {
-        let bench = bench.scaled(0.01);
+        let (name, scale) = (bench.name().to_string(), 0.01);
+        let bench = bench.scaled(scale);
         let p = small_params(&bench);
         let sequential = sequential_oracle(&sim, bench.load(), &p);
         let direct = sim.sample(&bench, &p).expect("sampling");
-        assert_bit_identical(
-            &direct,
-            &sequential,
-            &format!("{} sim.sample", bench.name()),
-        );
+        assert_bit_identical(&direct, &sequential, &format!("{name} sim.sample"));
         for jobs in [1usize, 2, 8] {
-            let executor = Executor::new(jobs).expect("executor");
-            let pipeline = executor
-                .sample(&sim, &bench, &p)
-                .expect("pipeline sampling");
-            let what = format!("{} at {jobs} jobs", bench.name());
+            let live = run(&sim, jobs, (&name, scale), &p, &systematic, None);
+            let live = live.expect("pipeline sampling");
+            let pipeline = live.estimate.report();
+            let what = format!("{name} at {jobs} jobs");
             assert_eq!(pipeline.mode, ParallelMode::Pipeline, "{what}: mode");
             assert_bit_identical(&pipeline.report, &sequential, &what);
             // One worker replays on the warming thread: no channel.
@@ -101,56 +127,45 @@ fn pipeline_mode_is_bit_identical_across_the_suite() {
     }
 }
 
-/// Deterministic splitmix64, duplicated locally like the other property
-/// suites (no external RNG dependency).
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn pick(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-}
-
 #[test]
 fn warm_only_and_saving_runs_write_the_bytes_a_replay_reads_back() {
     let sim = SmartsSim::new(MachineConfig::eight_way());
     let suite = smarts::workloads::suite();
-    let mut rng = SplitMix64(0x5157_3A9D);
+    let systematic = SamplerSpec::systematic();
+    let mut rng = SplitMix64::new(0x5157_3A9D);
     for round in 0..6 {
-        let name = suite[rng.pick(suite.len() as u64) as usize]
+        let name = suite[rng.below(suite.len() as u64) as usize]
             .name()
             .to_string();
         // The one scale: what warms the program is what the header says.
-        let scale = 0.01 + 0.002 * rng.pick(5) as f64;
+        let scale = 0.01 + 0.002 * rng.below(5) as f64;
         let len = find(&name)
             .expect("suite benchmark")
             .scaled(scale)
             .approx_len();
-        let unit = 250 * (1 + rng.pick(4));
-        let warming = 250 * (1 + rng.pick(8));
-        let n = 3 + rng.pick(6);
-        let offset = rng.pick(2);
+        let unit = 250 * (1 + rng.below(4));
+        let warming = 250 * (1 + rng.below(8));
+        let n = 3 + rng.below(6);
+        let offset = rng.below(2);
         let Ok(p) =
             SamplingParams::for_sample_size(len, unit, warming, Warming::Functional, n, offset)
         else {
             continue;
         };
-        let jobs = 1 + rng.pick(2) as usize;
+        let jobs = 1 + rng.below(2) as usize;
         let what =
             format!("round {round}: {name} U={unit} W={warming} n={n} j={offset} jobs={jobs}");
 
         let saved_path = store_path(&format!("prop-{round}-saved"));
-        let executor = Executor::new(jobs).expect("executor");
-        let saved = sample::<BuiltinIsa>(&executor, &sim, &name, scale, &p, Some(&saved_path));
-        let Ok((live, write)) = saved else {
+        let saved = run(
+            &sim,
+            jobs,
+            (&name, scale),
+            &p,
+            &systematic,
+            Some(&saved_path),
+        );
+        let Ok(live) = saved else {
             // Degenerate design (e.g. stream ends before the first
             // unit): nothing to compare this round.
             std::fs::remove_file(&saved_path).ok();
@@ -158,14 +173,26 @@ fn warm_only_and_saving_runs_write_the_bytes_a_replay_reads_back() {
         };
         let saved_bytes = std::fs::read(&saved_path).expect("saved store bytes");
 
-        // No consumers: a sampled job's cold path warms without
-        // replaying, into the same bytes.
+        // No consumers: a sampler's run warms without replaying, into
+        // the same bytes, and then replays its selection from them.
         let warm_only = store_path(&format!("prop-{round}-warm-only"));
-        let warm_write = warm_store::<BuiltinIsa>(&executor, &sim, &name, scale, &p, &warm_only)
-            .unwrap_or_else(|e| panic!("{what}: warm-only pass failed: {e}"));
+        let stratified = SamplerSpec {
+            kind: SamplerKind::Stratified,
+            seed: round,
+            ..systematic
+        };
+        let sampled = run(
+            &sim,
+            jobs,
+            (&name, scale),
+            &p,
+            &stratified,
+            Some(&warm_only),
+        )
+        .unwrap_or_else(|e| panic!("{what}: warm-only pass failed: {e}"));
         assert_eq!(
-            warm_write.records,
-            write.expect("write summary").records,
+            sampled.write.expect("write summary").records,
+            live.write.as_ref().expect("write summary").records,
             "{what}: records"
         );
         assert!(
@@ -176,10 +203,16 @@ fn warm_only_and_saving_runs_write_the_bytes_a_replay_reads_back() {
 
         // The store replays to the live report: its header names the
         // program it was warmed from.
-        let replayed = replay_store::<BuiltinIsa>(&executor, &sim, &saved_path)
+        let header = MappedStore::open(&saved_path, sim.config()).expect("store opens");
+        assert_eq!(header.meta().scale, scale, "{what}: recorded scale");
+        let replayed = replay_all(&sim, jobs, &saved_path)
             .unwrap_or_else(|e| panic!("{what}: replay failed: {e}"));
-        assert_eq!(replayed.meta.scale, scale, "{what}: recorded scale");
-        assert_bit_identical(&replayed.report.report, &live.report, &what);
+        assert_bit_identical(
+            &replayed.estimate.report().report,
+            &live.estimate.report().report,
+            &what,
+        );
+        drop(header);
         std::fs::remove_file(&saved_path).ok();
     }
 }

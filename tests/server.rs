@@ -9,11 +9,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::thread::JoinHandle;
 
-use smarts::exec::Executor;
+use smarts::exec::{sample, Executor};
+use smarts::isa::BuiltinIsa;
 use smarts::prelude::*;
 use smarts::server::json::Json;
 use smarts::server::{
-    canonical_report_line, machine_for, params_for, Client, JobSpec, Server, ServerConfig, Shared,
+    estimate_line, machine_for, params_for, Client, JobSpec, Server, ServerConfig, Shared,
     ShutdownSummary, MAX_CACHED_LINE_BYTES, MAX_FINISHED_JOBS,
 };
 
@@ -78,49 +79,17 @@ fn small_spec() -> JobSpec {
     }
 }
 
-/// The canonical line a one-shot pipeline run produces for a spec —
-/// the reference every server path must match byte for byte.
+/// The line a one-shot `smarts-exec` run produces for a spec — the
+/// reference every server path must match byte for byte, for the
+/// systematic estimator and the samplers alike.
 fn one_shot_line(spec: &JobSpec) -> String {
-    let cfg = machine_for(spec);
+    let cfg = machine_for(spec.config);
     let params = params_for(spec, &cfg).expect("valid spec");
     let sim = SmartsSim::new(cfg);
-    let bench = find(&spec.bench)
-        .expect("suite benchmark")
-        .scaled(spec.scale);
     let executor = Executor::new(spec.jobs).expect("executor");
-    let outcome = executor
-        .sample(&sim, &bench, &params)
-        .expect("pipeline run");
-    canonical_report_line(&outcome.report)
-}
-
-/// The line a one-shot sampled run over a freshly warmed store
-/// produces for a spec.
-fn one_shot_sampled_line(spec: &JobSpec) -> String {
-    let cfg = machine_for(spec);
-    let params = params_for(spec, &cfg).expect("valid spec");
-    let sim = SmartsSim::new(cfg.clone());
-    let path = temp_dir("one-shot-sampled").with_extension("ckpt");
-    let executor = Executor::new(spec.jobs).expect("executor");
-    smarts::exec::warm_store::<smarts::isa::BuiltinIsa>(
-        &executor,
-        &sim,
-        &spec.bench,
-        spec.scale,
-        &params,
-        &path,
-    )
-    .expect("warming pass");
-    let store = smarts::ckpt::MappedStore::open(&path, &cfg).expect("store opens");
-    let sampled = smarts::exec::replay_store_sampled::<smarts::isa::BuiltinIsa>(
-        &executor,
-        &sim,
-        &store,
-        &spec.sampler_spec(),
-    )
-    .expect("sampled replay");
-    std::fs::remove_file(&path).ok();
-    smarts::server::sampled_report_line(&sampled)
+    let (bench, sampler) = (&spec.bench, spec.sampler_spec());
+    let run = sample::<BuiltinIsa>(&executor, &sim, bench, spec.scale, &params, &sampler, None);
+    estimate_line(&run.expect("one-shot run").estimate)
 }
 
 #[test]
@@ -178,7 +147,7 @@ fn cold_store_and_cache_paths_serve_identical_bytes() {
     assert_eq!(client.wait(&fourth).expect("wait"), "done");
     let (source, raw) = client.result(&fourth).expect("memoized result");
     assert_eq!(source, "store");
-    assert_eq!(raw, one_shot_sampled_line(&sampled));
+    assert_eq!(raw, one_shot_line(&sampled));
     let stats = client.stats().expect("stats");
     let count = |name: &str| stats.get(name).and_then(Json::as_u64).expect(name);
     assert_eq!(count("store_hits"), 2);
@@ -210,7 +179,7 @@ fn sampled_jobs_are_deterministic_and_cache_keyed_by_sampler() {
     assert_eq!(client.wait(&first).expect("wait"), "done");
     let (source, cold_line) = client.result(&first).expect("cold result");
     assert_eq!(source, "cold");
-    assert_eq!(cold_line, one_shot_sampled_line(&spec));
+    assert_eq!(cold_line, one_shot_line(&spec));
 
     // Exact repeat: the sampler spec is part of the cache key, so this
     // is a cache hit with the same bytes.
