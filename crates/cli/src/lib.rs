@@ -17,8 +17,8 @@ use smarts_core::{
     SmartsSim, TwoStepOutcome, Warming,
 };
 use smarts_exec::{
-    replay, sample, Estimate, ExecError, Executor, ParallelReport, SampledReplay, UnitMemo,
-    MAX_JOBS,
+    replay, sample, Estimate, ExecError, Executor, ParallelMode, ParallelReport, SampledReplay,
+    UnitMemo, MAX_JOBS,
 };
 use smarts_isa::{write_trace, BuiltinIsa, IsaId, RiscIsa, TraceIsa};
 use smarts_server::{estimate_line, machine_for, params_for, report_from_json, Client, JobSpec};
@@ -151,7 +151,8 @@ pub fn usage() -> String {
      \x20 --u <insts>              sampling unit size U       [1000]\n\
      \x20 --w <insts>              detailed warming W         [machine default]\n\
      \x20 --no-functional-warming  fast-forward without warming (at --jobs 1 without\n\
-     \x20                          a store: no checkpoint holds the stale state)\n\
+     \x20                          a store: each unit replays on the state the last\n\
+     \x20                          one left, in turn on one thread)\n\
      \x20 --offset <units>         systematic phase offset j  [0]\n\
      \x20 --epsilon <f>            two-step target (e.g. 0.03); for stratified/\n\
      \x20                          adaptive samplers, the CI half-width target\n\
@@ -164,9 +165,9 @@ pub fn usage() -> String {
      \x20 --strata <count>         stratum count                       [4]\n\
      \x20 --pilot <units>          pilot sample size (0 = automatic)   [0]\n\
      \x20 --jobs <count>           replay workers for sample/compare: units replay\n\
-     \x20                          from checkpoints while warming runs ahead (at 1\n\
-     \x20                          without a store, on the warming thread), the\n\
-     \x20                          same bytes at any count             [1]\n\
+     \x20                          from checkpoints on their own threads while\n\
+     \x20                          warming runs ahead, one worker too; the same\n\
+     \x20                          bytes at any count                  [1]\n\
      \x20 --save-checkpoints <p>   persist unit checkpoints to a store at <p> while\n\
      \x20                          sampling (not with --epsilon)\n\
      \x20 --from-checkpoints <p>   replay a saved store, skipping functional warming;\n\
@@ -813,41 +814,48 @@ fn print_sample_report(
     println!("EPI           {:.2} nJ {}", epi.mean(), pct(epi));
     println!("branch MPKI   {:.2} {}", mpki.mean(), pct(mpki));
     println!("memory APKI   {:.2} {}", mem.mean(), pct(mem));
+    // A report fetched from a server carries no timings.
+    let Some(pr) = parallel else { return };
+    let workers = format!("{} worker{}", pr.jobs, if pr.jobs == 1 { "" } else { "s" });
+    let warming = match (&pr.pipeline, pr.mode) {
+        (Some(_), ParallelMode::Pipeline) => {
+            format!("{:.2?} warming, overlapped with", report.wall_functional)
+        }
+        (Some(_), ParallelMode::Checkpoint) => "no warming,".to_string(),
+        (None, _) => format!("{:.2?} fast-forward, then", report.wall_functional),
+    };
     println!(
-        "wall clock    {:.2?} ({:.2?} fast-forward, {:.2?} detailed)",
-        report.wall_total(),
-        report.wall_functional,
+        "wall clock    {:.2?} ({warming} {:.2?} detailed replay on {workers})",
+        pr.wall_total(),
         report.wall_detailed
     );
-    if let Some(pr) = parallel {
-        match &pr.pipeline {
-            Some(ps) => {
-                println!(
-                    "parallel      {} mode, {} workers: {:.2?} overlapped \
-                     ({:.2?} producer warming, depth {})",
-                    pr.mode, pr.jobs, pr.parallel_wall, ps.producer_wall, ps.depth
-                );
-                println!(
-                    "residency     peak {} checkpoints, {:.1} MiB \
-                     ({} emitted in total)",
-                    ps.peak_resident_checkpoints,
-                    ps.peak_resident_bytes as f64 / (1024.0 * 1024.0),
-                    ps.emitted
-                );
-            }
-            None => println!(
-                "parallel      none: one thread replays each unit as warming reaches it ({:.2?})",
-                pr.parallel_wall
-            ),
-        }
-        for w in &pr.workers {
-            let (i, memoized) = (&w.instructions, w.memoized);
+    match &pr.pipeline {
+        Some(ps) => {
             println!(
-                "  worker {:<3} {:>5} units  {:>10.2?}  warm {:>10}  measured {:>10}  \
-                 memoized {memoized:>5}",
-                w.worker, w.units, w.wall, i.detailed_warmed, i.measured
+                "parallel      {} mode, {workers}: {:.2?} overlapped \
+                 ({:.2?} producer warming, depth {})",
+                pr.mode, pr.parallel_wall, ps.producer_wall, ps.depth
+            );
+            println!(
+                "residency     peak {} checkpoints, {:.1} MiB \
+                 ({} emitted in total)",
+                ps.peak_resident_checkpoints,
+                ps.peak_resident_bytes as f64 / (1024.0 * 1024.0),
+                ps.emitted
             );
         }
+        None => println!(
+            "parallel      none: without functional warming each unit replays in turn \
+             on the state the last one left"
+        ),
+    }
+    for w in &pr.workers {
+        let (i, memoized) = (&w.instructions, w.memoized);
+        println!(
+            "  worker {:<3} {:>5} units  {:>10.2?}  warm {:>10}  measured {:>10}  \
+             memoized {memoized:>5}",
+            w.worker, w.units, w.wall, i.detailed_warmed, i.measured
+        );
     }
 }
 
@@ -1189,7 +1197,7 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smarts_exec::{ParallelMode, WorkerStats};
+    use smarts_exec::{WorkerStats, PIPELINE_DEPTH};
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -1348,10 +1356,14 @@ mod tests {
         let replayed = parallel_of(&["--from-checkpoints", &path_s, "--jobs", "2"]);
         assert_eq!(replayed.mode, ParallelMode::Checkpoint);
         remove_store(&path);
-        // One worker, no store: the warming thread replays each unit, with
-        // no channel — and the same bytes as every other route.
-        let inline = parallel_of(&[&BUILTIN[..], &["--n", "8"]].concat());
-        assert_eq!((inline.jobs, inline.pipeline), (1, None));
+        // One worker, no store: one consumer replays behind the warming
+        // producer, through the channel — and the same bytes as every
+        // other route.
+        let single = parallel_of(&[&BUILTIN[..], &["--n", "8"]].concat());
+        assert_eq!((single.jobs, single.mode), (1, ParallelMode::Pipeline));
+        let stats = single.pipeline.expect("one worker reports its pipeline");
+        assert_eq!(stats.depth, PIPELINE_DEPTH);
+        assert!(stats.emitted >= single.report.sample_size());
         let line = |flags: &[&str]| json_of(&[&BUILTIN[..], &["--n", "8"], flags].concat());
         let one = line(&["--jobs", "1"]);
         assert_eq!(line(&["--jobs", "2"]), one, "--jobs 2");
@@ -1435,8 +1447,9 @@ mod tests {
     #[test]
     fn no_functional_warming_is_refused_at_two_workers() {
         let args = [&BUILTIN[..], &["--n", "8", "--no-functional-warming"]].concat();
-        // One worker without a store carries the stale state unit to unit.
-        run_sample(&parse_options(&strings(&args)).unwrap()).unwrap();
+        // One worker without a store carries the stale state unit to
+        // unit, on the calling thread: the one run with no pipeline.
+        assert_eq!(parallel_of(&args).pipeline, None);
         let two = [&args[..], &["--jobs", "2"]].concat();
         let err = run_sample(&parse_options(&strings(&two)).unwrap())
             .err()

@@ -543,7 +543,8 @@ impl SampleReport {
         }
     }
 
-    /// Total wall-clock of the run.
+    /// Total wall-clock of the two phases: the run's, when they do not
+    /// overlap (an overlapping `smarts-exec` run reports its own).
     pub fn wall_total(&self) -> Duration {
         self.wall_functional + self.wall_detailed
     }

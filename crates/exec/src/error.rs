@@ -41,8 +41,11 @@ pub enum ExecError {
     MemoMismatch,
     /// A run through checkpoints was asked for [`smarts_core::Warming::None`].
     /// Without functional warming a unit starts from the state the
-    /// previous unit's detailed episode left, which no checkpoint holds;
-    /// only a one-worker run that keeps no store measures it.
+    /// previous unit's detailed episode left, which no checkpoint holds,
+    /// so that design replays its units in turn on the calling thread:
+    /// only a one-worker systematic run that keeps no store measures it.
+    /// Every other warming run pipelines its checkpoints, at any worker
+    /// count.
     NoFunctionalWarming,
     /// The run was cancelled through its [`crate::CancelToken`] before
     /// completing; any partial results were discarded.

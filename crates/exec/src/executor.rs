@@ -6,7 +6,6 @@ use std::time::{Duration, Instant};
 
 use crate::cancel::{CancelToken, ProgressFn};
 use crate::error::ExecError;
-use crate::pipeline;
 use crate::replay::{SampledReplay, UnitMemo};
 use smarts_ckpt::{CkptError, WriteSummary};
 use smarts_core::{
@@ -27,8 +26,10 @@ pub enum ParallelMode {
     /// consumers replay concurrently. Warming and replay overlap (wall
     /// time tends to `max(T_warm, T_detail/jobs)`) and peak checkpoint
     /// residency is bounded by the channel depth plus in-flight replays
-    /// instead of O(n units). A one-worker run that keeps no store has
-    /// no channel: its one thread warms and replays in turn.
+    /// instead of O(n units). One worker is one consumer beside the
+    /// producer, so it overlaps too; only the
+    /// [`smarts_core::Warming::None`] design warms and replays in turn
+    /// on one thread, and reports no [`PipelineStats`].
     Pipeline,
 }
 
@@ -54,7 +55,8 @@ pub struct WorkerStats {
     pub units: u64,
     /// How many of `units` came out of a [`UnitMemo`], not a simulation.
     pub memoized: u64,
-    /// Wall-clock the worker spent on its share of the run.
+    /// Wall-clock the worker spent on its units — decoding and replaying
+    /// them, not waiting for the producer to emit the next one.
     pub wall: Duration,
     /// Instructions the worker simulated, by mode.
     pub instructions: ModeInstructions,
@@ -84,8 +86,9 @@ pub struct ParallelReport {
     /// Wall-clock of the parallel phase (the longest worker critical
     /// path, as observed by the caller): the whole overlapped run.
     pub parallel_wall: Duration,
-    /// Producer-side and residency accounting; `None` for a one-worker
-    /// run that keeps no store, which replays on the warming thread.
+    /// Producer-side and residency accounting; `None` only for the
+    /// [`smarts_core::Warming::None`] design, which replays on the
+    /// warming thread with no channel.
     pub pipeline: Option<PipelineStats>,
     /// Always `None`: sharded warming was measured and deleted, and the
     /// benchmark's staged pass still spells this field in a literal.
@@ -151,9 +154,10 @@ pub struct PipelineStats {
     /// Channel capacity, in checkpoints: [`PIPELINE_DEPTH`] (zero for a
     /// store replay: no channel, workers claim record indices directly).
     pub depth: usize,
-    /// Wall-clock of the producer's functional-warming pass. It runs
-    /// concurrently with the consumers, so it is *not* added to
-    /// [`ParallelReport::wall_total`]; `parallel_wall` already covers it.
+    /// Wall-clock of the producer's functional-warming pass, also the
+    /// report's `wall_functional`. It runs concurrently with the
+    /// consumers, so it is *not* added to [`ParallelReport::wall_total`];
+    /// `parallel_wall` already covers it.
     pub producer_wall: Duration,
     /// Checkpoints the producer emitted (store records replayed, for a
     /// store replay).
@@ -170,25 +174,19 @@ pub struct PipelineStats {
 
 /// One worker's share of a run, built up unit by unit — the accounting
 /// the pipeline's consumers and the store-replay workers share.
+#[derive(Default)]
 pub(crate) struct WorkerLog {
-    started: Instant,
+    wall: Duration,
     instructions: ModeInstructions,
     outcomes: Vec<(usize, UnitReplay)>,
     pub(crate) memoized: u64,
 }
 
 impl WorkerLog {
-    pub(crate) fn start() -> Self {
-        WorkerLog {
-            started: Instant::now(),
-            instructions: ModeInstructions::default(),
-            outcomes: Vec::new(),
-            memoized: 0,
-        }
-    }
-
-    /// Books the outcome of stream-order unit `index`.
-    pub(crate) fn record(&mut self, index: usize, outcome: UnitReplay) {
+    /// Books the outcome of stream-order unit `index`, whose work began
+    /// at `started`.
+    pub(crate) fn record(&mut self, index: usize, outcome: UnitReplay, started: Instant) {
+        self.wall += started.elapsed();
         outcome.account(&mut self.instructions);
         self.outcomes.push((index, outcome));
     }
@@ -198,7 +196,7 @@ impl WorkerLog {
             worker,
             units: self.outcomes.len() as u64,
             memoized: self.memoized,
-            wall: self.started.elapsed(),
+            wall: self.wall,
             instructions: self.instructions,
         };
         (stats, self.outcomes)
@@ -235,7 +233,8 @@ impl Replayed {
     /// Reduces the outcomes in stream order, stopping at the first
     /// partial unit exactly as a sequential replay loop does — the one
     /// merge behind every route. Indices are distinct, so sorting them
-    /// recovers stream order whichever worker measured what.
+    /// recovers stream order whichever worker measured what. The walls
+    /// are the producer's and the workers' summed: they may overlap.
     pub(crate) fn into_report(
         mut self,
         params: &SamplingParams,
@@ -256,8 +255,11 @@ impl Replayed {
         if units.is_empty() {
             return Err(ExecError::Smarts(SmartsError::EmptySample));
         }
-        let report =
-            SampleReport::from_units(*params, units, instructions, Duration::ZERO, self.wall);
+        let (warm, replay) = (
+            pipeline.producer_wall,
+            self.workers.iter().map(|w| w.wall).sum(),
+        );
+        let report = SampleReport::from_units(*params, units, instructions, warm, replay);
         Ok(ParallelReport {
             report,
             mode,
@@ -299,7 +301,7 @@ impl Replayed {
 pub struct Executor {
     jobs: usize,
     cancel: CancelToken,
-    progress: Option<ProgressFn>,
+    pub(crate) progress: Option<ProgressFn>,
     pub(crate) memo: Option<Arc<UnitMemo>>,
     pub(crate) spares: Arc<WarmSpares>,
 }
@@ -314,11 +316,11 @@ impl std::fmt::Debug for Executor {
     }
 }
 
-/// Pipeline channel depth, in checkpoints. Deep enough to ride out
-/// replay-cost variance between units, shallow enough that resident
-/// checkpoints stay a small multiple of the worker count; no other
-/// value measured better (EXPERIMENTS.md § What PR 18 deleted).
-pub const PIPELINE_DEPTH: usize = 4;
+/// Pipeline channel depth, in checkpoints. Each one queued holds a
+/// whole warm-state copy, and depths 1, 4 and 16 measured the same wall
+/// (EXPERIMENTS.md § One warm route), so the queue holds one: the
+/// producer warms the next unit while it waits.
+pub const PIPELINE_DEPTH: usize = 1;
 
 /// The most workers one executor runs: the bound on `--jobs` and on a
 /// served job's `jobs`, far past any host's cores and short of the
@@ -355,8 +357,9 @@ impl Executor {
     /// Attaches a progress observer: runs push a
     /// [`crate::PipelineProgress`] snapshot each time the producer emits a
     /// checkpoint or a worker finishes a unit. The callback runs on
-    /// producer/worker threads, so it must be cheap and non-blocking. A
-    /// one-worker run that keeps no store has no producer and pushes none.
+    /// producer/worker threads, so it must be cheap and non-blocking. It
+    /// fires at one worker too; only a [`smarts_core::Warming::None`] run
+    /// has no producer and pushes none.
     pub fn with_progress(mut self, observer: ProgressFn) -> Self {
         self.progress = Some(observer);
         self
@@ -382,14 +385,6 @@ impl Executor {
     /// The cancellation token runs poll.
     pub fn cancel_token(&self) -> &CancelToken {
         &self.cancel
-    }
-
-    /// Bundles the cancellation and progress hooks for one run.
-    pub(crate) fn control(&self) -> pipeline::RunControl {
-        pipeline::RunControl {
-            cancel: self.cancel.clone(),
-            progress: self.progress.clone(),
-        }
     }
 
     /// Worker-pool size.

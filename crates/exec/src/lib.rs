@@ -12,12 +12,13 @@
 //!   an on-disk store; `jobs` consumers replay them off a bounded
 //!   channel, so detailed replay overlaps warming and peak checkpoint
 //!   residency stays bounded by the channel depth ([`PipelineStats`])
-//!   instead of O(n units). A one-worker systematic run that keeps no
-//!   store is [`smarts_core::SmartsSim::sample`] itself, on the calling
-//!   thread; a sampler's run writes a store (a temporary one unless the
-//!   caller keeps it) and replays its selection from it; no checkpointed
-//!   run takes [`smarts_core::Warming::None`]
-//!   ([`ExecError::NoFunctionalWarming`]);
+//!   instead of O(n units) — at one worker too, whose one consumer
+//!   replays a unit while the producer warms the next; a sampler's run
+//!   writes a store (a temporary one unless the caller keeps it) and
+//!   replays its selection from it. Only the
+//!   [`smarts_core::Warming::None`] design runs on the calling thread, as
+//!   [`smarts_core::SmartsSim::sample`] itself: one worker, no store
+//!   ([`ExecError::NoFunctionalWarming`] elsewhere);
 //! * the **replay side** ([`replay`]): `jobs` workers claim record
 //!   indices of a memory-mapped store and decode them lazily, replaying
 //!   the whole grid or the subset a sampler selects, with no warming at

@@ -14,6 +14,8 @@
 //! two condvars; the standard library's `sync_channel` cannot observe
 //! consumer death from the sending side):
 //!
+//! * a blocked side polls, yielding its CPU, for up to [`SPIN`] before
+//!   it parks on its condvar, so the two sides keep a core each,
 //! * `send` blocks while the queue is at capacity and returns `false`
 //!   once every consumer has left — the producer's signal to stop
 //!   warming early instead of deadlocking against a dead pool,
@@ -37,12 +39,18 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::cancel::{CancelToken, PipelineProgress, ProgressFn};
+use crate::cancel::PipelineProgress;
 use crate::error::ExecError;
-use crate::executor::{PipelineStats, Replayed, WorkerLog};
+use crate::executor::{Executor, PipelineStats, Replayed, WorkerLog, PIPELINE_DEPTH};
 use crate::pool::panic_message;
 use smarts_core::{UnitCheckpoint, UnitReplay};
 use smarts_isa::Isa;
+
+/// How long a blocked `send` or `recv` polls before it parks. The
+/// scheduler tends to wake a parked thread onto its waker's CPU, so a
+/// producer and a consumer parking in turn each unit end up sharing one
+/// core; a thread still polling when its item arrives keeps its own.
+const SPIN: Duration = Duration::from_millis(2);
 
 struct ChannelState<T> {
     queue: VecDeque<T>,
@@ -83,13 +91,20 @@ impl<T> Channel<T> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Blocks on `condvar` until notified, ignoring poisoning as
-    /// [`Channel::lock`] does.
+    /// Waits for the other side, for a caller waiting since `since`: by
+    /// yielding unlocked within [`SPIN`] of it, then by blocking on
+    /// `condvar`, ignoring poisoning as [`Channel::lock`] does.
     fn wait<'a>(
-        &self,
+        &'a self,
         condvar: &Condvar,
         state: MutexGuard<'a, ChannelState<T>>,
+        since: Instant,
     ) -> MutexGuard<'a, ChannelState<T>> {
+        if since.elapsed() < SPIN {
+            drop(state);
+            thread::yield_now();
+            return self.lock();
+        }
         condvar.wait(state).unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -98,6 +113,7 @@ impl<T> Channel<T> {
     /// consumer has left.
     fn send(&self, item: T) -> bool {
         let mut state = self.lock();
+        let since = Instant::now();
         loop {
             if state.consumers == 0 {
                 return false;
@@ -107,7 +123,7 @@ impl<T> Channel<T> {
                 self.not_empty.notify_one();
                 return true;
             }
-            state = self.wait(&self.not_full, state);
+            state = self.wait(&self.not_full, state, since);
         }
     }
 
@@ -115,6 +131,7 @@ impl<T> Channel<T> {
     /// has closed and the queue has drained.
     fn recv(&self) -> Option<T> {
         let mut state = self.lock();
+        let since = Instant::now();
         loop {
             if let Some(item) = state.queue.pop_front() {
                 self.not_full.notify_one();
@@ -123,7 +140,7 @@ impl<T> Channel<T> {
             if state.closed {
                 return None;
             }
-            state = self.wait(&self.not_empty, state);
+            state = self.wait(&self.not_empty, state, since);
         }
     }
 
@@ -204,15 +221,6 @@ impl Residency {
     }
 }
 
-/// Cancellation and progress hooks one pipeline run honors, bundled by
-/// [`Executor::control`](crate::Executor). The producer polls `cancel`
-/// before emitting each checkpoint; both sides push
-/// [`PipelineProgress`] snapshots to `progress` when set.
-pub(crate) struct RunControl {
-    pub(crate) cancel: CancelToken,
-    pub(crate) progress: Option<ProgressFn>,
-}
-
 /// Shared emit/replay counters behind the progress observer.
 #[derive(Default)]
 struct ProgressCounters {
@@ -229,11 +237,13 @@ impl ProgressCounters {
     }
 }
 
-/// The producer/consumer engine under [`crate::warm::run_warm`].
-/// `produce` is handed an `emit` callback (returning `false` once every
-/// consumer has left *or* cancellation was requested) and runs on its
-/// own thread; `replay` runs on each of the `jobs` consumer threads.
-/// Returns whatever the producer returned beside the consumers' side.
+/// The producer/consumer engine under [`crate::warm::run_warm`], over
+/// a channel [`PIPELINE_DEPTH`] deep. `produce` is handed an `emit`
+/// callback (returning `false` once every consumer has left *or* the
+/// executor's cancel token fired) and runs on its own thread; `replay`
+/// runs on each of the executor's consumer threads. Both sides push
+/// [`PipelineProgress`] snapshots to its observer, if any. Returns
+/// whatever the producer returned beside the consumers' side.
 ///
 /// Cancellation stops the stream at the next unit boundary; consumers
 /// still drain whatever was already queued, so a cancelled run returns
@@ -241,9 +251,7 @@ impl ProgressCounters {
 /// state is worth flushing before surfacing
 /// [`ExecError::Cancelled`](crate::ExecError::Cancelled).
 pub(crate) fn run_pipeline<I, S, P, R>(
-    jobs: usize,
-    depth: usize,
-    control: &RunControl,
+    executor: &Executor,
     residency: &Residency,
     produce: P,
     replay: R,
@@ -254,7 +262,8 @@ where
     P: FnOnce(&mut dyn FnMut(UnitCheckpoint<I>) -> bool) -> S + Send,
     R: Fn(UnitCheckpoint<I>) -> UnitReplay + Sync,
 {
-    let channel: Channel<(usize, u64, UnitCheckpoint<I>)> = Channel::new(depth, jobs);
+    let jobs = executor.jobs();
+    let channel: Channel<(usize, u64, UnitCheckpoint<I>)> = Channel::new(PIPELINE_DEPTH, jobs);
     let counters = ProgressCounters::default();
     let t0 = Instant::now();
 
@@ -262,8 +271,8 @@ where
         let channel = &channel;
         let replay = &replay;
         let counters = &counters;
-        let cancel = &control.cancel;
-        let progress = control.progress.as_deref();
+        let cancel = executor.cancel_token();
+        let progress = executor.progress.as_deref();
 
         let producer = scope.spawn(move || {
             let _close = CloseOnDrop(channel);
@@ -294,11 +303,12 @@ where
             .map(|worker| {
                 scope.spawn(move || {
                     let _leave = LeaveOnDrop(channel);
-                    let mut log = WorkerLog::start();
+                    let mut log = WorkerLog::default();
                     while let Some((index, bytes, checkpoint)) = channel.recv() {
+                        let started = Instant::now();
                         let outcome = replay(checkpoint);
                         residency.remove(bytes);
-                        log.record(index, outcome);
+                        log.record(index, outcome, started);
                         counters.replayed.fetch_add(1, Ordering::Relaxed);
                         if let Some(observe) = progress {
                             observe(counters.snapshot());
@@ -340,7 +350,7 @@ where
 mod tests {
     use super::*;
     use crate::common::{assert_bit_identical, sequential_oracle};
-    use crate::{Executor, ParallelMode, ParallelReport, PIPELINE_DEPTH};
+    use crate::{CancelToken, Executor, ParallelMode, ParallelReport};
     use smarts_core::{SamplerSpec, SamplingParams, SmartsError, SmartsSim, Warming};
     use smarts_isa::BuiltinIsa;
     use smarts_uarch::MachineConfig;
@@ -400,6 +410,20 @@ mod tests {
     }
 
     #[test]
+    fn channel_wakes_a_receiver_parked_past_the_spin() {
+        let channel: Channel<u32> = Channel::new(1, 1);
+        thread::scope(|scope| {
+            scope.spawn(|| {
+                thread::sleep(SPIN * 5);
+                assert!(channel.send(5));
+                channel.close();
+            });
+            assert_eq!(channel.recv(), Some(5));
+            assert_eq!(channel.recv(), None);
+        });
+    }
+
+    #[test]
     fn channel_unblocks_a_full_send_when_consumers_die() {
         let channel: Channel<u32> = Channel::new(1, 1);
         thread::scope(|scope| {
@@ -434,8 +458,6 @@ mod tests {
         // Every run recycles its warm states through one spare set, as a
         // server worker does across jobs: the states a run hands back are
         // overwritten by the next run's checkpoints, of whatever workload.
-        // (One worker without a store replays on the warming thread, with
-        // spares of its own: `SmartsSim::sample`, the oracle's twin.)
         let sim = sim();
         let spares = std::sync::Arc::new(smarts_core::WarmSpares::default());
         for name in ["branchy-1", "hashp-2"] {
@@ -444,7 +466,7 @@ mod tests {
             let sequential = sequential_oracle(&sim, bench.load(), &params);
             let direct = sim.sample(&bench, &params).unwrap();
             assert_bit_identical(&direct, &sequential, &format!("{name} sim.sample"));
-            for jobs in [2, 8] {
+            for jobs in [1, 2, 8] {
                 let executor = Executor::new(jobs)
                     .unwrap()
                     .with_spares(std::sync::Arc::clone(&spares));
@@ -503,12 +525,12 @@ mod tests {
     fn mid_run_cancellation_stops_at_a_unit_boundary() {
         let bench = find("loopy-1").unwrap().scaled(0.05);
         let params = design(&bench, 10);
-        let token = CancelToken::new();
-        let observer_token = token.clone();
-        // Cancel from inside the progress observer after the first emit —
-        // exactly how a server-side watcher would pull the plug.
-        let executor =
-            Executor::new(2)
+        for jobs in [1, 2] {
+            let token = CancelToken::new();
+            let observer_token = token.clone();
+            // Cancel from inside the progress observer after the first
+            // emit — exactly how a server-side watcher would pull the plug.
+            let executor = Executor::new(jobs)
                 .unwrap()
                 .with_cancel(token)
                 .with_progress(std::sync::Arc::new(move |p: PipelineProgress| {
@@ -516,28 +538,34 @@ mod tests {
                         observer_token.cancel();
                     }
                 }));
-        let err = systematic(&executor, "loopy-1", 0.05, &params).unwrap_err();
-        assert!(matches!(err, ExecError::Cancelled));
+            let err = systematic(&executor, "loopy-1", 0.05, &params).unwrap_err();
+            assert!(matches!(err, ExecError::Cancelled), "jobs={jobs}: {err:?}");
+        }
     }
 
     #[test]
     fn progress_observer_sees_every_emit_and_replay() {
         let bench = find("hashp-2").unwrap().scaled(0.05);
         let params = design(&bench, 10);
-        let last = std::sync::Arc::new(Mutex::new(PipelineProgress::default()));
-        let sink = last.clone();
-        let executor = Executor::new(2).unwrap().with_progress(std::sync::Arc::new(
-            move |p: PipelineProgress| {
-                let mut guard = sink.lock().unwrap();
-                guard.emitted = guard.emitted.max(p.emitted);
-                guard.replayed = guard.replayed.max(p.replayed);
-            },
-        ));
-        let outcome = systematic(&executor, "hashp-2", 0.05, &params).unwrap();
-        let stats = outcome.pipeline.expect("pipeline stats present");
-        let seen = *last.lock().unwrap();
-        assert_eq!(seen.emitted, stats.emitted);
-        assert_eq!(seen.replayed, stats.emitted, "every emitted unit replays");
+        for jobs in [1, 2] {
+            let last = std::sync::Arc::new(Mutex::new(PipelineProgress::default()));
+            let sink = last.clone();
+            let executor = Executor::new(jobs)
+                .unwrap()
+                .with_progress(std::sync::Arc::new(move |p: PipelineProgress| {
+                    let mut guard = sink.lock().unwrap();
+                    guard.emitted = guard.emitted.max(p.emitted);
+                    guard.replayed = guard.replayed.max(p.replayed);
+                }));
+            let outcome = systematic(&executor, "hashp-2", 0.05, &params).unwrap();
+            let stats = outcome.pipeline.expect("pipeline stats present");
+            let seen = *last.lock().unwrap();
+            assert_eq!(seen.emitted, stats.emitted, "jobs={jobs}");
+            assert_eq!(
+                seen.replayed, stats.emitted,
+                "jobs={jobs}: every unit replays"
+            );
+        }
     }
 
     #[test]

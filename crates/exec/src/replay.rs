@@ -34,10 +34,11 @@ use crate::executor::{
 };
 use crate::pipeline::Residency;
 use crate::pool::run_workers;
+use crate::warm::resolve;
 use smarts_ckpt::{CkptError, MappedStore, StoreMeta};
 use smarts_core::{SamplerSpec, SamplingParams, SmartsError, SmartsSim, UnitReplay, UnitSample};
 use smarts_energy::ActivityCounters;
-use smarts_isa::{crc32, IsaId};
+use smarts_isa::crc32;
 use smarts_stats::{SamplerEstimate, SamplerPhase};
 use smarts_workloads::Frontend;
 
@@ -307,20 +308,6 @@ impl UnitMemo {
     }
 }
 
-/// Reconstructs a store's workload program from the recorded
-/// `(benchmark, scale)`. The built-in frontend keeps its historical error
-/// shape ([`ExecError::UnknownBenchmark`]); other frontends surface the
-/// resolver's own message.
-fn program_of<F: Frontend>(meta: &StoreMeta) -> Result<F::Program, ExecError> {
-    match F::resolve(&meta.benchmark, meta.scale) {
-        Ok(loaded) => Ok(loaded.program),
-        Err(_) if F::ID == IsaId::Builtin => {
-            Err(ExecError::UnknownBenchmark(meta.benchmark.clone()))
-        }
-        Err(message) => Err(ExecError::Frontend(message)),
-    }
-}
-
 /// What stays the same across the passes of one store replay.
 struct ReplayContext<'a, F: Frontend> {
     executor: &'a Executor,
@@ -365,7 +352,8 @@ impl<'a, F: Frontend> ReplayContext<'a, F> {
         if let Some(program) = self.program.get() {
             return Ok(program);
         }
-        let program = program_of::<F>(self.store.meta())?;
+        let meta = self.store.meta();
+        let program = resolve::<F>(&meta.benchmark, meta.scale)?.program;
         Ok(self.program.get_or_init(|| program))
     }
 
@@ -392,9 +380,8 @@ fn replay_subset<F: Frontend>(
     ctx: &ReplayContext<'_, F>,
     indices: &[usize],
 ) -> Result<(Replayed, Option<(u64, CkptError)>), ExecError> {
-    let control = ctx.executor.control();
-    let cancel = &control.cancel;
-    let progress = control.progress.as_deref();
+    let cancel = ctx.executor.cancel_token();
+    let progress = ctx.executor.progress.as_deref();
     let pool = ctx.store.len() as u64;
     let memo = ctx.executor.memo.as_deref();
     // Slots only ever fill, so a pass whose every unit is known at its
@@ -419,7 +406,7 @@ fn replay_subset<F: Frontend>(
     let t0 = Instant::now();
     let logs = run_workers(ctx.executor.jobs(), |worker| {
         let mut cursor = ctx.store.cursor();
-        let mut log = WorkerLog::start();
+        let mut log = WorkerLog::default();
         while !cancel.is_cancelled() {
             // Workers claim *slots* in the ascending index slice, so
             // each worker's claimed indices increase and its cursor only
@@ -427,6 +414,7 @@ fn replay_subset<F: Frontend>(
             let Some(&index) = indices.get(queue.fetch_add(1, Ordering::Relaxed)) else {
                 break;
             };
+            let started = Instant::now();
             let slot = memo.map(|memo| &memo.slots[index]);
             let outcome = if let Some(known) = slot.and_then(OnceLock::get) {
                 log.memoized += 1;
@@ -461,7 +449,7 @@ fn replay_subset<F: Frontend>(
                 }
                 outcome
             };
-            log.record(index, outcome);
+            log.record(index, outcome, started);
             let replayed = ctx.done.fetch_add(1, Ordering::Relaxed) + 1;
             if let Some(observe) = progress {
                 observe(PipelineProgress {

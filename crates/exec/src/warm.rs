@@ -10,13 +10,16 @@
 //!   it is offered downstream, so persistence overlaps both warming and
 //!   detailed replay and costs no extra pass.
 //! * The **consumers** are `jobs` threads replaying checkpoints off the
-//!   bounded channel ([`crate::pipeline`]); a warm-only run has none and
-//!   drives the same producer with an `emit` that hands the written
-//!   checkpoint's warm state straight back and polls cancellation.
+//!   bounded channel ([`crate::pipeline`]) — one worker too, so a plain
+//!   one-worker run warms the next unit while it replays this one; a
+//!   warm-only run has none and drives the same producer with an `emit`
+//!   that hands the written checkpoint's warm state straight back and
+//!   polls cancellation.
 //!
-//! A one-worker run with no sink needs none of the three: it is
-//! [`SmartsSim::sample_loaded`] on the calling thread, the same warming
-//! pass replaying each checkpoint as it reaches it.
+//! Only the [`Warming::None`] design runs on the calling thread: its
+//! units are not independent — each episode starts from the state the
+//! last one left — so it is [`SmartsSim::sample_loaded`] itself, with no
+//! channel, no store and one worker.
 //!
 //! A store header records exactly `(workload, scale)`, so [`sample`]
 //! takes exactly that pair and resolves the program from it through the
@@ -68,15 +71,16 @@ pub(crate) fn run_warm<F: Frontend>(
     params.validate().map_err(ExecError::Smarts)?;
     let jobs = executor.jobs();
     let cancel = executor.cancel_token();
-    if replay && jobs == 1 && save.is_none() {
-        let report = sample_inline(cancel, sim, loaded, params)?;
+    if params.warming == Warming::None {
+        // Each stale-state episode starts from the state the last one
+        // left: one replaying thread, and no checkpoint to keep.
+        if !replay || save.is_some() || jobs > 1 {
+            return Err(ExecError::NoFunctionalWarming);
+        }
         return Ok(Warmed {
-            report: Some(report),
+            report: Some(sample_stale(cancel, sim, loaded, params)?),
             write: None,
         });
-    }
-    if params.warming == Warming::None {
-        return Err(ExecError::NoFunctionalWarming);
     }
     let mut sink = save
         .map(|(path, meta)| CkptWriter::create(path, sim.config(), meta))
@@ -107,14 +111,7 @@ pub(crate) fn run_warm<F: Frontend>(
     let residency = Residency::default();
     let (summary, replayed) = if replay {
         let consume = |checkpoint| sim.replay_with(&program, params, checkpoint, spares);
-        let (summary, replayed) = run_pipeline(
-            jobs,
-            PIPELINE_DEPTH,
-            &executor.control(),
-            &residency,
-            produce,
-            consume,
-        )?;
+        let (summary, replayed) = run_pipeline(executor, &residency, produce, consume)?;
         (summary, Some(replayed))
     } else {
         // No consumers: a channel nobody reads refuses every send, so the
@@ -138,12 +135,13 @@ pub(crate) fn run_warm<F: Frontend>(
     Ok(Warmed { report, write })
 }
 
-/// A one-worker run that keeps no store: [`SmartsSim::sample_loaded`] on
-/// this thread. It has no channel, so it reports no [`PipelineStats`]
+/// The [`Warming::None`] design: [`SmartsSim::sample_loaded`] on this
+/// thread, each unit replaying on the warm state the previous unit's
+/// episode left. It has no channel, so it reports no [`PipelineStats`]
 /// and no progress, and `cancel` is polled only before and after it.
 ///
 /// [`PipelineStats`]: crate::PipelineStats
-fn sample_inline<F: Frontend>(
+fn sample_stale<F: Frontend>(
     cancel: &crate::CancelToken,
     sim: &SmartsSim,
     loaded: Loaded<F>,
@@ -175,28 +173,16 @@ fn sample_inline<F: Frontend>(
     })
 }
 
-/// Resolves `(workload, scale)` through `F`, beside the header a store
-/// of this run records: that same pair.
-fn open_run<F: Frontend>(
-    workload: &str,
-    scale: f64,
-    params: &SamplingParams,
-) -> Result<(Loaded<F>, StoreMeta), ExecError> {
-    let loaded = F::resolve(workload, scale).map_err(|message| {
-        // The built-in frontend keeps its historical error shape.
-        if F::ID == IsaId::Builtin {
-            ExecError::UnknownBenchmark(workload.to_string())
-        } else {
-            ExecError::Frontend(message)
-        }
-    })?;
-    let meta = StoreMeta {
-        params: *params,
-        benchmark: workload.to_string(),
-        scale,
-        isa: F::ID,
-    };
-    Ok((loaded, meta))
+/// Resolves `(workload, scale)` through `F`: the pair a store header
+/// records, for a warming run and a store replay alike. The built-in
+/// frontend keeps its historical error shape
+/// ([`ExecError::UnknownBenchmark`]); other frontends surface the
+/// resolver's own message.
+pub(crate) fn resolve<F: Frontend>(workload: &str, scale: f64) -> Result<Loaded<F>, ExecError> {
+    F::resolve(workload, scale).map_err(|message| match F::ID {
+        IsaId::Builtin => ExecError::UnknownBenchmark(workload.to_string()),
+        _ => ExecError::Frontend(message),
+    })
 }
 
 /// Runs one sampling simulation of `workload` at `scale` under frontend
@@ -207,8 +193,8 @@ fn open_run<F: Frontend>(
 /// in stream order. With `save`, every unit checkpoint is also persisted
 /// to a store at that path — byte-identical at any `jobs` — which
 /// [`crate::replay`] then replays to the same report without warming.
-/// At one worker without `save` this is [`SmartsSim::sample_loaded`] on
-/// the calling thread: the same report.
+/// One worker is one consumer: warming still overlaps its replay, and
+/// the report is [`SmartsSim::sample_loaded`]'s.
 ///
 /// A sampler needs random access to the whole grid before it picks a
 /// unit, so under its spec the pass only writes a store — the one at
@@ -220,8 +206,8 @@ fn open_run<F: Frontend>(
 ///
 /// [`ExecError::UnknownBenchmark`] / [`ExecError::Frontend`] when `F`
 /// cannot resolve the workload, [`ExecError::NoFunctionalWarming`] for
-/// a [`Warming::None`] design that goes through a store or more than
-/// one worker, [`ExecError::Ckpt`] when the store cannot be created or a
+/// a [`Warming::None`] design with a store, a sampler or more than one
+/// worker, [`ExecError::Ckpt`] when the store cannot be created or a
 /// write fails mid-stream (nothing is silently dropped),
 /// [`ExecError::Cancelled`], an invalid spec and other sampling errors
 /// as [`ExecError::Smarts`], and worker panics as
@@ -236,7 +222,13 @@ pub fn sample<F: Frontend>(
     save: Option<&Path>,
 ) -> Result<Run, ExecError> {
     spec.validate()?;
-    let (loaded, meta) = open_run::<F>(workload, scale, params)?;
+    let loaded = resolve::<F>(workload, scale)?;
+    let meta = StoreMeta {
+        params: *params,
+        benchmark: workload.to_string(),
+        scale,
+        isa: F::ID,
+    };
     if spec.is_systematic() {
         let save = save.map(|path| (path, &meta));
         let warmed = run_warm::<F>(executor, sim, loaded, params, save, true)?;
