@@ -1,9 +1,10 @@
 //! Measurement core of the `repro ci_eff` experiment.
 //!
-//! One deterministic procedure — full-grid ground truth, the paper's
-//! two-step matched-systematic baseline, and offline drives of the
-//! stratified and adaptive samplers — kept here so the golden test below
-//! can call it. Everything is seeded and simulator-deterministic:
+//! One deterministic procedure — ground truth from the densest grid the
+//! design allows (every 4th unit of the stream at U = 1000, W = 2000,
+//! not every unit), the paper's two-step matched-systematic baseline,
+//! and offline drives of the stratified and adaptive samplers over that
+//! grid — kept here so the golden test below can call it. Everything is seeded and simulator-deterministic:
 //! re-running [`measure`] on the same workload at the same scale
 //! reproduces the checked-in `results/bench_ci_eff.json` bit-for-bit.
 
@@ -33,11 +34,14 @@ pub const SAVINGS_BAR: f64 = 0.30;
 pub struct Row {
     /// Workload name.
     pub benchmark: String,
-    /// Number of complete sampling units in the full grid.
+    /// Number of complete units on the measured grid: every k-th unit of
+    /// the stream, k = ⌈W/U⌉ + 2 (4 at U = 1000, W = 2000) — about a
+    /// quarter of the stream's units, not all of them.
     pub pool: u64,
     /// True coefficient of variation of per-unit CPI.
     pub cv: f64,
-    /// Full-grid (census) mean CPI — the ground truth.
+    /// Mean CPI over the measured grid — the ground truth the samplers
+    /// are scored against; a census of the grid, not of the stream.
     pub truth: f64,
     /// Detailed instructions per measured unit (`W + U`).
     pub per_unit: u64,
@@ -58,7 +62,7 @@ pub struct Outcome {
     pub n: u64,
     /// Whether the strategy's own interval claims the target was met.
     pub target_met: bool,
-    /// True relative error of its estimate vs the full-grid truth.
+    /// True relative error of its estimate vs the grid truth.
     pub error: f64,
     /// Relative saving in detailed units vs the matched systematic
     /// baseline (negative when the strategy cost more).
@@ -103,9 +107,12 @@ impl Row {
 
 /// Full-grid measurement and offline sampler drive for one workload.
 ///
-/// The full unit grid is measured once (interval 1 — every unit gets a
-/// detailed `W + U` episode), yielding both the ground-truth CPI and
-/// the per-unit values the samplers are then driven against offline via
+/// The densest grid the design allows is measured once: the design asks
+/// for n = N units, and [`SamplingParams::for_sample_size`]'s
+/// `⌈W/U⌉ + 2` interval floor turns that into every 4th unit at U = 1000,
+/// W = 2000 (k = 4, not interval 1). Each grid unit gets a detailed
+/// `W + U` episode, yielding both the ground-truth CPI and the per-unit
+/// values the samplers are then driven against offline via
 /// [`drive_sampler`]. The matched systematic cost is the paper's own
 /// two-step procedure — a 30-unit systematic pilot estimates `V̂`, then
 /// a tuned rerun measures `n = (z·V̂/ε)²` fresh units — with each `n`

@@ -18,7 +18,7 @@ use smarts_core::{
 };
 use smarts_exec::{
     replay, sample, Estimate, ExecError, Executor, ParallelMode, ParallelReport, SampledReplay,
-    UnitMemo, MAX_JOBS,
+    UnitMemo,
 };
 use smarts_isa::{write_trace, BuiltinIsa, IsaId, RiscIsa, TraceIsa};
 use smarts_server::{estimate_line, machine_for, params_for, report_from_json, Client, JobSpec};
@@ -28,31 +28,21 @@ use smarts_uarch::MachineConfig;
 use smarts_uarch::WarmState;
 use smarts_workloads::{extended_suite, find, Benchmark, Frontend};
 
-/// Parsed common options shared by the sampling subcommands.
+/// Parsed common options shared by the sampling subcommands: the job
+/// they describe, plus what is not part of a job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Options {
-    /// Benchmark name (required by most subcommands).
-    pub bench: Option<String>,
-    /// Machine selection: 8 or 16.
-    pub config: u32,
-    /// Benchmark length multiplier.
-    pub scale: f64,
-    /// Target sample size.
-    pub n: u64,
-    /// Sampling unit size U.
-    pub unit: u64,
-    /// Detailed warming W (`None` = the machine's recommendation).
-    pub warming_len: Option<u64>,
+    /// The job: workload, machine, sampling design and sampler — the
+    /// spec `submit` sends, and the one a local run derives its design
+    /// and sampler from, so a one-shot run and a served job print the
+    /// same line. An empty `bench` means `--bench` was not given.
+    pub job: JobSpec,
+    /// `--epsilon` was given: a systematic design is tuned by the
+    /// two-step procedure to `job.epsilon` (the other samplers take it
+    /// as their CI half-width target either way).
+    pub epsilon_given: bool,
     /// Disable functional warming.
     pub no_functional_warming: bool,
-    /// Phase offset j.
-    pub offset: u64,
-    /// Relative error target for the two-step procedure.
-    pub epsilon: Option<f64>,
-    /// Confidence level (fraction).
-    pub confidence: f64,
-    /// Replay workers for `sample` and `compare`.
-    pub jobs: usize,
     /// Persist unit checkpoints to this store while sampling.
     pub save_checkpoints: Option<String>,
     /// Replay a persisted checkpoint store instead of warming.
@@ -61,20 +51,10 @@ pub struct Options {
     pub json: bool,
     /// Server address for the client subcommands.
     pub addr: String,
-    /// Job id for `status`/`result`/`cancel`.
-    pub job: Option<String>,
+    /// Job id for `status`/`result`/`cancel` (`--job`).
+    pub job_id: Option<String>,
     /// Block `submit` until the job finishes and print its report.
     pub wait: bool,
-    /// Unit-selection strategy for `sample`/`submit`.
-    pub sampler: SamplerKind,
-    /// Seed for the sampler's randomized phases.
-    pub seed: u64,
-    /// Stratum count for the stratified/adaptive strategies.
-    pub strata: u32,
-    /// Pilot size in units (0 = automatic).
-    pub pilot: u64,
-    /// Instruction-set frontend for `sample`/`submit`.
-    pub isa: IsaId,
     /// Trace file to sample (`--trace`; selects the trace frontend).
     pub trace: Option<String>,
     /// Output path for `trace-export`.
@@ -84,28 +64,15 @@ pub struct Options {
 impl Default for Options {
     fn default() -> Self {
         Options {
-            bench: None,
-            config: 8,
-            scale: 1.0,
-            n: 100,
-            unit: 1000,
-            warming_len: None,
+            job: JobSpec::default(),
+            epsilon_given: false,
             no_functional_warming: false,
-            offset: 0,
-            epsilon: None,
-            confidence: 0.9973,
-            jobs: 1,
             save_checkpoints: None,
             from_checkpoints: None,
             json: false,
             addr: "127.0.0.1:4617".to_string(),
-            job: None,
+            job_id: None,
             wait: false,
-            sampler: SamplerKind::Systematic,
-            seed: 0,
-            strata: 4,
-            pilot: 0,
-            isa: IsaId::Builtin,
             trace: None,
             out: None,
         }
@@ -162,7 +129,7 @@ pub fn usage() -> String {
      \x20                          allocation), or adaptive (sequential stopping\n\
      \x20                          at the CI target)\n\
      \x20 --seed <u64>             sampler seed (stratified/adaptive)  [0]\n\
-     \x20 --strata <count>         stratum count                       [4]\n\
+     \x20 --strata <count>         stratum count, 1..=4096             [4]\n\
      \x20 --pilot <units>          pilot sample size (0 = automatic)   [0]\n\
      \x20 --jobs <count>           replay workers for sample/compare: units replay\n\
      \x20                          from checkpoints on their own threads while\n\
@@ -186,169 +153,93 @@ pub fn usage() -> String {
         .to_string()
 }
 
-/// Parses the option list shared by the subcommands.
+/// Parses the option list shared by the subcommands: flags are read
+/// for their types here, and the job they describe is held to
+/// [`JobSpec::validate`], the server's rules for the same fields.
 ///
 /// # Errors
 ///
-/// Returns a human-readable message for unknown flags or malformed
-/// values.
+/// Returns a human-readable message naming the flag, for unknown flags,
+/// malformed values and values out of range.
 pub fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut options = Options::default();
+    let job = &mut options.job;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        let mut value = |name: &str| {
+        let mut value = || {
             iter.next()
                 .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
+                .ok_or_else(|| format!("{arg} requires a value"))
         };
         match arg.as_str() {
-            "--bench" => options.bench = Some(value("--bench")?),
+            "--bench" => job.bench = value()?,
             "--isa" => {
-                let name = value("--isa")?;
-                options.isa = IsaId::from_name(&name)
+                let name = value()?;
+                job.isa = IsaId::from_name(&name)
                     .ok_or_else(|| format!("--isa takes builtin, risc, or trace (not {name})"))?;
             }
-            "--trace" => options.trace = Some(value("--trace")?),
-            "--out" => options.out = Some(value("--out")?),
-            "--config" => {
-                options.config = value("--config")?
-                    .parse()
-                    .map_err(|_| "--config takes 8 or 16".to_string())?;
-                if options.config != 8 && options.config != 16 {
-                    return Err("--config takes 8 or 16".into());
-                }
-            }
-            "--scale" => {
-                options.scale = value("--scale")?
-                    .parse()
-                    .ok()
-                    .filter(|s: &f64| s.is_finite() && *s > 0.0)
-                    .ok_or_else(|| "--scale takes a finite positive number".to_string())?;
-            }
-            "--n" => {
-                options.n = value("--n")?
-                    .parse()
-                    .map_err(|_| "--n takes a count".to_string())?;
-            }
-            "--u" => {
-                options.unit = value("--u")?
-                    .parse()
-                    .map_err(|_| "--u takes a count".to_string())?;
-            }
-            "--w" => {
-                options.warming_len = Some(
-                    value("--w")?
-                        .parse()
-                        .map_err(|_| "--w takes a count".to_string())?,
-                );
-            }
-            "--no-functional-warming" => options.no_functional_warming = true,
-            "--offset" => {
-                options.offset = value("--offset")?
-                    .parse()
-                    .map_err(|_| "--offset takes a count".to_string())?;
-            }
+            "--sampler" => job.sampler = value()?.parse()?,
+            "--config" => job.config = number(arg, value()?)?,
+            "--scale" => job.scale = number(arg, value()?)?,
+            "--n" => job.n = number(arg, value()?)?,
+            "--u" => job.unit = number(arg, value()?)?,
+            "--w" => job.warming_len = Some(number(arg, value()?)?),
+            "--offset" => job.offset = number(arg, value()?)?,
             "--epsilon" => {
-                options.epsilon = Some(
-                    value("--epsilon")?
-                        .parse()
-                        .map_err(|_| "--epsilon takes a fraction".to_string())?,
-                );
+                job.epsilon = number(arg, value()?)?;
+                options.epsilon_given = true;
             }
-            "--confidence" => {
-                options.confidence = value("--confidence")?
-                    .parse()
-                    .map_err(|_| "--confidence takes a fraction".to_string())?;
-            }
-            "--sampler" => {
-                options.sampler = value("--sampler")?.parse()?;
-            }
-            "--seed" => {
-                options.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed takes a u64".to_string())?;
-            }
-            "--strata" => {
-                options.strata = value("--strata")?
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| "--strata takes a stratum count of at least 1".to_string())?;
-            }
-            "--pilot" => {
-                options.pilot = value("--pilot")?
-                    .parse()
-                    .map_err(|_| "--pilot takes a unit count".to_string())?;
-            }
-            "--jobs" => {
-                options.jobs = value("--jobs")?
-                    .parse()
-                    .ok()
-                    .filter(|n| (1..=MAX_JOBS).contains(n))
-                    .ok_or_else(|| format!("--jobs takes a worker count in 1..={MAX_JOBS}"))?;
-            }
-            "--save-checkpoints" => {
-                options.save_checkpoints = Some(value("--save-checkpoints")?);
-            }
-            "--from-checkpoints" => {
-                options.from_checkpoints = Some(value("--from-checkpoints")?);
-            }
+            "--confidence" => job.confidence = number(arg, value()?)?,
+            "--seed" => job.seed = number(arg, value()?)?,
+            "--strata" => job.strata = number(arg, value()?)?,
+            "--pilot" => job.pilot = number(arg, value()?)?,
+            "--jobs" => job.jobs = number(arg, value()?)?,
+            "--trace" => options.trace = Some(value()?),
+            "--out" => options.out = Some(value()?),
+            "--no-functional-warming" => options.no_functional_warming = true,
+            "--save-checkpoints" => options.save_checkpoints = Some(value()?),
+            "--from-checkpoints" => options.from_checkpoints = Some(value()?),
             "--json" => options.json = true,
-            "--addr" => options.addr = value("--addr")?,
-            "--job" => options.job = Some(value("--job")?),
+            "--addr" => options.addr = value()?,
+            "--job" => options.job_id = Some(value()?),
             "--wait" => options.wait = true,
             other => return Err(format!("unknown option {other}")),
         }
     }
+    job.validate().map_err(|e| {
+        // `validate` names a field by its wire name, which is its flag's
+        // name too, but for `unit` (`--u`).
+        let flag = if e.field == "unit" { "u" } else { e.field };
+        format!("--{flag} {}", e.rule)
+    })?;
     Ok(options)
 }
 
+/// `flag`'s value read as a number of the field's type; its range is
+/// [`JobSpec::validate`]'s business.
+fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value
+        .parse()
+        .map_err(|e| format!("{flag} cannot read `{value}`: {e}"))
+}
+
 fn benchmark(options: &Options) -> Result<Benchmark, String> {
-    let name = options.bench.as_deref().ok_or("--bench is required")?;
+    let name = options.job.bench.as_str();
+    if name.is_empty() {
+        return Err("--bench is required".into());
+    }
     let bench =
         find(name).ok_or_else(|| format!("unknown benchmark `{name}` (see `smarts list`)"))?;
-    Ok(bench.scaled(options.scale))
+    Ok(bench.scaled(options.job.scale))
 }
 
-/// The job the options describe: what `submit` sends, and what a local
-/// run derives its design and sampler from, so a one-shot run and a
-/// served job print the same line. `--epsilon` doubles as the CI
-/// half-width target for the non-systematic strategies (defaulting to
-/// the paper's ±3%).
-fn job_of(options: &Options) -> JobSpec {
-    JobSpec {
-        bench: options.bench.clone().unwrap_or_default(),
-        isa: options.isa,
-        config: options.config,
-        scale: options.scale,
-        n: options.n,
-        unit: options.unit,
-        warming_len: options.warming_len,
-        offset: options.offset,
-        jobs: options.jobs,
-        sampler: options.sampler,
-        seed: options.seed,
-        strata: options.strata,
-        pilot: options.pilot,
-        epsilon: options.epsilon.unwrap_or(0.03),
-        confidence: options.confidence,
-    }
-}
-
-/// The design the options describe for `workload` under `isa`: the
-/// server's derivation, plus `--no-functional-warming`.
-fn sampling_params(
-    options: &Options,
-    isa: IsaId,
-    workload: &str,
-) -> Result<SamplingParams, String> {
-    let bench = workload.to_string();
-    let job = JobSpec {
-        bench,
-        isa,
-        ..job_of(options)
-    };
-    let mut params = params_for(&job, &machine_for(options.config))?;
+/// The design `job` describes: the server's derivation, plus
+/// `--no-functional-warming`.
+fn sampling_params(options: &Options, job: &JobSpec) -> Result<SamplingParams, String> {
+    let mut params = params_for(job, &machine_for(job.config))?;
     if options.no_functional_warming {
         params.warming = Warming::None;
     }
@@ -374,17 +265,17 @@ fn cmd_list() {
 /// workload).
 fn sample_frontend(options: &Options) -> Result<(IsaId, String), String> {
     if let Some(trace) = &options.trace {
-        if options.isa == IsaId::Risc {
+        if options.job.isa == IsaId::Risc {
             return Err("--trace selects the trace frontend; drop --isa risc".into());
         }
         return Ok((IsaId::Trace, trace.clone()));
     }
-    if options.isa == IsaId::Trace && options.from_checkpoints.is_none() {
+    if options.job.isa == IsaId::Trace && options.from_checkpoints.is_none() {
         return Err(
             "--isa trace needs --trace <file> (or --from-checkpoints on a trace store)".into(),
         );
     }
-    Ok((options.isa, options.bench.clone().unwrap_or_default()))
+    Ok((options.job.isa, options.job.bench.clone()))
 }
 
 /// Everything `smarts sample` prints, whichever source and estimator
@@ -407,6 +298,17 @@ impl SampleRun {
     }
 }
 
+/// Why `--epsilon` cannot tune a systematic design that a store fixes:
+/// `--save-checkpoints`, `--from-checkpoints`, and every served job.
+const TUNING_NEEDS_NO_STORE: &str = "--epsilon tunes the sampling design between runs and \
+     cannot be combined with --save-checkpoints/--from-checkpoints or a served job (a store \
+     fixes the design)";
+
+/// Whether `--epsilon` asks to tune a systematic design (two-step).
+fn tunes(options: &Options) -> bool {
+    options.epsilon_given && options.job.sampler == SamplerKind::Systematic
+}
+
 /// Validates the flag combinations every frontend shares, then runs
 /// the sample under the selected one.
 fn run_sample(options: &Options) -> Result<SampleRun, String> {
@@ -414,12 +316,8 @@ fn run_sample(options: &Options) -> Result<SampleRun, String> {
     if options.save_checkpoints.is_some() && options.from_checkpoints.is_some() {
         return Err("--save-checkpoints and --from-checkpoints are mutually exclusive".into());
     }
-    if options.sampler == SamplerKind::Systematic && options.epsilon.is_some() && stored {
-        return Err(
-            "--epsilon tunes the sampling design between runs and cannot be combined \
-             with --save-checkpoints/--from-checkpoints (a store fixes the design)"
-                .into(),
-        );
+    if tunes(options) && stored {
+        return Err(TUNING_NEEDS_NO_STORE.into());
     }
     match sample_frontend(options)? {
         (IsaId::Builtin, workload) => sample_with::<BuiltinIsa>(options, &workload),
@@ -451,11 +349,12 @@ fn build_identity() -> Option<String> {
 /// point, which runs the estimator the sampler spec names. Every route
 /// yields the same report bytes for the same design.
 fn sample_with<F: Frontend>(options: &Options, workload: &str) -> Result<SampleRun, String> {
-    let cfg = machine_for(options.config);
+    let job = &options.job;
+    let cfg = machine_for(job.config);
     let sim = SmartsSim::new(cfg.clone());
-    let conf = Confidence::new(options.confidence).map_err(|e| e.to_string())?;
-    let spec = job_of(options).sampler_spec();
-    let executor = Executor::new(options.jobs).map_err(|e| e.to_string())?;
+    let conf = Confidence::new(job.confidence).map_err(|e| e.to_string())?;
+    let spec = job.sampler_spec();
+    let executor = Executor::new(job.jobs).map_err(|e| e.to_string())?;
     let text = |e: ExecError| e.to_string();
     let mut notes = Vec::new();
 
@@ -512,20 +411,25 @@ fn sample_with<F: Frontend>(options: &Options, workload: &str) -> Result<SampleR
     if workload.is_empty() {
         return Err("--bench is required".into());
     }
-    let two_step = options.epsilon.filter(|_| spec.is_systematic());
+    let two_step = tunes(options).then_some(job.epsilon);
     if two_step.is_some() && F::ID != IsaId::Builtin {
         return Err("--epsilon two-step tuning supports the built-in frontend only".into());
     }
-    let params = sampling_params(options, F::ID, workload)?;
+    let resolved = JobSpec {
+        bench: workload.to_string(),
+        isa: F::ID,
+        ..job.clone()
+    };
+    let params = sampling_params(options, &resolved)?;
     let save = options.save_checkpoints.as_deref().map(Path::new);
     let run_at =
-        |p: &SamplingParams| sample::<F>(&executor, &sim, workload, options.scale, p, &spec, save);
+        |p: &SamplingParams| sample::<F>(&executor, &sim, workload, job.scale, p, &spec, save);
     let run = match two_step {
         // Two-step tuning reruns at a tuned n; the run that stands is the
         // last one.
         Some(eps) => {
             let mut last = None;
-            let len = F::approx_len(workload, options.scale)?;
+            let len = F::approx_len(workload, job.scale)?;
             let outcome = TwoStepOutcome::run(len, &params, eps, conf, |p| {
                 let run = run_at(p)?;
                 let report = run.estimate.report().report.clone();
@@ -555,7 +459,7 @@ fn sample_with<F: Frontend>(options: &Options, workload: &str) -> Result<SampleR
     }
     Ok(SampleRun {
         frontend: F::ID,
-        label: workload_label::<F>(workload, options.scale),
+        label: workload_label::<F>(workload, job.scale),
         params,
         conf,
         notes,
@@ -581,7 +485,7 @@ fn cmd_sample(options: &Options) -> Result<(), String> {
     let parallel = run.estimate.report();
     print_sample_report(
         &run.label,
-        &machine_for(options.config),
+        &machine_for(options.job.config),
         &run.params,
         &parallel.report,
         run.conf,
@@ -860,10 +764,10 @@ fn print_sample_report(
 }
 
 fn cmd_reference(options: &Options) -> Result<(), String> {
-    let cfg = machine_for(options.config);
+    let cfg = machine_for(options.job.config);
     let bench = benchmark(options)?;
     let sim = SmartsSim::new(cfg.clone());
-    let reference = sim.reference(&bench, options.unit);
+    let reference = sim.reference(&bench, options.job.unit);
     println!("benchmark     {}", bench);
     println!("machine       {}", cfg.name);
     println!("instructions  {}", reference.instructions);
@@ -882,16 +786,18 @@ fn run_compare(options: &Options) -> Result<PairedComparison, String> {
     let alt = SmartsSim::new(MachineConfig::sixteen_way());
     // The pair shares the 8-way design; each machine then warms with its
     // own recommended W.
-    let eight = Options {
+    let eight = JobSpec {
+        bench: bench.name().to_string(),
+        isa: IsaId::Builtin,
         config: 8,
-        ..options.clone()
+        ..options.job.clone()
     };
-    let mut params = sampling_params(&eight, IsaId::Builtin, bench.name())?;
+    let mut params = sampling_params(options, &eight)?;
     params.detailed_warming = 0;
-    let executor = Executor::new(options.jobs).map_err(|e| e.to_string())?;
+    let executor = Executor::new(eight.jobs).map_err(|e| e.to_string())?;
     let spec = SamplerSpec::systematic();
     PairedComparison::run(&base, &alt, &params, |sim, p| {
-        let run = sample::<BuiltinIsa>(&executor, sim, bench.name(), options.scale, p, &spec, None);
+        let run = sample::<BuiltinIsa>(&executor, sim, bench.name(), eight.scale, p, &spec, None);
         run.map(|run| run.estimate.report().report.clone())
     })
     .map_err(|e: ExecError| e.to_string())
@@ -899,7 +805,7 @@ fn run_compare(options: &Options) -> Result<PairedComparison, String> {
 
 fn cmd_compare(options: &Options) -> Result<(), String> {
     let bench = benchmark(options)?;
-    let conf = Confidence::new(options.confidence).map_err(|e| e.to_string())?;
+    let conf = Confidence::new(options.job.confidence).map_err(|e| e.to_string())?;
     let cmp = run_compare(options)?;
     println!("benchmark     {}", bench);
     println!("pairs         {}", cmp.pairs());
@@ -915,20 +821,20 @@ fn cmd_compare(options: &Options) -> Result<(), String> {
         } else {
             "not "
         },
-        options.confidence * 100.0,
+        options.job.confidence * 100.0,
     );
     println!(
         "pairing gain  {:.1}x tighter than independent runs",
         cmp.pairing_gain()
     );
-    if options.jobs > 1 {
-        println!("parallel      {} workers per machine", options.jobs);
+    if options.job.jobs > 1 {
+        println!("parallel      {} workers per machine", options.job.jobs);
     }
     Ok(())
 }
 
 fn cmd_simpoint(options: &Options) -> Result<(), String> {
-    let cfg = machine_for(options.config);
+    let cfg = machine_for(options.job.config);
     let bench = benchmark(options)?;
     let sim = SmartsSim::new(cfg.clone());
     let sp_config = SimPointConfig {
@@ -955,7 +861,7 @@ fn cmd_simpoint(options: &Options) -> Result<(), String> {
 }
 
 fn cmd_cachesim(options: &Options) -> Result<(), String> {
-    let cfg = machine_for(options.config);
+    let cfg = machine_for(options.job.config);
     let bench = benchmark(options)?;
     let mut engine = FunctionalEngine::new(bench.load());
     let mut warm = WarmState::new(&cfg);
@@ -984,7 +890,7 @@ fn cmd_cachesim(options: &Options) -> Result<(), String> {
 }
 
 fn cmd_bpredsim(options: &Options) -> Result<(), String> {
-    let cfg = machine_for(options.config);
+    let cfg = machine_for(options.job.config);
     let bench = benchmark(options)?;
     let mut engine = FunctionalEngine::new(bench.load());
     let mut warm = WarmState::new(&cfg);
@@ -1003,9 +909,10 @@ fn cmd_bpredsim(options: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// The job spec the sampling options describe, for `submit`.
+/// The job spec the sampling options describe, for `submit`: what a
+/// server cannot run is refused here, before connecting.
 fn job_spec(options: &Options) -> Result<JobSpec, String> {
-    if options.trace.is_some() || options.isa == IsaId::Trace {
+    if options.trace.is_some() || options.job.isa == IsaId::Trace {
         return Err(
             "trace workloads are local files; the server cannot read them — \
              use `smarts sample --trace` instead"
@@ -1016,10 +923,13 @@ fn job_spec(options: &Options) -> Result<JobSpec, String> {
     if options.no_functional_warming {
         return Err(ExecError::NoFunctionalWarming.to_string());
     }
-    if options.bench.is_none() {
+    if tunes(options) {
+        return Err(TUNING_NEEDS_NO_STORE.into());
+    }
+    if options.job.bench.is_empty() {
         return Err("--bench is required to submit a job".into());
     }
-    Ok(job_of(options))
+    Ok(options.job.clone())
 }
 
 /// Prints a job's report fetched from a server: raw canonical bytes
@@ -1036,15 +946,15 @@ fn print_fetched_result(
     }
     let value = smarts_server::json::parse(raw_report).map_err(|e| format!("bad report: {e}"))?;
     let report = report_from_json(&value)?;
-    let conf = Confidence::new(options.confidence).map_err(|e| e.to_string())?;
+    let conf = Confidence::new(options.job.confidence).map_err(|e| e.to_string())?;
     println!("job           {job} (result from {source})");
-    let label = options
-        .bench
-        .clone()
-        .unwrap_or_else(|| "<server job>".to_string());
+    let label = match options.job.bench.as_str() {
+        "" => "<server job>",
+        bench => bench,
+    };
     print_sample_report(
-        &label,
-        &machine_for(options.config),
+        label,
+        &machine_for(options.job.config),
         &report.params,
         &report,
         conf,
@@ -1076,7 +986,7 @@ fn cmd_submit(options: &Options) -> Result<(), String> {
 
 fn cmd_status(options: &Options) -> Result<(), String> {
     let mut client = Client::connect(&options.addr)?;
-    let response = client.status(options.job.as_deref())?;
+    let response = client.status(options.job_id.as_deref())?;
     if options.json {
         println!("{}", response.to_line());
         return Ok(());
@@ -1124,14 +1034,14 @@ fn cmd_status(options: &Options) -> Result<(), String> {
 }
 
 fn cmd_result(options: &Options) -> Result<(), String> {
-    let id = options.job.clone().ok_or("--job is required")?;
+    let id = options.job_id.clone().ok_or("--job is required")?;
     let mut client = Client::connect(&options.addr)?;
     let (source, raw) = client.result(&id)?;
     print_fetched_result(options, &id, &source, &raw)
 }
 
 fn cmd_cancel(options: &Options) -> Result<(), String> {
-    let id = options.job.clone().ok_or("--job is required")?;
+    let id = options.job_id.clone().ok_or("--job is required")?;
     let mut client = Client::connect(&options.addr)?;
     let was = client.cancel(&id)?;
     println!("cancellation requested for {id} (was {was})");
@@ -1227,16 +1137,16 @@ mod tests {
             "0.95",
         ]);
         let options = parse_options(&args).unwrap();
-        assert_eq!(options.bench.as_deref(), Some("chase-1"));
-        assert_eq!(options.config, 16);
-        assert_eq!(options.scale, 0.5);
-        assert_eq!(options.n, 42);
-        assert_eq!(options.unit, 500);
-        assert_eq!(options.warming_len, Some(3000));
+        assert_eq!(options.job.bench, "chase-1");
+        assert_eq!(options.job.config, 16);
+        assert_eq!(options.job.scale, 0.5);
+        assert_eq!(options.job.n, 42);
+        assert_eq!(options.job.unit, 500);
+        assert_eq!(options.job.warming_len, Some(3000));
         assert!(options.no_functional_warming);
-        assert_eq!(options.offset, 2);
-        assert_eq!(options.epsilon, Some(0.03));
-        assert_eq!(options.confidence, 0.95);
+        assert_eq!(options.job.offset, 2);
+        assert_eq!((options.job.epsilon, options.epsilon_given), (0.03, true));
+        assert_eq!(options.job.confidence, 0.95);
     }
 
     #[test]
@@ -1257,7 +1167,10 @@ mod tests {
             assert!(err.contains("1..=256"), "{jobs}: {err}");
         }
         assert_eq!(
-            parse_options(&strings(&["--jobs", "256"])).unwrap().jobs,
+            parse_options(&strings(&["--jobs", "256"]))
+                .unwrap()
+                .job
+                .jobs,
             256
         );
     }
@@ -1265,8 +1178,8 @@ mod tests {
     #[test]
     fn parses_parallel_flags() {
         let options = parse_options(&strings(&["--jobs", "4"])).unwrap();
-        assert_eq!(options.jobs, 4);
-        assert_eq!(parse_options(&[]).unwrap().jobs, 1);
+        assert_eq!(options.job.jobs, 4);
+        assert_eq!(parse_options(&[]).unwrap().job.jobs, 1);
         // How a run is parallelised is not an input any more: `--jobs` is
         // the only knob. Nor is where a server listens: that is
         // `smarts-server`'s flag.
@@ -1465,6 +1378,79 @@ mod tests {
     }
 
     #[test]
+    fn two_step_tuning_is_refused_before_a_submit() {
+        // A served job goes through a store, which fixes the design: a
+        // systematic `--epsilon` is refused before connecting (nothing
+        // listens on port 1) …
+        let submit = |sampler: &str| {
+            let args = [
+                "submit",
+                "--addr",
+                "127.0.0.1:1",
+                "--bench",
+                "phased-2",
+                "--epsilon",
+                "0.03",
+                "--sampler",
+                sampler,
+            ];
+            dispatch(&strings(&args)).unwrap_err()
+        };
+        assert_eq!(submit("systematic"), TUNING_NEEDS_NO_STORE);
+        // … while the other samplers take it as their CI target, and get
+        // as far as the connection.
+        for sampler in ["stratified", "adaptive"] {
+            let err = submit(sampler);
+            assert!(err.contains("cannot connect"), "{sampler}: {err}");
+        }
+    }
+
+    #[test]
+    fn both_doors_give_one_verdict_on_a_job() {
+        use smarts_server::{json::Json, proto::parse_request, Request};
+        // The CLI reads `value` as a flag, the wire as a JSON number (a
+        // NaN travels as `null`); both hold the job to `JobSpec::validate`.
+        let doors = |flag: &str, field: &str, value: &str| {
+            let cli = parse_options(&strings(&["--bench", "x", flag, value]));
+            let number = Json::F64(value.parse().unwrap()).to_line();
+            let line = format!(r#"{{"cmd":"submit","bench":"x","{field}":{number}}}"#);
+            (cli.map(|options| options.job), parse_request(&line))
+        };
+        for (flag, field, values) in [
+            ("--config", "config", &["12"][..]),
+            ("--scale", "scale", &["nan", "-1"]),
+            ("--n", "n", &["0"]),
+            ("--u", "unit", &["0"]),
+            ("--jobs", "jobs", &["0", "257"]),
+            ("--strata", "strata", &["0", "5000"]),
+            ("--epsilon", "epsilon", &["0", "-1", "nan"]),
+            ("--confidence", "confidence", &["0", "1", "1.5"]),
+        ] {
+            for value in values {
+                let (cli, wire) = doors(flag, field, value);
+                let cli = cli.unwrap_err();
+                assert!(
+                    cli.starts_with(&format!("{flag} ")),
+                    "{flag} {value}: {cli}"
+                );
+                let wire = wire.unwrap_err();
+                let named = format!("`{field}` ");
+                assert!(wire.starts_with(&named), "{field} {value}: {wire}");
+            }
+        }
+        for (flag, field, value) in [
+            ("--strata", "strata", "4096"),
+            ("--jobs", "jobs", "256"),
+            ("--confidence", "confidence", "0.5"),
+        ] {
+            match doors(flag, field, value) {
+                (Ok(cli), Ok(Request::Submit(wire))) => assert_eq!(cli, wire, "{flag} {value}"),
+                other => panic!("{flag} {value}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn no_functional_warming_is_refused_when_saving_checkpoints() {
         let path =
             std::env::temp_dir().join(format!("smarts-cli-no-fw-{}.ckpt", std::process::id()));
@@ -1606,16 +1592,16 @@ mod tests {
             "12",
         ]))
         .unwrap();
-        assert_eq!(options.sampler, SamplerKind::Stratified);
-        assert_eq!(options.seed, 7);
-        assert_eq!(options.strata, 3);
-        assert_eq!(options.pilot, 12);
+        assert_eq!(options.job.sampler, SamplerKind::Stratified);
+        assert_eq!(options.job.seed, 7);
+        assert_eq!(options.job.strata, 3);
+        assert_eq!(options.job.pilot, 12);
 
         let defaults = parse_options(&[]).unwrap();
-        assert_eq!(defaults.sampler, SamplerKind::Systematic);
-        assert_eq!(defaults.seed, 0);
-        assert_eq!(defaults.strata, 4);
-        assert_eq!(defaults.pilot, 0);
+        assert_eq!(defaults.job.sampler, SamplerKind::Systematic);
+        assert_eq!(defaults.job.seed, 0);
+        assert_eq!(defaults.job.strata, 4);
+        assert_eq!(defaults.job.pilot, 0);
 
         assert!(parse_options(&strings(&["--sampler", "magic"]))
             .unwrap_err()
@@ -1643,10 +1629,10 @@ mod tests {
     #[test]
     fn parses_and_validates_frontend_flags() {
         let options = parse_options(&strings(&["--isa", "risc"])).unwrap();
-        assert_eq!(options.isa, IsaId::Risc);
+        assert_eq!(options.job.isa, IsaId::Risc);
         let options = parse_options(&strings(&["--trace", "t.smartstr"])).unwrap();
         assert_eq!(options.trace.as_deref(), Some("t.smartstr"));
-        assert_eq!(options.isa, IsaId::Builtin);
+        assert_eq!(options.job.isa, IsaId::Builtin);
         assert!(parse_options(&strings(&["--isa", "magic"]))
             .unwrap_err()
             .contains("--isa"));

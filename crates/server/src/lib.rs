@@ -18,7 +18,8 @@
 //!   (insertion-ordered) serialization and exact `u64` round-trips;
 //! * [`proto`] — the line protocol: [`proto::Request`] /
 //!   [`proto::JobSpec`] parsing and response builders, lines bounded by
-//!   [`proto::MAX_LINE`];
+//!   [`proto::MAX_LINE`]; [`proto::JobSpec::validate`] is every job
+//!   rule, for the wire and the `smarts` CLI alike;
 //! * [`report`] — the canonical bit-exact [`smarts_core::SampleReport`]
 //!   form (`f64`s as IEEE-754 hex bit strings, wall times excluded)
 //!   that makes "bit-identical" a plain string comparison;

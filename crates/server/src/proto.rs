@@ -20,8 +20,13 @@ use smarts_exec::{ExecError, MAX_JOBS};
 /// peer from ballooning connection memory.
 pub const MAX_LINE: usize = 64 * 1024;
 
-/// A sampling job as submitted over the wire: workload × machine config
-/// × sampling design × per-job pipeline parallelism.
+/// Most strata a stratified or adaptive job may ask for.
+const MAX_STRATA: u32 = 4096;
+
+/// A sampling job: workload × machine config × sampling design ×
+/// sampler × per-job pipeline parallelism. The one statement of a job
+/// for both front doors: a submit line parses into one, and so do the
+/// `smarts` CLI's flags, whether it runs the job or submits it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Benchmark name (see `smarts list`).
@@ -123,9 +128,44 @@ impl JobSpec {
         ])
     }
 
-    /// Reads a spec from a request object, applying defaults for absent
-    /// fields and validating the present ones. Every served job warms
-    /// functionally, so `"functional_warming": false` is refused here.
+    /// Refuses a job with a field out of its range. This is every job
+    /// rule, in one place: both doors — the wire's [`JobSpec::from_json`]
+    /// and the CLI's flag parser — read types only, then call this, and
+    /// each names the field the way its user wrote it.
+    ///
+    /// # Errors
+    ///
+    /// The first field out of range.
+    pub fn validate(&self) -> Result<(), FieldError> {
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        let at_least_one = "takes a count of at least 1";
+        let finite_positive = "takes a finite positive number";
+        let check = |field, ok, rule: &dyn std::fmt::Display| match ok {
+            true => Ok(()),
+            false => Err(FieldError {
+                field,
+                rule: rule.to_string(),
+            }),
+        };
+        check("config", matches!(self.config, 8 | 16), &"takes 8 or 16")?;
+        check("scale", positive(self.scale), &finite_positive)?;
+        check("n", self.n > 0, &at_least_one)?;
+        check("unit", self.unit > 0, &at_least_one)?;
+        let jobs = format!("takes a worker count in 1..={MAX_JOBS}");
+        check("jobs", (1..=MAX_JOBS).contains(&self.jobs), &jobs)?;
+        let strata = format!("takes a count in 1..={MAX_STRATA}");
+        check("strata", (1..=MAX_STRATA).contains(&self.strata), &strata)?;
+        check("epsilon", positive(self.epsilon), &finite_positive)?;
+        let confidence = self.confidence > 0.0 && self.confidence < 1.0;
+        check("confidence", confidence, &"takes a level in (0, 1)")
+    }
+
+    /// Reads a spec from a request object: defaults for absent fields,
+    /// types checked here, ranges by [`JobSpec::validate`]. What a
+    /// server cannot run is refused here too: a trace job (the file is
+    /// the client's), a job without a `bench`, and
+    /// `"functional_warming": false` (every served job warms
+    /// functionally).
     ///
     /// # Errors
     ///
@@ -139,6 +179,9 @@ impl JobSpec {
                 .to_string(),
             ..JobSpec::default()
         };
+        if let Some(Json::Bool(false)) = value.get("functional_warming") {
+            return Err(ExecError::NoFunctionalWarming.to_string());
+        }
         if let Some(v) = value.get("isa") {
             let isa = v
                 .as_str()
@@ -151,80 +194,49 @@ impl JobSpec {
             }
             spec.isa = isa;
         }
-        if let Some(v) = value.get("config") {
-            spec.config = v
-                .as_u64()
-                .filter(|&c| c == 8 || c == 16)
-                .ok_or("`config` takes 8 or 16")? as u32;
-        }
-        if let Some(v) = value.get("scale") {
-            spec.scale = v
-                .as_f64()
-                .filter(|&s| s > 0.0 && s.is_finite())
-                .ok_or("`scale` takes a positive number")?;
-        }
-        if let Some(v) = value.get("n") {
-            spec.n = v.as_u64().filter(|&n| n > 0).ok_or("`n` takes a count")?;
-        }
-        if let Some(v) = value.get("unit") {
-            spec.unit = v
-                .as_u64()
-                .filter(|&u| u > 0)
-                .ok_or("`unit` takes a count")?;
-        }
-        match value.get("warming_len") {
-            None | Some(Json::Null) => {}
-            Some(v) => {
-                spec.warming_len = Some(v.as_u64().ok_or("`warming_len` takes a count")?);
-            }
-        }
-        if let Some(Json::Bool(false)) = value.get("functional_warming") {
-            return Err(ExecError::NoFunctionalWarming.to_string());
-        }
-        if let Some(v) = value.get("offset") {
-            spec.offset = v.as_u64().ok_or("`offset` takes a count")?;
-        }
-        if let Some(v) = value.get("jobs") {
-            spec.jobs = v
-                .as_u64()
-                .filter(|&j| (1..=MAX_JOBS as u64).contains(&j))
-                .ok_or(format!("`jobs` takes a worker count in 1..={MAX_JOBS}"))?
-                as usize;
-        }
         if let Some(v) = value.get("sampler") {
-            spec.sampler = v
-                .as_str()
-                .ok_or("`sampler` takes a string")?
-                .parse()
-                .map_err(|e: String| e)?;
+            spec.sampler = v.as_str().ok_or("`sampler` takes a string")?.parse()?;
         }
-        if let Some(v) = value.get("seed") {
-            spec.seed = v.as_u64().ok_or("`seed` takes a u64")?;
+        let count = |name: &str| {
+            let read = |v: &Json| v.as_u64().ok_or(format!("`{name}` takes a count"));
+            value.get(name).map(read).transpose()
+        };
+        let number = |name: &str| {
+            let read = |v: &Json| v.as_f64().ok_or(format!("`{name}` takes a number"));
+            value.get(name).map(read).transpose()
+        };
+        // A count too wide for its field saturates, so `validate` names
+        // the rule it breaks.
+        let narrow = |n: u64| u32::try_from(n).unwrap_or(u32::MAX);
+        spec.config = count("config")?.map_or(spec.config, narrow);
+        spec.scale = number("scale")?.unwrap_or(spec.scale);
+        spec.n = count("n")?.unwrap_or(spec.n);
+        spec.unit = count("unit")?.unwrap_or(spec.unit);
+        if value.get("warming_len") != Some(&Json::Null) {
+            spec.warming_len = count("warming_len")?;
         }
-        if let Some(v) = value.get("strata") {
-            spec.strata = v
-                .as_u64()
-                .filter(|&s| (1..=4096).contains(&s))
-                .ok_or("`strata` takes a count in 1..=4096")? as u32;
-        }
-        if let Some(v) = value.get("pilot") {
-            spec.pilot = v.as_u64().ok_or("`pilot` takes a count")?;
-        }
-        if let Some(v) = value.get("epsilon") {
-            spec.epsilon = v
-                .as_f64()
-                .filter(|&e| e > 0.0 && e.is_finite())
-                .ok_or("`epsilon` takes a positive number")?;
-        }
-        if let Some(v) = value.get("confidence") {
-            spec.confidence = v
-                .as_f64()
-                .filter(|&c| c > 0.0 && c < 1.0)
-                .ok_or("`confidence` takes a level in (0, 1)")?;
-        }
-        spec.sampler_spec().validate().map_err(|e| e.to_string())?;
+        spec.offset = count("offset")?.unwrap_or(spec.offset);
+        let wide = |n: u64| usize::try_from(n).unwrap_or(usize::MAX);
+        spec.jobs = count("jobs")?.map_or(spec.jobs, wide);
+        spec.seed = count("seed")?.unwrap_or(spec.seed);
+        spec.strata = count("strata")?.map_or(spec.strata, narrow);
+        spec.pilot = count("pilot")?.unwrap_or(spec.pilot);
+        spec.epsilon = number("epsilon")?.unwrap_or(spec.epsilon);
+        spec.confidence = number("confidence")?.unwrap_or(spec.confidence);
+        spec.validate()
+            .map_err(|e| format!("`{}` {}", e.field, e.rule))?;
         Ok(spec)
     }
+}
+
+/// A job field out of its range: the field's wire name, and the rule it
+/// breaks ("takes 8 or 16").
+#[derive(Debug, Clone, PartialEq)]
+pub struct FieldError {
+    /// The field's name on the wire (`strata`, `unit`, …).
+    pub field: &'static str,
+    /// What the field takes.
+    pub rule: String,
 }
 
 /// A parsed request line.
