@@ -1,8 +1,9 @@
 //! Experiments beyond the paper: the design-choice ablations of
 //! DESIGN.md §5 and the CI efficiency of the unit-selection strategies.
 
+use crate::paper::stale_bias;
 use crate::Result;
-use smarts_bench::ci_eff::{measure, render_json, Row, EPSILON, SAVINGS_BAR};
+use smarts_bench::ci_eff::{measure, render_json, Row, EPSILON, SAVINGS_BAR, UNIT_SIZE};
 use smarts_bench::{upct, HarnessArgs, Output, RefCache};
 use smarts_core::{SamplingParams, SmartsSim, Warming};
 use smarts_stats::{systematic_sample_means, Confidence, RandomDesign};
@@ -75,21 +76,22 @@ pub fn ablation(args: &HarnessArgs, cache: &RefCache) -> Result {
     for bench in suite.iter().take(6) {
         let truth = cache.get(&sim, bench, 1000).cpi;
         let n = (bench.approx_len() / 1000 / 20).max(10);
-        let errors: Vec<String> = [
-            (Warming::None, 0u64),
-            (Warming::None, 16_000),
-            (Warming::Functional, 2_000),
-        ]
-        .into_iter()
-        .map(|(warming, w)| {
-            let params =
-                SamplingParams::for_sample_size(bench.approx_len(), 1000, w, warming, n, 1)
-                    .expect("valid parameters");
-            let report = sim.sample(bench, &params).expect("sampling succeeds");
-            upct((report.cpi().mean() - truth).abs() / truth)
-        })
-        .collect();
-        let (none, detailed, functional) = (&errors[0], &errors[1], &errors[2]);
+        // Without functional warming units are not independent: one
+        // phase, at offset 1, of Table 4's real runs.
+        let [none, detailed] =
+            [0, 16_000].map(|w| upct(stale_bias(&sim, bench, w, n, 1, truth).abs()));
+        let params = SamplingParams::for_sample_size(
+            bench.approx_len(),
+            1000,
+            2_000,
+            Warming::Functional,
+            n,
+            1,
+        )
+        .expect("valid parameters");
+        let census = cache.census(&sim, bench, 1000, 2_000);
+        let report = census.sample(&params).expect("sampling succeeds");
+        let functional = upct((report.cpi().mean() - truth).abs() / truth);
         writeln!(
             d,
             "{:<12}{none:>12}{detailed:>16}{functional:>18}",
@@ -127,7 +129,7 @@ pub fn ablation(args: &HarnessArgs, cache: &RefCache) -> Result {
 /// online adaptive selection. The procedure is
 /// [`smarts_bench::ci_eff::measure`], seeded and simulator-deterministic;
 /// outside `--quick` the run also rewrites `results/bench_ci_eff.json`.
-pub fn ci_eff(args: &HarnessArgs, _: &RefCache) -> Result {
+pub fn ci_eff(args: &HarnessArgs, cache: &RefCache) -> Result {
     let conf = Confidence::THREE_SIGMA;
     let mut out = Output::new(
         "CI efficiency: systematic vs stratified vs adaptive unit selection",
@@ -146,9 +148,9 @@ pub fn ci_eff(args: &HarnessArgs, _: &RefCache) -> Result {
         "{:<12} {:>6} {:>6} {:>7} {:>9} {:>9} {:>9} {:>9}  best",
         "benchmark", "pool", "V(U)", "n sys", "n strat", "err", "n adapt", "err"
     )?;
-    let mut rows = Vec::new();
+    let (mut rows, w) = (Vec::new(), cfg.recommended_detailed_warming());
     for bench in args.suite() {
-        let row = measure(&sim, &cfg, &bench, conf);
+        let row = measure(&cache.census(&sim, &bench, UNIT_SIZE, w), &bench, conf);
         let claimed = |met: bool| if met { " " } else { "!" };
         writeln!(
             d,
@@ -183,7 +185,7 @@ pub fn ci_eff(args: &HarnessArgs, _: &RefCache) -> Result {
     )?;
     if !args.quick {
         let path = std::path::Path::new(crate::RESULTS).join("bench_ci_eff.json");
-        let json = render_json(&rows, args.scale, qualifying, mean_best);
+        let json = render_json(&rows, args.scale(), qualifying, mean_best);
         if let Err(e) = std::fs::write(&path, json) {
             eprintln!("cannot write {}: {e}", path.display());
         }

@@ -34,9 +34,9 @@ type Experiment = (&'static str, fn(&HarnessArgs, &RefCache) -> Result, f64);
 const RESULTS: &str = "results";
 
 /// Every experiment, in the order `all` and `check` run them. Two run at
-/// half scale: `table4`'s sweep of 5 W values × 3 phases, and `ci_eff`'s
-/// full-grid census, whose pools then sit in the 600–2200 unit range the
-/// samplers were designed for.
+/// half scale: `table4`'s sweep of 5 W values × 3 phases, and `ci_eff`,
+/// whose census pools then sit in the 600–2,500 unit range the samplers
+/// were designed for.
 const EXPERIMENTS: &[Experiment] = &[
     ("table3", paper::table3, 1.0),
     ("fig2", paper::fig2, 1.0),
@@ -84,9 +84,7 @@ fn main() {
 
 fn run(&(_, exp, scale): &Experiment, args: &HarnessArgs, cache: &RefCache) -> Output {
     let mut args = args.clone();
-    if args.scale == 1.0 {
-        args.scale = scale;
-    }
+    args.scale.get_or_insert(scale);
     exp(&args, cache).expect("formatting into a String cannot fail")
 }
 

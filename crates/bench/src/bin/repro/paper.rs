@@ -5,7 +5,7 @@
 
 use crate::Result;
 use smarts_bench::{pct, upct, HarnessArgs, Output, RefCache};
-use smarts_core::{SamplingParams, SmartsSim, SpeedupModel, Warming};
+use smarts_core::{SamplingParams, SmartsSim, SpeedupModel, TwoStepOutcome, Warming};
 use smarts_simpoint::{estimate_cpi, SimPointConfig};
 use smarts_stats::{
     bias, intraclass_correlation, required_sample_size, variation_curve, Confidence, RunningStats,
@@ -46,20 +46,22 @@ fn offset_one(cfg: &MachineConfig, bench: &Benchmark, n: u64) -> SamplingParams 
         .expect("interval exceeds 1")
 }
 
-/// Relative measurement bias (Section 4.3): the mean signed CPI error of
-/// `phases` evenly spaced systematic samples of `n` units against
-/// `truth`. The first phase starts at offset 1, skipping the cold unit's
-/// initialization transient (negligible at the paper's N, not at ours).
-fn phase_bias(
+/// Relative measurement bias without functional warming (Section 4.3):
+/// the mean signed CPI error of `phases` evenly spaced systematic samples
+/// of `n` units against `truth`. The first phase starts at offset 1,
+/// skipping the cold unit's initialization transient (negligible at the
+/// paper's N, not at ours). Each unit replays on the stale state the
+/// previous unit's episode left, so it depends on which units the design
+/// samples: these are real runs, where no census can stand in.
+pub(crate) fn stale_bias(
     sim: &SmartsSim,
     bench: &Benchmark,
     w: u64,
-    warming: Warming,
     n: u64,
     phases: u64,
     truth: f64,
 ) -> f64 {
-    let base = SamplingParams::for_sample_size(bench.approx_len(), U, w, warming, n, 0)
+    let base = SamplingParams::for_sample_size(bench.approx_len(), U, w, Warming::None, n, 0)
         .expect("valid parameters");
     let estimates: Vec<f64> = (0..phases)
         .map(|i| (1 + i * base.interval / phases).min(base.interval - 1))
@@ -265,7 +267,7 @@ pub fn fig4(args: &HarnessArgs, _: &RefCache) -> Result {
     let sim = SmartsSim::new(MachineConfig::eight_way());
     let probe = find("hashp-2")
         .expect("probe benchmark")
-        .scaled(args.scale.min(0.5));
+        .scaled(args.scale().min(0.5));
     let (t_func, n_func) = sim.time_functional(&probe);
     let (t_fw, _) = sim.time_functional_warming(&probe);
     let t_detail = sim.reference(&probe, U).wall;
@@ -393,7 +395,7 @@ pub fn table4(args: &HarnessArgs, cache: &RefCache) -> Result {
         let n = (bench.approx_len() / U / 20).clamp(if args.quick { 10 } else { 30 }, 300);
         let (mut needed, mut at_w, mut trajectory) = (None, f64::NAN, String::new());
         for &w in W_GRID {
-            at_w = phase_bias(&sim, &bench, w, Warming::None, n, 3, truth);
+            at_w = stale_bias(&sim, &bench, w, n, 3, truth);
             write!(trajectory, " {}", pct(at_w))?;
             if at_w.abs() < 0.015 {
                 needed = Some(w);
@@ -427,29 +429,27 @@ pub fn table4(args: &HarnessArgs, cache: &RefCache) -> Result {
     Ok(out)
 }
 
-/// Table 5: residual CPI bias (5-phase average) with functional warming
-/// and the recommended W (2000 / 4000); any benchmark above ±1.5% is
-/// rerun at the Section 4.4 analytic bound.
+/// Table 5: residual CPI bias with functional warming and the recommended
+/// W (2000 / 4000), as census bias ([`smarts_bench::Census::bias`]: the
+/// mean error over every systematic phase); any benchmark above ±1.5% is
+/// measured again at the Section 4.4 analytic bound.
 pub fn table5(args: &HarnessArgs, cache: &RefCache) -> Result {
     let mut out = Output::new(
         "Table 5",
-        "CPI bias with functional warming and minimal detailed warming",
+        "CPI bias with functional warming and minimal detailed warming\n\
+         (census bias: the mean CPI of every unit but the cold unit 0, against the reference's)",
     );
     let d = &mut out.det;
-    // A fixed fraction of the population per phase, so the statistical
-    // noise of the bias estimate shrinks with stream length.
-    let n = |bench: &Benchmark, min: u64| (bench.approx_len() / U / 20).clamp(min, 400);
     for cfg in args.config.configs() {
         let sim = SmartsSim::new(cfg.clone());
         let w = cfg.recommended_detailed_warming();
+        let bias = |bench: &Benchmark, w| cache.census(&sim, bench, U, w).bias();
         writeln!(d, "--- {} (W = {w}) ---", cfg.name)?;
         let mut rows: Vec<(Benchmark, f64)> = args
             .suite()
             .into_iter()
             .map(|bench| {
-                let truth = cache.get(&sim, &bench, U).cpi;
-                let at = n(&bench, if args.quick { 10 } else { 40 });
-                let b = phase_bias(&sim, &bench, w, Warming::Functional, at, 5, truth);
+                let b = bias(&bench, w);
                 (bench, b)
             })
             .collect();
@@ -471,17 +471,14 @@ pub fn table5(args: &HarnessArgs, cache: &RefCache) -> Result {
         )?;
         // Section 4.4's analytic escape hatch: a benchmark still biased at
         // the empirical W must fall below the worst-case bound
-        // store_buffer × mem_latency × max IPC, derived from exactly the
-        // store-buffer overflow our store-heavy kernels exercise.
+        // store_buffer × mem_latency × max IPC.
         let w_bound = cfg.detailed_warming_bound();
         let offenders: Vec<_> = rows.iter().filter(|r| r.1.abs() > 0.015).collect();
         if !offenders.is_empty() {
-            writeln!(d, "  --- rerun at the analytic bound W = {w_bound} ---")?;
+            writeln!(d, "  --- at the analytic bound W = {w_bound} ---")?;
         }
         for (bench, old) in offenders {
-            let truth = cache.get(&sim, bench, U).cpi;
-            let at = n(bench, 10);
-            let new = phase_bias(&sim, bench, w_bound, Warming::Functional, at, 5, truth);
+            let new = bias(bench, w_bound);
             writeln!(d, "  {:<12} {} -> {}", bench.name(), pct(*old), pct(new))?;
         }
         writeln!(d)?;
@@ -520,10 +517,8 @@ pub fn fig6(args: &HarnessArgs, cache: &RefCache) -> Result {
         for bench in args.suite() {
             let truth = cache.get(&sim, &bench, U).cpi;
             let params = offset_one(&cfg, &bench, n_init);
-            let est = sim
-                .sample(&bench, &params)
-                .expect("sampling succeeds")
-                .cpi();
+            let census = cache.census(&sim, &bench, U, w);
+            let est = census.sample(&params).expect("sampling succeeds").cpi();
             let interval = est.achieved_epsilon(conf).expect("valid confidence");
             let (cpi, v) = (est.mean(), est.coefficient_of_variation());
             rows.push((bench, cpi, (cpi - truth) / truth, interval, v));
@@ -570,9 +565,11 @@ pub fn fig6(args: &HarnessArgs, cache: &RefCache) -> Result {
             let truth = cache.get(&sim, bench, U).cpi;
             let params = SamplingParams::paper_defaults(&cfg, bench.approx_len(), n_init)
                 .expect("valid parameters");
-            let outcome = sim
-                .sample_two_step(bench, &params, EPSILON, conf)
-                .expect("two-step succeeds");
+            let census = cache.census(&sim, bench, U, w);
+            let outcome = TwoStepOutcome::run(bench.approx_len(), &params, EPSILON, conf, |p| {
+                census.sample(p)
+            })
+            .expect("two-step succeeds");
             let best = outcome.best();
             let est = best.cpi();
             writeln!(
@@ -612,7 +609,8 @@ pub fn fig7(args: &HarnessArgs, cache: &RefCache) -> Result {
     for bench in args.suite() {
         let truth = cache.get(&sim, &bench, U).epi;
         let params = offset_one(&cfg, &bench, n_init(args));
-        let report = sim.sample(&bench, &params).expect("sampling succeeds");
+        let census = cache.census(&sim, &bench, U, cfg.recommended_detailed_warming());
+        let report = census.sample(&params).expect("sampling succeeds");
         let epi = report.epi();
         rows.push((
             bench,

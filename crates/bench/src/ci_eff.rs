@@ -1,19 +1,17 @@
-//! Measurement core of the `repro ci_eff` experiment.
-//!
-//! One deterministic procedure — ground truth from the densest grid the
-//! design allows (every 4th unit of the stream at U = 1000, W = 2000,
-//! not every unit), the paper's two-step matched-systematic baseline,
-//! and offline drives of the stratified and adaptive samplers over that
-//! grid — kept here so the golden test below can call it. Everything is seeded and simulator-deterministic:
-//! re-running [`measure`] on the same workload at the same scale
+//! Measurement core of the `repro ci_eff` experiment: ground truth from
+//! the census (every unit at U = 1000, W = 2000), the paper's two-step
+//! matched-systematic baseline, and offline drives of the stratified and
+//! adaptive samplers over the census units. Everything is seeded and
+//! simulator-deterministic: re-running [`measure`] at the same scale
 //! reproduces the checked-in `results/bench_ci_eff.json` bit-for-bit.
 
-use smarts_core::{SamplingParams, SmartsSim, Warming};
+use crate::Census;
+use smarts_core::{SamplingParams, Warming};
 use smarts_stats::{
-    drive_sampler, required_sample_size, AdaptiveSampler, Confidence, RunningStats,
+    drive_sampler, required_sample_size, AdaptiveSampler, Confidence, RunningStats, Sampler,
     StratifiedConfig, StratifiedSampler,
 };
-use smarts_uarch::MachineConfig;
+use smarts_workloads::Benchmark;
 
 /// Sampling-unit size (instructions), the paper's U = 1000.
 pub const UNIT_SIZE: u64 = 1000;
@@ -34,14 +32,12 @@ pub const SAVINGS_BAR: f64 = 0.30;
 pub struct Row {
     /// Workload name.
     pub benchmark: String,
-    /// Number of complete units on the measured grid: every k-th unit of
-    /// the stream, k = ⌈W/U⌉ + 2 (4 at U = 1000, W = 2000) — about a
-    /// quarter of the stream's units, not all of them.
+    /// Number of complete units in the stream, every one in the census.
     pub pool: u64,
     /// True coefficient of variation of per-unit CPI.
     pub cv: f64,
-    /// Mean CPI over the measured grid — the ground truth the samplers
-    /// are scored against; a census of the grid, not of the stream.
+    /// Mean CPI over the census — the ground truth the samplers are
+    /// scored against.
     pub truth: f64,
     /// Detailed instructions per measured unit (`W + U`).
     pub per_unit: u64,
@@ -62,7 +58,7 @@ pub struct Outcome {
     pub n: u64,
     /// Whether the strategy's own interval claims the target was met.
     pub target_met: bool,
-    /// True relative error of its estimate vs the grid truth.
+    /// True relative error of its estimate vs the census truth.
     pub error: f64,
     /// Relative saving in detailed units vs the matched systematic
     /// baseline (negative when the strategy cost more).
@@ -93,59 +89,22 @@ impl Row {
     pub fn qualifies(&self) -> bool {
         self.best_savings() >= SAVINGS_BAR
     }
-
-    /// Cheapest honest detailed-instruction cost across the sampled
-    /// strategies, or `None` when neither honestly met the target.
-    pub fn honest_cost(&self) -> Option<u64> {
-        [&self.stratified, &self.adaptive]
-            .into_iter()
-            .filter(|o| o.honest())
-            .map(|o| o.n * self.per_unit)
-            .min()
-    }
 }
 
-/// Full-grid measurement and offline sampler drive for one workload.
+/// Census measurement and offline sampler drive for one workload.
 ///
-/// The densest grid the design allows is measured once: the design asks
-/// for n = N units, and [`SamplingParams::for_sample_size`]'s
-/// `⌈W/U⌉ + 2` interval floor turns that into every 4th unit at U = 1000,
-/// W = 2000 (k = 4, not interval 1). Each grid unit gets a detailed
-/// `W + U` episode, yielding both the ground-truth CPI and the per-unit
-/// values the samplers are then driven against offline via
-/// [`drive_sampler`]. The matched systematic cost is the paper's own
-/// two-step procedure — a 30-unit systematic pilot estimates `V̂`, then
-/// a tuned rerun measures `n = (z·V̂/ε)²` fresh units — with each `n`
-/// capped at the pool (a census is exact under the finite-population
-/// correction). The oracle-tuned single-run `n` (sized from the *true*
-/// variation, which no real procedure knows) is recorded alongside.
-pub fn measure(
-    sim: &SmartsSim,
-    cfg: &MachineConfig,
-    bench: &smarts_workloads::Benchmark,
-    conf: Confidence,
-) -> Row {
-    let w = cfg.recommended_detailed_warming();
-    let total_units = (bench.approx_len() / UNIT_SIZE).max(1);
-    let params = SamplingParams::for_sample_size(
-        bench.approx_len(),
-        UNIT_SIZE,
-        w,
-        Warming::Functional,
-        total_units,
-        0,
-    )
-    .expect("full-grid parameters");
-    // One warming pass, every unit replayed from its checkpoint as the
-    // pass streams by; the report holds the complete units in stream
-    // order, the bits of a replay at any worker count.
-    let census = sim.sample(bench, &params).expect("full-grid run");
-    let cpis: Vec<f64> = census.unit_cpis().collect();
+/// The census units give the ground-truth CPI and the per-unit values
+/// the samplers are driven against offline via [`drive_sampler`]. The
+/// matched systematic cost is the paper's own two-step procedure — a
+/// 30-unit systematic pilot estimates `V̂`, then a tuned rerun measures
+/// `n = (z·V̂/ε)²` fresh units, capped at the pool (a census is exact
+/// under the finite-population correction). The oracle-tuned `n`, sized
+/// from the *true* variation no real procedure knows, is kept alongside.
+pub fn measure(census: &Census, bench: &Benchmark, conf: Confidence) -> Row {
+    let run = census.report();
+    let cpis: Vec<f64> = run.unit_cpis().collect();
     let pool = cpis.len() as u64;
-    let mut all = RunningStats::new();
-    for &v in &cpis {
-        all.push(v);
-    }
+    let all: RunningStats = cpis.iter().copied().collect();
     let truth = all.mean();
     let cv = all.coefficient_of_variation();
     // Oracle-tuned systematic: n sized from the *true* population
@@ -157,37 +116,30 @@ pub fn measure(
     // systematic pilot estimates V̂, then the tuned rerun measures
     // n(V̂) fresh units; the procedure's detailed cost is the sum.
     let n_systematic = {
-        let pilot_interval = (pool / 30).max(1);
-        let mut pilot = RunningStats::new();
-        let mut at = 0;
-        while at < pool && pilot.count() < 30 {
-            pilot.push(cpis[at as usize]);
-            at += pilot_interval;
-        }
-        let tuned = required_sample_size(pilot.coefficient_of_variation(), EPSILON, conf)
+        let (len, w) = (bench.approx_len(), run.params.detailed_warming);
+        let pilot = SamplingParams::for_sample_size(len, UNIT_SIZE, w, Warming::Functional, 30, 0)
+            .expect("pilot design");
+        let pilot = census.sample(&pilot).expect("pilot run");
+        let tuned = required_sample_size(pilot.cpi().coefficient_of_variation(), EPSILON, conf)
             .expect("tuned size")
             .min(pool);
-        (pilot.count() + tuned).min(pool + pilot.count())
+        pilot.sample_size() + tuned
     };
 
     let scfg = StratifiedConfig::for_pool(pool, EPSILON, conf, SEED);
-    let stratified = {
-        let mut s = StratifiedSampler::new(scfg).expect("stratified sampler");
-        let est = drive_sampler(&mut s, |u| cpis[u as usize]).expect("stratified drive");
+    let drive = |sampler: &mut dyn Sampler| {
+        let est = drive_sampler(sampler, |u| cpis[u as usize]).expect("sampler drive");
         outcome(&est, truth, n_systematic)
     };
-    let adaptive = {
-        let mut s = AdaptiveSampler::new(scfg, 0).expect("adaptive sampler");
-        let est = drive_sampler(&mut s, |u| cpis[u as usize]).expect("adaptive drive");
-        outcome(&est, truth, n_systematic)
-    };
+    let stratified = drive(&mut StratifiedSampler::new(scfg).expect("stratified sampler"));
+    let adaptive = drive(&mut AdaptiveSampler::new(scfg, 0).expect("adaptive sampler"));
 
     Row {
         benchmark: bench.name().to_string(),
         pool,
         cv,
         truth,
-        per_unit: params.detailed_per_unit(),
+        per_unit: run.params.detailed_warming + UNIT_SIZE,
         n_oracle,
         n_systematic,
         stratified,
@@ -252,34 +204,58 @@ pub fn render_json(rows: &[Row], scale: f64, qualifying: usize, mean_best: f64) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smarts_core::SmartsSim;
+    use smarts_uarch::MachineConfig;
 
     #[test]
     fn measure_reproduces_the_checked_in_results() {
-        // `(benchmark, pool, stratified.n, adaptive.n, honest_cost,
+        // `(benchmark, pool, stratified.n, adaptive.n, honest cost,
         // qualifies)` of the first two suite workloads at scale 0.5,
         // copied from `results/bench_ci_eff.json`: a change to a sampler,
         // the seed, the pool geometry or the detailed engine's per-unit
         // CPI moves one of them.
         let golden = [
-            ("stream-1", 492, 45, 126, Some(378_000), true),
-            ("stream-2", 487, 45, 94, Some(135_000), true),
+            ("stream-1", 1966, 273, 186, None, false),
+            ("stream-2", 1946, 183, 185, Some(549_000), true),
         ];
         let cfg = MachineConfig::eight_way();
         let sim = SmartsSim::new(cfg.clone());
-        let suite = smarts_workloads::suite();
-        for (bench, golden) in suite.iter().zip(golden) {
-            let row = measure(&sim, &cfg, &bench.scaled(0.5), Confidence::THREE_SIGMA);
-            assert_eq!(
-                (
-                    row.benchmark.as_str(),
-                    row.pool,
-                    row.stratified.n,
-                    row.adaptive.n,
-                    row.honest_cost(),
-                    row.qualifies(),
-                ),
-                golden
+        let measure_at_half = |bench: &Benchmark| {
+            let bench = bench.scaled(0.5);
+            let reference = sim.reference(&bench, UNIT_SIZE);
+            let w = cfg.recommended_detailed_warming();
+            let row = measure(
+                &Census::new(&sim, &bench, &reference, w),
+                &bench,
+                Confidence::THREE_SIGMA,
             );
+            // The cheapest honest detailed-instruction cost, if any.
+            let honest_cost = [&row.stratified, &row.adaptive]
+                .into_iter()
+                .filter(|o| o.honest())
+                .map(|o| o.n * row.per_unit)
+                .min();
+            let (name, pool) = (row.benchmark.clone(), row.pool);
+            (
+                name,
+                pool,
+                row.stratified.n,
+                row.adaptive.n,
+                honest_cost,
+                row.qualifies(),
+            )
+        };
+        // One thread per workload: in the debug profile each census takes
+        // seconds.
+        let suite = smarts_workloads::suite();
+        let rows: Vec<_> = std::thread::scope(|scope| {
+            let runs: Vec<_> = (suite.iter().take(2))
+                .map(|bench| scope.spawn(|| measure_at_half(bench)))
+                .collect();
+            runs.into_iter().map(|run| run.join().unwrap()).collect()
+        });
+        for (row, (name, pool, strat, adapt, cost, qualifies)) in rows.into_iter().zip(golden) {
+            assert_eq!(row, (name.to_string(), pool, strat, adapt, cost, qualifies));
         }
     }
 }

@@ -6,7 +6,8 @@
 //!   (default 1.0, or an experiment's own smaller default).
 //! * `--config <8|16|both>` — which Table 3 machine(s) to run.
 //! * `--bench <name>` — restrict to one benchmark.
-//! * `--quick` — a fast smoke-test preset (small scale, fewer units).
+//! * `--quick` — a fast smoke-test preset (fewer units, and a scale of
+//!   at most 0.1 wherever the flag stands).
 //! * `--extended` — the 28-combination suite instead of the default 18.
 //!
 //! An experiment prints an [`Output`]: a deterministic block, a function
@@ -16,18 +17,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod census;
 pub mod ci_eff;
 
+pub use census::Census;
 use smarts_core::{ReferenceRun, SmartsSim};
 use smarts_uarch::MachineConfig;
 use smarts_workloads::Benchmark;
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::hash::Hash;
+use std::sync::{Arc, Mutex};
 
 /// Which machine configuration(s) an experiment should evaluate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ConfigChoice {
     /// The 8-way baseline only.
+    #[default]
     Eight,
     /// The 16-way aggressive machine only.
     Sixteen,
@@ -49,10 +54,11 @@ impl ConfigChoice {
 }
 
 /// Parsed harness arguments (see the crate docs for the flags).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HarnessArgs {
-    /// Benchmark length multiplier.
-    pub scale: f64,
+    /// Benchmark length multiplier; `None` leaves it to the experiment
+    /// (see [`HarnessArgs::scale`]).
+    pub scale: Option<f64>,
     /// Machine selection.
     pub config: ConfigChoice,
     /// Restrict to one benchmark by name.
@@ -63,18 +69,6 @@ pub struct HarnessArgs {
     pub extended: bool,
 }
 
-impl Default for HarnessArgs {
-    fn default() -> Self {
-        HarnessArgs {
-            scale: 1.0,
-            config: ConfigChoice::Eight,
-            bench: None,
-            quick: false,
-            extended: false,
-        }
-    }
-}
-
 impl HarnessArgs {
     /// Parses the flags (see the crate docs); the error names the bad one.
     pub fn parse(flags: impl IntoIterator<Item = String>) -> Result<Self, String> {
@@ -83,10 +77,8 @@ impl HarnessArgs {
         while let Some(arg) = iter.next() {
             match arg.as_str() {
                 "--scale" => {
-                    args.scale = iter
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--scale needs a positive number")?;
+                    let scale = iter.next().and_then(|v| v.parse().ok());
+                    args.scale = Some(scale.ok_or("--scale needs a positive number")?);
                 }
                 "--config" => {
                     args.config = match iter.next().as_deref() {
@@ -97,18 +89,23 @@ impl HarnessArgs {
                     }
                 }
                 "--bench" => args.bench = Some(iter.next().ok_or("--bench needs a name")?),
-                "--quick" => {
-                    args.quick = true;
-                    args.scale = args.scale.min(0.1);
-                }
+                "--quick" => args.quick = true,
                 "--extended" => args.extended = true,
                 other => return Err(format!("unknown flag {other}")),
             }
         }
-        if !(args.scale.is_finite() && args.scale > 0.0) {
+        if args.scale.is_some_and(|s| !(s.is_finite() && s > 0.0)) {
             return Err("--scale must be finite and positive".into());
         }
+        if args.quick {
+            args.scale = Some(args.scale.map_or(0.1, |s| s.min(0.1)));
+        }
         Ok(args)
+    }
+
+    /// The benchmark length multiplier: the one given, else 1.0.
+    pub fn scale(&self) -> f64 {
+        self.scale.unwrap_or(1.0)
     }
 
     /// The benchmark suite at the requested scale and filter.
@@ -119,22 +116,43 @@ impl HarnessArgs {
             smarts_workloads::suite()
         };
         base.into_iter()
-            .map(|b| b.scaled(self.scale))
+            .map(|b| b.scaled(self.scale()))
             .filter(|b| self.bench.as_deref().is_none_or(|name| b.name() == name))
             .collect()
     }
 }
 
-/// A process-local cache of full-detail reference runs, so experiments that
-/// need the same ground truth for several analyses pay for it once.
+/// A process-local cache of full-detail reference runs and of
+/// [`Census`]es, so experiments that need the same ground truth or the
+/// same units for several analyses pay for them once.
 #[derive(Debug, Default)]
 pub struct RefCache {
     runs: Mutex<HashMap<RefKey, ReferenceRun>>,
+    censuses: Mutex<HashMap<(RefKey, u64), Arc<Census>>>,
 }
 
 /// Benchmark name and length (which tells scales apart), machine name,
 /// unit size.
 type RefKey = (String, u64, &'static str, u64);
+
+fn ref_key(sim: &SmartsSim, bench: &Benchmark, unit_size: u64) -> RefKey {
+    (
+        bench.name().to_string(),
+        bench.approx_len(),
+        sim.config().name,
+        unit_size,
+    )
+}
+
+/// `map[key]`, made by `new` on first use (with the lock released).
+fn memo<K: Eq + Hash, V: Clone>(map: &Mutex<HashMap<K, V>>, key: K, new: impl FnOnce() -> V) -> V {
+    if let Some(hit) = map.lock().expect("cache lock").get(&key) {
+        return hit.clone();
+    }
+    let value = new();
+    map.lock().expect("cache lock").insert(key, value.clone());
+    value
+}
 
 impl RefCache {
     /// Creates an empty cache.
@@ -145,21 +163,16 @@ impl RefCache {
     /// The reference run for (benchmark at its scale, machine, unit size),
     /// computed on first use.
     pub fn get(&self, sim: &SmartsSim, bench: &Benchmark, unit_size: u64) -> ReferenceRun {
-        let key = (
-            bench.name().to_string(),
-            bench.approx_len(),
-            sim.config().name,
-            unit_size,
-        );
-        if let Some(hit) = self.runs.lock().expect("cache lock").get(&key) {
-            return hit.clone();
-        }
-        let run = sim.reference(bench, unit_size);
-        self.runs
-            .lock()
-            .expect("cache lock")
-            .insert(key, run.clone());
-        run
+        let key = ref_key(sim, bench, unit_size);
+        memo(&self.runs, key, || sim.reference(bench, unit_size))
+    }
+
+    /// The census of (benchmark at its scale, machine, unit size `u`) at
+    /// detailed warming `w`, computed on first use.
+    pub fn census(&self, sim: &SmartsSim, bench: &Benchmark, u: u64, w: u64) -> Arc<Census> {
+        memo(&self.censuses, (ref_key(sim, bench, u), w), || {
+            Arc::new(Census::new(sim, bench, &self.get(sim, bench, u), w))
+        })
     }
 }
 
@@ -298,9 +311,23 @@ mod tests {
         for scale in ["nan", "inf", "-inf", "0", "-1", "x"] {
             assert!(parse(scale).unwrap_err().contains("--scale"), "{scale}");
         }
-        assert_eq!(parse("0.5").unwrap().scale, 0.5);
+        assert_eq!(parse("0.5").unwrap().scale, Some(0.5));
         let jobs = HarnessArgs::parse(["--jobs".into(), "257".into()]);
         assert_eq!(jobs.unwrap_err(), "unknown flag --jobs");
+        // `--quick` caps the scale wherever it stands; an explicit 1 is
+        // given, not the experiment's default.
+        let scale = |flags: &[&str]| HarnessArgs::parse(flags.iter().map(|f| f.to_string()));
+        for (flags, want) in [
+            (&["--quick", "--scale", "0.5"][..], Some(0.1)),
+            (&["--scale", "0.5", "--quick"], Some(0.1)),
+            (&["--scale", "0.05", "--quick"], Some(0.05)),
+            (&["--quick"], Some(0.1)),
+            (&["--scale", "1"], Some(1.0)),
+            (&[], None),
+        ] {
+            assert_eq!(scale(flags).unwrap().scale, want, "{flags:?}");
+        }
+        assert!(scale(&["--scale", "nan", "--quick"]).is_err());
     }
 
     #[test]
@@ -334,7 +361,7 @@ mod tests {
     fn suite_filter_applies() {
         let args = HarnessArgs {
             bench: Some("loopy-1".to_string()),
-            scale: 0.5,
+            scale: Some(0.5),
             ..HarnessArgs::default()
         };
         let suite = args.suite();

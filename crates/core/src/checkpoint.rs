@@ -301,12 +301,7 @@ impl SmartsSim {
         let mut stopped = false;
 
         let mut unit_index = params.offset;
-        loop {
-            if let Some(max) = params.max_units {
-                if emitted >= max {
-                    break;
-                }
-            }
+        while params.max_units.is_none_or(|max| emitted < max) {
             let unit_start = unit_index * params.unit_size;
             let warm_start = unit_start.saturating_sub(params.detailed_warming);
             match params.warming {
@@ -315,12 +310,6 @@ impl SmartsSim {
             };
             if engine.finished() {
                 break;
-            }
-            if engine.position() > unit_start {
-                // Overlapping designs (k·U < W) can leave the engine past
-                // this unit entirely; skip to the next one.
-                unit_index += params.interval;
-                continue;
             }
             // The unit (and its detailed warming) must fit in the stream;
             // probe cheaply by checkpointing now and validating on replay.

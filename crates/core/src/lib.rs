@@ -15,15 +15,14 @@
 //!
 //! The measured per-unit coefficient of variation then gives a confidence
 //! interval on the estimate, and — when the interval is too wide — the
-//! tuned sample size for one follow-up run
-//! ([`SmartsSim::sample_two_step`]).
+//! tuned sample size for one follow-up run ([`TwoStepOutcome::run`]).
 //!
 //! # Examples
 //!
 //! The full paper procedure on one benchmark:
 //!
 //! ```
-//! use smarts_core::{SamplingParams, SmartsSim, Warming};
+//! use smarts_core::{SamplingParams, SmartsSim, TwoStepOutcome};
 //! use smarts_stats::Confidence;
 //! use smarts_uarch::MachineConfig;
 //! use smarts_workloads::find;
@@ -34,7 +33,10 @@
 //!
 //! // Step 1: sample with an initial n.
 //! let params = SamplingParams::paper_defaults(sim.config(), bench.approx_len(), 25)?;
-//! let outcome = sim.sample_two_step(&bench, &params, 0.03, Confidence::THREE_SIGMA)?;
+//! let len = bench.approx_len();
+//! let outcome = TwoStepOutcome::run(len, &params, 0.03, Confidence::THREE_SIGMA, |p| {
+//!     sim.sample(&bench, p)
+//! })?;
 //!
 //! // The final estimate and its confidence:
 //! let report = outcome.best();

@@ -27,23 +27,14 @@ pub struct ReferenceRun {
     /// population for variation and bias analyses). A trailing partial
     /// unit is excluded.
     pub unit_cpis: Vec<f64>,
-    /// EPI of each consecutive unit.
-    pub unit_epis: Vec<f64>,
     /// Wall-clock time of the detailed run.
     pub wall: Duration,
     /// Aggregate activity counters.
     pub counters: ActivityCounters,
 }
 
-impl ReferenceRun {
-    /// Number of whole units in the population, `N = ⌊stream/U⌋`.
-    pub fn population(&self) -> u64 {
-        self.unit_cpis.len() as u64
-    }
-}
-
 impl SmartsSim {
-    /// Simulates the whole benchmark in detail, recording the CPI/EPI of
+    /// Simulates the whole benchmark in detail, recording the CPI of
     /// every consecutive `unit_size`-instruction unit.
     ///
     /// This is the (expensive) `sim-outorder`-equivalent baseline: no
@@ -57,7 +48,6 @@ impl SmartsSim {
         let mut pipeline = Pipeline::new(self.config());
 
         let mut unit_cpis = Vec::new();
-        let mut unit_epis = Vec::new();
         let mut counters = ActivityCounters::default();
         let mut cycles = 0u64;
         let mut instructions = 0u64;
@@ -68,7 +58,6 @@ impl SmartsSim {
             counters.merge(&m.counters);
             if m.instructions == unit_size {
                 unit_cpis.push(m.cpi());
-                unit_epis.push(self.energy().energy_per_instruction(&m.counters, m.cycles));
             }
             if m.instructions < unit_size {
                 break; // stream exhausted (trailing partial unit excluded)
@@ -88,7 +77,6 @@ impl SmartsSim {
             instructions,
             unit_size,
             unit_cpis,
-            unit_epis,
             wall: start.elapsed(),
             counters,
         }
@@ -134,7 +122,10 @@ mod tests {
         assert!(reference.instructions >= 70_000);
         assert!(reference.cpi > 0.0);
         assert!(reference.epi > 0.0);
-        assert_eq!(reference.population(), reference.instructions / 1000);
+        assert_eq!(
+            reference.unit_cpis.len() as u64,
+            reference.instructions / 1000
+        );
     }
 
     #[test]

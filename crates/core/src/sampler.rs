@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use crate::checkpoint::{UnitReplay, WarmSpares};
 use crate::error::SmartsError;
 use smarts_energy::{ActivityCounters, EnergyModel};
-use smarts_stats::{Confidence, RunningStats, SampleEstimate};
+use smarts_stats::{Confidence, RunningStats, SampleEstimate, StatsError};
 use smarts_uarch::{MachineConfig, WarmState};
 use smarts_workloads::{Benchmark, Loaded};
 
@@ -62,14 +62,11 @@ impl SamplingParams {
     /// `stream_len` is only an estimate. (Capping at `n` would silently
     /// exclude the tail of the stream — a coverage bias.)
     ///
-    /// The interval is additionally floored at `⌈W/U⌉ + 2` so consecutive
-    /// units keep a positive fast-forward gap. Below that, units abut and
-    /// the pipeline's fetch overshoot past one unit would skip into the
-    /// next — a selection bias correlated with unit cost. The paper's
-    /// designs (k ≈ 10³–10⁵) never approach this floor; it only binds
-    /// when a tuned `n` demands more units than a short stream can
-    /// provide, in which case the realized confidence interval honestly
-    /// reports the shortfall.
+    /// Every unit replays from its own checkpoint, so units may sit
+    /// closer than their detailed warming (`k·U < W + U`, down to the
+    /// census `n = N`, `k = 1`); such a design simulates more
+    /// instructions in detail than the stream holds, which the report's
+    /// instruction counts show.
     ///
     /// # Errors
     ///
@@ -90,8 +87,7 @@ impl SamplingParams {
             return Err(SmartsError::ZeroParameter("n"));
         }
         let population = (stream_len / unit_size).max(1);
-        let min_interval = detailed_warming.div_ceil(unit_size) + 2;
-        let interval = (population / n).max(min_interval);
+        let interval = (population / n).max(1);
         let params = SamplingParams {
             unit_size,
             detailed_warming,
@@ -154,12 +150,6 @@ impl SamplingParams {
         let params = SamplingParams { offset, ..*self };
         params.validate()?;
         Ok(params)
-    }
-
-    /// Detailed instructions one replayed unit costs under this design:
-    /// `W + U` — the currency the CI-efficiency comparisons trade in.
-    pub fn detailed_per_unit(&self) -> u64 {
-        self.detailed_warming + self.unit_size
     }
 }
 
@@ -523,26 +513,6 @@ impl SampleReport {
         self.estimate_metric(UnitSample::memory_pki)
     }
 
-    /// The tuned sample size for a follow-up run, or `None` if this run
-    /// already meets the `±epsilon` target at the given confidence
-    /// (the second step of the Section 5.1 procedure).
-    ///
-    /// # Errors
-    ///
-    /// Propagates invalid `epsilon`/confidence arguments.
-    pub fn recommended_n(
-        &self,
-        epsilon: f64,
-        confidence: Confidence,
-    ) -> Result<Option<u64>, SmartsError> {
-        let estimate = self.cpi();
-        if estimate.meets(epsilon, confidence)? {
-            Ok(None)
-        } else {
-            Ok(Some(estimate.required_n(epsilon, confidence)?))
-        }
-    }
-
     /// Total wall-clock of the two phases: the run's, when they do not
     /// overlap (an overlapping `smarts-exec` run reports its own).
     pub fn wall_total(&self) -> Duration {
@@ -680,24 +650,6 @@ impl SmartsSim {
             wall_detailed,
         ))
     }
-
-    /// Runs the paper's two-step procedure (Section 5.1) with
-    /// [`SmartsSim::sample`]: [`TwoStepOutcome::run`] on this simulator.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SmartsSim::sample`], plus invalid `epsilon`/confidence.
-    pub fn sample_two_step(
-        &self,
-        bench: &Benchmark,
-        params: &SamplingParams,
-        epsilon: f64,
-        confidence: Confidence,
-    ) -> Result<TwoStepOutcome, SmartsError> {
-        TwoStepOutcome::run(bench.approx_len(), params, epsilon, confidence, |p| {
-            self.sample(bench, p)
-        })
-    }
 }
 
 /// Result of the two-step confidence procedure.
@@ -714,7 +666,7 @@ impl TwoStepOutcome {
     /// `stream_len` instructions: one run at `params`; if the achieved
     /// interval misses `±epsilon` at the given confidence, a second run at
     /// `n_tuned = (z·V̂/ε)²`. `sample` performs each run — on one thread
-    /// ([`SmartsSim::sample_two_step`]) or on a worker pool.
+    /// (`|p| sim.sample(&bench, p)`) or on a worker pool.
     ///
     /// # Errors
     ///
@@ -727,19 +679,21 @@ impl TwoStepOutcome {
         mut sample: impl FnMut(&SamplingParams) -> Result<SampleReport, E>,
     ) -> Result<Self, E> {
         let initial = sample(params)?;
-        let tuned = match initial.recommended_n(epsilon, confidence)? {
-            None => None,
-            Some(n_tuned) => {
-                let retuned = SamplingParams::for_sample_size(
-                    stream_len,
-                    params.unit_size,
-                    params.detailed_warming,
-                    params.warming,
-                    n_tuned,
-                    0, // the tuned run's interval shrinks; restart at phase 0
-                )?;
-                Some(sample(&retuned)?)
-            }
+        let cpi = initial.cpi();
+        let stats = |e: StatsError| E::from(SmartsError::from(e));
+        let tuned = if cpi.meets(epsilon, confidence).map_err(stats)? {
+            None
+        } else {
+            let n_tuned = cpi.required_n(epsilon, confidence).map_err(stats)?;
+            let retuned = SamplingParams::for_sample_size(
+                stream_len,
+                params.unit_size,
+                params.detailed_warming,
+                params.warming,
+                n_tuned,
+                0, // the tuned run's interval shrinks; restart at phase 0
+            )?;
+            Some(sample(&retuned)?)
         };
         Ok(TwoStepOutcome { initial, tuned })
     }
@@ -825,10 +779,7 @@ mod tests {
             report.cpi().coefficient_of_variation()
         );
         // Therefore it meets ±3% @ 99.7% immediately.
-        assert_eq!(
-            report.recommended_n(0.03, Confidence::THREE_SIGMA).unwrap(),
-            None
-        );
+        assert!(report.cpi().meets(0.03, Confidence::THREE_SIGMA).unwrap());
     }
 
     #[test]
@@ -880,9 +831,15 @@ mod tests {
         )
         .unwrap();
         // An extremely tight target that 8 units cannot meet.
-        let outcome = sim()
-            .sample_two_step(&bench, &params, 0.001, Confidence::THREE_SIGMA)
-            .unwrap();
+        let sample = |p: &SamplingParams| sim().sample(&bench, p);
+        let outcome = TwoStepOutcome::run(
+            bench.approx_len(),
+            &params,
+            0.001,
+            Confidence::THREE_SIGMA,
+            sample,
+        )
+        .unwrap();
         assert!(outcome.tuned.is_some());
         let tuned = outcome.best();
         assert!(tuned.sample_size() > outcome.initial.sample_size());

@@ -23,7 +23,9 @@ fn main() -> Result<(), SmartsError> {
 
     let n_init = 15;
     let params = SamplingParams::paper_defaults(sim.config(), bench.approx_len(), n_init)?;
-    let outcome = sim.sample_two_step(&bench, &params, epsilon, conf)?;
+    let outcome = TwoStepOutcome::run(bench.approx_len(), &params, epsilon, conf, |p| {
+        sim.sample(&bench, p)
+    })?;
 
     let first = &outcome.initial;
     println!(

@@ -63,7 +63,7 @@ pub mod prelude {
     pub use smarts_ckpt::{CkptReader, CkptWriter, StoreMeta};
     pub use smarts_core::{
         compare_machines, PairedComparison, ReferenceRun, SampleReport, SamplingParams,
-        SmartsError, SmartsSim, SpeedupModel, Warming,
+        SmartsError, SmartsSim, SpeedupModel, TwoStepOutcome, Warming,
     };
     pub use smarts_energy::EnergyModel;
     pub use smarts_exec::{Executor, ParallelMode};

@@ -122,9 +122,15 @@ fn two_step_procedure_tightens_wide_intervals() {
     let sim = sim();
     let bench = find("phased-2").unwrap().scaled(0.3);
     let params = SamplingParams::paper_defaults(sim.config(), bench.approx_len(), 10).unwrap();
-    let outcome = sim
-        .sample_two_step(&bench, &params, 0.10, Confidence::NINETY_FIVE)
-        .unwrap();
+    let sample = |p: &SamplingParams| sim.sample(&bench, p);
+    let outcome = TwoStepOutcome::run(
+        bench.approx_len(),
+        &params,
+        0.10,
+        Confidence::NINETY_FIVE,
+        sample,
+    )
+    .unwrap();
     if let Some(tuned) = &outcome.tuned {
         let e_init = outcome
             .initial
