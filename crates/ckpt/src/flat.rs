@@ -801,7 +801,8 @@ mod tests {
 
     #[test]
     fn incremental_encoding_is_flatten_plus_encode_record() {
-        use crate::store::{encode_footer, encode_header, warm_fingerprint, CkptWriter, StoreMeta};
+        use crate::lazy::encode_footer;
+        use crate::store::{encode_header, warm_fingerprint, CkptWriter, StoreMeta};
         for seed in 0..10u64 {
             let mut rng = SplitMix64::new(0x1AC4_E000 + seed);
             let cfg = if seed % 3 == 0 {

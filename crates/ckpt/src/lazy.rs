@@ -1,36 +1,60 @@
-//! The zero-copy store reader: a memory-mapped store addressed by
-//! record index, decoding lazily.
+//! The store reader: a memory-mapped store addressed by record index,
+//! decoding lazily. This module is the one place that knows the record
+//! framing and the index footer's layout; [`crate::CkptWriter`] only
+//! appends frames and calls [`encode_footer`].
 //!
-//! [`CkptReader`](crate::CkptReader) materializes every checkpoint it
-//! streams past; holding a whole store resident that way costs
-//! O(units) RAM. A [`MappedStore`] instead keeps only the *encoded*
-//! bytes addressable — via `mmap(2)` they are not even resident until
-//! touched — and hands out [`FlatCheckpointRef`] views that borrow
-//! straight from the map. Decoding happens per cursor: a
-//! [`StoreCursor`] rolls one [`FlatCheckpoint`] forward through the
-//! delta chain, so a replay's peak residency is O(one checkpoint) per
-//! worker plus the file's page cache, instead of O(units).
+//! A [`MappedStore`] keeps only the *encoded* bytes addressable — via
+//! `mmap(2)` they are not even resident until touched — and hands out
+//! [`FlatCheckpointRef`] views that borrow straight from the map.
+//! Decoding happens per cursor: a [`StoreCursor`] rolls one
+//! [`FlatCheckpoint`] forward through the delta chain, so a replay's
+//! peak residency is O(one checkpoint) per worker plus the file's page
+//! cache, instead of O(units).
 //!
 //! Opening parses the header and locates every record frame — from the
 //! index footer when it is intact (O(footer) work, no record bytes
 //! touched), by sequential frame scan when the footer is missing or
-//! damaged. A damaged store still exposes its intact prefix; the
-//! damage itself is retained and reported through
-//! [`MappedStore::damage`], mirroring the truncation-tolerant contract
-//! of the streaming reader. Record CRCs are *not* checked at open:
-//! each record is verified on first touch, once, with the result
-//! memoized across all cursors and threads.
+//! damaged. A damaged store still exposes its bit-exact intact prefix;
+//! the damage itself is retained and reported through
+//! [`MappedStore::damage`]. Record CRCs are *not* checked at open: each
+//! record is verified on first touch, once, with the result memoized
+//! across all cursors and threads.
 
 use crate::error::CkptError;
 use crate::flat::{FlatCheckpoint, FlatCheckpointRef};
 use crate::mmap::StoreMap;
-use crate::store::{
-    check_fingerprint, decode_header, encode_header, split_prefix, StoreMeta, FOOTER_MARKER,
-    INDEX_MAGIC, MAX_PAYLOAD,
-};
+use crate::store::{check_fingerprint, decode_header, encode_header, StoreMeta, INDEX_MAGIC};
 use smarts_uarch::MachineConfig;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Largest record payload a reader will address; anything bigger is
+/// treated as corruption (a real record is a few MiB at most).
+pub(crate) const MAX_PAYLOAD: u32 = 1 << 30;
+
+/// First word of the index footer. Deliberately larger than
+/// [`MAX_PAYLOAD`], so it can never be confused with a record prefix:
+/// it doubles as the end-of-records sentinel of the sequential scan.
+const FOOTER_MARKER: u32 = 0xFFFF_FFFF;
+
+/// Encodes the index footer for the given record-prefix offsets.
+/// A pure function of the record stream, so stores with identical
+/// records carry identical footers.
+pub(crate) fn encode_footer(offsets: &[u64]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + 8 + 8 * offsets.len() + 4 + 16);
+    out.extend_from_slice(&FOOTER_MARKER.to_le_bytes());
+    out.extend_from_slice(&(offsets.len() as u64).to_le_bytes());
+    for &offset in offsets {
+        out.extend_from_slice(&offset.to_le_bytes());
+    }
+    // CRC over count + offsets (everything after the marker).
+    let crc = smarts_isa::crc32(&out[4..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    let footer_len = out.len() as u64; // marker through crc, inclusive
+    out.extend_from_slice(&footer_len.to_le_bytes());
+    out.extend_from_slice(&INDEX_MAGIC);
+    out
+}
 
 /// One record's frame inside the file: payload span plus its stored
 /// CRC.
@@ -78,9 +102,10 @@ impl MappedStore {
     ///
     /// # Errors
     ///
-    /// As for [`CkptReader::open`](crate::CkptReader::open): header
-    /// parse errors, [`CkptError::FingerprintMismatch`] for the wrong
-    /// warm geometry, [`CkptError::Io`]. Record damage is *not* an
+    /// [`CkptError::BadMagic`], [`CkptError::UnsupportedVersion`], or
+    /// [`CkptError::HeaderCorrupted`] when the header does not parse;
+    /// [`CkptError::FingerprintMismatch`] for the wrong warm geometry;
+    /// [`CkptError::Io`]. Record damage is *not* an
     /// open error — it is retained and reported by
     /// [`MappedStore::damage`].
     pub fn open(path: impl AsRef<Path>, cfg: &MachineConfig) -> Result<Self, CkptError> {
@@ -232,15 +257,15 @@ impl MappedStore {
                 });
                 return;
             }
-            let Some(&prefix) = bytes[pos..].first_chunk::<8>() else {
+            let Some(&[l0, l1, l2, l3, c0, c1, c2, c3]) = bytes[pos..].first_chunk::<8>() else {
                 self.damage = Some(CkptError::Truncated {
                     record,
                     recovered: record,
                 });
                 return;
             };
-            let (payload_len, crc) = split_prefix(prefix);
-            let crc = u32::from_le_bytes(crc);
+            let payload_len = u32::from_le_bytes([l0, l1, l2, l3]);
+            let crc = u32::from_le_bytes([c0, c1, c2, c3]);
             if payload_len == FOOTER_MARKER {
                 // Reached a footer marker with a footer that failed
                 // end-anchored validation (or trailing bytes follow a
@@ -385,8 +410,8 @@ impl MappedStore {
         }
     }
 
-    /// Approximate resident bytes of the *decoded* store — what the
-    /// eager reader would hold. Derived without decoding:
+    /// Approximate resident bytes of the *decoded* store — what holding
+    /// every checkpoint materialized would cost. Derived without decoding:
     /// the delta chain's flats all share the geometry-fixed section
     /// length, so this walks the chain once. Costs O(store) decode
     /// time; meant for inventory tools, not hot paths.

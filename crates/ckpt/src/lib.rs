@@ -26,25 +26,25 @@
 //!   share almost all of their warm state and memory pages, so the
 //!   store is far smaller than the resident checkpoints;
 //! * a CRC-32 per record and over the header, so corruption is
-//!   localized: the reader yields every intact prefix record and
-//!   surfaces [`CkptError::Corrupted`] / [`CkptError::Truncated`] for
+//!   localized: an opened store keeps every intact prefix record and
+//!   reports [`CkptError::Corrupted`] / [`CkptError::Truncated`] for
 //!   the rest instead of failing wholesale.
 //!
 //! [`CkptWriter`] appends records as a warming pass emits checkpoints
 //! (persisting overlaps warming) and finishes with an **index footer**
-//! recording every record's offset; [`CkptReader`] streams them back
-//! for replay — both plug directly into the producer/consumer pipeline
-//! in `smarts-exec`, which is what `smarts --save-checkpoints` /
-//! `--from-checkpoints` use. [`MappedStore`] opens the same file
-//! zero-copy (memory-mapped, records located via the footer) and hands
-//! out borrowed [`FlatCheckpointRef`] records that [`StoreCursor`]s
-//! decode lazily — the replay path whose residency is O(one
-//! checkpoint per worker) instead of O(units).
+//! recording every record's offset. [`MappedStore`] is the one reader:
+//! it opens the file zero-copy (memory-mapped, records located via the
+//! footer, or by a frame scan when the footer is damaged) and hands out
+//! borrowed [`FlatCheckpointRef`] records that [`StoreCursor`]s decode
+//! lazily, so a replay's residency is O(one checkpoint per worker)
+//! instead of O(units). `smarts-exec` writes through the one and
+//! replays through the other; that is what `smarts --save-checkpoints`
+//! / `--from-checkpoints` use.
 //!
 //! # Examples
 //!
 //! ```
-//! use smarts_ckpt::{CkptReader, CkptWriter, IsaId, StoreMeta};
+//! use smarts_ckpt::{CkptWriter, IsaId, MappedStore, StoreMeta};
 //! use smarts_core::{SamplingParams, SmartsSim, Warming};
 //! use smarts_isa::BuiltinIsa;
 //! use smarts_uarch::MachineConfig;
@@ -71,13 +71,14 @@
 //! let summary = writer.finish()?;
 //!
 //! // Replay later — any machine sharing the warm geometry may open it.
-//! let mut reader = CkptReader::open(&path, sim.config())?;
-//! let mut units = 0;
-//! while let Some(checkpoint) = reader.next_checkpoint_isa::<BuiltinIsa>() {
-//!     let _checkpoint = checkpoint?;
-//!     units += 1;
+//! let store = MappedStore::open(&path, sim.config())?;
+//! assert!(store.damage().is_none());
+//! assert_eq!(store.len() as u64, summary.records);
+//! let mut cursor = store.cursor();
+//! for index in 0..store.len() {
+//!     // Each worker rolls its own cursor; a replay rebuilds the unit.
+//!     let _checkpoint = cursor.flat_at(index)?.rebuild_isa::<BuiltinIsa>(sim.config())?;
 //! }
-//! assert_eq!(units, summary.records);
 //! # std::fs::remove_file(&path).ok();
 //! # Ok(())
 //! # }
@@ -99,8 +100,8 @@ pub use error::CkptError;
 pub use flat::{FlatCheckpoint, FlatCheckpointRef};
 pub use lazy::{MappedStore, RecordSpan, StoreCursor};
 pub use store::{
-    check_fingerprint, read_store_meta, warm_fingerprint, CkptReader, CkptWriter, StoreMeta,
-    WriteSummary, FORMAT_VERSION, INDEX_MAGIC, MAGIC,
+    check_fingerprint, read_store_meta, warm_fingerprint, CkptWriter, StoreMeta, WriteSummary,
+    FORMAT_VERSION, INDEX_MAGIC, MAGIC,
 };
 
 // Re-exported so store consumers can name the frontend recorded in a

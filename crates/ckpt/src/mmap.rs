@@ -195,6 +195,27 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// A readable file that `mmap` refuses: a sysfs attribute reports
+    /// a 4096-byte `st_size`, `mmap` fails with `ENODEV`, and `read`
+    /// returns the few bytes it really holds. The open falls back to
+    /// the owned buffer and reads exactly those bytes.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn an_unmappable_file_falls_back_to_reading_it() {
+        let path = Path::new("/sys/devices/system/cpu/online");
+        let map = StoreMap::open(path, true).unwrap();
+        assert!(!map.is_mapped());
+        assert_eq!(map.bytes(), std::fs::read(path).unwrap().as_slice());
+
+        // A zero-length request is refused too (`MAP_FAILED`), which is
+        // why `open` never makes one.
+        let temp = temp_path("zero");
+        std::fs::write(&temp, b"store").unwrap();
+        let file = std::fs::File::open(&temp).unwrap();
+        assert!(map_file(&file, 0).is_none());
+        std::fs::remove_file(&temp).unwrap();
+    }
+
     #[test]
     fn mapping_is_shareable_across_threads() {
         let path = temp_path("threads");

@@ -1,5 +1,5 @@
-//! The on-disk store: versioned header, fingerprint, streaming writer
-//! and truncation-tolerant reader.
+//! The on-disk store: versioned header, fingerprint and streaming
+//! writer. Reading records back is [`crate::MappedStore`]'s job.
 //!
 //! File layout (all integers little-endian):
 //!
@@ -17,23 +17,22 @@
 //! ```
 //!
 //! Records are the delta-encoded flats of [`crate::flat`], each
-//! independently CRC-checked so corruption is localized: the reader
-//! yields every intact prefix record and then surfaces a typed error
+//! independently CRC-checked so corruption is localized: a reader
+//! keeps every intact prefix record and then surfaces a typed error
 //! for the first bad one.
 //!
 //! The index footer records the absolute file offset of every
-//! record's 8-byte prefix, so a mapped reader ([`crate::MappedStore`])
-//! can address records randomly without a sequential parse. The footer
-//! is a pure function of the record stream — [`CkptWriter::finish`]
-//! derives it from the offsets it tracked while appending — so two
-//! stores with identical records are byte-identical files including
-//! the footer. The marker doubles as an end-of-records sentinel for the
-//! sequential reader: no legal record has a payload length of
-//! `0xFFFF_FFFF`. Readers fall back to a sequential scan whenever the
-//! footer is missing or damaged, which salvages the intact prefix.
+//! record's 8-byte prefix, so [`crate::MappedStore`] can address
+//! records randomly without a sequential parse. The footer is a pure
+//! function of the record stream — [`CkptWriter::finish`] derives it
+//! from the offsets it tracked while appending — so two stores with
+//! identical records are byte-identical files including the footer.
+//! The framing constants, the footer's encoding and both ways of
+//! locating records live in `lazy.rs`.
 
 use crate::error::CkptError;
-use crate::flat::{advance_record, decode_record, encode_next, encode_record, FlatCheckpoint};
+use crate::flat::{encode_next, encode_record, FlatCheckpoint};
+use crate::lazy::encode_footer;
 use smarts_core::{SamplingParams, UnitCheckpoint, Warming};
 use smarts_isa::{crc32, Isa, IsaId};
 use smarts_uarch::{CacheConfig, MachineConfig, PredictorConfig, TlbConfig, WarmState};
@@ -52,14 +51,6 @@ pub const FORMAT_VERSION: u32 = 3;
 
 /// Trailing magic closing a store's index footer.
 pub const INDEX_MAGIC: [u8; 8] = *b"SMARTSIX";
-
-/// Largest record payload the reader will allocate for; anything bigger
-/// is treated as corruption (a real record is a few MiB at most).
-pub(crate) const MAX_PAYLOAD: u32 = 1 << 30;
-
-/// First word of the index footer. Deliberately larger than
-/// [`MAX_PAYLOAD`], so it can never be confused with a record prefix.
-pub(crate) const FOOTER_MARKER: u32 = 0xFFFF_FFFF;
 
 /// Fingerprint schema version, mixed into [`warm_fingerprint`].
 /// Decoupled from [`FORMAT_VERSION`]: a container change does not alter
@@ -118,7 +109,7 @@ pub fn warm_fingerprint(cfg: &MachineConfig) -> u64 {
 
 /// Checks a store's recorded warm-geometry fingerprint against the
 /// machine that wants to replay it — the one shared gate used by
-/// [`CkptReader::open`] and by callers that manage stores without
+/// [`MappedStore::open`](crate::MappedStore::open) and by callers that manage stores without
 /// opening them (the `smarts-server` store manager).
 ///
 /// # Errors
@@ -203,7 +194,8 @@ impl StoreMeta {
 ///
 /// # Errors
 ///
-/// As for [`CkptReader::open`] minus the fingerprint check:
+/// As for [`MappedStore::open`](crate::MappedStore::open) minus the
+/// fingerprint check:
 /// [`CkptError::BadMagic`], [`CkptError::UnsupportedVersion`],
 /// [`CkptError::HeaderCorrupted`], or [`CkptError::Io`].
 pub fn read_store_meta(path: impl AsRef<Path>) -> Result<(u64, StoreMeta), CkptError> {
@@ -339,32 +331,6 @@ pub(crate) fn decode_header(reader: &mut impl Read) -> Result<(u64, StoreMeta), 
     ))
 }
 
-/// A record's 8-byte prefix: the payload length, and the payload CRC —
-/// after a [`FOOTER_MARKER`], the footer's next bytes — unparsed.
-pub(crate) fn split_prefix(prefix: [u8; 8]) -> (u32, [u8; 4]) {
-    let [l0, l1, l2, l3, c0, c1, c2, c3] = prefix;
-    (u32::from_le_bytes([l0, l1, l2, l3]), [c0, c1, c2, c3])
-}
-
-/// Encodes the index footer for the given record-prefix offsets.
-/// A pure function of the record stream, so stores with identical
-/// records carry identical footers.
-pub(crate) fn encode_footer(offsets: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 8 + 8 * offsets.len() + 4 + 16);
-    out.extend_from_slice(&FOOTER_MARKER.to_le_bytes());
-    out.extend_from_slice(&(offsets.len() as u64).to_le_bytes());
-    for &offset in offsets {
-        out.extend_from_slice(&offset.to_le_bytes());
-    }
-    // CRC over count + offsets (everything after the marker).
-    let crc = crc32(&out[4..]);
-    out.extend_from_slice(&crc.to_le_bytes());
-    let footer_len = out.len() as u64; // marker through crc, inclusive
-    out.extend_from_slice(&footer_len.to_le_bytes());
-    out.extend_from_slice(&INDEX_MAGIC);
-    out
-}
-
 /// Summary of a completed write pass.
 #[derive(Debug, Clone, Copy)]
 pub struct WriteSummary {
@@ -455,7 +421,7 @@ impl CkptWriter {
         // A reader refuses a longer record as implausible; never write one.
         let len = u32::try_from(payload.len())
             .ok()
-            .filter(|&len| len <= MAX_PAYLOAD);
+            .filter(|&len| len <= crate::lazy::MAX_PAYLOAD);
         let too_long = "checkpoint record longer than a store reader accepts";
         let len = len.ok_or_else(|| CkptError::Io(std::io::Error::other(too_long)))?;
         self.file.write_all(&len.to_le_bytes())?;
@@ -490,239 +456,6 @@ impl CkptWriter {
             records: self.records,
             bytes: self.bytes,
         })
-    }
-}
-
-/// Streaming checkpoint-store reader.
-///
-/// Opening validates the header (magic, version, CRC) and the warming
-/// geometry fingerprint against the replaying machine — a store warmed
-/// for different caches/TLBs/predictor is rejected with
-/// [`CkptError::FingerprintMismatch`] before any record is read.
-///
-/// Reading is truncation-tolerant: every intact prefix record is
-/// yielded, and the first damaged or torn record surfaces as a typed
-/// error ([`CkptError::Corrupted`] / [`CkptError::Truncated`]), after
-/// which the stream ends.
-pub struct CkptReader {
-    file: BufReader<File>,
-    meta: StoreMeta,
-    fingerprint: u64,
-    cfg: MachineConfig,
-    prev: Option<FlatCheckpoint>,
-    record: u64,
-    done: bool,
-    /// Absolute offset of the next unread byte (= next record prefix).
-    offset: u64,
-    /// Offsets of the records decoded so far, for validating the
-    /// footer byte-for-byte when the end marker is reached.
-    offsets: Vec<u64>,
-}
-
-impl CkptReader {
-    /// Opens a store for replay on machine `cfg`.
-    ///
-    /// # Errors
-    ///
-    /// [`CkptError::BadMagic`], [`CkptError::UnsupportedVersion`], or
-    /// [`CkptError::HeaderCorrupted`] when the header does not parse;
-    /// [`CkptError::FingerprintMismatch`] when `cfg`'s warming geometry
-    /// differs from the one the store was built with; [`CkptError::Io`]
-    /// on filesystem errors.
-    pub fn open(path: impl AsRef<Path>, cfg: &MachineConfig) -> Result<Self, CkptError> {
-        let mut file = BufReader::new(File::open(path)?);
-        let (found, meta) = decode_header(&mut file)?;
-        check_fingerprint(cfg, found)?;
-        // The header length is a pure function of its fields, so
-        // re-encoding recovers the offset the stream is now at.
-        let header_len = encode_header(found, &meta).len() as u64;
-        Ok(CkptReader {
-            file,
-            meta,
-            fingerprint: found,
-            cfg: cfg.clone(),
-            prev: None,
-            record: 0,
-            done: false,
-            offset: header_len,
-            offsets: Vec::new(),
-        })
-    }
-
-    /// The store's sampling design and benchmark identity.
-    pub fn meta(&self) -> &StoreMeta {
-        &self.meta
-    }
-
-    /// The warm-geometry fingerprint recorded in the store header, so
-    /// callers can compare stores without reopening them.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// Intact records decoded so far.
-    pub fn records_read(&self) -> u64 {
-        self.record
-    }
-
-    /// Reads `buf.len()` bytes; `Ok(false)` on clean EOF at offset 0,
-    /// `Err` (typed as truncation) on a partial read.
-    fn read_exact_or_eof(&mut self, buf: &mut [u8]) -> Result<bool, CkptError> {
-        let mut filled = 0;
-        while filled < buf.len() {
-            match self.file.read(&mut buf[filled..]) {
-                Ok(0) if filled == 0 => return Ok(false),
-                Ok(0) => {
-                    return Err(CkptError::Truncated {
-                        record: self.record,
-                        recovered: self.record,
-                    })
-                }
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Ok(true)
-    }
-
-    /// Decodes the next checkpoint for frontend `I`. `None` after the
-    /// last record (or after any error — errors are terminal for the
-    /// stream). Intact records before a tear or a corrupted record have
-    /// all been yielded by earlier calls. A store written by a different
-    /// frontend is refused with [`CkptError::IsaMismatch`] before any
-    /// record is decoded — the typed alternative to letting the wrong
-    /// frontend's state words surface as a decode failure.
-    #[allow(clippy::should_implement_trait)] // fallible, not an Iterator
-    pub fn next_checkpoint_isa<I: Isa>(&mut self) -> Option<Result<UnitCheckpoint<I>, CkptError>> {
-        if self.done {
-            return None;
-        }
-        if self.meta.isa != I::ID {
-            self.done = true;
-            return Some(Err(CkptError::IsaMismatch {
-                expected: I::ID,
-                found: self.meta.isa,
-            }));
-        }
-        let flat = match self.next_flat()? {
-            Ok(flat) => flat,
-            Err(e) => return Some(Err(e)),
-        };
-        match flat.rebuild_isa::<I>(&self.cfg) {
-            Ok(checkpoint) => Some(Ok(checkpoint)),
-            Err(detail) => {
-                self.done = true;
-                Some(Err(CkptError::Corrupted {
-                    // `read_one` already counted this record.
-                    record: self.record - 1,
-                    detail,
-                }))
-            }
-        }
-    }
-
-    /// Decodes the next record to its flattened form. Same
-    /// streaming/error contract as [`CkptReader::next_checkpoint_isa`].
-    fn next_flat(&mut self) -> Option<Result<FlatCheckpoint, CkptError>> {
-        if self.done {
-            return None;
-        }
-        let result = self.read_one();
-        match &result {
-            Some(Ok(_)) => {}
-            _ => self.done = true,
-        }
-        result
-    }
-
-    fn read_one(&mut self) -> Option<Result<FlatCheckpoint, CkptError>> {
-        let mut prefix = [0u8; 8];
-        match self.read_exact_or_eof(&mut prefix) {
-            // A store must end with its index footer; a clean EOF at a
-            // record boundary means the tail was cut off. Every record
-            // is intact, so this is damage without data loss.
-            Ok(false) => {
-                return Some(Err(CkptError::Corrupted {
-                    record: self.record,
-                    detail: "index footer missing",
-                }))
-            }
-            Ok(true) => {}
-            Err(e) => return Some(Err(e)),
-        }
-        let (payload_len, crc_bytes) = split_prefix(prefix);
-        if payload_len == FOOTER_MARKER {
-            return self.check_footer(crc_bytes);
-        }
-        let stored_crc = u32::from_le_bytes(crc_bytes);
-        if payload_len > MAX_PAYLOAD {
-            return Some(Err(CkptError::Corrupted {
-                record: self.record,
-                detail: "implausible record length",
-            }));
-        }
-        let mut payload = vec![0u8; payload_len as usize];
-        match self.read_exact_or_eof(&mut payload) {
-            Ok(true) => {}
-            // A zero-length tail read or partial payload is a tear
-            // either way.
-            Ok(false) | Err(CkptError::Truncated { .. }) => {
-                return Some(Err(CkptError::Truncated {
-                    record: self.record,
-                    recovered: self.record,
-                }))
-            }
-            Err(e) => return Some(Err(e)),
-        }
-        if crc32(&payload) != stored_crc {
-            return Some(Err(CkptError::Corrupted {
-                record: self.record,
-                detail: "CRC mismatch",
-            }));
-        }
-        // Errors are terminal for the stream, so a predecessor consumed
-        // by a failed advance is never missed.
-        let decoded = match self.prev.take() {
-            Some(prev) => advance_record(&payload, prev),
-            None => decode_record(&payload, None),
-        };
-        let flat = match decoded {
-            Ok(flat) => flat,
-            Err(detail) => {
-                return Some(Err(CkptError::Corrupted {
-                    record: self.record,
-                    detail,
-                }))
-            }
-        };
-        self.prev = Some(flat.clone());
-        self.offsets.push(self.offset);
-        self.offset += 8 + payload_len as u64;
-        self.record += 1;
-        Some(Ok(flat))
-    }
-
-    /// Reached the footer marker: the record stream is over. The
-    /// expected footer is a pure function of the offsets tracked while
-    /// reading, so one byte-compare validates marker, count, offsets,
-    /// CRC, length, and trailing magic at once. `marker_tail` is the
-    /// four bytes read after the marker (the low half of `count`).
-    fn check_footer(&mut self, marker_tail: [u8; 4]) -> Option<Result<FlatCheckpoint, CkptError>> {
-        let damaged = Some(Err(CkptError::Corrupted {
-            record: self.record,
-            detail: "index footer damaged",
-        }));
-        let expected = encode_footer(&self.offsets);
-        let mut rest = Vec::with_capacity(expected.len().saturating_sub(8));
-        if self.file.read_to_end(&mut rest).is_err() {
-            return damaged;
-        }
-        if marker_tail == expected[4..8] && rest == expected[8..] {
-            None // clean, fully indexed end of store
-        } else {
-            damaged
-        }
     }
 }
 
@@ -858,9 +591,8 @@ mod tests {
     fn footer_is_a_pure_function_of_the_offsets() {
         let offsets = [100u64, 250, 4000];
         let a = encode_footer(&offsets);
-        let b = encode_footer(&offsets);
-        assert_eq!(a, b);
-        assert_eq!(&a[..4], &FOOTER_MARKER.to_le_bytes());
+        assert_eq!(a, encode_footer(&offsets));
+        assert_eq!(&a[..4], &[0xFF; 4], "the marker no record length can equal");
         assert_eq!(&a[a.len() - 8..], &INDEX_MAGIC);
         let footer_len =
             u64::from_le_bytes(a[a.len() - 16..a.len() - 8].try_into().unwrap()) as usize;

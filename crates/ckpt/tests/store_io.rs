@@ -1,13 +1,14 @@
 //! End-to-end store tests against real warming checkpoints: bit-exact
-//! round-trips, randomized corruption/truncation recovery (sequential
-//! and mapped readers in lockstep), CRC-valid records that describe an
-//! impossible warm state, the refusal of other format versions, and
+//! round-trips, randomized corruption/truncation recovery (mapped and
+//! buffered opens, each held to the intact prefix and damage record the
+//! writer's own frame offsets predict), CRC-valid records that describe
+//! an impossible warm state, the refusal of other format versions, and
 //! gating (version, fingerprint).
 
 use std::fs;
 use std::path::PathBuf;
 
-use smarts_ckpt::{CkptError, CkptReader, CkptWriter, IsaId, MappedStore, StoreMeta};
+use smarts_ckpt::{CkptError, CkptWriter, IsaId, MappedStore, RecordSpan, StoreMeta};
 use smarts_core::{SamplingParams, SmartsSim, UnitCheckpoint, Warming};
 use smarts_isa::{BuiltinIsa, Isa, RiscIsa};
 use smarts_uarch::MachineConfig;
@@ -91,16 +92,12 @@ fn store_round_trips_every_checkpoint_bit_exactly() {
     let path = temp_path("roundtrip");
     let meta = write_store(&path, &cfg, &originals);
 
-    let mut reader = CkptReader::open(&path, &cfg).expect("open store");
-    assert_eq!(reader.meta(), &meta);
-    let mut decoded = Vec::new();
-    while let Some(next) = reader.next_checkpoint_isa::<BuiltinIsa>() {
-        decoded.push(next.expect("intact record"));
-    }
-    assert_eq!(decoded.len(), originals.len());
-    assert_eq!(reader.records_read(), originals.len() as u64);
-    for (original, restored) in originals.iter().zip(&decoded) {
-        assert_eq!(state_words(original), state_words(restored));
+    let reference: Vec<_> = originals.iter().map(state_words).collect();
+    for (how, store) in both_opens(&path, &cfg) {
+        assert_eq!(store.meta(), &meta, "{how}");
+        let (intact, failure) = replay_prefix(&store, &cfg, &reference);
+        assert_eq!(intact, originals.len(), "{how}");
+        assert!(failure.is_none(), "{how}: {failure:?}");
     }
     fs::remove_file(&path).ok();
 }
@@ -128,18 +125,66 @@ fn delta_encoding_compresses_below_resident_footprint() {
     fs::remove_file(&path).ok();
 }
 
-/// Decodes every addressable record of a mapped store through one
-/// cursor, returning `(intact count, first failure)` — the mapped-path
-/// mirror of the sequential reader loop, where the failure may also be
-/// the structural damage the open itself retained.
-fn mapped_intact(store: &MappedStore) -> (usize, Option<CkptError>) {
+/// Walks a store front to back through one cursor, rebuilding every
+/// record as a replay would, and returns `(intact count, first
+/// failure)`: a record that fails its CRC, decode or rebuild, or else
+/// the structural damage the open itself retained. Every record before
+/// the failure must be the original checkpoint, bit for bit.
+fn replay_prefix(
+    store: &MappedStore,
+    cfg: &MachineConfig,
+    reference: &[StateWords],
+) -> (usize, Option<CkptError>) {
     let mut cursor = store.cursor();
-    for index in 0..store.len() {
-        if let Err(e) = cursor.flat_at(index) {
-            return (index, Some(e));
+    for (index, want) in reference.iter().enumerate().take(store.len()) {
+        let rebuilt = match cursor.flat_at(index) {
+            Ok(flat) => flat.rebuild_isa::<BuiltinIsa>(cfg),
+            Err(e) => return (index, Some(e)),
+        };
+        match rebuilt {
+            Ok(checkpoint) => assert_eq!(&state_words(&checkpoint), want),
+            Err(detail) => {
+                let record = index as u64;
+                return (index, Some(CkptError::Corrupted { record, detail }));
+            }
         }
     }
+    assert!(
+        store.len() <= reference.len(),
+        "more intact records than written"
+    );
     (store.len(), store.damage())
+}
+
+/// The pristine store's frames as the writer laid them out, and the
+/// offset where the index footer starts.
+fn frame_layout(path: &PathBuf, cfg: &MachineConfig) -> (Vec<RecordSpan>, usize) {
+    let store = MappedStore::open(path, cfg).expect("pristine store maps");
+    assert!(
+        store.damage().is_none(),
+        "a fresh store has an intact footer"
+    );
+    let spans = (0..store.len()).map(|i| store.record_span(i)).collect();
+    (spans, store.records_end() as usize)
+}
+
+/// Where `offset` falls in the layout: the record whose frame holds it
+/// and the offset within that frame, or `None` inside the footer.
+fn frame_at(spans: &[RecordSpan], offset: usize) -> Option<(usize, usize)> {
+    spans.iter().enumerate().find_map(|(k, span)| {
+        let rel = offset.checked_sub(span.offset as usize)?;
+        (rel < 8 + span.payload_bytes as usize).then_some((k, rel))
+    })
+}
+
+/// Asserts that a damaged store replayed exactly `intact` records and
+/// then failed with `want` (compared by its `Debug` form, which carries
+/// the class, the record index and the detail).
+fn assert_damage(got: (usize, Option<CkptError>), intact: usize, want: &CkptError, what: &str) {
+    let (got_intact, failure) = got;
+    let failure = failure.unwrap_or_else(|| panic!("{what}: the damage was swallowed silently"));
+    assert_eq!(got_intact, intact, "{what}: intact records");
+    assert_eq!(format!("{failure:?}"), format!("{want:?}"), "{what}");
 }
 
 /// The store at `path` opened both ways: memory-mapped, then through
@@ -167,73 +212,87 @@ fn any_flipped_record_byte_surfaces_a_typed_error() {
     let path = temp_path("fliprand");
     write_store(&path, &cfg, &originals);
     let pristine = fs::read(&path).expect("read store");
-
-    let layout = MappedStore::open(&path, &cfg).expect("pristine store maps");
-    let header_len = layout.header_bytes() as usize;
-    let records_end = layout.records_end() as usize;
-    assert!(layout.damage().is_none());
-    drop(layout);
+    let reference: Vec<_> = originals.iter().map(state_words).collect();
+    let (spans, records_end) = frame_layout(&path, &cfg);
+    let header_len = spans[0].offset as usize;
     assert!(pristine.len() > records_end, "stores carry a footer");
 
+    // Random flips, plus pinned ones for the cases the random draw may
+    // miss: each field of a record prefix (a small length change, a
+    // length past the file, a length past the cap, the stored CRC) and
+    // of the footer (marker, count, magic).
     let mut rng = SplitMix64::new(0xC0FF_EE00_5EED);
-    for _ in 0..40 {
-        let offset = header_len + rng.below((pristine.len() - header_len) as u64) as usize;
-        let bit = rng.below(8) as u32;
+    let mut flips: Vec<(usize, u32)> = (0..40)
+        .map(|_| {
+            let offset = header_len + rng.below((pristine.len() - header_len) as u64) as usize;
+            (offset, rng.below(8) as u32)
+        })
+        .collect();
+    let prefix = spans[spans.len() / 2].offset as usize;
+    flips.extend([
+        (prefix, 0),
+        (prefix + 2, 7),
+        (prefix + 3, 6),
+        (prefix + 5, 1),
+    ]);
+    flips.extend([
+        (records_end, 0),
+        (records_end + 6, 3),
+        (pristine.len() - 1, 2),
+    ]);
+    for (offset, bit) in flips {
         let mut bytes = pristine.clone();
         bytes[offset] ^= 1 << bit;
         fs::write(&path, &bytes).expect("write corrupted copy");
 
-        let mut reader = CkptReader::open(&path, &cfg).expect("header is intact");
-        let mut intact = 0usize;
-        let mut failure = None;
-        while let Some(next) = reader.next_checkpoint_isa::<BuiltinIsa>() {
-            match next {
-                Ok(_) => intact += 1,
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
+        // A single flipped bit can never decode cleanly, and where it
+        // lands in the writer's layout says exactly what it costs.
+        let what = format!("flip at byte {offset} bit {bit}");
+        let (intact, want) = match frame_at(&spans, offset) {
+            Some((k, rel)) => {
+                let record = k as u64;
+                // A stored-CRC or payload flip leaves the footer
+                // addressing every frame, and record `k` fails its CRC at
+                // first touch. A length flip breaks the footer's frame
+                // cross-validation, so the frame scan reads `k`'s prefix:
+                // a length past the 1 GiB cap is implausible, one past the
+                // end of the file is a tear, and any other frames a
+                // payload that fails its CRC.
+                let flipped = 8 * rel + bit as usize;
+                let overruns = |span: &RecordSpan| {
+                    span.offset + 8 + (span.payload_bytes ^ (1 << flipped)) > pristine.len() as u64
+                };
+                let want = match rel {
+                    0..4 if flipped >= 30 => CkptError::Corrupted {
+                        record,
+                        detail: "implausible record length",
+                    },
+                    0..4 if overruns(&spans[k]) => CkptError::Truncated {
+                        record,
+                        recovered: record,
+                    },
+                    _ => CkptError::Corrupted {
+                        record,
+                        detail: "CRC mismatch",
+                    },
+                };
+                (k, want)
             }
-        }
-        // A single flipped bit can never decode cleanly: the per-record
-        // CRC covers the payload, the length/CRC prefix fields fail as
-        // implausible lengths, tears, or CRC mismatches, and the index
-        // footer is covered by its own CRC plus frame cross-validation.
-        let failure = failure
-            .unwrap_or_else(|| panic!("flip at byte {offset} bit {bit} was swallowed silently"));
-        assert!(
-            matches!(
-                failure,
-                CkptError::Corrupted { .. } | CkptError::Truncated { .. }
-            ),
-            "unexpected error class for flip at byte {offset}: {failure:?}"
-        );
-        if offset < records_end {
-            assert!(
-                intact < originals.len(),
-                "record damage must cost at least one record"
-            );
-        } else {
-            // A footer flip damages only the index: every record stays
-            // replayable, the damage is still surfaced.
-            assert_eq!(intact, originals.len(), "footer flip at byte {offset}");
-        }
-        // Errors are terminal: the stream stays ended.
-        assert!(reader.next_checkpoint_isa::<BuiltinIsa>().is_none());
-
-        // The mapped reader and its owned-buffer fallback agree
-        // record-for-record: same intact count, and the damage never
-        // goes unreported.
+            None => {
+                // A footer flip costs no record: the frame scan reads
+                // every frame and stops at the footer marker, which a
+                // flip in its own word turns into an implausible length.
+                let record = spans.len() as u64;
+                let detail = match offset - records_end < 4 {
+                    true => "implausible record length",
+                    false => "index footer damaged",
+                };
+                (spans.len(), CkptError::Corrupted { record, detail })
+            }
+        };
         for (how, store) in both_opens(&path, &cfg) {
-            let (lazy_intact, lazy_failure) = mapped_intact(&store);
-            assert_eq!(
-                lazy_intact, intact,
-                "{how}: flip at byte {offset} bit {bit}"
-            );
-            assert!(
-                lazy_failure.is_some(),
-                "{how} store swallowed the flip at byte {offset} bit {bit}"
-            );
+            let got = replay_prefix(&store, &cfg, &reference);
+            assert_damage(got, intact, &want, &format!("{how}: {what}"));
         }
     }
 
@@ -249,22 +308,15 @@ fn any_flipped_record_byte_surfaces_a_typed_error() {
     bytes.extend_from_slice(&16u64.to_le_bytes());
     bytes.extend_from_slice(&smarts_ckpt::INDEX_MAGIC);
     fs::write(&path, &bytes).expect("write crafted copy");
-    let footer_damaged = |e: &CkptError| {
-        matches!(
-            e,
-            CkptError::Corrupted {
-                record: 0,
-                detail: "index footer damaged"
-            }
-        )
+    let footer_damaged = CkptError::Corrupted {
+        record: 0,
+        detail: "index footer damaged",
     };
     for (how, store) in both_opens(&path, &cfg) {
         assert_eq!(store.len(), 0, "{how}");
-        assert!(store.damage().as_ref().is_some_and(footer_damaged), "{how}");
+        let got = replay_prefix(&store, &cfg, &reference);
+        assert_damage(got, 0, &footer_damaged, &format!("{how}: wrapping count"));
     }
-    let mut reader = CkptReader::open(&path, &cfg).expect("header is intact");
-    let first = reader.next_checkpoint_isa::<BuiltinIsa>();
-    assert!(matches!(first, Some(Err(ref e)) if footer_damaged(e)));
     fs::remove_file(&path).ok();
 }
 
@@ -280,19 +332,19 @@ fn truncation_recovers_the_intact_prefix() {
     let pristine = fs::read(&path).expect("read store");
     let reference: Vec<_> = originals.iter().map(state_words).collect();
 
-    let layout = MappedStore::open(&path, &cfg).expect("pristine store maps");
-    let header_len = layout.header_bytes() as usize;
-    let records_end = layout.records_end() as usize;
-    drop(layout);
+    let (spans, records_end) = frame_layout(&path, &cfg);
+    let header_len = spans[0].offset as usize;
 
     // Random cuts, plus pinned ones for the boundary cases the random
-    // draw may miss: mid-record, exactly at the record/footer seam
-    // (footer fully missing), and mid-footer.
+    // draw may miss: mid-record, exactly at a record seam, exactly at
+    // the record/footer seam (footer fully missing), and mid-footer.
     let mut rng = SplitMix64::new(0x7A11_FEED);
     let mut cuts: Vec<usize> = (0..25)
         .map(|_| header_len + rng.below((pristine.len() - header_len) as u64) as usize)
         .collect();
     cuts.push(header_len + (records_end - header_len) / 2); // mid-record
+    cuts.push(spans[spans.len() / 2].offset as usize); // record seam
+    cuts.push(spans[1].offset as usize + 5); // inside a length/CRC prefix
     cuts.push(records_end); // footer missing entirely
     cuts.push(records_end + 5); // mid-footer, inside the count field
     cuts.push(pristine.len() - 3); // mid-footer, inside the magic
@@ -300,58 +352,39 @@ fn truncation_recovers_the_intact_prefix() {
     for cut in cuts {
         fs::write(&path, &pristine[..cut]).expect("write truncated copy");
 
-        let mut reader = CkptReader::open(&path, &cfg).expect("header is intact");
-        let mut intact = 0usize;
-        let mut tear = None;
-        while let Some(next) = reader.next_checkpoint_isa::<BuiltinIsa>() {
-            match next {
-                Ok(checkpoint) => {
-                    // The prefix is not merely decodable — it is the
-                    // original data, bit for bit.
-                    assert_eq!(state_words(&checkpoint), reference[intact]);
-                    intact += 1;
-                }
-                Err(e) => {
-                    tear = Some(e);
-                    break;
-                }
+        // The frames that end at or before the cut survive; the scan
+        // stops at the first one that does not. Any cut damages a store,
+        // at minimum its index footer, and the damage carries the
+        // intact count.
+        let intact = spans
+            .iter()
+            .take_while(|span| (span.offset + 8 + span.payload_bytes) as usize <= cut)
+            .count();
+        let seam = spans
+            .get(intact)
+            .map_or(records_end, |span| span.offset as usize);
+        let record = intact as u64;
+        let want = if cut == seam {
+            CkptError::Corrupted {
+                record,
+                detail: "index footer missing",
             }
-        }
-        if cut < records_end {
-            assert!(intact < originals.len(), "cut at byte {cut}");
+        } else if cut - seam >= 8 && intact == spans.len() {
+            // A whole footer marker, but no intact footer behind it.
+            CkptError::Corrupted {
+                record,
+                detail: "index footer damaged",
+            }
         } else {
-            // Cutting the footer (or just the footer) loses no record.
-            assert_eq!(intact, originals.len(), "cut at byte {cut}");
-        }
-        // Any cut damages a store — at minimum its index footer —
-        // and the damage always carries the intact count.
-        match tear {
-            Some(CkptError::Truncated { record, recovered }) => {
-                assert_eq!(record, intact as u64);
-                assert_eq!(recovered, intact as u64);
+            // A torn length/CRC prefix, or a torn payload.
+            CkptError::Truncated {
+                record,
+                recovered: record,
             }
-            Some(CkptError::Corrupted { record, .. }) => {
-                assert_eq!(record, intact as u64);
-            }
-            Some(other) => panic!("truncation surfaced as {other:?}"),
-            None => panic!("cut at byte {cut} was swallowed silently"),
-        }
-
-        // The mapped reader and its owned-buffer fallback recover the
-        // same bit-exact prefix and surface the same damage class.
+        };
         for (how, store) in both_opens(&path, &cfg) {
-            let (lazy_intact, lazy_failure) = mapped_intact(&store);
-            assert_eq!(lazy_intact, intact, "{how}: cut at byte {cut}");
-            assert!(lazy_failure.is_some(), "{how}: cut at byte {cut}");
-            let mut cursor = store.cursor();
-            for (index, expected) in reference.iter().take(lazy_intact).enumerate() {
-                let rebuilt = cursor
-                    .flat_at(index)
-                    .expect("intact record")
-                    .rebuild_isa::<BuiltinIsa>(&cfg)
-                    .expect("rebuilds");
-                assert_eq!(&state_words(&rebuilt), expected, "{how}");
-            }
+            let got = replay_prefix(&store, &cfg, &reference);
+            assert_damage(got, intact, &want, &format!("{how}: cut at byte {cut}"));
         }
     }
     fs::remove_file(&path).ok();
@@ -485,7 +518,7 @@ fn checksummed_records_of_impossible_sets_end_the_intact_prefix() {
             w[tick] += 1
         }),
     ];
-    let want = state_words(&originals[last - 1]);
+    let reference: Vec<_> = originals.iter().map(state_words).collect();
     for (what, damage) in defects {
         let mut words = good.clone();
         damage(&mut words, set_at, tick_at);
@@ -499,49 +532,19 @@ fn checksummed_records_of_impossible_sets_end_the_intact_prefix() {
         bytes.extend_from_slice(&pristine[record_end..]);
         fs::write(&path, &bytes).expect("write forged copy");
 
-        let mut reader = CkptReader::open(&path, &cfg).expect("header is intact");
-        let mut intact = Vec::new();
-        let failure = loop {
-            match reader
-                .next_checkpoint_isa::<BuiltinIsa>()
-                .expect("the forged record is reached")
-            {
-                Ok(checkpoint) => intact.push(checkpoint),
-                Err(e) => break e,
-            }
-        };
-        assert_eq!(intact.len(), last, "{what}: the prefix before it replays");
-        assert_eq!(state_words(&intact[last - 1]), want, "{what}");
-        assert!(
-            matches!(failure, CkptError::Corrupted { record, .. } if record == last as u64),
-            "{what}: surfaced as {failure:?}"
-        );
-        assert!(
-            reader.next_checkpoint_isa::<BuiltinIsa>().is_none(),
-            "{what}: errors are terminal"
-        );
-
-        // The mapped reader decodes the checksummed record, and refuses
-        // to build a checkpoint from it.
-        let store = MappedStore::open(&path, &cfg).expect("header is intact");
-        assert!(
-            store.damage().is_none(),
-            "{what}: frames and index are sound"
-        );
-        let mut cursor = store.cursor();
-        assert!(cursor
-            .flat_at(last - 1)
-            .unwrap()
-            .rebuild_isa::<BuiltinIsa>(&cfg)
-            .is_ok());
-        assert!(
-            cursor
-                .flat_at(last)
-                .unwrap()
-                .rebuild_isa::<BuiltinIsa>(&cfg)
-                .is_err(),
-            "{what}: rebuilt into a warm state"
-        );
+        // Frames and index are sound, so the store opens undamaged;
+        // the prefix before the forged record replays bit for bit, and
+        // the checksummed record decodes but refuses to rebuild.
+        for (how, store) in both_opens(&path, &cfg) {
+            assert!(store.damage().is_none(), "{how}: {what}");
+            let (intact, failure) = replay_prefix(&store, &cfg, &reference);
+            assert_eq!(intact, last, "{how}: {what}: the prefix before it replays");
+            assert!(
+                matches!(failure, Some(CkptError::Corrupted { record, .. }) if record == last as u64),
+                "{how}: {what}: surfaced as {failure:?}"
+            );
+            assert!(store.cursor().flat_at(last).is_ok(), "{how}: {what}");
+        }
     }
     fs::remove_file(&path).ok();
 }
@@ -589,12 +592,10 @@ fn older_format_versions_are_refused() {
         .expect("write old store");
         let refused =
             |e: &CkptError| matches!(e, CkptError::UnsupportedVersion(v) if *v == version);
-        let err = CkptReader::open(&path, &cfg)
-            .err()
-            .expect("an older version is refused");
-        assert!(refused(&err), "reader: {err:?}");
         let err = MappedStore::open(&path, &cfg).expect_err("an older version is refused");
         assert!(refused(&err), "mapped: {err:?}");
+        let err = MappedStore::open_buffered(&path, &cfg).expect_err("an older version is refused");
+        assert!(refused(&err), "buffered: {err:?}");
         let err = smarts_ckpt::read_store_meta(&path).expect_err("an older version is refused");
         assert!(refused(&err), "header peek: {err:?}");
     }
@@ -676,7 +677,7 @@ fn incompatible_stores_are_rejected_before_replay() {
     bytes[0] ^= 0xFF;
     fs::write(&path, &bytes).expect("write");
     assert!(matches!(
-        CkptReader::open(&path, &cfg),
+        MappedStore::open(&path, &cfg),
         Err(CkptError::BadMagic)
     ));
 
@@ -686,14 +687,14 @@ fn incompatible_stores_are_rejected_before_replay() {
     bytes[8] = 0x2A;
     fs::write(&path, &bytes).expect("write");
     assert!(matches!(
-        CkptReader::open(&path, &cfg),
+        MappedStore::open(&path, &cfg),
         Err(CkptError::UnsupportedVersion(0x2A))
     ));
 
     // Header torn mid-way.
     fs::write(&path, &pristine[..20]).expect("write");
     assert!(matches!(
-        CkptReader::open(&path, &cfg),
+        MappedStore::open(&path, &cfg),
         Err(CkptError::HeaderCorrupted)
     ));
 
@@ -702,7 +703,7 @@ fn incompatible_stores_are_rejected_before_replay() {
     let mut bigger_l2 = cfg.clone();
     bigger_l2.l2.size_bytes *= 2;
     assert!(matches!(
-        CkptReader::open(&path, &bigger_l2),
+        MappedStore::open(&path, &bigger_l2),
         Err(CkptError::FingerprintMismatch { .. })
     ));
 
@@ -714,11 +715,12 @@ fn incompatible_stores_are_rejected_before_replay() {
     narrow.decode_width = 2;
     narrow.commit_width = 2;
     narrow.ruu_size = 32;
-    let mut reader = CkptReader::open(&path, &narrow).expect("compatible core variant");
-    assert!(reader
-        .next_checkpoint_isa::<BuiltinIsa>()
-        .expect("record")
-        .is_ok());
+    let store = MappedStore::open(&path, &narrow).expect("compatible core variant");
+    let reference: Vec<_> = originals[..2].iter().map(state_words).collect();
+    let (intact, failure) = replay_prefix(&store, &narrow, &reference);
+    assert_eq!(intact, 2);
+    assert!(failure.is_none(), "{failure:?}");
+    drop(store);
 
     fs::remove_file(&path).ok();
 }
@@ -751,19 +753,13 @@ fn frontend_mismatch_is_typed_on_both_ends() {
     ));
     writer.finish().expect("finish empty store");
 
-    // Reader side: a built-in store read under the RISC frontend
-    // surfaces the mismatch before any record is decoded.
+    // Reader side: the header records the frontend, so a replay can
+    // refuse a built-in store under the RISC frontend before any record
+    // is decoded (`smarts-exec`'s `replay` does, as `IsaMismatch`).
     write_store(&path, &cfg, &originals);
-    let mut reader = CkptReader::open(&path, &cfg).expect("open store");
-    match reader.next_checkpoint_isa::<RiscIsa>() {
-        Some(Err(CkptError::IsaMismatch { expected, found })) => {
-            assert_eq!(expected, IsaId::Risc);
-            assert_eq!(found, IsaId::Builtin);
-        }
-        other => panic!("expected a typed ISA mismatch, got {other:?}"),
-    }
-    // The mismatch is terminal, like every other reader error.
-    assert!(reader.next_checkpoint_isa::<RiscIsa>().is_none());
+    let store = MappedStore::open(&path, &cfg).expect("open store");
+    assert_eq!(store.meta().isa, IsaId::Builtin);
+    drop(store);
     fs::remove_file(&path).ok();
 }
 
@@ -798,13 +794,16 @@ fn risc_stores_round_trip_under_the_v3_format() {
     let (_, peeked) = smarts_ckpt::read_store_meta(&path).expect("peek header");
     assert_eq!(peeked.isa, IsaId::Risc);
 
-    let mut reader = CkptReader::open(&path, &cfg).expect("open store");
-    let mut restored = Vec::new();
-    while let Some(next) = reader.next_checkpoint_isa::<RiscIsa>() {
-        restored.push(next.expect("intact record"));
-    }
-    assert_eq!(restored.len(), originals.len());
-    for (original, rebuilt) in originals.iter().zip(&restored) {
+    let store = MappedStore::open(&path, &cfg).expect("open store");
+    assert!(store.damage().is_none());
+    assert_eq!(store.len(), originals.len());
+    let mut cursor = store.cursor();
+    for (index, original) in originals.iter().enumerate() {
+        let rebuilt = cursor
+            .flat_at(index)
+            .expect("intact record")
+            .rebuild_isa::<RiscIsa>(&cfg)
+            .expect("rebuilds");
         assert_eq!(original.unit_start(), rebuilt.unit_start());
         let mut want = Vec::new();
         RiscIsa::save_state(original.snapshot().cpu(), &mut want);

@@ -971,13 +971,13 @@ fn cmd_submit(options: &Options) -> Result<(), String> {
         println!("submitted {id} to {}", options.addr);
         return Ok(());
     }
-    let state = client.wait(&id)?;
+    // The server pushes every state change; the `end` event carries the
+    // terminal state and, for a failed job, its error.
+    let end = client.watch(&id, |_| {})?;
+    let field = |key| end.get(key).and_then(smarts_server::json::Json::as_str);
+    let state = field("state").ok_or("`end` event missing `state`")?;
     if state != "done" {
-        let record = client.status(Some(&id))?;
-        let detail = record
-            .get("error")
-            .and_then(smarts_server::json::Json::as_str)
-            .unwrap_or("no detail");
+        let detail = field("error").unwrap_or("no detail");
         return Err(format!("job {id} ended {state}: {detail}"));
     }
     let (source, raw) = client.result(&id)?;
@@ -1316,7 +1316,9 @@ mod tests {
             std::fs::remove_file(&path).unwrap();
             let spec = job_spec(&parse_options(&strings(&design)).unwrap()).unwrap();
             let id = client.submit(&spec).unwrap();
-            assert_eq!(client.wait(&id).unwrap(), "done", "{bench}: served");
+            let end = client.watch(&id, |_| {}).unwrap();
+            let state = end.get("state").and_then(smarts_server::json::Json::as_str);
+            assert_eq!(state, Some("done"), "{bench}: served");
             assert_eq!(client.result(&id).unwrap().1, one, "{bench}: served");
         }
         stop.store(true, std::sync::atomic::Ordering::SeqCst);

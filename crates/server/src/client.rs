@@ -234,24 +234,4 @@ impl Client {
             line = self.read_line()?;
         }
     }
-
-    /// Blocks until the job reaches a terminal state, polling `status`;
-    /// an alternative to `watch` that tolerates reconnects.
-    ///
-    /// # Errors
-    ///
-    /// Returns the server's refusal or an I/O failure message.
-    pub fn wait(&mut self, job: &str) -> Result<String, String> {
-        loop {
-            let status = self.status(Some(job))?;
-            let state = status
-                .get("state")
-                .and_then(Json::as_str)
-                .ok_or("status response missing `state`")?;
-            if matches!(state, "done" | "failed" | "cancelled") {
-                return Ok(state.to_string());
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-    }
 }

@@ -171,7 +171,7 @@ fn write_escaped(s: &str, out: &mut String) {
 /// # Errors
 ///
 /// Returns a human-readable message on malformed input, trailing
-/// garbage, or nesting deeper than [`MAX_DEPTH`].
+/// garbage, or nesting deeper than `MAX_DEPTH`.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;

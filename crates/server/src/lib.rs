@@ -65,6 +65,5 @@ pub use report::{
 pub use scheduler::{machine_for, params_for, Shared};
 pub use server::{Server, ServerConfig, ShutdownSummary, MAX_CONNECTIONS};
 pub use store_mgr::{
-    OpenStore, ResultsCache, StoreManager, StoreTicket, DEFAULT_MAX_OPEN_STORES,
-    MAX_CACHED_LINE_BYTES,
+    OpenStore, ResultsCache, StoreManager, StoreTicket, MAX_CACHED_LINE_BYTES, MAX_OPEN_STORES,
 };

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! smarts-server [--listen ADDR] [--store-dir DIR] [--workers N]
-//!               [--max-open-stores N] [--port-file PATH]
+//!               [--port-file PATH]
 //! ```
 //!
 //! `--port-file` writes the actually-bound port (one line) after bind —
@@ -82,17 +82,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .filter(|&w| (1..=256).contains(&w))
                     .ok_or("--workers takes a count in 1..=256")?;
             }
-            "--max-open-stores" => {
-                config.max_open_stores = value("--max-open-stores")?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| (1..=1024).contains(&n))
-                    .ok_or("--max-open-stores takes a count in 1..=1024")?;
-            }
             "--port-file" => port_file = Some(PathBuf::from(value("--port-file")?)),
             "--help" | "-h" => {
                 return Err("usage: smarts-server [--listen ADDR] [--store-dir DIR] \
-                     [--workers N] [--max-open-stores N] [--port-file PATH]"
+                     [--workers N] [--port-file PATH]"
                     .to_string())
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),

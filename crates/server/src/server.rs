@@ -3,7 +3,7 @@
 //!
 //! Every connection is one thread running a bounded line reader: bytes
 //! accumulate until a newline, lines longer than
-//! [`MAX_LINE`](crate::proto::MAX_LINE) are refused and the connection
+//! [`crate::proto::MAX_LINE`] are refused and the connection
 //! closed. At most [`MAX_CONNECTIONS`] are open at once; one more is
 //! answered with a single `busy` line and closed. Responses are written back one line each; `watch` streams
 //! event lines until the watched job reaches a terminal state.
@@ -44,9 +44,6 @@ pub struct ServerConfig {
     pub store_dir: PathBuf,
     /// Scheduler worker threads (jobs running concurrently).
     pub workers: usize,
-    /// Cap on checkpoint stores held open (memory-mapped) across jobs;
-    /// least-recently-used mappings are evicted past the cap.
-    pub max_open_stores: usize,
 }
 
 impl Default for ServerConfig {
@@ -55,7 +52,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             store_dir: PathBuf::from("smarts-store"),
             workers: 2,
-            max_open_stores: crate::store_mgr::DEFAULT_MAX_OPEN_STORES,
         }
     }
 }
@@ -97,8 +93,7 @@ impl Server {
             .map_err(|e| format!("cannot read bound address: {e}"))?;
         let shared = Arc::new(Shared {
             jobs: JobTable::new(),
-            stores: StoreManager::new(&config.store_dir)?
-                .with_max_open_stores(config.max_open_stores),
+            stores: StoreManager::new(&config.store_dir)?,
             cache: ResultsCache::new(),
         });
         let workers = (0..config.workers.max(1))

@@ -22,15 +22,15 @@
 //!
 //! Committed stores are also held **open** (memory-mapped) across jobs:
 //! [`StoreManager::open_store`] returns a shared
-//! [`MappedStore`](smarts_ckpt::MappedStore) from a small LRU cache, so
+//! [`MappedStore`] from a small LRU cache, so
 //! repeated replays of a hot store skip the open/validate work and
 //! share one zero-copy mapping. A store file never changes after its
 //! rename-on-commit (same fingerprint ⇒ byte-identical content), so
-//! cached mappings need no invalidation — only LRU eviction when the
-//! cap is exceeded. Each open slot also owns the store's
-//! [`UnitMemo`](smarts_exec::UnitMemo): every job on the mapping shares
-//! it, so a unit one job replayed is statistics, not simulation, for the
-//! next — and it is evicted with the mapping, which bounds it.
+//! cached mappings need no invalidation — only LRU eviction past
+//! [`MAX_OPEN_STORES`]. Each open slot also owns the store's
+//! [`UnitMemo`]: every job on the mapping shares it, so a unit one job
+//! replayed is statistics, not simulation, for the next — and it is
+//! evicted with the mapping, which bounds it.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -83,8 +83,9 @@ pub enum StoreTicket {
     },
 }
 
-/// Default cap on concurrently open (memory-mapped) stores.
-pub const DEFAULT_MAX_OPEN_STORES: usize = 8;
+/// Cap on concurrently open (memory-mapped) stores; past it the
+/// least-recently-used mapping, and its unit memo, is evicted.
+pub const MAX_OPEN_STORES: usize = 8;
 
 /// One open store: the shared mapping, and the outcomes of the units
 /// already replayed from it under the machine it was opened for.
@@ -156,7 +157,7 @@ impl StoreManager {
             warm_passes: AtomicU64::new(0),
             store_hits: AtomicU64::new(0),
             open: Mutex::new(OpenStores {
-                cap: DEFAULT_MAX_OPEN_STORES,
+                cap: MAX_OPEN_STORES,
                 stores: HashMap::new(),
                 order: VecDeque::new(),
             }),
@@ -165,14 +166,6 @@ impl StoreManager {
             units_replayed: AtomicU64::new(0),
             units_memoized: AtomicU64::new(0),
         })
-    }
-
-    /// Caps the number of stores held open (memory-mapped) at once.
-    /// A cap of zero is clamped to one.
-    #[must_use]
-    pub fn with_max_open_stores(self, cap: usize) -> StoreManager {
-        lock(&self.open).cap = cap.max(1);
-        self
     }
 
     /// The directory stores live under.
@@ -548,6 +541,14 @@ mod tests {
         dir
     }
 
+    /// A manager over `root` that holds at most `cap` stores open, so
+    /// the eviction tests need not open `MAX_OPEN_STORES + 1` of them.
+    fn capped(root: &Path, cap: usize) -> StoreManager {
+        let mgr = StoreManager::new(root).unwrap();
+        lock(&mgr.open).cap = cap;
+        mgr
+    }
+
     #[test]
     fn first_acquire_warms_then_replays_after_commit() {
         let root = temp_root("basic");
@@ -666,7 +667,7 @@ mod tests {
     fn open_store_cache_hits_evicts_lru_and_counts() {
         use smarts_ckpt::CkptWriter;
         let root = temp_root("openlru");
-        let mgr = StoreManager::new(&root).unwrap().with_max_open_stores(2);
+        let mgr = capped(&root, 2);
         let cfg = MachineConfig::eight_way();
         let sim = SmartsSim::new(cfg.clone());
 
@@ -726,7 +727,7 @@ mod tests {
         use smarts_isa::BuiltinIsa;
         use smarts_workloads::Frontend;
         let root = temp_root("memolru");
-        let mgr = StoreManager::new(&root).unwrap().with_max_open_stores(1);
+        let mgr = capped(&root, 1);
         let cfg = MachineConfig::eight_way();
         let sim = SmartsSim::new(cfg.clone());
 

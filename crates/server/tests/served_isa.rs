@@ -13,6 +13,13 @@ use smarts_server::{
 };
 use smarts_workloads::risc_suite;
 
+/// Watches `job` to its `end` event and returns the terminal state.
+fn end_state(client: &mut Client, job: &str) -> String {
+    let end = client.watch(job, |_| {}).expect("watch");
+    let state = end.get("state").and_then(smarts_server::json::Json::as_str);
+    state.expect("`end` carries the state").to_string()
+}
+
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("smarts_served_isa_{tag}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -26,7 +33,6 @@ fn served_risc_job_matches_a_one_shot_run_and_keys_its_own_cache() {
         addr: "127.0.0.1:0".to_string(),
         store_dir: store_dir.clone(),
         workers: 2,
-        ..ServerConfig::default()
     })
     .unwrap();
     let addr = server.local_addr().to_string();
@@ -44,7 +50,7 @@ fn served_risc_job_matches_a_one_shot_run_and_keys_its_own_cache() {
 
     let mut client = Client::connect(&addr).unwrap();
     let job = client.submit(&spec).unwrap();
-    assert_eq!(client.wait(&job).unwrap(), "done");
+    assert_eq!(end_state(&mut client, &job), "done");
     let (source, served) = client.result(&job).unwrap();
     assert_eq!(source, "cold");
 
@@ -63,7 +69,7 @@ fn served_risc_job_matches_a_one_shot_run_and_keys_its_own_cache() {
 
     // Resubmit: answered from the results cache with the same bytes.
     let again = client.submit(&spec).unwrap();
-    assert_eq!(client.wait(&again).unwrap(), "done");
+    assert_eq!(end_state(&mut client, &again), "done");
     let (source, cached) = client.result(&again).unwrap();
     assert_eq!(source, "cache");
     assert_eq!(cached, served);
@@ -76,7 +82,7 @@ fn served_risc_job_matches_a_one_shot_run_and_keys_its_own_cache() {
         ..spec.clone()
     };
     let job = client.submit(&builtin_spec).unwrap();
-    assert_eq!(client.wait(&job).unwrap(), "done");
+    assert_eq!(end_state(&mut client, &job), "done");
     let (source, builtin_served) = client.result(&job).unwrap();
     assert_eq!(source, "cold", "builtin job must not reuse the risc store");
     let builtin_one_shot =

@@ -22,15 +22,8 @@ pub enum StatsError {
         /// Number of observations actually available.
         actual: u64,
     },
-    /// A design parameter (unit size, population, interval) must be nonzero.
+    /// A design parameter (unit size, population, strata) must be nonzero.
     ZeroDesignParameter(&'static str),
-    /// The offset `j` must be smaller than the sampling interval `k`.
-    OffsetOutOfRange {
-        /// Supplied offset.
-        offset: u64,
-        /// Sampling interval it must stay below.
-        interval: u64,
-    },
 }
 
 impl fmt::Display for StatsError {
@@ -60,12 +53,6 @@ impl fmt::Display for StatsError {
             StatsError::ZeroDesignParameter(name) => {
                 write!(f, "design parameter `{name}` must be nonzero")
             }
-            StatsError::OffsetOutOfRange { offset, interval } => {
-                write!(
-                    f,
-                    "offset {offset} is not below the sampling interval {interval}"
-                )
-            }
         }
     }
 }
@@ -87,10 +74,6 @@ mod tests {
                 actual: 2,
             },
             StatsError::ZeroDesignParameter("unit_size"),
-            StatsError::OffsetOutOfRange {
-                offset: 9,
-                interval: 4,
-            },
         ];
         for err in errors {
             let text = err.to_string();

@@ -39,7 +39,7 @@ mod stratified;
 pub use confidence::{
     confidence_interval, relative_half_width, required_sample_size, Confidence, SampleEstimate,
 };
-pub use design::{RandomDesign, SystematicDesign};
+pub use design::RandomDesign;
 pub use error::StatsError;
 pub use population::{
     bias, intraclass_correlation, systematic_sample_means, variation_curve, VariationPoint,

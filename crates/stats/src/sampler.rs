@@ -31,7 +31,7 @@
 //! documented in DESIGN.md §3.7.
 
 use crate::stratified::{cluster_1d, neyman_allocation, StratifiedEstimator};
-use crate::{Confidence, RunningStats, StatsError, SystematicDesign};
+use crate::{Confidence, RunningStats, StatsError};
 use std::collections::BTreeSet;
 
 /// Normal-approximation floor: no estimate is trusted (and no sequential
@@ -330,16 +330,19 @@ impl TwoPhaseState {
         })
     }
 
-    /// Issues the systematic pilot with a seeded phase offset.
-    fn issue_pilot(&mut self) -> Result<Vec<u64>, StatsError> {
+    /// Issues the systematic pilot with a seeded phase offset: every
+    /// `⌊pool / pilot⌋`-th unit from the offset, `pilot` of them.
+    fn issue_pilot(&mut self) -> Vec<u64> {
         let pilot = self.cfg.pilot_size();
         let interval = (self.cfg.pool / pilot).max(1);
         let offset = self.rng.below(interval);
-        let design = SystematicDesign::new(1, self.cfg.pool, interval, offset)?;
-        self.pilot_units = design.unit_indices().take(pilot as usize).collect();
+        self.pilot_units = (offset..self.cfg.pool)
+            .step_by(interval as usize)
+            .take(pilot as usize)
+            .collect();
         self.measured.extend(self.pilot_units.iter().copied());
         self.rounds += 1;
-        Ok(self.pilot_units.clone())
+        self.pilot_units.clone()
     }
 
     /// Clusters the observed pilot into strata. Called once, after the
@@ -489,7 +492,7 @@ impl Sampler for StratifiedSampler {
         match self.stage {
             0 => {
                 self.stage = 1;
-                Ok(SamplerPhase::Measure(self.state.issue_pilot()?))
+                Ok(SamplerPhase::Measure(self.state.issue_pilot()))
             }
             1 => {
                 self.stage = 2;
@@ -607,7 +610,7 @@ impl Sampler for AdaptiveSampler {
     fn next_phase(&mut self) -> Result<SamplerPhase, StatsError> {
         if !self.started {
             self.started = true;
-            return Ok(SamplerPhase::Measure(self.state.issue_pilot()?));
+            return Ok(SamplerPhase::Measure(self.state.issue_pilot()));
         }
         if self.state.stop.is_some() {
             return Ok(SamplerPhase::Done);

@@ -5,7 +5,7 @@
 use smarts_stats::{
     bias, confidence_interval, intraclass_correlation, relative_half_width, required_sample_size,
     systematic_sample_means, variation_curve, Confidence, RandomDesign, RunningStats,
-    SampleEstimate, SplitMix64, SystematicDesign,
+    SampleEstimate, SplitMix64,
 };
 
 /// The crate's splitmix64, with the draws these properties need.
@@ -137,43 +137,6 @@ fn interval_is_symmetric_and_contains_mean() {
         assert!((hi - mean) - (mean - lo) <= 1e-9 * (1.0 + mean.abs()));
         let half = confidence_interval(mean, cv, n, Confidence::NINETY_FIVE).unwrap();
         assert!((hi - mean - half).abs() <= 1e-9 * (1.0 + half));
-    }
-}
-
-#[test]
-fn systematic_design_unit_count_is_consistent() {
-    let mut rng = Rng::new(77);
-    for _ in 0..CASES {
-        let unit = 1 + rng.below(10_000);
-        let population = 1 + rng.below(100_000);
-        let interval = 1 + rng.below(1000);
-        let offset = interval - 1;
-        let design = SystematicDesign::new(unit, population, interval, offset).unwrap();
-        let count = design.unit_indices().count() as u64;
-        assert_eq!(count, design.sample_size());
-        assert_eq!(design.measured_instructions(), count * unit);
-        for idx in design.unit_indices() {
-            assert!(idx < population);
-            assert_eq!(idx % interval, offset);
-        }
-    }
-}
-
-#[test]
-fn systematic_phases_partition_the_population() {
-    let mut rng = Rng::new(88);
-    for _ in 0..CASES {
-        let population = 1 + rng.below(2000);
-        let interval = 1 + rng.below(50);
-        let design = SystematicDesign::new(1, population, interval, 0).unwrap();
-        let mut seen = vec![false; population as usize];
-        for j in 0..interval.min(population) {
-            for idx in design.with_offset(j).unwrap().unit_indices() {
-                assert!(!seen[idx as usize], "unit {idx} selected twice");
-                seen[idx as usize] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s), "phases must cover the population");
     }
 }
 

@@ -60,7 +60,7 @@ pub use smarts_workloads as workloads;
 
 /// The most commonly used items, importable in one line.
 pub mod prelude {
-    pub use smarts_ckpt::{CkptReader, CkptWriter, StoreMeta};
+    pub use smarts_ckpt::{CkptWriter, MappedStore, StoreMeta};
     pub use smarts_core::{
         compare_machines, PairedComparison, ReferenceRun, SampleReport, SamplingParams,
         SmartsError, SmartsSim, SpeedupModel, TwoStepOutcome, Warming,
@@ -68,7 +68,7 @@ pub mod prelude {
     pub use smarts_energy::EnergyModel;
     pub use smarts_exec::{Executor, ParallelMode};
     pub use smarts_isa::{reg, Asm, Cpu, Memory, Program};
-    pub use smarts_stats::{Confidence, RunningStats, SampleEstimate, SystematicDesign};
+    pub use smarts_stats::{Confidence, RunningStats, SampleEstimate};
     pub use smarts_uarch::{MachineConfig, Pipeline, WarmState};
     pub use smarts_workloads::{find, scaled_suite, suite, Benchmark};
 }

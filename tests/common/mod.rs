@@ -7,7 +7,7 @@
 use std::path::Path;
 use std::time::Duration;
 
-use smarts_ckpt::CkptReader;
+use smarts_ckpt::MappedStore;
 use smarts_core::{ModeInstructions, SampleReport, SamplingParams, SmartsSim, UnitReplay};
 use smarts_stats::Confidence;
 use smarts_workloads::{Frontend, Loaded};
@@ -90,17 +90,24 @@ pub fn sequential_oracle<F: Frontend>(
     reduce(params, replays)
 }
 
-/// The eager store oracle: decode a store record by record through the
-/// streaming [`CkptReader`] (not the mapped, lazily decoded path the
-/// product replays through) and replay each on this thread.
+/// The eager store oracle: read the whole store into memory (no mmap),
+/// decode it front to back through one cursor, and replay each record
+/// on this thread — no workers, no claim order, no unit memo, which is
+/// everything the product's replay of the same store adds.
 pub fn eager_oracle<F: Frontend>(sim: &SmartsSim, path: &Path) -> SampleReport {
-    let mut reader = CkptReader::open(path, sim.config()).expect("store opens");
-    let meta = reader.meta().clone();
+    let store = MappedStore::open_buffered(path, sim.config()).expect("store opens");
+    assert!(store.damage().is_none(), "the oracle replays intact stores");
+    let meta = store.meta();
     let program = F::resolve(&meta.benchmark, meta.scale)
         .expect("stored workload resolves")
         .program;
-    let replays = std::iter::from_fn(|| reader.next_checkpoint_isa::<F>()).map(|checkpoint| {
-        sim.replay_owned(&program, &meta.params, checkpoint.expect("intact record"))
+    let mut cursor = store.cursor();
+    let replays = (0..store.len()).map(|index| {
+        let flat = cursor.flat_at(index).expect("intact record");
+        let checkpoint = flat
+            .rebuild_isa::<F>(sim.config())
+            .expect("record rebuilds");
+        sim.replay_owned(&program, &meta.params, checkpoint)
     });
     reduce(&meta.params, replays)
 }

@@ -18,6 +18,13 @@ use smarts::server::{
     ShutdownSummary, MAX_CACHED_LINE_BYTES, MAX_FINISHED_JOBS,
 };
 
+/// Watches `job` to its `end` event and returns the terminal state.
+fn end_state(client: &mut Client, job: &str) -> String {
+    let end = client.watch(job, |_| {}).expect("watch");
+    let state = end.get("state").and_then(Json::as_str);
+    state.expect("`end` carries the state").to_string()
+}
+
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("smarts-server-test-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -37,7 +44,6 @@ impl RunningServer {
             addr: "127.0.0.1:0".to_string(),
             store_dir: store_dir.to_path_buf(),
             workers,
-            ..ServerConfig::default()
         })
         .expect("bind ephemeral server");
         let addr = server.local_addr().to_string();
@@ -103,13 +109,13 @@ fn cold_store_and_cache_paths_serve_identical_bytes() {
     client.ping().expect("ping");
 
     let first = client.submit(&small_spec()).expect("submit cold");
-    assert_eq!(client.wait(&first).expect("wait"), "done");
+    assert_eq!(end_state(&mut client, &first), "done");
     let (source, raw) = client.result(&first).expect("cold result");
     assert_eq!(source, "cold");
     assert_eq!(raw, expected, "cold path must match the one-shot run");
 
     let second = client.submit(&small_spec()).expect("submit cached");
-    assert_eq!(client.wait(&second).expect("wait"), "done");
+    assert_eq!(end_state(&mut client, &second), "done");
     let (source, raw) = client.result(&second).expect("cached result");
     assert_eq!(source, "cache");
     assert_eq!(raw, expected, "cache path must serve the same bytes");
@@ -124,7 +130,7 @@ fn cold_store_and_cache_paths_serve_identical_bytes() {
     let server = RunningServer::start(&store_dir, 2);
     let mut client = server.client();
     let third = client.submit(&small_spec()).expect("submit store hit");
-    assert_eq!(client.wait(&third).expect("wait"), "done");
+    assert_eq!(end_state(&mut client, &third), "done");
     let (source, raw) = client.result(&third).expect("store result");
     assert_eq!(source, "store");
     assert_eq!(raw, expected, "store path must replay the same bytes");
@@ -144,7 +150,7 @@ fn cold_store_and_cache_paths_serve_identical_bytes() {
         ..small_spec()
     };
     let fourth = client.submit(&sampled).expect("submit memoized store hit");
-    assert_eq!(client.wait(&fourth).expect("wait"), "done");
+    assert_eq!(end_state(&mut client, &fourth), "done");
     let (source, raw) = client.result(&fourth).expect("memoized result");
     assert_eq!(source, "store");
     assert_eq!(raw, one_shot_line(&sampled));
@@ -176,7 +182,7 @@ fn sampled_jobs_are_deterministic_and_cache_keyed_by_sampler() {
     let mut client = server.client();
 
     let first = client.submit(&spec).expect("submit sampled cold");
-    assert_eq!(client.wait(&first).expect("wait"), "done");
+    assert_eq!(end_state(&mut client, &first), "done");
     let (source, cold_line) = client.result(&first).expect("cold result");
     assert_eq!(source, "cold");
     assert_eq!(cold_line, one_shot_line(&spec));
@@ -184,7 +190,7 @@ fn sampled_jobs_are_deterministic_and_cache_keyed_by_sampler() {
     // Exact repeat: the sampler spec is part of the cache key, so this
     // is a cache hit with the same bytes.
     let second = client.submit(&spec).expect("submit sampled repeat");
-    assert_eq!(client.wait(&second).expect("wait"), "done");
+    assert_eq!(end_state(&mut client, &second), "done");
     let (source, raw) = client.result(&second).expect("cached result");
     assert_eq!(source, "cache");
     assert_eq!(raw, cold_line, "cache path must serve the same bytes");
@@ -197,7 +203,7 @@ fn sampled_jobs_are_deterministic_and_cache_keyed_by_sampler() {
         ..spec.clone()
     };
     let third = client.submit(&reseeded).expect("submit reseeded");
-    assert_eq!(client.wait(&third).expect("wait"), "done");
+    assert_eq!(end_state(&mut client, &third), "done");
     let (source, raw) = client.result(&third).expect("reseeded result");
     assert_eq!(
         source, "store",
@@ -216,7 +222,7 @@ fn sampled_jobs_are_deterministic_and_cache_keyed_by_sampler() {
     let server = RunningServer::start(&store_dir, 2);
     let mut client = server.client();
     let fourth = client.submit(&spec).expect("submit store hit");
-    assert_eq!(client.wait(&fourth).expect("wait"), "done");
+    assert_eq!(end_state(&mut client, &fourth), "done");
     let (source, raw) = client.result(&fourth).expect("store result");
     assert_eq!(source, "store");
     assert_eq!(raw, cold_line, "store replay must reproduce the cold bytes");
@@ -240,7 +246,7 @@ fn concurrent_submissions_share_one_warming_pass() {
             std::thread::spawn(move || {
                 let mut client = Client::connect(&addr).expect("connect");
                 let id = client.submit(&small_spec()).expect("submit");
-                assert_eq!(client.wait(&id).expect("wait"), "done");
+                assert_eq!(end_state(&mut client, &id), "done");
                 client.result(&id).expect("result")
             })
         })
@@ -373,14 +379,14 @@ fn cancellation_is_idempotent_and_queued_jobs_die_quickly() {
         again == "cancelled" || again == "queued" || again == "warming",
         "got {again}"
     );
-    assert_eq!(client.wait(&queued).expect("wait"), "cancelled");
+    assert_eq!(end_state(&mut client, &queued), "cancelled");
     assert!(
         client.result(&queued).is_err(),
         "a cancelled job has no result"
     );
 
     // The uncancelled job is unaffected.
-    assert_eq!(client.wait(&running).expect("wait"), "done");
+    assert_eq!(end_state(&mut client, &running), "done");
     server.shutdown();
     let _ = std::fs::remove_dir_all(&store_dir);
 }
@@ -458,7 +464,7 @@ fn evicted_lines_and_records_get_a_typed_refusal() {
     let server = RunningServer::start(&store_dir, 1);
     let mut client = server.client();
     let id = client.submit(&small_spec()).expect("submit");
-    assert_eq!(client.wait(&id).expect("wait"), "done");
+    assert_eq!(end_state(&mut client, &id), "done");
     let (_, line) = client.result(&id).expect("result while cached");
 
     // Other jobs' lines push this one out of the results cache: the
@@ -508,7 +514,7 @@ fn evicted_lines_and_records_get_a_typed_refusal() {
 
     // A resubmit of the evicted job's spec serves the same bytes.
     let again = client.submit(&small_spec()).expect("resubmit");
-    assert_eq!(client.wait(&again).expect("wait"), "done");
+    assert_eq!(end_state(&mut client, &again), "done");
     assert_eq!(client.result(&again).expect("result").1, line);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&store_dir);

@@ -111,15 +111,19 @@ fn unit_population_mean_equals_reference_cpi() {
 fn random_and_systematic_designs_agree_on_real_population() {
     // With negligible intraclass correlation, random and systematic
     // designs drawn over the same population estimate the same mean.
-    use smarts::stats::{RandomDesign, SystematicDesign};
+    use smarts::stats::RandomDesign;
     let bench = find("branchy-2").unwrap().scaled(0.1);
     let reference = sim().reference(&bench, 1000);
     let pop = &reference.unit_cpis;
     let truth = pop.iter().sum::<f64>() / pop.len() as f64;
 
-    let sys = SystematicDesign::for_sample_size(1000, pop.len() as u64, 40, 0).unwrap();
-    let sys_mean: f64 =
-        sys.unit_indices().map(|i| pop[i as usize]).sum::<f64>() / sys.sample_size() as f64;
+    // Every k-th unit, k = ⌊N/n⌋, from phase 0.
+    let sys: Vec<f64> = pop
+        .iter()
+        .copied()
+        .step_by((pop.len() / 40).max(1))
+        .collect();
+    let sys_mean = sys.iter().sum::<f64>() / sys.len() as f64;
 
     let rnd = RandomDesign::draw(1000, pop.len() as u64, 40, 7).unwrap();
     let rnd_mean: f64 =
