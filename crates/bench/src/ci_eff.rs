@@ -6,11 +6,8 @@
 //! reproduces the checked-in `results/bench_ci_eff.json` bit-for-bit.
 
 use crate::Census;
-use smarts_core::{SamplingParams, Warming};
-use smarts_stats::{
-    drive_sampler, required_sample_size, AdaptiveSampler, Confidence, RunningStats, Sampler,
-    StratifiedConfig, StratifiedSampler,
-};
+use smarts_core::{SamplerKind, SamplerSpec, SamplingParams, Warming};
+use smarts_stats::{drive_sampler, required_sample_size, Confidence, RunningStats, StatsError};
 use smarts_workloads::Benchmark;
 
 /// Sampling-unit size (instructions), the paper's U = 1000.
@@ -126,13 +123,23 @@ pub fn measure(census: &Census, bench: &Benchmark, conf: Confidence) -> Row {
         pilot.sample_size() + tuned
     };
 
-    let scfg = StratifiedConfig::for_pool(pool, EPSILON, conf, SEED);
-    let drive = |sampler: &mut dyn Sampler| {
-        let est = drive_sampler(sampler, |u| cpis[u as usize]).expect("sampler drive");
-        outcome(&est, truth, n_systematic)
+    let drive = |kind| {
+        let spec = SamplerSpec {
+            kind,
+            seed: SEED,
+            epsilon: EPSILON,
+            confidence: conf.level(),
+            ..SamplerSpec::systematic()
+        };
+        let sampler = spec.build(pool).expect("sampler spec");
+        let value = |&unit: &u64| (unit, cpis[unit as usize]);
+        let est = drive_sampler(sampler, |units| {
+            Ok::<_, StatsError>(units.iter().map(value).collect())
+        });
+        outcome(&est.expect("sampler drive"), truth, n_systematic)
     };
-    let stratified = drive(&mut StratifiedSampler::new(scfg).expect("stratified sampler"));
-    let adaptive = drive(&mut AdaptiveSampler::new(scfg, 0).expect("adaptive sampler"));
+    let stratified = drive(SamplerKind::Stratified);
+    let adaptive = drive(SamplerKind::Adaptive);
 
     Row {
         benchmark: bench.name().to_string(),

@@ -17,13 +17,14 @@ use smarts_core::{
     SmartsSim, TwoStepOutcome, Warming,
 };
 use smarts_exec::{
-    replay, sample, Estimate, ExecError, Executor, ParallelMode, ParallelReport, SampledReplay,
-    UnitMemo,
+    replay, sample, Estimate, ExecError, Executor, ParallelMode, ParallelReport, UnitMemo,
 };
 use smarts_isa::{write_trace, BuiltinIsa, IsaId, RiscIsa, TraceIsa};
-use smarts_server::{estimate_line, machine_for, params_for, report_from_json, Client, JobSpec};
+use smarts_server::{
+    estimate_line, machine_for, params_for, report_from_json, sampler_from_json, Client, JobSpec,
+};
 use smarts_simpoint::{estimate_cpi, SimPointConfig};
-use smarts_stats::Confidence;
+use smarts_stats::{Confidence, SamplerEstimate};
 use smarts_uarch::MachineConfig;
 use smarts_uarch::WarmState;
 use smarts_workloads::{extended_suite, find, Benchmark, Frontend};
@@ -480,7 +481,7 @@ fn cmd_sample(options: &Options) -> Result<(), String> {
         println!("{note}");
     }
     if let Estimate::Sampled(sampled) = &run.estimate {
-        print_sampler_lines(sampled);
+        print_sampler_lines(&sampled.spec, &sampled.estimate);
     }
     let parallel = run.estimate.report();
     print_sample_report(
@@ -495,9 +496,9 @@ fn cmd_sample(options: &Options) -> Result<(), String> {
 }
 
 /// What the sampled (stratified/adaptive) strategies print ahead of the
-/// merged report: selection accounting and the sampler's own estimate.
-fn print_sampler_lines(sampled: &SampledReplay) {
-    let (spec, est) = (&sampled.spec, &sampled.estimate);
+/// merged report, whether run here or fetched from a server: selection
+/// accounting and the sampler's own estimate.
+fn print_sampler_lines(spec: &SamplerSpec, est: &SamplerEstimate) {
     println!("sampler       {spec}");
     println!(
         "selection     {} of {} units over {} rounds ({} strata); stopped: {}",
@@ -948,6 +949,10 @@ fn print_fetched_result(
     let report = report_from_json(&value)?;
     let conf = Confidence::new(options.job.confidence).map_err(|e| e.to_string())?;
     println!("job           {job} (result from {source})");
+    if let Some(section) = value.get("sampler") {
+        let (spec, estimate) = sampler_from_json(section)?;
+        print_sampler_lines(&spec, &estimate);
+    }
     let label = match options.job.bench.as_str() {
         "" => "<server job>",
         bench => bench,

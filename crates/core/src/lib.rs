@@ -64,7 +64,8 @@ pub use engine::{EngineSnapshot, FunctionalEngine};
 pub use error::SmartsError;
 pub use reference::ReferenceRun;
 pub use sampler::{
-    ModeInstructions, SampleReport, SamplerKind, SamplerSpec, SamplingParams, SmartsSim,
-    TwoStepOutcome, UnitSample, Warming,
+    ModeInstructions, SampleReport, SamplingParams, SmartsSim, TwoStepOutcome, UnitSample, Warming,
 };
+// Unit selection lives beside the samplers, in `smarts-stats`.
+pub use smarts_stats::{SamplerKind, SamplerSpec};
 pub use speedup::SpeedupModel;

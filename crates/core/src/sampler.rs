@@ -153,195 +153,6 @@ impl SamplingParams {
     }
 }
 
-/// Which unit-selection strategy a run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SamplerKind {
-    /// The paper's fixed-`n` systematic design (the default; its reports
-    /// stay bit-identical to the pre-trait code path).
-    #[default]
-    Systematic,
-    /// Two-phase stratified selection: pilot → cluster → Neyman top-up.
-    Stratified,
-    /// Online adaptive stopping: variance-greedy batches until the
-    /// running CI meets the target.
-    Adaptive,
-}
-
-impl SamplerKind {
-    /// Stable lowercase tag used in flags, job specs, and cache keys.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            SamplerKind::Systematic => "systematic",
-            SamplerKind::Stratified => "stratified",
-            SamplerKind::Adaptive => "adaptive",
-        }
-    }
-}
-
-impl fmt::Display for SamplerKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.tag())
-    }
-}
-
-impl std::str::FromStr for SamplerKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "systematic" => Ok(SamplerKind::Systematic),
-            "stratified" => Ok(SamplerKind::Stratified),
-            "adaptive" => Ok(SamplerKind::Adaptive),
-            other => Err(format!(
-                "unknown sampler `{other}` (expected systematic, stratified, or adaptive)"
-            )),
-        }
-    }
-}
-
-/// Full specification of a unit-selection strategy — everything beyond
-/// [`SamplingParams`] that determines *which* warmed units get detailed
-/// replay. Two runs over the same store with equal specs select the
-/// same units; this is the struct the results cache must key on.
-///
-/// The warming design stays in [`SamplingParams`] (and in the store
-/// fingerprint) unchanged: a spec only picks among the units a store
-/// already holds, so one warmed store serves every spec.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SamplerSpec {
-    /// The selection strategy.
-    pub kind: SamplerKind,
-    /// Seed for the randomized phases (pilot offset, within-stratum
-    /// draws). Ignored by [`SamplerKind::Systematic`].
-    pub seed: u64,
-    /// Stratum count for the stratified/adaptive strategies.
-    pub strata: u32,
-    /// Pilot size in units; 0 selects the automatic `max(30, pool/32)`.
-    pub pilot: u64,
-    /// Relative CI half-width target (the paper's ±3% is 0.03).
-    pub epsilon: f64,
-    /// Confidence level of the target (the paper's 99.7% is 0.9973).
-    pub confidence: f64,
-}
-
-impl Default for SamplerSpec {
-    fn default() -> Self {
-        SamplerSpec::systematic()
-    }
-}
-
-impl SamplerSpec {
-    /// The systematic spec: selection is fully determined by
-    /// [`SamplingParams`], every other field is inert.
-    pub fn systematic() -> Self {
-        SamplerSpec {
-            kind: SamplerKind::Systematic,
-            seed: 0,
-            strata: 4,
-            pilot: 0,
-            epsilon: 0.03,
-            confidence: 0.9973,
-        }
-    }
-
-    /// Whether this is the systematic strategy (the bit-identical
-    /// legacy path).
-    pub fn is_systematic(&self) -> bool {
-        self.kind == SamplerKind::Systematic
-    }
-
-    /// Checks internal consistency.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for a non-positive `epsilon`, a confidence level
-    /// outside `(0, 1)`, or zero `strata` on a non-systematic kind.
-    pub fn validate(&self) -> Result<(), SmartsError> {
-        if self.is_systematic() {
-            return Ok(());
-        }
-        if !self.epsilon.is_finite() || self.epsilon <= 0.0 {
-            return Err(SmartsError::ZeroParameter("sampler epsilon"));
-        }
-        if !(self.confidence > 0.0 && self.confidence < 1.0) {
-            return Err(SmartsError::ZeroParameter("sampler confidence"));
-        }
-        if self.strata == 0 {
-            return Err(SmartsError::ZeroParameter("sampler strata"));
-        }
-        Ok(())
-    }
-
-    /// Builds the runnable [`Sampler`](smarts_stats::Sampler) for a pool
-    /// of `pool` warmed units.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an invalid spec or a zero pool, and
-    /// [`SmartsError::NoSampler`] for the systematic spec, which measures
-    /// every unit of its grid and selects nothing.
-    pub fn build(&self, pool: u64) -> Result<Box<dyn smarts_stats::Sampler>, SmartsError> {
-        self.validate()?;
-        let confidence = Confidence::new(self.confidence)?;
-        let cfg = smarts_stats::StratifiedConfig {
-            pool,
-            pilot: self.pilot,
-            strata: self.strata as usize,
-            epsilon: self.epsilon,
-            confidence,
-            seed: self.seed,
-            max_units: None,
-        };
-        match self.kind {
-            SamplerKind::Systematic => Err(SmartsError::NoSampler),
-            SamplerKind::Stratified => Ok(Box::new(smarts_stats::StratifiedSampler::new(cfg)?)),
-            SamplerKind::Adaptive => Ok(Box::new(smarts_stats::AdaptiveSampler::new(cfg, 0)?)),
-        }
-    }
-
-    /// A 64-bit key separating every selection-relevant field — what the
-    /// server results cache folds into its lookup so jobs differing only
-    /// in sampling design never alias. The systematic spec always maps
-    /// to the same key (its extra fields are inert), preserving cache
-    /// hits across cosmetic spec differences.
-    pub fn cache_key(&self) -> u64 {
-        fn mix(h: u64, v: u64) -> u64 {
-            let mut z = h.wrapping_add(0x9E37_79B9_7F4A_7C15).wrapping_add(v);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-        let h = mix(0x5341_4D50_4C45_5253, self.kind as u64); // "SAMPLERS"
-        if self.is_systematic() {
-            return h;
-        }
-        let h = mix(h, self.seed);
-        let h = mix(h, self.strata as u64);
-        let h = mix(h, self.pilot);
-        let h = mix(h, self.epsilon.to_bits());
-        mix(h, self.confidence.to_bits())
-    }
-}
-
-impl fmt::Display for SamplerSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_systematic() {
-            write!(f, "systematic")
-        } else {
-            write!(
-                f,
-                "{} seed={} strata={} pilot={} ±{:.3}% @ {:.2}%",
-                self.kind,
-                self.seed,
-                self.strata,
-                self.pilot,
-                self.epsilon * 100.0,
-                self.confidence * 100.0
-            )
-        }
-    }
-}
-
 /// One measured sampling unit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnitSample {
@@ -868,15 +679,5 @@ mod tests {
             m.detailed() * 5 < bench.approx_len(),
             "the warming pass, not detail, covers the stream"
         );
-    }
-
-    #[test]
-    fn only_a_selecting_spec_builds_a_sampler() {
-        let systematic = SamplerSpec::systematic();
-        assert_eq!(systematic.build(100).err(), Some(SmartsError::NoSampler));
-        for kind in [SamplerKind::Stratified, SamplerKind::Adaptive] {
-            let spec = SamplerSpec { kind, ..systematic };
-            assert_eq!(spec.build(100).unwrap().name(), kind.tag());
-        }
     }
 }

@@ -4,6 +4,7 @@ use std::fmt;
 use crate::MAX_JOBS;
 use smarts_ckpt::CkptError;
 use smarts_core::SmartsError;
+use smarts_stats::StatsError;
 
 /// Error type for parallel sampling execution.
 ///
@@ -92,6 +93,13 @@ impl Error for ExecError {
 impl From<SmartsError> for ExecError {
     fn from(e: SmartsError) -> Self {
         ExecError::Smarts(e)
+    }
+}
+
+#[doc(hidden)]
+impl From<StatsError> for ExecError {
+    fn from(e: StatsError) -> Self {
+        ExecError::Smarts(SmartsError::Stats(e))
     }
 }
 

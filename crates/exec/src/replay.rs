@@ -39,7 +39,7 @@ use smarts_ckpt::{CkptError, MappedStore, StoreMeta};
 use smarts_core::{SamplerSpec, SamplingParams, SmartsError, SmartsSim, UnitReplay, UnitSample};
 use smarts_energy::ActivityCounters;
 use smarts_isa::crc32;
-use smarts_stats::{SamplerEstimate, SamplerPhase};
+use smarts_stats::{drive_sampler, SamplerEstimate, StatsError};
 use smarts_workloads::Frontend;
 
 /// Result of replaying a sampler-selected subset of a store: the report
@@ -499,7 +499,7 @@ pub fn replay<F: Frontend>(
     store: &MappedStore,
     spec: &SamplerSpec,
 ) -> Result<Run, ExecError> {
-    spec.validate()?;
+    spec.validate().map_err(StatsError::from)?;
     if !spec.is_systematic() {
         let sampled = replay_sampled::<F>(executor, sim, store, spec)?;
         return Ok(Run {
@@ -545,16 +545,16 @@ fn fold_workers(acc: &mut Vec<WorkerStats>, phase: Vec<WorkerStats>) {
 }
 
 /// A sampler's replay of an open store ([`replay`] under a stratified or
-/// adaptive spec): the sampler selects record subsets phase by phase,
-/// each phase replays in parallel, and observations feed back in
+/// adaptive spec): [`drive_sampler`] selects record subsets phase by
+/// phase, each phase replays in parallel, and observations feed back in
 /// ascending record order — so the phase sequence, the final unit set,
 /// and the report are all deterministic for a fixed (store, spec) pair
 /// at any worker count. Adaptive sampling stops between phases once the
 /// running confidence interval meets the spec's `(±ε, confidence)`
 /// target; external cancellation is honored at the same seam via the
-/// executor's [`CancelToken`](crate::CancelToken). Any store damage is a
-/// hard [`ExecError::Ckpt`]: a subset with silently missing units would
-/// bias the estimate.
+/// executor's [`CancelToken`](crate::CancelToken), and once more after
+/// the last phase. Any store damage is a hard [`ExecError::Ckpt`]: a
+/// subset with silently missing units would bias the estimate.
 pub(crate) fn replay_sampled<F: Frontend>(
     executor: &Executor,
     sim: &SmartsSim,
@@ -568,37 +568,34 @@ pub(crate) fn replay_sampled<F: Frontend>(
         return Err(ExecError::Smarts(SmartsError::EmptySample));
     }
     let ctx = ReplayContext::<F>::new(executor, sim, store)?;
-    let stats_error = |e| ExecError::Smarts(SmartsError::Stats(e));
-
-    let mut sampler = spec.build(store.len() as u64).map_err(ExecError::Smarts)?;
+    let sampler = spec.build(store.len() as u64)?;
+    let cancelled = || executor.cancel_token().is_cancelled();
     let mut all = Replayed::gather([], Duration::ZERO);
     let t0 = Instant::now();
-    loop {
-        if executor.cancel_token().is_cancelled() {
+    let estimate = drive_sampler(sampler, |units| {
+        if cancelled() {
             return Err(ExecError::Cancelled);
         }
-        let units = match sampler.next_phase().map_err(stats_error)? {
-            SamplerPhase::Done => break,
-            SamplerPhase::Measure(units) => units,
-        };
-        let mut picks: Vec<usize> = units.iter().map(|&u| u as usize).collect();
-        picks.sort_unstable();
-        let (mut phase, damage) = replay_subset(&ctx, &picks)?;
+        let picks: Vec<usize> = units.iter().map(|&u| u as usize).collect();
+        let (phase, damage) = replay_subset(&ctx, &picks)?;
         if let Some((_, error)) = damage {
             return Err(ExecError::Ckpt(error));
         }
         fold_workers(&mut all.workers, phase.workers);
-        phase.outcomes.sort_unstable_by_key(|(index, _)| *index);
-        for (index, outcome) in &phase.outcomes {
-            // Partial units (only ever the stream's final record) carry
-            // no complete measurement; they stay issued but unobserved.
-            if let UnitReplay::Complete { sample, .. } = outcome {
-                sampler.observe(*index as u64, sample.cpi);
-            }
-        }
+        // Partial units (only ever the stream's final records) carry no
+        // complete measurement; they stay issued but unobserved.
+        let observed = (phase.outcomes.iter())
+            .filter_map(|(index, outcome)| match outcome {
+                UnitReplay::Complete { sample, .. } => Some((*index as u64, sample.cpi)),
+                UnitReplay::Partial { .. } => None,
+            })
+            .collect();
         all.outcomes.extend(phase.outcomes);
+        Ok(observed)
+    })?;
+    if cancelled() {
+        return Err(ExecError::Cancelled);
     }
-    let estimate = sampler.estimate().map_err(stats_error)?;
     all.wall = t0.elapsed();
     all.workers.sort_unstable_by_key(|w| w.worker);
     let mut measured: Vec<u64> = all.outcomes.iter().map(|(i, _)| *i as u64).collect();

@@ -221,7 +221,7 @@ pub fn sample<F: Frontend>(
     spec: &SamplerSpec,
     save: Option<&Path>,
 ) -> Result<Run, ExecError> {
-    spec.validate()?;
+    spec.validate().map_err(smarts_stats::StatsError::from)?;
     let loaded = resolve::<F>(workload, scale)?;
     let meta = StoreMeta {
         params: *params,

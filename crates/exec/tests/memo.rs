@@ -220,6 +220,80 @@ fn memoized_replays_are_the_memoless_bytes_and_simulate_each_record_once() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A served sampler's replay is an offline drive of the same spec over
+/// the store's records: `drive_sampler` fed each record's CPI from the
+/// systematic replay, the partial records at the stream's end issued but
+/// unobserved, gives the served estimate and measured set bit for bit.
+#[test]
+fn an_offline_drive_over_the_grid_is_the_served_replay() {
+    let sim = sim();
+    let path = std::env::temp_dir().join(format!("smarts_memo_grid_{}.ckpt", std::process::id()));
+    let census = SamplingParams {
+        unit_size: 100,
+        detailed_warming: 200,
+        warming: Warming::Functional,
+        interval: 1,
+        offset: 0,
+        max_units: None,
+    };
+    let (one, systematic) = (Executor::new(1).unwrap(), SamplerSpec::systematic());
+    sample::<BuiltinIsa>(
+        &one,
+        &sim,
+        "loopy-1",
+        0.01,
+        &census,
+        &systematic,
+        Some(&path),
+    )
+    .unwrap();
+    let store = MappedStore::open(&path, sim.config()).unwrap();
+    let grid = grid(&one, &sim, &store).unwrap();
+    let mut cpis = vec![None; store.len()];
+    for unit in &grid.report.report.units {
+        cpis[(unit.start_instr / census.unit_size) as usize] = Some(unit.cpi);
+    }
+    let partial = cpis.iter().filter(|cpi| cpi.is_none()).count();
+    assert!(partial > 0, "the grid ends in partial records");
+    assert!(cpis[..store.len() - partial].iter().all(Option::is_some));
+
+    // Seeded draws at the sweep's loose target, and a target no sample
+    // short of the whole store meets, so the partial records are drawn.
+    let tight = |kind| SamplerSpec {
+        epsilon: 1e-4,
+        ..spec(kind, 5)
+    };
+    let kinds = [SamplerKind::Stratified, SamplerKind::Adaptive];
+    let cases = kinds
+        .iter()
+        .flat_map(|&kind| [spec(kind, 1), spec(kind, 2), tight(kind)]);
+    let mut drew_partial = false;
+    for spec in cases {
+        let mut measured = Vec::new();
+        let sampler = spec.build(store.len() as u64).unwrap();
+        let offline = smarts_stats::drive_sampler(sampler, |units| {
+            measured.extend_from_slice(units);
+            let observed = units.iter().filter_map(|&u| Some((u, cpis[u as usize]?)));
+            Ok::<_, smarts_stats::StatsError>(observed.collect())
+        })
+        .unwrap();
+        measured.sort_unstable();
+        drew_partial |= measured.iter().any(|&u| cpis[u as usize].is_none());
+        for jobs in [1, 3] {
+            let served = sampled(&Executor::new(jobs).unwrap(), &sim, &store, &spec);
+            let what = format!("{spec:?} at {jobs} jobs");
+            assert_eq!(served.estimate, offline, "{what}");
+            let bits =
+                |e: &smarts_stats::SamplerEstimate| (e.mean.to_bits(), e.half_width.to_bits());
+            assert_eq!(bits(&served.estimate), bits(&offline), "{what}");
+            assert_eq!(served.measured, measured, "{what}");
+        }
+    }
+    assert!(drew_partial, "some drive issued a partial record");
+    drop(store);
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn concurrent_replays_through_one_memo_give_the_sequential_bytes() {
     let sim = sim();

@@ -7,7 +7,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
 use crate::json::Json;
-use crate::proto::JobSpec;
+use crate::proto::{JobSpec, Request};
 
 /// The message of a refusal (`"ok":false`), led by its code when it is
 /// a typed one: `busy: …`, `evicted: …`.
@@ -79,8 +79,8 @@ impl Client {
 
     /// Round-trips a request and parses the response, surfacing
     /// protocol-level refusals (`"ok":false`) as errors.
-    fn call(&mut self, line: &str) -> Result<Json, String> {
-        let response = self.round_trip(line)?;
+    fn call(&mut self, request: Request) -> Result<Json, String> {
+        let response = self.round_trip(&request.to_line())?;
         let value = crate::json::parse(&response).map_err(|e| format!("bad response: {e}"))?;
         match value.get("ok").and_then(Json::as_bool) {
             Some(true) => Ok(value),
@@ -95,7 +95,7 @@ impl Client {
     ///
     /// Returns a message if the server is unreachable or refuses.
     pub fn ping(&mut self) -> Result<(), String> {
-        self.call(r#"{"cmd":"ping"}"#).map(|_| ())
+        self.call(Request::Ping).map(|_| ())
     }
 
     /// Submits a job, returning its server-assigned id.
@@ -105,9 +105,7 @@ impl Client {
     /// Returns the server's refusal (bad spec, shutting down) verbatim;
     /// past the admission cap it starts `busy: `.
     pub fn submit(&mut self, spec: &JobSpec) -> Result<String, String> {
-        let mut line = String::from(r#"{"cmd":"submit","#);
-        line.push_str(&spec.to_json().to_line()[1..]);
-        let response = self.call(&line)?;
+        let response = self.call(Request::Submit(spec.clone()))?;
         response
             .get("job")
             .and_then(Json::as_str)
@@ -121,16 +119,7 @@ impl Client {
     ///
     /// Returns the server's refusal (e.g. unknown id).
     pub fn status(&mut self, job: Option<&str>) -> Result<Json, String> {
-        match job {
-            None => self.call(r#"{"cmd":"status"}"#),
-            Some(id) => self.call(
-                &Json::obj(vec![
-                    ("cmd", Json::Str("status".to_string())),
-                    ("job", Json::Str(id.to_string())),
-                ])
-                .to_line(),
-            ),
-        }
+        self.call(Request::Status(job.map(str::to_string)))
     }
 
     /// A finished job's result: `(source, raw canonical report bytes)`.
@@ -144,13 +133,7 @@ impl Client {
     /// Returns the server's refusal (unknown id, no result yet); a job
     /// whose record or report is no longer retained starts `evicted: `.
     pub fn result(&mut self, job: &str) -> Result<(String, String), String> {
-        let line = self.round_trip(
-            &Json::obj(vec![
-                ("cmd", Json::Str("result".to_string())),
-                ("job", Json::Str(job.to_string())),
-            ])
-            .to_line(),
-        )?;
+        let line = self.round_trip(&Request::Result(job.to_string()).to_line())?;
         let value = crate::json::parse(&line).map_err(|e| format!("bad response: {e}"))?;
         if value.get("ok").and_then(Json::as_bool) != Some(true) {
             return Err(refusal(&value));
@@ -174,13 +157,7 @@ impl Client {
     ///
     /// Returns the server's refusal (unknown id).
     pub fn cancel(&mut self, job: &str) -> Result<String, String> {
-        let response = self.call(
-            &Json::obj(vec![
-                ("cmd", Json::Str("cancel".to_string())),
-                ("job", Json::Str(job.to_string())),
-            ])
-            .to_line(),
-        )?;
+        let response = self.call(Request::Cancel(job.to_string()))?;
         Ok(response
             .get("was")
             .and_then(Json::as_str)
@@ -194,7 +171,7 @@ impl Client {
     ///
     /// Returns a message on I/O or protocol failure.
     pub fn stats(&mut self) -> Result<Json, String> {
-        self.call(r#"{"cmd":"stats"}"#)
+        self.call(Request::Stats)
     }
 
     /// Asks the server to drain and exit.
@@ -203,7 +180,7 @@ impl Client {
     ///
     /// Returns a message on I/O or protocol failure.
     pub fn shutdown(&mut self) -> Result<(), String> {
-        self.call(r#"{"cmd":"shutdown"}"#).map(|_| ())
+        self.call(Request::Shutdown).map(|_| ())
     }
 
     /// Streams `watch` events for a job, invoking `on_event` per line,
@@ -214,14 +191,7 @@ impl Client {
     ///
     /// Returns a message on I/O failure or a refused watch.
     pub fn watch<F: FnMut(&Json)>(&mut self, job: &str, mut on_event: F) -> Result<Json, String> {
-        let first = self.round_trip(
-            &Json::obj(vec![
-                ("cmd", Json::Str("watch".to_string())),
-                ("job", Json::Str(job.to_string())),
-            ])
-            .to_line(),
-        )?;
-        let mut line = first;
+        let mut line = self.round_trip(&Request::Watch(job.to_string()).to_line())?;
         loop {
             let value = crate::json::parse(&line).map_err(|e| format!("bad event: {e}"))?;
             if value.get("ok").and_then(Json::as_bool) == Some(false) {

@@ -14,14 +14,12 @@ use crate::json::Json;
 use smarts_ckpt::IsaId;
 use smarts_core::{SamplerKind, SamplerSpec};
 use smarts_exec::{ExecError, MAX_JOBS};
+pub use smarts_stats::FieldError;
 
 /// Longest request line the server will buffer, in bytes. Submit
 /// requests are a few hundred bytes; the bound exists to keep a hostile
 /// peer from ballooning connection memory.
 pub const MAX_LINE: usize = 64 * 1024;
-
-/// Most strata a stratified or adaptive job may ask for.
-const MAX_STRATA: u32 = 4096;
 
 /// A sampling job: workload × machine config × sampling design ×
 /// sampler × per-job pipeline parallelism. The one statement of a job
@@ -68,6 +66,7 @@ pub struct JobSpec {
 
 impl Default for JobSpec {
     fn default() -> Self {
+        let sampler = SamplerSpec::default();
         JobSpec {
             bench: String::new(),
             isa: IsaId::Builtin,
@@ -78,12 +77,12 @@ impl Default for JobSpec {
             warming_len: None,
             offset: 0,
             jobs: 1,
-            sampler: SamplerKind::Systematic,
-            seed: 0,
-            strata: 4,
-            pilot: 0,
-            epsilon: 0.03,
-            confidence: 0.9973,
+            sampler: sampler.kind,
+            seed: sampler.seed,
+            strata: sampler.strata,
+            pilot: sampler.pilot,
+            epsilon: sampler.epsilon,
+            confidence: sampler.confidence,
         }
     }
 }
@@ -131,7 +130,9 @@ impl JobSpec {
     /// Refuses a job with a field out of its range. This is every job
     /// rule, in one place: both doors — the wire's [`JobSpec::from_json`]
     /// and the CLI's flag parser — read types only, then call this, and
-    /// each names the field the way its user wrote it.
+    /// each names the field the way its user wrote it. The sampler
+    /// fields' rules are [`SamplerSpec::validate`]'s, which a library
+    /// run checks too.
     ///
     /// # Errors
     ///
@@ -153,11 +154,7 @@ impl JobSpec {
         check("unit", self.unit > 0, &at_least_one)?;
         let jobs = format!("takes a worker count in 1..={MAX_JOBS}");
         check("jobs", (1..=MAX_JOBS).contains(&self.jobs), &jobs)?;
-        let strata = format!("takes a count in 1..={MAX_STRATA}");
-        check("strata", (1..=MAX_STRATA).contains(&self.strata), &strata)?;
-        check("epsilon", positive(self.epsilon), &finite_positive)?;
-        let confidence = self.confidence > 0.0 && self.confidence < 1.0;
-        check("confidence", confidence, &"takes a level in (0, 1)")
+        self.sampler_spec().validate()
     }
 
     /// Reads a spec from a request object: defaults for absent fields,
@@ -229,16 +226,6 @@ impl JobSpec {
     }
 }
 
-/// A job field out of its range: the field's wire name, and the rule it
-/// breaks ("takes 8 or 16").
-#[derive(Debug, Clone, PartialEq)]
-pub struct FieldError {
-    /// The field's name on the wire (`strata`, `unit`, …).
-    pub field: &'static str,
-    /// What the field takes.
-    pub rule: String,
-}
-
 /// A parsed request line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -259,6 +246,33 @@ pub enum Request {
     Stats,
     /// Begin graceful shutdown: drain in-flight jobs, refuse new ones.
     Shutdown,
+}
+
+impl Request {
+    /// The request as a line (without the trailing newline): the inverse
+    /// of [`parse_request`].
+    pub fn to_line(&self) -> String {
+        let (cmd, job) = match self {
+            Request::Ping => ("ping", None),
+            Request::Submit(_) => ("submit", None),
+            Request::Status(job) => ("status", job.as_deref()),
+            Request::Result(job) => ("result", Some(job.as_str())),
+            Request::Watch(job) => ("watch", Some(job.as_str())),
+            Request::Cancel(job) => ("cancel", Some(job.as_str())),
+            Request::Stats => ("stats", None),
+            Request::Shutdown => ("shutdown", None),
+        };
+        let mut fields = vec![("cmd".to_string(), Json::Str(cmd.to_string()))];
+        if let Some(job) = job {
+            fields.push(("job".to_string(), Json::Str(job.to_string())));
+        }
+        if let Request::Submit(spec) = self {
+            if let Json::Obj(spec) = spec.to_json() {
+                fields.extend(spec);
+            }
+        }
+        Json::Obj(fields).to_line()
+    }
 }
 
 /// Parses one request line.
@@ -349,11 +363,25 @@ mod tests {
             epsilon: 0.05,
             confidence: 0.95,
         };
-        let mut line = String::from(r#"{"cmd":"submit","#);
-        line.push_str(&spec.to_json().to_line()[1..]);
-        match parse_request(&line).unwrap() {
-            Request::Submit(parsed) => assert_eq!(parsed, spec),
-            other => panic!("unexpected request {other:?}"),
+        let submit = Request::Submit(spec);
+        assert!(submit
+            .to_line()
+            .starts_with(r#"{"cmd":"submit","bench":"hashp-2","#));
+        // Every request, not only a submit, is its line's parse.
+        let job = || "j-7".to_string();
+        for request in [
+            submit,
+            Request::Submit(JobSpec::default()),
+            Request::Ping,
+            Request::Status(None),
+            Request::Status(Some(job())),
+            Request::Result(job()),
+            Request::Watch(job()),
+            Request::Cancel(job()),
+            Request::Stats,
+            Request::Shutdown,
+        ] {
+            assert_eq!(parse_request(&request.to_line()), Ok(request));
         }
     }
 
@@ -380,6 +408,55 @@ mod tests {
                 assert_eq!(spec.pilot, 0);
             }
             other => panic!("unexpected request {other:?}"),
+        }
+    }
+
+    /// The library door refuses what the wire and the CLI refuse: each
+    /// sampler-field value `JobSpec::validate` refuses, `exec::sample`
+    /// refuses under the matching spec, naming the same field, whatever
+    /// the sampler kind.
+    #[test]
+    fn the_library_refuses_the_sampler_fields_the_doors_refuse() {
+        use smarts_core::{SamplingParams, SmartsError, SmartsSim, Warming};
+        use smarts_exec::{sample, Executor};
+        use smarts_stats::StatsError;
+
+        let sim = SmartsSim::new(crate::machine_for(8));
+        let params =
+            SamplingParams::for_sample_size(36_000, 1000, 0, Warming::Functional, 4, 0).unwrap();
+        let executor = Executor::new(1).unwrap();
+        type Refuse = fn(&mut JobSpec);
+        let refused: [(&str, Refuse); 8] = [
+            ("strata", |job| job.strata = 0),
+            ("strata", |job| job.strata = 4097),
+            ("epsilon", |job| job.epsilon = -1.0),
+            ("epsilon", |job| job.epsilon = 0.0),
+            ("epsilon", |job| job.epsilon = f64::NAN),
+            ("confidence", |job| job.confidence = 0.0),
+            ("confidence", |job| job.confidence = 1.0),
+            ("confidence", |job| job.confidence = f64::NAN),
+        ];
+        for (field, refuse) in refused {
+            for sampler in [SamplerKind::Systematic, SamplerKind::Adaptive] {
+                let mut job = JobSpec {
+                    bench: "loopy-1".into(),
+                    sampler,
+                    ..JobSpec::default()
+                };
+                refuse(&mut job);
+                let what = format!("{field} under {job:?}");
+                assert_eq!(job.validate().map_err(|e| e.field), Err(field), "{what}");
+                let spec = job.sampler_spec();
+                match sample::<smarts_isa::BuiltinIsa>(
+                    &executor, &sim, "loopy-1", 0.01, &params, &spec, None,
+                ) {
+                    Err(ExecError::Smarts(SmartsError::Stats(StatsError::Field(e)))) => {
+                        assert_eq!(e.field, field, "{what}")
+                    }
+                    Err(other) => panic!("{what}: refused as {other}"),
+                    Ok(_) => panic!("{what}: the library ran it"),
+                }
+            }
         }
     }
 

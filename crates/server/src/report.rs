@@ -11,9 +11,12 @@
 
 use std::time::Duration;
 
-use smarts_core::{ModeInstructions, SampleReport, SamplingParams, UnitSample, Warming};
+use smarts_core::{
+    ModeInstructions, SampleReport, SamplerSpec, SamplingParams, UnitSample, Warming,
+};
 use smarts_energy::ActivityCounters;
 use smarts_exec::Estimate;
+use smarts_stats::{SamplerEstimate, StopReason};
 
 use crate::json::Json;
 
@@ -153,9 +156,15 @@ pub fn estimate_line(estimate: &Estimate) -> String {
 /// (store, spec) pair, so cold, store-hit, and cache-hit paths compare
 /// byte-equal exactly as systematic ones do.
 pub fn sampled_report_line(sampled: &smarts_exec::SampledReplay) -> String {
-    let spec = &sampled.spec;
-    let est = &sampled.estimate;
-    let section = Json::obj(vec![
+    let section = sampler_to_json(&sampled.spec, &sampled.estimate, &sampled.measured);
+    let mut fields = report_fields(&sampled.report.report);
+    fields.push(("sampler", section));
+    Json::obj(fields).to_line()
+}
+
+/// The `sampler` section of a [`sampled_report_line`].
+fn sampler_to_json(spec: &SamplerSpec, est: &SamplerEstimate, measured: &[u64]) -> Json {
+    Json::obj(vec![
         ("kind", Json::Str(spec.kind.tag().to_string())),
         ("seed", Json::U64(spec.seed)),
         ("strata", Json::U64(spec.strata as u64)),
@@ -172,12 +181,51 @@ pub fn sampled_report_line(sampled: &smarts_exec::SampledReplay) -> String {
         ("stop", Json::Str(est.stop.tag().to_string())),
         (
             "measured",
-            Json::Arr(sampled.measured.iter().map(|&i| Json::U64(i)).collect()),
+            Json::Arr(measured.iter().map(|&i| Json::U64(i)).collect()),
         ),
-    ]);
-    let mut fields = report_fields(&sampled.report.report);
-    fields.push(("sampler", section));
-    Json::obj(fields).to_line()
+    ])
+}
+
+/// Reads the spec and estimate back from the `sampler` section of a
+/// [`sampled_report_line`] — what a served sampled job prints beside its
+/// report.
+///
+/// # Errors
+///
+/// Returns a message on a missing or ill-typed field.
+pub fn sampler_from_json(section: &Json) -> Result<(SamplerSpec, SamplerEstimate), String> {
+    let count = |name: &str| {
+        (section.get(name).and_then(Json::as_u64)).ok_or_else(|| format!("missing u64 `{name}`"))
+    };
+    let bits = |name: &str| bits_f64(section.get(name).ok_or(format!("missing `{name}`"))?);
+    let tag = |name: &str| {
+        (section.get(name).and_then(Json::as_str)).ok_or_else(|| format!("missing `{name}`"))
+    };
+    let narrow = |n: u64| u32::try_from(n).map_err(|e| e.to_string());
+    let stop = tag("stop")?;
+    let stop = StopReason::from_tag(stop).ok_or_else(|| format!("bad stop reason `{stop}`"))?;
+    let spec = SamplerSpec {
+        kind: tag("kind")?.parse()?,
+        seed: count("seed")?,
+        strata: narrow(count("strata")?)?,
+        pilot: count("pilot")?,
+        epsilon: bits("epsilon_bits")?,
+        confidence: bits("confidence_bits")?,
+    };
+    let estimate = SamplerEstimate {
+        mean: bits("mean_bits")?,
+        half_width: bits("half_width_bits")?,
+        n: count("n")?,
+        pool: count("pool")?,
+        strata: count("strata_used")? as usize,
+        rounds: narrow(count("rounds")?)?,
+        target_met: section
+            .get("target_met")
+            .and_then(Json::as_bool)
+            .ok_or("missing `target_met`")?,
+        stop,
+    };
+    Ok((spec, estimate))
 }
 
 /// Rebuilds a report from its canonical JSON value.
@@ -347,6 +395,42 @@ mod tests {
         }
         let err = report_from_json(&value).unwrap_err();
         assert!(err.contains("aggregate"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn sampler_section_round_trips_bit_exactly() {
+        let spec = SamplerSpec {
+            kind: smarts_core::SamplerKind::Adaptive,
+            seed: u64::MAX,
+            strata: 7,
+            pilot: 40,
+            epsilon: 0.1 + 0.2, // deliberately not exactly 0.3
+            confidence: 0.95,
+        };
+        for stop in [
+            StopReason::BudgetSpent,
+            StopReason::TargetMet,
+            StopReason::PoolExhausted,
+        ] {
+            let estimate = SamplerEstimate {
+                mean: 1.0 / 3.0,
+                half_width: f64::INFINITY,
+                n: 61,
+                pool: 183,
+                strata: 3,
+                rounds: 4,
+                target_met: stop == StopReason::TargetMet,
+                stop,
+            };
+            let line = sampler_to_json(&spec, &estimate, &[0, 5, 182]).to_line();
+            let parsed = sampler_from_json(&crate::json::parse(&line).unwrap()).unwrap();
+            assert_eq!(parsed, (spec, estimate));
+            let (spec, estimate) = parsed;
+            assert_eq!(
+                sampler_to_json(&spec, &estimate, &[0, 5, 182]).to_line(),
+                line
+            );
+        }
     }
 
     #[test]

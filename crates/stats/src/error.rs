@@ -24,6 +24,22 @@ pub enum StatsError {
     },
     /// A design parameter (unit size, population, strata) must be nonzero.
     ZeroDesignParameter(&'static str),
+    /// A sampler spec field is out of its range.
+    Field(FieldError),
+    /// The systematic spec was asked for a sampler: it measures every
+    /// unit of its grid, and selects nothing.
+    NoSampler,
+}
+
+/// A job or sampler-spec field out of its range: the field's name (on
+/// the wire, and as the CLI flag) and the rule it breaks ("takes 8 or
+/// 16").
+#[derive(Debug, Clone, PartialEq)]
+pub struct FieldError {
+    /// The field's name (`strata`, `unit`, …).
+    pub field: &'static str,
+    /// What the field takes.
+    pub rule: String,
 }
 
 impl fmt::Display for StatsError {
@@ -53,11 +69,19 @@ impl fmt::Display for StatsError {
             StatsError::ZeroDesignParameter(name) => {
                 write!(f, "design parameter `{name}` must be nonzero")
             }
+            StatsError::Field(e) => write!(f, "sampler field `{}` {}", e.field, e.rule),
+            StatsError::NoSampler => write!(f, "the systematic spec selects no units"),
         }
     }
 }
 
 impl Error for StatsError {}
+
+impl From<FieldError> for StatsError {
+    fn from(e: FieldError) -> Self {
+        StatsError::Field(e)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -74,6 +98,11 @@ mod tests {
                 actual: 2,
             },
             StatsError::ZeroDesignParameter("unit_size"),
+            StatsError::Field(FieldError {
+                field: "strata",
+                rule: "takes a count in 1..=4096".into(),
+            }),
+            StatsError::NoSampler,
         ];
         for err in errors {
             let text = err.to_string();

@@ -10,6 +10,12 @@
 //! on plain `f64` measurements so it can be reused for CPI, energy per
 //! instruction, or any other per-sampling-unit metric.
 //!
+//! It is also the one unit-selection layer: a [`SamplerSpec`] names a
+//! strategy and states its field rules ([`SamplerSpec::validate`]),
+//! [`SamplerSpec::build`] is the only way to a [`Sampler`], and
+//! [`drive_sampler`] is the one loop that runs it — for a store replay
+//! and an offline drive alike.
+//!
 //! # Examples
 //!
 //! Designing a sampling run that estimates a mean to ±3% with 99.7%
@@ -40,13 +46,12 @@ pub use confidence::{
     confidence_interval, relative_half_width, required_sample_size, Confidence, SampleEstimate,
 };
 pub use design::RandomDesign;
-pub use error::StatsError;
+pub use error::{FieldError, StatsError};
 pub use population::{
     bias, intraclass_correlation, systematic_sample_means, variation_curve, VariationPoint,
 };
 pub use running::RunningStats;
 pub use sampler::{
-    drive_sampler, AdaptiveSampler, Sampler, SamplerEstimate, SamplerPhase, SplitMix64, StopReason,
-    StratifiedConfig, StratifiedSampler, DEFAULT_BATCH, DEFAULT_STRATA, MIN_SAMPLE,
+    drive_sampler, Sampler, SamplerEstimate, SamplerKind, SamplerPhase, SamplerSpec, SplitMix64,
+    StopReason,
 };
-pub use stratified::{cluster_1d, neyman_allocation, Clustering, StratifiedEstimator};

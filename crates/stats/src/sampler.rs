@@ -1,4 +1,6 @@
-//! Unit-selection strategies behind one [`Sampler`] trait.
+//! Unit selection: the [`SamplerSpec`] that names a strategy, the
+//! strategies behind one [`Sampler`] trait, and [`drive_sampler`], the
+//! loop that runs them.
 //!
 //! A sampler chooses *which* units of a population get a detailed
 //! measurement, round by round: the driver asks for a phase of unit
@@ -10,17 +12,15 @@
 //!
 //! The paper's own fixed-`n` systematic design needs no sampler: it
 //! measures every unit of its grid, which the execution layer replays
-//! whole. The two strategies that choose are:
+//! whole. The two strategies that choose, built by [`SamplerSpec::build`]:
 //!
-//! * [`StratifiedSampler`] — two-phase stratified selection: a small
-//!   systematic pilot is clustered into strata
-//!   ([`crate::cluster_1d`]), phase 2 tops the sample up by Neyman
-//!   allocation ([`crate::neyman_allocation`]) sized from the pilot's
-//!   within-stratum spreads;
-//! * [`AdaptiveSampler`] — online sequential sampling: after the pilot,
-//!   each batch is allocated variance-greedily to the stratum with the
-//!   largest Neyman deficit under the *currently measured* spreads, and
-//!   the run stops as soon as the running stratified CI reaches the
+//! * stratified — two-phase stratified selection: a small systematic
+//!   pilot is clustered into strata, phase 2 tops the sample up by
+//!   Neyman allocation sized from the pilot's within-stratum spreads;
+//! * adaptive — online sequential sampling: after the pilot, each batch
+//!   is allocated variance-greedily to the stratum with the largest
+//!   Neyman deficit under the *currently measured* spreads, and the run
+//!   stops as soon as the running stratified CI reaches the
 //!   `(±ε, confidence)` target.
 //!
 //! The sequential stopping rule peeks at the running interval after
@@ -31,18 +31,19 @@
 //! documented in DESIGN.md §3.7.
 
 use crate::stratified::{cluster_1d, neyman_allocation, StratifiedEstimator};
-use crate::{Confidence, RunningStats, StatsError};
+use crate::{Confidence, FieldError, RunningStats, StatsError};
 use std::collections::BTreeSet;
+use std::fmt;
 
 /// Normal-approximation floor: no estimate is trusted (and no sequential
 /// stop taken) below this many observations.
-pub const MIN_SAMPLE: u64 = 30;
+const MIN_SAMPLE: u64 = 30;
 
-/// Default number of strata for the stratified/adaptive samplers.
-pub const DEFAULT_STRATA: usize = 4;
+/// Per-round batch size of the adaptive sampler, in units.
+const BATCH: u64 = 32;
 
-/// Default per-round batch size of the adaptive sampler, in units.
-pub const DEFAULT_BATCH: u64 = 32;
+/// Most strata a spec may ask for.
+const MAX_STRATA: u32 = 4096;
 
 /// SplitMix64, the workspace's one dependency-free PRNG: the samplers'
 /// draws, the workload kernels' data and every seeded property test.
@@ -108,8 +109,6 @@ pub enum StopReason {
     TargetMet,
     /// Every population unit has been measured.
     PoolExhausted,
-    /// The configured cap on measured units was reached first.
-    CapReached,
 }
 
 impl StopReason {
@@ -119,8 +118,14 @@ impl StopReason {
             StopReason::BudgetSpent => "budget",
             StopReason::TargetMet => "target",
             StopReason::PoolExhausted => "pool",
-            StopReason::CapReached => "cap",
         }
+    }
+
+    /// The reason whose [`StopReason::tag`] is `tag`.
+    pub fn from_tag(tag: &str) -> Option<Self> {
+        [Self::BudgetSpent, Self::TargetMet, Self::PoolExhausted]
+            .into_iter()
+            .find(|reason| reason.tag() == tag)
     }
 }
 
@@ -148,9 +153,6 @@ pub struct SamplerEstimate {
 /// A unit-selection strategy over a population of `pool` units indexed
 /// `0..pool`, driven in phases by a measurement loop.
 pub trait Sampler {
-    /// Stable strategy name for reports and cache keys.
-    fn name(&self) -> &'static str;
-
     /// The next set of unit indices to measure, or
     /// [`SamplerPhase::Done`]. Indices are distinct and never reissued.
     ///
@@ -173,61 +175,189 @@ pub trait Sampler {
     fn estimate(&self) -> Result<SamplerEstimate, StatsError>;
 }
 
-/// Shared configuration of the stratified and adaptive samplers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StratifiedConfig {
-    /// Population size (units `0..pool` are selectable).
-    pub pool: u64,
-    /// Pilot size; 0 selects `max(30, pool/32)` capped at the pool.
-    pub pilot: u64,
-    /// Number of strata to cluster the pilot into (≥ 1).
-    pub strata: usize,
-    /// Relative CI half-width target.
-    pub epsilon: f64,
-    /// Confidence level of the target.
-    pub confidence: Confidence,
-    /// Seed for the pilot phase offset and within-stratum draws.
-    pub seed: u64,
-    /// Hard cap on total measured units; `None` caps at the pool.
-    pub max_units: Option<u64>,
+/// Which unit-selection strategy a run uses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum SamplerKind {
+    /// The paper's fixed-`n` systematic design (the default; its reports
+    /// stay bit-identical to the pre-trait code path).
+    #[default]
+    Systematic,
+    /// Two-phase stratified selection: pilot → cluster → Neyman top-up.
+    Stratified,
+    /// Online adaptive stopping: variance-greedy batches until the
+    /// running CI meets the target.
+    Adaptive,
 }
 
-impl StratifiedConfig {
-    /// Canonical configuration for a pool at the paper's ±3% @ 99.7%
-    /// target.
-    pub fn for_pool(pool: u64, epsilon: f64, confidence: Confidence, seed: u64) -> Self {
-        StratifiedConfig {
-            pool,
+impl SamplerKind {
+    /// Stable lowercase tag used in flags, job specs, and cache keys.
+    pub fn tag(&self) -> &'static str {
+        match self {
+            SamplerKind::Systematic => "systematic",
+            SamplerKind::Stratified => "stratified",
+            SamplerKind::Adaptive => "adaptive",
+        }
+    }
+}
+
+impl fmt::Display for SamplerKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.tag())
+    }
+}
+
+impl std::str::FromStr for SamplerKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "systematic" => Ok(SamplerKind::Systematic),
+            "stratified" => Ok(SamplerKind::Stratified),
+            "adaptive" => Ok(SamplerKind::Adaptive),
+            other => Err(format!(
+                "unknown sampler `{other}` (expected systematic, stratified, or adaptive)"
+            )),
+        }
+    }
+}
+
+/// Full specification of a unit-selection strategy: which of a
+/// population's units get a detailed measurement. Two runs over the same
+/// population with equal specs select the same units; this is the struct
+/// a results cache must key on.
+///
+/// The systematic design itself (unit size, interval, offset) is not
+/// here: a spec only picks among the units a warmed checkpoint store
+/// already holds, so one store serves every spec.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SamplerSpec {
+    /// The selection strategy.
+    pub kind: SamplerKind,
+    /// Seed for the randomized phases (pilot offset, within-stratum
+    /// draws). Ignored by [`SamplerKind::Systematic`].
+    pub seed: u64,
+    /// Stratum count for the stratified/adaptive strategies.
+    pub strata: u32,
+    /// Pilot size in units; 0 selects the automatic `max(30, pool/16)`.
+    pub pilot: u64,
+    /// Relative CI half-width target (the paper's ±3% is 0.03).
+    pub epsilon: f64,
+    /// Confidence level of the target (the paper's 99.7% is 0.9973).
+    pub confidence: f64,
+}
+
+impl Default for SamplerSpec {
+    fn default() -> Self {
+        SamplerSpec::systematic()
+    }
+}
+
+impl SamplerSpec {
+    /// The systematic spec at the paper's ±3% @ 99.7% target: selection
+    /// is the whole grid, and the other fields only matter to a spec
+    /// built from this one with another kind.
+    pub fn systematic() -> Self {
+        SamplerSpec {
+            kind: SamplerKind::Systematic,
+            seed: 0,
+            strata: 4,
             pilot: 0,
-            strata: DEFAULT_STRATA,
-            epsilon,
-            confidence,
-            seed,
-            max_units: None,
+            epsilon: 0.03,
+            confidence: 0.9973,
         }
     }
 
-    fn validate(&self) -> Result<(), StatsError> {
-        if self.pool == 0 {
-            return Err(StatsError::ZeroDesignParameter("pool"));
-        }
-        if self.strata == 0 {
-            return Err(StatsError::ZeroDesignParameter("strata"));
-        }
-        if !self.epsilon.is_finite() || self.epsilon <= 0.0 {
-            return Err(StatsError::InvalidErrorTarget(self.epsilon));
-        }
-        Ok(())
+    /// Whether this is the systematic strategy (the bit-identical
+    /// legacy path).
+    pub fn is_systematic(&self) -> bool {
+        self.kind == SamplerKind::Systematic
     }
 
-    fn pilot_size(&self) -> u64 {
-        let auto = MIN_SAMPLE.max(self.pool / 16);
-        let pilot = if self.pilot == 0 { auto } else { self.pilot };
-        pilot.min(self.pool).min(self.cap())
+    /// Refuses a spec with a field out of its range, whatever its kind.
+    /// These are the sampler-field rules of every door: the job server's
+    /// and the CLI's job validation defer to this.
+    ///
+    /// # Errors
+    ///
+    /// The first of `strata`, `epsilon`, `confidence` out of range.
+    pub fn validate(&self) -> Result<(), FieldError> {
+        let check = |field, ok, rule: String| match ok {
+            true => Ok(()),
+            false => Err(FieldError { field, rule }),
+        };
+        let strata = format!("takes a count in 1..={MAX_STRATA}");
+        check("strata", (1..=MAX_STRATA).contains(&self.strata), strata)?;
+        let epsilon = self.epsilon.is_finite() && self.epsilon > 0.0;
+        check("epsilon", epsilon, "takes a finite positive number".into())?;
+        let confidence = self.confidence > 0.0 && self.confidence < 1.0;
+        check("confidence", confidence, "takes a level in (0, 1)".into())
     }
 
-    fn cap(&self) -> u64 {
-        self.max_units.unwrap_or(self.pool).min(self.pool)
+    /// Builds the runnable [`Sampler`] for a pool of `pool` units.
+    ///
+    /// # Errors
+    ///
+    /// [`StatsError::Field`] for an invalid spec,
+    /// [`StatsError::NoSampler`] for the systematic spec, which measures
+    /// every unit of its grid and selects nothing, and
+    /// [`StatsError::ZeroDesignParameter`] for a zero pool.
+    pub fn build(&self, pool: u64) -> Result<Box<dyn Sampler>, StatsError> {
+        self.validate()?;
+        let state = || TwoPhaseState::new(self, pool);
+        match self.kind {
+            SamplerKind::Systematic => Err(StatsError::NoSampler),
+            SamplerKind::Stratified => Ok(Box::new(StratifiedSampler {
+                state: state()?,
+                stage: 0,
+            })),
+            SamplerKind::Adaptive => Ok(Box::new(AdaptiveSampler {
+                state: state()?,
+                started: false,
+                met_streak: 0,
+            })),
+        }
+    }
+
+    /// A 64-bit key separating every selection-relevant field — what the
+    /// server results cache folds into its lookup so jobs differing only
+    /// in sampling design never alias. The systematic spec always maps
+    /// to the same key (its extra fields are inert), preserving cache
+    /// hits across cosmetic spec differences.
+    pub fn cache_key(&self) -> u64 {
+        fn mix(h: u64, v: u64) -> u64 {
+            let mut z = h.wrapping_add(0x9E37_79B9_7F4A_7C15).wrapping_add(v);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        let h = mix(0x5341_4D50_4C45_5253, self.kind as u64); // "SAMPLERS"
+        if self.is_systematic() {
+            return h;
+        }
+        let h = mix(h, self.seed);
+        let h = mix(h, self.strata as u64);
+        let h = mix(h, self.pilot);
+        let h = mix(h, self.epsilon.to_bits());
+        mix(h, self.confidence.to_bits())
+    }
+}
+
+impl fmt::Display for SamplerSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.is_systematic() {
+            write!(f, "systematic")
+        } else {
+            write!(
+                f,
+                "{} seed={} strata={} pilot={} ±{:.3}% @ {:.2}%",
+                self.kind,
+                self.seed,
+                self.strata,
+                self.pilot,
+                self.epsilon * 100.0,
+                self.confidence * 100.0
+            )
+        }
     }
 }
 
@@ -302,7 +432,10 @@ fn draw_srs(members: &mut [u64], m: usize, rng: &mut SplitMix64) -> Vec<u64> {
 /// samplers: pilot bookkeeping, observations, and the derived strata.
 #[derive(Debug)]
 struct TwoPhaseState {
-    cfg: StratifiedConfig,
+    spec: SamplerSpec,
+    /// Population size: units `0..pool` are selectable.
+    pool: u64,
+    confidence: Confidence,
     rng: SplitMix64,
     /// Units issued in the pilot phase, ascending.
     pilot_units: Vec<u64>,
@@ -316,11 +449,15 @@ struct TwoPhaseState {
 }
 
 impl TwoPhaseState {
-    fn new(cfg: StratifiedConfig) -> Result<Self, StatsError> {
-        cfg.validate()?;
+    fn new(spec: &SamplerSpec, pool: u64) -> Result<Self, StatsError> {
+        if pool == 0 {
+            return Err(StatsError::ZeroDesignParameter("pool"));
+        }
         Ok(TwoPhaseState {
-            cfg,
-            rng: SplitMix64::new(cfg.seed),
+            spec: *spec,
+            pool,
+            confidence: Confidence::new(spec.confidence)?,
+            rng: SplitMix64::new(spec.seed),
             pilot_units: Vec::new(),
             observed: Vec::new(),
             measured: BTreeSet::new(),
@@ -333,10 +470,16 @@ impl TwoPhaseState {
     /// Issues the systematic pilot with a seeded phase offset: every
     /// `⌊pool / pilot⌋`-th unit from the offset, `pilot` of them.
     fn issue_pilot(&mut self) -> Vec<u64> {
-        let pilot = self.cfg.pilot_size();
-        let interval = (self.cfg.pool / pilot).max(1);
+        let auto = MIN_SAMPLE.max(self.pool / 16);
+        let pilot = if self.spec.pilot == 0 {
+            auto
+        } else {
+            self.spec.pilot
+        };
+        let pilot = pilot.min(self.pool);
+        let interval = (self.pool / pilot).max(1);
         let offset = self.rng.below(interval);
-        self.pilot_units = (offset..self.cfg.pool)
+        self.pilot_units = (offset..self.pool)
             .step_by(interval as usize)
             .take(pilot as usize)
             .collect();
@@ -348,18 +491,10 @@ impl TwoPhaseState {
     /// Clusters the observed pilot into strata. Called once, after the
     /// pilot phase has been observed.
     fn build_strata(&mut self) -> Result<(), StatsError> {
-        let pilot_values: Vec<f64> = self
-            .observed
-            .iter()
+        let (pilot_observed, pilot_values): (Vec<u64>, Vec<f64>) = (self.observed.iter())
             .filter(|(u, _)| self.pilot_units.binary_search(u).is_ok())
-            .map(|&(_, v)| v)
-            .collect();
-        let pilot_observed: Vec<u64> = self
-            .observed
-            .iter()
-            .filter(|(u, _)| self.pilot_units.binary_search(u).is_ok())
-            .map(|&(u, _)| u)
-            .collect();
+            .copied()
+            .unzip();
         if pilot_values.is_empty() {
             return Err(StatsError::InsufficientSample {
                 required: 1,
@@ -369,8 +504,8 @@ impl TwoPhaseState {
         self.strata = Some(PilotStrata::build(
             &pilot_observed,
             &pilot_values,
-            self.cfg.pool,
-            self.cfg.strata,
+            self.pool,
+            self.spec.strata as usize,
         )?);
         Ok(())
     }
@@ -392,13 +527,8 @@ impl TwoPhaseState {
     /// the pooled spread standing in for strata observed fewer than two
     /// times.
     fn spreads(&self, est: &StratifiedEstimator) -> Vec<(u64, f64)> {
-        let pooled = {
-            let mut all = RunningStats::new();
-            for &(_, v) in &self.observed {
-                all.push(v);
-            }
-            all.std_dev()
-        };
+        let all: RunningStats = self.observed.iter().map(|&(_, v)| v).collect();
+        let pooled = all.std_dev();
         let strata = self.strata.as_ref().expect("strata built");
         strata
             .sizes
@@ -435,22 +565,18 @@ impl TwoPhaseState {
         phase
     }
 
-    fn observe(&mut self, unit: u64, value: f64) {
-        self.observed.push((unit, value));
-    }
-
-    fn estimate(&self, name_default_stop: StopReason) -> Result<SamplerEstimate, StatsError> {
+    fn estimate(&self) -> Result<SamplerEstimate, StatsError> {
         let est = self.estimator()?;
-        let half_width = est.relative_half_width(self.cfg.confidence)?;
+        let half_width = est.relative_half_width(self.confidence)?;
         Ok(SamplerEstimate {
             mean: est.mean(),
             half_width,
             n: est.sample_size(),
-            pool: self.cfg.pool,
+            pool: self.pool,
             strata: est.stratum_count(),
             rounds: self.rounds,
-            target_met: half_width <= self.cfg.epsilon,
-            stop: self.stop.unwrap_or(name_default_stop),
+            target_met: half_width <= self.spec.epsilon,
+            stop: self.stop.unwrap_or(StopReason::BudgetSpent),
         })
     }
 }
@@ -464,30 +590,12 @@ impl TwoPhaseState {
 /// *underestimated* the spreads the achieved interval can miss the
 /// target, which [`SamplerEstimate::target_met`] reports honestly.
 #[derive(Debug)]
-pub struct StratifiedSampler {
+struct StratifiedSampler {
     state: TwoPhaseState,
     stage: u8,
 }
 
-impl StratifiedSampler {
-    /// Creates the sampler.
-    ///
-    /// # Errors
-    ///
-    /// Returns configuration errors (zero pool/strata, bad ε).
-    pub fn new(cfg: StratifiedConfig) -> Result<Self, StatsError> {
-        Ok(StratifiedSampler {
-            state: TwoPhaseState::new(cfg)?,
-            stage: 0,
-        })
-    }
-}
-
 impl Sampler for StratifiedSampler {
-    fn name(&self) -> &'static str {
-        "stratified"
-    }
-
     fn next_phase(&mut self) -> Result<SamplerPhase, StatsError> {
         match self.stage {
             0 => {
@@ -499,7 +607,7 @@ impl Sampler for StratifiedSampler {
                 self.state.build_strata()?;
                 let est = self.state.estimator()?;
                 let spreads = self.state.spreads(&est);
-                let cfg = &self.state.cfg;
+                let state = &self.state;
                 // Total n for the target, from pilot spreads: the
                 // Neyman-optimal variance at total n is (Σ W_h·s_h)²/n,
                 // so n = (z·Σ W_h·s_h / (ε·μ̂))².
@@ -508,16 +616,16 @@ impl Sampler for StratifiedSampler {
                     self.state.stop = Some(StopReason::BudgetSpent);
                     return Ok(SamplerPhase::Done);
                 }
-                let pool = cfg.pool as f64;
+                let pool = state.pool as f64;
                 let weighted_spread: f64 =
                     spreads.iter().map(|&(n_h, s)| n_h as f64 / pool * s).sum();
-                let z = cfg.confidence.z();
+                let z = state.confidence.z();
                 // The 1.5× margin covers the sampling error of the
                 // pilot's spread estimates themselves (s_h from a
                 // handful of draws is noisy and, post-clustering,
                 // biased low): undersizing means an honest but failed
                 // run, oversizing only costs a few units.
-                let ideal = 1.5 * (z * weighted_spread / (cfg.epsilon * mean.abs())).powi(2);
+                let ideal = 1.5 * (z * weighted_spread / (state.spec.epsilon * mean.abs())).powi(2);
                 let measured = est.sample_size();
                 // Clustering the pilot biases its within-stratum spreads
                 // low (the cut points were chosen to minimise exactly
@@ -529,7 +637,7 @@ impl Sampler for StratifiedSampler {
                 let total = (ideal.ceil() as u64)
                     .max(MIN_SAMPLE)
                     .max(confirm)
-                    .min(cfg.cap());
+                    .min(state.pool);
                 if total <= measured {
                     self.state.stop = Some(StopReason::TargetMet);
                     return Ok(SamplerPhase::Done);
@@ -549,20 +657,18 @@ impl Sampler for StratifiedSampler {
                 Ok(SamplerPhase::Measure(phase))
             }
             _ => {
-                if self.state.stop.is_none() {
-                    self.state.stop = Some(StopReason::BudgetSpent);
-                }
+                self.state.stop.get_or_insert(StopReason::BudgetSpent);
                 Ok(SamplerPhase::Done)
             }
         }
     }
 
     fn observe(&mut self, unit: u64, value: f64) {
-        self.state.observe(unit, value);
+        self.state.observed.push((unit, value));
     }
 
     fn estimate(&self) -> Result<SamplerEstimate, StatsError> {
-        self.state.estimate(StopReason::BudgetSpent)
+        self.state.estimate()
     }
 }
 
@@ -576,37 +682,15 @@ impl Sampler for StratifiedSampler {
 /// over a seeded unit sequence, so the measured set — and therefore the
 /// estimate — is bit-reproducible at any measurement parallelism.
 #[derive(Debug)]
-pub struct AdaptiveSampler {
+struct AdaptiveSampler {
     state: TwoPhaseState,
-    batch: u64,
     started: bool,
     /// Consecutive batch boundaries at which the running interval met
     /// the target; a stop needs two in a row.
     met_streak: u8,
 }
 
-impl AdaptiveSampler {
-    /// Creates the sampler with the given per-round batch size
-    /// (0 selects [`DEFAULT_BATCH`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns configuration errors (zero pool/strata, bad ε).
-    pub fn new(cfg: StratifiedConfig, batch: u64) -> Result<Self, StatsError> {
-        Ok(AdaptiveSampler {
-            state: TwoPhaseState::new(cfg)?,
-            batch: if batch == 0 { DEFAULT_BATCH } else { batch },
-            started: false,
-            met_streak: 0,
-        })
-    }
-}
-
 impl Sampler for AdaptiveSampler {
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-
     fn next_phase(&mut self) -> Result<SamplerPhase, StatsError> {
         if !self.started {
             self.started = true;
@@ -628,7 +712,7 @@ impl Sampler for AdaptiveSampler {
         // fresh units either confirm the interval or widen it.
         if n >= MIN_SAMPLE
             && self.state.rounds >= 2
-            && est.meets(self.state.cfg.epsilon, self.state.cfg.confidence)?
+            && est.meets(self.state.spec.epsilon, self.state.confidence)?
         {
             if self.met_streak >= 1 {
                 self.state.stop = Some(StopReason::TargetMet);
@@ -638,16 +722,12 @@ impl Sampler for AdaptiveSampler {
         } else {
             self.met_streak = 0;
         }
-        let cap = self.state.cfg.cap();
-        if n >= cap {
-            self.state.stop = Some(if cap == self.state.cfg.pool {
-                StopReason::PoolExhausted
-            } else {
-                StopReason::CapReached
-            });
+        let pool = self.state.pool;
+        if n >= pool {
+            self.state.stop = Some(StopReason::PoolExhausted);
             return Ok(SamplerPhase::Done);
         }
-        let batch = self.batch.min(cap - n);
+        let batch = BATCH.min(pool - n);
 
         // Variance-greedy allocation: aim the batch at the strata whose
         // measured share falls shortest of the Neyman share at n+batch.
@@ -684,53 +764,51 @@ impl Sampler for AdaptiveSampler {
             at += 1;
         }
 
-        let phase = self.state.draw_phase(&per_stratum);
+        let mut phase = self.state.draw_phase(&per_stratum);
         if phase.is_empty() {
             // Greedy targets were saturated; fall back to anything left.
-            let everywhere = vec![batch; spreads.len()];
-            let phase = self.state.draw_phase(&everywhere);
-            if phase.is_empty() {
-                self.state.stop = Some(StopReason::PoolExhausted);
-                return Ok(SamplerPhase::Done);
-            }
-            return Ok(SamplerPhase::Measure(phase));
+            phase = self.state.draw_phase(&vec![batch; spreads.len()]);
+        }
+        if phase.is_empty() {
+            self.state.stop = Some(StopReason::PoolExhausted);
+            return Ok(SamplerPhase::Done);
         }
         Ok(SamplerPhase::Measure(phase))
     }
 
     fn observe(&mut self, unit: u64, value: f64) {
-        self.state.observe(unit, value);
+        self.state.observed.push((unit, value));
     }
 
     fn estimate(&self) -> Result<SamplerEstimate, StatsError> {
-        self.state.estimate(StopReason::BudgetSpent)
+        self.state.estimate()
     }
 }
 
-/// Runs a sampler to completion against a value oracle — the offline
-/// harness used by property tests and the CI-efficiency bench, and the
-/// reference semantics for the execution-layer drivers: phases are
-/// measured atomically and observations are fed back in ascending unit
-/// order.
+/// Runs a sampler to completion — the one phase loop, for the
+/// execution layer's store replays and for offline drives alike.
+/// `measure` gets each phase whole, its units ascending, and returns the
+/// `(unit, value)` observations it made; they are fed back in ascending
+/// unit order, so the run is bit-reproducible however the phase was
+/// measured. A unit `measure` returns no value for stays issued but
+/// unobserved.
 ///
 /// # Errors
 ///
-/// Propagates sampler errors.
-pub fn drive_sampler(
-    sampler: &mut dyn Sampler,
-    mut value_of: impl FnMut(u64) -> f64,
-) -> Result<SamplerEstimate, StatsError> {
-    loop {
-        match sampler.next_phase()? {
-            SamplerPhase::Measure(units) => {
-                for unit in units {
-                    let value = value_of(unit);
-                    sampler.observe(unit, value);
-                }
-            }
-            SamplerPhase::Done => return sampler.estimate(),
+/// Sampler errors, and whatever `measure` returns.
+pub fn drive_sampler<E: From<StatsError>>(
+    mut sampler: Box<dyn Sampler>,
+    mut measure: impl FnMut(&[u64]) -> Result<Vec<(u64, f64)>, E>,
+) -> Result<SamplerEstimate, E> {
+    while let SamplerPhase::Measure(mut units) = sampler.next_phase()? {
+        units.sort_unstable();
+        let mut observed = measure(&units)?;
+        observed.sort_unstable_by_key(|&(unit, _)| unit);
+        for (unit, value) in observed {
+            sampler.observe(unit, value);
         }
     }
+    Ok(sampler.estimate()?)
 }
 
 #[cfg(test)]
@@ -757,18 +835,35 @@ mod tests {
         values.iter().sum::<f64>() / values.len() as f64
     }
 
+    /// A `kind` spec at `(±epsilon, confidence)` with `seed`.
+    fn spec(kind: SamplerKind, epsilon: f64, confidence: Confidence, seed: u64) -> SamplerSpec {
+        SamplerSpec {
+            kind,
+            seed,
+            epsilon,
+            confidence: confidence.level(),
+            ..SamplerSpec::systematic()
+        }
+    }
+
+    /// Drives `spec` over the whole of `pop`.
+    fn drive(spec: SamplerSpec, pop: &[f64]) -> SamplerEstimate {
+        let sampler = spec.build(pop.len() as u64).unwrap();
+        let value = |&unit: &u64| (unit, pop[unit as usize]);
+        drive_sampler(sampler, |units| {
+            Ok::<_, StatsError>(units.iter().map(value).collect())
+        })
+        .unwrap()
+    }
+
     #[test]
     fn stratified_sampler_is_seed_deterministic() {
         let pop = phased_population(2000, 11);
-        let cfg = StratifiedConfig::for_pool(2000, 0.03, Confidence::THREE_SIGMA, 42);
-        let run = |cfg| {
-            let mut s = StratifiedSampler::new(cfg).unwrap();
-            drive_sampler(&mut s, |u| pop[u as usize]).unwrap()
-        };
-        let a = run(cfg);
-        let b = run(cfg);
+        let spec = spec(SamplerKind::Stratified, 0.03, Confidence::THREE_SIGMA, 42);
+        let a = drive(spec, &pop);
+        let b = drive(spec, &pop);
         assert_eq!(a, b, "same seed must reproduce the exact estimate");
-        let c = run(StratifiedConfig { seed: 43, ..cfg });
+        let c = drive(SamplerSpec { seed: 43, ..spec }, &pop);
         // A different seed shifts the pilot/draws; the estimate almost
         // surely differs in some bit.
         assert!(a.mean.to_bits() != c.mean.to_bits() || a.n != c.n);
@@ -788,9 +883,7 @@ mod tests {
         let n_sys =
             crate::required_sample_size(all.coefficient_of_variation(), 0.03, conf).unwrap();
 
-        let cfg = StratifiedConfig::for_pool(4000, 0.03, conf, 9);
-        let mut sampler = StratifiedSampler::new(cfg).unwrap();
-        let est = drive_sampler(&mut sampler, |u| pop[u as usize]).unwrap();
+        let est = drive(spec(SamplerKind::Stratified, 0.03, conf, 9), &pop);
         assert!(est.target_met, "stratified run missed its target: {est:?}");
         assert!((est.mean - t).abs() / t <= 0.03, "estimate off: {est:?}");
         assert!(
@@ -806,13 +899,9 @@ mod tests {
         let pop = phased_population(4000, 5);
         let t = truth(&pop);
         let conf = Confidence::THREE_SIGMA;
-        let cfg = StratifiedConfig::for_pool(4000, 0.03, conf, 17);
-        let run = || {
-            let mut s = AdaptiveSampler::new(cfg, 0).unwrap();
-            drive_sampler(&mut s, |u| pop[u as usize]).unwrap()
-        };
-        let a = run();
-        let b = run();
+        let spec = spec(SamplerKind::Adaptive, 0.03, conf, 17);
+        let a = drive(spec, &pop);
+        let b = drive(spec, &pop);
         assert_eq!(a, b, "adaptive runs must be seed-deterministic");
         assert_eq!(a.stop, StopReason::TargetMet);
         assert!(a.target_met);
@@ -832,17 +921,13 @@ mod tests {
     #[test]
     fn adaptive_sampler_exhausts_tiny_pools_gracefully() {
         let pop: Vec<f64> = (0..40).map(|u| 1.0 + (u % 13) as f64).collect();
-        let cfg = StratifiedConfig {
-            pool: 40,
+        let spec = SamplerSpec {
             pilot: 10,
             strata: 3,
-            epsilon: 0.001, // unreachable target
-            confidence: Confidence::THREE_SIGMA,
-            seed: 1,
-            max_units: None,
+            // An unreachable target.
+            ..spec(SamplerKind::Adaptive, 0.001, Confidence::THREE_SIGMA, 1)
         };
-        let mut s = AdaptiveSampler::new(cfg, 8).unwrap();
-        let est = drive_sampler(&mut s, |u| pop[u as usize]).unwrap();
+        let est = drive(spec, &pop);
         // A census leaves no sampling error: the finite-population
         // correction collapses the interval to zero width, so even the
         // "unreachable" target is met at n = pool. The two-in-a-row
@@ -857,28 +942,11 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_cap_is_respected() {
-        let pop = phased_population(2000, 23);
-        let cfg = StratifiedConfig {
-            max_units: Some(64),
-            epsilon: 1e-6,
-            ..StratifiedConfig::for_pool(2000, 0.03, Confidence::THREE_SIGMA, 23)
-        };
-        let mut s = AdaptiveSampler::new(cfg, 16).unwrap();
-        let est = drive_sampler(&mut s, |u| pop[u as usize]).unwrap();
-        assert_eq!(est.stop, StopReason::CapReached);
-        assert!(est.n <= 64);
-    }
-
-    #[test]
     fn samplers_never_reissue_units() {
         let pop = phased_population(500, 2);
-        let cfg = StratifiedConfig::for_pool(500, 0.01, Confidence::NINETY_FIVE, 3);
-        for sampler in [
-            Box::new(StratifiedSampler::new(cfg).unwrap()) as Box<dyn Sampler>,
-            Box::new(AdaptiveSampler::new(cfg, 16).unwrap()) as Box<dyn Sampler>,
-        ] {
-            let mut sampler = sampler;
+        for kind in [SamplerKind::Stratified, SamplerKind::Adaptive] {
+            let spec = spec(kind, 0.01, Confidence::NINETY_FIVE, 3);
+            let mut sampler = spec.build(500).unwrap();
             let mut seen = BTreeSet::new();
             while let SamplerPhase::Measure(units) = sampler.next_phase().unwrap() {
                 for unit in units {
@@ -893,23 +961,26 @@ mod tests {
     #[test]
     fn bad_configurations_are_rejected() {
         let conf = Confidence::NINETY_FIVE;
-        let bad = StratifiedConfig {
-            pool: 0,
-            ..StratifiedConfig::for_pool(1, 0.03, conf, 0)
-        };
-        assert!(StratifiedSampler::new(bad).is_err());
-        let bad_eps = StratifiedConfig {
-            epsilon: -1.0,
-            ..StratifiedConfig::for_pool(100, 0.03, conf, 0)
-        };
-        assert!(AdaptiveSampler::new(bad_eps, 0).is_err());
+        let stratified = spec(SamplerKind::Stratified, 0.03, conf, 0);
+        assert!(stratified.build(0).is_err());
+        let bad_eps = spec(SamplerKind::Adaptive, -1.0, conf, 0);
+        assert!(bad_eps.build(100).is_err());
     }
 
     #[test]
     fn estimate_before_observation_is_an_error() {
-        let cfg = StratifiedConfig::for_pool(100, 0.03, Confidence::NINETY_FIVE, 0);
-        let sampler = StratifiedSampler::new(cfg).unwrap();
-        assert!(sampler.estimate().is_err());
+        let spec = spec(SamplerKind::Stratified, 0.03, Confidence::NINETY_FIVE, 0);
+        assert!(spec.build(100).unwrap().estimate().is_err());
+    }
+
+    #[test]
+    fn only_a_selecting_spec_builds_a_sampler() {
+        let systematic = SamplerSpec::systematic();
+        assert_eq!(systematic.build(100).err(), Some(StatsError::NoSampler));
+        for kind in [SamplerKind::Stratified, SamplerKind::Adaptive] {
+            let spec = SamplerSpec { kind, ..systematic };
+            assert!(spec.build(100).is_ok(), "{kind}");
+        }
     }
 
     #[test]

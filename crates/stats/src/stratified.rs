@@ -30,7 +30,7 @@ struct Stratum {
 /// stratum with fewer than two observations borrows the pooled sample
 /// variance as a conservative stand-in for its own `s_h²`.
 #[derive(Debug, Clone)]
-pub struct StratifiedEstimator {
+pub(crate) struct StratifiedEstimator {
     strata: Vec<Stratum>,
 }
 
@@ -74,11 +74,6 @@ impl StratifiedEstimator {
         self.strata.len()
     }
 
-    /// Total population size `N = Σ N_h` in units.
-    pub fn population(&self) -> u64 {
-        self.strata.iter().map(|s| s.population).sum()
-    }
-
     /// Total observations accumulated across strata.
     pub fn sample_size(&self) -> u64 {
         self.strata.iter().map(|s| s.stats.count()).sum()
@@ -101,20 +96,17 @@ impl StratifiedEstimator {
     /// the samplers guarantee every stratum holds at least one pilot
     /// observation, so in driven use all weights are the true `W_h`.
     pub fn mean(&self) -> f64 {
-        let observed: u64 = self
-            .strata
-            .iter()
-            .filter(|s| s.stats.count() > 0)
-            .map(|s| s.population)
-            .sum();
-        if observed == 0 {
-            return 0.0;
-        }
-        self.strata
-            .iter()
-            .filter(|s| s.stats.count() > 0)
-            .map(|s| s.population as f64 / observed as f64 * s.stats.mean())
+        self.observed_strata()
+            .map(|(w, s)| w * s.stats.mean())
             .sum()
+    }
+
+    /// The strata with observations, each with its weight `W_h`
+    /// renormalized over them.
+    fn observed_strata(&self) -> impl Iterator<Item = (f64, &Stratum)> {
+        let observed = self.strata.iter().filter(|s| s.stats.count() > 0);
+        let population: u64 = observed.clone().map(|s| s.population).sum();
+        observed.map(move |s| (s.population as f64 / population as f64, s))
     }
 
     /// Pooled sample variance over all observations, used as the
@@ -130,21 +122,9 @@ impl StratifiedEstimator {
     /// Estimated variance of the stratified mean,
     /// `Σ W_h²·(s_h²/n_h)·(1 − n_h/N_h)`.
     pub fn variance_of_mean(&self) -> f64 {
-        let observed: u64 = self
-            .strata
-            .iter()
-            .filter(|s| s.stats.count() > 0)
-            .map(|s| s.population)
-            .sum();
-        if observed == 0 {
-            return 0.0;
-        }
         let pooled = self.pooled_variance();
-        self.strata
-            .iter()
-            .filter(|s| s.stats.count() > 0)
-            .map(|s| {
-                let w = s.population as f64 / observed as f64;
+        self.observed_strata()
+            .map(|(w, s)| {
                 let n = s.stats.count();
                 let s2 = if n >= 2 { s.stats.variance() } else { pooled };
                 let fpc = (1.0 - n as f64 / s.population as f64).max(0.0);
@@ -203,7 +183,7 @@ impl StratifiedEstimator {
 ///
 /// Returns [`StatsError::ZeroDesignParameter`] when `strata` is empty,
 /// any `N_h` is zero, or `total` is zero.
-pub fn neyman_allocation(strata: &[(u64, f64)], total: u64) -> Result<Vec<u64>, StatsError> {
+pub(crate) fn neyman_allocation(strata: &[(u64, f64)], total: u64) -> Result<Vec<u64>, StatsError> {
     if strata.is_empty() {
         return Err(StatsError::ZeroDesignParameter("strata"));
     }
@@ -273,7 +253,7 @@ pub fn neyman_allocation(strata: &[(u64, f64)], total: u64) -> Result<Vec<u64>, 
 
 /// A deterministic 1-D clustering of values into at most `k` groups.
 #[derive(Debug, Clone)]
-pub struct Clustering {
+pub(crate) struct Clustering {
     /// Cluster label of each input value, `0 ≤ label < centers.len()`.
     pub labels: Vec<usize>,
     /// Cluster centers in ascending order; empty clusters are dropped,
@@ -293,7 +273,7 @@ pub struct Clustering {
 /// Returns [`StatsError::ZeroDesignParameter`] when `values` is empty or
 /// `k` is zero, and [`StatsError::InvalidVariation`] on non-finite
 /// values.
-pub fn cluster_1d(values: &[f64], k: usize) -> Result<Clustering, StatsError> {
+pub(crate) fn cluster_1d(values: &[f64], k: usize) -> Result<Clustering, StatsError> {
     if values.is_empty() {
         return Err(StatsError::ZeroDesignParameter("values"));
     }
@@ -502,7 +482,6 @@ mod tests {
     #[test]
     fn empty_estimator_reports_insufficient_sample() {
         let est = StratifiedEstimator::new(&[10, 20]).unwrap();
-        assert_eq!(est.population(), 30);
         assert_eq!(est.sample_size(), 0);
         assert!(est.relative_half_width(Confidence::NINETY_FIVE).is_err());
         assert!(StratifiedEstimator::new(&[]).is_err());
