@@ -26,12 +26,11 @@ pub enum CkptError {
         /// Fingerprint recorded in the store header.
         found: u64,
     },
-    /// The store was written by a different instruction-set frontend
-    /// than the one trying to replay it. Surfaced before any record is
-    /// decoded, so a frontend mix-up reads as this typed error rather
-    /// than a record-level decode failure.
+    /// A checkpoint of one instruction-set frontend was appended to a
+    /// store created for another ([`crate::CkptWriter::append`]), so no
+    /// store ever holds records its header's frontend cannot parse.
     IsaMismatch {
-        /// Frontend attempting the replay.
+        /// Frontend of the checkpoint offered.
         expected: IsaId,
         /// Frontend recorded in the store header.
         found: IsaId,

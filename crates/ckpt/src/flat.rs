@@ -70,11 +70,9 @@ impl FlatCheckpoint {
     /// was written for, parsing the CPU-state words under frontend `I`;
     /// the memory snapshot shares this flat's pages copy-on-write.
     /// Fails (with a diagnostic) when the word stream does not parse
-    /// against that geometry — the corrupted-record path. Callers gate
-    /// on the store's recorded [`smarts_isa::IsaId`] first, so a
-    /// frontend mix-up surfaces as a typed
-    /// [`CkptError::IsaMismatch`](crate::CkptError::IsaMismatch) rather
-    /// than falling through to this parse failure.
+    /// against that geometry — the corrupted-record path. Callers pick
+    /// `I` from the store's recorded [`smarts_isa::IsaId`], so the words
+    /// always parse under the frontend that wrote them.
     pub fn rebuild_isa<I: Isa>(
         &self,
         cfg: &MachineConfig,

@@ -137,8 +137,7 @@ pub struct StoreMeta {
     /// Scale factor the benchmark was loaded with.
     pub scale: f64,
     /// The instruction-set frontend the store's checkpoints were
-    /// produced under. Replaying under a different frontend is refused
-    /// with [`CkptError::IsaMismatch`].
+    /// produced under, and the one a replay rebuilds them with.
     pub isa: IsaId,
 }
 

@@ -753,9 +753,8 @@ fn frontend_mismatch_is_typed_on_both_ends() {
     ));
     writer.finish().expect("finish empty store");
 
-    // Reader side: the header records the frontend, so a replay can
-    // refuse a built-in store under the RISC frontend before any record
-    // is decoded (`smarts-exec`'s `replay` does, as `IsaMismatch`).
+    // Reader side: the header records the frontend, which is the one
+    // `smarts-exec`'s `replay` rebuilds every record under.
     write_store(&path, &cfg, &originals);
     let store = MappedStore::open(&path, &cfg).expect("open store");
     assert_eq!(store.meta().isa, IsaId::Builtin);

@@ -11,23 +11,24 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::UNIX_EPOCH;
 
-use smarts_ckpt::MappedStore;
+use smarts_ckpt::{MappedStore, StoreMeta};
 use smarts_core::{
     FunctionalEngine, PairedComparison, SampleReport, SamplerKind, SamplerSpec, SamplingParams,
     SmartsSim, TwoStepOutcome, Warming,
 };
 use smarts_exec::{
-    replay, sample, Estimate, ExecError, Executor, ParallelMode, ParallelReport, UnitMemo,
+    approx_len, replay, sample, Estimate, ExecError, Executor, ParallelMode, ParallelReport,
+    UnitMemo,
 };
-use smarts_isa::{write_trace, BuiltinIsa, IsaId, RiscIsa, TraceIsa};
+use smarts_isa::{write_trace, IsaId};
 use smarts_server::{
-    estimate_line, machine_for, params_for, report_from_json, sampler_from_json, Client, JobSpec,
+    estimate_line, machine_for, report_from_json, sampler_from_json, Client, JobSpec,
 };
 use smarts_simpoint::{estimate_cpi, SimPointConfig};
 use smarts_stats::{Confidence, SamplerEstimate};
 use smarts_uarch::MachineConfig;
 use smarts_uarch::WarmState;
-use smarts_workloads::{extended_suite, find, Benchmark, Frontend};
+use smarts_workloads::{extended_suite, find, Benchmark};
 
 /// Parsed common options shared by the sampling subcommands: the job
 /// they describe, plus what is not part of a job.
@@ -109,8 +110,9 @@ pub fn usage() -> String {
      \n\
      options:\n\
      \x20 --bench <name>           benchmark (see `smarts list`)\n\
-     \x20 --isa <builtin|risc>     instruction-set frontend   [builtin]\n\
-     \x20 --trace <file>           sample a recorded trace file (trace frontend;\n\
+     \x20 --isa <builtin|risc>     instruction-set frontend of a warming run (a\n\
+     \x20                          store replays under its own)  [builtin]\n\
+     \x20 --trace <file>           warm from a recorded trace file (trace frontend;\n\
      \x20                          replaces --bench, ignores --scale)\n\
      \x20 --out <file>             trace-export: output trace path\n\
      \x20 --config <8|16>          machine configuration      [8]\n\
@@ -139,11 +141,12 @@ pub fn usage() -> String {
      \x20 --save-checkpoints <p>   persist unit checkpoints to a store at <p> while\n\
      \x20                          sampling (not with --epsilon)\n\
      \x20 --from-checkpoints <p>   replay a saved store, skipping functional warming;\n\
-     \x20                          benchmark and sampling design come from the store\n\
-     \x20                          (--bench is ignored; not with --epsilon). Unit\n\
-     \x20                          outcomes this build already measured on this\n\
-     \x20                          machine are reused from <p>.<machine>.units\n\
-     \x20                          beside the store; delete it to re-simulate\n\
+     \x20                          benchmark, frontend and sampling design come from\n\
+     \x20                          the store (--bench, --isa and --trace are ignored;\n\
+     \x20                          not with --epsilon). Unit outcomes this build\n\
+     \x20                          already measured on this machine are reused from\n\
+     \x20                          <p>.<machine>.units beside the store; delete it\n\
+     \x20                          to re-simulate\n\
      \x20 --json                   emit the canonical bit-exact report JSON (sample,\n\
      \x20                          submit --wait, result)\n\
      \n\
@@ -237,14 +240,14 @@ fn benchmark(options: &Options) -> Result<Benchmark, String> {
     Ok(bench.scaled(options.job.scale))
 }
 
-/// The design `job` describes: the server's derivation, plus
+/// The store identity `job` describes: the server's derivation, plus
 /// `--no-functional-warming`.
-fn sampling_params(options: &Options, job: &JobSpec) -> Result<SamplingParams, String> {
-    let mut params = params_for(job, &machine_for(job.config))?;
+fn job_meta(options: &Options, job: &JobSpec) -> Result<StoreMeta, String> {
+    let mut meta = job.meta()?;
     if options.no_functional_warming {
-        params.warming = Warming::None;
+        meta.params.warming = Warming::None;
     }
-    Ok(params)
+    Ok(meta)
 }
 
 fn cmd_list() {
@@ -260,10 +263,9 @@ fn cmd_list() {
     }
 }
 
-/// The frontend the sampling options select, plus the workload name it
-/// resolves (a benchmark name for builtin and risc, a trace path for
-/// trace; unused when replaying a store, whose header names its own
-/// workload).
+/// The frontend a warming run's options select, plus the workload name
+/// it resolves: a benchmark name for builtin and risc, a trace path for
+/// trace. A store replay takes both from the store's header instead.
 fn sample_frontend(options: &Options) -> Result<(IsaId, String), String> {
     if let Some(trace) = &options.trace {
         if options.job.isa == IsaId::Risc {
@@ -271,10 +273,8 @@ fn sample_frontend(options: &Options) -> Result<(IsaId, String), String> {
         }
         return Ok((IsaId::Trace, trace.clone()));
     }
-    if options.job.isa == IsaId::Trace && options.from_checkpoints.is_none() {
-        return Err(
-            "--isa trace needs --trace <file> (or --from-checkpoints on a trace store)".into(),
-        );
+    if options.job.isa == IsaId::Trace {
+        return Err("--isa trace needs --trace <file>".into());
     }
     Ok((options.job.isa, options.job.bench.clone()))
 }
@@ -310,28 +310,11 @@ fn tunes(options: &Options) -> bool {
     options.epsilon_given && options.job.sampler == SamplerKind::Systematic
 }
 
-/// Validates the flag combinations every frontend shares, then runs
-/// the sample under the selected one.
-fn run_sample(options: &Options) -> Result<SampleRun, String> {
-    let stored = options.save_checkpoints.is_some() || options.from_checkpoints.is_some();
-    if options.save_checkpoints.is_some() && options.from_checkpoints.is_some() {
-        return Err("--save-checkpoints and --from-checkpoints are mutually exclusive".into());
-    }
-    if tunes(options) && stored {
-        return Err(TUNING_NEEDS_NO_STORE.into());
-    }
-    match sample_frontend(options)? {
-        (IsaId::Builtin, workload) => sample_with::<BuiltinIsa>(options, &workload),
-        (IsaId::Risc, workload) => sample_with::<RiscIsa>(options, &workload),
-        (IsaId::Trace, workload) => sample_with::<TraceIsa>(options, &workload),
-    }
-}
-
 /// The `benchmark` line of a report: a suite entry of the built-in
 /// frontend prints with its scaled length, anything else by name.
-fn workload_label<F: Frontend>(name: &str, scale: f64) -> String {
+fn workload_label(isa: IsaId, name: &str, scale: f64) -> String {
     match find(name) {
-        Some(bench) if F::ID == IsaId::Builtin => bench.scaled(scale).to_string(),
+        Some(bench) if isa == IsaId::Builtin => bench.scaled(scale).to_string(),
         _ => name.to_string(),
     }
 }
@@ -344,12 +327,20 @@ fn build_identity() -> Option<String> {
     Some(format!("{} bytes, modified {mtime:?}", exe.len()))
 }
 
-/// `smarts sample` under frontend `F`. The one fork is the source of the
-/// checkpoints — `--from-checkpoints`, or a warming pass that keeps them
-/// (`--save-checkpoints`) or not — and each is one `smarts-exec` entry
-/// point, which runs the estimator the sampler spec names. Every route
-/// yields the same report bytes for the same design.
-fn sample_with<F: Frontend>(options: &Options, workload: &str) -> Result<SampleRun, String> {
+/// `smarts sample`, after the flag combinations are validated. The one
+/// fork is the source of the checkpoints — `--from-checkpoints`, or a
+/// warming pass that keeps them (`--save-checkpoints`) or not — and each
+/// is one `smarts-exec` entry point, which picks the frontend from the
+/// store identity and runs the estimator the sampler spec names. Every
+/// route yields the same report bytes for the same design.
+fn run_sample(options: &Options) -> Result<SampleRun, String> {
+    let stored = options.save_checkpoints.is_some() || options.from_checkpoints.is_some();
+    if options.save_checkpoints.is_some() && options.from_checkpoints.is_some() {
+        return Err("--save-checkpoints and --from-checkpoints are mutually exclusive".into());
+    }
+    if tunes(options) && stored {
+        return Err(TUNING_NEEDS_NO_STORE.into());
+    }
     let job = &options.job;
     let cfg = machine_for(job.config);
     let sim = SmartsSim::new(cfg.clone());
@@ -360,7 +351,7 @@ fn sample_with<F: Frontend>(options: &Options, workload: &str) -> Result<SampleR
     let mut notes = Vec::new();
 
     if let Some(path) = &options.from_checkpoints {
-        // The store's own workload and sampling design apply.
+        // The store's own workload, frontend and sampling design apply.
         let store = MappedStore::open(path, &cfg).map_err(|e| text(e.into()))?;
         let meta = store.meta().clone();
         // Outcomes an earlier run of this build measured on this machine
@@ -373,7 +364,7 @@ fn sample_with<F: Frontend>(options: &Options, workload: &str) -> Result<SampleR
         });
         let known = memo.known();
         let executor = executor.with_memo(Arc::clone(&memo));
-        let run = replay::<F>(&executor, &sim, &store, &spec).map_err(text)?;
+        let run = replay(&executor, &sim, &store, &spec).map_err(text)?;
         let records = run.damage.as_ref().map_or(store.len() as u64, |d| d.0);
         notes.push(format!(
             "store         {path}: {records} records (workload {}, scale {})",
@@ -400,8 +391,8 @@ fn sample_with<F: Frontend>(options: &Options, workload: &str) -> Result<SampleR
             units.display()
         ));
         return Ok(SampleRun {
-            frontend: F::ID,
-            label: workload_label::<F>(&meta.benchmark, meta.scale),
+            frontend: meta.isa,
+            label: workload_label(meta.isa, &meta.benchmark, meta.scale),
             params: meta.params,
             conf,
             notes,
@@ -409,29 +400,33 @@ fn sample_with<F: Frontend>(options: &Options, workload: &str) -> Result<SampleR
         });
     }
 
+    let (isa, workload) = sample_frontend(options)?;
     if workload.is_empty() {
         return Err("--bench is required".into());
     }
     let two_step = tunes(options).then_some(job.epsilon);
-    if two_step.is_some() && F::ID != IsaId::Builtin {
+    if two_step.is_some() && isa != IsaId::Builtin {
         return Err("--epsilon two-step tuning supports the built-in frontend only".into());
     }
     let resolved = JobSpec {
-        bench: workload.to_string(),
-        isa: F::ID,
+        bench: workload.clone(),
+        isa,
         ..job.clone()
     };
-    let params = sampling_params(options, &resolved)?;
+    let meta = job_meta(options, &resolved)?;
     let save = options.save_checkpoints.as_deref().map(Path::new);
-    let run_at =
-        |p: &SamplingParams| sample::<F>(&executor, &sim, workload, job.scale, p, &spec, save);
+    let run_at = |params: &SamplingParams| {
+        let mut meta = meta.clone();
+        meta.params = *params;
+        sample(&executor, &sim, &meta, &spec, save)
+    };
     let run = match two_step {
         // Two-step tuning reruns at a tuned n; the run that stands is the
         // last one.
         Some(eps) => {
             let mut last = None;
-            let len = F::approx_len(workload, job.scale)?;
-            let outcome = TwoStepOutcome::run(len, &params, eps, conf, |p| {
+            let len = approx_len(isa, &workload, job.scale)?;
+            let outcome = TwoStepOutcome::run(len, &meta.params, eps, conf, |p| {
                 let run = run_at(p)?;
                 let report = run.estimate.report().report.clone();
                 last = Some(run);
@@ -448,7 +443,7 @@ fn sample_with<F: Frontend>(options: &Options, workload: &str) -> Result<SampleR
             }
             last.expect("the two-step procedure sampled")
         }
-        None => run_at(&params).map_err(text)?,
+        None => run_at(&meta.params).map_err(text)?,
     };
     if let (Some(write), Some(path)) = (&run.write, save) {
         notes.push(format!(
@@ -459,9 +454,9 @@ fn sample_with<F: Frontend>(options: &Options, workload: &str) -> Result<SampleR
         ));
     }
     Ok(SampleRun {
-        frontend: F::ID,
-        label: workload_label::<F>(workload, job.scale),
-        params,
+        frontend: isa,
+        label: workload_label(isa, &workload, job.scale),
+        params: meta.params,
         conf,
         notes,
         estimate: run.estimate,
@@ -625,15 +620,7 @@ fn cmd_ckpt_info(path: &str, json: bool) -> Result<(), String> {
         meta.scale,
         store.fingerprint()
     );
-    println!(
-        "frontend      {} (replay needs the same frontend{})",
-        meta.isa,
-        if meta.isa == IsaId::Builtin {
-            ""
-        } else {
-            "; pass --isa or --trace"
-        }
-    );
+    println!("frontend      {} (a replay runs under it)", meta.isa);
     println!(
         "design        U={}, W={}, k={}, j={}, warming {:?}",
         meta.params.unit_size,
@@ -793,12 +780,14 @@ fn run_compare(options: &Options) -> Result<PairedComparison, String> {
         config: 8,
         ..options.job.clone()
     };
-    let mut params = sampling_params(options, &eight)?;
-    params.detailed_warming = 0;
+    let mut meta = job_meta(options, &eight)?;
+    meta.params.detailed_warming = 0;
     let executor = Executor::new(eight.jobs).map_err(|e| e.to_string())?;
     let spec = SamplerSpec::systematic();
-    PairedComparison::run(&base, &alt, &params, |sim, p| {
-        let run = sample::<BuiltinIsa>(&executor, sim, bench.name(), eight.scale, p, &spec, None);
+    PairedComparison::run(&base, &alt, &meta.params, |sim, p| {
+        let mut meta = meta.clone();
+        meta.params = *p;
+        let run = sample(&executor, sim, &meta, &spec, None);
         run.map(|run| run.estimate.report().report.clone())
     })
     .map_err(|e: ExecError| e.to_string())
@@ -933,33 +922,36 @@ fn job_spec(options: &Options) -> Result<JobSpec, String> {
     Ok(options.job.clone())
 }
 
-/// Prints a job's report fetched from a server: raw canonical bytes
-/// with `--json`, the usual prose report otherwise.
+/// Prints job `id`'s report fetched from a server: raw canonical bytes
+/// with `--json`, the usual prose report otherwise — labelled with the
+/// job's own benchmark and machine, read off `job` (its `status` reply
+/// or its `end` event), not off this command's flags.
 fn print_fetched_result(
     options: &Options,
-    job: &str,
-    source: &str,
-    raw_report: &str,
+    client: &mut Client,
+    id: &str,
+    job: &smarts_server::json::Json,
 ) -> Result<(), String> {
+    use smarts_server::json::{parse, Json};
+    let (source, raw_report) = client.result(id)?;
     if options.json {
         println!("{raw_report}");
         return Ok(());
     }
-    let value = smarts_server::json::parse(raw_report).map_err(|e| format!("bad report: {e}"))?;
+    let value = parse(&raw_report).map_err(|e| format!("bad report: {e}"))?;
     let report = report_from_json(&value)?;
     let conf = Confidence::new(options.job.confidence).map_err(|e| e.to_string())?;
-    println!("job           {job} (result from {source})");
+    println!("job           {id} (result from {source})");
     if let Some(section) = value.get("sampler") {
         let (spec, estimate) = sampler_from_json(section)?;
         print_sampler_lines(&spec, &estimate);
     }
-    let label = match options.job.bench.as_str() {
-        "" => "<server job>",
-        bench => bench,
-    };
+    let bench = job.get("bench").and_then(Json::as_str);
+    let config = job.get("config").and_then(Json::as_u64);
+    let config = config.and_then(|config| u32::try_from(config).ok());
     print_sample_report(
-        label,
-        &machine_for(options.job.config),
+        bench.unwrap_or("<server job>"),
+        &machine_for(config.unwrap_or(options.job.config)),
         &report.params,
         &report,
         conf,
@@ -985,8 +977,7 @@ fn cmd_submit(options: &Options) -> Result<(), String> {
         let detail = field("error").unwrap_or("no detail");
         return Err(format!("job {id} ended {state}: {detail}"));
     }
-    let (source, raw) = client.result(&id)?;
-    print_fetched_result(options, &id, &source, &raw)
+    print_fetched_result(options, &mut client, &id, &end)
 }
 
 fn cmd_status(options: &Options) -> Result<(), String> {
@@ -1041,8 +1032,8 @@ fn cmd_status(options: &Options) -> Result<(), String> {
 fn cmd_result(options: &Options) -> Result<(), String> {
     let id = options.job_id.clone().ok_or("--job is required")?;
     let mut client = Client::connect(&options.addr)?;
-    let (source, raw) = client.result(&id)?;
-    print_fetched_result(options, &id, &source, &raw)
+    let job = client.status(Some(&id))?;
+    print_fetched_result(options, &mut client, &id, &job)
 }
 
 fn cmd_cancel(options: &Options) -> Result<(), String> {
@@ -1729,16 +1720,15 @@ mod tests {
     /// `--save-checkpoints`, `--from-checkpoints`} — one frontend row at
     /// a time: for every sampler the three sources print byte-equal
     /// `--json` lines, and no temporary store outlives its run.
-    /// `workload` is the frontend's flags for a cold run, `replay` its
-    /// flags for replaying a store.
-    fn check_matrix(workload: &[&str], replay: &[&str], samplers: &[&str]) {
+    /// `workload` is the frontend's flags for a cold run; a replay names
+    /// no frontend, since the store's header does.
+    fn check_matrix(workload: &[&str], samplers: &[&str]) {
         let _serial = MATRIX.lock().unwrap_or_else(|p| p.into_inner());
         let line = |args: Vec<&str>| json_of(&args);
         for (row, sampler) in samplers.iter().enumerate() {
             let path = std::env::temp_dir().join(format!(
-                "smarts-cli-matrix-{}-{}-{row}.ckpt",
-                std::process::id(),
-                replay.join("")
+                "smarts-cli-matrix-{}-{row}.ckpt",
+                std::process::id()
             ));
             let path_s = path.to_string_lossy().to_string();
             // Two workers, so every cell runs the threaded pipeline.
@@ -1754,7 +1744,7 @@ mod tests {
             ];
             let cold = line([workload, &design].concat());
             let saved = line([workload, &design, &["--save-checkpoints", &path_s]].concat());
-            let replayed = line([replay, &design[2..], &["--from-checkpoints", &path_s]].concat());
+            let replayed = line([&design[2..], &["--from-checkpoints", &path_s]].concat());
             assert_eq!(
                 saved, cold,
                 "{workload:?} {sampler}: saving changed the line"
@@ -1829,12 +1819,12 @@ mod tests {
     fn save_and_replay_checkpoints_round_trip() {
         // Replay skips warming; the store supplies workload and design,
         // so no --bench is needed.
-        check_matrix(&BUILTIN, &[], &["systematic"]);
+        check_matrix(&BUILTIN, &["systematic"]);
     }
 
     #[test]
     fn sampled_strategies_run_cold_and_from_a_saved_store() {
-        check_matrix(&BUILTIN, &[], &["stratified", "adaptive"]);
+        check_matrix(&BUILTIN, &["stratified", "adaptive"]);
     }
 
     #[test]
@@ -1853,36 +1843,30 @@ mod tests {
     fn risc_frontend_samples_and_round_trips_a_store() {
         let name = smarts_workloads::risc_suite()[0].name().to_string();
         let workload = ["--isa", "risc", "--bench", &name, "--scale", "0.02"];
-        check_matrix(&workload, &["--isa", "risc"], &["systematic"]);
+        check_matrix(&workload, &["systematic"]);
 
-        // The built-in frontend refuses a risc store with the typed
-        // mismatch, and inspecting it needs no frontend at all.
+        // A replay takes the frontend from the store's header: with no
+        // --isa it prints the line the writing run printed, and a
+        // frontend flag does not apply to it. Inspecting the store needs
+        // no frontend either.
         let path =
             std::env::temp_dir().join(format!("smarts-cli-risc-{}.ckpt", std::process::id()));
         let path_s = path.to_string_lossy().to_string();
-        dispatch(&strings(
-            &[
-                &["sample"],
-                &workload[..],
-                &["--n", "8", "--save-checkpoints", &path_s],
-            ]
-            .concat(),
-        ))
-        .unwrap();
+        let written =
+            json_of(&[&workload[..], &["--n", "8", "--save-checkpoints", &path_s]].concat());
         dispatch(&strings(&["ckpt-info", &path_s])).unwrap();
-        let err = dispatch(&strings(&["sample", "--from-checkpoints", &path_s])).unwrap_err();
-        assert!(
-            err.contains("written by the risc frontend, not builtin"),
-            "expected a frontend mismatch, got: {err}"
-        );
-        std::fs::remove_file(&path).ok();
+        for frontend in [&[][..], &["--isa", "risc"], &["--isa", "builtin"]] {
+            let replayed = json_of(&[frontend, &["--from-checkpoints", &path_s]].concat());
+            assert_eq!(replayed, written, "replay with {frontend:?}");
+        }
+        remove_store(&path);
     }
 
     #[test]
     fn risc_frontend_runs_the_sampled_strategies() {
         let name = smarts_workloads::risc_suite()[0].name().to_string();
         let workload = ["--isa", "risc", "--bench", &name, "--scale", "0.02"];
-        check_matrix(&workload, &["--isa", "risc"], &["stratified", "adaptive"]);
+        check_matrix(&workload, &["stratified", "adaptive"]);
     }
 
     #[test]
@@ -1898,7 +1882,6 @@ mod tests {
         // The trace frontend flows through stores like any other.
         check_matrix(
             &["--trace", &path_s],
-            &["--isa", "trace"],
             &["systematic", "stratified", "adaptive"],
         );
         std::fs::remove_file(&path).ok();

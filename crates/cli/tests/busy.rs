@@ -4,12 +4,9 @@
 use std::process::Command;
 use std::sync::atomic::Ordering;
 
-use smarts_ckpt::StoreMeta;
 use smarts_exec::CancelToken;
 use smarts_server::json::Json;
-use smarts_server::{
-    machine_for, params_for, Client, JobSpec, Server, ServerConfig, MAX_QUEUED_JOBS,
-};
+use smarts_server::{machine_for, Client, JobSpec, Server, ServerConfig, MAX_QUEUED_JOBS};
 
 #[test]
 fn submit_past_the_admission_cap_prints_busy() {
@@ -35,12 +32,7 @@ fn submit_past_the_admission_cap_prints_busy() {
         ..JobSpec::default()
     };
     let cfg = machine_for(spec.config);
-    let meta = StoreMeta {
-        params: params_for(&spec, &cfg).expect("valid spec"),
-        benchmark: spec.bench.clone(),
-        scale: spec.scale,
-        isa: spec.isa,
-    };
+    let meta = spec.meta().expect("valid spec");
     let ticket = (shared.stores)
         .acquire(&meta, &cfg, &CancelToken::new())
         .expect("warm ticket");

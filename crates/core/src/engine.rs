@@ -53,7 +53,7 @@ impl<I: Isa> Clone for FunctionalEngine<I> {
 impl<I: Isa> fmt::Debug for FunctionalEngine<I> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FunctionalEngine")
-            .field("isa", &I::NAME)
+            .field("isa", &I::ID.name())
             .field("cpu", &self.cpu)
             .finish_non_exhaustive()
     }
@@ -71,7 +71,7 @@ impl<I: Isa> Clone for EngineSnapshot<I> {
 impl<I: Isa> fmt::Debug for EngineSnapshot<I> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EngineSnapshot")
-            .field("isa", &I::NAME)
+            .field("isa", &I::ID.name())
             .field("cpu", &self.cpu)
             .finish_non_exhaustive()
     }

@@ -19,13 +19,9 @@ pub enum ExecError {
     /// A checkpoint-store error while saving or replaying persisted
     /// checkpoints (I/O, corruption, fingerprint mismatch, ...).
     Ckpt(CkptError),
-    /// A checkpoint store names a benchmark the workload suite does not
-    /// know, so its program cannot be reconstructed for replay.
-    UnknownBenchmark(String),
-    /// A non-built-in frontend could not resolve its workload (a
-    /// benchmark outside the RISC encoding's reach, an unreadable trace
-    /// file, ...). The built-in frontend keeps reporting
-    /// [`ExecError::UnknownBenchmark`] for its only failure mode.
+    /// A frontend could not resolve its workload (an unknown benchmark,
+    /// one outside the RISC encoding's reach, an unreadable trace file,
+    /// ...); the message is the frontend's own.
     Frontend(String),
     /// A worker thread panicked; the panic payload is preserved so the
     /// failure is attributable instead of tearing down the process.
@@ -58,9 +54,6 @@ impl fmt::Display for ExecError {
         match self {
             ExecError::Smarts(e) => write!(f, "sampling error: {e}"),
             ExecError::Ckpt(e) => write!(f, "checkpoint store error: {e}"),
-            ExecError::UnknownBenchmark(name) => {
-                write!(f, "checkpoint store names unknown benchmark `{name}`")
-            }
             ExecError::Frontend(message) => {
                 write!(f, "frontend cannot resolve workload: {message}")
             }
@@ -133,8 +126,8 @@ mod tests {
             .contains("functional warming"));
         assert!(ExecError::Cancelled.to_string().contains("cancelled"));
         assert!(ExecError::Cancelled.source().is_none());
-        let u = ExecError::UnknownBenchmark("ghost-9".into());
-        assert!(u.to_string().contains("ghost-9"));
+        let u = ExecError::Frontend("unknown benchmark: ghost-9".into());
+        assert!(u.to_string().contains("unknown benchmark: ghost-9"));
         assert!(u.source().is_none());
     }
 

@@ -279,18 +279,19 @@ impl Replayed {
 /// # Examples
 ///
 /// ```
-/// use smarts_exec::{sample, Executor};
+/// use smarts_ckpt::{IsaId, StoreMeta};
+/// use smarts_exec::{approx_len, sample, Executor};
 /// use smarts_core::{SamplerSpec, SamplingParams, SmartsSim, Warming};
-/// use smarts_isa::BuiltinIsa;
 /// use smarts_uarch::MachineConfig;
-/// use smarts_workloads::Frontend;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let sim = SmartsSim::new(MachineConfig::eight_way());
-/// let len = BuiltinIsa::approx_len("loopy-1", 0.05)?;
+/// let (benchmark, scale, isa) = ("loopy-1".to_string(), 0.05, IsaId::Builtin);
+/// let len = approx_len(isa, &benchmark, scale)?;
 /// let params = SamplingParams::for_sample_size(len, 1000, 2000, Warming::Functional, 10, 0)?;
+/// let meta = StoreMeta { params, benchmark, scale, isa };
 /// let spec = SamplerSpec::systematic();
-/// let run = sample::<BuiltinIsa>(&Executor::new(2)?, &sim, "loopy-1", 0.05, &params, &spec, None)?;
+/// let run = sample(&Executor::new(2)?, &sim, &meta, &spec, None)?;
 /// let outcome = run.estimate.report();
 /// assert!(outcome.report.sample_size() > 0);
 /// assert_eq!(outcome.workers.len(), 2);
@@ -396,11 +397,10 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{assert_bit_identical, sequential_oracle};
+    use crate::common::{assert_bit_identical, meta, sequential_oracle};
     use crate::{replay, sample};
-    use smarts_ckpt::MappedStore;
+    use smarts_ckpt::{IsaId, MappedStore};
     use smarts_core::{SamplerSpec, SmartsSim, Warming};
-    use smarts_isa::BuiltinIsa;
     use smarts_uarch::MachineConfig;
     use smarts_workloads::{find, Benchmark};
 
@@ -436,12 +436,12 @@ mod tests {
         let path = store_path("replay");
         let spec = SamplerSpec::systematic();
         let one = Executor::new(1).unwrap();
-        let name = bench.name();
-        sample::<BuiltinIsa>(&one, &sim, name, scale, &params, &spec, Some(&path)).unwrap();
+        let meta = meta(IsaId::Builtin, bench.name(), scale, &params);
+        sample(&one, &sim, &meta, &spec, Some(&path)).unwrap();
         let store = MappedStore::open(&path, sim.config()).unwrap();
         for jobs in [1, 2, 4] {
             let executor = Executor::new(jobs).unwrap();
-            let run = replay::<BuiltinIsa>(&executor, &sim, &store, &spec).unwrap();
+            let run = replay(&executor, &sim, &store, &spec).unwrap();
             let replayed = run.estimate.report();
             assert_eq!(replayed.mode, ParallelMode::Checkpoint);
             assert_eq!(replayed.workers.len(), jobs);
@@ -461,7 +461,8 @@ mod tests {
         let bench = find("loopy-1").unwrap().scaled(0.05);
         let (spec, executor) = (SamplerSpec::systematic(), Executor::new(3).unwrap());
         let params = design(&bench, 9);
-        let run = sample::<BuiltinIsa>(&executor, &sim, "loopy-1", 0.05, &params, &spec, None);
+        let meta = meta(IsaId::Builtin, "loopy-1", 0.05, &params);
+        let run = sample(&executor, &sim, &meta, &spec, None);
         let outcome = run.unwrap().estimate.report().clone();
         assert_eq!(outcome.workers.len(), 3);
         assert_eq!(outcome.jobs, 3);
@@ -488,7 +489,8 @@ mod tests {
         let executor = Executor::new(2).unwrap();
         let (spec, save) = (SamplerSpec::systematic(), Some(path.as_path()));
         let params = design(&bench, 5);
-        sample::<BuiltinIsa>(&executor, &sim8, "loopy-1", 0.02, &params, &spec, save).unwrap();
+        let meta = meta(IsaId::Builtin, "loopy-1", 0.02, &params);
+        sample(&executor, &sim8, &meta, &spec, save).unwrap();
         // A replay needs the store open under its machine, which checks
         // the warm geometry first.
         let sim16 = SmartsSim::new(MachineConfig::sixteen_way());

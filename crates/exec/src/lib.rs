@@ -27,8 +27,9 @@
 //!   the systematic report or the [`SampledReplay`] ([`Estimate`]), plus
 //!   store damage where there is any — so the systematic/sampled fork
 //!   lives here, and callers serialize one type;
-//! * both generic over the [`smarts_workloads::Frontend`] that executes
-//!   the workload, both reduced by one **deterministic merge** — per-unit
+//! * both pick the [`smarts_workloads::Frontend`] from the store identity
+//!   ([`smarts_ckpt::StoreMeta::isa`]), so no caller names one; both are
+//!   reduced by one **deterministic merge** — per-unit
 //!   results in stream order through
 //!   [`smarts_core::SampleReport::from_units`] — so every route yields
 //!   the bytes of a sequential replay of the same checkpoints, at any
@@ -41,26 +42,25 @@
 //! # Examples
 //!
 //! ```
-//! use smarts_ckpt::MappedStore;
-//! use smarts_exec::{replay, sample, Executor};
+//! use smarts_ckpt::{IsaId, MappedStore, StoreMeta};
+//! use smarts_exec::{approx_len, replay, sample, Executor};
 //! use smarts_core::{SamplerSpec, SamplingParams, SmartsSim};
-//! use smarts_isa::BuiltinIsa;
 //! use smarts_uarch::MachineConfig;
-//! use smarts_workloads::Frontend;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let sim = SmartsSim::new(MachineConfig::eight_way());
-//! let len = BuiltinIsa::approx_len("branchy-1", 0.05)?;
+//! let (benchmark, scale, isa) = ("branchy-1".to_string(), 0.05, IsaId::Builtin);
+//! let len = approx_len(isa, &benchmark, scale)?;
 //! let params = SamplingParams::paper_defaults(sim.config(), len, 10)?;
+//! let meta = StoreMeta { params, benchmark, scale, isa };
 //! let spec = SamplerSpec::systematic();
 //! let store = std::env::temp_dir().join(format!("smarts-exec-doc-{}.ckpt", std::process::id()));
 //!
 //! // Warm once on two workers, keeping the checkpoints …
-//! let live = sample::<BuiltinIsa>(
-//!     &Executor::new(2)?, &sim, "branchy-1", 0.05, &params, &spec, Some(&store))?;
+//! let live = sample(&Executor::new(2)?, &sim, &meta, &spec, Some(&store))?;
 //! // … then replay them on four without warming: the same bits.
 //! let mapped = MappedStore::open(&store, sim.config())?;
-//! let replayed = replay::<BuiltinIsa>(&Executor::new(4)?, &sim, &mapped, &spec)?;
+//! let replayed = replay(&Executor::new(4)?, &sim, &mapped, &spec)?;
 //! assert_eq!(replayed.estimate.report().report.cpi().mean().to_bits(),
 //!            live.estimate.report().report.cpi().mean().to_bits());
 //! # drop(mapped);
@@ -91,4 +91,4 @@ pub use executor::{
     PIPELINE_DEPTH,
 };
 pub use replay::{replay, SampledReplay, UnitMemo, UnitsFile};
-pub use warm::sample;
+pub use warm::{approx_len, sample};

@@ -349,10 +349,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{assert_bit_identical, sequential_oracle};
+    use crate::common::{assert_bit_identical, meta, sequential_oracle};
     use crate::{CancelToken, Executor, ParallelMode, ParallelReport};
     use smarts_core::{SamplerSpec, SamplingParams, SmartsError, SmartsSim, Warming};
-    use smarts_isa::BuiltinIsa;
+    use smarts_isa::IsaId;
     use smarts_uarch::MachineConfig;
     use smarts_workloads::{find, Benchmark};
 
@@ -365,7 +365,8 @@ mod tests {
         params: &SamplingParams,
     ) -> Result<ParallelReport, ExecError> {
         let spec = SamplerSpec::systematic();
-        let run = crate::sample::<BuiltinIsa>(executor, &sim(), name, scale, params, &spec, None)?;
+        let meta = meta(IsaId::Builtin, name, scale, params);
+        let run = crate::sample(executor, &sim(), &meta, &spec, None)?;
         Ok(run.estimate.report().clone())
     }
 

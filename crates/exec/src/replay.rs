@@ -15,10 +15,8 @@
 //! [`CkptError::FingerprintMismatch`](smarts_ckpt::CkptError::FingerprintMismatch),
 //! while machines differing only in detailed-core parameters (widths,
 //! window, FUs) replay the same store freely. It also records the
-//! frontend that wrote it ([`StoreMeta::isa`]); replaying under a
-//! different `F` is refused with a typed
-//! [`CkptError::IsaMismatch`](smarts_ckpt::CkptError::IsaMismatch)
-//! before any record is decoded.
+//! frontend that wrote it ([`StoreMeta::isa`]), and [`replay`] rebuilds
+//! every record under that frontend: a caller never names one.
 
 use std::fs::File;
 use std::io::Read;
@@ -34,11 +32,10 @@ use crate::executor::{
 };
 use crate::pipeline::Residency;
 use crate::pool::run_workers;
-use crate::warm::resolve;
 use smarts_ckpt::{CkptError, MappedStore, StoreMeta};
 use smarts_core::{SamplerSpec, SamplingParams, SmartsError, SmartsSim, UnitReplay, UnitSample};
 use smarts_energy::ActivityCounters;
-use smarts_isa::crc32;
+use smarts_isa::{crc32, BuiltinIsa, IsaId, RiscIsa, TraceIsa};
 use smarts_stats::{drive_sampler, SamplerEstimate, StatsError};
 use smarts_workloads::Frontend;
 
@@ -331,11 +328,6 @@ impl<'a, F: Frontend> ReplayContext<'a, F> {
         if memo.is_some_and(|memo| memo.key != UnitMemo::key(store, &format!("{sim:?}"))) {
             return Err(ExecError::MemoMismatch);
         }
-        let found = store.meta().isa;
-        if found != F::ID {
-            let expected = F::ID;
-            return Err(ExecError::Ckpt(CkptError::IsaMismatch { expected, found }));
-        }
         Ok(ReplayContext {
             executor,
             sim,
@@ -353,8 +345,8 @@ impl<'a, F: Frontend> ReplayContext<'a, F> {
             return Ok(program);
         }
         let meta = self.store.meta();
-        let program = resolve::<F>(&meta.benchmark, meta.scale)?.program;
-        Ok(self.program.get_or_init(|| program))
+        let loaded = F::resolve(&meta.benchmark, meta.scale).map_err(ExecError::Frontend)?;
+        Ok(self.program.get_or_init(|| loaded.program))
     }
 
     /// The report of a finished replay of `records` store records.
@@ -469,11 +461,12 @@ fn replay_subset<F: Frontend>(
 }
 
 /// Replays an open store under `spec` without warming — the replay
-/// side's one entry point. The store is self-describing: workload, scale
-/// and sampling design come from its header, and the program is
-/// reconstructed through `F` (only if a unit is left to simulate:
-/// [`Executor::with_memo`]). A caller that keeps stores mapped across
-/// runs, as the job server does, replays them without reopening the file.
+/// side's one entry point. The store is self-describing: workload,
+/// scale, frontend and sampling design come from its header, and the
+/// program is reconstructed through that frontend (only if a unit is
+/// left to simulate: [`Executor::with_memo`]). A caller that keeps
+/// stores mapped across runs, as the job server does, replays them
+/// without reopening the file.
 ///
 /// The systematic spec replays every record and tolerates record-level
 /// damage: CRCs are verified on first touch, the intact prefix below the
@@ -487,13 +480,26 @@ fn replay_subset<F: Frontend>(
 ///
 /// # Errors
 ///
-/// [`ExecError::Ckpt`] for a store written by another frontend, a
-/// systematic replay whose intact prefix is empty or a sampled replay of
-/// a damaged store; [`ExecError::UnknownBenchmark`] /
-/// [`ExecError::Frontend`] when `F` can no longer resolve the recorded
+/// [`ExecError::Ckpt`] for a systematic replay whose intact prefix is
+/// empty or a sampled replay of a damaged store; [`ExecError::Frontend`]
+/// when the header's frontend can no longer resolve the recorded
 /// workload; [`ExecError::MemoMismatch`]; an invalid spec as
 /// [`ExecError::Smarts`]; [`ExecError::Cancelled`]; worker panics.
-pub fn replay<F: Frontend>(
+pub fn replay(
+    executor: &Executor,
+    sim: &SmartsSim,
+    store: &MappedStore,
+    spec: &SamplerSpec,
+) -> Result<Run, ExecError> {
+    match store.meta().isa {
+        IsaId::Builtin => replay_as::<BuiltinIsa>(executor, sim, store, spec),
+        IsaId::Risc => replay_as::<RiscIsa>(executor, sim, store, spec),
+        IsaId::Trace => replay_as::<TraceIsa>(executor, sim, store, spec),
+    }
+}
+
+/// [`replay`] under the frontend `F` that the store's header names.
+fn replay_as<F: Frontend>(
     executor: &Executor,
     sim: &SmartsSim,
     store: &MappedStore,

@@ -21,9 +21,9 @@
 //! last one left — so it is [`SmartsSim::sample_loaded`] itself, with no
 //! channel, no store and one worker.
 //!
-//! A store header records exactly `(workload, scale)`, so [`sample`]
-//! takes exactly that pair and resolves the program from it through the
-//! frontend `F`: header and program cannot disagree.
+//! [`sample`] takes exactly the [`StoreMeta`] a store header records and
+//! resolves the program from it, through the frontend it names: header
+//! and program cannot disagree.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,7 +37,7 @@ use crate::pipeline::{run_pipeline, Residency};
 use crate::replay::replay_sampled;
 use smarts_ckpt::{CkptWriter, MappedStore, StoreMeta, WriteSummary};
 use smarts_core::{SamplerSpec, SamplingParams, SmartsSim, UnitCheckpoint, Warming};
-use smarts_isa::IsaId;
+use smarts_isa::{BuiltinIsa, IsaId, RiscIsa, TraceIsa};
 use smarts_workloads::{Frontend, Loaded};
 
 /// What one warming run leaves behind. Invariant, by construction of
@@ -51,10 +51,10 @@ pub(crate) struct Warmed {
     pub write: Option<WriteSummary>,
 }
 
-/// Warms `loaded` once, teeing each checkpoint into a store created at
-/// `save` and, when `replay` is set, into the executor's consumers. The
-/// writer exists before any thread spawns, so an unwritable path fails
-/// fast.
+/// Warms the workload `meta` names once under `F`, teeing each
+/// checkpoint into a store created at `save` with the header `meta` and,
+/// when `replay` is set, into the executor's consumers. The writer exists
+/// before any thread spawns, so an unwritable path fails fast.
 ///
 /// A cancelled run still finishes the sink — every record already
 /// appended is CRC-intact on disk, so the partial store is a valid
@@ -63,11 +63,12 @@ pub(crate) struct Warmed {
 pub(crate) fn run_warm<F: Frontend>(
     executor: &Executor,
     sim: &SmartsSim,
-    loaded: Loaded<F>,
-    params: &SamplingParams,
-    save: Option<(&Path, &StoreMeta)>,
+    meta: &StoreMeta,
+    save: Option<&Path>,
     replay: bool,
 ) -> Result<Warmed, ExecError> {
+    let loaded = F::resolve(&meta.benchmark, meta.scale).map_err(ExecError::Frontend)?;
+    let params = &meta.params;
     params.validate().map_err(ExecError::Smarts)?;
     let jobs = executor.jobs();
     let cancel = executor.cancel_token();
@@ -83,7 +84,7 @@ pub(crate) fn run_warm<F: Frontend>(
         });
     }
     let mut sink = save
-        .map(|(path, meta)| CkptWriter::create(path, sim.config(), meta))
+        .map(|path| CkptWriter::create(path, sim.config(), meta))
         .transpose()?;
     let program = loaded.program.clone();
     // Every checkpoint's warm state goes back to the producer once it is
@@ -173,28 +174,28 @@ fn sample_stale<F: Frontend>(
     })
 }
 
-/// Resolves `(workload, scale)` through `F`: the pair a store header
-/// records, for a warming run and a store replay alike. The built-in
-/// frontend keeps its historical error shape
-/// ([`ExecError::UnknownBenchmark`]); other frontends surface the
-/// resolver's own message.
-pub(crate) fn resolve<F: Frontend>(workload: &str, scale: f64) -> Result<Loaded<F>, ExecError> {
-    F::resolve(workload, scale).map_err(|message| match F::ID {
-        IsaId::Builtin => ExecError::UnknownBenchmark(workload.to_string()),
-        _ => ExecError::Frontend(message),
-    })
+/// The approximate dynamic instruction count of `workload` at `scale`
+/// under frontend `isa`, which a sampling design is derived from, or the
+/// frontend's message when it cannot resolve the workload.
+pub fn approx_len(isa: IsaId, workload: &str, scale: f64) -> Result<u64, String> {
+    match isa {
+        IsaId::Builtin => BuiltinIsa::approx_len(workload, scale),
+        IsaId::Risc => RiscIsa::approx_len(workload, scale),
+        IsaId::Trace => TraceIsa::approx_len(workload, scale),
+    }
 }
 
-/// Runs one sampling simulation of `workload` at `scale` under frontend
-/// `F` — the warm side's one entry point.
+/// Runs one sampling simulation of the store identity `meta` describes
+/// — its workload at its scale under its frontend, with its design — the
+/// warm side's one entry point.
 ///
 /// Under the systematic spec the warming producer overlaps `jobs`
 /// replaying consumers and the deterministic merge reduces their units
 /// in stream order. With `save`, every unit checkpoint is also persisted
-/// to a store at that path — byte-identical at any `jobs` — which
-/// [`crate::replay`] then replays to the same report without warming.
-/// One worker is one consumer: warming still overlaps its replay, and
-/// the report is [`SmartsSim::sample_loaded`]'s.
+/// to a store at that path under the header `meta` — byte-identical at
+/// any `jobs` — which [`crate::replay`] then replays to the same report
+/// without warming. One worker is one consumer: warming still overlaps
+/// its replay, and the report is [`SmartsSim::sample_loaded`]'s.
 ///
 /// A sampler needs random access to the whole grid before it picks a
 /// unit, so under its spec the pass only writes a store — the one at
@@ -204,34 +205,38 @@ pub(crate) fn resolve<F: Frontend>(workload: &str, scale: f64) -> Result<Loaded<
 ///
 /// # Errors
 ///
-/// [`ExecError::UnknownBenchmark`] / [`ExecError::Frontend`] when `F`
-/// cannot resolve the workload, [`ExecError::NoFunctionalWarming`] for
-/// a [`Warming::None`] design with a store, a sampler or more than one
-/// worker, [`ExecError::Ckpt`] when the store cannot be created or a
-/// write fails mid-stream (nothing is silently dropped),
-/// [`ExecError::Cancelled`], an invalid spec and other sampling errors
-/// as [`ExecError::Smarts`], and worker panics as
-/// [`ExecError::WorkerPanic`].
-pub fn sample<F: Frontend>(
+/// [`ExecError::Frontend`] when the frontend cannot resolve the
+/// workload, [`ExecError::NoFunctionalWarming`] for a [`Warming::None`]
+/// design with a store, a sampler or more than one worker,
+/// [`ExecError::Ckpt`] when the store cannot be created or a write fails
+/// mid-stream (nothing is silently dropped), [`ExecError::Cancelled`],
+/// an invalid spec and other sampling errors as [`ExecError::Smarts`],
+/// and worker panics as [`ExecError::WorkerPanic`].
+pub fn sample(
     executor: &Executor,
     sim: &SmartsSim,
-    workload: &str,
-    scale: f64,
-    params: &SamplingParams,
+    meta: &StoreMeta,
+    spec: &SamplerSpec,
+    save: Option<&Path>,
+) -> Result<Run, ExecError> {
+    match meta.isa {
+        IsaId::Builtin => sample_as::<BuiltinIsa>(executor, sim, meta, spec, save),
+        IsaId::Risc => sample_as::<RiscIsa>(executor, sim, meta, spec, save),
+        IsaId::Trace => sample_as::<TraceIsa>(executor, sim, meta, spec, save),
+    }
+}
+
+/// [`sample`] under the frontend `F` that `meta.isa` names.
+fn sample_as<F: Frontend>(
+    executor: &Executor,
+    sim: &SmartsSim,
+    meta: &StoreMeta,
     spec: &SamplerSpec,
     save: Option<&Path>,
 ) -> Result<Run, ExecError> {
     spec.validate().map_err(smarts_stats::StatsError::from)?;
-    let loaded = resolve::<F>(workload, scale)?;
-    let meta = StoreMeta {
-        params: *params,
-        benchmark: workload.to_string(),
-        scale,
-        isa: F::ID,
-    };
     if spec.is_systematic() {
-        let save = save.map(|path| (path, &meta));
-        let warmed = run_warm::<F>(executor, sim, loaded, params, save, true)?;
+        let warmed = run_warm::<F>(executor, sim, meta, save, true)?;
         let report = warmed.report.expect("a replaying run merges a report");
         return Ok(Run {
             estimate: Estimate::Systematic(report),
@@ -241,16 +246,14 @@ pub fn sample<F: Frontend>(
     }
     let temp = temp_store_path();
     let path = save.unwrap_or(&temp);
-    let run = run_warm::<F>(executor, sim, loaded, params, Some((path, &meta)), false).and_then(
-        |warmed| {
-            let store = MappedStore::open(path, sim.config())?;
-            Ok(Run {
-                estimate: Estimate::Sampled(replay_sampled::<F>(executor, sim, &store, spec)?),
-                write: save.and(warmed.write),
-                damage: None,
-            })
-        },
-    );
+    let run = run_warm::<F>(executor, sim, meta, Some(path), false).and_then(|warmed| {
+        let store = MappedStore::open(path, sim.config())?;
+        Ok(Run {
+            estimate: Estimate::Sampled(replay_sampled::<F>(executor, sim, &store, spec)?),
+            write: save.and(warmed.write),
+            damage: None,
+        })
+    });
     if save.is_none() {
         let _ = std::fs::remove_file(&temp);
     }

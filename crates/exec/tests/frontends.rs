@@ -1,19 +1,19 @@
 //! End-to-end frontend coverage for the persisted-store pipeline: the
 //! RISC and trace frontends must run warm → store → sampled replay
 //! with the same bit-identity guarantees the built-in frontend has, and
-//! a store must refuse replay under the wrong frontend with a typed
-//! error.
+//! a store must replay under the frontend its header names without the
+//! caller naming one.
 
 #[path = "../../../tests/common/mod.rs"]
 mod common;
 
 use std::path::Path;
 
-use common::{assert_bit_identical, eager_oracle};
-use smarts_ckpt::{CkptError, IsaId, MappedStore};
+use common::{assert_bit_identical, eager_oracle, meta};
+use smarts_ckpt::{IsaId, MappedStore};
 use smarts_core::{SamplerKind, SamplerSpec, SamplingParams, SmartsSim, Warming};
-use smarts_exec::{replay, sample, Estimate, ExecError, Executor, Run};
-use smarts_isa::{write_trace, BuiltinIsa, Cpu, RiscIsa, TraceIsa};
+use smarts_exec::{approx_len, replay, sample, Estimate, ExecError, Executor, Run};
+use smarts_isa::{write_trace, BuiltinIsa, Cpu, RiscIsa};
 use smarts_workloads::{risc_suite, Frontend};
 
 fn sim() -> SmartsSim {
@@ -31,12 +31,13 @@ fn store_path(tag: &str) -> std::path::PathBuf {
     ))
 }
 
-/// Replays the store at `path` under the systematic spec.
-fn replay_all<F: Frontend>(jobs: usize, path: &Path) -> Result<Run, ExecError> {
+/// Replays the store at `path` under the systematic spec, through the
+/// frontend its header names.
+fn replay_all(jobs: usize, path: &Path) -> Result<Run, ExecError> {
     let sim = sim();
     let store = MappedStore::open(path, sim.config())?;
     let systematic = SamplerSpec::systematic();
-    replay::<F>(&Executor::new(jobs)?, &sim, &store, &systematic)
+    replay(&Executor::new(jobs)?, &sim, &store, &systematic)
 }
 
 /// The CPI mean bits a run reports.
@@ -50,20 +51,11 @@ fn risc_pipeline_round_trips_bit_identically_at_any_width() {
     let bench = &risc_suite()[0];
     let name = bench.name().to_string();
     let scale = 0.05;
-    let len = RiscIsa::approx_len(&name, scale).unwrap();
-    let params = design(len, 10);
+    let len = approx_len(IsaId::Risc, &name, scale).unwrap();
+    let meta = meta(IsaId::Risc, &name, scale, &design(len, 10));
     let systematic = SamplerSpec::systematic();
     let save = |executor: &Executor, path: &Path| {
-        sample::<RiscIsa>(
-            executor,
-            &sim,
-            &name,
-            scale,
-            &params,
-            &systematic,
-            Some(path),
-        )
-        .unwrap()
+        sample(executor, &sim, &meta, &systematic, Some(path)).unwrap()
     };
 
     // Reference: serial (jobs=1) warm-and-save through the RISC frontend.
@@ -98,7 +90,7 @@ fn risc_pipeline_round_trips_bit_identically_at_any_width() {
     // single-threaded oracle at every worker count.
     let eager = eager_oracle::<RiscIsa>(&sim, &ref_path);
     for jobs in [1usize, 2, 8] {
-        let replay = replay_all::<RiscIsa>(jobs, &ref_path).unwrap();
+        let replay = replay_all(jobs, &ref_path).unwrap();
         assert_eq!(
             cpi_bits(&replay),
             cpi_bits(&reference),
@@ -122,7 +114,7 @@ fn risc_pipeline_round_trips_bit_identically_at_any_width() {
     };
     for jobs in [1usize, 2, 8] {
         let executor = Executor::new(jobs).unwrap();
-        let run = replay::<RiscIsa>(&executor, &sim, &store, &stratified).unwrap();
+        let run = replay(&executor, &sim, &store, &stratified).unwrap();
         let Estimate::Sampled(sampled) = run.estimate else {
             panic!("a stratified spec replays a selection");
         };
@@ -131,16 +123,13 @@ fn risc_pipeline_round_trips_bit_identically_at_any_width() {
         assert_eq!(sampled.report.report.sample_size(), sampled.estimate.n);
     }
 
-    // Replaying a RISC store through the built-in frontend is refused
-    // before any record is decoded.
-    let err = replay_all::<BuiltinIsa>(2, &ref_path).unwrap_err();
-    match err {
-        ExecError::Ckpt(CkptError::IsaMismatch { expected, found }) => {
-            assert_eq!(expected, IsaId::Builtin);
-            assert_eq!(found, IsaId::Risc);
-        }
-        other => panic!("expected IsaMismatch, got {other:?}"),
-    }
+    // Nothing named the frontend: the header's risc frontend replayed the
+    // store to the writing run's report, bit for bit.
+    assert_bit_identical(
+        &replay_all(2, &ref_path).unwrap().estimate.report().report,
+        &reference.estimate.report().report,
+        "risc store replay vs the writing run",
+    );
     drop(store);
     std::fs::remove_file(&ref_path).ok();
 }
@@ -165,21 +154,12 @@ fn trace_import_runs_the_full_pipeline() {
     write_trace(&trace_path, "loopy-1", &records).unwrap();
     let workload = trace_path.to_str().unwrap();
 
-    let len = TraceIsa::approx_len(workload, 1.0).unwrap();
-    let params = design(len, 8);
+    let len = approx_len(IsaId::Trace, workload, 1.0).unwrap();
+    let meta = meta(IsaId::Trace, workload, 1.0, &design(len, 8));
     let ref_path = store_path("trace_ref");
     let one = Executor::new(1).unwrap();
     let systematic = SamplerSpec::systematic();
-    let reference = sample::<TraceIsa>(
-        &one,
-        &sim,
-        workload,
-        1.0,
-        &params,
-        &systematic,
-        Some(&ref_path),
-    )
-    .unwrap();
+    let reference = sample(&one, &sim, &meta, &systematic, Some(&ref_path)).unwrap();
     let (_, meta) = smarts_ckpt::read_store_meta(&ref_path).unwrap();
     assert_eq!(meta.isa, IsaId::Trace);
     assert_eq!(
@@ -188,7 +168,7 @@ fn trace_import_runs_the_full_pipeline() {
     );
 
     for jobs in [2usize, 8] {
-        let replay = replay_all::<TraceIsa>(jobs, &ref_path).unwrap();
+        let replay = replay_all(jobs, &ref_path).unwrap();
         assert_eq!(
             cpi_bits(&replay),
             cpi_bits(&reference),
@@ -197,21 +177,18 @@ fn trace_import_runs_the_full_pipeline() {
         assert!(replay.damage.is_none());
     }
 
-    // Wrong-frontend replay of a trace store is refused with the typed
-    // mismatch, naming both sides.
-    let err = replay_all::<RiscIsa>(1, &ref_path).unwrap_err();
-    match err {
-        ExecError::Ckpt(CkptError::IsaMismatch { expected, found }) => {
-            assert_eq!(expected, IsaId::Risc);
-            assert_eq!(found, IsaId::Trace);
-        }
-        other => panic!("expected IsaMismatch, got {other:?}"),
-    }
+    // Nothing named the frontend: the header's trace frontend replayed
+    // the store to the writing run's report, bit for bit.
+    assert_bit_identical(
+        &replay_all(1, &ref_path).unwrap().estimate.report().report,
+        &reference.estimate.report().report,
+        "trace store replay vs the writing run",
+    );
 
     // Deleting the trace breaks replay resolution with the frontend's own
     // message — the store alone is not enough for a trace workload.
     std::fs::remove_file(&trace_path).unwrap();
-    let err = replay_all::<TraceIsa>(1, &ref_path).unwrap_err();
+    let err = replay_all(1, &ref_path).unwrap_err();
     assert!(
         matches!(err, ExecError::Frontend(_)),
         "expected ExecError::Frontend, got {err:?}"

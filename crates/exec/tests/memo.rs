@@ -13,13 +13,14 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Barrier};
 
-use common::assert_bit_identical;
-use smarts_ckpt::{CkptError, MappedStore};
+use common::{assert_bit_identical, meta};
+use smarts_ckpt::{CkptError, IsaId, MappedStore};
 use smarts_core::{SampleReport, SamplerKind, SamplerSpec, SamplingParams, SmartsSim, Warming};
 use smarts_exec::{
-    replay, sample, Estimate, ExecError, Executor, ParallelReport, SampledReplay, UnitMemo,
+    approx_len, replay, sample, Estimate, ExecError, Executor, ParallelReport, SampledReplay,
+    UnitMemo,
 };
-use smarts_isa::{crc32, write_trace, BuiltinIsa, Cpu, RiscIsa, TraceIsa};
+use smarts_isa::{crc32, write_trace, BuiltinIsa, Cpu};
 use smarts_uarch::MachineConfig;
 use smarts_workloads::Frontend;
 
@@ -45,11 +46,12 @@ fn warmed(tag: &str, offset: u64) -> PathBuf {
 /// Warms (or rewrites) the store at `path`: `units` units of 100
 /// instructions after `w` of detailed warming, at phase `offset`.
 fn warm_at(path: &Path, offset: u64, w: u64, units: u64) {
-    let len = BuiltinIsa::approx_len(BENCH, SCALE).unwrap();
+    let len = approx_len(IsaId::Builtin, BENCH, SCALE).unwrap();
     let params =
         SamplingParams::for_sample_size(len, 100, w, Warming::Functional, units, offset).unwrap();
+    let meta = meta(IsaId::Builtin, BENCH, SCALE, &params);
     let (one, systematic) = (Executor::new(1).unwrap(), SamplerSpec::systematic());
-    sample::<BuiltinIsa>(&one, &sim(), BENCH, SCALE, &params, &systematic, Some(path)).unwrap();
+    sample(&one, &sim(), &meta, &systematic, Some(path)).unwrap();
 }
 
 fn spec(kind: SamplerKind, seed: u64) -> SamplerSpec {
@@ -101,14 +103,14 @@ fn booked(run: &ParallelReport) -> (u64, u64) {
         .fold((0, 0), |(u, m), w| (u + w.units, m + w.memoized))
 }
 
-/// A sampler's replay of `store` under `F`.
-fn sampled_as<F: Frontend>(
+/// A sampler's replay of `store`.
+fn try_sampled(
     executor: &Executor,
     sim: &SmartsSim,
     store: &MappedStore,
     spec: &SamplerSpec,
 ) -> Result<SampledReplay, ExecError> {
-    match replay::<F>(executor, sim, store, spec)?.estimate {
+    match replay(executor, sim, store, spec)?.estimate {
         Estimate::Sampled(sampled) => Ok(sampled),
         Estimate::Systematic(_) => panic!("a sampler's spec replays a selection"),
     }
@@ -120,7 +122,7 @@ fn sampled(
     store: &MappedStore,
     spec: &SamplerSpec,
 ) -> SampledReplay {
-    sampled_as::<BuiltinIsa>(executor, sim, store, spec).unwrap()
+    try_sampled(executor, sim, store, spec).unwrap()
 }
 
 /// What the systematic replay of every record reported: the merged
@@ -133,13 +135,9 @@ struct Grid {
     damage: Option<CkptError>,
 }
 
-/// The systematic replay of every record of `store` under `F`.
-fn grid_as<F: Frontend>(
-    executor: &Executor,
-    sim: &SmartsSim,
-    store: &MappedStore,
-) -> Result<Grid, ExecError> {
-    let run = replay::<F>(executor, sim, store, &SamplerSpec::systematic())?;
+/// The systematic replay of every record of `store`.
+fn grid(executor: &Executor, sim: &SmartsSim, store: &MappedStore) -> Result<Grid, ExecError> {
+    let run = replay(executor, sim, store, &SamplerSpec::systematic())?;
     let Estimate::Systematic(report) = run.estimate else {
         panic!("the systematic spec replays the grid");
     };
@@ -152,10 +150,6 @@ fn grid_as<F: Frontend>(
         records,
         damage,
     })
-}
-
-fn grid(executor: &Executor, sim: &SmartsSim, store: &MappedStore) -> Result<Grid, ExecError> {
-    grid_as::<BuiltinIsa>(executor, sim, store)
 }
 
 #[test]
@@ -237,16 +231,8 @@ fn an_offline_drive_over_the_grid_is_the_served_replay() {
         max_units: None,
     };
     let (one, systematic) = (Executor::new(1).unwrap(), SamplerSpec::systematic());
-    sample::<BuiltinIsa>(
-        &one,
-        &sim,
-        "loopy-1",
-        0.01,
-        &census,
-        &systematic,
-        Some(&path),
-    )
-    .unwrap();
+    let meta = meta(IsaId::Builtin, "loopy-1", 0.01, &census);
+    sample(&one, &sim, &meta, &systematic, Some(&path)).unwrap();
     let store = MappedStore::open(&path, sim.config()).unwrap();
     let grid = grid(&one, &sim, &store).unwrap();
     let mut cpis = vec![None; store.len()];
@@ -365,9 +351,7 @@ fn a_memo_refuses_another_simulator_or_store() {
     };
     refused(grid(&through(&memo), &narrow, &store_narrow).map(drop));
     let stratified = spec(SamplerKind::Stratified, 1);
-    refused(
-        sampled_as::<BuiltinIsa>(&through(&memo), &narrow, &store_narrow, &stratified).map(drop),
-    );
+    refused(try_sampled(&through(&memo), &narrow, &store_narrow, &stratified).map(drop));
     // Its own memo gives that machine its own, different, bytes — the
     // ones it gets without any memo.
     let own = Arc::new(UnitMemo::new(&narrow, &store_narrow));
@@ -435,7 +419,7 @@ fn a_memo_neither_masks_nor_moves_store_damage() {
     let memoized = Executor::new(1).unwrap().with_memo(Arc::clone(&memo));
     let stratified = spec(SamplerKind::Stratified, 1);
     for executor in [memoized, plain] {
-        let err = sampled_as::<BuiltinIsa>(&executor, &sim, &store, &stratified).unwrap_err();
+        let err = try_sampled(&executor, &sim, &store, &stratified).unwrap_err();
         assert!(matches!(err, ExecError::Ckpt(_)), "got {err:?}");
     }
     drop(store);
@@ -529,36 +513,39 @@ fn a_replay_with_every_unit_known_resolves_no_workload() {
     }
     write_trace(&trace, "loopy-1", &records).unwrap();
     let workload = trace.to_str().unwrap();
-    let len = TraceIsa::approx_len(workload, 1.0).unwrap();
+    let len = approx_len(IsaId::Trace, workload, 1.0).unwrap();
     let params =
         SamplingParams::for_sample_size(len, 100, 200, Warming::Functional, 40, 0).unwrap();
+    let meta = meta(IsaId::Trace, workload, 1.0, &params);
     let path = std::env::temp_dir().join(format!("smarts_memo_trace_{}.ckpt", std::process::id()));
     let one = Executor::new(1).unwrap();
     let systematic = SamplerSpec::systematic();
-    sample::<TraceIsa>(&one, &sim, workload, 1.0, &params, &systematic, Some(&path)).unwrap();
+    let written = sample(&one, &sim, &meta, &systematic, Some(&path)).unwrap();
     let store = MappedStore::open(&path, sim.config()).unwrap();
+    // Nothing names the frontend: the header's trace frontend replays the
+    // store to the writing run's report, bit for bit.
+    assert_bit_identical(
+        &grid(&one, &sim, &store).unwrap().report.report,
+        &written.estimate.report().report,
+        "trace store replay vs the writing run",
+    );
     let file = UnitMemo::file_beside(&path, &sim);
     let stratified = spec(SamplerKind::Stratified, 3);
-    let expected = sampled_as::<TraceIsa>(&one, &sim, &store, &stratified).unwrap();
+    let expected = try_sampled(&one, &sim, &store, &stratified).unwrap();
 
     // Save one draw's outcomes, then take the workload away.
     let memo = Arc::new(UnitMemo::new(&sim, &store));
-    sampled_as::<TraceIsa>(&through(&memo, 1), &sim, &store, &stratified).unwrap();
+    try_sampled(&through(&memo, 1), &sim, &store, &stratified).unwrap();
     memo.save(&file, BUILD).unwrap();
     std::fs::remove_file(&trace).unwrap();
 
     let memo = Arc::new(UnitMemo::load(&file, &sim, &store, BUILD));
-    let again = sampled_as::<TraceIsa>(&through(&memo, 2), &sim, &store, &stratified).unwrap();
+    let again = try_sampled(&through(&memo, 2), &sim, &store, &stratified).unwrap();
     assert_eq!(sampled_line(&again), sampled_line(&expected));
-    // The frontend is still checked first, and a unit left to simulate
-    // needs the workload and says so with the frontend's own error.
-    let err = sampled_as::<RiscIsa>(&through(&memo, 1), &sim, &store, &stratified);
-    assert!(matches!(
-        err.map(drop),
-        Err(ExecError::Ckpt(CkptError::IsaMismatch { .. }))
-    ));
+    // A unit left to simulate needs the workload and says so with the
+    // frontend's own error.
     for executor in [through(&memo, 1), one] {
-        let err = grid_as::<TraceIsa>(&executor, &sim, &store).unwrap_err();
+        let err = grid(&executor, &sim, &store).unwrap_err();
         assert!(matches!(err, ExecError::Frontend(_)), "got {err:?}");
     }
     drop(store);
@@ -760,7 +747,7 @@ fn a_full_outcomes_file_neither_masks_nor_moves_store_damage() {
     );
     let stratified = spec(SamplerKind::Stratified, 1);
     let memo = loaded(&sim, &store, &path, BUILD);
-    let err = sampled_as::<BuiltinIsa>(&through(&memo, 1), &sim, &store, &stratified);
+    let err = try_sampled(&through(&memo, 1), &sim, &store, &stratified);
     assert!(matches!(err.map(drop), Err(ExecError::Ckpt(_))));
     drop(store);
     remove(&[&path, &file]);

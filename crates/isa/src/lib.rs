@@ -63,7 +63,7 @@ pub use cpu::{Cpu, ExecRecord, MemAccess};
 pub use crc32::crc32;
 pub use error::IsaError;
 pub use inst::{reg, ArchReg, Decoded, Inst, OpClass, Opcode};
-pub use isa::{BuiltinIsa, Isa, IsaId, MemTouches};
+pub use isa::{BuiltinIsa, Isa, IsaId};
 pub use mem::{Memory, Page};
 pub use program::{Program, TEXT_BASE};
 pub use risc::{RiscIsa, RiscProgram};

@@ -63,8 +63,8 @@ impl Program {
     }
 
     /// Bytes one instruction occupies in the text section; the I-side
-    /// warming granularity shared by every frontend (see
-    /// [`Isa::INST_BYTES`](crate::Isa::INST_BYTES)).
+    /// warming granularity shared by every frontend (see the
+    /// [`Isa`](crate::Isa) contract).
     pub const INST_BYTES: u64 = 4;
 
     /// Byte address of instruction `pc` as seen by the instruction cache.

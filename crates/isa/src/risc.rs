@@ -29,8 +29,8 @@
 //!
 //! The binary form is decoded **once, at load**: [`RiscProgram`] turns
 //! its words into the built-in [`Inst`] normal form when it is built and
-//! the step loop indexes that table, so the 50-arm [`Isa::decode`] match
-//! is off the warming hot path and the frontend runs at the built-in
+//! the step loop indexes that table, so the 50-arm [`RiscIsa::decode`]
+//! match is off the warming hot path and the frontend runs at the built-in
 //! interpreter's rate.
 
 use crate::isa::{Isa, IsaId};
@@ -209,24 +209,14 @@ impl RiscProgram {
 pub struct RiscIsa;
 
 impl Isa for RiscIsa {
-    type Word = u64;
-    type Instr = u32;
     type Cpu = Cpu;
     type Program = RiscProgram;
 
-    const NAME: &'static str = "risc";
     const ID: IsaId = IsaId::Risc;
-    const INST_BYTES: u64 = 4;
-    const STATE_WORDS: usize = Cpu::STATE_WORDS;
 
     #[inline]
     fn new_cpu() -> Cpu {
         Cpu::new()
-    }
-
-    #[inline]
-    fn pc(cpu: &Cpu) -> u64 {
-        cpu.pc()
     }
 
     #[inline]
@@ -237,11 +227,6 @@ impl Isa for RiscIsa {
     #[inline]
     fn retired(cpu: &Cpu) -> u64 {
         cpu.retired()
-    }
-
-    #[inline]
-    fn program_len(program: &RiscProgram) -> u64 {
-        program.len()
     }
 
     #[inline]
@@ -273,8 +258,12 @@ impl Isa for RiscIsa {
     ) -> Result<u64, IsaError> {
         cpu.step_block(&program.decoded, mem, max_insts, sink)
     }
+}
 
-    fn decode(raw: u32) -> Option<Inst> {
+impl RiscIsa {
+    /// Decodes one instruction word to the shared [`Inst`] vocabulary,
+    /// or `None` if the encoding is invalid.
+    pub fn decode(raw: u32) -> Option<Inst> {
         let rd = ((raw >> RD_SHIFT) & REG_MASK) as u8;
         let rs1 = ((raw >> RS1_SHIFT) & REG_MASK) as u8;
         let rs2 = ((raw >> RS2_SHIFT) & REG_MASK) as u8;
@@ -330,7 +319,10 @@ impl Isa for RiscIsa {
         Some(inst)
     }
 
-    fn encode(inst: &Inst) -> Option<u32> {
+    /// Encodes an [`Inst`] into its 32-bit word, or `None` when the
+    /// instruction is not representable (out-of-range immediate, opcode
+    /// outside the set).
+    pub fn encode(inst: &Inst) -> Option<u32> {
         if !regs_ok(inst) {
             return None;
         }
@@ -532,11 +524,11 @@ mod tests {
         // State snapshots share the Cpu layout and round-trip bit-exactly.
         let mut words = Vec::new();
         RiscIsa::save_state(&r_cpu, &mut words);
-        assert_eq!(words.len(), RiscIsa::STATE_WORDS);
+        assert_eq!(words.len(), Cpu::STATE_WORDS);
         let mut restored = RiscIsa::new_cpu();
         assert_eq!(
             RiscIsa::load_state(&mut restored, &words),
-            Some(RiscIsa::STATE_WORDS)
+            Some(Cpu::STATE_WORDS)
         );
         assert_eq!(restored, r_cpu);
     }

@@ -373,30 +373,14 @@ impl TraceCpu {
 pub struct TraceIsa;
 
 impl Isa for TraceIsa {
-    type Word = u64;
-    // Traces have no fixed-width binary instruction unit; like the
-    // built-in set, the "encoding" is the decoded instruction itself
-    // (the on-disk record codec is a file format, not an ISA encoding).
-    type Instr = Inst;
     type Cpu = TraceCpu;
     type Program = TraceProgram;
 
-    const NAME: &'static str = "trace";
     const ID: IsaId = IsaId::Trace;
-    // Traces record index-pc frontends whose text is 4 bytes/instruction;
-    // record fetch addresses are reproduced from pc exactly as the source
-    // frontend computed them.
-    const INST_BYTES: u64 = 4;
-    const STATE_WORDS: usize = TraceCpu::STATE_WORDS;
 
     #[inline]
     fn new_cpu() -> TraceCpu {
         TraceCpu::default()
-    }
-
-    #[inline]
-    fn pc(cpu: &TraceCpu) -> u64 {
-        cpu.pos
     }
 
     #[inline]
@@ -409,11 +393,6 @@ impl Isa for TraceIsa {
         cpu.retired
     }
 
-    #[inline]
-    fn program_len(program: &TraceProgram) -> u64 {
-        program.len()
-    }
-
     fn save_state(cpu: &TraceCpu, out: &mut Vec<u64>) {
         out.push(cpu.pos);
         out.push(cpu.halted as u64);
@@ -421,11 +400,11 @@ impl Isa for TraceIsa {
     }
 
     fn load_state(cpu: &mut TraceCpu, words: &[u64]) -> Option<usize> {
-        let words = words.get(..Self::STATE_WORDS)?;
+        let words = words.get(..TraceCpu::STATE_WORDS)?;
         cpu.pos = words[0];
         cpu.halted = words[1] != 0;
         cpu.retired = words[2];
-        Some(Self::STATE_WORDS)
+        Some(TraceCpu::STATE_WORDS)
     }
 
     #[inline]
@@ -478,16 +457,6 @@ impl Isa for TraceIsa {
             executed += 1;
         }
         Ok(executed)
-    }
-
-    #[inline]
-    fn decode(raw: Inst) -> Option<Inst> {
-        Some(raw)
-    }
-
-    #[inline]
-    fn encode(inst: &Inst) -> Option<Inst> {
-        Some(*inst)
     }
 }
 
@@ -555,11 +524,11 @@ mod tests {
         // Cursor state round-trips through save/load and resumes exactly.
         let mut words = Vec::new();
         TraceIsa::save_state(&cpu, &mut words);
-        assert_eq!(words.len(), TraceIsa::STATE_WORDS);
+        assert_eq!(words.len(), TraceCpu::STATE_WORDS);
         let mut restored = TraceIsa::new_cpu();
         assert_eq!(
             TraceIsa::load_state(&mut restored, &words),
-            Some(TraceIsa::STATE_WORDS)
+            Some(TraceCpu::STATE_WORDS)
         );
         assert_eq!(restored, cpu);
     }

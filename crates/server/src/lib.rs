@@ -63,7 +63,7 @@ pub use report::{
     canonical_report_line, estimate_line, report_from_json, report_to_json, sampled_report_line,
     sampler_from_json,
 };
-pub use scheduler::{machine_for, params_for, Shared};
+pub use scheduler::{machine_for, Shared};
 pub use server::{Server, ServerConfig, ShutdownSummary, MAX_CONNECTIONS};
 pub use store_mgr::{
     OpenStore, ResultsCache, StoreManager, StoreTicket, MAX_CACHED_LINE_BYTES, MAX_OPEN_STORES,

@@ -11,9 +11,10 @@
 //! connection is answered with an error and closed.
 
 use crate::json::Json;
-use smarts_ckpt::IsaId;
-use smarts_core::{SamplerKind, SamplerSpec};
-use smarts_exec::{ExecError, MAX_JOBS};
+use crate::scheduler::machine_for;
+use smarts_ckpt::{IsaId, StoreMeta};
+use smarts_core::{SamplerKind, SamplerSpec, SamplingParams, Warming};
+use smarts_exec::{approx_len, ExecError, MAX_JOBS};
 pub use smarts_stats::FieldError;
 
 /// Longest request line the server will buffer, in bytes. Submit
@@ -98,6 +99,32 @@ impl JobSpec {
             epsilon: self.epsilon,
             confidence: self.confidence,
         }
+    }
+
+    /// The store identity this job warms and replays — its workload,
+    /// scale and frontend, and the design its fields describe — for
+    /// served jobs and `smarts sample` alike, so their lines compare byte
+    /// for byte. Fails with the frontend's message for a workload it
+    /// cannot resolve, or the design's for fields no design fits.
+    pub fn meta(&self) -> Result<StoreMeta, String> {
+        let len = approx_len(self.isa, &self.bench, self.scale)?;
+        let w = (self.warming_len)
+            .unwrap_or_else(|| machine_for(self.config).recommended_detailed_warming());
+        let params = SamplingParams::for_sample_size(
+            len,
+            self.unit,
+            w,
+            Warming::Functional,
+            self.n,
+            self.offset,
+        )
+        .map_err(|e| e.to_string())?;
+        Ok(StoreMeta {
+            params,
+            benchmark: self.bench.clone(),
+            scale: self.scale,
+            isa: self.isa,
+        })
     }
 
     /// Serializes the spec as the `submit` request's field set.
@@ -417,13 +444,19 @@ mod tests {
     /// the sampler kind.
     #[test]
     fn the_library_refuses_the_sampler_fields_the_doors_refuse() {
-        use smarts_core::{SamplingParams, SmartsError, SmartsSim, Warming};
+        use smarts_core::{SmartsError, SmartsSim};
         use smarts_exec::{sample, Executor};
         use smarts_stats::StatsError;
 
         let sim = SmartsSim::new(crate::machine_for(8));
         let params =
             SamplingParams::for_sample_size(36_000, 1000, 0, Warming::Functional, 4, 0).unwrap();
+        let meta = StoreMeta {
+            params,
+            benchmark: "loopy-1".to_string(),
+            scale: 0.01,
+            isa: IsaId::Builtin,
+        };
         let executor = Executor::new(1).unwrap();
         type Refuse = fn(&mut JobSpec);
         let refused: [(&str, Refuse); 8] = [
@@ -447,9 +480,7 @@ mod tests {
                 let what = format!("{field} under {job:?}");
                 assert_eq!(job.validate().map_err(|e| e.field), Err(field), "{what}");
                 let spec = job.sampler_spec();
-                match sample::<smarts_isa::BuiltinIsa>(
-                    &executor, &sim, "loopy-1", 0.01, &params, &spec, None,
-                ) {
+                match sample(&executor, &sim, &meta, &spec, None) {
                     Err(ExecError::Smarts(SmartsError::Stats(StatsError::Field(e)))) => {
                         assert_eq!(e.field, field, "{what}")
                     }

@@ -33,12 +33,10 @@
 
 use std::sync::Arc;
 
-use smarts_ckpt::{IsaId, StoreMeta};
-use smarts_core::{SamplingParams, SmartsSim, WarmSpares, Warming};
+use smarts_ckpt::IsaId;
+use smarts_core::{SmartsSim, WarmSpares};
 use smarts_exec::{replay, sample, CancelToken, ExecError, Executor};
-use smarts_isa::{BuiltinIsa, RiscIsa, TraceIsa};
 use smarts_uarch::MachineConfig;
-use smarts_workloads::Frontend;
 
 use crate::jobs::{JobState, JobTable, ResultSource};
 use crate::proto::JobSpec;
@@ -73,33 +71,12 @@ pub fn machine_for(config: u32) -> MachineConfig {
     }
 }
 
-/// The sampling design a spec describes — the one derivation behind
-/// served jobs and `smarts sample`, so their lines compare byte for byte.
-/// Fails for a workload the spec's frontend cannot resolve (an unknown
-/// name, a kernel outside the risc encoding, an unreadable trace).
-pub fn params_for(spec: &JobSpec, cfg: &MachineConfig) -> Result<SamplingParams, String> {
-    let (name, scale) = (spec.bench.as_str(), spec.scale);
-    let approx_len = match spec.isa {
-        IsaId::Builtin => BuiltinIsa::approx_len(name, scale)?,
-        IsaId::Risc => RiscIsa::approx_len(name, scale)?,
-        IsaId::Trace => TraceIsa::approx_len(name, scale)?,
-    };
-    let w = spec
-        .warming_len
-        .unwrap_or_else(|| cfg.recommended_detailed_warming());
-    SamplingParams::for_sample_size(
-        approx_len,
-        spec.unit,
-        w,
-        Warming::Functional,
-        spec.n,
-        spec.offset,
-    )
-    .map_err(|e| e.to_string())
-}
-
 /// Runs one claimed job; `spares` are the worker's warm states, recycled
-/// from one job to the next.
+/// from one job to the next. The fingerprint folds in the frontend, so a
+/// risc job is never answered from a builtin store or cache line, and a
+/// ready store's header (which [`replay`] takes the frontend from)
+/// re-fingerprints to the spec's: by construction on commit, by
+/// [`StoreManager::acquire`]'s check for a store found on disk.
 fn run_job(
     shared: &Arc<Shared>,
     id: &str,
@@ -107,37 +84,16 @@ fn run_job(
     cancel: &CancelToken,
     spares: &Arc<WarmSpares>,
 ) -> JobEnd {
-    match spec.isa {
-        IsaId::Builtin => run_job_with::<BuiltinIsa>(shared, id, spec, cancel, spares),
-        IsaId::Risc => run_job_with::<RiscIsa>(shared, id, spec, cancel, spares),
-        // Refused at submit; a job table can never hold a trace spec.
-        IsaId::Trace => JobEnd::Failed("trace workloads are not servable".to_string()),
+    // Refused at submit too; a library caller of `JobTable::submit` must
+    // still never make the server read a local trace file.
+    if spec.isa == IsaId::Trace {
+        return JobEnd::Failed("trace workloads are not servable".to_string());
     }
-}
-
-/// Runs one claimed job under frontend `F`. Risc jobs resolve the same
-/// benchmark names as builtin ones through the compact encoding, and
-/// their stores carry the frontend in the header — and in the
-/// fingerprint, so a risc job can never be answered from a builtin
-/// store or cache line.
-fn run_job_with<F: Frontend>(
-    shared: &Arc<Shared>,
-    id: &str,
-    spec: &JobSpec,
-    cancel: &CancelToken,
-    spares: &Arc<WarmSpares>,
-) -> JobEnd {
     let cfg = machine_for(spec.config);
     // An unservable workload fails here, before a store ticket is taken.
-    let params = match params_for(spec, &cfg) {
-        Ok(params) => params,
+    let meta = match spec.meta() {
+        Ok(meta) => meta,
         Err(message) => return JobEnd::Failed(message),
-    };
-    let meta = StoreMeta {
-        params,
-        benchmark: spec.bench.clone(),
-        scale: spec.scale,
-        isa: F::ID,
     };
     let fingerprint = meta.fingerprint(&cfg);
     // Validated at submit, like every other field of the spec.
@@ -182,8 +138,7 @@ fn run_job_with<F: Frontend>(
     let sim = SmartsSim::new(cfg.clone());
     let (source, outcome) = match &ticket {
         StoreTicket::Warm { temp, .. } => {
-            let (bench, scale) = (&spec.bench, spec.scale);
-            let run = sample::<F>(&executor, &sim, bench, scale, &params, &sampler, Some(temp));
+            let run = sample(&executor, &sim, &meta, &sampler, Some(temp));
             (ResultSource::Cold, run)
         }
         StoreTicket::Replay { path } => {
@@ -206,7 +161,7 @@ fn run_job_with<F: Frontend>(
                 Err(message) => return JobEnd::Failed(message),
             };
             let executor = executor.with_memo(open.memo);
-            let run = replay::<F>(&executor, &sim, &open.store, &sampler).and_then(|run| {
+            let run = replay(&executor, &sim, &open.store, &sampler).and_then(|run| {
                 match run.damage {
                     // The server never serves a damaged store: the
                     // rename-on-success protocol makes this unreachable

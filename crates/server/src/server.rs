@@ -28,7 +28,7 @@ use crate::json::Json;
 use crate::proto::{
     coded_err_response, err_response, ok_response, parse_request, Request, MAX_LINE,
 };
-use crate::scheduler::{machine_for, params_for, worker_loop, Shared};
+use crate::scheduler::{worker_loop, Shared};
 use crate::store_mgr::{ResultsCache, StoreManager};
 
 /// Most connections served at once. Each holds a thread, so a peer
@@ -243,6 +243,7 @@ fn job_fields(record: &JobRecord) -> Vec<(&'static str, Json)> {
     vec![
         ("job", Json::Str(record.id.clone())),
         ("bench", Json::Str(record.spec.bench.clone())),
+        ("config", Json::U64(u64::from(record.spec.config))),
         ("state", Json::Str(record.state.name().to_string())),
         ("source", source_json(record.source)),
         ("emitted", Json::U64(record.emitted)),
@@ -304,7 +305,7 @@ fn handle_line(
         Request::Submit(spec) => {
             // Validate up front so a bad spec fails the submit, not the
             // job: the scheduler re-derives the same parameters.
-            if let Err(message) = params_for(&spec, &machine_for(spec.config)) {
+            if let Err(message) = spec.meta() {
                 write_line(stream, &err_response(&message))?;
                 return Ok(true);
             }

@@ -184,7 +184,9 @@ impl StoreManager {
     /// Whether the on-disk file at the final path really is the store
     /// `fingerprint` names: readable header whose meta re-fingerprints
     /// (under `cfg`) to the expected value. Guards against unrelated
-    /// files, stale formats, and hash-name collisions.
+    /// files, stale formats, and hash-name collisions — and, as the
+    /// fingerprint folds in [`StoreMeta::isa`], keeps a ready store's
+    /// header frontend the asker's, which a served replay runs under.
     fn validate_existing(&self, fingerprint: u64, cfg: &MachineConfig) -> bool {
         let path = self.final_path(fingerprint);
         match read_store_meta(&path) {
@@ -663,6 +665,35 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    /// A store written under another frontend is never ready for a
+    /// spec, even planted at the spec's final path: its header
+    /// re-fingerprints to its own frontend's identity, so the spec warms.
+    #[test]
+    fn a_store_of_another_frontend_is_never_ready() {
+        let root = temp_root("otherisa");
+        let mgr = StoreManager::new(&root).unwrap();
+        let cfg = MachineConfig::eight_way();
+        let cancel = CancelToken::new();
+        let builtin = test_meta();
+        let risc = StoreMeta {
+            isa: IsaId::Risc,
+            ..test_meta()
+        };
+        let risc_fp = risc.fingerprint(&cfg);
+        assert_ne!(builtin.fingerprint(&cfg), risc_fp);
+        {
+            use smarts_ckpt::CkptWriter;
+            let writer = CkptWriter::create(mgr.final_path(risc_fp), &cfg, &builtin).unwrap();
+            writer.finish().unwrap();
+        }
+        assert!(matches!(
+            mgr.acquire(&risc, &cfg, &cancel).unwrap(),
+            StoreTicket::Warm { .. }
+        ));
+        assert_eq!((mgr.warm_passes(), mgr.store_hits()), (1, 0));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
     #[test]
     fn open_store_cache_hits_evicts_lru_and_counts() {
         use smarts_ckpt::CkptWriter;
@@ -723,16 +754,14 @@ mod tests {
     #[test]
     fn evicting_an_open_store_drops_its_memo_and_a_reopen_starts_empty() {
         use smarts_core::SamplerSpec;
-        use smarts_exec::{replay, sample, Executor};
-        use smarts_isa::BuiltinIsa;
-        use smarts_workloads::Frontend;
+        use smarts_exec::{approx_len, replay, sample, Executor};
         let root = temp_root("memolru");
         let mgr = capped(&root, 1);
         let cfg = MachineConfig::eight_way();
         let sim = SmartsSim::new(cfg.clone());
 
         // Two committed stores with records in them.
-        let len = BuiltinIsa::approx_len("loopy-1", 0.02).unwrap();
+        let len = approx_len(IsaId::Builtin, "loopy-1", 0.02).unwrap();
         let functional = Warming::Functional;
         let fps: Vec<u64> = (0..2u64)
             .map(|offset| {
@@ -745,8 +774,8 @@ mod tests {
                 };
                 let fp = meta.fingerprint(&cfg);
                 let (one, path) = (Executor::new(1).unwrap(), mgr.final_path(fp));
-                let (p, spec) = (&meta.params, SamplerSpec::systematic());
-                sample::<BuiltinIsa>(&one, &sim, "loopy-1", 0.02, p, &spec, Some(&path)).unwrap();
+                let spec = SamplerSpec::systematic();
+                sample(&one, &sim, &meta, &spec, Some(&path)).unwrap();
                 fp
             })
             .collect();
@@ -755,7 +784,7 @@ mod tests {
         let replay = |open: &OpenStore| {
             let executor = Executor::new(1).unwrap().with_memo(Arc::clone(&open.memo));
             let spec = SamplerSpec::systematic();
-            let run = replay::<BuiltinIsa>(&executor, &sim, &open.store, &spec).unwrap();
+            let run = replay(&executor, &sim, &open.store, &spec).unwrap();
             let report = run.estimate.report();
             mgr.count_units(report);
             let worker = report.workers[0];

@@ -7,10 +7,7 @@
 use smarts_ckpt::IsaId;
 use smarts_core::SmartsSim;
 use smarts_exec::{sample, Executor};
-use smarts_isa::{BuiltinIsa, RiscIsa};
-use smarts_server::{
-    estimate_line, machine_for, params_for, Client, JobSpec, Server, ServerConfig,
-};
+use smarts_server::{estimate_line, machine_for, Client, JobSpec, Server, ServerConfig};
 use smarts_workloads::risc_suite;
 
 /// Watches `job` to its `end` event and returns the terminal state.
@@ -55,12 +52,9 @@ fn served_risc_job_matches_a_one_shot_run_and_keys_its_own_cache() {
     assert_eq!(source, "cold");
 
     // One-shot reference through the same exec entry point the CLI uses.
-    let cfg = machine_for(spec.config);
-    let params = params_for(&spec, &cfg).unwrap();
-    let sim = SmartsSim::new(cfg);
+    let sim = SmartsSim::new(machine_for(spec.config));
     let (two, sampler) = (Executor::new(2).unwrap(), spec.sampler_spec());
-    let one_shot =
-        sample::<RiscIsa>(&two, &sim, &bench, spec.scale, &params, &sampler, None).unwrap();
+    let one_shot = sample(&two, &sim, &spec.meta().unwrap(), &sampler, None).unwrap();
     assert_eq!(
         served,
         estimate_line(&one_shot.estimate),
@@ -85,8 +79,8 @@ fn served_risc_job_matches_a_one_shot_run_and_keys_its_own_cache() {
     assert_eq!(end_state(&mut client, &job), "done");
     let (source, builtin_served) = client.result(&job).unwrap();
     assert_eq!(source, "cold", "builtin job must not reuse the risc store");
-    let builtin_one_shot =
-        sample::<BuiltinIsa>(&two, &sim, &bench, spec.scale, &params, &sampler, None).unwrap();
+    let builtin_meta = builtin_spec.meta().unwrap();
+    let builtin_one_shot = sample(&two, &sim, &builtin_meta, &sampler, None).unwrap();
     assert_eq!(builtin_served, estimate_line(&builtin_one_shot.estimate));
 
     // A trace submit is refused at the protocol boundary.

@@ -59,8 +59,7 @@ pub fn profile(loaded: LoadedBenchmark, interval: u64) -> BbvProfile {
     // Precompute pc → block id for O(1) per-instruction classification.
     let leaders = loaded.program.basic_block_leaders();
     let blocks = leaders.len();
-    let program_len = loaded.program.len() as usize;
-    let mut block_of = vec![0u32; program_len];
+    let mut block_of = vec![0u32; loaded.program.len() as usize];
     {
         let mut current = 0usize;
         let mut next_leader = 1usize;

@@ -50,7 +50,7 @@ impl<I: Isa> Clone for Loaded<I> {
 impl<I: Isa> fmt::Debug for Loaded<I> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Loaded")
-            .field("isa", &I::NAME)
+            .field("isa", &I::ID.name())
             .field("name", &self.name)
             .field("program", &self.program)
             .finish_non_exhaustive()

@@ -16,7 +16,7 @@
 use smarts::ckpt::MappedStore;
 use smarts::core::SamplerSpec;
 use smarts::exec::{replay, sample};
-use smarts::isa::BuiltinIsa;
+use smarts::isa::IsaId;
 use smarts::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,7 +36,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = SamplerSpec::systematic();
     let warm_start = std::time::Instant::now();
     let save = Some(path.as_path());
-    let run = sample::<BuiltinIsa>(&executor, &sim, bench.name(), scale, &params, &spec, save)?;
+    let meta = StoreMeta {
+        params,
+        benchmark: bench.name().to_string(),
+        scale,
+        isa: IsaId::Builtin,
+    };
+    let run = sample(&executor, &sim, &meta, &spec, save)?;
     let write = run
         .write
         .expect("a run that keeps its store reports the write");
@@ -60,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cfg.ruu_size = ruu;
         cfg.lsq_size = lsq;
         let point = SmartsSim::new(cfg);
-        let run = replay::<BuiltinIsa>(&executor, &point, &store, &spec)?;
+        let run = replay(&executor, &point, &store, &spec)?;
         let report = &run.estimate.report().report;
         total_replay += report.wall_detailed;
         println!(

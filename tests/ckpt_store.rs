@@ -8,11 +8,11 @@ mod common;
 
 use std::path::PathBuf;
 
-use common::{assert_bit_identical, eager_oracle, sequential_oracle};
+use common::{assert_bit_identical, eager_oracle, meta, sequential_oracle};
 use smarts::ckpt::{CkptError, MappedStore};
 use smarts::core::SamplerSpec;
-use smarts::exec::{replay, sample, Estimate, ExecError, Executor, ParallelReport};
-use smarts::isa::BuiltinIsa;
+use smarts::exec::{approx_len, replay, sample, Estimate, ExecError, Executor, ParallelReport};
+use smarts::isa::{BuiltinIsa, IsaId};
 use smarts::prelude::*;
 
 fn store_path(tag: &str) -> PathBuf {
@@ -32,8 +32,8 @@ fn warm_and_save(
         Executor::new(2).expect("executor"),
         SamplerSpec::systematic(),
     );
-    let run = sample::<BuiltinIsa>(&two, sim, bench.name(), scale, p, &spec, Some(path))
-        .expect("warm-and-save run");
+    let meta = meta(IsaId::Builtin, bench.name(), scale, p);
+    let run = sample(&two, sim, &meta, &spec, Some(path)).expect("warm-and-save run");
     let Estimate::Systematic(report) = run.estimate else {
         panic!("the systematic spec runs every unit");
     };
@@ -56,7 +56,7 @@ fn replay_store(
     path: &std::path::Path,
 ) -> Result<StoreReplay, ExecError> {
     let store = MappedStore::open(path, sim.config())?;
-    let run = replay::<BuiltinIsa>(executor, sim, &store, &SamplerSpec::systematic())?;
+    let run = replay(executor, sim, &store, &SamplerSpec::systematic())?;
     let Estimate::Systematic(report) = run.estimate else {
         panic!("the systematic spec replays the grid");
     };
@@ -199,7 +199,7 @@ fn lazy_replay_holds_a_tenth_of_the_decoded_store_at_most() {
     let jobs = 2;
     let executor = Executor::new(jobs).expect("executor");
     let spec = SamplerSpec::systematic();
-    let replayed = replay::<BuiltinIsa>(&executor, &sim, &store, &spec).expect("replay");
+    let replayed = replay(&executor, &sim, &store, &spec).expect("replay");
     assert!(replayed.damage.is_none());
     let stats = replayed
         .estimate
@@ -372,19 +372,20 @@ const PINNED_STORES: [(&str, &str, u64, u64, u32, u64); 10] = [
     ("rle-1", "risc", 3, 139958, 0x1A8E8DE4, 0x3EF5625B2E84E1B1),
 ];
 
-fn pinned_store_bytes<F: smarts::workloads::Frontend>(name: &str, offset: u64) -> Vec<u8> {
+fn pinned_store_bytes(isa: IsaId, name: &str, offset: u64) -> Vec<u8> {
     let scale = 0.25;
     let sim = SmartsSim::new(MachineConfig::eight_way());
-    let approx_len = F::approx_len(name, scale).expect("workload resolves");
+    let approx_len = approx_len(isa, name, scale).expect("workload resolves");
     let p =
         SamplingParams::for_sample_size(approx_len, 1000, 2000, Warming::Functional, 100, offset)
             .expect("valid sampling parameters");
-    let path = store_path(&format!("pinned-{name}-{}-{offset}", F::NAME));
+    let path = store_path(&format!("pinned-{name}-{}-{offset}", isa.name()));
     let (executor, spec) = (
         Executor::new(1).expect("executor"),
         SamplerSpec::systematic(),
     );
-    sample::<F>(&executor, &sim, name, scale, &p, &spec, Some(&path)).expect("warming pass");
+    let meta = meta(isa, name, scale, &p);
+    sample(&executor, &sim, &meta, &spec, Some(&path)).expect("warming pass");
     let bytes = std::fs::read(&path).expect("read store");
     std::fs::remove_file(&path).ok();
     bytes
@@ -392,12 +393,9 @@ fn pinned_store_bytes<F: smarts::workloads::Frontend>(name: &str, offset: u64) -
 
 #[test]
 fn store_bytes_match_the_pinned_parent_stores() {
-    use smarts::isa::{BuiltinIsa, RiscIsa};
     for (name, isa, offset, len, crc, fnv) in PINNED_STORES {
-        let bytes = match isa {
-            "builtin" => pinned_store_bytes::<BuiltinIsa>(name, offset),
-            _ => pinned_store_bytes::<RiscIsa>(name, offset),
-        };
+        let frontend = IsaId::from_name(isa).expect("a frontend name");
+        let bytes = pinned_store_bytes(frontend, name, offset);
         assert_eq!(
             (bytes.len() as u64, crc32(&bytes), fnv1a(&bytes)),
             (len, crc, fnv),

@@ -7,10 +7,22 @@
 use std::path::Path;
 use std::time::Duration;
 
-use smarts_ckpt::MappedStore;
+use smarts_ckpt::{IsaId, MappedStore, StoreMeta};
 use smarts_core::{ModeInstructions, SampleReport, SamplingParams, SmartsSim, UnitReplay};
 use smarts_stats::Confidence;
 use smarts_workloads::{Frontend, Loaded};
+
+/// The store identity of workload `name` at `scale` under frontend `isa`
+/// with design `params`: what `smarts_exec::sample` warms, and the header
+/// of the store it saves.
+pub fn meta(isa: IsaId, name: &str, scale: f64, params: &SamplingParams) -> StoreMeta {
+    StoreMeta {
+        params: *params,
+        benchmark: name.to_string(),
+        scale,
+        isa,
+    }
+}
 
 /// Every unit, both estimates and their intervals, and the mode
 /// accounting agree to the bit.

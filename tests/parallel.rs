@@ -8,11 +8,11 @@ mod common;
 
 use std::path::Path;
 
-use common::{assert_bit_identical, sequential_oracle};
+use common::{assert_bit_identical, meta, sequential_oracle};
 use smarts::ckpt::MappedStore;
 use smarts::core::{SamplerKind, SamplerSpec};
 use smarts::exec::{replay, sample, ExecError, Executor, Run, PIPELINE_DEPTH};
-use smarts::isa::BuiltinIsa;
+use smarts::isa::IsaId;
 use smarts::prelude::*;
 use smarts::workloads::SplitMix64;
 
@@ -42,13 +42,14 @@ fn run(
     spec: &SamplerSpec,
     save: Option<&Path>,
 ) -> Result<Run, ExecError> {
-    sample::<BuiltinIsa>(&Executor::new(jobs)?, sim, name, scale, p, spec, save)
+    let meta = meta(IsaId::Builtin, name, scale, p);
+    sample(&Executor::new(jobs)?, sim, &meta, spec, save)
 }
 
 /// The systematic replay of every record of the store at `path`.
 fn replay_all(sim: &SmartsSim, jobs: usize, path: &Path) -> Result<Run, ExecError> {
     let store = MappedStore::open(path, sim.config())?;
-    replay::<BuiltinIsa>(
+    replay(
         &Executor::new(jobs)?,
         sim,
         &store,

@@ -10,12 +10,11 @@ use std::sync::atomic::Ordering;
 use std::thread::JoinHandle;
 
 use smarts::exec::{sample, Executor};
-use smarts::isa::BuiltinIsa;
 use smarts::prelude::*;
 use smarts::server::json::Json;
 use smarts::server::{
-    estimate_line, machine_for, params_for, Client, JobSpec, Server, ServerConfig, Shared,
-    ShutdownSummary, MAX_CACHED_LINE_BYTES, MAX_FINISHED_JOBS,
+    estimate_line, machine_for, Client, JobSpec, Server, ServerConfig, Shared, ShutdownSummary,
+    MAX_CACHED_LINE_BYTES, MAX_FINISHED_JOBS,
 };
 
 /// Watches `job` to its `end` event and returns the terminal state.
@@ -89,12 +88,10 @@ fn small_spec() -> JobSpec {
 /// reference every server path must match byte for byte, for the
 /// systematic estimator and the samplers alike.
 fn one_shot_line(spec: &JobSpec) -> String {
-    let cfg = machine_for(spec.config);
-    let params = params_for(spec, &cfg).expect("valid spec");
-    let sim = SmartsSim::new(cfg);
+    let meta = spec.meta().expect("valid spec");
+    let sim = SmartsSim::new(machine_for(spec.config));
     let executor = Executor::new(spec.jobs).expect("executor");
-    let (bench, sampler) = (&spec.bench, spec.sampler_spec());
-    let run = sample::<BuiltinIsa>(&executor, &sim, bench, spec.scale, &params, &sampler, None);
+    let run = sample(&executor, &sim, &meta, &spec.sampler_spec(), None);
     estimate_line(&run.expect("one-shot run").estimate)
 }
 
