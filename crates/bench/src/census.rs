@@ -4,15 +4,18 @@
 //! units, and the statistical experiments become arithmetic over it.
 
 use smarts_core::{
-    ModeInstructions, ReferenceRun, SampleReport, SamplingParams, SmartsError, SmartsSim, Warming,
+    ReferenceRun, SampleReport, SamplingParams, SmartsError, SmartsSim, UnitReplay, Warming,
 };
 use smarts_workloads::Benchmark;
 use std::time::Duration;
 
-/// An interval-1 [`SmartsSim::sample`] run under functional warming,
-/// beside the full-detail reference run of the same stream.
+/// An interval-1 warming pass under functional warming with every
+/// checkpoint it emits replayed, its [`SmartsSim::sample`] report, and
+/// the full-detail reference run of the same stream.
 #[derive(Debug, Clone)]
 pub struct Census {
+    /// By unit index, the partial tail included.
+    replays: Vec<UnitReplay>,
     run: SampleReport,
     reference_cpis: Vec<f64>,
 }
@@ -25,8 +28,21 @@ impl Census {
         let n = (len / u).max(1);
         let params = SamplingParams::for_sample_size(len, u, w, Warming::Functional, n, 0)
             .expect("census parameters");
+        // The k = 1 warming pass, every checkpoint replayed: the partial
+        // tail too, which a coarser grid may end on.
+        let (loaded, mut replays) = (bench.load(), Vec::new());
+        let program = loaded.program.clone();
+        let pass = sim.stream_checkpoints(loaded, &params, |checkpoint| {
+            replays.push(sim.replay_owned(&program, &params, checkpoint));
+            true
+        });
+        pass.expect("census pass");
+        let walls = (Duration::ZERO, Duration::ZERO);
+        let run = SampleReport::merge(params, replays.iter().cloned().enumerate(), walls)
+            .expect("census run");
         Census {
-            run: sim.sample(bench, &params).expect("census run"),
+            replays,
+            run,
             reference_cpis: reference.unit_cpis.clone(),
         }
     }
@@ -47,38 +63,13 @@ impl Census {
             "a census answers for its own U, W and warming only"
         );
         params.validate()?;
-        // The census measured every instruction of the stream once.
-        let (u, len) = (params.unit_size, self.run.instructions.measured);
-        let (mut units, mut instructions) = (Vec::new(), ModeInstructions::default());
-        let (mut index, cap) = (params.offset, params.max_units.unwrap_or(u64::MAX));
-        while (units.len() as u64) < cap {
-            let start = index * u;
-            let warm_start = start.saturating_sub(params.detailed_warming);
-            if warm_start >= len {
-                break;
-            }
-            // A replay's two runs stop at their budgets or at the end of
-            // the stream, whichever comes first.
-            instructions.detailed_warmed += start.min(len) - warm_start;
-            let Some(unit) = self.run.units.get(index as usize) else {
-                instructions.measured += len.saturating_sub(start);
-                break;
-            };
-            instructions.measured += u;
-            units.push(*unit);
-            index += params.interval;
-        }
-        if units.is_empty() {
-            return Err(SmartsError::EmptySample);
-        }
-        let zero = Duration::ZERO;
-        Ok(SampleReport::from_units(
-            *params,
-            units,
-            instructions,
-            zero,
-            zero,
-        ))
+        // A unit's warming pass reaches it exactly when the census's does:
+        // the first grid unit the census lacks is past the stream.
+        let outcomes = params.grid().map_while(|index| {
+            let index = usize::try_from(index).ok()?;
+            Some((index, self.replays.get(index)?.clone()))
+        });
+        SampleReport::merge(*params, outcomes, (Duration::ZERO, Duration::ZERO))
     }
 
     /// Relative CPI bias under the census's warming (Section 4.3's mean

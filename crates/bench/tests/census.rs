@@ -3,7 +3,7 @@
 //! bias of every default-suite benchmark, pinned on both machines.
 
 use smarts_bench::Census;
-use smarts_core::{SampleReport, SamplingParams, SmartsSim, Warming};
+use smarts_core::{FunctionalEngine, SampleReport, SamplingParams, SmartsSim, Warming};
 use smarts_uarch::MachineConfig;
 use smarts_workloads::{find, suite, Benchmark};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -36,20 +36,27 @@ fn assert_same(read: &SampleReport, run: &SampleReport, what: &str) {
 #[test]
 fn a_design_read_from_the_census_is_the_sampled_report() {
     let bench = find("hashp-2").unwrap().scaled(0.01);
+    let len = FunctionalEngine::new(bench.load()).fast_forward(u64::MAX);
+    // The first unit starting at or past the stream's end: its warming
+    // starts inside the stream (W ≥ U), so a run replays it as a
+    // partial tail.
+    let tail = len.div_ceil(U);
     for cfg in [MachineConfig::eight_way(), MachineConfig::sixteen_way()] {
         let sim = SmartsSim::new(cfg.clone());
         let census = census(&sim, &bench);
         let w = cfg.recommended_detailed_warming();
+        assert!(tail * U >= len && tail * U - w < len);
         // k = 1 and 2 overlap each unit's detailed warming with the units
-        // before it (k·U < W + U); k = 20 leaves a gap.
-        for (k, j, max_units) in [
-            (1, 0, None),
-            (2, 0, None),
-            (2, 1, None),
-            (20, 0, None),
-            (20, 1, None),
-            (20, 19, None),
-            (2, 1, Some(3)),
+        // before it (k·U < W + U); k = 20 leaves a gap; k = 7 ends on the
+        // tail unit.
+        for (k, j) in [
+            (1, 0),
+            (2, 0),
+            (2, 1),
+            (20, 0),
+            (20, 1),
+            (20, 19),
+            (7, tail % 7),
         ] {
             let params = SamplingParams {
                 unit_size: U,
@@ -57,11 +64,18 @@ fn a_design_read_from_the_census_is_the_sampled_report() {
                 warming: Warming::Functional,
                 interval: k,
                 offset: j,
-                max_units,
             };
-            let what = format!("{} k={k} j={j} max={max_units:?}", cfg.name);
+            let what = format!("{} k={k} j={j}", cfg.name);
             let read = census.sample(&params).unwrap();
             assert_same(&read, &sim.sample(&bench, &params).unwrap(), &what);
+            if k == 7 {
+                let last = read.units.last().unwrap().start_instr;
+                assert_eq!(
+                    last + k * U,
+                    tail * U,
+                    "{what}: the tail is the next grid unit"
+                );
+            }
         }
     }
 }

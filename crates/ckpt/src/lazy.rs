@@ -501,7 +501,6 @@ mod tests {
                 warming: Warming::Functional,
                 interval: 11,
                 offset: 0,
-                max_units: None,
             },
             benchmark: "loopy-1".to_string(),
             scale: 0.1,

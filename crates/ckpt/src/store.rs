@@ -4,10 +4,10 @@
 //! File layout (all integers little-endian):
 //!
 //! ```text
-//! header:  magic "SMARTSCK" | version u32 = 3 | isa tag u8
+//! header:  magic "SMARTSCK" | version u32 = 4 | isa tag u8
 //!          | fingerprint u64
-//!          | unit_size u64 | detailed_warming u64 | warming u8
-//!          | interval u64 | offset u64 | max_units u8 [+ u64]
+//!          | design: unit_size u64 | detailed_warming u64 | warming u8
+//!                  | interval u64 | offset u64
 //!          | scale f64-bits u64 | name_len u32 | name bytes
 //!          | crc32 u32 (over everything above)
 //! record:  payload_len u32 | crc32 u32 (over payload) | payload
@@ -44,10 +44,11 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"SMARTSCK";
 
 /// The one on-disk format version this build writes and reads: an
-/// [`IsaId`] tag byte after the version field, and an index footer
-/// after the records. Any other version is refused with
+/// [`IsaId`] tag byte after the version field, the sampling design
+/// `(U, W, warming, k, j)` and nothing else, and an index footer after
+/// the records. Any other version is refused with
 /// [`CkptError::UnsupportedVersion`].
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Trailing magic closing a store's index footer.
 pub const INDEX_MAGIC: [u8; 8] = *b"SMARTSIX";
@@ -141,6 +142,44 @@ pub struct StoreMeta {
     pub isa: IsaId,
 }
 
+/// Bytes of a sampling design as a store records it.
+const DESIGN_BYTES: usize = 33;
+
+/// The sampling design's one encoding: `unit_size u64 | detailed_warming
+/// u64 | warming u8 | interval u64 | offset u64`. The header holds these
+/// bytes, the header reader parses them back ([`decode_design`]), and
+/// [`StoreMeta::fingerprint`] folds them.
+fn encode_design(params: &SamplingParams) -> [u8; DESIGN_BYTES] {
+    let warming = match params.warming {
+        Warming::None => 0,
+        Warming::Functional => 1,
+    };
+    let mut out = [0; DESIGN_BYTES];
+    out[..8].copy_from_slice(&params.unit_size.to_le_bytes());
+    out[8..16].copy_from_slice(&params.detailed_warming.to_le_bytes());
+    out[16] = warming;
+    out[17..25].copy_from_slice(&params.interval.to_le_bytes());
+    out[25..].copy_from_slice(&params.offset.to_le_bytes());
+    out
+}
+
+/// The design [`encode_design`] wrote.
+fn decode_design(bytes: &[u8; DESIGN_BYTES]) -> Result<SamplingParams, CkptError> {
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("eight bytes"));
+    let warming = match bytes[16] {
+        0 => Warming::None,
+        1 => Warming::Functional,
+        _ => return Err(CkptError::HeaderCorrupted),
+    };
+    Ok(SamplingParams {
+        unit_size: word(0),
+        detailed_warming: word(8),
+        warming,
+        interval: word(17),
+        offset: word(25),
+    })
+}
+
 /// Salt mixed ahead of the [`IsaId`] tag in store fingerprints ("ISA"
 /// in ASCII), so an ISA tag can never collide with an adjacent
 /// benchmark-name byte fold.
@@ -149,10 +188,10 @@ const FINGERPRINT_ISA_SALT: u64 = 0x0049_5341;
 impl StoreMeta {
     /// Full store-identity fingerprint: the warm-geometry
     /// [`warm_fingerprint`] folded with the benchmark name, scale, and
-    /// every sampling-design field. Two stores fingerprint identically
-    /// exactly when one warming pass could serve both — this is the key
-    /// the `smarts-server` store manager maps to a store path and the
-    /// results cache keys on.
+    /// the sampling design's bytes as the header holds them. Two stores
+    /// fingerprint identically exactly when one warming pass could serve
+    /// both — this is the key the `smarts-server` store manager maps to a
+    /// store path and the results cache keys on.
     pub fn fingerprint(&self, cfg: &MachineConfig) -> u64 {
         // The frontend tag is folded in, so stores from different
         // frontends can never share an identity.
@@ -167,21 +206,9 @@ impl StoreMeta {
             .fold(h, |h, &b| mix(h, b as u64));
         let h = mix(h, self.benchmark.len() as u64);
         let h = mix(h, self.scale.to_bits());
-        let h = mix(h, self.params.unit_size);
-        let h = mix(h, self.params.detailed_warming);
-        let h = mix(
-            h,
-            match self.params.warming {
-                Warming::None => 0,
-                Warming::Functional => 1,
-            },
-        );
-        let h = mix(h, self.params.interval);
-        let h = mix(h, self.params.offset);
-        match self.params.max_units {
-            None => mix(h, u64::MAX),
-            Some(max) => mix(mix(h, 1), max),
-        }
+        encode_design(&self.params)
+            .iter()
+            .fold(h, |h, &b| mix(h, b as u64))
     }
 }
 
@@ -208,21 +235,7 @@ pub(crate) fn encode_header(fingerprint: u64, meta: &StoreMeta) -> Vec<u8> {
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.push(meta.isa.tag());
     out.extend_from_slice(&fingerprint.to_le_bytes());
-    out.extend_from_slice(&meta.params.unit_size.to_le_bytes());
-    out.extend_from_slice(&meta.params.detailed_warming.to_le_bytes());
-    out.push(match meta.params.warming {
-        Warming::None => 0,
-        Warming::Functional => 1,
-    });
-    out.extend_from_slice(&meta.params.interval.to_le_bytes());
-    out.extend_from_slice(&meta.params.offset.to_le_bytes());
-    match meta.params.max_units {
-        None => out.push(0),
-        Some(max) => {
-            out.push(1);
-            out.extend_from_slice(&max.to_le_bytes());
-        }
-    }
+    out.extend_from_slice(&encode_design(&meta.params));
     out.extend_from_slice(&meta.scale.to_bits().to_le_bytes());
     let name = meta.benchmark.as_bytes();
     out.extend_from_slice(&(name.len() as u32).to_le_bytes());
@@ -258,10 +271,6 @@ impl<'a, R: Read> HeaderReader<'a, R> {
         Ok(buf)
     }
 
-    fn u8(&mut self) -> Result<u8, CkptError> {
-        Ok(self.take::<1>()?[0])
-    }
-
     fn u32(&mut self) -> Result<u32, CkptError> {
         Ok(u32::from_le_bytes(self.take::<4>()?))
     }
@@ -284,22 +293,9 @@ pub(crate) fn decode_header(reader: &mut impl Read) -> Result<(u64, StoreMeta), 
     if version != FORMAT_VERSION {
         return Err(CkptError::UnsupportedVersion(version));
     }
-    let isa = IsaId::from_tag(h.u8()?).ok_or(CkptError::HeaderCorrupted)?;
+    let isa = IsaId::from_tag(h.take::<1>()?[0]).ok_or(CkptError::HeaderCorrupted)?;
     let fingerprint = h.u64()?;
-    let unit_size = h.u64()?;
-    let detailed_warming = h.u64()?;
-    let warming = match h.u8()? {
-        0 => Warming::None,
-        1 => Warming::Functional,
-        _ => return Err(CkptError::HeaderCorrupted),
-    };
-    let interval = h.u64()?;
-    let offset = h.u64()?;
-    let max_units = match h.u8()? {
-        0 => None,
-        1 => Some(h.u64()?),
-        _ => return Err(CkptError::HeaderCorrupted),
-    };
+    let params = decode_design(&h.take()?)?;
     let scale = f64::from_bits(h.u64()?);
     let name_len = h.u32()?;
     if name_len > 4096 {
@@ -315,14 +311,7 @@ pub(crate) fn decode_header(reader: &mut impl Read) -> Result<(u64, StoreMeta), 
     Ok((
         fingerprint,
         StoreMeta {
-            params: SamplingParams {
-                unit_size,
-                detailed_warming,
-                warming,
-                interval,
-                offset,
-                max_units,
-            },
+            params,
             benchmark,
             scale,
             isa,
@@ -499,7 +488,6 @@ mod tests {
                 warming: Warming::Functional,
                 interval: 37,
                 offset: 3,
-                max_units: None,
             },
             benchmark: "hashp-2".to_string(),
             scale: 0.25,
@@ -520,9 +508,13 @@ mod tests {
         other_interval.params.interval = 38;
         assert_ne!(base, other_interval.fingerprint(&cfg));
 
-        let mut capped = meta.clone();
-        capped.params.max_units = Some(12);
-        assert_ne!(base, capped.fingerprint(&cfg));
+        let mut other_offset = meta.clone();
+        other_offset.params.offset = 4;
+        assert_ne!(base, other_offset.fingerprint(&cfg));
+
+        let mut stale = meta.clone();
+        stale.params.warming = Warming::None;
+        assert_ne!(base, stale.fingerprint(&cfg));
 
         assert_ne!(base, meta.fingerprint(&MachineConfig::sixteen_way()));
 
@@ -543,7 +535,6 @@ mod tests {
                 warming: Warming::Functional,
                 interval: 11,
                 offset: 0,
-                max_units: None,
             },
             benchmark: "loopy-1".to_string(),
             scale: 0.1,
@@ -572,7 +563,6 @@ mod tests {
                 warming: Warming::Functional,
                 interval: 37,
                 offset: 3,
-                max_units: Some(12),
             },
             benchmark: "hashp-2".to_string(),
             scale: 0.25,
@@ -580,6 +570,10 @@ mod tests {
         };
         let bytes = encode_header(0xDEAD_BEEF, &meta);
         assert_eq!(bytes[8..12], FORMAT_VERSION.to_le_bytes());
+        // magic, version, tag, fingerprint, design, scale, name, CRC.
+        let name = meta.benchmark.len();
+        assert_eq!(bytes.len(), 8 + 4 + 1 + 8 + DESIGN_BYTES + 8 + 4 + name + 4);
+        assert_eq!(bytes[21..21 + DESIGN_BYTES], encode_design(&meta.params));
         let mut cursor = &bytes[..];
         let (fp, decoded) = decode_header(&mut cursor).unwrap();
         assert_eq!(fp, 0xDEAD_BEEF);
@@ -600,7 +594,7 @@ mod tests {
     }
 
     #[test]
-    fn v3_header_round_trips_the_isa_tag() {
+    fn header_round_trips_the_isa_tag() {
         let mut meta = StoreMeta {
             params: SamplingParams {
                 unit_size: 1000,
@@ -608,7 +602,6 @@ mod tests {
                 warming: Warming::Functional,
                 interval: 37,
                 offset: 3,
-                max_units: Some(12),
             },
             benchmark: "hashp-2".to_string(),
             scale: 0.25,
@@ -639,7 +632,6 @@ mod tests {
                 warming: Warming::Functional,
                 interval: 37,
                 offset: 3,
-                max_units: None,
             },
             benchmark: "loopy-1".to_string(),
             scale: 0.5,
@@ -664,7 +656,6 @@ mod tests {
                 warming: Warming::None,
                 interval: 5,
                 offset: 0,
-                max_units: None,
             },
             benchmark: "loopy-1".to_string(),
             scale: 1.0,

@@ -549,19 +549,28 @@ fn checksummed_records_of_impossible_sets_end_the_intact_prefix() {
     fs::remove_file(&path).ok();
 }
 
+/// Header bytes up to the end of the sampling design in the current
+/// layout: magic, version, ISA tag, fingerprint, then the design's
+/// `U | W | warming | k | j`.
+const DESIGN_END: usize = 8 + 4 + 1 + 8 + 33;
+
 /// Rewrites a pristine store in the layout an older build wrote for
-/// `version`: no ISA tag byte after the version field, no index footer
-/// for version 1, and the header CRC resealed over the result — so only
-/// the version can be what a reader refuses.
+/// `version`: the unit-cap tag byte after the design (0, no cap), no
+/// ISA tag byte after the version field before version 3, no index
+/// footer for version 1, and the header CRC resealed over the result —
+/// so only the version can be what a reader refuses.
 fn old_layout(pristine: &[u8], header_len: usize, records_end: usize, version: u32) -> Vec<u8> {
     let end = if version == 1 {
         records_end
     } else {
         pristine.len()
     };
+    let tag = if version >= 3 { 12 } else { 13 };
     let mut bytes = pristine[..8].to_vec();
     bytes.extend_from_slice(&version.to_le_bytes());
-    bytes.extend_from_slice(&pristine[13..header_len - 4]);
+    bytes.extend_from_slice(&pristine[tag..DESIGN_END]);
+    bytes.push(0);
+    bytes.extend_from_slice(&pristine[DESIGN_END..header_len - 4]);
     bytes.extend_from_slice(&smarts_isa::crc32(&bytes).to_le_bytes());
     bytes.extend_from_slice(&pristine[header_len..end]);
     bytes
@@ -584,7 +593,7 @@ fn older_format_versions_are_refused() {
     );
     drop(layout);
 
-    for version in [1u32, 2] {
+    for version in [1u32, 2, 3] {
         fs::write(
             &path,
             old_layout(&pristine, header_len, records_end, version),
@@ -763,7 +772,7 @@ fn frontend_mismatch_is_typed_on_both_ends() {
 }
 
 #[test]
-fn risc_stores_round_trip_under_the_v3_format() {
+fn risc_stores_round_trip() {
     let cfg = MachineConfig::eight_way();
     let sim = SmartsSim::new(cfg.clone());
     let bench = small_bench();

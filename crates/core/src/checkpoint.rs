@@ -300,8 +300,7 @@ impl SmartsSim {
         let mut emitted: u64 = 0;
         let mut stopped = false;
 
-        let mut unit_index = params.offset;
-        while params.max_units.is_none_or(|max| emitted < max) {
+        for unit_index in params.grid() {
             let unit_start = unit_index * params.unit_size;
             let warm_start = unit_start.saturating_sub(params.detailed_warming);
             match params.warming {
@@ -323,7 +322,6 @@ impl SmartsSim {
                 break;
             }
             emitted += 1;
-            unit_index += params.interval;
         }
         if emitted == 0 && !stopped {
             return Err(SmartsError::EmptySample);
@@ -341,7 +339,7 @@ impl SmartsSim {
     /// Units are mutually independent — the result depends only on the
     /// checkpoint and this simulator's configuration — so any subset may
     /// be replayed in any order (or concurrently) and reassembled in
-    /// stream order with [`crate::SampleReport::from_units`]; results are
+    /// stream order with [`crate::SampleReport::merge`]; results are
     /// bit-identical however the checkpoint was delivered.
     ///
     /// The checkpoint must have been produced for `program` by a
@@ -486,25 +484,10 @@ mod tests {
         }
 
         /// The sequential oracle: every checkpoint in stream order,
-        /// reduced exactly as `sample` reduces its units.
+        /// merged exactly as `sample` merges its units.
         fn sample(&self, sim: &SmartsSim) -> SampleReport {
-            let mut units = Vec::new();
-            let mut instructions = ModeInstructions::default();
-            for index in 0..self.checkpoints.len() {
-                let replay = self.replay(sim, index);
-                replay.account(&mut instructions);
-                match replay {
-                    UnitReplay::Complete { sample, .. } => units.push(*sample),
-                    UnitReplay::Partial { .. } => break, // partial tail unit
-                }
-            }
-            SampleReport::from_units(
-                self.params,
-                units,
-                instructions,
-                Duration::ZERO,
-                Duration::ZERO,
-            )
+            let replays = (0..self.checkpoints.len()).map(|index| (index, self.replay(sim, index)));
+            SampleReport::merge(self.params, replays, (Duration::ZERO, Duration::ZERO)).unwrap()
         }
     }
 

@@ -220,9 +220,9 @@ mod tests {
         let a = SmartsSim::new(MachineConfig::eight_way());
         let b = SmartsSim::new(MachineConfig::eight_way());
         let bench = find("loopy-1").unwrap().scaled(0.02);
-        let mut p = params(&bench, 2);
-        p.max_units = Some(1);
-        let cmp = compare_machines(&a, &b, &bench, &p).unwrap();
+        // n = 1: one grid unit in the stream, one pair.
+        let cmp = compare_machines(&a, &b, &bench, &params(&bench, 1)).unwrap();
+        assert_eq!(cmp.pairs(), 1);
         assert!(cmp.delta_half_width(Confidence::NINETY_FIVE).is_err());
     }
 }

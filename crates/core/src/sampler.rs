@@ -21,7 +21,9 @@ pub enum Warming {
     Functional,
 }
 
-/// Parameters of one systematic sampling simulation run (Figure 1).
+/// Parameters of one systematic sampling simulation run (Figure 1): the
+/// design `(U, W, k, j)`, whose [`SamplingParams::grid`] units a run
+/// measures up to the stream's end, under a warming mode.
 ///
 /// # Examples
 ///
@@ -47,8 +49,6 @@ pub struct SamplingParams {
     pub interval: u64,
     /// Phase offset `j` in units, `0 ≤ j < k`.
     pub offset: u64,
-    /// Measure at most this many units (`None` = to end of stream).
-    pub max_units: Option<u64>,
 }
 
 impl SamplingParams {
@@ -56,11 +56,9 @@ impl SamplingParams {
     /// stream of approximately `stream_len` instructions:
     /// `k = max(1, ⌊N/n⌋)` with `N = stream_len / U`.
     ///
-    /// The run is *not* capped at `n` units: systematic sampling covers
-    /// the entire stream at interval `k`, so the realized sample size is
-    /// `⌈N_true/k⌉` and tracks the true stream length even when
-    /// `stream_len` is only an estimate. (Capping at `n` would silently
-    /// exclude the tail of the stream — a coverage bias.)
+    /// The grid covers the entire stream at interval `k`, so the realized
+    /// sample size is `⌈N_true/k⌉`: it tracks the true stream length even
+    /// when `stream_len` is only an estimate.
     ///
     /// Every unit replays from its own checkpoint, so units may sit
     /// closer than their detailed warming (`k·U < W + U`, down to the
@@ -94,7 +92,6 @@ impl SamplingParams {
             warming,
             interval,
             offset,
-            max_units: None,
         };
         params.validate()?;
         Ok(params)
@@ -138,6 +135,14 @@ impl SamplingParams {
             });
         }
         Ok(())
+    }
+
+    /// The design's unit indices in stream order, `j + m·k` for
+    /// `m = 0, 1, …` (unit `i` starts at instruction `i·U`): unbounded,
+    /// since the stream's end bounds a run.
+    pub fn grid(&self) -> impl Iterator<Item = u64> {
+        let interval = self.interval;
+        std::iter::successors(Some(self.offset), move |index| index.checked_add(interval))
     }
 
     /// A copy with a different phase offset (for bias estimation over
@@ -235,11 +240,11 @@ impl SampleReport {
     /// Builds a report by re-accumulating per-unit estimates in stream
     /// order.
     ///
-    /// This is the deterministic merge anchor for parallel execution
-    /// (`smarts-exec`): the CPI/EPI accumulators are fed one unit at a
-    /// time in exactly the order the sequential driver would, so a report
-    /// assembled from concurrently-measured units is bit-identical to the
-    /// sequential one. `units` must already be sorted by `start_instr`.
+    /// This is the deterministic anchor of [`SampleReport::merge`]: the
+    /// CPI/EPI accumulators are fed one unit at a time in stream order,
+    /// so a report assembled from concurrently-measured units is
+    /// bit-identical to the sequential one. `units` must already be
+    /// sorted by `start_instr`.
     pub fn from_units(
         params: SamplingParams,
         units: Vec<UnitSample>,
@@ -262,6 +267,43 @@ impl SampleReport {
             cpi_stats,
             epi_stats,
         }
+    }
+
+    /// The one merge behind every route: replay outcomes keyed by distinct
+    /// unit index, in stream order whichever worker measured what, each
+    /// accounted into the mode breakdown until the first partial unit
+    /// ends the sample (the population is the `⌊stream/U⌋` whole units).
+    /// `walls` are the run's functional and detailed walls.
+    ///
+    /// # Errors
+    ///
+    /// [`SmartsError::EmptySample`] when no unit completed.
+    pub fn merge(
+        params: SamplingParams,
+        outcomes: impl IntoIterator<Item = (usize, UnitReplay)>,
+        (wall_functional, wall_detailed): (Duration, Duration),
+    ) -> Result<Self, SmartsError> {
+        let mut outcomes: Vec<(usize, UnitReplay)> = outcomes.into_iter().collect();
+        outcomes.sort_unstable_by_key(|(index, _)| *index);
+        let mut units = Vec::with_capacity(outcomes.len());
+        let mut instructions = ModeInstructions::default();
+        for (_, replay) in outcomes {
+            replay.account(&mut instructions);
+            match replay {
+                UnitReplay::Complete { sample, .. } => units.push(*sample),
+                UnitReplay::Partial { .. } => break,
+            }
+        }
+        if units.is_empty() {
+            return Err(SmartsError::EmptySample);
+        }
+        Ok(SampleReport::from_units(
+            params,
+            units,
+            instructions,
+            wall_functional,
+            wall_detailed,
+        ))
     }
 
     /// Number of measured sampling units `n`.
@@ -412,8 +454,9 @@ impl SmartsSim {
     /// benchmark image: the functional-warming pass of
     /// [`SmartsSim::stream_checkpoints_with`] hands each unit's checkpoint
     /// to [`SmartsSim::replay_with`] on this thread the moment its
-    /// boundary is reached. Units are independent, so this is the report
-    /// every checkpointed route reduces to, at any worker count; one
+    /// boundary is reached, and [`SampleReport::merge`] reduces the
+    /// outcomes. Units are independent, so this is the report every
+    /// checkpointed route reduces to, at any worker count; one
     /// checkpoint and one spare warm state are resident at a time.
     ///
     /// Under [`Warming::None`] each unit replays instead on the warm state
@@ -431,35 +474,17 @@ impl SmartsSim {
         let spares = WarmSpares::default();
         spares.keep(1);
         let mut stale = (params.warming == Warming::None).then(|| WarmState::new(&self.cfg));
-        let mut units = Vec::new();
-        let mut instructions = ModeInstructions::default();
+        let mut outcomes = Vec::new();
         let mut wall_detailed = Duration::ZERO;
         let summary = self.stream_checkpoints_with(loaded, params, &spares, |checkpoint| {
             let t0 = Instant::now();
             let replay = self.replay_unit(&program, params, checkpoint, stale.as_mut(), &spares);
             wall_detailed += t0.elapsed();
-            replay.account(&mut instructions);
-            match replay {
-                UnitReplay::Complete { sample, .. } => {
-                    units.push(*sample);
-                    true
-                }
-                // Partial unit at end of stream: excluded from the sample,
-                // consistent with a population of ⌊stream/U⌋ whole units.
-                UnitReplay::Partial { .. } => false,
-            }
+            outcomes.push((outcomes.len(), replay));
+            true
         })?;
-        if units.is_empty() {
-            return Err(SmartsError::EmptySample);
-        }
         let wall_functional = summary.build_wall.saturating_sub(wall_detailed);
-        Ok(SampleReport::from_units(
-            *params,
-            units,
-            instructions,
-            wall_functional,
-            wall_detailed,
-        ))
+        SampleReport::merge(*params, outcomes, (wall_functional, wall_detailed))
     }
 }
 
@@ -621,7 +646,6 @@ mod tests {
             warming: Warming::None,
             interval: 1_000_000,
             offset: 999_999,
-            max_units: Some(1),
         };
         assert_eq!(
             sim().sample(&bench, &params).unwrap_err(),

@@ -8,9 +8,7 @@ use crate::cancel::{CancelToken, ProgressFn};
 use crate::error::ExecError;
 use crate::replay::{SampledReplay, UnitMemo};
 use smarts_ckpt::{CkptError, WriteSummary};
-use smarts_core::{
-    ModeInstructions, SampleReport, SamplingParams, SmartsError, UnitReplay, UnitSample, WarmSpares,
-};
+use smarts_core::{ModeInstructions, SampleReport, SamplingParams, UnitReplay, WarmSpares};
 
 /// Which route produced a [`ParallelReport`]. A label on the result, not
 /// an input: whether a run warms at all is the entry point the caller
@@ -230,38 +228,20 @@ impl Replayed {
         run
     }
 
-    /// Reduces the outcomes in stream order, stopping at the first
-    /// partial unit exactly as a sequential replay loop does — the one
-    /// merge behind every route. Indices are distinct, so sorting them
-    /// recovers stream order whichever worker measured what. The walls
-    /// are the producer's and the workers' summed: they may overlap.
+    /// The report of the run: its outcomes merged
+    /// ([`SampleReport::merge`]), beside the parallel accounting. The
+    /// walls are the producer's and the workers' summed: they may overlap.
     pub(crate) fn into_report(
-        mut self,
+        self,
         params: &SamplingParams,
         jobs: usize,
         mode: ParallelMode,
         pipeline: PipelineStats,
     ) -> Result<ParallelReport, ExecError> {
-        self.outcomes.sort_unstable_by_key(|(index, _)| *index);
-        let mut units: Vec<UnitSample> = Vec::with_capacity(self.outcomes.len());
-        let mut instructions = ModeInstructions::default();
-        for (_, replay) in self.outcomes {
-            replay.account(&mut instructions);
-            match replay {
-                UnitReplay::Complete { sample, .. } => units.push(*sample),
-                UnitReplay::Partial { .. } => break,
-            }
-        }
-        if units.is_empty() {
-            return Err(ExecError::Smarts(SmartsError::EmptySample));
-        }
-        let (warm, replay) = (
-            pipeline.producer_wall,
-            self.workers.iter().map(|w| w.wall).sum(),
-        );
-        let report = SampleReport::from_units(*params, units, instructions, warm, replay);
+        let replay = self.workers.iter().map(|w| w.wall).sum();
+        let walls = (pipeline.producer_wall, replay);
         Ok(ParallelReport {
-            report,
+            report: SampleReport::merge(*params, self.outcomes, walls)?,
             mode,
             jobs,
             workers: self.workers,

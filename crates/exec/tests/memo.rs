@@ -228,7 +228,6 @@ fn an_offline_drive_over_the_grid_is_the_served_replay() {
         warming: Warming::Functional,
         interval: 1,
         offset: 0,
-        max_units: None,
     };
     let (one, systematic) = (Executor::new(1).unwrap(), SamplerSpec::systematic());
     let meta = meta(IsaId::Builtin, "loopy-1", 0.01, &census);

@@ -80,13 +80,8 @@ fn report_fields(report: &SampleReport) -> Vec<(&'static str, Json)> {
         ),
         ("interval", Json::U64(p.interval)),
         ("offset", Json::U64(p.offset)),
-        (
-            "max_units",
-            match p.max_units {
-                None => Json::Null,
-                Some(m) => Json::U64(m),
-            },
-        ),
+        // No design is capped: a constant, as `fast_forwarded` is 0.
+        ("max_units", Json::Null),
     ]);
     let instructions = Json::obj(vec![
         (
@@ -255,11 +250,11 @@ pub fn report_from_json(value: &Json) -> Result<SampleReport, String> {
         },
         interval: field(pv, "interval")?,
         offset: field(pv, "offset")?,
-        max_units: match pv.get("max_units") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(v.as_u64().ok_or("bad `max_units`")?),
-        },
     };
+    // A number would claim a capped design, which no run produces.
+    if !matches!(pv.get("max_units"), Some(Json::Null)) {
+        return Err("`max_units` must be null: no design is capped".to_string());
+    }
     let iv = value.get("instructions").ok_or("missing `instructions`")?;
     let instructions = ModeInstructions {
         fast_forwarded: field(iv, "fast_forwarded")?,
@@ -312,7 +307,6 @@ mod tests {
             warming: Warming::Functional,
             interval: 5,
             offset: 1,
-            max_units: Some(2),
         };
         let counters = ActivityCounters {
             fetches: 17,
@@ -395,6 +389,24 @@ mod tests {
         }
         let err = report_from_json(&value).unwrap_err();
         assert!(err.contains("aggregate"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn a_capped_design_is_refused() {
+        let line = canonical_report_line(&sample_report());
+        assert!(line.contains(r#""max_units":null"#), "{line}");
+        for cap in [Json::U64(3), Json::Str("3".to_string())] {
+            let mut value = crate::json::parse(&line).unwrap();
+            if let Json::Obj(fields) = &mut value {
+                if let Some((_, Json::Obj(params))) = fields.iter_mut().find(|(k, _)| k == "params")
+                {
+                    let slot = params.iter_mut().find(|(k, _)| k == "max_units").unwrap();
+                    slot.1 = cap;
+                }
+            }
+            let err = report_from_json(&value).unwrap_err();
+            assert!(err.contains("max_units"), "unexpected error: {err}");
+        }
     }
 
     #[test]

@@ -528,7 +528,6 @@ mod tests {
                 warming: Warming::Functional,
                 interval: 10,
                 offset: 0,
-                max_units: None,
             },
             benchmark: "hashp-2".to_string(),
             scale: 1.0,

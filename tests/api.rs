@@ -43,7 +43,6 @@ fn errors_format_and_chain() {
         warming: Warming::None,
         interval: 1,
         offset: 0,
-        max_units: None,
     };
     let err = sim.sample(&bench, &bad).unwrap_err();
     assert!(!err.to_string().is_empty());

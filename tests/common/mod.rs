@@ -8,7 +8,7 @@ use std::path::Path;
 use std::time::Duration;
 
 use smarts_ckpt::{IsaId, MappedStore, StoreMeta};
-use smarts_core::{ModeInstructions, SampleReport, SamplingParams, SmartsSim, UnitReplay};
+use smarts_core::{SampleReport, SamplingParams, SmartsSim, UnitReplay};
 use smarts_stats::Confidence;
 use smarts_workloads::{Frontend, Loaded};
 
@@ -64,25 +64,16 @@ pub fn assert_bit_identical(candidate: &SampleReport, reference: &SampleReport, 
     );
 }
 
-/// Reduces per-unit replays, in stream order, the way `SmartsSim::sample`
-/// reduces its units: account everything, stop at the partial tail.
+/// Merges per-unit replays, in stream order, as every route does.
 fn reduce(params: &SamplingParams, replays: impl IntoIterator<Item = UnitReplay>) -> SampleReport {
-    let mut units = Vec::new();
-    let mut instructions = ModeInstructions::default();
-    for replay in replays {
-        replay.account(&mut instructions);
-        match replay {
-            UnitReplay::Complete { sample, .. } => units.push(*sample),
-            UnitReplay::Partial { .. } => break,
-        }
-    }
-    assert!(!units.is_empty(), "the oracle measured no unit");
-    SampleReport::from_units(*params, units, instructions, Duration::ZERO, Duration::ZERO)
+    let walls = (Duration::ZERO, Duration::ZERO);
+    SampleReport::merge(*params, replays.into_iter().enumerate(), walls)
+        .expect("the oracle measured a unit")
 }
 
 /// The sequential oracle: collect the warming pass's checkpoints, then
-/// replay each in order on this thread. No channel, store, worker pool
-/// or merge between the producer and the report — and, unlike
+/// replay each in order on this thread. No channel, store or worker pool
+/// between the producer and the report — and, unlike
 /// `SmartsSim::sample`, every checkpoint is kept before any replays.
 pub fn sequential_oracle<F: Frontend>(
     sim: &SmartsSim,
