@@ -3,7 +3,7 @@
 
 use crate::paper::stale_bias;
 use crate::Result;
-use smarts_bench::ci_eff::{measure, render_json, Row, EPSILON, SAVINGS_BAR, UNIT_SIZE};
+use smarts_bench::ci_eff::{measure, Row, EPSILON, SAVINGS_BAR, UNIT_SIZE};
 use smarts_bench::{upct, HarnessArgs, Output, RefCache};
 use smarts_core::{SamplingParams, SmartsSim, Warming};
 use smarts_stats::{systematic_sample_means, Confidence, RandomDesign};
@@ -127,8 +127,7 @@ pub fn ablation(args: &HarnessArgs, cache: &RefCache) -> Result {
 /// methodology applied to sampler design): detailed instructions to the
 /// ±3% @ 99.7% CPI target under systematic, two-phase stratified and
 /// online adaptive selection. The procedure is
-/// [`smarts_bench::ci_eff::measure`], seeded and simulator-deterministic;
-/// outside `--quick` the run also rewrites `results/bench_ci_eff.json`.
+/// [`smarts_bench::ci_eff::measure`], seeded and simulator-deterministic.
 pub fn ci_eff(args: &HarnessArgs, cache: &RefCache) -> Result {
     let conf = Confidence::THREE_SIGMA;
     let mut out = Output::new(
@@ -183,12 +182,5 @@ pub fn ci_eff(args: &HarnessArgs, cache: &RefCache) -> Result {
         SAVINGS_BAR * 100.0,
         upct(mean_best)
     )?;
-    if !args.quick {
-        let path = std::path::Path::new(crate::RESULTS).join("bench_ci_eff.json");
-        let json = render_json(&rows, args.scale(), qualifying, mean_best);
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("cannot write {}: {e}", path.display());
-        }
-    }
     Ok(out)
 }

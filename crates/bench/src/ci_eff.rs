@@ -3,7 +3,7 @@
 //! matched-systematic baseline, and offline drives of the stratified and
 //! adaptive samplers over the census units. Everything is seeded and
 //! simulator-deterministic: re-running [`measure`] at the same scale
-//! reproduces the checked-in `results/bench_ci_eff.json` bit-for-bit.
+//! reproduces the checked-in `results/ci_eff.txt` table bit-for-bit.
 
 use crate::Census;
 use smarts_core::{SamplerKind, SamplerSpec, SamplingParams, Warming};
@@ -16,7 +16,7 @@ pub const UNIT_SIZE: u64 = 1000;
 /// Relative CPI error target (±3%).
 pub const EPSILON: f64 = 0.03;
 
-/// Seed for every sampler drive; fixed so the JSON is reproducible.
+/// Seed for every sampler drive; fixed so the table is reproducible.
 pub const SEED: u64 = 12;
 
 /// Minimum relative saving in detailed instructions (vs the matched
@@ -33,13 +33,8 @@ pub struct Row {
     pub pool: u64,
     /// True coefficient of variation of per-unit CPI.
     pub cv: f64,
-    /// Mean CPI over the census — the ground truth the samplers are
-    /// scored against.
-    pub truth: f64,
     /// Detailed instructions per measured unit (`W + U`).
     pub per_unit: u64,
-    /// Oracle-tuned systematic `n` (sized from the true variation).
-    pub n_oracle: u64,
     /// Matched systematic cost: the paper's two-step procedure
     /// (30-unit pilot + tuned rerun), in units.
     pub n_systematic: u64,
@@ -95,20 +90,15 @@ impl Row {
 /// matched systematic cost is the paper's own two-step procedure — a
 /// 30-unit systematic pilot estimates `V̂`, then a tuned rerun measures
 /// `n = (z·V̂/ε)²` fresh units, capped at the pool (a census is exact
-/// under the finite-population correction). The oracle-tuned `n`, sized
-/// from the *true* variation no real procedure knows, is kept alongside.
+/// under the finite-population correction).
 pub fn measure(census: &Census, bench: &Benchmark, conf: Confidence) -> Row {
     let run = census.report();
     let cpis: Vec<f64> = run.unit_cpis().collect();
     let pool = cpis.len() as u64;
     let all: RunningStats = cpis.iter().copied().collect();
+    // The ground truth the samplers are scored against.
     let truth = all.mean();
     let cv = all.coefficient_of_variation();
-    // Oracle-tuned systematic: n sized from the *true* population
-    // variation — a bound no real run can reach (kept for reference).
-    let n_oracle = required_sample_size(cv, EPSILON, conf)
-        .expect("sample size")
-        .min(pool);
     // Matched systematic: the paper's two-step procedure. A 30-unit
     // systematic pilot estimates V̂, then the tuned rerun measures
     // n(V̂) fresh units; the procedure's detailed cost is the sum.
@@ -145,9 +135,7 @@ pub fn measure(census: &Census, bench: &Benchmark, conf: Confidence) -> Row {
         benchmark: bench.name().to_string(),
         pool,
         cv,
-        truth,
         per_unit: run.params.detailed_warming + UNIT_SIZE,
-        n_oracle,
         n_systematic,
         stratified,
         adaptive,
@@ -167,47 +155,6 @@ fn outcome(est: &smarts_stats::SamplerEstimate, truth: f64, n_systematic: u64) -
     }
 }
 
-/// Renders the results file, one key per line so a diff of two runs
-/// reads field by field.
-pub fn render_json(rows: &[Row], scale: f64, qualifying: usize, mean_best: f64) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("\"bench\": \"ci_eff\",\n");
-    out.push_str(&format!("\"scale\": {scale},\n"));
-    out.push_str(&format!("\"unit_size\": {UNIT_SIZE},\n"));
-    out.push_str(&format!("\"epsilon\": {EPSILON},\n"));
-    out.push_str("\"confidence\": 0.9973,\n");
-    out.push_str(&format!("\"seed\": {SEED},\n"));
-    out.push_str("\"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("{\n");
-        out.push_str(&format!("\"benchmark\": \"{}\",\n", r.benchmark));
-        out.push_str(&format!("\"pool\": {},\n", r.pool));
-        out.push_str(&format!("\"cv\": {:.6},\n", r.cv));
-        out.push_str(&format!("\"cpi_truth\": {:.6},\n", r.truth));
-        out.push_str(&format!("\"detailed_per_unit\": {},\n", r.per_unit));
-        out.push_str(&format!("\"n_oracle\": {},\n", r.n_oracle));
-        out.push_str(&format!("\"n_systematic\": {},\n", r.n_systematic));
-        out.push_str(&format!(
-            "\"systematic_detailed_instructions\": {},\n",
-            r.n_systematic * r.per_unit
-        ));
-        for (tag, o) in [("stratified", &r.stratified), ("adaptive", &r.adaptive)] {
-            out.push_str(&format!("\"{tag}_n\": {},\n", o.n));
-            out.push_str(&format!("\"{tag}_target_met\": {},\n", o.target_met));
-            out.push_str(&format!("\"{tag}_error\": {:.6},\n", o.error));
-            out.push_str(&format!("\"{tag}_savings\": {:.6},\n", o.savings));
-        }
-        out.push_str(&format!("\"best_savings\": {:.6}\n", r.best_savings()));
-        out.push_str(if i + 1 == rows.len() { "}\n" } else { "},\n" });
-    }
-    out.push_str("],\n");
-    out.push_str(&format!("\"workloads_total\": {},\n", rows.len()));
-    out.push_str(&format!("\"workloads_saving30\": {qualifying},\n"));
-    out.push_str(&format!("\"best_savings_mean\": {mean_best:.6}\n"));
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,8 +164,9 @@ mod tests {
     #[test]
     fn measure_reproduces_the_checked_in_results() {
         // `(benchmark, pool, stratified.n, adaptive.n, honest cost,
-        // qualifies)` of the first two suite workloads at scale 0.5,
-        // copied from `results/bench_ci_eff.json`: a change to a sampler,
+        // qualifies)` of the first two suite workloads at scale 0.5, as
+        // `results/ci_eff.txt` reports them (the cost is the honest
+        // strategy's n × (W + U) = n × 3000): a change to a sampler,
         // the seed, the pool geometry or the detailed engine's per-unit
         // CPI moves one of them.
         let golden = [

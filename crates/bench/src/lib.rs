@@ -176,63 +176,6 @@ impl RefCache {
     }
 }
 
-/// A minimal timing harness for the `harness = false` bench targets.
-///
-/// The workspace builds offline, so the bench targets cannot pull in
-/// criterion; this module covers what they actually need — warmup, a few
-/// timed samples, median selection, and optional throughput — with
-/// `std::time::Instant`.
-pub mod timing {
-    use std::time::{Duration, Instant};
-
-    /// Number of timed samples per case (after one warmup run).
-    pub const SAMPLES: usize = 7;
-
-    /// Times `f` (one warmup + [`SAMPLES`] timed runs) and returns the
-    /// median duration of a single run.
-    fn time<R>(mut f: impl FnMut() -> R) -> Duration {
-        std::hint::black_box(f());
-        let mut samples: Vec<Duration> = (0..SAMPLES)
-            .map(|_| {
-                let start = Instant::now();
-                std::hint::black_box(f());
-                start.elapsed()
-            })
-            .collect();
-        samples.sort_unstable();
-        samples[SAMPLES / 2]
-    }
-
-    /// Times `f` and prints `group/name: <median>` with throughput in
-    /// Melem/s when `elements > 0` (an element is typically one simulated
-    /// instruction, making the figure MIPS).
-    pub fn bench<R>(group: &str, name: &str, elements: u64, f: impl FnMut() -> R) -> Duration {
-        let median = time(f);
-        let label = format!("{group}/{name}");
-        if elements > 0 {
-            let rate = elements as f64 / median.as_secs_f64() / 1e6;
-            println!("{label:<44} {:>12} {rate:>10.2} Melem/s", pretty(median));
-        } else {
-            println!("{label:<44} {:>12}", pretty(median));
-        }
-        median
-    }
-
-    /// Formats a duration at a human scale (`1.23 ms`, `45.6 µs`).
-    fn pretty(d: Duration) -> String {
-        let ns = d.as_nanos() as f64;
-        if ns >= 1e9 {
-            format!("{:.2} s", ns / 1e9)
-        } else if ns >= 1e6 {
-            format!("{:.2} ms", ns / 1e6)
-        } else if ns >= 1e3 {
-            format!("{:.2} µs", ns / 1e3)
-        } else {
-            format!("{ns:.0} ns")
-        }
-    }
-}
-
 /// Formats a signed percentage with the paper's style (`-1.6%`).
 pub fn pct(x: f64) -> String {
     format!("{:+.2}%", x * 100.0)

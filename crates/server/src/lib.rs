@@ -29,9 +29,10 @@
 //!   admission cap (`busy`) and first-finished-first-out eviction of
 //!   finished records (`evicted`);
 //! * [`store_mgr`] — the store manager: fingerprint → path mapping,
-//!   single-warmer coordination with rename-on-success publication,
-//!   the LRU of open stores (each with the memo of its units already
-//!   replayed), plus the results cache, the one owner of every report
+//!   single-warmer coordination with rename-on-success publication
+//!   (the final path is the one record of a complete store), one
+//!   bounded table of the stores being warmed or held open (each open
+//!   one with the memo of its units already replayed), plus the results cache, the one owner of every report
 //!   line, bounded by the lines' bytes;
 //! * [`scheduler`] — workers that drive each claimed job down the
 //!   cheapest path: cache hit → store replay → cold warm-and-save;

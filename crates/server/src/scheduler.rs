@@ -75,8 +75,8 @@ pub fn machine_for(config: u32) -> MachineConfig {
 /// from one job to the next. The fingerprint folds in the frontend, so a
 /// risc job is never answered from a builtin store or cache line, and a
 /// ready store's header (which [`replay`] takes the frontend from)
-/// re-fingerprints to the spec's: by construction on commit, by
-/// [`StoreManager::acquire`]'s check for a store found on disk.
+/// re-fingerprints to the spec's: [`StoreManager::acquire`] checks the
+/// header of every store it does not hold open.
 fn run_job(
     shared: &Arc<Shared>,
     id: &str,
@@ -153,7 +153,7 @@ fn run_job(
                     r.state = JobState::Replaying;
                 }
             });
-            // Pull the shared mapping from the LRU open-store cache so
+            // Take the shared mapping from the store's open slot so
             // back-to-back jobs on a hot store reuse one zero-copy map,
             // and its memo so they simulate no unit a second time.
             let open = match shared.stores.open_store(fingerprint, path, &sim) {

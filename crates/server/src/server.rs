@@ -410,20 +410,20 @@ fn handle_line(
         },
         Request::Stats => {
             let (jobs, done) = shared.jobs.counts();
-            let (units_replayed, units_memoized) = shared.stores.units();
+            let stores = shared.stores.counts();
             write_line(
                 stream,
                 &ok_response(vec![
                     ("jobs", Json::U64(jobs)),
                     ("done", Json::U64(done)),
-                    ("warm_passes", Json::U64(shared.stores.warm_passes())),
-                    ("store_hits", Json::U64(shared.stores.store_hits())),
+                    ("warm_passes", Json::U64(stores.warm_passes)),
+                    ("store_hits", Json::U64(stores.store_hits)),
                     ("cache_hits", Json::U64(shared.cache.hits())),
-                    ("open_stores", Json::U64(shared.stores.open_stores() as u64)),
-                    ("stores_opened", Json::U64(shared.stores.stores_opened())),
-                    ("stores_evicted", Json::U64(shared.stores.stores_evicted())),
-                    ("units_replayed", Json::U64(units_replayed)),
-                    ("units_memoized", Json::U64(units_memoized)),
+                    ("open_stores", Json::U64(stores.open_stores)),
+                    ("stores_opened", Json::U64(stores.stores_opened)),
+                    ("stores_evicted", Json::U64(stores.stores_evicted)),
+                    ("units_replayed", Json::U64(stores.units_replayed)),
+                    ("units_memoized", Json::U64(stores.units_memoized)),
                 ]),
             )?;
         }

@@ -18,15 +18,20 @@
 //! The rename-on-success protocol makes "final path exists" equivalent
 //! to "store is complete": a crash or cancellation can only ever leave
 //! a `.partial` file behind, which is a CRC-intact salvageable prefix
-//! (see `smarts-ckpt`'s truncation tolerance) but is never served.
+//! (see `smarts-ckpt`'s truncation tolerance) but is never served. The
+//! final path is the only record of a complete store: the manager's
+//! one table, under one lock, holds a slot only for a store it is
+//! acting on — one being warmed, or one held open — and a fingerprint
+//! without a slot has its file's header checked each time it is asked
+//! for, so a store whose file is gone is warmed again.
 //!
 //! Committed stores are also held **open** (memory-mapped) across jobs:
 //! [`StoreManager::open_store`] returns a shared
-//! [`MappedStore`] from a small LRU cache, so
+//! [`MappedStore`] from the table's least-recently-used open slots, so
 //! repeated replays of a hot store skip the open/validate work and
 //! share one zero-copy mapping. A store file never changes after its
 //! rename-on-commit (same fingerprint ⇒ byte-identical content), so
-//! cached mappings need no invalidation — only LRU eviction past
+//! open mappings need no invalidation — only LRU eviction past
 //! [`MAX_OPEN_STORES`]. Each open slot also owns the store's
 //! [`UnitMemo`]: every job on the mapping shares it, so a unit one job
 //! replayed is statistics, not simulation, for the next — and it is
@@ -43,23 +48,16 @@ use smarts_core::SmartsSim;
 use smarts_exec::{CancelToken, ParallelReport, UnitMemo};
 use smarts_uarch::MachineConfig;
 
-/// Locks one of this module's maps, ignoring poisoning. Every critical
-/// section here is a lookup, an insert or a remove on a map or queue
-/// — plus, for the results cache, byte and tick counters updated beside
-/// them — and none runs foreign code, so a holder can only panic before
-/// or after a whole update, never inside one: a poisoned lock still
-/// guards a consistent map. (A `ResultsCache` byte count could lag its
-/// map only through an allocation failure, which aborts the process.)
+/// Locks one of this module's tables, ignoring poisoning. Every update
+/// here is an insert or a remove on a map or queue, with counters
+/// beside it; the store table's holder may also read a store's header
+/// or map a store, but before it updates anything. So a holder can only
+/// panic before or after a whole update, never inside one: a poisoned
+/// lock still guards a consistent table. (A `ResultsCache` byte count
+/// could lag its map only through an allocation failure, which aborts
+/// the process.)
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StoreState {
-    /// Exactly one job holds the warm ticket and is producing.
-    Warming,
-    /// The final file exists and is complete.
-    Ready,
 }
 
 /// Permission to either produce a store or replay an existing one.
@@ -98,30 +96,62 @@ pub struct OpenStore {
     pub memo: Arc<UnitMemo>,
 }
 
-/// The LRU cache of open mappings. `order` holds fingerprints from
-/// least- to most-recently used; `stores` owns the shared slots.
-struct OpenStores {
-    cap: usize,
-    stores: HashMap<u64, OpenStore>,
-    order: VecDeque<u64>,
+/// What the manager is doing with one store.
+#[derive(Clone)]
+enum Slot {
+    /// Exactly one job holds the warm ticket and is producing.
+    Warming,
+    /// The store is mapped, for every job that replays it.
+    Open(OpenStore),
 }
 
-impl std::fmt::Debug for OpenStores {
+/// The manager's counts since it was created, read as one snapshot.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StoreCounts {
+    /// Warming passes started.
+    pub warm_passes: u64,
+    /// Acquisitions served by an already-complete store.
+    pub store_hits: u64,
+    /// Stores held open now.
+    pub open_stores: u64,
+    /// Mappings opened (open-slot misses).
+    pub stores_opened: u64,
+    /// Mappings evicted from their open slots.
+    pub stores_evicted: u64,
+    /// Units every served run booked.
+    pub units_replayed: u64,
+    /// Of those, the units a memo supplied without simulation.
+    pub units_memoized: u64,
+}
+
+/// The store table: a slot for each store being warmed or held open,
+/// the open ones from least- to most-recently used, and the counts.
+struct Table {
+    slots: HashMap<u64, Slot>,
+    /// The fingerprints of the `Open` slots, least-recently used first.
+    lru: VecDeque<u64>,
+    /// Cap on `lru`'s length.
+    cap: usize,
+    counts: StoreCounts,
+}
+
+impl std::fmt::Debug for Table {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OpenStores")
+        f.debug_struct("Table")
+            .field("slots", &self.slots.len())
+            .field("open", &self.lru.len())
             .field("cap", &self.cap)
-            .field("open", &self.order.len())
             .finish()
     }
 }
 
-impl OpenStores {
+impl Table {
     /// Moves `fingerprint` to the most-recently-used position.
     fn touch(&mut self, fingerprint: u64) {
-        if let Some(at) = self.order.iter().position(|&fp| fp == fingerprint) {
-            self.order.remove(at);
+        if let Some(at) = self.lru.iter().position(|&fp| fp == fingerprint) {
+            self.lru.remove(at);
         }
-        self.order.push_back(fingerprint);
+        self.lru.push_back(fingerprint);
     }
 }
 
@@ -129,15 +159,8 @@ impl OpenStores {
 #[derive(Debug)]
 pub struct StoreManager {
     root: PathBuf,
-    states: Mutex<HashMap<u64, StoreState>>,
+    table: Mutex<Table>,
     changed: Condvar,
-    warm_passes: AtomicU64,
-    store_hits: AtomicU64,
-    open: Mutex<OpenStores>,
-    stores_opened: AtomicU64,
-    stores_evicted: AtomicU64,
-    units_replayed: AtomicU64,
-    units_memoized: AtomicU64,
 }
 
 impl StoreManager {
@@ -152,19 +175,13 @@ impl StoreManager {
             .map_err(|e| format!("cannot create store dir {}: {e}", root.display()))?;
         Ok(StoreManager {
             root,
-            states: Mutex::new(HashMap::new()),
-            changed: Condvar::new(),
-            warm_passes: AtomicU64::new(0),
-            store_hits: AtomicU64::new(0),
-            open: Mutex::new(OpenStores {
+            table: Mutex::new(Table {
+                slots: HashMap::new(),
+                lru: VecDeque::new(),
                 cap: MAX_OPEN_STORES,
-                stores: HashMap::new(),
-                order: VecDeque::new(),
+                counts: StoreCounts::default(),
             }),
-            stores_opened: AtomicU64::new(0),
-            stores_evicted: AtomicU64::new(0),
-            units_replayed: AtomicU64::new(0),
-            units_memoized: AtomicU64::new(0),
+            changed: Condvar::new(),
         })
     }
 
@@ -183,10 +200,11 @@ impl StoreManager {
 
     /// Whether the on-disk file at the final path really is the store
     /// `fingerprint` names: readable header whose meta re-fingerprints
-    /// (under `cfg`) to the expected value. Guards against unrelated
-    /// files, stale formats, and hash-name collisions — and, as the
-    /// fingerprint folds in [`StoreMeta::isa`], keeps a ready store's
-    /// header frontend the asker's, which a served replay runs under.
+    /// (under `cfg`) to the expected value. Guards against missing and
+    /// unrelated files, stale formats, and hash-name collisions — and,
+    /// as the fingerprint folds in [`StoreMeta::isa`], keeps a ready
+    /// store's header frontend the asker's, which a served replay runs
+    /// under.
     fn validate_existing(&self, fingerprint: u64, cfg: &MachineConfig) -> bool {
         let path = self.final_path(fingerprint);
         match read_store_meta(&path) {
@@ -195,9 +213,10 @@ impl StoreManager {
         }
     }
 
-    /// Resolves a ticket for the store identified by `meta` + `cfg`.
-    /// Blocks while another job holds the warm ticket; returns an error
-    /// if `cancel` fires while waiting.
+    /// Resolves a ticket for the store identified by `meta` + `cfg`: a
+    /// replay of an open store or of a valid file at the final path, or
+    /// else the warm ticket. Blocks while another job holds the warm
+    /// ticket; returns an error if `cancel` fires while waiting.
     ///
     /// # Errors
     ///
@@ -209,37 +228,24 @@ impl StoreManager {
         cancel: &CancelToken,
     ) -> Result<StoreTicket, String> {
         let fingerprint = meta.fingerprint(cfg);
-        let mut states = lock(&self.states);
+        let mut table = lock(&self.table);
         loop {
-            match states.get(&fingerprint) {
-                Some(StoreState::Ready) => {
-                    self.store_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(StoreTicket::Replay {
-                        path: self.final_path(fingerprint),
-                    });
-                }
-                Some(StoreState::Warming) => {
+            match table.slots.get(&fingerprint) {
+                Some(Slot::Warming) => {
                     if cancel.is_cancelled() {
                         return Err("cancelled while waiting for a racing warming pass".into());
                     }
                     let (guard, _) = self
                         .changed
-                        .wait_timeout(states, Duration::from_millis(50))
+                        .wait_timeout(table, Duration::from_millis(50))
                         .unwrap_or_else(PoisonError::into_inner);
-                    states = guard;
+                    table = guard;
                 }
+                Some(Slot::Open(_)) => break,
+                None if self.validate_existing(fingerprint, cfg) => break,
                 None => {
-                    if self.validate_existing(fingerprint, cfg) {
-                        // A complete store from a previous server run (or
-                        // a pre-seeded directory).
-                        states.insert(fingerprint, StoreState::Ready);
-                        self.store_hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok(StoreTicket::Replay {
-                            path: self.final_path(fingerprint),
-                        });
-                    }
-                    states.insert(fingerprint, StoreState::Warming);
-                    self.warm_passes.fetch_add(1, Ordering::Relaxed);
+                    table.slots.insert(fingerprint, Slot::Warming);
+                    table.counts.warm_passes += 1;
                     return Ok(StoreTicket::Warm {
                         fingerprint,
                         temp: self.temp_path(fingerprint),
@@ -248,15 +254,20 @@ impl StoreManager {
                 }
             }
         }
+        table.counts.store_hits += 1;
+        Ok(StoreTicket::Replay {
+            path: self.final_path(fingerprint),
+        })
     }
 
     /// Publishes a completed warming pass: renames the temp file to the
-    /// final path and wakes waiting racers.
+    /// final path, which is then the store's one record, and frees the
+    /// warm slot.
     ///
     /// # Errors
     ///
-    /// On rename failure the warm slot is released (racers retry) and
-    /// the I/O error message is returned.
+    /// On rename failure the warm slot is freed all the same (racers
+    /// retry) and the I/O error message is returned.
     pub fn commit(&self, ticket: &StoreTicket) -> Result<(), String> {
         let StoreTicket::Warm {
             fingerprint,
@@ -268,19 +279,8 @@ impl StoreManager {
         };
         let renamed = std::fs::rename(temp, final_path)
             .map_err(|e| format!("cannot publish store {}: {e}", final_path.display()));
-        let mut states = lock(&self.states);
-        match renamed {
-            Ok(()) => {
-                states.insert(*fingerprint, StoreState::Ready);
-                self.changed.notify_all();
-                Ok(())
-            }
-            Err(message) => {
-                states.remove(fingerprint);
-                self.changed.notify_all();
-                Err(message)
-            }
-        }
+        self.release(*fingerprint);
+        renamed
     }
 
     /// Releases a warm ticket without publishing: the slot is freed so a
@@ -289,22 +289,31 @@ impl StoreManager {
     /// next warmer truncates it on create.
     pub fn abort(&self, ticket: &StoreTicket) {
         if let StoreTicket::Warm { fingerprint, .. } = ticket {
-            let mut states = lock(&self.states);
-            states.remove(fingerprint);
-            self.changed.notify_all();
+            self.release(*fingerprint);
         }
     }
 
+    /// Frees `fingerprint`'s warm slot and wakes the racers waiting on
+    /// it. A slot that a replay opened meanwhile (over a file put back
+    /// at the final path) is an open store like any other, and stays.
+    fn release(&self, fingerprint: u64) {
+        let mut table = lock(&self.table);
+        if let Some(Slot::Warming) = table.slots.get(&fingerprint) {
+            table.slots.remove(&fingerprint);
+        }
+        self.changed.notify_all();
+    }
+
     /// Returns the shared mapping for a committed store and its unit
-    /// memo, opening (and caching) the store on first use. Hits touch
-    /// the LRU order; misses map the file at `path` under `sim`'s
+    /// memo, opening the store into an open slot on first use. Hits
+    /// touch the LRU order; misses map the file at `path` under `sim`'s
     /// machine, start an empty memo for `sim`, and may evict the
-    /// least-recently-used slot past the cap. Eviction only drops the
-    /// cache's `Arc`s — jobs mid-replay keep their clones alive until
-    /// they finish.
+    /// least-recently-used open slot past the cap. Eviction only drops
+    /// the table's `Arc`s — jobs mid-replay keep their clones alive
+    /// until they finish.
     ///
     /// Committed store files are immutable (rename-on-commit) and
-    /// content-deterministic per fingerprint, so a cached mapping never
+    /// content-deterministic per fingerprint, so an open mapping never
     /// goes stale.
     ///
     /// # Errors
@@ -316,9 +325,9 @@ impl StoreManager {
         path: &Path,
         sim: &SmartsSim,
     ) -> Result<OpenStore, String> {
-        let mut open = lock(&self.open);
-        if let Some(slot) = open.stores.get(&fingerprint).cloned() {
-            open.touch(fingerprint);
+        let mut table = lock(&self.table);
+        if let Some(Slot::Open(slot)) = table.slots.get(&fingerprint).cloned() {
+            table.touch(fingerprint);
             return Ok(slot);
         }
         let store = MappedStore::open(path, sim.config())
@@ -327,13 +336,13 @@ impl StoreManager {
             memo: Arc::new(UnitMemo::new(sim, &store)),
             store: Arc::new(store),
         };
-        self.stores_opened.fetch_add(1, Ordering::Relaxed);
-        open.stores.insert(fingerprint, slot.clone());
-        open.order.push_back(fingerprint);
-        while open.order.len() > open.cap {
-            if let Some(oldest) = open.order.pop_front() {
-                open.stores.remove(&oldest);
-                self.stores_evicted.fetch_add(1, Ordering::Relaxed);
+        table.counts.stores_opened += 1;
+        table.slots.insert(fingerprint, Slot::Open(slot.clone()));
+        table.lru.push_back(fingerprint);
+        while table.lru.len() > table.cap {
+            if let Some(oldest) = table.lru.pop_front() {
+                table.slots.remove(&oldest);
+                table.counts.stores_evicted += 1;
             }
         }
         Ok(slot)
@@ -342,46 +351,20 @@ impl StoreManager {
     /// Adds one finished run's units to the served totals: all it
     /// booked, and those of them that came out of a memo.
     pub fn count_units(&self, run: &ParallelReport) {
+        let mut table = lock(&self.table);
         for worker in &run.workers {
-            self.units_replayed
-                .fetch_add(worker.units, Ordering::Relaxed);
-            self.units_memoized
-                .fetch_add(worker.memoized, Ordering::Relaxed);
+            table.counts.units_replayed += worker.units;
+            table.counts.units_memoized += worker.memoized;
         }
     }
 
-    /// Units every served run booked, and how many of them a memo
-    /// supplied without simulation: `(replayed, memoized)`.
-    pub fn units(&self) -> (u64, u64) {
-        (
-            self.units_replayed.load(Ordering::Relaxed),
-            self.units_memoized.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Stores currently held open in the LRU cache.
-    pub fn open_stores(&self) -> usize {
-        lock(&self.open).order.len()
-    }
-
-    /// Mappings opened (cache misses) since the manager was created.
-    pub fn stores_opened(&self) -> u64 {
-        self.stores_opened.load(Ordering::Relaxed)
-    }
-
-    /// Mappings evicted from the LRU cache since the manager was created.
-    pub fn stores_evicted(&self) -> u64 {
-        self.stores_evicted.load(Ordering::Relaxed)
-    }
-
-    /// Warming passes started since the manager was created.
-    pub fn warm_passes(&self) -> u64 {
-        self.warm_passes.load(Ordering::Relaxed)
-    }
-
-    /// Acquisitions served by an already-complete store.
-    pub fn store_hits(&self) -> u64 {
-        self.store_hits.load(Ordering::Relaxed)
+    /// The counts so far, and the stores open now.
+    pub fn counts(&self) -> StoreCounts {
+        let table = lock(&self.table);
+        StoreCounts {
+            open_stores: table.lru.len() as u64,
+            ..table.counts
+        }
     }
 }
 
@@ -546,7 +529,7 @@ mod tests {
     /// the eviction tests need not open `MAX_OPEN_STORES + 1` of them.
     fn capped(root: &Path, cap: usize) -> StoreManager {
         let mgr = StoreManager::new(root).unwrap();
-        lock(&mgr.open).cap = cap;
+        lock(&mgr.table).cap = cap;
         mgr
     }
 
@@ -565,8 +548,8 @@ mod tests {
         else {
             panic!("expected a warm ticket, got {ticket:?}");
         };
-        assert_eq!(mgr.warm_passes(), 1);
-        assert_eq!(mgr.store_hits(), 0);
+        assert_eq!(mgr.counts().warm_passes, 1);
+        assert_eq!(mgr.counts().store_hits, 0);
 
         // Simulate a warming pass by writing a real (empty) store.
         {
@@ -582,8 +565,8 @@ mod tests {
             StoreTicket::Replay { path } => assert_eq!(&path, final_path),
             other => panic!("expected replay, got {other:?}"),
         }
-        assert_eq!(mgr.warm_passes(), 1);
-        assert_eq!(mgr.store_hits(), 1);
+        assert_eq!(mgr.counts().warm_passes, 1);
+        assert_eq!(mgr.counts().store_hits, 1);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -611,7 +594,7 @@ mod tests {
             matches!(second, StoreTicket::Warm { .. }),
             "racer should inherit the warm ticket, got {second:?}"
         );
-        assert_eq!(mgr.warm_passes(), 2);
+        assert_eq!(mgr.counts().warm_passes, 2);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -649,7 +632,7 @@ mod tests {
             mgr.acquire(&meta, &cfg, &cancel).unwrap(),
             StoreTicket::Replay { .. }
         ));
-        assert_eq!(mgr.warm_passes(), 0);
+        assert_eq!(mgr.counts().warm_passes, 0);
 
         // A different design whose final path holds junk must re-warm.
         let mut other = test_meta();
@@ -660,7 +643,7 @@ mod tests {
             mgr.acquire(&other, &cfg, &cancel).unwrap(),
             StoreTicket::Warm { .. }
         ));
-        assert_eq!(mgr.warm_passes(), 1);
+        assert_eq!(mgr.counts().warm_passes, 1);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -689,7 +672,8 @@ mod tests {
             mgr.acquire(&risc, &cfg, &cancel).unwrap(),
             StoreTicket::Warm { .. }
         ));
-        assert_eq!((mgr.warm_passes(), mgr.store_hits()), (1, 0));
+        let counts = mgr.counts();
+        assert_eq!((counts.warm_passes, counts.store_hits), (1, 0));
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -720,33 +704,88 @@ mod tests {
             Arc::ptr_eq(&a.store, &a_again.store) && Arc::ptr_eq(&a.memo, &a_again.memo),
             "hit must share the mapping and its memo"
         );
-        assert_eq!(mgr.stores_opened(), 1);
-        assert_eq!(mgr.stores_evicted(), 0);
+        assert_eq!(mgr.counts().stores_opened, 1);
+        assert_eq!(mgr.counts().stores_evicted, 0);
 
         mgr.open_store(fps[1], &path(fps[1]), &sim).unwrap();
-        assert_eq!(mgr.open_stores(), 2);
+        assert_eq!(mgr.counts().open_stores, 2);
 
         // Touch store 0 so store 1 is now least-recently used, then
         // overflow the cap: store 1 must be the eviction victim.
         mgr.open_store(fps[0], &path(fps[0]), &sim).unwrap();
         mgr.open_store(fps[2], &path(fps[2]), &sim).unwrap();
-        assert_eq!(mgr.open_stores(), 2);
-        assert_eq!(mgr.stores_evicted(), 1);
-        assert_eq!(mgr.stores_opened(), 3);
+        assert_eq!(mgr.counts().open_stores, 2);
+        assert_eq!(mgr.counts().stores_evicted, 1);
+        assert_eq!(mgr.counts().stores_opened, 3);
 
         // Store 0 survived the eviction (still a hit); store 1 did not.
         mgr.open_store(fps[0], &path(fps[0]), &sim).unwrap();
-        assert_eq!(mgr.stores_opened(), 3);
+        assert_eq!(mgr.counts().stores_opened, 3);
         mgr.open_store(fps[1], &path(fps[1]), &sim).unwrap();
-        assert_eq!(mgr.stores_opened(), 4);
-        assert_eq!(mgr.stores_evicted(), 2);
+        assert_eq!(mgr.counts().stores_opened, 4);
+        assert_eq!(mgr.counts().stores_evicted, 2);
 
         // A junk file fails to open and is not cached.
         let junk = root.join("junk.ck");
         std::fs::write(&junk, b"not a store").unwrap();
         let err = mgr.open_store(0xdead, &junk, &sim).unwrap_err();
         assert!(err.contains("cannot open store"), "unexpected error: {err}");
-        assert_eq!(mgr.open_stores(), 2);
+        assert_eq!(mgr.counts().open_stores, 2);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The final path is the only record of a complete store: once its
+    /// open slot is evicted, a store is asked of the disk again — a hit
+    /// while its file is there, a warm ticket once the file is gone.
+    #[test]
+    fn an_evicted_store_is_revalidated_on_disk() {
+        use smarts_ckpt::CkptWriter;
+        let root = temp_root("vanished");
+        let mgr = capped(&root, 1);
+        let cfg = MachineConfig::eight_way();
+        let sim = SmartsSim::new(cfg.clone());
+        let cancel = CancelToken::new();
+        let (first, mut second) = (test_meta(), test_meta());
+        second.params.offset = 1;
+
+        // Warm, commit and open the first store; opening the second
+        // evicts it.
+        let ticket = mgr.acquire(&first, &cfg, &cancel).unwrap();
+        let StoreTicket::Warm {
+            fingerprint,
+            temp,
+            final_path,
+        } = &ticket
+        else {
+            panic!("expected a warm ticket, got {ticket:?}");
+        };
+        CkptWriter::create(temp, &cfg, &first)
+            .unwrap()
+            .finish()
+            .unwrap();
+        mgr.commit(&ticket).unwrap();
+        mgr.open_store(*fingerprint, final_path, &sim).unwrap();
+        let other = mgr.final_path(second.fingerprint(&cfg));
+        CkptWriter::create(&other, &cfg, &second)
+            .unwrap()
+            .finish()
+            .unwrap();
+        mgr.open_store(second.fingerprint(&cfg), &other, &sim)
+            .unwrap();
+        assert_eq!(mgr.counts().stores_evicted, 1);
+
+        // Its file still there: a store hit, no warm pass.
+        let again = mgr.acquire(&first, &cfg, &cancel).unwrap();
+        assert!(matches!(again, StoreTicket::Replay { .. }), "got {again:?}");
+        let counts = mgr.counts();
+        assert_eq!((counts.warm_passes, counts.store_hits), (1, 1));
+
+        // Its file gone: warmed again, not replayed from nothing.
+        std::fs::remove_file(final_path).unwrap();
+        let gone = mgr.acquire(&first, &cfg, &cancel).unwrap();
+        assert!(matches!(gone, StoreTicket::Warm { .. }), "got {gone:?}");
+        let counts = mgr.counts();
+        assert_eq!((counts.warm_passes, counts.store_hits), (2, 1));
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -808,17 +847,21 @@ mod tests {
         assert!(memo.upgrade().is_some(), "the open slot keeps its memo");
         mgr.open_store(fps[1], &mgr.final_path(fps[1]), &sim)
             .unwrap();
-        assert_eq!(mgr.stores_evicted(), 1);
+        assert_eq!(mgr.counts().stores_evicted, 1);
         assert!(mapping.upgrade().is_none() && memo.upgrade().is_none());
 
         // A re-open maps the file again and knows nothing.
         let reopened = mgr
             .open_store(fps[0], &mgr.final_path(fps[0]), &sim)
             .unwrap();
-        assert_eq!(mgr.stores_opened(), 3);
+        assert_eq!(mgr.counts().stores_opened, 3);
         assert_eq!(replay(&reopened), (units, 0));
         assert_eq!(replay(&reopened), (units, units));
-        assert_eq!(mgr.units(), (4 * units, 2 * units));
+        let counts = mgr.counts();
+        assert_eq!(
+            (counts.units_replayed, counts.units_memoized),
+            (4 * units, 2 * units)
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 
