@@ -410,7 +410,7 @@ fn handle_line(
         },
         Request::Stats => {
             let (jobs, done) = shared.jobs.counts();
-            let stores = shared.stores.counts();
+            let (stores, open_stores) = shared.stores.counts();
             write_line(
                 stream,
                 &ok_response(vec![
@@ -419,7 +419,7 @@ fn handle_line(
                     ("warm_passes", Json::U64(stores.warm_passes)),
                     ("store_hits", Json::U64(stores.store_hits)),
                     ("cache_hits", Json::U64(shared.cache.hits())),
-                    ("open_stores", Json::U64(stores.open_stores)),
+                    ("open_stores", Json::U64(open_stores)),
                     ("stores_opened", Json::U64(stores.stores_opened)),
                     ("stores_evicted", Json::U64(stores.stores_evicted)),
                     ("units_replayed", Json::U64(stores.units_replayed)),

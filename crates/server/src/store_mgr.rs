@@ -50,10 +50,10 @@ use smarts_uarch::MachineConfig;
 
 /// Locks one of this module's tables, ignoring poisoning. Every update
 /// here is an insert or a remove on a map or queue, with counters
-/// beside it; the store table's holder may also read a store's header
-/// or map a store, but before it updates anything. So a holder can only
-/// panic before or after a whole update, never inside one: a poisoned
-/// lock still guards a consistent table. (A `ResultsCache` byte count
+/// beside it; the store table's holder may also read a store's header,
+/// but before it updates anything. So a holder can only panic before or
+/// after a whole update, never inside one: a poisoned lock still guards
+/// a consistent table. (A `ResultsCache` byte count
 /// could lag its map only through an allocation failure, which aborts
 /// the process.)
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -105,15 +105,13 @@ enum Slot {
     Open(OpenStore),
 }
 
-/// The manager's counts since it was created, read as one snapshot.
+/// The manager's counts since it was created.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreCounts {
     /// Warming passes started.
     pub warm_passes: u64,
     /// Acquisitions served by an already-complete store.
     pub store_hits: u64,
-    /// Stores held open now.
-    pub open_stores: u64,
     /// Mappings opened (open-slot misses).
     pub stores_opened: u64,
     /// Mappings evicted from their open slots.
@@ -152,6 +150,16 @@ impl Table {
             self.lru.remove(at);
         }
         self.lru.push_back(fingerprint);
+    }
+
+    /// `fingerprint`'s open store, now the most recently used, if it has
+    /// one.
+    fn open_hit(&mut self, fingerprint: u64) -> Option<OpenStore> {
+        let Some(Slot::Open(slot)) = self.slots.get(&fingerprint).cloned() else {
+            return None;
+        };
+        self.touch(fingerprint);
+        Some(slot)
     }
 }
 
@@ -307,10 +315,12 @@ impl StoreManager {
     /// Returns the shared mapping for a committed store and its unit
     /// memo, opening the store into an open slot on first use. Hits
     /// touch the LRU order; misses map the file at `path` under `sim`'s
-    /// machine, start an empty memo for `sim`, and may evict the
-    /// least-recently-used open slot past the cap. Eviction only drops
-    /// the table's `Arc`s — jobs mid-replay keep their clones alive
-    /// until they finish.
+    /// machine and start an empty memo for `sim` — outside the lock, so
+    /// no other store's jobs wait on it — then take the open slot, which
+    /// may evict the least-recently-used one past the cap. A miss that a
+    /// racer filled meanwhile drops its own mapping and shares the
+    /// racer's slot. Eviction only drops the table's `Arc`s — jobs
+    /// mid-replay keep their clones alive until they finish.
     ///
     /// Committed store files are immutable (rename-on-commit) and
     /// content-deterministic per fingerprint, so an open mapping never
@@ -325,9 +335,7 @@ impl StoreManager {
         path: &Path,
         sim: &SmartsSim,
     ) -> Result<OpenStore, String> {
-        let mut table = lock(&self.table);
-        if let Some(Slot::Open(slot)) = table.slots.get(&fingerprint).cloned() {
-            table.touch(fingerprint);
+        if let Some(slot) = lock(&self.table).open_hit(fingerprint) {
             return Ok(slot);
         }
         let store = MappedStore::open(path, sim.config())
@@ -336,6 +344,10 @@ impl StoreManager {
             memo: Arc::new(UnitMemo::new(sim, &store)),
             store: Arc::new(store),
         };
+        let mut table = lock(&self.table);
+        if let Some(raced) = table.open_hit(fingerprint) {
+            return Ok(raced);
+        }
         table.counts.stores_opened += 1;
         table.slots.insert(fingerprint, Slot::Open(slot.clone()));
         table.lru.push_back(fingerprint);
@@ -358,13 +370,11 @@ impl StoreManager {
         }
     }
 
-    /// The counts so far, and the stores open now.
-    pub fn counts(&self) -> StoreCounts {
+    /// The counts so far, and how many stores are open now, read as one
+    /// snapshot.
+    pub fn counts(&self) -> (StoreCounts, u64) {
         let table = lock(&self.table);
-        StoreCounts {
-            open_stores: table.lru.len() as u64,
-            ..table.counts
-        }
+        (table.counts, table.lru.len() as u64)
     }
 }
 
@@ -548,8 +558,8 @@ mod tests {
         else {
             panic!("expected a warm ticket, got {ticket:?}");
         };
-        assert_eq!(mgr.counts().warm_passes, 1);
-        assert_eq!(mgr.counts().store_hits, 0);
+        assert_eq!(mgr.counts().0.warm_passes, 1);
+        assert_eq!(mgr.counts().0.store_hits, 0);
 
         // Simulate a warming pass by writing a real (empty) store.
         {
@@ -565,8 +575,8 @@ mod tests {
             StoreTicket::Replay { path } => assert_eq!(&path, final_path),
             other => panic!("expected replay, got {other:?}"),
         }
-        assert_eq!(mgr.counts().warm_passes, 1);
-        assert_eq!(mgr.counts().store_hits, 1);
+        assert_eq!(mgr.counts().0.warm_passes, 1);
+        assert_eq!(mgr.counts().0.store_hits, 1);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -594,7 +604,7 @@ mod tests {
             matches!(second, StoreTicket::Warm { .. }),
             "racer should inherit the warm ticket, got {second:?}"
         );
-        assert_eq!(mgr.counts().warm_passes, 2);
+        assert_eq!(mgr.counts().0.warm_passes, 2);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -632,7 +642,7 @@ mod tests {
             mgr.acquire(&meta, &cfg, &cancel).unwrap(),
             StoreTicket::Replay { .. }
         ));
-        assert_eq!(mgr.counts().warm_passes, 0);
+        assert_eq!(mgr.counts().0.warm_passes, 0);
 
         // A different design whose final path holds junk must re-warm.
         let mut other = test_meta();
@@ -643,7 +653,7 @@ mod tests {
             mgr.acquire(&other, &cfg, &cancel).unwrap(),
             StoreTicket::Warm { .. }
         ));
-        assert_eq!(mgr.counts().warm_passes, 1);
+        assert_eq!(mgr.counts().0.warm_passes, 1);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -672,7 +682,7 @@ mod tests {
             mgr.acquire(&risc, &cfg, &cancel).unwrap(),
             StoreTicket::Warm { .. }
         ));
-        let counts = mgr.counts();
+        let (counts, _) = mgr.counts();
         assert_eq!((counts.warm_passes, counts.store_hits), (1, 0));
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -704,33 +714,62 @@ mod tests {
             Arc::ptr_eq(&a.store, &a_again.store) && Arc::ptr_eq(&a.memo, &a_again.memo),
             "hit must share the mapping and its memo"
         );
-        assert_eq!(mgr.counts().stores_opened, 1);
-        assert_eq!(mgr.counts().stores_evicted, 0);
+        assert_eq!(mgr.counts().0.stores_opened, 1);
+        assert_eq!(mgr.counts().0.stores_evicted, 0);
 
         mgr.open_store(fps[1], &path(fps[1]), &sim).unwrap();
-        assert_eq!(mgr.counts().open_stores, 2);
+        assert_eq!(mgr.counts().1, 2);
 
         // Touch store 0 so store 1 is now least-recently used, then
         // overflow the cap: store 1 must be the eviction victim.
         mgr.open_store(fps[0], &path(fps[0]), &sim).unwrap();
         mgr.open_store(fps[2], &path(fps[2]), &sim).unwrap();
-        assert_eq!(mgr.counts().open_stores, 2);
-        assert_eq!(mgr.counts().stores_evicted, 1);
-        assert_eq!(mgr.counts().stores_opened, 3);
+        assert_eq!(mgr.counts().1, 2);
+        assert_eq!(mgr.counts().0.stores_evicted, 1);
+        assert_eq!(mgr.counts().0.stores_opened, 3);
 
         // Store 0 survived the eviction (still a hit); store 1 did not.
         mgr.open_store(fps[0], &path(fps[0]), &sim).unwrap();
-        assert_eq!(mgr.counts().stores_opened, 3);
+        assert_eq!(mgr.counts().0.stores_opened, 3);
         mgr.open_store(fps[1], &path(fps[1]), &sim).unwrap();
-        assert_eq!(mgr.counts().stores_opened, 4);
-        assert_eq!(mgr.counts().stores_evicted, 2);
+        assert_eq!(mgr.counts().0.stores_opened, 4);
+        assert_eq!(mgr.counts().0.stores_evicted, 2);
 
         // A junk file fails to open and is not cached.
         let junk = root.join("junk.ck");
         std::fs::write(&junk, b"not a store").unwrap();
         let err = mgr.open_store(0xdead, &junk, &sim).unwrap_err();
         assert!(err.contains("cannot open store"), "unexpected error: {err}");
-        assert_eq!(mgr.counts().open_stores, 2);
+        assert_eq!(mgr.counts().1, 2);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A store is mapped outside the lock, so two jobs may both miss its
+    /// open slot: the one that fills it second shares the first one's
+    /// slot, memo included, and only one mapping is counted.
+    #[test]
+    fn racing_opens_of_one_store_share_one_slot() {
+        use smarts_ckpt::CkptWriter;
+        let root = temp_root("openrace");
+        let mgr = StoreManager::new(&root).unwrap();
+        let cfg = MachineConfig::eight_way();
+        let sim = SmartsSim::new(cfg.clone());
+        let meta = test_meta();
+        let fp = meta.fingerprint(&cfg);
+        let path = mgr.final_path(fp);
+        CkptWriter::create(&path, &cfg, &meta)
+            .unwrap()
+            .finish()
+            .unwrap();
+        let opens: Vec<OpenStore> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| scope.spawn(|| mgr.open_store(fp, &path, &sim).unwrap()))
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert!(Arc::ptr_eq(&opens[0].store, &opens[1].store));
+        assert!(Arc::ptr_eq(&opens[0].memo, &opens[1].memo));
+        assert_eq!((mgr.counts().0.stores_opened, mgr.counts().1), (1, 1));
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -772,19 +811,19 @@ mod tests {
             .unwrap();
         mgr.open_store(second.fingerprint(&cfg), &other, &sim)
             .unwrap();
-        assert_eq!(mgr.counts().stores_evicted, 1);
+        assert_eq!(mgr.counts().0.stores_evicted, 1);
 
         // Its file still there: a store hit, no warm pass.
         let again = mgr.acquire(&first, &cfg, &cancel).unwrap();
         assert!(matches!(again, StoreTicket::Replay { .. }), "got {again:?}");
-        let counts = mgr.counts();
+        let (counts, _) = mgr.counts();
         assert_eq!((counts.warm_passes, counts.store_hits), (1, 1));
 
         // Its file gone: warmed again, not replayed from nothing.
         std::fs::remove_file(final_path).unwrap();
         let gone = mgr.acquire(&first, &cfg, &cancel).unwrap();
         assert!(matches!(gone, StoreTicket::Warm { .. }), "got {gone:?}");
-        let counts = mgr.counts();
+        let (counts, _) = mgr.counts();
         assert_eq!((counts.warm_passes, counts.store_hits), (2, 1));
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -847,17 +886,17 @@ mod tests {
         assert!(memo.upgrade().is_some(), "the open slot keeps its memo");
         mgr.open_store(fps[1], &mgr.final_path(fps[1]), &sim)
             .unwrap();
-        assert_eq!(mgr.counts().stores_evicted, 1);
+        assert_eq!(mgr.counts().0.stores_evicted, 1);
         assert!(mapping.upgrade().is_none() && memo.upgrade().is_none());
 
         // A re-open maps the file again and knows nothing.
         let reopened = mgr
             .open_store(fps[0], &mgr.final_path(fps[0]), &sim)
             .unwrap();
-        assert_eq!(mgr.counts().stores_opened, 3);
+        assert_eq!(mgr.counts().0.stores_opened, 3);
         assert_eq!(replay(&reopened), (units, 0));
         assert_eq!(replay(&reopened), (units, units));
-        let counts = mgr.counts();
+        let (counts, _) = mgr.counts();
         assert_eq!(
             (counts.units_replayed, counts.units_memoized),
             (4 * units, 2 * units)
